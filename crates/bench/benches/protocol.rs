@@ -180,6 +180,13 @@ fn dense_view_fleet(n: usize) -> (Scenario, Vec<Participant>) {
 /// converged. Like every committed median, the numbers are from a
 /// single-core box (docs/BENCHMARKS.md); `workers = 1` keeps the fan-out
 /// honest there.
+///
+/// Those rows only ever see a *warm* oracle — after the first iteration
+/// every class is a cache hit — so they say nothing about what a class
+/// costs the first time it is decided. The `cold_sparse` row prices that:
+/// a really disseminated 10k fleet of 2 500 four-cliques (the benchmark's
+/// `fleet_sparse` shape: every view a 6-edge island in a 10 000-id space)
+/// decided against a fresh oracle every iteration, 2 500 cold queries.
 fn bench_collect_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("collect_scaling");
     group.sample_size(10);
@@ -192,6 +199,15 @@ fn bench_collect_scaling(c: &mut Criterion) {
             })
         });
     }
+    let n = 10_000usize;
+    let scenario = Scenario::new(gen::disjoint_cliques(n / 4, 4), 2);
+    let participants = scenario.sim().runtime(Runtime::Event).participants();
+    group.bench_with_input(BenchmarkId::new("cold_sparse", n), &n, |b, _| {
+        b.iter(|| {
+            let mut oracle = ConnectivityOracle::new();
+            black_box(scenario.collect_decisions(black_box(&participants), &mut oracle, 1))
+        })
+    });
     group.finish();
 }
 

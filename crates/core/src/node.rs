@@ -219,13 +219,20 @@ impl NectarNode {
     /// Endpoints outside `0..n` (only possible in forged proofs that failed
     /// verification anyway) are ignored.
     pub fn discovered_graph(&self) -> Graph {
-        let mut g = Graph::empty(self.config.n);
-        for &(u, v) in self.discovered.keys() {
-            if (u as usize) < self.config.n && (v as usize) < self.config.n {
-                g.add_edge(u as usize, v as usize).expect("bounded endpoints, no self-loops");
-            }
-        }
-        g
+        Graph::from_edges(self.config.n, self.view_edges())
+            .expect("bounded endpoints, no self-loops")
+    }
+
+    /// The edges [`discovered_graph`](Self::discovered_graph) keeps —
+    /// in-range, non-loop — in canonical (ascending) order: the view as an
+    /// edge list, for consumers that can decide without building the
+    /// `n`-sized graph.
+    pub(crate) fn view_edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let n = self.config.n;
+        self.discovered
+            .keys()
+            .map(|&(u, v)| (u as usize, v as usize))
+            .filter(move |&(u, v)| u < n && v < n && u != v)
     }
 
     /// Per-reason counters of rejected relayed edges.
@@ -257,11 +264,21 @@ impl NectarNode {
     /// rather than the exact `κ` — the bound sits on the same side of `t`
     /// as the exact value by construction, so the shared rule in
     /// [`Decision::from_view`] yields the same verdict.
+    ///
+    /// Both inputs are read off the view's edge list in O(m_view): the
+    /// oracle is asked under the rolling
+    /// [`view_fingerprint`](Self::view_fingerprint) and builds
+    /// [`discovered_graph`](Self::discovered_graph) only if bounded flows
+    /// must run on it, and `reachable` is the size of this node's
+    /// component of the list — so a node whose view is a small island in a
+    /// large fleet never touches an `n`-sized structure.
     pub fn decide_with(&self, oracle: &mut ConnectivityOracle) -> Decision {
-        let g = self.discovered_graph();
-        let answer = oracle.answer(&g, self.config.t);
-        let reachable = traversal::reachable_count(&g, self.id);
-        Decision::from_view(self.config.n, self.config.t, reachable, answer.kappa.report())
+        let t = self.config.t;
+        let answer = oracle
+            .answer_edges(self.view_fingerprint, self.view_edges(), t, || self.discovered_graph());
+        let reachable =
+            traversal::edge_component_sizes(self.view_edges()).get(&self.id).copied().unwrap_or(1);
+        Decision::from_view(self.config.n, t, reachable, answer.kappa.report())
     }
 
     /// The decision phase with an externally computed vertex connectivity of

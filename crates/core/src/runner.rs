@@ -501,10 +501,12 @@ impl Scenario {
         // pays, the rest hit the verdict cache), so the per-node oracle
         // counters are identical to calling [`NectarNode::decide_with`]
         // node by node — but a 10 000 node fleet no longer pays 10 000
-        // full-graph constructions and BFS passes: a view graph is only
-        // materialized when the oracle cannot answer its fingerprint from
-        // cache (probed up front via the non-counting
-        // [`ConnectivityOracle::peek`]).
+        // full-graph constructions and BFS passes. The oracle's cache and
+        // its layer-1 shortcuts read the class's edge list alone
+        // ([`ConnectivityOracle::answer_edges`]), so a view graph is only
+        // materialized for a class whose verdict needs bounded flows
+        // (planned up front via the non-counting
+        // [`ConnectivityOracle::needs_graph`]).
         let correct: Vec<&crate::node::NectarNode> = participants
             .iter()
             .filter(|p| !byzantine.contains(&p.nectar().node_id()))
@@ -539,67 +541,67 @@ impl Scenario {
         if let Some(p) = profile.as_deref_mut() {
             p.classify_micros = lap(&mut stage_start);
         }
-        // Stage 3 (parallel): per-class edge key + component sizes, derived
+        // Stage 3 (parallel): per-class edge list + component sizes, derived
         // once from each class's *representative* (its first member in node
-        // order — any member works, they share the view). The edge key is
-        // retained so any later materialization planning is per class by
-        // construction: stage 4 and the stage-5 fallback both read
-        // `class_keys[c]`, so a class's view graph is built at most once no
-        // matter how many members or retries touch it.
+        // order — any member works, they share the view). The edge list is
+        // retained: it is what the oracle's cache and layer 1 read, and
+        // what stage 4 and the stage-5 fallback build a view graph from.
         struct ViewClass {
             fingerprint: Fingerprint,
-            /// Materialized only for oracle cache misses (stage 4).
+            /// The view's in-range, non-loop edges, ascending.
+            edges: Vec<(usize, usize)>,
+            /// Materialized only while bounded flows need it (stage 4).
             graph: Option<Graph>,
             /// Component size per vertex named by the view's edges;
             /// unnamed vertices are implicit singletons.
             component_size: BTreeMap<NodeId, usize>,
         }
-        let (class_keys, mut classes): (Vec<Vec<(u16, u16)>>, Vec<ViewClass>) =
-            parallel_map(class_reps, workers, |node| {
-                let key = node.discovered_edge_key();
-                let component_size = view_component_sizes(&key, n);
-                let class =
-                    ViewClass { fingerprint: node.view_fingerprint(), graph: None, component_size };
-                (key, class)
-            })
-            .into_iter()
-            .unzip();
+        let mut classes: Vec<ViewClass> = parallel_map(class_reps, workers, |node| {
+            // The filter hides the length from `collect`; size the list once.
+            let mut edges = Vec::with_capacity(node.known_edge_count());
+            edges.extend(node.view_edges());
+            let component_size = traversal::edge_component_sizes(edges.iter().copied());
+            ViewClass { fingerprint: node.view_fingerprint(), edges, graph: None, component_size }
+        });
         if let Some(p) = profile.as_deref_mut() {
             p.derive_micros = lap(&mut stage_start);
         }
-        // Stage 4 (parallel): pre-materialize the view graphs the oracle
-        // cannot answer from cache. `peek` records nothing — the counted
-        // queries replay per node in stage 5.
-        let misses: Vec<usize> = (0..classes.len())
-            .filter(|&c| oracle.peek(classes[c].fingerprint, t).is_none())
-            .collect();
-        let graphs = parallel_map(
-            misses.iter().map(|&c| &class_keys[c]).collect(),
-            workers,
-            |key: &Vec<(u16, u16)>| view_graph(key, n),
-        );
-        for (&c, graph) in misses.iter().zip(graphs) {
-            classes[c].graph = Some(graph);
+        // Stage 4 (parallel): plan each class — cached, settled by layer 1,
+        // or flow-bound — and pre-materialize the flow-bound view graphs.
+        // `needs_graph` records nothing; the counted queries replay per
+        // node in stage 5.
+        let view_graph = |edges: &[(usize, usize)]| {
+            Graph::from_edges(n, edges.iter().copied()).expect("bounded endpoints, no self-loops")
+        };
+        let planner = &*oracle;
+        let graphs = parallel_map(classes.iter().collect(), workers, |class: &ViewClass| {
+            planner
+                .needs_graph(class.fingerprint, class.edges.iter().copied(), t)
+                .then(|| view_graph(&class.edges))
+        });
+        for (class, graph) in classes.iter_mut().zip(graphs) {
+            class.graph = graph;
         }
         if let Some(p) = profile.as_deref_mut() {
             p.materialize_micros = lap(&mut stage_start);
         }
         // Stage 5 (sequential): per-node decisions in node order, each
-        // issuing its own oracle query. The lazy fallback covers the rare
-        // case where the bounded verdict cache flushed between the stage-4
-        // peek and this query. This per-node order is the canonical
-        // decision-commit order every observer stream reproduces.
+        // issuing its own oracle query. The lazy build covers the rare case
+        // where the bounded verdict cache flushed between the stage-4 plan
+        // and this query; a class's graph is dropped as soon as its verdict
+        // sits in the cache, so the phase holds the graphs still waiting
+        // for their flows, not one per class. This per-node order is the
+        // canonical decision-commit order every observer stream reproduces.
         let mut decisions = BTreeMap::new();
         for (node, &c) in correct.iter().zip(&node_class) {
-            let class = &mut classes[c];
-            let answer = match oracle.cached_answer(class.fingerprint, t) {
-                Some(answer) => answer,
-                None => {
-                    let graph = class.graph.get_or_insert_with(|| view_graph(&class_keys[c], n));
-                    oracle.answer_fingerprinted(class.fingerprint, graph, t)
-                }
-            };
-            let reachable = class.component_size.get(&node.node_id()).copied().unwrap_or(1);
+            let ViewClass { fingerprint, edges, graph, component_size } = &mut classes[c];
+            let answer = oracle.answer_edges(*fingerprint, edges.iter().copied(), t, || {
+                &*graph.get_or_insert_with(|| view_graph(edges))
+            });
+            if graph.is_some() && oracle.peek(*fingerprint, t).is_some() {
+                *graph = None;
+            }
+            let reachable = component_size.get(&node.node_id()).copied().unwrap_or(1);
             let decision = Decision::from_view(n, t, reachable, answer.kappa.report());
             on_decided(node.node_id(), &decision);
             decisions.insert(node.node_id(), decision);
@@ -609,57 +611,6 @@ impl Scenario {
         }
         (decisions, oracle.stats().since(&before))
     }
-}
-
-/// Materializes a view's [`Graph`] from its canonical edge key — exactly
-/// the graph `NectarNode::discovered_graph` builds (same edge set, same
-/// insertion order), without needing the node in hand.
-fn view_graph(key: &[(u16, u16)], n: usize) -> Graph {
-    let mut g = Graph::empty(n);
-    for (u, v) in view_edges(key, n) {
-        g.add_edge(u, v).expect("bounded endpoints, no self-loops");
-    }
-    g
-}
-
-/// The in-range, non-loop edges of a discovered-view edge key — exactly the
-/// edges `NectarNode::discovered_graph` would keep.
-fn view_edges(key: &[(u16, u16)], n: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-    key.iter()
-        .map(|&(u, v)| (u as usize, v as usize))
-        .filter(move |&(u, v)| u < n && v < n && u != v)
-}
-
-/// Component sizes of the subgraph induced by a view's edges, keyed by
-/// vertex, via union-find over only the vertices the edges name — O(m α)
-/// regardless of `n`. Vertices absent from the map are isolated (size 1).
-fn view_component_sizes(key: &[(u16, u16)], n: usize) -> BTreeMap<NodeId, usize> {
-    let mut index: BTreeMap<NodeId, usize> = BTreeMap::new();
-    let mut parent: Vec<usize> = Vec::new();
-    fn find(parent: &mut Vec<usize>, mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]]; // path halving
-            x = parent[x];
-        }
-        x
-    }
-    let slot = |v: usize, parent: &mut Vec<usize>, index: &mut BTreeMap<NodeId, usize>| {
-        *index.entry(v).or_insert_with(|| {
-            parent.push(parent.len());
-            parent.len() - 1
-        })
-    };
-    for (u, v) in view_edges(key, n) {
-        let a = slot(u, &mut parent, &mut index);
-        let b = slot(v, &mut parent, &mut index);
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-        parent[ra] = rb;
-    }
-    let mut root_size = vec![0usize; parent.len()];
-    for &i in index.values() {
-        root_size[find(&mut parent, i)] += 1;
-    }
-    index.iter().map(|(&v, &i)| (v, root_size[find(&mut parent, i)])).collect()
 }
 
 /// Runs `procs` for `rounds` on the chosen engine — the single runtime
@@ -937,6 +888,37 @@ mod tests {
         }
         assert_eq!(out.oracle().queries, oracle.stats().queries);
         assert_eq!(out.oracle().cache_hits, oracle.stats().cache_hits);
+    }
+
+    #[test]
+    fn starved_oracle_caches_change_neither_decisions_nor_counters() {
+        // With no cache every member re-decides its class; with one slot
+        // the classes evict each other between stage 4's plan and stage
+        // 5's queries. Either way collect must stay node-by-node
+        // `decide_with` — decisions and all six counters — on flow-bound
+        // views (a Byzantine-split Harary graph: several classes, δ > t)
+        // and on layer-1 views (a partitioned fleet) alike.
+        let split_views = Scenario::new(gen::harary(4, 12).unwrap(), 2)
+            .with_byzantine(2, ByzantineBehavior::TwoFaced { silent_toward: [7, 8].into() })
+            .with_byzantine(9, ByzantineBehavior::Silent)
+            .with_key_seed(3);
+        let partitioned = Scenario::new(gen::disjoint_cliques(5, 4), 2).with_key_seed(3);
+        for (scenario, flow_bound) in [(split_views, true), (partitioned, false)] {
+            let participants = scenario.sim().participants();
+            for capacity in [0, 1] {
+                let mut batched = ConnectivityOracle::with_capacity(capacity);
+                let (decisions, stats) = scenario.collect_decisions(&participants, &mut batched, 1);
+                let mut one_by_one = ConnectivityOracle::with_capacity(capacity);
+                let expected: BTreeMap<NodeId, Decision> = participants
+                    .iter()
+                    .filter(|p| p.is_correct())
+                    .map(|p| (p.nectar().node_id(), p.nectar().decide_with(&mut one_by_one)))
+                    .collect();
+                assert_eq!(decisions, expected, "capacity {capacity}");
+                assert_eq!(stats, *one_by_one.stats(), "capacity {capacity}");
+                assert_eq!(stats.bounded_flows > 0, flow_bound, "the premise of each case");
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,17 @@
 //! routines (which remain the reference implementation this module is
 //! property-tested against):
 //!
-//! 1. **O(n + m) short-circuits.** A disconnected graph has `κ = 0 ≤ t`;
-//!    a complete graph has `κ = n − 1`; and since `κ ≤ δ` (the minimum
-//!    degree), `δ ≤ t` already proves partitionability — the neighborhood
-//!    of a minimum-degree node is the candidate cut.
+//! 1. **O(m) short-circuits on the edge list.** A disconnected graph has
+//!    `κ = 0 ≤ t`; a complete graph has `κ = n − 1`; and since `κ ≤ δ` (the
+//!    minimum degree), `δ ≤ t` already proves partitionability — the
+//!    neighborhood of a minimum-degree node is the candidate cut. All three
+//!    are read off the edge list alone — `m = n(n − 1)/2` is completeness,
+//!    `m + 1 < n` or a second union-find component is disconnectedness, `δ`
+//!    is a degree count — so a view that is a small island in a large id
+//!    space (every view of a partitioned fleet) is settled in O(m_view)
+//!    with no `n`-sized structure: the [`Graph`] is asked for, through a
+//!    closure, only when layer 2 must run flows on it
+//!    ([`ConnectivityOracle::answer_edges`]).
 //! 2. **Bounded max-flow.** When `δ > t`, Even's pair scan runs with
 //!    [`local_vertex_connectivity_bounded`] capped at `t + 1`: deciding
 //!    `κ(s, t) ≤ t` never needs more than `t + 1` vertex-disjoint paths, so
@@ -24,15 +31,17 @@
 //!    order-independent edge fingerprint, so repeated queries on unchanged
 //!    graphs — the common case when every node of a NECTAR run converges to
 //!    the same discovered view (Lemma 2), or across monitoring epochs whose
-//!    topology did not move — cost O(n + m) hashing instead of max-flows.
+//!    topology did not move — cost O(n + m) hashing (O(1) for callers that
+//!    maintain the digest incrementally) instead of max-flows.
 //!    Merging a new edge changes the fingerprint, which invalidates the
 //!    stale verdict by construction.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 use crate::connectivity::PairScanner;
 use crate::graph::Graph;
-use crate::traversal::is_connected;
+use crate::traversal::DisjointSets;
 
 /// An order-independent 64-bit digest of a graph's node count and edge set.
 ///
@@ -162,6 +171,77 @@ impl OracleStats {
     }
 }
 
+/// What layer 1 reads off a view's edge list.
+enum LayerOne {
+    /// Degenerate, complete or disconnected: `κ` is known exactly.
+    Structure(OracleAnswer),
+    /// Connected with `δ ≤ t`: `κ ≤ δ` proves partitionability.
+    MinDegree(OracleAnswer),
+    /// Connected, incomplete, `δ > t`: only flows can tell.
+    Open,
+}
+
+/// The simple graph an edge list spans over nodes `0..n`, as a strictly
+/// ascending list of `(u, v)` pairs with `u < v`: self-loops and
+/// out-of-range pairs dropped, orientation and duplicates folded. A list
+/// already in that form — [`Graph::edges`], a node's discovered-edge key —
+/// passes through in one O(m) sweep without sorting.
+fn simple_edges(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Vec<(usize, usize)> {
+    let mut list: Vec<(usize, usize)> = edges
+        .into_iter()
+        .filter(|&(u, v)| u != v && u < n && v < n)
+        .map(|(u, v)| (u.min(v), u.max(v)))
+        .collect();
+    if !list.windows(2).all(|w| w[0] < w[1]) {
+        list.sort_unstable();
+        list.dedup();
+    }
+    list
+}
+
+/// Layer 1: the structural short-circuits, decided from the
+/// [`simple_edges`] of an edge list over `n` nodes in O(m). The `n`-sized
+/// union-find and degree tables are only reached when `m ≥ n − 1`, so they
+/// are O(m) too.
+fn layer_one(n: usize, edges: impl IntoIterator<Item = (usize, usize)>, t: usize) -> LayerOne {
+    let exact = |partitionable, kappa| {
+        LayerOne::Structure(OracleAnswer { partitionable, kappa: KappaBound::Exact(kappa) })
+    };
+    if n <= 1 {
+        return exact(true, 0);
+    }
+    let edges = simple_edges(n, edges);
+    let m = edges.len();
+    // An overflowing pair count is one no list can reach.
+    if n.checked_mul(n - 1).is_some_and(|ordered_pairs| m == ordered_pairs / 2) {
+        return exact(n - 1 <= t, n - 1);
+    }
+    // A connected graph needs a spanning tree's n − 1 edges; with that many
+    // in hand, every merging edge removes one of the n initial components.
+    let connected = m + 1 >= n && {
+        let mut sets = DisjointSets::new(n);
+        edges.iter().filter(|&&(u, v)| sets.union(u, v)).count() + 1 == n
+    };
+    if !connected {
+        return exact(true, 0);
+    }
+    let mut degree = vec![0usize; n];
+    for (u, v) in edges {
+        degree[u] += 1;
+        degree[v] += 1;
+    }
+    let delta = degree.into_iter().min().expect("n > 1");
+    if delta <= t {
+        // κ ≤ δ ≤ t: Γ(v) of a minimum-degree node is the candidate cut
+        // (for a complete graph δ = n − 1 = κ, handled above).
+        return LayerOne::MinDegree(OracleAnswer {
+            partitionable: true,
+            kappa: KappaBound::AtMost(delta),
+        });
+    }
+    LayerOne::Open
+}
+
 /// Answers `κ(G) ≤ t` decision queries with bounds, early exit and caching.
 ///
 /// # Example
@@ -221,47 +301,50 @@ impl ConnectivityOracle {
         self.answer_fingerprinted(Fingerprint::of(g), g, t)
     }
 
-    /// Inspects the verdict cache for `fp` at threshold `t` without
-    /// recording anything: not a query, no counter moves. This is the
-    /// planning probe batch consumers use to decide *which* view graphs to
-    /// materialize (possibly in parallel) before replaying the real,
-    /// counted queries via [`cached_answer`](Self::cached_answer) /
-    /// [`answer_fingerprinted`](Self::answer_fingerprinted). Note the
-    /// answer may still be gone by resolution time (the bounded cache
-    /// flushes wholesale when full), so a `Some` here is a hint, not a
-    /// promise.
-    pub fn peek(&self, fp: Fingerprint, t: usize) -> Option<OracleAnswer> {
-        self.cache.get(&(fp, t)).copied()
-    }
-
-    /// Probes the verdict cache for `fp` at threshold `t` *without the
-    /// graph*. A hit is a served query (same counters as
-    /// [`answer_fingerprinted`](Self::answer_fingerprinted)); a miss
-    /// records nothing — materialize the graph and call
-    /// [`answer_fingerprinted`](Self::answer_fingerprinted) to resolve it.
-    /// Lets batch consumers (the scenario runner's view classes) skip even
-    /// *constructing* a view graph whose verdict is already cached.
-    pub fn cached_answer(&mut self, fp: Fingerprint, t: usize) -> Option<OracleAnswer> {
-        let hit = self.cache.get(&(fp, t)).copied();
-        if hit.is_some() {
-            self.stats.queries += 1;
-            self.stats.cache_hits += 1;
-        }
-        hit
-    }
-
     /// [`answer`](Self::answer) for callers that maintain `g`'s fingerprint
     /// incrementally (via [`Fingerprint::toggle_edge`]) and can therefore
     /// skip the O(n + m) digest. `fp` must digest exactly `g`; a stale
     /// fingerprint yields stale verdicts.
     pub fn answer_fingerprinted(&mut self, fp: Fingerprint, g: &Graph, t: usize) -> OracleAnswer {
+        self.answer_edges(fp, g.edges(), t, || g)
+    }
+
+    /// [`answer`](Self::answer) for callers that hold a view as an *edge
+    /// list* plus its digest and would have to build the [`Graph`]: the
+    /// cache and the layer-1 shortcuts read only `edges` (consumed on a
+    /// cache miss, in O(m)), and `graph` is called — at most once — only
+    /// when bounded flows must run. Same checks in the same order moving
+    /// the same counters as a query with the graph in hand, which is this
+    /// very code fed `g.edges()`.
+    ///
+    /// The list is normalized, not trusted: self-loops and pairs outside
+    /// `0..n` are dropped, orientation and duplicates are ignored. `fp`
+    /// must digest the simple graph that leaves over `n` nodes (`n` is
+    /// read from `fp`), and `graph` must build exactly that graph.
+    pub fn answer_edges<G: Borrow<Graph>>(
+        &mut self,
+        fp: Fingerprint,
+        edges: impl IntoIterator<Item = (usize, usize)>,
+        t: usize,
+        graph: impl FnOnce() -> G,
+    ) -> OracleAnswer {
         self.stats.queries += 1;
         let key = (fp, t);
         if let Some(&hit) = self.cache.get(&key) {
             self.stats.cache_hits += 1;
             return hit;
         }
-        let answer = self.decide(g, t);
+        let answer = match layer_one(fp.n, edges, t) {
+            LayerOne::Structure(answer) => {
+                self.stats.structure_shortcuts += 1;
+                answer
+            }
+            LayerOne::MinDegree(answer) => {
+                self.stats.min_degree_shortcuts += 1;
+                answer
+            }
+            LayerOne::Open => self.pair_scan(graph().borrow(), t),
+        };
         if self.max_entries > 0 {
             if self.cache.len() >= self.max_entries {
                 self.cache.clear();
@@ -269,6 +352,32 @@ impl ConnectivityOracle {
             self.cache.insert(key, answer);
         }
         answer
+    }
+
+    /// Inspects the verdict cache for `fp` at threshold `t` without
+    /// recording anything: not a query, no counter moves. Note the answer
+    /// may still be gone by the time a counted query asks (the bounded
+    /// cache flushes wholesale when full), so a `Some` here is a hint, not
+    /// a promise.
+    pub fn peek(&self, fp: Fingerprint, t: usize) -> Option<OracleAnswer> {
+        self.cache.get(&(fp, t)).copied()
+    }
+
+    /// The planning probe for batch consumers: whether
+    /// [`answer_edges`](Self::answer_edges) on this view would call its
+    /// `graph` closure right now — the verdict is not cached and layer 1
+    /// leaves it open. Records nothing. Lets the scenario runner
+    /// materialize (in parallel) only the view graphs flows will run on,
+    /// before replaying the counted queries in node order; like
+    /// [`peek`](Self::peek) it is a hint — a cache flush in between makes
+    /// the counted query build the graph itself.
+    pub fn needs_graph(
+        &self,
+        fp: Fingerprint,
+        edges: impl IntoIterator<Item = (usize, usize)>,
+        t: usize,
+    ) -> bool {
+        self.peek(fp, t).is_none() && matches!(layer_one(fp.n, edges, t), LayerOne::Open)
     }
 
     /// Cumulative counters since construction (or the last [`reset_stats`]).
@@ -293,34 +402,14 @@ impl ConnectivityOracle {
         self.cache.clear();
     }
 
-    /// The uncached decision procedure.
-    fn decide(&mut self, g: &Graph, t: usize) -> OracleAnswer {
-        let n = g.node_count();
-        // Layer 1: structural short-circuits, each O(n + m) or better.
-        if n <= 1 {
-            self.stats.structure_shortcuts += 1;
-            return OracleAnswer { partitionable: true, kappa: KappaBound::Exact(0) };
-        }
-        if g.is_complete() {
-            self.stats.structure_shortcuts += 1;
-            return OracleAnswer { partitionable: n - 1 <= t, kappa: KappaBound::Exact(n - 1) };
-        }
-        if !is_connected(g) {
-            self.stats.structure_shortcuts += 1;
-            return OracleAnswer { partitionable: true, kappa: KappaBound::Exact(0) };
-        }
-        let v = g.min_degree_node().expect("non-empty graph has a min-degree node");
-        let delta = g.degree(v);
-        if delta <= t {
-            // κ ≤ δ ≤ t: Γ(v) of the min-degree node is the candidate cut
-            // (for a complete graph δ = n − 1 = κ, handled above).
-            self.stats.min_degree_shortcuts += 1;
-            return OracleAnswer { partitionable: true, kappa: KappaBound::AtMost(delta) };
-        }
-        // Layer 2: Even's pair scan with the max-flow capped at t + 1 on a
-        // single reusable split network. The scanned pairs cover a minimum
-        // vertex cut (every cut either separates v from a non-neighbor or
-        // splits Γ(v)), so:
+    /// Layer 2, for graphs layer 1 left open (connected, incomplete,
+    /// `δ > t`).
+    fn pair_scan(&mut self, g: &Graph, t: usize) -> OracleAnswer {
+        let v = g.min_degree_node().expect("layer 1 settles the empty graph");
+        // Even's pair scan with the max-flow capped at t + 1 on a single
+        // reusable split network. The scanned pairs cover a minimum vertex
+        // cut (every cut either separates v from a non-neighbor or splits
+        // Γ(v)), so:
         //   * any pair with κ(s, t) ≤ t proves κ(G) ≤ t (for non-adjacent
         //     s, t, κ(G) ≤ κ(s, t));
         //   * all pairs at ≥ t + 1, together with δ > t, prove κ(G) > t.
@@ -656,6 +745,127 @@ mod proptests {
                 for g in &graphs {
                     check_against_exact(&mut oracle, g);
                 }
+            }
+        }
+    }
+
+    /// Layer 1 as it was before it read edge lists — the [`Graph`]
+    /// predicates, in the original order — in front of the shared pair
+    /// scan: the reference the edge-list implementation must reproduce,
+    /// answer and counters alike.
+    fn dense_reference(g: &Graph, t: usize) -> (OracleAnswer, OracleStats) {
+        let mut oracle = ConnectivityOracle::with_capacity(0);
+        oracle.stats.queries += 1;
+        let n = g.node_count();
+        let exact = |partitionable, k| OracleAnswer { partitionable, kappa: KappaBound::Exact(k) };
+        let answer = if n <= 1 {
+            oracle.stats.structure_shortcuts += 1;
+            exact(true, 0)
+        } else if g.is_complete() {
+            oracle.stats.structure_shortcuts += 1;
+            exact(n - 1 <= t, n - 1)
+        } else if !crate::traversal::is_connected(g) {
+            oracle.stats.structure_shortcuts += 1;
+            exact(true, 0)
+        } else {
+            let delta = g.min_degree().expect("n > 1");
+            if delta <= t {
+                oracle.stats.min_degree_shortcuts += 1;
+                OracleAnswer { partitionable: true, kappa: KappaBound::AtMost(delta) }
+            } else {
+                oracle.pair_scan(g, t)
+            }
+        };
+        (answer, oracle.stats)
+    }
+
+    /// `g`'s edges as a list no entry point may trust: reverse order,
+    /// mixed orientation, duplicates, self-loops and out-of-range pairs,
+    /// placed by `salt`.
+    fn untrusted_edge_list(g: &Graph, salt: u64) -> Vec<(usize, usize)> {
+        let n = g.node_count();
+        let mut list = vec![(n, n + 1), (0, 0), (0, n)];
+        for (i, (u, v)) in g.edges().enumerate() {
+            let r = mix64(salt ^ i as u64);
+            list.push(if r & 1 == 0 { (u, v) } else { (v, u) });
+            if r & 2 != 0 {
+                list.push((v, u));
+            }
+            if r & 4 != 0 {
+                list.push((v, v));
+            }
+            if r & 8 != 0 {
+                list.push((n + (r >> 8) as usize % 3, u));
+            }
+        }
+        list.reverse();
+        list
+    }
+
+    /// The graph path and the edge-list path (fed an untrusted list) both
+    /// reproduce the dense reference on `(g, t)` — the answer and all six
+    /// counters — and the graph is asked for exactly when flows run.
+    fn check_against_dense_reference(g: &Graph, t: usize, salt: u64) {
+        let (expected, expected_stats) = dense_reference(g, t);
+        let fp = Fingerprint::of(g);
+        let list = untrusted_edge_list(g, salt);
+
+        let mut with_graph = ConnectivityOracle::with_capacity(0);
+        assert_eq!(with_graph.answer(g, t), expected, "graph path, t = {t}, {g:?}");
+        assert_eq!(*with_graph.stats(), expected_stats, "graph path, t = {t}, {g:?}");
+
+        let mut from_edges = ConnectivityOracle::with_capacity(0);
+        let mut graph_built = false;
+        let answer = from_edges.answer_edges(fp, list.iter().copied(), t, || {
+            graph_built = true;
+            g
+        });
+        assert_eq!(answer, expected, "edge path, t = {t}, {g:?}, list {list:?}");
+        assert_eq!(*from_edges.stats(), expected_stats, "edge path, t = {t}, {g:?}");
+        assert_eq!(graph_built, expected_stats.bounded_flows > 0, "graph is for flows only");
+        assert_eq!(from_edges.needs_graph(fp, list, t), graph_built, "plan, t = {t}, {g:?}");
+    }
+
+    #[test]
+    fn oracle_edge_list_layer_one_matches_the_dense_reference_on_the_zoo() {
+        for n in 0..=9usize {
+            let mut zoo = vec![
+                Graph::empty(n),
+                gen::complete(n),
+                gen::path(n),
+                gen::cycle(n),
+                gen::star(n),
+                gen::disjoint_cliques(n / 3, 3),
+                gen::disjoint_cliques(2, n / 2),
+            ];
+            // An island in a larger id space, and every family member that
+            // exists at this size.
+            zoo.push(Graph::from_edges(n + 4, gen::complete(n).edges()).unwrap());
+            zoo.extend((1..n).filter_map(|k| gen::harary(k, n).ok()));
+            zoo.extend((1..n).filter_map(|k| gen::generalized_wheel(k, n).ok()));
+            zoo.extend((1..n).filter_map(|k| gen::k_pasted_tree(k, n).ok()));
+            zoo.extend((1..n).filter_map(|k| gen::k_diamond(k, n).ok()));
+            for (i, g) in zoo.iter().enumerate() {
+                for t in 0..=3 {
+                    check_against_dense_reference(g, t, (n * 64 + i) as u64);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn oracle_edge_list_layer_one_matches_the_dense_reference_on_gnp(
+            n in 0usize..=9,
+            seed in 0u64..10_000,
+            per_mille in 0u32..=1000,
+        ) {
+            let p = f64::from(per_mille) / 1000.0;
+            let g = gen::erdos_renyi(n, p, &mut StdRng::seed_from_u64(seed));
+            for t in 0..=3 {
+                check_against_dense_reference(&g, t, seed);
             }
         }
     }

@@ -6,7 +6,7 @@
 //! discussion of how NECTAR's cost scales with the network diameter (§IV-E,
 //! §V-C).
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::graph::Graph;
 
@@ -45,11 +45,14 @@ pub fn connected_components(g: &Graph) -> (Vec<usize>, usize) {
     let n = g.node_count();
     let mut ids = vec![usize::MAX; n];
     let mut next = 0;
+    // One queue for the whole sweep: it is empty again whenever a component
+    // is exhausted, so a graph of many small components (a partitioned
+    // fleet's view) costs one allocation, not one per component.
+    let mut queue = VecDeque::new();
     for s in 0..n {
         if ids[s] != usize::MAX {
             continue;
         }
-        let mut queue = VecDeque::new();
         ids[s] = next;
         queue.push_back(s);
         while let Some(u) = queue.pop_front() {
@@ -63,6 +66,66 @@ pub fn connected_components(g: &Graph) -> (Vec<usize>, usize) {
         next += 1;
     }
     (ids, next)
+}
+
+/// Disjoint sets over slots `0..len` (union-find with path halving): the
+/// component structure of an edge list, with no adjacency structure in
+/// hand. Shared by [`edge_component_sizes`] and the connectivity oracle's
+/// edge-list connectedness check.
+#[derive(Debug, Default)]
+pub(crate) struct DisjointSets {
+    parent: Vec<usize>,
+}
+
+impl DisjointSets {
+    /// `len` singleton sets.
+    pub(crate) fn new(len: usize) -> Self {
+        DisjointSets { parent: (0..len).collect() }
+    }
+
+    /// Adds one more singleton set and returns its slot.
+    fn push(&mut self) -> usize {
+        self.parent.push(self.parent.len());
+        self.parent.len() - 1
+    }
+
+    fn find(&mut self, mut x: usize) -> usize {
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]]; // path halving
+            x = self.parent[x];
+        }
+        x
+    }
+
+    /// Merges the sets holding `a` and `b`; `true` iff they were distinct.
+    pub(crate) fn union(&mut self, a: usize, b: usize) -> bool {
+        let (ra, rb) = (self.find(a), self.find(b));
+        self.parent[ra] = rb;
+        ra != rb
+    }
+}
+
+/// Component sizes of the graph an edge list spans, keyed by vertex, via
+/// union-find over only the vertices the edges name — O(m α) however large
+/// the id space around them is. Vertices absent from the map are isolated
+/// (size 1). This is [`reachable_count`] for every named vertex at once,
+/// without building a [`Graph`]: the decision phase's `DetectReachableNode`
+/// on a view that is a small island in a large fleet.
+pub fn edge_component_sizes(
+    edges: impl IntoIterator<Item = (usize, usize)>,
+) -> BTreeMap<usize, usize> {
+    let mut slot_of: BTreeMap<usize, usize> = BTreeMap::new();
+    let mut sets = DisjointSets::default();
+    for (u, v) in edges {
+        let a = *slot_of.entry(u).or_insert_with(|| sets.push());
+        let b = *slot_of.entry(v).or_insert_with(|| sets.push());
+        sets.union(a, b);
+    }
+    let mut root_size = vec![0usize; slot_of.len()];
+    for &slot in slot_of.values() {
+        root_size[sets.find(slot)] += 1;
+    }
+    slot_of.iter().map(|(&v, &slot)| (v, root_size[sets.find(slot)])).collect()
 }
 
 /// Whether the graph is connected. The empty graph and singletons are
@@ -189,6 +252,19 @@ mod tests {
         assert_eq!(ids[3], ids[4]);
         assert_ne!(ids[0], ids[2]);
         assert_ne!(ids[0], ids[5]);
+    }
+
+    #[test]
+    fn edge_component_sizes_match_bfs_reachability() {
+        // Unordered, duplicated and reversed pairs over a sparse id space.
+        let edges = [(7, 3), (3, 7), (3, 9), (20, 21), (9, 7)];
+        let sizes = edge_component_sizes(edges);
+        let g = Graph::from_edges(30, edges).unwrap();
+        for v in 0..30 {
+            assert_eq!(sizes.get(&v).copied().unwrap_or(1), reachable_count(&g, v), "vertex {v}");
+        }
+        assert_eq!(sizes.len(), 5, "only named vertices are keyed");
+        assert!(edge_component_sizes([]).is_empty());
     }
 
     #[test]

@@ -198,10 +198,12 @@ pub struct PhaseProfile {
     /// Decision stages 1+2: grouping nodes into view classes by their
     /// incremental fingerprints.
     pub classify_micros: u64,
-    /// Decision stage 3: per-class canonical edge key + component sizes.
+    /// Decision stage 3: per-class edge list + component sizes.
     pub derive_micros: u64,
-    /// Decision stage 4: pre-materializing view graphs the oracle cannot
-    /// answer from cache.
+    /// Decision stage 4: planning each class from its edge list (cached,
+    /// settled by the oracle's layer 1, or flow-bound) and
+    /// pre-materializing the view graphs of the flow-bound classes only —
+    /// a class the edge list settles never builds a graph.
     pub materialize_micros: u64,
     /// Decision stage 5: the sequential per-node oracle queries and
     /// decision commits.

@@ -1,0 +1,58 @@
+//! Scaling pin for the decision phase on a partitioned fleet: every view is
+//! a small island in the fleet's id space, so `collect_decisions` must cost
+//! O(m_view) per view class — no `n`-sized graph, no per-component queue.
+//! Allocation *counts* are exact and machine-independent, so the pin is a
+//! count: a per-class `Graph::empty(n)` plus a BFS over its ~n singleton
+//! components costs ~n allocations per class (~1 M here), against a
+//! handful per class when the oracle decides from the edge list.
+//!
+//! The counting allocator is process-global, which is why this test has an
+//! integration-test binary to itself.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use nectar::graph::ConnectivityOracle;
+use nectar::prelude::*;
+
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a statistic.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `layout` is the caller's, passed through as is.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+#[test]
+fn deciding_a_partitioned_fleet_allocates_per_class_not_per_node_squared() {
+    let n = 2_000;
+    let scenario = Scenario::new(gen::disjoint_cliques(n / 4, 4), 2).with_key_seed(5);
+    let participants = scenario.sim().runtime(Runtime::Event).participants();
+    let mut oracle = ConnectivityOracle::new();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let (decisions, stats) = scenario.collect_decisions(&participants, &mut oracle, 1);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(decisions.len(), n);
+    assert!(decisions.values().all(|d| d.confirmed && d.reachable == 4));
+    assert_eq!(stats.structure_shortcuts, n as u64 / 4, "one cold query per clique");
+    assert_eq!(stats.bounded_flows, 0);
+    assert!(
+        allocations < 20 * n as u64,
+        "collect_decisions made {allocations} allocations for {n} nodes in {} classes",
+        n / 4
+    );
+}

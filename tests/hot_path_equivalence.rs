@@ -14,7 +14,9 @@
 //!   can tell they exist. So the pin is the strongest observable: the full
 //!   `RunReport` (decisions, traffic metrics, oracle counters, rejection
 //!   tallies) must be bit-identical across all four runtimes and across
-//!   parallel worker counts {0, 2, 3, 7}.
+//!   parallel worker counts {0, 2, 3, 7}. The oracle's edge-list layer 1
+//!   (docs/DETERMINISM.md §7) is held to the same pin on the regime it
+//!   serves: a many-class partitioned fleet.
 //!
 //! This suite is the named `hot-path-equivalence` CI step.
 
@@ -116,6 +118,18 @@ fn assert_fingerprints_are_ground_truth(participants: &[Participant]) {
     }
 }
 
+/// Every engine but the sync reference, with the parallel one on the
+/// {0, 2, 3, 7} worker grid (0 = auto-detect, so this also sweeps whatever
+/// the host machine resolves to).
+const OTHER_RUNTIMES: [Runtime; 6] = [
+    Runtime::Threaded,
+    Runtime::Event,
+    Runtime::Parallel { workers: 0 },
+    Runtime::Parallel { workers: 2 },
+    Runtime::Parallel { workers: 3 },
+    Runtime::Parallel { workers: 7 },
+];
+
 /// The non-`runtime` content of two reports must match bit for bit; the
 /// `runtime` tag is the one field that legitimately names the engine.
 fn assert_reports_bit_identical(report: &RunReport, reference: &RunReport, label: &str) {
@@ -175,14 +189,7 @@ proptest! {
     ) {
         let scenario = build_scenario(&g, t, &cast);
         let reference = scenario.sim().run();
-        for runtime in [
-            Runtime::Threaded,
-            Runtime::Event,
-            Runtime::Parallel { workers: 0 },
-            Runtime::Parallel { workers: 2 },
-            Runtime::Parallel { workers: 3 },
-            Runtime::Parallel { workers: 7 },
-        ] {
+        for runtime in OTHER_RUNTIMES {
             let report = scenario.sim().runtime(runtime).run();
             assert_reports_bit_identical(&report, &reference, &format!("{runtime}"));
         }
@@ -211,14 +218,7 @@ fn scheduled_multi_epoch_runs_are_bit_identical_everywhere() {
     let reference = run(Runtime::Sync);
     assert_eq!(reference.epochs.len(), 2);
     assert!(!reference.decisions().is_empty());
-    for runtime in [
-        Runtime::Threaded,
-        Runtime::Event,
-        Runtime::Parallel { workers: 0 },
-        Runtime::Parallel { workers: 2 },
-        Runtime::Parallel { workers: 3 },
-        Runtime::Parallel { workers: 7 },
-    ] {
+    for runtime in OTHER_RUNTIMES {
         let report = run(runtime);
         assert_reports_bit_identical(&report, &reference, &format!("{runtime}"));
         // The JSON projection agrees too, once the legitimate runtime/
@@ -232,5 +232,46 @@ fn scheduled_multi_epoch_runs_are_bit_identical_everywhere() {
                 .join("\n")
         };
         assert_eq!(normalize(&report), normalize(&reference), "{runtime}: JSON drifted");
+    }
+}
+
+/// The regime the edge-list layer 1 exists for: a partitioned fleet whose
+/// every view is a small island in the fleet's id space. Disjoint cliques
+/// plus connected islands with `δ ≤ t` (path, star) and with `δ > t`
+/// (cycle, Harary), one of them split further by a Byzantine member —
+/// a dozen-odd view classes, each settled without a view graph — pinned
+/// bit-identical on every runtime and the {0, 2, 3, 7} worker grid.
+#[test]
+fn many_class_partitioned_fleets_are_bit_identical_everywhere() {
+    let islands = [
+        gen::disjoint_cliques(6, 4),
+        gen::path(5),
+        gen::star(6),
+        gen::cycle(7),
+        gen::harary(4, 9).expect("valid harary"),
+        Graph::empty(2),
+    ];
+    let n = islands.iter().map(Graph::node_count).sum();
+    let mut fleet = Graph::empty(n);
+    let mut base = 0;
+    for island in &islands {
+        for (u, v) in island.edges() {
+            fleet.add_edge(base + u, base + v).expect("offsets stay in range");
+        }
+        base += island.node_count();
+    }
+    let harary_base = n - 2 - 9;
+    let scenario = Scenario::new(fleet, 1).with_key_seed(91).with_byzantine(
+        harary_base,
+        ByzantineBehavior::TwoFaced { silent_toward: [harary_base + 1].into() },
+    );
+    let reference = scenario.sim().run();
+    let oracle = reference.oracle();
+    assert!(oracle.queries - oracle.cache_hits >= 11, "one cold query per view class");
+    assert_eq!(oracle.bounded_flows, 0, "every class is settled by layer 1");
+    assert!(reference.decisions().values().all(|d| d.confirmed));
+    for runtime in OTHER_RUNTIMES {
+        let report = scenario.sim().runtime(runtime).run();
+        assert_reports_bit_identical(&report, &reference, &format!("{runtime}"));
     }
 }
