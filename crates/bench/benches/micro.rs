@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use nectar_crypto::{sha256::sha256, KeyStore, NeighborhoodProof, SignatureChain};
+use nectar_crypto::{hmac::HmacKey, sha256::sha256, KeyStore, NeighborhoodProof, SignatureChain};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
@@ -23,6 +23,10 @@ fn bench_sign_verify(c: &mut Criterion) {
     let ks = KeyStore::generate(16, 1);
     let signer = ks.signer(0);
     let verifier = ks.verifier();
+    // One chain link's signature: a tag over a 32-byte running digest.
+    let key = HmacKey::new(b"bench key");
+    let digest = [0x5au8; 32];
+    c.bench_function("hmac_tag_32B", |b| b.iter(|| key.tag(black_box(&digest))));
     let msg = vec![0x5au8; 128];
     c.bench_function("sign_128B", |b| b.iter(|| signer.sign(black_box(&msg))));
     let sig = signer.sign(&msg);
@@ -43,14 +47,28 @@ fn bench_proof_and_chain(c: &mut Criterion) {
     });
 
     let digest = proof.digest();
+    let chain_of = |hops: usize| {
+        (0..hops).fold(SignatureChain::new(), |c, h| c.extend(&ks.signer(h as u16), &digest))
+    };
     let mut group = c.benchmark_group("chain_verify");
     for hops in [1usize, 4, 16] {
-        let mut chain = SignatureChain::new();
-        for h in 0..hops {
-            chain = chain.extend(&ks.signer(h as u16), &digest);
-        }
+        let chain = chain_of(hops);
         group.bench_with_input(BenchmarkId::from_parameter(hops), &chain, |b, chain| {
             b.iter(|| chain.verify(black_box(&verifier), black_box(&digest)));
+        });
+    }
+    group.finish();
+
+    // What a relay pays to add its link to a chain it has just verified:
+    // flat in the chain length, since it signs the digest the verification
+    // walk returned.
+    let mut group = c.benchmark_group("chain_extend");
+    for hops in [1usize, 4, 16] {
+        let chain = chain_of(hops);
+        let running = chain.verify_running(&verifier, &digest).expect("an honest chain");
+        let relay = ks.signer(hops as u16 % 16);
+        group.bench_with_input(BenchmarkId::from_parameter(hops), &chain, |b, chain| {
+            b.iter(|| chain.extend_at(black_box(&relay), black_box(&running)));
         });
     }
     group.finish();

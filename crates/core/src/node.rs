@@ -60,20 +60,20 @@ pub struct NectarNode {
     /// identity in O(1) instead of walking O(m_view) edge keys.
     view_fingerprint: Fingerprint,
     /// Edges accepted in the previous round, to relay this round
-    /// (`to_be_sent_R`), with the neighbors to skip.
+    /// (`to_be_sent_R`), with the neighbor to skip.
     pending: Vec<PendingRelay>,
     /// Digests of proofs whose signatures already verified — a proof
-    /// re-delivered along another path (or re-presented after its chain was
-    /// rejected) skips the two signature checks. Sound because
-    /// [`NeighborhoodProof::digest`] covers the full proof content
-    /// (statement, signer ids, signature tags), so equal digests mean equal
-    /// proofs up to a SHA-256 collision; only *successes* are memoized, so
-    /// a hit can never flip a verdict.
+    /// re-presented after its chain was rejected skips the two signature
+    /// checks. Sound because [`NeighborhoodProof::digest`] covers the full
+    /// proof content (statement, signer ids, signature tags), so equal
+    /// digests mean equal proofs up to a SHA-256 collision; only *successes*
+    /// are memoized, so a hit can never flip a verdict.
+    ///
+    /// Chains have no such memo: an edge whose chain verified is in
+    /// `discovered` from then on, and flooding suppression drops every later
+    /// copy before [`validate`](Self::validate) runs, so a verified chain is
+    /// never presented again.
     verified_proofs: BTreeSet<[u8; 32]>,
-    /// `(proof digest, chain content key)` pairs whose chain signatures
-    /// already verified — the chain-side analogue of `verified_proofs`,
-    /// for chains replayed verbatim (same payload, same links).
-    verified_chains: BTreeSet<([u8; 32], u64)>,
     /// Rejected-message diagnostics.
     rejections: BTreeMap<RejectReason, u64>,
 }
@@ -82,23 +82,24 @@ pub struct NectarNode {
 struct PendingRelay {
     proof: Arc<NeighborhoodProof>,
     chain: Arc<SignatureChain>,
-    exclude: BTreeSet<NodeId>,
+    /// The digest this node's link signs: `chain`'s running digest over
+    /// `proof.digest()`, as the verification walk in
+    /// [`validate`](NectarNode::validate) left it (the payload digest itself
+    /// for the empty chain of an own announcement). Carrying it makes the
+    /// signature in `send` one HMAC instead of a re-fold of the whole chain.
+    running: [u8; 32],
+    /// The neighbor the edge came from, which does not get it back; `None`
+    /// for own announcements.
+    exclude: Option<NodeId>,
 }
 
-/// A 64-bit content key for a signature chain: an FNV-1a fold of every
-/// link's signer id and tag. Distinct chains collide with probability
-/// ~2⁻⁶⁴ — the same class as the view [`Fingerprint`] — and the key only
-/// memoizes *successful* verifications, so a collision could at worst skip
-/// a re-verification that would also have succeeded on the colliding
-/// chain's first delivery.
-fn chain_content_key(chain: &SignatureChain) -> u64 {
-    let mut acc = 0xcbf2_9ce4_8422_2325u64;
-    for link in chain.links() {
-        for b in link.signer().to_be_bytes().into_iter().chain(link.tag().iter().copied()) {
-            acc = (acc ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+impl PendingRelay {
+    /// A round-1 announcement: empty chain, sent to every neighbor
+    /// (Alg. 1 ll. 6–8).
+    fn announcement(proof: Arc<NeighborhoodProof>) -> Self {
+        let running = proof.digest();
+        PendingRelay { proof, chain: Arc::new(SignatureChain::new()), running, exclude: None }
     }
-    acc
 }
 
 impl NectarNode {
@@ -128,7 +129,6 @@ impl NectarNode {
             view_fingerprint: Fingerprint::empty(n),
             pending: Vec::new(),
             verified_proofs: BTreeSet::new(),
-            verified_chains: BTreeSet::new(),
             rejections: BTreeMap::new(),
         };
         for (nbr, proof) in neighbor_proofs {
@@ -141,13 +141,7 @@ impl NectarNode {
             if node.discovered.insert(proof.endpoints(), proof.clone()).is_none() {
                 node.toggle_view_edge(proof.endpoints());
             }
-            // Own edges are announced in round 1 with an empty exclusion set
-            // (Alg. 1 ll. 6–8 send the full neighborhood to every neighbor).
-            node.pending.push(PendingRelay {
-                proof,
-                chain: Arc::new(SignatureChain::new()),
-                exclude: BTreeSet::new(),
-            });
+            node.pending.push(PendingRelay::announcement(proof));
         }
         node
     }
@@ -175,11 +169,7 @@ impl NectarNode {
         if self.discovered.insert(proof.endpoints(), proof.clone()).is_none() {
             self.toggle_view_edge(proof.endpoints());
         }
-        self.pending.push(PendingRelay {
-            proof,
-            chain: Arc::new(SignatureChain::new()),
-            exclude: BTreeSet::new(),
-        });
+        self.pending.push(PendingRelay::announcement(proof));
     }
 
     /// Removes the proof (and pending announcement) for edge to `neighbor`,
@@ -311,44 +301,45 @@ impl NectarNode {
     }
 
     /// Validates a relayed edge per Alg. 1 l. 14 plus the signature rules of
-    /// §II. Returns `None` if the edge passes, `Some(reason)` otherwise.
+    /// §II. Returns the reason if the edge fails; if it passes, the running
+    /// digest of its chain — what this node's own link will sign when it
+    /// relays the edge, computed by the verification walk as its last step.
     ///
-    /// The two signature checks run behind the node's verification memos: a
-    /// proof (or verbatim chain) this node already verified successfully is
-    /// admitted without re-running the crypto. Failures are never memoized,
-    /// so the rejection behaviour — and every counter derived from it — is
-    /// bit-identical to always re-verifying.
-    fn validate(&mut self, round: usize, from: NodeId, edge: &RelayedEdge) -> Option<RejectReason> {
+    /// The proof check runs behind the `verified_proofs` memo: a proof this
+    /// node already verified successfully (under a chain it then rejected)
+    /// is admitted without re-running the two signature checks. Failures are
+    /// never memoized, so the rejection behaviour — and every counter
+    /// derived from it — is bit-identical to always re-verifying. The chain
+    /// is verified link by link on every call.
+    fn validate(
+        &mut self,
+        round: usize,
+        from: NodeId,
+        edge: &RelayedEdge,
+    ) -> Result<[u8; 32], RejectReason> {
         let chain = &edge.chain;
         if self.config.check_chain_length && chain.len() != round {
-            return Some(RejectReason::WrongChainLength);
+            return Err(RejectReason::WrongChainLength);
         }
         if chain.outermost_signer() != Some(from as u16) {
-            return Some(RejectReason::OutermostNotSender);
+            return Err(RejectReason::OutermostNotSender);
         }
         let (u, v) = edge.proof.endpoints();
         match chain.innermost_signer() {
             Some(inner) if inner == u || inner == v => {}
-            _ => return Some(RejectReason::InnermostNotEndpoint),
+            _ => return Err(RejectReason::InnermostNotEndpoint),
         }
         if self.config.require_distinct_signers && !chain.signers_distinct() {
-            return Some(RejectReason::DuplicateSigner);
+            return Err(RejectReason::DuplicateSigner);
         }
         let digest = edge.proof.digest();
         if !self.verified_proofs.contains(&digest) {
             if !edge.proof.verify(&self.verifier) {
-                return Some(RejectReason::BadProof);
+                return Err(RejectReason::BadProof);
             }
             self.verified_proofs.insert(digest);
         }
-        let chain_key = (digest, chain_content_key(chain));
-        if !self.verified_chains.contains(&chain_key) {
-            if !chain.verify(&self.verifier, &digest) {
-                return Some(RejectReason::BadChain);
-            }
-            self.verified_chains.insert(chain_key);
-        }
-        None
+        chain.verify_running(&self.verifier, &digest).ok_or(RejectReason::BadChain)
     }
 }
 
@@ -364,15 +355,15 @@ impl Process for NectarNode {
         if pending.is_empty() {
             return Vec::new();
         }
-        // Extend each chain once with our signature (σ_i(msg)), then fan the
-        // edge out to every neighbor not excluded — each copy is two pointer
-        // bumps (shared proof, shared extended chain), not a signature
-        // buffer.
+        // Extend each chain once with our signature (σ_i(msg)) over the
+        // running digest its verification left behind, then fan the edge out
+        // to every neighbor not excluded — each copy is two pointer bumps
+        // (shared proof, shared extended chain), not a signature buffer.
         let mut per_dest: BTreeMap<NodeId, Vec<RelayedEdge>> = BTreeMap::new();
         for item in pending {
-            let chain = Arc::new(item.chain.extend(&self.signer, &item.proof.digest()));
+            let chain = Arc::new(item.chain.extend_at(&self.signer, &item.running));
             for &nbr in &self.neighbors {
-                if item.exclude.contains(&nbr) {
+                if item.exclude == Some(nbr) {
                     continue;
                 }
                 per_dest
@@ -398,14 +389,15 @@ impl Process for NectarNode {
                 continue;
             }
             match self.validate(round, from, &edge) {
-                Some(reason) => self.reject(reason),
-                None => {
+                Err(reason) => self.reject(reason),
+                Ok(running) => {
                     self.discovered.insert(key, edge.proof.clone());
                     self.toggle_view_edge(key);
                     self.pending.push(PendingRelay {
                         proof: edge.proof,
                         chain: edge.chain,
-                        exclude: [from].into_iter().collect(),
+                        running,
+                        exclude: Some(from),
                     });
                 }
             }
@@ -620,6 +612,56 @@ mod tests {
     }
 
     #[test]
+    fn a_proof_verified_under_a_bad_chain_is_not_verified_twice() {
+        // The proof memo's one reachable hit: the proof checks run before
+        // the chain checks, so a good proof under a bad chain is memoized
+        // while the edge stays unknown — and may come back.
+        let g = nectar_graph::gen::path(5);
+        let ks = KeyStore::generate(5, 7);
+        let mut nodes = build_nodes(&g, 1);
+        let node = &mut nodes[3];
+        node.send(1); // drain the round-1 announcements
+        let proof = NeighborhoodProof::new(&ks.signer(0), &ks.signer(1));
+        let digest = proof.digest();
+        let chain =
+            SignatureChain::new().extend(&ks.signer(1), &digest).extend(&ks.signer(2), &digest);
+        let mut links = chain.links().to_vec();
+        let mut tag = *links[0].tag();
+        tag[0] ^= 1;
+        links[0] = nectar_crypto::Signature::from_parts(1, tag);
+        let deliver = |node: &mut NectarNode, chain: SignatureChain| {
+            let msg = NectarMsg {
+                edges: vec![RelayedEdge::new(proof.clone(), chain)],
+                format: WireFormat::PerEdgeChains,
+            };
+            node.receive(2, 2, msg);
+        };
+        let view = node.view_fingerprint();
+
+        deliver(node, SignatureChain::from_links(links));
+        assert_eq!(node.rejections()[&RejectReason::BadChain], 1);
+        assert_eq!(node.rejections().len(), 1);
+        assert_eq!((node.known_edge_count(), node.view_fingerprint()), (2, view));
+        assert!(node.quiescent(), "a rejected edge is not queued for relay");
+        assert!(node.verified_proofs.contains(&digest));
+
+        deliver(node, chain.clone());
+        assert_eq!(node.rejections()[&RejectReason::BadChain], 1, "no new rejection");
+        assert_eq!(node.known_edge_count(), 3);
+        // Relayed next round, to the neighbor it did not come from, under a
+        // chain one link longer that verifies.
+        let out = node.send(3);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].to, 4);
+        let [edge] = out[0].msg.edges.as_slice() else { panic!("exactly the accepted edge") };
+        assert_eq!(*edge.proof, proof);
+        assert_eq!(edge.chain.len(), 3);
+        assert_eq!(edge.chain.outermost_signer(), Some(3));
+        assert!(edge.chain.verify(&ks.verifier(), &digest));
+        assert_eq!(*edge.chain, chain.extend(&ks.signer(3), &digest));
+    }
+
+    #[test]
     fn hidden_edge_is_not_announced() {
         let g = nectar_graph::gen::cycle(5);
         let mut nodes = build_nodes(&g, 1);
@@ -753,5 +795,86 @@ mod config_knob_tests {
         assert!(out.agreement());
         assert_eq!(out.unanimous_verdict(), Some(Verdict::Partitionable));
         assert!(out.decisions().values().all(|d| d.reachable < 8));
+    }
+}
+
+#[cfg(test)]
+mod relay_handoff_tests {
+    use super::*;
+    use crate::byzantine::ByzantineBehavior;
+    use crate::runner::Scenario;
+    use nectar_crypto::KeyStore;
+    use nectar_graph::gen;
+
+    /// Drives `scenario` round by round and checks every edge a correct node
+    /// sends: its chain must be the chain the node accepted the edge under
+    /// (the empty chain for its own announcements), extended from scratch
+    /// with [`SignatureChain::extend`] — i.e. the running digest handed from
+    /// `validate` to `send` is exactly the digest the re-fold would sign.
+    /// Returns how many relays of each received-chain length were checked.
+    fn check_relays(scenario: &Scenario) -> BTreeMap<usize, usize> {
+        let n = scenario.topology().node_count();
+        let keys = KeyStore::generate(n, scenario.key_seed());
+        let mut participants = scenario.build_participants();
+        let mut accepted_under: BTreeMap<(NodeId, (u16, u16)), Arc<SignatureChain>> =
+            BTreeMap::new();
+        let mut checked = BTreeMap::new();
+        for round in 1..=scenario.config().effective_rounds() {
+            let mut in_flight = Vec::new();
+            for p in participants.iter_mut() {
+                let (from, correct) = (p.id(), p.is_correct());
+                for out in p.send(round) {
+                    for edge in &out.msg.edges {
+                        if correct {
+                            let key = edge.proof.endpoints();
+                            let received =
+                                accepted_under.get(&(from, key)).cloned().unwrap_or_default();
+                            let from_scratch =
+                                received.extend(&keys.signer(from as u16), &edge.proof.digest());
+                            assert_eq!(*edge.chain, from_scratch, "node {from}, round {round}");
+                            *checked.entry(received.len()).or_insert(0) += 1;
+                        }
+                        in_flight.push((from, out.to, edge.clone()));
+                    }
+                }
+            }
+            // One edge per message, so an acceptance can be told from the
+            // view growing; `receive` handles a batch edge by edge anyway.
+            for (from, to, edge) in in_flight {
+                let known = participants[to].nectar().known_edge_count();
+                let (key, chain) = (edge.proof.endpoints(), edge.chain.clone());
+                let format = scenario.config().wire_format;
+                participants[to].receive(round, from, NectarMsg { edges: vec![edge], format });
+                if participants[to].nectar().known_edge_count() > known {
+                    accepted_under.insert((to, key), chain);
+                }
+            }
+        }
+        checked
+    }
+
+    #[test]
+    fn every_relayed_chain_is_the_received_chain_extended_from_scratch() {
+        // Cycle: long chains (up to n/2 hops). Harary: many paths per edge.
+        // Two-faced: correct nodes fed asymmetric, partly withheld traffic.
+        let two_faced = ByzantineBehavior::TwoFaced { silent_toward: [1, 2, 3].into() };
+        let cases = [
+            (Scenario::new(gen::cycle(9), 1).with_key_seed(3), 4),
+            (Scenario::new(gen::harary(4, 14).unwrap(), 2).with_key_seed(4), 2),
+            (
+                Scenario::new(gen::harary(4, 12).unwrap(), 2)
+                    .with_key_seed(5)
+                    .with_byzantine(0, two_faced),
+                2,
+            ),
+        ];
+        for (scenario, longest_received) in cases {
+            let checked = check_relays(&scenario);
+            assert!(checked[&0] > 0, "own announcements were checked");
+            assert!(
+                checked.keys().any(|&len| len >= longest_received),
+                "relays of chains {longest_received}+ links long were checked: {checked:?}"
+            );
+        }
     }
 }

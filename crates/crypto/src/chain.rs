@@ -57,30 +57,61 @@ impl SignatureChain {
     /// Whether all link signers are pairwise distinct. Correct relays never
     /// re-forward an edge they already signed, so duplicate signers expose a
     /// Byzantine-crafted chain.
+    ///
+    /// A pairwise scan, so it allocates nothing: chains are a handful of
+    /// links long (one per hop), and the protocol's length-equals-round
+    /// check bounds a crafted one by `n − 1` before this runs.
     pub fn signers_distinct(&self) -> bool {
-        let mut seen = std::collections::BTreeSet::new();
-        self.links.iter().all(|l| seen.insert(l.signer()))
+        let ids = || self.links.iter().map(Signature::signer);
+        ids().enumerate().all(|(i, id)| ids().take(i).all(|earlier| earlier != id))
     }
 
     /// Returns a new chain extended by `signer`'s signature over the running
     /// digest (σ_signer(previous chain)).
+    ///
+    /// Re-derives the running digest from `payload_digest`, one hash per
+    /// link. A relay that has just verified this chain already holds that
+    /// digest ([`verify_running`](Self::verify_running)) and signs it through
+    /// [`extend_at`](Self::extend_at) instead.
     pub fn extend(&self, signer: &Signer, payload_digest: &[u8; 32]) -> SignatureChain {
-        let running = self.running_digest(payload_digest);
-        let mut links = self.links.clone();
-        links.push(signer.sign(&running));
+        self.extend_at(signer, &self.running_digest(payload_digest))
+    }
+
+    /// Returns a new chain extended by `signer`'s signature over `running`,
+    /// which must be this chain's running digest: the value
+    /// [`verify_running`](Self::verify_running) returned for it (for the
+    /// empty chain, the payload digest itself). One HMAC, whatever the chain
+    /// length. A wrong `running` yields a chain that fails verification —
+    /// the same power [`from_links`](Self::from_links) already grants.
+    pub fn extend_at(&self, signer: &Signer, running: &[u8; 32]) -> SignatureChain {
+        let mut links = Vec::with_capacity(self.links.len() + 1);
+        links.extend_from_slice(&self.links);
+        links.push(signer.sign(running));
         SignatureChain { links }
     }
 
     /// Verifies every link over `payload_digest`.
     pub fn verify(&self, verifier: &Verifier, payload_digest: &[u8; 32]) -> bool {
+        self.verify_running(verifier, payload_digest).is_some()
+    }
+
+    /// Verifies every link over `payload_digest` and returns the running
+    /// digest the *next* link signs — the walk's last fold, which a relay
+    /// hands to [`extend_at`](Self::extend_at) rather than recomputing.
+    /// `None` exactly when [`verify`](Self::verify) is `false`.
+    pub fn verify_running(
+        &self,
+        verifier: &Verifier,
+        payload_digest: &[u8; 32],
+    ) -> Option<[u8; 32]> {
         let mut digest = *payload_digest;
         for link in &self.links {
             if !verifier.verify(&digest, link) {
-                return false;
+                return None;
             }
             digest = fold(&digest, link);
         }
-        true
+        Some(digest)
     }
 
     /// Raw links, innermost first (for wire encoding).
@@ -116,7 +147,7 @@ fn fold(digest: &[u8; 32], link: &Signature) -> [u8; 32] {
 mod tests {
     use super::*;
     use crate::keys::KeyStore;
-    use crate::sha256::sha256;
+    use crate::sha256::{compressions_in, sha256};
 
     fn setup() -> (KeyStore, [u8; 32]) {
         (KeyStore::generate(6, 99), sha256(b"payload"))
@@ -201,6 +232,28 @@ mod tests {
     }
 
     #[test]
+    fn the_cost_model_holds_in_compressions() {
+        // Per link: one 32-byte tag (2) plus one 66-byte fold (2). Signing
+        // at a known running digest: one tag, whatever the length.
+        let (ks, digest) = setup();
+        let verifier = ks.verifier();
+        let mut chain = SignatureChain::new();
+        for len in 0..=5u64 {
+            let (running, n) = compressions_in(|| chain.verify_running(&verifier, &digest));
+            assert_eq!(n, 4 * len, "verifying {len} links");
+            let running = running.expect("an honest chain verifies");
+            let (next, n) = compressions_in(|| chain.extend_at(&ks.signer(len as u16), &running));
+            assert_eq!(n, 2, "extending {len} links at a known digest");
+            // From scratch, the same link costs the re-fold on top.
+            let (from_scratch, n) =
+                compressions_in(|| chain.extend(&ks.signer(len as u16), &digest));
+            assert_eq!(n, 2 * len + 2);
+            assert_eq!(from_scratch, next);
+            chain = next;
+        }
+    }
+
+    #[test]
     fn forged_link_fails() {
         let (ks, digest) = setup();
         let forged =
@@ -236,6 +289,65 @@ mod proptests {
             // Prefixes verify too (length checks are the protocol's job).
             let prefix = SignatureChain::from_links(chain.links()[..signers.len() / 2].to_vec());
             prop_assert!(prefix.verify(&ks.verifier(), &digest));
+        }
+
+        #[test]
+        fn the_verification_walk_returns_what_the_next_link_signs(
+            payload in proptest::collection::vec(proptest::num::u8::ANY, 0..64),
+            signers in proptest::collection::vec(0u16..10, 1..8),
+        ) {
+            let ks = KeyStore::generate(10, 6);
+            let verifier = ks.verifier();
+            let digest = sha256(&payload);
+            let mut at_running = SignatureChain::new();
+            let mut from_scratch = SignatureChain::new();
+            for &s in &signers {
+                // Link for link, signing the walk's digest is `extend`.
+                let running = at_running.verify_running(&verifier, &digest);
+                prop_assert_eq!(running, Some(at_running.running_digest(&digest)));
+                at_running = at_running.extend_at(&ks.signer(s), &running.unwrap());
+                from_scratch = from_scratch.extend(&ks.signer(s), &digest);
+                prop_assert_eq!(&at_running, &from_scratch);
+            }
+        }
+
+        #[test]
+        fn the_walk_is_none_exactly_when_verify_is_false(
+            signers in proptest::collection::vec(0u16..10, 1..7),
+            swap in 0usize..7,
+        ) {
+            let ks = KeyStore::generate(10, 6);
+            let verifier = ks.verifier();
+            let digest = sha256(b"payload");
+            let mut chain = SignatureChain::new();
+            for &s in &signers {
+                chain = chain.extend(&ks.signer(s), &digest);
+            }
+            let mut mutants = vec![(chain.clone(), digest), (chain.clone(), sha256(b"other"))];
+            // Every link corrupted in turn, in its tag and in its signer id.
+            for victim in 0..signers.len() {
+                let link = &chain.links()[victim];
+                let mut tag = *link.tag();
+                tag[31] ^= 1;
+                for bad in [
+                    crate::keys::Signature::from_parts(link.signer(), tag),
+                    crate::keys::Signature::from_parts(link.signer() ^ 1, *link.tag()),
+                ] {
+                    let mut links = chain.links().to_vec();
+                    links[victim] = bad;
+                    mutants.push((SignatureChain::from_links(links), digest));
+                }
+            }
+            let mut links = chain.links().to_vec();
+            links.swap(swap % signers.len(), (swap + 1) % signers.len());
+            mutants.push((SignatureChain::from_links(links), digest));
+            for (i, (mutant, payload)) in mutants.iter().enumerate() {
+                let walked = mutant.verify_running(&verifier, payload);
+                prop_assert_eq!(walked.is_some(), mutant.verify(&verifier, payload));
+                // Only the untouched chain (and a swap of a link with itself
+                // or with an identical neighbour) survives.
+                prop_assert_eq!(walked.is_some(), i == 0 || (mutant == &chain && payload == &digest));
+            }
         }
 
         #[test]

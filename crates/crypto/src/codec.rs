@@ -5,8 +5,8 @@
 //! [`encode`](Encode::encode) and parsed back with
 //! [`decode`](Decode::decode). Signatures occupy the full
 //! [`SIGNATURE_WIRE_BYTES`] (the 32-byte
-//! HMAC tag padded to ECDSA's 64 bytes, see DESIGN.md §4.1), so measured
-//! sizes equal encoded sizes byte-for-byte.
+//! HMAC tag padded to ECDSA's 64 bytes, see `docs/ARCHITECTURE.md` §2, "The
+//! crypto layer"), so measured sizes equal encoded sizes byte-for-byte.
 
 use bytes::{Buf, BufMut, BytesMut};
 

@@ -5,37 +5,72 @@
 //! unforgeability property the paper assumes of its digital signatures
 //! (§II: "Byzantine nodes cannot forge signatures").
 
+use std::fmt;
+
 use crate::sha256::{sha256, Sha256};
 
 const BLOCK_LEN: usize = 64;
 
-/// Computes `HMAC-SHA256(key, msg)`.
+/// An HMAC-SHA-256 key with its two pad blocks already absorbed.
+///
+/// RFC 2104 computes `H(key ^ opad ‖ H(key ^ ipad ‖ msg))`. Both pad blocks
+/// are exactly one SHA-256 block and depend on the key alone, so the two
+/// chaining values after them are computed once here and every
+/// [`tag`](Self::tag) resumes from them: a tag over a short message costs 2
+/// compressions instead of 4. The midstates are kept bare (64 bytes, not two
+/// 112-byte hashers) because every [`Signer`](crate::keys::Signer) carries
+/// one and a fleet holds 10 000 of them.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The midstates sign as well as the key does: never print them.
+        write!(f, "HmacKey(<redacted>)")
+    }
+}
+
+impl HmacKey {
+    /// Prepares `key`: keys longer than one block are hashed first, shorter
+    /// ones zero-padded (RFC 2104 §2).
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            key_block[..32].copy_from_slice(&sha256(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let absorb = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&key_block.map(|b| b ^ pad));
+            h.midstate()
+        };
+        HmacKey { inner: absorb(0x36), outer: absorb(0x5c) }
+    }
+
+    /// Computes `HMAC-SHA256(key, msg)`.
+    pub fn tag(&self, msg: &[u8]) -> [u8; 32] {
+        let mut inner = Sha256::from_midstate(self.inner, 1);
+        inner.update(msg);
+        let mut outer = Sha256::from_midstate(self.outer, 1);
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
+}
+
+/// Computes `HMAC-SHA256(key, msg)` for a key used once; callers that tag
+/// repeatedly under one key keep the [`HmacKey`].
 pub fn hmac_sha256(key: &[u8], msg: &[u8]) -> [u8; 32] {
-    let mut key_block = [0u8; BLOCK_LEN];
-    if key.len() > BLOCK_LEN {
-        key_block[..32].copy_from_slice(&sha256(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-    let mut ipad = [0x36u8; BLOCK_LEN];
-    let mut opad = [0x5cu8; BLOCK_LEN];
-    for i in 0..BLOCK_LEN {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(msg);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+    HmacKey::new(key).tag(msg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha256::compressions_in;
 
     fn hex(digest: &[u8]) -> String {
         digest.iter().map(|b| format!("{b:02x}")).collect()
@@ -70,17 +105,90 @@ mod tests {
         assert_eq!(hex(&tag), "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
     }
 
+    const LONG_KEY: [u8; 131] = [0xaa; 131];
+    const CASE_6_MSG: &[u8] = b"Test Using Larger Than Block-Size Key - Hash Key First";
+    const CASE_6_TAG: &str = "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54";
+    const CASE_7_MSG: &[u8] = b"This is a test using a larger than block-size key and a larger \
+than block-size data. The key needs to be hashed before being used by the HMAC algorithm.";
+    const CASE_7_TAG: &str = "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2";
+
     #[test]
     fn rfc4231_case_6_long_key() {
-        let key = [0xaa; 131];
-        let msg = b"Test Using Larger Than Block-Size Key - Hash Key First";
-        let tag = hmac_sha256(&key, msg);
-        assert_eq!(hex(&tag), "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+        assert_eq!(hex(&hmac_sha256(&LONG_KEY, CASE_6_MSG)), CASE_6_TAG);
+    }
+
+    #[test]
+    fn rfc4231_case_7_long_key_long_message() {
+        assert_eq!(hex(&hmac_sha256(&LONG_KEY, CASE_7_MSG)), CASE_7_TAG);
+    }
+
+    #[test]
+    fn one_prepared_key_tags_many_messages() {
+        // A tag does not consume the midstates: RFC cases 6 and 7 share a
+        // key, so one prepared key reproduces both vectors, repeatedly.
+        let key = HmacKey::new(&LONG_KEY);
+        for _ in 0..2 {
+            assert_eq!(hex(&key.tag(CASE_6_MSG)), CASE_6_TAG);
+            assert_eq!(hex(&key.tag(CASE_7_MSG)), CASE_7_TAG);
+        }
+    }
+
+    #[test]
+    fn a_short_tag_is_two_compressions() {
+        // One block for the inner hash (message + padding fit behind the
+        // absorbed ipad block), one for the outer. Re-absorbing the pads on
+        // every call made this 4.
+        let key = HmacKey::new(b"secret");
+        for len in [0, 8, 32, 55] {
+            let (_, n) = compressions_in(|| key.tag(&vec![7u8; len]));
+            assert_eq!(n, 2, "{len}-byte message");
+        }
+        // 56 bytes no longer leave room for the length: the padding spills.
+        assert_eq!(compressions_in(|| key.tag(&[7u8; 56])).1, 3);
+        // Preparing is where the two pad blocks are paid, once.
+        assert_eq!(compressions_in(|| HmacKey::new(b"secret")).1, 2);
+    }
+
+    #[test]
+    fn debug_never_prints_the_midstates() {
+        assert_eq!(format!("{:?}", HmacKey::new(b"k")), "HmacKey(<redacted>)");
     }
 
     #[test]
     fn different_keys_produce_different_tags() {
         assert_ne!(hmac_sha256(b"k1", b"msg"), hmac_sha256(b"k2", b"msg"));
         assert_ne!(hmac_sha256(b"k1", b"msg"), hmac_sha256(b"k1", b"msh"));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// RFC 2104 as written: pad the key, hash both pad blocks with the data
+    /// from scratch. The reference the prepared key is held against.
+    fn textbook_hmac(key: &[u8], msg: &[u8]) -> [u8; 32] {
+        let mut block = [0u8; BLOCK_LEN];
+        if key.len() > BLOCK_LEN {
+            block[..32].copy_from_slice(&sha256(key));
+        } else {
+            block[..key.len()].copy_from_slice(key);
+        }
+        let inner: Vec<u8> = block.iter().map(|b| b ^ 0x36).chain(msg.iter().copied()).collect();
+        let outer: Vec<u8> = block.iter().map(|b| b ^ 0x5c).chain(sha256(&inner)).collect();
+        sha256(&outer)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn prepare_then_tag_is_textbook_hmac(
+            key in proptest::collection::vec(proptest::num::u8::ANY, 0..200),
+            msg in proptest::collection::vec(proptest::num::u8::ANY, 0..300),
+        ) {
+            prop_assert_eq!(HmacKey::new(&key).tag(&msg), textbook_hmac(&key, &msg));
+        }
     }
 }

@@ -16,26 +16,15 @@
 //!    all byte accounting, matching the 64-byte ECDSA signatures of the
 //!    paper's implementation.
 
-use std::fmt;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 
 /// Identity of a signer. Node ids are dense indices below the system size
 /// `n` (the paper's processes `p_1 … p_n`).
 pub type SignerId = u16;
-
-#[derive(Clone, PartialEq, Eq)]
-struct SecretKey([u8; 32]);
-
-impl fmt::Debug for SecretKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Never leak key material through Debug output.
-        write!(f, "SecretKey(<redacted>)")
-    }
-}
 
 /// A signature: the signer's identity plus an HMAC tag over the message.
 ///
@@ -71,19 +60,20 @@ impl Signature {
 /// check any identity's signatures, modelling public keys).
 #[derive(Debug, Clone)]
 pub struct KeyStore {
-    secrets: Arc<Vec<SecretKey>>,
+    secrets: Arc<Vec<HmacKey>>,
 }
 
 impl KeyStore {
     /// Deterministically derives `n` node secrets from `seed`.
     ///
     /// Derivation: `secret_i = HMAC-SHA256(seed_bytes, i)`, so different
-    /// seeds give unrelated key universes and runs are reproducible.
+    /// seeds give unrelated key universes and runs are reproducible. Each
+    /// secret is kept only in prepared form ([`HmacKey`]): the pad blocks
+    /// are absorbed here, once, not on every signature.
     pub fn generate(n: usize, seed: u64) -> Self {
-        let seed_bytes = seed.to_be_bytes();
-        let secrets = (0..n)
-            .map(|i| SecretKey(hmac_sha256(&seed_bytes, &(i as u64).to_be_bytes())))
-            .collect();
+        let master = HmacKey::new(&seed.to_be_bytes());
+        let secrets =
+            (0..n).map(|i| HmacKey::new(&master.tag(&(i as u64).to_be_bytes()))).collect();
         KeyStore { secrets: Arc::new(secrets) }
     }
 
@@ -118,7 +108,7 @@ impl KeyStore {
 #[derive(Debug, Clone)]
 pub struct Signer {
     id: SignerId,
-    secret: SecretKey,
+    secret: HmacKey,
 }
 
 impl Signer {
@@ -129,14 +119,14 @@ impl Signer {
 
     /// Signs `msg`, producing σ_id(msg).
     pub fn sign(&self, msg: &[u8]) -> Signature {
-        Signature { signer: self.id, tag: hmac_sha256(&self.secret.0, msg) }
+        Signature { signer: self.id, tag: self.secret.tag(msg) }
     }
 }
 
 /// Capability to verify any node's signatures.
 #[derive(Debug, Clone)]
 pub struct Verifier {
-    secrets: Arc<Vec<SecretKey>>,
+    secrets: Arc<Vec<HmacKey>>,
 }
 
 impl Verifier {
@@ -147,7 +137,7 @@ impl Verifier {
     /// identities", §II).
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
         match self.secrets.get(sig.signer as usize) {
-            Some(secret) => hmac_sha256(&secret.0, msg) == sig.tag,
+            Some(secret) => secret.tag(msg) == sig.tag,
             None => false,
         }
     }

@@ -10,10 +10,12 @@
 //! provides all of it from scratch, on top of a NIST-vector-tested SHA-256:
 //!
 //! * [`sha256`]: FIPS 180-4 SHA-256,
-//! * [`hmac`]: RFC 2104 HMAC-SHA-256,
+//! * [`hmac`]: RFC 2104 HMAC-SHA-256 behind a prepared key ([`hmac::HmacKey`]),
 //! * [`keys`]: the simulated signature scheme ([`KeyStore`], [`Signer`],
-//!   [`Verifier`]) — see DESIGN.md §4.1 for why the simulation preserves the
-//!   two properties the protocol needs (unforgeability and ECDSA wire size),
+//!   [`Verifier`]) — see `docs/ARCHITECTURE.md` §2, "The crypto layer", for
+//!   why the simulation preserves the two properties the protocol needs
+//!   (unforgeability and ECDSA wire size) and for the cost of each operation
+//!   in SHA-256 compressions,
 //! * [`chain`]: chained signatures σ_j(σ_i(msg)) ([`SignatureChain`]),
 //! * [`proof`]: both-endpoint-signed [`NeighborhoodProof`]s,
 //! * [`wire`]: byte-accounting constants for the evaluation's network-cost

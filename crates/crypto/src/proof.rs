@@ -11,6 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::keys::{Signature, Signer, SignerId, Verifier};
+use crate::sha256::Sha256;
 
 /// A both-endpoint-signed declaration of the undirected edge `(a, b)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -25,12 +26,7 @@ impl NeighborhoodProof {
     /// Canonical byte statement for the undirected edge `(a, b)`: endpoint
     /// order is normalized so both directions sign identical bytes.
     pub fn statement(a: SignerId, b: SignerId) -> Vec<u8> {
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let mut out = Vec::with_capacity(4 + 4);
-        out.extend_from_slice(b"edge");
-        out.extend_from_slice(&lo.to_be_bytes());
-        out.extend_from_slice(&hi.to_be_bytes());
-        out
+        statement_bytes(a, b).to_vec()
     }
 
     /// Builds the proof for the edge between the two signers.
@@ -41,7 +37,7 @@ impl NeighborhoodProof {
     pub fn new(first: &Signer, second: &Signer) -> Self {
         assert!(first.id() != second.id(), "neighborhood proof requires two distinct endpoints");
         let (lo, hi) = if first.id() <= second.id() { (first, second) } else { (second, first) };
-        let stmt = Self::statement(lo.id(), hi.id());
+        let stmt = statement_bytes(lo.id(), hi.id());
         NeighborhoodProof { a: lo.id(), b: hi.id(), sig_a: lo.sign(&stmt), sig_b: hi.sign(&stmt) }
     }
 
@@ -77,21 +73,31 @@ impl NeighborhoodProof {
         if self.sig_a.signer() != self.a || self.sig_b.signer() != self.b {
             return false;
         }
-        let stmt = Self::statement(self.a, self.b);
+        let stmt = statement_bytes(self.a, self.b);
         verifier.verify(&stmt, &self.sig_a) && verifier.verify(&stmt, &self.sig_b)
     }
 
     /// Digest of the proof contents, used as the payload binding for
     /// signature chains relaying this proof.
     pub fn digest(&self) -> [u8; 32] {
-        let mut bytes = Vec::with_capacity(8 + 2 * 34);
-        bytes.extend_from_slice(&Self::statement(self.a, self.b));
+        let mut h = Sha256::new();
+        h.update(&statement_bytes(self.a, self.b));
         for sig in [&self.sig_a, &self.sig_b] {
-            bytes.extend_from_slice(&sig.signer().to_be_bytes());
-            bytes.extend_from_slice(sig.tag());
+            h.update(&sig.signer().to_be_bytes());
+            h.update(sig.tag());
         }
-        crate::sha256::sha256(&bytes)
+        h.finalize()
     }
+}
+
+/// [`NeighborhoodProof::statement`] on the stack, for the signing, verifying
+/// and digesting paths that run once per relayed edge.
+fn statement_bytes(a: SignerId, b: SignerId) -> [u8; 8] {
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    let mut out = *b"edge\0\0\0\0";
+    out[4..6].copy_from_slice(&lo.to_be_bytes());
+    out[6..].copy_from_slice(&hi.to_be_bytes());
+    out
 }
 
 #[cfg(test)]

@@ -40,6 +40,8 @@ const K: [u32; 64] = [
 #[derive(Debug, Clone)]
 pub struct Sha256 {
     state: [u32; 8],
+    /// Bytes absorbed since the last block boundary; `buf_len < 64` between
+    /// calls.
     buf: [u8; 64],
     buf_len: usize,
     total_len: u64,
@@ -57,6 +59,19 @@ impl Sha256 {
         Sha256 { state: H0, buf: [0; 64], buf_len: 0, total_len: 0 }
     }
 
+    /// Resumes from the chaining value left after `blocks` whole 64-byte
+    /// blocks — what [`HmacKey`](crate::hmac::HmacKey) keeps of a pad block
+    /// instead of re-absorbing it on every tag.
+    pub(crate) fn from_midstate(state: [u32; 8], blocks: u64) -> Self {
+        Sha256 { state, buf: [0; 64], buf_len: 0, total_len: 64 * blocks }
+    }
+
+    /// The chaining value, meaningful only on a block boundary.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buf_len, 0, "midstate is only defined on a block boundary");
+        self.state
+    }
+
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
@@ -67,35 +82,40 @@ impl Sha256 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                Self::compress(&mut self.state, &self.buf);
                 self.buf_len = 0;
             }
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
+        let mut blocks = rest.chunks_exact(64);
+        for block in &mut blocks {
+            Self::compress(
+                &mut self.state,
+                block.try_into().expect("chunks_exact(64) yields 64 bytes"),
+            );
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
+        let tail = blocks.remainder();
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
     }
 
     /// Pads and produces the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // FIPS 180-4 §5.1.1: a 0x80 byte, zeros up to the last 8 bytes of a
+        // block, then the message length in bits. The length does not fit
+        // behind the 0x80 once 56 bytes are buffered, so the padding spills
+        // into a second block.
+        let used = self.buf_len;
+        self.buf[used] = 0x80;
+        self.buf[used + 1..].fill(0);
+        if used >= 56 {
+            Self::compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        // Manually absorb the length to avoid it counting towards total_len.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        Self::compress(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -103,7 +123,11 @@ impl Sha256 {
         out
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// One application of the SHA-256 compression function (FIPS 180-4 §6.2.2):
+    /// the unit the cost model in `docs/ARCHITECTURE.md` counts in.
+    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        #[cfg(test)]
+        COMPRESSIONS.with(|c| c.set(c.get() + 1));
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -113,7 +137,7 @@ impl Sha256 {
             let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
             w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -131,10 +155,25 @@ impl Sha256 {
             a = temp1.wrapping_add(temp2);
         }
         let add = [a, b, c, d, e, f, g, h];
-        for (s, v) in self.state.iter_mut().zip(add) {
+        for (s, v) in state.iter_mut().zip(add) {
             *s = s.wrapping_add(v);
         }
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    static COMPRESSIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Compressions `work` performs on this thread: the crate's tests pin the
+/// cost model with it (tag = 2, chain link = 4, extend at a known digest
+/// = 2).
+#[cfg(test)]
+pub(crate) fn compressions_in<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = COMPRESSIONS.with(std::cell::Cell::get);
+    let out = work();
+    (out, COMPRESSIONS.with(std::cell::Cell::get) - before)
 }
 
 /// One-shot SHA-256 of `data`.

@@ -1,7 +1,7 @@
 //! Experiment harness regenerating the NECTAR paper's evaluation (§V).
 //!
-//! Every figure and in-text result maps to one runner here (see DESIGN.md
-//! §3 for the experiment index):
+//! Every figure and in-text result maps to one runner here (the paper → code
+//! map in `docs/ARCHITECTURE.md` §1 places them in the whole system):
 //!
 //! | Paper artifact | Runner |
 //! |---|---|

@@ -4,11 +4,11 @@
 //! Harary Graphs of Baldoni et al. (2009), whose defining properties are
 //! (a) vertex connectivity at least `k` and (b) logarithmic diameter, making
 //! them well suited to flooding protocols. The exact constructions are not
-//! reproduced in the paper; we implement documented cluster-based
-//! approximations (DESIGN.md §4.1) that preserve exactly those two
-//! properties, which are the ones the evaluation exercises (shorter
-//! signature chains and earlier quiescence than k-regular graphs of the same
-//! size and connectivity).
+//! reproduced in the paper; we implement the cluster-based approximations
+//! described below (`docs/ARCHITECTURE.md` §1 maps the §V-B families to this
+//! module). They preserve exactly those two properties, which are the ones
+//! the evaluation exercises (shorter signature chains and earlier quiescence
+//! than k-regular graphs of the same size and connectivity).
 //!
 //! * **k-pasted-tree**: a balanced binary tree of `⌈n/k⌉` clusters of `k`
 //!   nodes, with a complete bipartite graph between each parent/child

@@ -3,8 +3,9 @@
 //!
 //! * [`harary`] / [`random_regular`]: k-regular k-connected graphs,
 //! * [`k_diamond`] / [`k_pasted_tree`]: Logarithmic-Harary-style graphs
-//!   (k-connected with low diameter; see DESIGN.md §4.1 for the documented
-//!   approximation),
+//!   (k-connected with low diameter; the approximation is documented in
+//!   `gen/lhg.rs`, and `docs/ARCHITECTURE.md` §1 maps the §V-B families to
+//!   this module),
 //! * [`generalized_wheel`] / [`multipartite_wheel`]: the Byzantine worst-case
 //!   families of Bonomi, Farina and Tixeuil,
 //! * [`drone_scenario`]: the two-barycenter random geometric graphs of
