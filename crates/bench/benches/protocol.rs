@@ -9,6 +9,7 @@
 //! the `bench_diff` binary.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -16,6 +17,7 @@ use std::hint::black_box;
 use nectar_baselines::{run_mtg, run_mtg_v2, MtgConfig};
 use nectar_crypto::{KeyStore, NeighborhoodProof};
 use nectar_graph::gen;
+use nectar_net::{run_event_driven, NodeId, Outgoing, Process, Scheduled, WireSized};
 use nectar_protocol::{
     ConnectivityOracle, NectarNode, Participant, Runtime, Scenario, TopologySchedule,
 };
@@ -60,6 +62,20 @@ fn bench_runtimes(c: &mut Criterion) {
     group.finish();
 }
 
+/// The flap-heavy script of the 10k-node four-clique fleet: 256 cliques
+/// flap one intra-clique edge 8 times over the first 16 rounds (4 096
+/// transitions).
+fn flap_schedule() -> TopologySchedule {
+    let mut schedule = TopologySchedule::new().with_seed(7);
+    for c in 0..256 {
+        for k in 0..8 {
+            let (u, v) = (4 * c, 4 * c + 1);
+            schedule = schedule.drop_edge(1 + 2 * k, u, v).heal_edge(2 + 2 * k, u, v);
+        }
+    }
+    schedule
+}
+
 /// The four runtimes on identical clustered-fleet scenarios at
 /// n ∈ {100, 1 000, 10 000, 50 000}, full `n − 1` round horizon.
 /// Dissemination is cluster-local and quiesces after ~4 rounds, so the
@@ -100,23 +116,15 @@ fn bench_runtime_scaling(c: &mut Criterion) {
                 b.iter(|| black_box(s).sim().runtime(Runtime::Threaded).metrics_only().run())
             });
         }
-        // A flap-heavy schedule on the 10k fleet: 256 cliques flap one
-        // intra-clique edge 8 times over the first 17 rounds (4 096
-        // transitions). Every heal re-wakes its endpoints, so this prices
-        // what dynamics cost the active-set scheduler: the `Scheduled`
-        // wrapper's fate checks plus the churn the flaps keep injecting
-        // into an otherwise ~4-round-quiescent dissemination.
+        // The flap-heavy schedule on the 10k fleet. Every heal re-wakes its
+        // endpoints, so this prices what dynamics cost the active-set
+        // scheduler: the `Scheduled` wrapper's fate checks plus the churn
+        // the flaps keep injecting into an otherwise ~4-round-quiescent
+        // dissemination.
         if n == 10_000 {
-            let mut schedule = TopologySchedule::new().with_seed(7);
-            for c in 0..256 {
-                for k in 0..8 {
-                    let (u, v) = (4 * c, 4 * c + 1);
-                    schedule = schedule.drop_edge(1 + 2 * k, u, v).heal_edge(2 + 2 * k, u, v);
-                }
-            }
             group.bench_with_input(
                 BenchmarkId::new("event_flap", n),
-                &(&scenario, schedule),
+                &(&scenario, flap_schedule()),
                 |b, (s, sched)| {
                     b.iter(|| {
                         black_box(*s)
@@ -129,6 +137,60 @@ fn bench_runtime_scaling(c: &mut Criterion) {
                 },
             );
         }
+    }
+    group.finish();
+}
+
+#[derive(Debug, Clone)]
+struct Never;
+
+impl WireSized for Never {
+    fn wire_bytes(&self) -> usize {
+        0
+    }
+}
+
+/// A process that never sends and is always quiescent.
+struct Idle(NodeId);
+
+impl Process for Idle {
+    type Msg = Never;
+
+    fn id(&self) -> NodeId {
+        self.0
+    }
+
+    fn send(&mut self, _round: usize) -> Vec<Outgoing<Never>> {
+        Vec::new()
+    }
+
+    fn receive(&mut self, _round: usize, _from: NodeId, _msg: Never) {}
+
+    fn quiescent(&self) -> bool {
+        true
+    }
+}
+
+/// The `Scheduled` wrapper's price with no protocol in the way: a 10k-node
+/// fleet of idle processes wrapped by `Scheduled::wrap_all` and run for 16
+/// rounds on the event engine, under an empty schedule and under the
+/// 4 096-flip one (compiled once, outside the timed loop). `empty` is the
+/// wrapping and one poll per node; `flap` adds the 512 flapping endpoints
+/// kept awake to their last notice. A per-wrapper cost in the fleet's
+/// transitions (n × T) shows as `flap` ≫ `empty`.
+fn bench_schedule_overhead(c: &mut Criterion) {
+    let n = 10_000;
+    let g = gen::disjoint_cliques(n / 4, 4);
+    let mut group = c.benchmark_group("schedule_overhead");
+    group.sample_size(10);
+    for (name, schedule) in [("empty", TopologySchedule::new()), ("flap", flap_schedule())] {
+        let compiled = Arc::new(schedule.compile(&g).expect("the script names clique edges"));
+        group.bench_with_input(BenchmarkId::new(name, n), &compiled, |b, compiled| {
+            b.iter(|| {
+                let fleet = Scheduled::wrap_all((0..n).map(Idle).collect(), compiled);
+                run_event_driven(black_box(fleet), &g, 16)
+            })
+        });
     }
     group.finish();
 }
@@ -253,6 +315,7 @@ criterion_group!(
     bench_nectar_with_decisions,
     bench_runtimes,
     bench_runtime_scaling,
+    bench_schedule_overhead,
     bench_collect_scaling,
     bench_matrix_smoke,
     bench_baselines

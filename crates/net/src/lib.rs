@@ -84,9 +84,7 @@ pub use parallel::{
     parallel_map, resolve_workers, run_parallel, run_parallel_with, ParallelNetwork,
 };
 pub use process::{NodeId, Outgoing, Process, RoundSink, WireSized};
-pub use schedule::{
-    CompiledSchedule, Fate, ScheduleError, ScheduleState, Scheduled, TopologySchedule,
-};
+pub use schedule::{CompiledSchedule, ScheduleError, Scheduled, TopologySchedule};
 pub use sync::SyncNetwork;
 pub use threaded::{run_threaded, run_threaded_with};
 pub use transport::{

@@ -31,16 +31,19 @@
 //! 2. [`TopologySchedule::compile`] — validates against the base graph and
 //!    resolves overlapping causes (an edge is down while *any* cause holds:
 //!    an unhealed drop, a cut partition, a crashed endpoint) into one
-//!    per-round transition list, shared immutably by every node.
-//! 3. [`ScheduleState`] / [`Scheduled`] — the per-node cursor and process
-//!    wrapper: applies transitions at the round barrier, notifies the
-//!    wrapped process via [`Process::link_changed`], drops or delays
-//!    outgoing messages per the compiled fate, and keeps the node
+//!    per-round transition list, then buckets the transitions and the
+//!    windows by endpoint into a per-node index, shared immutably by every
+//!    node.
+//! 3. [`Scheduled`] — the process wrapper: holds a cursor into its own
+//!    node's row of that index and the incident peers currently down,
+//!    nothing fleet-wide. At the round barrier it applies the due notices,
+//!    notifies the wrapped process via [`Process::link_changed`], drops or
+//!    delays outgoing messages per the compiled fate, and keeps the node
 //!    schedulable (non-quiescent) until its last incident transition so
 //!    the event/parallel engines deliver wake-ups on time.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use nectar_graph::Graph;
@@ -102,7 +105,7 @@ impl EdgeEvent {
 }
 
 /// What a matching loss/delay window does to a message.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum WindowEffect {
     /// Drop each message independently with probability `p` (seeded).
     Loss { p: f64 },
@@ -111,7 +114,7 @@ enum WindowEffect {
 }
 
 /// A per-link loss or delay window over a half-open round range.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct LinkWindow {
     a: NodeId,
     b: NodeId,
@@ -122,15 +125,6 @@ struct LinkWindow {
     /// First unaffected round (exclusive).
     end: usize,
     effect: WindowEffect,
-}
-
-impl LinkWindow {
-    fn matches(&self, round: usize, from: NodeId, to: NodeId) -> bool {
-        round >= self.start
-            && round < self.end
-            && ((from, to) == (self.a, self.b)
-                || (self.symmetric && (from, to) == (self.b, self.a)))
-    }
 }
 
 /// A scripted sequence of topology events, built programmatically or parsed
@@ -399,24 +393,27 @@ impl TopologySchedule {
     /// to an equal schedule.
     pub fn to_script(&self) -> String {
         let mut out = String::new();
+        self.write_script(&mut out).expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_script(&self, out: &mut String) -> fmt::Result {
         if self.seed != 0 {
-            out.push_str(&format!("seed {}\n", self.seed));
+            writeln!(out, "seed {}", self.seed)?;
         }
         for event in &self.events {
             match event {
-                EdgeEvent::Drop { round, u, v } => out.push_str(&format!("drop {round} {u} {v}\n")),
-                EdgeEvent::Heal { round, u, v } => out.push_str(&format!("heal {round} {u} {v}\n")),
-                EdgeEvent::Crash { round, node } => {
-                    out.push_str(&format!("crash {round} {node}\n"))
-                }
-                EdgeEvent::Rejoin { round, node } => {
-                    out.push_str(&format!("rejoin {round} {node}\n"))
-                }
-                EdgeEvent::Partition { round, side } => {
-                    out.push_str(&format!("partition {round}{}\n", join_ids(side)))
-                }
-                EdgeEvent::HealPartition { round, side } => {
-                    out.push_str(&format!("heal-partition {round}{}\n", join_ids(side)))
+                EdgeEvent::Drop { round, u, v } => writeln!(out, "drop {round} {u} {v}")?,
+                EdgeEvent::Heal { round, u, v } => writeln!(out, "heal {round} {u} {v}")?,
+                EdgeEvent::Crash { round, node } => writeln!(out, "crash {round} {node}")?,
+                EdgeEvent::Rejoin { round, node } => writeln!(out, "rejoin {round} {node}")?,
+                EdgeEvent::Partition { round, side } | EdgeEvent::HealPartition { round, side } => {
+                    let healing = matches!(event, EdgeEvent::HealPartition { .. });
+                    write!(out, "{}partition {round}", if healing { "heal-" } else { "" })?;
+                    for x in side {
+                        write!(out, " {x}")?;
+                    }
+                    out.push('\n');
                 }
             }
         }
@@ -427,13 +424,13 @@ impl TopologySchedule {
                 (WindowEffect::Delay { .. }, true) => "delay",
                 (WindowEffect::Delay { .. }, false) => "delay-one-way",
             };
-            let tail = match &w.effect {
-                WindowEffect::Loss { p } => format!("{p}"),
-                WindowEffect::Delay { rounds } => format!("{rounds}"),
-            };
-            out.push_str(&format!("{name} {} {} {}..{} {tail}\n", w.a, w.b, w.start, w.end));
+            write!(out, "{name} {} {} {}..{} ", w.a, w.b, w.start, w.end)?;
+            match w.effect {
+                WindowEffect::Loss { p } => writeln!(out, "{p}")?,
+                WindowEffect::Delay { rounds } => writeln!(out, "{rounds}")?,
+            }
         }
-        out
+        Ok(())
     }
 
     /// Validates the schedule against `base` and resolves its events into
@@ -473,6 +470,13 @@ impl TopologySchedule {
                 WindowEffect::Delay { rounds } => {
                     if rounds == 0 {
                         return Err(invalid("delay of 0 rounds is a no-op".into()));
+                    }
+                    // The window's last send round is `end − 1`; its
+                    // delivery round must be representable.
+                    if (w.end - 1).checked_add(rounds).is_none() {
+                        return Err(invalid(format!(
+                            "delay of {rounds} rounds overflows the round counter"
+                        )));
                     }
                 }
             }
@@ -603,20 +607,27 @@ impl TopologySchedule {
             }
         }
 
-        let last_transition_round = transitions.keys().next_back().copied().unwrap_or(0);
-        Ok(CompiledSchedule {
+        // Bucket by endpoint, once, so a wrapper reads only its own links:
+        // notices ascending (round, peer); windows in declaration order (the
+        // first matching `Delay` wins, `Loss` windows compose in order), a
+        // symmetric one filed as two one-way windows, one under each sender.
+        let notices = PerNode::build(
             n,
-            seed: self.seed,
-            base: base.clone(),
-            transitions,
-            windows: self.windows.clone(),
-            last_transition_round,
-        })
+            transitions.iter().flat_map(|(&round, flips)| {
+                flips.iter().flat_map(move |&(u, v, up)| [(u, (round, v, up)), (v, (round, u, up))])
+            }),
+        );
+        let windows = PerNode::build(
+            n,
+            self.windows.iter().flat_map(|w| {
+                let one_way = |a, b| (a, LinkWindow { a, b, symmetric: false, ..*w });
+                [Some(one_way(w.a, w.b)), w.symmetric.then(|| one_way(w.b, w.a))]
+                    .into_iter()
+                    .flatten()
+            }),
+        );
+        Ok(CompiledSchedule { seed: self.seed, base: base.clone(), transitions, notices, windows })
     }
-}
-
-fn join_ids(ids: &[NodeId]) -> String {
-    ids.iter().map(|x| format!(" {x}")).collect()
 }
 
 fn expect_args<'a, const K: usize>(
@@ -650,18 +661,59 @@ fn parse_range(line: usize, word: &str) -> Result<(usize, usize), ScheduleError>
     Ok((parse_num(line, a, "round")?, parse_num(line, b, "round")?))
 }
 
+/// Rows of `T` bucketed by node in CSR form: node `i`'s row is
+/// `items[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone)]
+struct PerNode<T> {
+    offsets: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T> PerNode<T> {
+    /// Buckets `(node, item)` pairs by node; a row keeps the iteration order.
+    fn build(n: usize, pairs: impl Iterator<Item = (NodeId, T)>) -> Self {
+        let mut pairs: Vec<(NodeId, T)> = pairs.collect();
+        pairs.sort_by_key(|&(node, _)| node); // stable
+        let mut offsets = vec![0; n + 1];
+        for &(node, _) in &pairs {
+            offsets[node + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        PerNode { offsets, items: pairs.into_iter().map(|(_, item)| item).collect() }
+    }
+
+    fn row(&self, node: NodeId) -> &[T] {
+        &self.items[self.offsets[node]..self.offsets[node + 1]]
+    }
+}
+
+/// What the schedule decides for one outgoing message.
+#[derive(Debug, Clone, Copy)]
+enum Fate {
+    /// Deliver normally this round.
+    Deliver,
+    /// Silently drop (down edge, or a loss window fired).
+    Drop,
+    /// Deliver this many rounds late.
+    Delay(usize),
+}
+
 /// A validated schedule resolved against one base graph: the single source
-/// of truth every node's [`ScheduleState`] reads, shared via `Arc`.
+/// of truth every node's [`Scheduled`] wrapper reads, shared via `Arc`.
 #[derive(Debug, Clone)]
 pub struct CompiledSchedule {
-    n: usize,
     seed: u64,
     base: Graph,
     /// Round → edge flips `(u, v, up)` with `u < v`, sorted, taking effect
     /// before that round's sends.
     transitions: BTreeMap<usize, Vec<(NodeId, NodeId, bool)>>,
-    windows: Vec<LinkWindow>,
-    last_transition_round: usize,
+    /// `transitions` by endpoint: node `i`'s incident flips as
+    /// `(round, peer, up)`, ascending round then peer.
+    notices: PerNode<(usize, NodeId, bool)>,
+    /// The windows by sender `a`, each one-way, declaration order in a row.
+    windows: PerNode<LinkWindow>,
 }
 
 impl CompiledSchedule {
@@ -683,7 +735,7 @@ impl CompiledSchedule {
 
     /// The last round at which any edge changes state (0 when none do).
     pub fn last_transition_round(&self) -> usize {
-        self.last_transition_round
+        self.transitions.keys().next_back().copied().unwrap_or(0)
     }
 
     /// Ground truth: the live graph during `round` — the base graph with
@@ -710,73 +762,23 @@ impl CompiledSchedule {
         g
     }
 
-    /// Starts a per-node cursor over this schedule.
-    pub fn state(self: &Arc<Self>) -> ScheduleState {
-        ScheduleState { compiled: Arc::clone(self), down: BTreeSet::new(), round: 0 }
-    }
-}
-
-/// What the schedule decides for one outgoing message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fate {
-    /// Deliver normally this round.
-    Deliver,
-    /// Silently drop (down edge, or a loss window fired).
-    Drop,
-    /// Deliver this many rounds late.
-    Delay(usize),
-}
-
-/// A cursor over a [`CompiledSchedule`]: the set of currently-down edges,
-/// advanced monotonically round by round. Cloneable — every node holds its
-/// own cursor over the shared compiled schedule, so no engine needs
-/// cross-node coordination to consult it.
-#[derive(Debug, Clone)]
-pub struct ScheduleState {
-    compiled: Arc<CompiledSchedule>,
-    down: BTreeSet<(NodeId, NodeId)>,
-    round: usize,
-}
-
-impl ScheduleState {
-    /// Applies every transition up to and including `round`. Monotone and
-    /// idempotent; called by [`Scheduled`] at each round's first poll.
-    pub fn advance_to(&mut self, round: usize) {
-        while self.round < round {
-            self.round += 1;
-            for &(u, v, up) in self.compiled.transitions_at(self.round) {
-                if up {
-                    self.down.remove(&(u, v));
-                } else {
-                    self.down.insert((u, v));
-                }
-            }
-        }
-    }
-
-    /// Whether edge `{u, v}` is currently up (at the round last advanced
-    /// to). Edges outside the base graph are never up.
-    pub fn edge_up(&self, u: NodeId, v: NodeId) -> bool {
-        let e = (u.min(v), u.max(v));
-        self.compiled.base.has_edge(u, v) && !self.down.contains(&e)
-    }
-
-    /// The fate of the `k`-th message from `from` to `to` during `round`
-    /// (which must be the round last advanced to). Pure in
-    /// `(round, from, to, k)` and the compiled schedule — no engine, worker
-    /// count or poll order can change the answer.
-    pub fn message_fate(&self, round: usize, from: NodeId, to: NodeId, k: u64) -> Fate {
-        debug_assert_eq!(round, self.round, "fate consulted without advancing the cursor");
-        if !self.edge_up(from, to) {
+    /// The fate of the `k`-th message from `from` to `to` during `round`,
+    /// `down` being `from`'s incident peers (ascending) whose link is down.
+    /// Pure in `(round, from, to, k)` and the compiled schedule (`down` is a
+    /// function of `round` and `from`'s notices) — no engine, worker count
+    /// or poll order can change the answer. A non-neighbour in the base
+    /// graph is never in `down` nor named by a window: `Deliver`.
+    fn fate(&self, round: usize, from: NodeId, to: NodeId, k: u64, down: &[NodeId]) -> Fate {
+        if down.binary_search(&to).is_ok() {
             return Fate::Drop;
         }
-        for w in &self.compiled.windows {
-            if !w.matches(round, from, to) {
+        for w in self.windows.row(from) {
+            if w.b != to || round < w.start || round >= w.end {
                 continue;
             }
             match w.effect {
                 WindowEffect::Loss { p } => {
-                    if loss_roll(self.compiled.seed, round, from, to, k) < p {
+                    if loss_roll(self.seed, round, from, to, k) < p {
                         return Fate::Drop;
                     }
                 }
@@ -784,10 +786,6 @@ impl ScheduleState {
             }
         }
         Fate::Deliver
-    }
-
-    fn compiled(&self) -> &CompiledSchedule {
-        &self.compiled
     }
 }
 
@@ -809,12 +807,15 @@ fn loss_roll(seed: u64, round: usize, from: NodeId, to: NodeId, k: u64) -> f64 {
 
 /// Wraps a [`Process`] so a [`CompiledSchedule`] governs its connectivity.
 ///
-/// At each round's first poll the wrapper advances its cursor, notifies the
-/// inner process of incident link transitions ([`Process::link_changed`]),
-/// releases any delayed messages that matured, and filters the inner
-/// process's fresh sends through [`ScheduleState::message_fate`]. Messages
-/// to non-neighbors of the *base* graph pass through untouched so the
-/// engine's illegal-send accounting is unchanged.
+/// At each round's first poll the wrapper applies its node's due notices —
+/// updating which incident links are down and telling the inner process
+/// ([`Process::link_changed`]) — releases any delayed messages that
+/// matured, and filters the inner process's fresh sends through the
+/// compiled fate rule. Messages to non-neighbors of the *base* graph pass
+/// through untouched so the engine's illegal-send accounting is unchanged.
+///
+/// The wrapper's state is a function of its own node's row of the compiled
+/// index only: a flip elsewhere in the fleet costs it nothing.
 ///
 /// The wrapper reports non-quiescent until its last incident transition has
 /// been delivered and its delay buffer is empty — that is what re-wakes a
@@ -822,39 +823,28 @@ fn loss_roll(seed: u64, round: usize, from: NodeId, to: NodeId, k: u64) -> f64 {
 #[derive(Debug)]
 pub struct Scheduled<P: Process> {
     inner: P,
-    state: ScheduleState,
-    /// Incident `(round, peer, up)` notifications, ascending round.
-    notices: Vec<(usize, NodeId, bool)>,
-    notice_cursor: usize,
+    compiled: Arc<CompiledSchedule>,
+    /// How many of this node's notices have been applied.
+    cursor: usize,
+    /// Incident peers whose link is currently down, ascending.
+    down: Vec<NodeId>,
+    /// Scratch of `send`, one slot per window of this node: messages emitted
+    /// this poll to a peer, kept in the slot of the first window naming it.
+    emitted: Vec<u64>,
     /// Delayed messages keyed by delivery round, in emission order.
     delayed: BTreeMap<usize, Vec<Outgoing<P::Msg>>>,
     drops: u64,
 }
 
 impl<P: Process> Scheduled<P> {
-    /// Wraps `inner` with its cursor over `compiled`.
+    /// Wraps `inner`, starting at the head of its node's notices: O(1).
     pub fn new(inner: P, compiled: &Arc<CompiledSchedule>) -> Self {
-        let id = inner.id();
-        let notices = compiled
-            .transitions
-            .iter()
-            .flat_map(|(&round, flips)| {
-                flips.iter().filter_map(move |&(u, v, up)| {
-                    if u == id {
-                        Some((round, v, up))
-                    } else if v == id {
-                        Some((round, u, up))
-                    } else {
-                        None
-                    }
-                })
-            })
-            .collect();
         Scheduled {
             inner,
-            state: compiled.state(),
-            notices,
-            notice_cursor: 0,
+            compiled: Arc::clone(compiled),
+            cursor: 0,
+            down: Vec::new(),
+            emitted: Vec::new(),
             delayed: BTreeMap::new(),
             drops: 0,
         }
@@ -895,44 +885,51 @@ impl<P: Process> Process for Scheduled<P> {
     }
 
     fn send(&mut self, round: usize) -> Vec<Outgoing<Self::Msg>> {
-        self.state.advance_to(round);
-        while let Some(&(r, peer, up)) = self.notices.get(self.notice_cursor) {
-            if r > round {
-                break;
+        let Scheduled { inner, compiled, cursor, down, emitted, delayed, drops } = self;
+        let id = inner.id();
+        let notices = compiled.notices.row(id);
+        while let Some(&(r, peer, up)) = notices.get(*cursor).filter(|notice| notice.0 <= round) {
+            *cursor += 1;
+            match down.binary_search(&peer) {
+                Ok(at) if up => {
+                    down.remove(at);
+                }
+                Err(at) if !up => down.insert(at, peer),
+                _ => {}
             }
-            self.notice_cursor += 1;
-            self.inner.link_changed(r, peer, up);
+            inner.link_changed(r, peer, up);
         }
         // Matured delayed messages go out first (oldest first); because the
         // wrapper stays non-quiescent while the buffer is non-empty, it is
         // polled every round and nothing matures unobserved.
-        let mut out: Vec<Outgoing<Self::Msg>> = Vec::new();
-        while let Some((&r, _)) = self.delayed.first_key_value() {
-            if r > round {
-                break;
-            }
-            debug_assert_eq!(r, round, "a delayed message matured unobserved");
-            out.extend(self.delayed.remove(&r).expect("key just observed"));
+        let mut matured: Vec<Outgoing<Self::Msg>> = Vec::new();
+        while let Some(entry) = delayed.first_entry().filter(|e| *e.key() <= round) {
+            debug_assert_eq!(*entry.key(), round, "a delayed message matured unobserved");
+            matured.extend(entry.remove());
         }
-        let id = self.inner.id();
-        let n = self.state.compiled().n;
-        let mut per_link: BTreeMap<NodeId, u64> = BTreeMap::new();
-        for o in self.inner.send(round) {
-            if o.to >= n || !self.state.compiled().base.has_edge(id, o.to) {
-                // Not a channel at all: let the engine count the violation.
-                out.push(o);
-                continue;
+        // `k`, the per-link emission index, feeds only `loss_roll`, so only
+        // peers a window names are counted — in the slot of the first one.
+        let windows = compiled.windows.row(id);
+        emitted.clear();
+        emitted.resize(windows.len(), 0);
+        let mut fresh = inner.send(round);
+        fresh.retain(|o| {
+            let k = windows.iter().position(|w| w.b == o.to).map_or(0, |slot| {
+                emitted[slot] += 1;
+                emitted[slot] - 1
+            });
+            match compiled.fate(round, id, o.to, k, down) {
+                Fate::Deliver => return true,
+                Fate::Drop => *drops += 1,
+                Fate::Delay(d) => delayed.entry(round + d).or_default().push(o.clone()),
             }
-            let k = per_link.entry(o.to).or_insert(0);
-            let fate = self.state.message_fate(round, id, o.to, *k);
-            *k += 1;
-            match fate {
-                Fate::Deliver => out.push(o),
-                Fate::Drop => self.drops += 1,
-                Fate::Delay(d) => self.delayed.entry(round + d).or_default().push(o),
-            }
+            false
+        });
+        if matured.is_empty() {
+            return fresh;
         }
-        out
+        matured.append(&mut fresh);
+        matured
     }
 
     fn receive(&mut self, round: usize, from: NodeId, msg: Self::Msg) {
@@ -940,7 +937,7 @@ impl<P: Process> Process for Scheduled<P> {
     }
 
     fn quiescent(&self) -> bool {
-        self.notice_cursor == self.notices.len()
+        self.cursor == self.compiled.notices.row(self.inner.id()).len()
             && self.delayed.is_empty()
             && self.inner.quiescent()
     }
@@ -1089,6 +1086,30 @@ mod tests {
     }
 
     #[test]
+    fn a_delay_that_overflows_the_round_counter_is_refused() {
+        // Sent at round 2, a `usize::MAX` delay has no delivery round: the
+        // wrapper's `round + delay` would panic in debug and wrap to round
+        // 1 in release. Reachable from a script, so `compile` refuses it.
+        let g = path4();
+        let parsed = TopologySchedule::parse(&format!("delay 0 1 1..3 {}", usize::MAX))
+            .expect("the count is a valid number");
+        for schedule in [
+            parsed,
+            TopologySchedule::new().delay_one_way(0, 1, 1..3, usize::MAX),
+            TopologySchedule::new().delay(0, 1, 2..3, usize::MAX - 1),
+        ] {
+            match schedule.compile(&g) {
+                Err(ScheduleError::Invalid { reason }) => {
+                    assert!(reason.contains("overflows"), "{reason}")
+                }
+                other => panic!("{schedule:?} compiled to {other:?}"),
+            }
+        }
+        // The largest representable delivery round still compiles.
+        assert!(TopologySchedule::new().delay(0, 1, 1..2, usize::MAX - 1).compile(&g).is_ok());
+    }
+
+    #[test]
     fn overlapping_causes_keep_an_edge_down_until_all_lift() {
         // Edge (1,2) is both dropped and crashed-at-2: the heal at round 4
         // must not resurrect it; only the rejoin at round 6 does.
@@ -1176,6 +1197,28 @@ mod tests {
         // The delayed sends are charged to their delivery round.
         assert_eq!(metrics.bytes_per_round()[0], 0);
         assert!(metrics.bytes_per_round()[2] > 0);
+    }
+
+    #[test]
+    fn windows_on_one_link_apply_in_declaration_order_and_per_direction() {
+        // The per-sender window rows must keep declaration order (the first
+        // matching `Delay` wins; a `Loss` declared before it rolls first)
+        // and file a one-way window under its sender only.
+        let g = Graph::from_edges(2, [(0, 1)]).unwrap();
+        let run = |schedule: TopologySchedule| {
+            let compiled = Arc::new(schedule.compile(&g).unwrap());
+            let mut net = SyncNetwork::new(flood_fleet(&g, &compiled), g.clone());
+            net.run_rounds(1);
+            let (procs, _) = net.into_parts();
+            procs.iter().map(|p| (p.drops(), p.in_flight())).collect::<Vec<_>>()
+        };
+        let s = TopologySchedule::new;
+        assert_eq!(run(s().loss(0, 1, 1..2, 1.0).delay(0, 1, 1..2, 2)), [(1, 0), (1, 0)]);
+        assert_eq!(run(s().delay(0, 1, 1..2, 2).loss(0, 1, 1..2, 1.0)), [(0, 1), (0, 1)]);
+        assert_eq!(run(s().delay(0, 1, 1..2, 2).delay(0, 1, 1..2, 5)), [(0, 1), (0, 1)]);
+        assert_eq!(run(s().loss_one_way(1, 0, 1..2, 1.0)), [(0, 0), (1, 0)]);
+        assert_eq!(run(s().delay_one_way(0, 1, 1..2, 2)), [(0, 1), (0, 0)]);
+        assert_eq!(run(s().loss(0, 1, 2..3, 1.0)), [(0, 0), (0, 0)], "window not yet open");
     }
 
     #[test]

@@ -228,6 +228,22 @@ fn scheduled_scenarios_lower_bit_identically_on_all_runtimes() {
     }
 }
 
+/// Contract 2b, negative side: a schedule line that parses but has no
+/// meaning — a delay whose delivery round overflows the round counter —
+/// is refused at compile time with its `file:line`, never lowered onto a
+/// run that would panic (debug) or deliver a round early (release).
+#[test]
+fn a_delay_overflowing_the_round_counter_is_refused_with_its_file_and_line() {
+    let text = format!("topology harary-k2 8\nt 1\nschedule delay 0 1 1..3 {}\n", usize::MAX);
+    let err = ScenarioSpec::parse(&text, "overflow.scn")
+        .expect("the count is a valid number")
+        .compile()
+        .expect_err("no delivery round exists");
+    let shown = err.to_string();
+    assert!(shown.starts_with("overflow.scn:3: "), "{shown}");
+    assert!(shown.contains("overflows the round counter"), "{shown}");
+}
+
 /// Contract 2c: a mobility directive lowers onto the exact schedule its
 /// generator emits, on every runtime.
 #[test]

@@ -21,6 +21,7 @@ use rand::SeedableRng;
 use std::collections::BTreeSet;
 
 use nectar::graph::{ConnectivityOracle, Fingerprint};
+use nectar::net::{run_event_driven, Outgoing, Process, Scheduled, SyncNetwork, WireSized};
 use nectar::prelude::*;
 
 /// A compact slice of the §V-B generator zoo (every proptest case runs
@@ -115,6 +116,38 @@ fn arb_windows(m: usize, horizon: usize) -> impl Strategy<Value = Windows> {
     })
 }
 
+/// `(side, round, heal_after)`; `0` as the heal distance means the split
+/// never heals.
+type Split = (BTreeSet<usize>, usize, usize);
+
+/// The zoo's link events — flap chains, rolling churn and an optional
+/// split — scripted onto `s` over the base graph's `edges`.
+fn script_link_events(
+    mut s: TopologySchedule,
+    n: usize,
+    edges: &[(usize, usize)],
+    flaps: Vec<(usize, usize, usize)>,
+    churn: Vec<(usize, usize, usize)>,
+    (side, round, heal_after): Split,
+) -> TopologySchedule {
+    for (e, start, cycles) in flaps {
+        let (u, v) = edges[e];
+        for c in 0..cycles {
+            s = s.drop_edge(start + 2 * c, u, v).heal_edge(start + 2 * c + 1, u, v);
+        }
+    }
+    for (node, round, gap) in churn {
+        s = s.crash(round, node).rejoin(round + gap, node);
+    }
+    if !side.is_empty() && side.len() < n {
+        s = s.partition(round, side.iter().copied());
+        if heal_after > 0 {
+            s = s.heal_partition(round + heal_after, side.iter().copied());
+        }
+    }
+    s
+}
+
 /// One scripted scenario from the schedule zoo: flap storms, rolling
 /// churn, an optional clean split or split-then-heal, and (a)symmetric
 /// loss and delay windows, all over one zoo graph with a zoo cast.
@@ -126,7 +159,6 @@ fn arb_scheduled_scenario(
         let m = g.edge_count();
         let edges: Vec<(usize, usize)> = g.edges().collect();
         let horizon = n.saturating_sub(1).max(2);
-        // `0` as the heal distance means the split never heals.
         let split = (proptest::collection::btree_set(0..n, 1..3), 1..horizon, 0..4usize);
         let parts = (
             (0u64..1_000_000, arb_flaps(m, horizon)),
@@ -135,23 +167,8 @@ fn arb_scheduled_scenario(
         );
         (arb_cast(n, t), parts).prop_map(
             move |(cast, ((seed, flaps), (churn, split), (loss, delays)))| {
-                let mut s = TopologySchedule::new().with_seed(seed);
-                for (e, start, cycles) in flaps {
-                    let (u, v) = edges[e];
-                    for c in 0..cycles {
-                        s = s.drop_edge(start + 2 * c, u, v).heal_edge(start + 2 * c + 1, u, v);
-                    }
-                }
-                for (node, round, gap) in churn {
-                    s = s.crash(round, node).rejoin(round + gap, node);
-                }
-                let (side, round, heal_after) = &split;
-                if !side.is_empty() && side.len() < n {
-                    s = s.partition(*round, side.iter().copied());
-                    if *heal_after > 0 {
-                        s = s.heal_partition(round + heal_after, side.iter().copied());
-                    }
-                }
+                let s = TopologySchedule::new().with_seed(seed);
+                let mut s = script_link_events(s, n, &edges, flaps, churn, split);
                 for (e, start, len, p, one_way) in loss {
                     let (u, v) = edges[e];
                     s = if one_way {
@@ -405,4 +422,134 @@ fn scheduled_reports_round_trip_and_epochs_repeat_the_schedule() {
     assert_eq!(restored.schedule, out.schedule);
     assert_eq!(restored.decisions(), out.decisions());
     assert_eq!(restored.metrics(), out.metrics());
+}
+
+#[derive(Debug, Clone)]
+struct Ping;
+
+impl WireSized for Ping {
+    fn wire_bytes(&self) -> usize {
+        1
+    }
+}
+
+/// Sends one token to every base neighbour every round and records what it
+/// hears and every `link_changed` it is told: what it observes is exactly
+/// the live topology as its `Scheduled` wrapper enforces it.
+#[derive(Debug)]
+struct Probe {
+    id: usize,
+    peers: Vec<usize>,
+    heard: Vec<(usize, usize)>,
+    notices: Vec<(usize, usize, bool)>,
+}
+
+impl Process for Probe {
+    type Msg = Ping;
+
+    fn id(&self) -> usize {
+        self.id
+    }
+
+    fn send(&mut self, _round: usize) -> Vec<Outgoing<Ping>> {
+        self.peers.iter().map(|&to| Outgoing::new(to, Ping)).collect()
+    }
+
+    fn receive(&mut self, round: usize, from: usize, _msg: Ping) {
+        self.heard.push((round, from));
+    }
+
+    fn link_changed(&mut self, round: usize, peer: usize, up: bool) {
+        self.notices.push((round, peer, up));
+    }
+}
+
+/// The per-node index against the global truth. `graph_at` replays the
+/// round-keyed `transitions` map from the base graph and shares no code
+/// with the index the wrappers read, so on the sync and event engines:
+/// (a) the delivered `(round, from, to)` set is exactly the live directed
+/// edges of `graph_at(round)`, and (b) node i's `link_changed` calls are
+/// exactly the incident subset of `transitions_at`, ascending (round, peer).
+fn assert_wrappers_enforce_graph_at(g: &Graph, sched: &TopologySchedule) {
+    let compiled = std::sync::Arc::new(sched.compile(g).expect("valid schedule"));
+    let rounds = compiled.last_transition_round() + 2;
+    let mut live = BTreeSet::new();
+    for r in 1..=rounds {
+        let now = compiled.graph_at(r);
+        for (u, v) in g.edges().filter(|&(u, v)| now.has_edge(u, v)) {
+            live.extend([(r, u, v), (r, v, u)]);
+        }
+    }
+    let fleet = || {
+        let probes = (0..g.node_count())
+            .map(|id| Probe { id, peers: g.neighborhood(id), heard: vec![], notices: vec![] })
+            .collect();
+        Scheduled::wrap_all(probes, &compiled)
+    };
+    let mut net = SyncNetwork::new(fleet(), g.clone());
+    net.run_rounds(rounds);
+    let (sync_procs, _) = net.into_parts();
+    let (event_procs, _) = run_event_driven(fleet(), g, rounds);
+    for (engine, procs) in [("sync", sync_procs), ("event", event_procs)] {
+        let delivered: BTreeSet<(usize, usize, usize)> = procs
+            .iter()
+            .flat_map(|p| p.inner().heard.iter().map(|&(r, from)| (r, from, p.inner().id)))
+            .collect();
+        assert_eq!(delivered, live, "{engine}: deliveries differ from graph_at");
+        for p in &procs {
+            let id = p.inner().id;
+            let mut incident: Vec<(usize, usize, bool)> = compiled
+                .transition_rounds()
+                .flat_map(|r| compiled.transitions_at(r).iter().map(move |&flip| (r, flip)))
+                .filter_map(|(r, (u, v, up))| {
+                    let peer = if u == id { Some(v) } else { (v == id).then_some(u) };
+                    peer.map(|peer| (r, peer, up))
+                })
+                .collect();
+            incident.sort_unstable();
+            assert_eq!(p.inner().notices, incident, "{engine}: node {id}'s notices");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn wrappers_enforce_exactly_graph_at_across_the_link_event_zoo(
+        (g, sched) in arb_zoo_graph().prop_flat_map(|g| {
+            let n = g.node_count();
+            let edges: Vec<(usize, usize)> = g.edges().collect();
+            let horizon = n.saturating_sub(1).max(2);
+            let split = (proptest::collection::btree_set(0..n, 1..3), 1..horizon, 0..4usize);
+            (arb_flaps(edges.len(), horizon), arb_churn(n, horizon), split).prop_map(
+                move |(flaps, churn, split)| {
+                    let s = script_link_events(
+                        TopologySchedule::new(), n, &edges, flaps, churn, split,
+                    );
+                    (g.clone(), s)
+                },
+            )
+        }),
+    ) {
+        assert_wrappers_enforce_graph_at(&g, &sched);
+    }
+}
+
+/// Every cause at once on edge (1, 2) of a ring: dropped, an endpoint
+/// crashed, and cut by a partition, lifted one at a time in a different
+/// order — the edge comes back only when the last cause lifts.
+#[test]
+fn wrappers_enforce_graph_at_under_overlapping_causes_on_one_edge() {
+    let sched = TopologySchedule::new()
+        .drop_edge(2, 1, 2)
+        .crash(3, 2)
+        .partition(3, [0, 1])
+        .heal_edge(4, 1, 2)
+        .rejoin(5, 2)
+        .heal_partition(7, [0, 1]);
+    let g = gen::cycle(6);
+    let compiled = sched.compile(&g).expect("valid schedule");
+    assert!(!compiled.graph_at(6).has_edge(1, 2) && compiled.graph_at(7).has_edge(1, 2));
+    assert_wrappers_enforce_graph_at(&g, &sched);
 }
