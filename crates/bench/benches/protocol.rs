@@ -1,7 +1,6 @@
 //! Criterion benchmarks for end-to-end protocol executions: NECTAR vs the
-//! baselines on identical topologies, and the four runtimes (sync,
-//! thread-per-node, event-driven, work-stealing parallel) on identical
-//! scenarios.
+//! baselines on identical topologies, and the three runtimes (sync,
+//! event-driven, work-stealing parallel) on identical scenarios.
 //!
 //! The committed baseline `BENCH_protocol.json` holds this bench's medians
 //! (refresh with `NECTAR_BENCH_JSON=BENCH_protocol.json cargo bench -p
@@ -50,9 +49,6 @@ fn bench_runtimes(c: &mut Criterion) {
     let mut group = c.benchmark_group("runtime");
     group.sample_size(10);
     group.bench_function("sync", |b| b.iter(|| black_box(&scenario).sim().metrics_only().run()));
-    group.bench_function("threaded", |b| {
-        b.iter(|| black_box(&scenario).sim().runtime(Runtime::Threaded).run())
-    });
     group.bench_function("event", |b| {
         b.iter(|| black_box(&scenario).sim().runtime(Runtime::Event).metrics_only().run())
     });
@@ -76,20 +72,17 @@ fn flap_schedule() -> TopologySchedule {
     schedule
 }
 
-/// The four runtimes on identical clustered-fleet scenarios at
+/// The three runtimes on identical clustered-fleet scenarios at
 /// n ∈ {100, 1 000, 10 000, 50 000}, full `n − 1` round horizon.
 /// Dissemination is cluster-local and quiesces after ~4 rounds, so the
 /// comparison isolates pure scheduling cost: the event loop pays
 /// O(active events), the parallel engine pays the same active-set schedule
 /// minus the per-event heap (rounds commit in batches) and spreads polls
-/// and deliveries over its worker pool, the sync engine polls all n nodes
-/// for all n − 1 rounds, and thread-per-node additionally pays n OS threads
-/// with 2(n − 1) barrier waits each. Each engine is only benched where it
-/// is *practical*: threaded stops at n = 100 (at 1 000+ threads one
-/// iteration takes tens of seconds; at 10 000 the fleet does not fit a
-/// process's thread budget), sync stops at n = 10 000 (n · rounds polling
-/// reaches minutes at 50k), and the parallel rows start at n = 1 000 —
-/// below that the pool costs more than it spreads. The parallel rows run
+/// and deliveries over its worker pool, and the sync engine polls all n
+/// nodes for all n − 1 rounds. Each engine is only benched where it is
+/// *practical*: sync stops at n = 10 000 (n · rounds polling reaches
+/// minutes at 50k), and the parallel rows start at n = 1 000 — below that
+/// the pool costs more than it spreads. The parallel rows run
 /// with 2 workers, the conservative floor: more cores only widen its gap
 /// over the event loop, and results never depend on the count.
 fn bench_runtime_scaling(c: &mut Criterion) {
@@ -109,11 +102,6 @@ fn bench_runtime_scaling(c: &mut Criterion) {
         if n <= 10_000 {
             group.bench_with_input(BenchmarkId::new("sync", n), &scenario, |b, s| {
                 b.iter(|| black_box(s).sim().metrics_only().run())
-            });
-        }
-        if n <= 100 {
-            group.bench_with_input(BenchmarkId::new("threaded", n), &scenario, |b, s| {
-                b.iter(|| black_box(s).sim().runtime(Runtime::Threaded).metrics_only().run())
             });
         }
         // The flap-heavy schedule on the 10k fleet. Every heal re-wakes its

@@ -6,9 +6,8 @@
 //!   (`BENCH_graph.json`, `BENCH_protocol.json`), consumed by the
 //!   `bench_diff` binary and the CI regression gate.
 //!
-//! The actual figure regeneration lives in `src/bin/` (one binary per paper
-//! figure, see DESIGN.md §3) and the Criterion micro-benchmarks in
-//! `benches/`.
+//! The actual figure regeneration lives in `src/bin/figures.rs` (one target
+//! per paper figure) and the Criterion micro-benchmarks in `benches/`.
 
 #![forbid(unsafe_code)]
 

@@ -104,7 +104,7 @@ pub struct NectarConfig {
     /// Reject chains with repeated signers (the Dolev–Strong style sanity
     /// condition; correct relays never sign the same edge twice).
     pub require_distinct_signers: bool,
-    /// Byte-accounting wire format (DESIGN.md §4.2).
+    /// Byte-accounting wire format.
     pub wire_format: WireFormat,
 }
 

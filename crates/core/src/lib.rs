@@ -6,9 +6,9 @@
 //!
 //! **Place in the runtime stack:** the protocol layer. [`NectarNode`]
 //! implements `nectar_net::Process`, so the same node code executes on any
-//! of the four runtimes — deterministic sync, thread-per-node, the
-//! event-driven loop that hosts 10k+-node fleets, or the work-stealing
-//! parallel engine that spreads them over every core — selected via
+//! of the three runtimes — deterministic sync, the event-driven loop that
+//! hosts 10k+-node fleets, or the work-stealing parallel engine that
+//! spreads them over every core — selected via
 //! [`runner::Runtime`]; [`Scenario`] describes a scenario, and
 //! [`Scenario::sim`] starts the [`Simulation`] builder every experiment,
 //! example and test drives (runtime, workers, shared oracle, epochs,
@@ -56,7 +56,6 @@
 pub mod byzantine;
 pub mod codec;
 pub mod config;
-pub mod epochs;
 pub mod message;
 pub mod node;
 pub mod remote;
@@ -66,12 +65,11 @@ pub mod sim;
 
 pub use byzantine::{ByzantineBehavior, Participant};
 pub use config::{Decision, NectarConfig, Verdict};
-pub use epochs::{EpochMonitor, EpochReport};
 pub use message::{NectarMsg, RelayedEdge, WireFormat};
 pub use nectar_graph::{ConnectivityOracle, OracleStats};
 pub use nectar_net::{ScheduleError, TopologySchedule};
 pub use node::{NectarNode, RejectReason};
 pub use remote::{run_scenario_node, sync_fleet_reports, NodeReport};
 pub use report::{decision_csv_row, EpochOutcome, RunReport, ScheduleRecord, DECISIONS_CSV_HEADER};
-pub use runner::{Outcome, Runtime, Scenario};
+pub use runner::{Runtime, Scenario};
 pub use sim::{RunObserver, Simulation};

@@ -13,7 +13,7 @@ use nectar_crypto::{NeighborhoodProof, SignatureChain};
 use nectar_net::WireSized;
 
 /// How message bytes are accounted (and how a production deployment would
-/// serialize them). See DESIGN.md §4.2.
+/// serialize them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireFormat {
     /// Faithful per-edge chains: every relayed edge carries its own chain of

@@ -1,11 +1,10 @@
 //! Persisted run reports: the session result of
 //! [`Simulation::run`](crate::sim::Simulation::run).
 //!
-//! A [`RunReport`] supersedes the old `Outcome`-plus-`Metrics` pair as the
-//! thing a run hands back: scenario parameters, the ground-truth topology,
-//! the Byzantine cast, and one [`EpochOutcome`] per monitoring epoch
-//! (decisions, traffic counters, oracle counters). Unlike those ancestors
-//! it *persists*: a hand-rolled serializer — extending the binary codec of
+//! A [`RunReport`] is the thing a run hands back: scenario parameters, the
+//! ground-truth topology, the Byzantine cast, and one [`EpochOutcome`] per
+//! monitoring epoch (decisions, traffic counters, oracle counters). It
+//! *persists*: a hand-rolled serializer — extending the binary codec of
 //! `nectar_crypto::codec` with [`Encode`]/[`Decode`] impls, plus JSON and
 //! CSV text forms — writes results out without touching the decorative
 //! serde shim:
@@ -31,7 +30,7 @@ use nectar_graph::{connectivity, traversal, Graph, OracleStats};
 use nectar_net::{Metrics, NodeId, PhaseProfile};
 
 use crate::config::{Decision, Verdict};
-use crate::runner::{Outcome, Runtime};
+use crate::runner::Runtime;
 
 /// Version tag of the persisted report formats (bumped on incompatible
 /// changes; both the binary and JSON forms carry it). Version 2 added the
@@ -208,8 +207,14 @@ impl RunReport {
     }
 
     /// Ground truth for the Validity property: does *some subset* of the
-    /// Byzantine cast form a vertex cut of `G`? (See
-    /// [`Outcome::byzantine_cast_can_cut`] for the Theorem 2 reading.)
+    /// Byzantine cast form a vertex cut of `G`? This is the reading of
+    /// Theorem 2's proof: when a Byzantine node `b0` has no correct
+    /// neighbor, `V_b \ {b0}` is a vertex cut separating `b0`, even though
+    /// removing all of `V_b` leaves the correct nodes connected. Any subset
+    /// cut either separates two correct nodes (then the full cast does too)
+    /// or cuts a Byzantine node off the correct component (then the cast
+    /// minus that node does), so checking those t + 1 candidates is
+    /// exhaustive.
     pub fn byzantine_cast_can_cut(&self) -> bool {
         if self.byzantine_cast_is_vertex_cut() {
             return true;
@@ -226,25 +231,8 @@ impl RunReport {
         connectivity::vertex_connectivity(&self.topology)
     }
 
-    /// Collapses the report into the legacy [`Outcome`] of its last epoch —
-    /// the compatibility bridge behind the deprecated `run_*` shims.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a report with no epochs.
-    pub fn into_outcome(mut self) -> Outcome {
-        let last = self.epochs.pop().expect("a run report holds at least one epoch");
-        Outcome {
-            decisions: last.decisions,
-            metrics: last.metrics,
-            byzantine: self.byzantine,
-            topology: self.topology,
-            oracle: last.oracle,
-        }
-    }
-
-    /// Extracts the last epoch's traffic counters — the compatibility
-    /// bridge behind the deprecated `run_metrics_only*` shims.
+    /// Extracts the last epoch's traffic counters — what a
+    /// [`metrics_only`](crate::sim::Simulation::metrics_only) run is for.
     ///
     /// # Panics
     ///
@@ -590,10 +578,11 @@ fn json_usize_array(values: impl Iterator<Item = usize>) -> String {
 
 // ---- binary codec ------------------------------------------------------
 
+/// Tag `1` was the retired thread-per-node runtime: it stays unassigned so
+/// saved reports of the surviving runtimes keep decoding.
 fn runtime_tag(runtime: Runtime) -> (u8, u32) {
     match runtime {
         Runtime::Sync => (0, 0),
-        Runtime::Threaded => (1, 0),
         Runtime::Event => (2, 0),
         Runtime::Parallel { workers } => (3, workers as u32),
     }
@@ -602,7 +591,6 @@ fn runtime_tag(runtime: Runtime) -> (u8, u32) {
 fn runtime_from_tag(tag: u8, workers: u32) -> Result<Runtime, CodecError> {
     match tag {
         0 => Ok(Runtime::Sync),
-        1 => Ok(Runtime::Threaded),
         2 => Ok(Runtime::Event),
         3 => Ok(Runtime::Parallel { workers: workers as usize }),
         _ => Err(CodecError::LengthOutOfBounds { decoding: "runtime tag", len: tag as usize }),
@@ -1187,6 +1175,10 @@ mod tests {
         assert!(RunReport::from_json("").is_err());
         assert!(RunReport::from_json("{\"version\": 3}").is_err());
         assert!(RunReport::from_json("nonsense").is_err());
+        let json = report.to_json();
+        assert!(json.contains("\"runtime\": \"sync\""), "the sample report runs on sync");
+        let retired = json.replace("\"runtime\": \"sync\"", "\"runtime\": \"threaded\"");
+        assert!(RunReport::from_json(&retired).unwrap_err().contains("unknown runtime threaded"));
     }
 
     #[test]
@@ -1235,6 +1227,14 @@ mod tests {
             let mut slice = &bytes[..cut];
             assert!(RunReport::decode(&mut slice).is_err(), "cut at {cut}");
         }
+        // Byte 2 is the runtime tag; 1 was the retired threaded runtime.
+        let mut retired = bytes.clone();
+        assert_eq!(retired[2], 0, "the sample report runs on sync");
+        retired[2] = 1;
+        assert!(matches!(
+            RunReport::decode(&mut retired.as_slice()),
+            Err(CodecError::LengthOutOfBounds { decoding: "runtime tag", len: 1 })
+        ));
     }
 
     #[test]
@@ -1269,14 +1269,5 @@ mod tests {
         let loaded = RunReport::load_json(&path).expect("loads");
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded, report);
-    }
-
-    #[test]
-    fn into_outcome_bridges_to_the_legacy_shape() {
-        let report = sample_report();
-        let decisions = report.decisions().clone();
-        let outcome = report.into_outcome();
-        assert_eq!(outcome.decisions, decisions);
-        assert_eq!(outcome.byzantine, [3].into());
     }
 }

@@ -1,5 +1,5 @@
 //! Scenario builder and runner: NECTAR over any topology with any Byzantine
-//! cast, on any of the four runtimes — the execution harness behind the
+//! cast, on any of the three runtimes — the execution harness behind the
 //! paper's evaluation campaigns (§V).
 //!
 //! This is the entry point the experiments, examples and integration tests
@@ -9,20 +9,18 @@
 //! propagation rounds and collects every correct node's decision plus
 //! traffic metrics into a [`RunReport`](crate::report::RunReport). The
 //! [`Runtime`] enum selects the execution engine — deterministic sync,
-//! thread-per-node, the event-driven loop that hosts 10k+-node topologies,
-//! or the work-stealing parallel engine that spreads those topologies over
-//! every core — and all four produce bit-identical results (enforced by
-//! the cross-runtime equivalence property suite; the contract lives in
-//! `docs/DETERMINISM.md`). The eleven legacy `run_*` methods remain as
-//! `#[deprecated]` shims over the builder, returning the legacy
-//! [`Outcome`] shape.
+//! the event-driven loop that hosts 10k+-node topologies, or the
+//! work-stealing parallel engine that spreads those topologies over every
+//! core — and all three produce bit-identical results (enforced by the
+//! cross-runtime equivalence property suite; the contract lives in
+//! `docs/DETERMINISM.md`).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
 use nectar_crypto::{KeyStore, NeighborhoodProof, Verifier};
-use nectar_graph::{connectivity, traversal, ConnectivityOracle, Fingerprint, Graph, OracleStats};
+use nectar_graph::{traversal, ConnectivityOracle, Fingerprint, Graph, OracleStats};
 use nectar_net::{
     parallel_map, CompiledSchedule, Metrics, NodeId, PhaseProfile, Process, RoundSink, Scheduled,
     SyncNetwork,
@@ -32,18 +30,16 @@ use crate::byzantine::{
     falsify_flips, wrap_traffic_fault, ByzantineBehavior, EquivocatorNode, FalsifierNode,
     LateRevealNode, Participant,
 };
-use crate::config::{Decision, NectarConfig, Verdict};
+use crate::config::{Decision, NectarConfig};
 use crate::node::NectarNode;
 
-/// Which engine executes a scenario's propagation rounds. All four run the
-/// same [`Participant`] code and produce bit-identical [`Outcome`]s; they
-/// differ only in scheduling:
+/// Which engine executes a scenario's propagation rounds. All three run
+/// the same [`Participant`] code and produce bit-identical
+/// [`RunReport`](crate::report::RunReport)s; they differ only in
+/// scheduling:
 ///
 /// * [`Sync`](Runtime::Sync) polls every node every round — the simple
 ///   deterministic baseline for tests and small sweeps;
-/// * [`Threaded`](Runtime::Threaded) gives every node an OS thread (the
-///   paper's one-container-per-process flavour; practical to a few hundred
-///   nodes);
 /// * [`Event`](Runtime::Event) multiplexes all nodes on a binary-heap
 ///   event loop with `O(active events)` scheduling — hosting 10 000+-node
 ///   topologies in one process;
@@ -59,8 +55,6 @@ pub enum Runtime {
     /// Deterministic single-threaded round engine.
     #[default]
     Sync,
-    /// One OS thread per node, barrier-aligned rounds.
-    Threaded,
     /// Single-threaded event loop over a binary-heap event queue.
     Event,
     /// Work-stealing worker pool over round-committed execution.
@@ -92,7 +86,6 @@ impl std::fmt::Display for Runtime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Runtime::Sync => f.write_str("sync"),
-            Runtime::Threaded => f.write_str("threaded"),
             Runtime::Event => f.write_str("event"),
             // An explicit worker count is part of the runtime's identity,
             // so it must survive the Display/FromStr round trip; the
@@ -109,7 +102,6 @@ impl std::str::FromStr for Runtime {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "sync" => Ok(Runtime::Sync),
-            "threaded" => Ok(Runtime::Threaded),
             "event" => Ok(Runtime::Event),
             "parallel" => Ok(Runtime::parallel()),
             other => match other.strip_prefix("parallel:") {
@@ -118,8 +110,8 @@ impl std::str::FromStr for Runtime {
                     Err(_) => Err(format!("bad parallel worker count {count:?}")),
                 },
                 None => Err(format!(
-                    "unknown runtime {other}; expected sync, threaded, event, parallel \
-                     or parallel:<workers>"
+                    "unknown runtime {other}; expected sync, event, parallel or \
+                     parallel:<workers>"
                 )),
             },
         }
@@ -167,7 +159,7 @@ impl Scenario {
     ///
     /// Panics if `node` is out of range, or if a `FictitiousEdges` /
     /// `LateReveal` behaviour names non-Byzantine accomplices at
-    /// [`run`](Self::run) time.
+    /// [`Simulation::run`](crate::sim::Simulation::run) time.
     pub fn with_byzantine(mut self, node: NodeId, behavior: ByzantineBehavior) -> Self {
         assert!(node < self.topology.node_count(), "byzantine node {node} out of range");
         self.byzantine.insert(node, behavior);
@@ -193,8 +185,9 @@ impl Scenario {
     /// runtime executes, Byzantine wrappers included. Public so harnesses
     /// (custom runtimes, the quiescence-soundness audit suite) can drive
     /// them directly; any runtime that delivers messages in the canonical
-    /// order of `docs/DETERMINISM.md` reproduces [`run`](Self::run)'s
-    /// outcome bit for bit.
+    /// order of `docs/DETERMINISM.md` reproduces
+    /// [`Simulation::run`](crate::sim::Simulation::run)'s report bit for
+    /// bit.
     ///
     /// # Panics
     ///
@@ -333,7 +326,7 @@ impl Scenario {
     /// final participants and traffic metrics — the one place all runtime
     /// dispatch happens. Every committed round is reported to `sink`, in
     /// the canonical order of `docs/DETERMINISM.md`, identically on all
-    /// four engines.
+    /// three engines.
     pub(crate) fn propagate(
         &self,
         runtime: Runtime,
@@ -356,83 +349,6 @@ impl Scenario {
                 (wrapped.into_iter().map(Scheduled::into_inner).collect(), metrics)
             }
         }
-    }
-
-    /// Runs the scenario on the deterministic synchronous engine.
-    #[deprecated(note = "use `scenario.sim().run()` — see docs/DETERMINISM.md for the migration")]
-    pub fn run(&self) -> Outcome {
-        self.sim().run().into_outcome()
-    }
-
-    /// Runs the scenario with a caller-supplied [`ConnectivityOracle`], so
-    /// repeated executions — epoch monitoring, experiment sweeps over the
-    /// same topology — share cached verdicts across runs. The returned
-    /// [`Outcome::oracle`] counters cover this run only.
-    #[deprecated(note = "use `scenario.sim().oracle(&mut oracle).run()`")]
-    pub fn run_with_oracle(&self, oracle: &mut ConnectivityOracle) -> Outcome {
-        self.sim().oracle(oracle).run().into_outcome()
-    }
-
-    /// Runs the scenario on the named [`Runtime`].
-    #[deprecated(note = "use `scenario.sim().runtime(runtime).run()`")]
-    pub fn run_on(&self, runtime: Runtime) -> Outcome {
-        self.sim().runtime(runtime).run().into_outcome()
-    }
-
-    /// [`run_on`](Self::run_on) with a caller-supplied oracle.
-    #[deprecated(note = "use `scenario.sim().runtime(runtime).oracle(&mut oracle).run()`")]
-    pub fn run_on_with_oracle(&self, runtime: Runtime, oracle: &mut ConnectivityOracle) -> Outcome {
-        self.sim().runtime(runtime).oracle(oracle).run().into_outcome()
-    }
-
-    /// Runs the scenario and returns only the traffic metrics, skipping the
-    /// decision phase.
-    #[deprecated(note = "use `scenario.sim().metrics_only().run()`")]
-    pub fn run_metrics_only(&self) -> Metrics {
-        self.sim().metrics_only().run().into_metrics()
-    }
-
-    /// [`run_metrics_only`](Self::run_metrics_only) on the named runtime.
-    #[deprecated(note = "use `scenario.sim().runtime(runtime).metrics_only().run()`")]
-    pub fn run_metrics_only_on(&self, runtime: Runtime) -> Metrics {
-        self.sim().runtime(runtime).metrics_only().run().into_metrics()
-    }
-
-    /// Runs the scenario and returns the raw participants (with their full
-    /// protocol state) instead of summarized decisions.
-    #[deprecated(note = "use `scenario.sim().participants()`")]
-    pub fn run_participants(&self) -> Vec<Participant> {
-        self.sim().participants()
-    }
-
-    /// Runs the scenario on the thread-per-node runtime (same results, real
-    /// concurrency).
-    #[deprecated(note = "use `scenario.sim().runtime(Runtime::Threaded).run()`")]
-    pub fn run_threaded(&self) -> Outcome {
-        self.sim().runtime(Runtime::Threaded).run().into_outcome()
-    }
-
-    /// [`run_threaded`](Self::run_threaded) with a caller-supplied oracle.
-    #[deprecated(
-        note = "use `scenario.sim().runtime(Runtime::Threaded).oracle(&mut oracle).run()`"
-    )]
-    pub fn run_threaded_with_oracle(&self, oracle: &mut ConnectivityOracle) -> Outcome {
-        self.sim().runtime(Runtime::Threaded).oracle(oracle).run().into_outcome()
-    }
-
-    /// Runs the scenario on the event-driven runtime — the engine for
-    /// topologies far beyond thread-per-node scale (10k+ nodes in one
-    /// process), with outcomes bit-identical to the sync engine's.
-    #[deprecated(note = "use `scenario.sim().runtime(Runtime::Event).run()`")]
-    pub fn run_event_driven(&self) -> Outcome {
-        self.sim().runtime(Runtime::Event).run().into_outcome()
-    }
-
-    /// [`run_event_driven`](Self::run_event_driven) with a caller-supplied
-    /// oracle.
-    #[deprecated(note = "use `scenario.sim().runtime(Runtime::Event).oracle(&mut oracle).run()`")]
-    pub fn run_event_driven_with_oracle(&self, oracle: &mut ConnectivityOracle) -> Outcome {
-        self.sim().runtime(Runtime::Event).oracle(oracle).run().into_outcome()
     }
 
     /// The decision phase as a standalone, repeatable pass over borrowed
@@ -623,8 +539,8 @@ fn dispatch<P>(
     sink: &mut dyn RoundSink,
 ) -> (Vec<P>, Metrics)
 where
-    P: Process + Send + 'static,
-    P::Msg: Send + 'static,
+    P: Process + Send,
+    P::Msg: Send,
 {
     match runtime {
         Runtime::Sync => {
@@ -632,7 +548,6 @@ where
             net.run_rounds_with(rounds, sink);
             net.into_parts()
         }
-        Runtime::Threaded => nectar_net::run_threaded_with(procs, topology, rounds, sink),
         Runtime::Event => nectar_net::run_event_driven_with(procs, topology, rounds, sink),
         Runtime::Parallel { workers } => {
             nectar_net::run_parallel_with(procs, topology, rounds, workers, sink)
@@ -640,89 +555,10 @@ where
     }
 }
 
-/// Everything observable after a scenario execution.
-#[derive(Debug, Clone)]
-pub struct Outcome {
-    /// Each correct node's decision.
-    pub decisions: BTreeMap<NodeId, Decision>,
-    /// Traffic counters (all nodes, Byzantine included).
-    pub metrics: Metrics,
-    /// The Byzantine cast.
-    pub byzantine: BTreeSet<NodeId>,
-    /// The ground-truth topology (for property checks).
-    pub topology: Graph,
-    /// Connectivity-oracle counters for this run's decision phase (cache
-    /// hits across identical views, bounded-flow early exits, …).
-    pub oracle: OracleStats,
-}
-
-impl Outcome {
-    /// Whether all correct nodes decided the same verdict (the Agreement
-    /// property of Definition 3).
-    pub fn agreement(&self) -> bool {
-        let mut verdicts = self.decisions.values().map(|d| d.verdict);
-        match verdicts.next() {
-            None => true,
-            Some(first) => verdicts.all(|v| v == first),
-        }
-    }
-
-    /// The common verdict if Agreement holds.
-    pub fn unanimous_verdict(&self) -> Option<Verdict> {
-        self.agreement().then(|| self.decisions.values().next().map(|d| d.verdict)).flatten()
-    }
-
-    /// Ground truth: is the Byzantine cast a vertex cut of the topology
-    /// (i.e. is the subgraph of correct nodes partitioned)?
-    pub fn byzantine_cast_is_vertex_cut(&self) -> bool {
-        let cut: Vec<NodeId> = self.byzantine.iter().copied().collect();
-        traversal::is_partitioned_without(&self.topology, &cut)
-    }
-
-    /// Ground truth for the Validity property: does *some subset* of the
-    /// Byzantine cast form a vertex cut of `G`? This is the reading of
-    /// Theorem 2's proof: when a Byzantine node `b0` has no correct
-    /// neighbor, `V_b \ {b0}` is a vertex cut separating `b0`, even though
-    /// removing all of `V_b` leaves the correct nodes connected. Any subset
-    /// cut either separates two correct nodes (then the full cast does too)
-    /// or cuts a Byzantine node off the correct component (then the cast
-    /// minus that node does), so checking those t + 1 candidates is
-    /// exhaustive.
-    pub fn byzantine_cast_can_cut(&self) -> bool {
-        if self.byzantine_cast_is_vertex_cut() {
-            return true;
-        }
-        let cast: Vec<NodeId> = self.byzantine.iter().copied().collect();
-        cast.iter().any(|&b| {
-            let others: Vec<NodeId> = cast.iter().copied().filter(|&x| x != b).collect();
-            traversal::is_partitioned_without(&self.topology, &others)
-        })
-    }
-
-    /// Ground truth: the topology's real vertex connectivity.
-    pub fn true_connectivity(&self) -> usize {
-        connectivity::vertex_connectivity(&self.topology)
-    }
-
-    /// Fraction of correct nodes whose verdict matches `expected` — the
-    /// "decision success rate" of Fig. 8.
-    pub fn success_rate(&self, expected: Verdict) -> f64 {
-        if self.decisions.is_empty() {
-            return 1.0;
-        }
-        let ok = self.decisions.values().filter(|d| d.verdict == expected).count();
-        ok as f64 / self.decisions.len() as f64
-    }
-
-    /// Mean bytes sent per node — the y-axis of Figs. 3–7.
-    pub fn mean_kb_sent_per_node(&self) -> f64 {
-        self.metrics.mean_bytes_sent_per_node() / 1024.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Verdict;
     use nectar_graph::gen;
 
     #[test]
@@ -731,15 +567,6 @@ mod tests {
         assert!(out.agreement());
         assert_eq!(out.unanimous_verdict(), Some(Verdict::NotPartitionable));
         assert_eq!(out.decisions().len(), 6);
-    }
-
-    #[test]
-    fn threaded_run_matches_sync_run() {
-        let scenario = Scenario::new(gen::harary(4, 10).unwrap(), 2).with_key_seed(5);
-        let a = scenario.sim().run();
-        let b = scenario.sim().runtime(Runtime::Threaded).run();
-        assert_eq!(a.decisions(), b.decisions());
-        assert_eq!(a.metrics(), b.metrics());
     }
 
     #[test]
@@ -770,13 +597,9 @@ mod tests {
 
     #[test]
     fn runtime_names_round_trip() {
-        for rt in [
-            Runtime::Sync,
-            Runtime::Threaded,
-            Runtime::Event,
-            Runtime::parallel(),
-            Runtime::Parallel { workers: 7 },
-        ] {
+        for rt in
+            [Runtime::Sync, Runtime::Event, Runtime::parallel(), Runtime::Parallel { workers: 7 }]
+        {
             assert_eq!(rt.to_string().parse::<Runtime>().unwrap(), rt);
         }
         // An explicit worker count is carried in the name; the
@@ -936,30 +759,6 @@ mod tests {
         let out = Scenario::new(gen::cycle(5), 1).sim().run();
         assert_eq!(out.success_rate(Verdict::NotPartitionable), 1.0);
         assert_eq!(out.success_rate(Verdict::Partitionable), 0.0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_reproduce_the_builder() {
-        // The legacy run_* surface survives one release as thin shims; each
-        // must keep returning exactly what the builder produces.
-        let scenario = Scenario::new(gen::harary(4, 10).unwrap(), 2)
-            .with_byzantine(3, ByzantineBehavior::Silent)
-            .with_key_seed(5);
-        let reference = scenario.sim().run();
-        let legacy = scenario.run();
-        assert_eq!(&legacy.decisions, reference.decisions());
-        assert_eq!(&legacy.metrics, reference.metrics());
-        assert_eq!(&legacy.oracle, reference.oracle());
-        assert_eq!(legacy.byzantine, reference.byzantine);
-        let threaded = scenario.run_threaded();
-        assert_eq!(&threaded.decisions, reference.decisions());
-        let metrics = scenario.run_metrics_only();
-        assert_eq!(&metrics, reference.metrics());
-        let mut oracle = ConnectivityOracle::new();
-        let with_oracle = scenario.run_with_oracle(&mut oracle);
-        assert_eq!(&with_oracle.decisions, reference.decisions());
-        assert_eq!(scenario.run_participants().len(), 10);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The one way to execute a scenario: the [`Simulation`] builder.
 //!
-//! Eleven `run_*` entry points used to cover the runtime × oracle ×
-//! metrics-only surface of [`Scenario`]; every new execution axis (worker
-//! pools, epochs, future sharding) multiplied that surface again. The
-//! builder collapses them into a single session API:
+//! Runtime, worker pool, shared oracle, metrics-only, epochs, schedule and
+//! observer are each one method of a single session API, so a new
+//! execution axis adds a method rather than multiplying entry points:
 //!
 //! ```
 //! use nectar_protocol::{Runtime, Scenario};
@@ -22,7 +21,7 @@
 //! [`crate::report`]). A [`RunObserver`] can watch the execution *stream*:
 //! every committed round, every per-node verdict and every closed epoch, in
 //! the canonical commit order of `docs/DETERMINISM.md`, identically on all
-//! four engines — the per-node decision granularity distributed-detection
+//! three engines — the per-node decision granularity distributed-detection
 //! analyses (Kailkhura et al.) treat as the primary experimental output.
 
 use std::collections::BTreeMap;
@@ -40,7 +39,7 @@ use crate::runner::{Runtime, Scenario};
 /// Streaming hooks fed from every engine while a [`Simulation`] runs.
 ///
 /// All hooks fire in the canonical commit order of `docs/DETERMINISM.md`,
-/// so the observed stream is bit-identical across the four runtimes and any
+/// so the observed stream is bit-identical across the three runtimes and any
 /// worker count: per epoch, `round_committed` fires once per round of the
 /// horizon in ascending round order (rounds an engine skipped as provably
 /// silent included), then `node_decided` fires once per correct node in
@@ -88,7 +87,7 @@ impl RoundSink for EpochSink<'_, '_> {
 ///
 /// This builder is the seam every future execution axis plugs into
 /// (`docs/DETERMINISM.md` has the new-axis checklist): an axis becomes one
-/// method here instead of another `run_*` generation.
+/// method here instead of another family of entry points.
 pub struct Simulation<'a> {
     scenario: &'a Scenario,
     runtime: Runtime,
@@ -119,7 +118,7 @@ impl Scenario {
 
 impl<'a> Simulation<'a> {
     /// Selects the engine executing the propagation rounds (default
-    /// [`Runtime::Sync`]). Results are bit-identical on all four; only
+    /// [`Runtime::Sync`]). Results are bit-identical on all three; only
     /// wall-clock differs.
     pub fn runtime(mut self, runtime: Runtime) -> Self {
         self.runtime = runtime;
@@ -470,7 +469,7 @@ mod tests {
             recorder.events
         };
         let reference = record(Runtime::Sync);
-        for runtime in [Runtime::Threaded, Runtime::Event, Runtime::Parallel { workers: 3 }] {
+        for runtime in [Runtime::Event, Runtime::Parallel { workers: 3 }] {
             assert_eq!(record(runtime), reference, "{runtime} stream drifted");
         }
     }

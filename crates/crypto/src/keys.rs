@@ -141,11 +141,6 @@ impl Verifier {
             None => false,
         }
     }
-
-    /// Number of identities known to the verifier.
-    pub fn identity_count(&self) -> usize {
-        self.secrets.len()
-    }
 }
 
 #[cfg(test)]

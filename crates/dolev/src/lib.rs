@@ -3,7 +3,7 @@
 //! **Place in the runtime stack:** a sibling protocol layer. [`UnsignedNode`]
 //! implements the same `nectar_net::Process` contract as NECTAR's nodes
 //! (including the quiescence hint the event-driven runtime schedules by),
-//! so the signature-free detector runs unchanged on all four runtimes and
+//! so the signature-free detector runs unchanged on all three runtimes and
 //! decides through the same `ConnectivityOracle`.
 //!
 //! NECTAR's conclusion (§VII) speculates that Byzantine partition detection

@@ -1,9 +1,9 @@
-//! Ablation studies over the reproduction's design knobs (E9 in DESIGN.md).
+//! Ablation studies over the reproduction's design knobs.
 //!
 //! * [`wire_format_ablation`]: faithful per-edge signature chains vs the
 //!   batched-chain encoding — quantifies how much of NECTAR's cost is chain
 //!   signatures (and connects our absolute numbers to the paper's ~500 KB
-//!   ceiling, see DESIGN.md §4.2);
+//!   ceiling);
 //! * [`rounds_ablation`]: sweeps the round budget `R` and reports view
 //!   completeness, showing why `n − 1` rounds is the safe general-purpose
 //!   choice (§IV-B) while `diameter(G)` rounds already suffice on a known

@@ -20,7 +20,7 @@ use nectar_baselines::{
 };
 use nectar_graph::{gen, traversal, ConnectivityOracle, Graph};
 use nectar_net::NodeId;
-use nectar_protocol::{ByzantineBehavior, Outcome, Runtime, Scenario, Verdict};
+use nectar_protocol::{ByzantineBehavior, RunReport, Runtime, Scenario, Verdict};
 
 use crate::scenarios::{
     bridged_partition, clustered_fleet, cut_byzantine_placement_with, partitioned_with_insiders,
@@ -151,7 +151,7 @@ pub fn fig8_byzantine_resilience(cfg: &Fig8Config) -> Table {
 ///   a vertex cut of `G` (Validity, in Theorem 2's reading — a Byzantine
 ///   node with no correct neighbors counts as cut off);
 /// * otherwise both verdicts are acceptable.
-pub fn nectar_spec_compliant(out: &Outcome, t: usize) -> bool {
+pub fn nectar_spec_compliant(out: &RunReport, t: usize) -> bool {
     nectar_spec_compliant_with(&mut ConnectivityOracle::new(), out, t)
 }
 
@@ -161,7 +161,7 @@ pub fn nectar_spec_compliant(out: &Outcome, t: usize) -> bool {
 /// first (and with bounded flows even on the first).
 pub fn nectar_spec_compliant_with(
     oracle: &mut ConnectivityOracle,
-    out: &Outcome,
+    out: &RunReport,
     t: usize,
 ) -> bool {
     if !out.agreement() {
@@ -169,7 +169,7 @@ pub fn nectar_spec_compliant_with(
     }
     let verdict = match out.unanimous_verdict() {
         Some(v) => v,
-        None => return out.decisions.is_empty(),
+        None => return out.decisions().is_empty(),
     };
     if out.byzantine_cast_is_vertex_cut() && verdict != Verdict::Partitionable {
         return false;
@@ -177,7 +177,7 @@ pub fn nectar_spec_compliant_with(
     if oracle.kappa_at_least(&out.topology, 2 * t) && verdict != Verdict::NotPartitionable {
         return false;
     }
-    if out.decisions.values().any(|d| d.confirmed) && !out.byzantine_cast_can_cut() {
+    if out.decisions().values().any(|d| d.confirmed) && !out.byzantine_cast_can_cut() {
         return false;
     }
     true
@@ -277,7 +277,7 @@ fn family_resilience(cfg: &TopologyResilienceConfig, family: &str, g: &Graph) ->
                     },
                 );
             }
-            let out = scenario.sim().oracle(&mut oracle).run().into_outcome();
+            let out = scenario.sim().oracle(&mut oracle).run();
             nectar_samples.push(if nectar_spec_compliant_with(&mut oracle, &out, t) {
                 1.0
             } else {
@@ -468,7 +468,7 @@ mod tests {
     #[test]
     fn spec_compliance_accepts_clean_runs() {
         let g = gen::harary(4, 10).unwrap();
-        let out = Scenario::new(g, 2).sim().run().into_outcome();
+        let out = Scenario::new(g, 2).sim().run();
         assert!(nectar_spec_compliant(&out, 2));
     }
 

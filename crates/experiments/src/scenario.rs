@@ -2,7 +2,7 @@
 //! experiment, compiled into a frozen plan that lowers onto the existing
 //! execution machinery.
 //!
-//! Every execution axis the repo has grown — four runtimes, the
+//! Every execution axis the repo has grown — three runtimes, the
 //! topology/attack zoos, [`TopologySchedule`]s, mobility generators, the
 //! socket fleet — is reachable from one hand-rolled text format (in the
 //! style of `TopologySchedule::parse` / `RunReport::from_json`; no serde):
@@ -98,7 +98,7 @@ impl std::error::Error for ScenarioError {}
 /// as a fleet over a transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
-    /// In-process deterministic execution on one of the four runtimes —
+    /// In-process deterministic execution on one of the three runtimes —
     /// the only transport that supports epochs, schedules and report
     /// sinks.
     #[default]
@@ -1034,13 +1034,18 @@ profile
 
     #[test]
     fn runtime_errors_carry_file_and_line() {
-        let doc = "topology harary-k2 8\nt 1\nruntime warp\n";
-        let err = ScenarioSpec::parse(doc, "demo.scn").unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "demo.scn:3: unknown runtime warp; expected sync, threaded, event, parallel \
-             or parallel:<workers>"
-        );
+        // `threaded` named a retired runtime: a name like any other now.
+        for name in ["warp", "threaded"] {
+            let doc = format!("topology harary-k2 8\nt 1\nruntime {name}\n");
+            let err = ScenarioSpec::parse(&doc, "demo.scn").unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!(
+                    "demo.scn:3: unknown runtime {name}; expected sync, event, parallel or \
+                     parallel:<workers>"
+                )
+            );
+        }
         let doc = "topology harary-k2 8\nruntime parallel:x\n";
         let err = ScenarioSpec::parse(doc, "demo.scn").unwrap_err();
         assert_eq!(err.to_string(), "demo.scn:2: bad parallel worker count \"x\"");

@@ -397,11 +397,6 @@ impl ConnectivityOracle {
         self.cache.len()
     }
 
-    /// Drops every cached verdict (counters are kept).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
     /// Layer 2, for graphs layer 1 left open (connected, incomplete,
     /// `δ > t`).
     fn pair_scan(&mut self, g: &Graph, t: usize) -> OracleAnswer {

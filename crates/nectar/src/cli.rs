@@ -59,10 +59,9 @@ pub struct DetectArgs {
     pub t: usize,
     /// Byzantine cast: `(node, behaviour)` pairs.
     pub byzantine: Vec<(usize, ByzantineBehavior)>,
-    /// Which runtime executes the scenario (`--runtime`; `--threaded` is a
-    /// legacy alias for `--runtime threaded`, and `--workers N` sizes the
-    /// `parallel` runtime's pool). Outcomes are bit-identical across all
-    /// four.
+    /// Which runtime executes the scenario (`--runtime`; `--workers N`
+    /// sizes the `parallel` runtime's pool). Outcomes are bit-identical
+    /// across all three.
     pub runtime: Runtime,
     /// Seed for keys and randomized topologies.
     pub seed: u64,
@@ -89,42 +88,16 @@ pub struct DetectArgs {
 
 /// Arguments of the `node` command: one OS process hosting one scenario
 /// node over sockets. Every fleet member is launched with the *same*
-/// scenario flags (topology, n, t, cast, seed) — the topology generators
-/// and the key universe are pure functions of the seed, so each process
-/// rebuilds the identical scenario locally and drives only its own node.
+/// scenario file — the topology generators and the key universe are pure
+/// functions of its seed, so each process rebuilds the identical scenario
+/// locally and drives only its own node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeArgs {
     /// Which node this process hosts.
     pub node: usize,
-    /// Scenario file supplying everything but `--node` (`--scenario`).
-    /// When set, the per-process flags below are the deprecated path and
-    /// must not be mixed in: the whole fleet shares the one file.
-    pub scenario: Option<String>,
-    /// Topology family name (as accepted by [`build_topology`]).
-    pub topology: String,
-    /// Connectivity parameter (families that need one).
-    pub k: usize,
-    /// System size.
-    pub n: usize,
-    /// Byzantine budget.
-    pub t: usize,
-    /// Byzantine cast: `(node, behaviour)` pairs — the full cast, on every
-    /// process, so correct nodes know nothing they wouldn't in-memory (the
-    /// cast only configures the local participant when it is Byzantine).
-    pub byzantine: Vec<(usize, ByzantineBehavior)>,
-    /// Seed for keys and randomized topologies.
-    pub seed: u64,
-    /// `uds` (default) or `tcp`.
-    pub transport: String,
-    /// Directory of the fleet's socket files (`node-<id>.sock` per node);
-    /// empty means `<tmp>/nectar-fleet`. UDS only.
-    pub sock_dir: String,
-    /// First TCP port; node `i` listens on `127.0.0.1:base_port + i`.
-    pub base_port: u16,
-    /// Budget for the connect/accept phase, in milliseconds.
-    pub connect_timeout_ms: u64,
-    /// Per-receive deadline once connected, in milliseconds.
-    pub recv_timeout_ms: u64,
+    /// Scenario file supplying everything but `--node` (`--scenario`): the
+    /// whole fleet shares the one file.
+    pub scenario: String,
 }
 
 /// Arguments of the `matrix` command (the topology-zoo × attack-zoo
@@ -191,10 +164,6 @@ USAGE:
              [--workers <W>] [--out <path.json>] [--out-csv <path.csv>]
              [--json | --csv]
   nectar-cli node --scenario <file> --node <I>
-  nectar-cli node --node <I> --topology <family> --n <N> [--k <K>] [--t <T>]
-             [--byz <node>:<behavior> ...] [--seed <S>] [--transport uds|tcp]
-             [--sock-dir <dir>] [--base-port <P>] [--connect-timeout-ms <MS>]
-             [--recv-timeout-ms <MS>]              (deprecated flag path)
   nectar-cli families --k <K> --n <N> [--csv]
   nectar-cli help
 
@@ -208,7 +177,7 @@ SCENARIO (run / node --scenario):
   `cast <CastSpec>` (honest | silent-random | silent-cut |
   equivocate-random | falsify-articulation[-pP] | falsify-colluding[-pP])
   or explicit `byz <node>:<behavior>` lines, `epochs <E>`,
-  `runtime sync|threaded|event|parallel[:W]`, `schedule @<file>` or
+  `runtime sync|event|parallel[:W]`, `schedule @<file>` or
   inline `schedule <directive>` lines (drop/heal/partition/... grammar),
   `mobility waypoint|churn|split-heal key=value...` (generates the
   schedule — and, for waypoint, the geometric topology — from the seed),
@@ -216,17 +185,14 @@ SCENARIO (run / node --scenario):
   `connect-timeout-ms <MS>`, `recv-timeout-ms <MS>`, `report <path>`,
   `csv <path>`, `profile`. `run` executes sync/loopback scenarios in
   one process; for uds/tcp scenarios launch one process per node with
-  `node --scenario <file> --node I` — the file replaces the whole
-  per-process flag list, so a fleet can never disagree about its
+  `node --scenario <file> --node I` — the file is the only description
+  of the fleet, so its processes can never disagree about their
   scenario. Errors carry file:line context. Curated examples live in
   scenarios/; the format is specified in nectar_experiments::scenario.
 
 RUNTIME (--runtime, default sync):
   sync      deterministic single-threaded round engine — the baseline for
             tests and small sweeps
-  threaded  one OS thread per node (--threaded is a legacy alias;
-            practical up to a few hundred nodes — the paper's
-            one-container-per-process flavour)
   event     event-driven loop, O(active events) scheduling — large n
             (10k+ nodes in one process) on a single core
   parallel  the event runtime's active-set scheduling plus a work-stealing
@@ -234,16 +200,16 @@ RUNTIME (--runtime, default sync):
             many cores; size the pool with --workers <W> (default:
             match the machine; only wall-clock depends on it). Reports
             name this runtime `parallel:<W>` when W is explicit.
-  All four produce bit-identical outcomes (docs/DETERMINISM.md).
+  All three produce bit-identical outcomes (docs/DETERMINISM.md).
 
 NODE (multi-process detection):
-  `node` is the real-transport counterpart of `detect`: every process of
-  a fleet is launched with the same scenario flags plus its own --node I,
+  `node` is the real-transport counterpart of `run`: every process of a
+  fleet is launched with the same --scenario file plus its own --node I,
   rebuilds the scenario locally (topologies and keys are pure functions
-  of --seed), and drives node I over a framed socket transport with
-  round-barrier pacing. With --transport uds (default, Unix only) node I
+  of the file's seed), and drives node I over a framed socket transport
+  with round-barrier pacing. Under `transport uds` (Unix only) node I
   listens on <sock-dir>/node-I.sock and dials its topology neighbors'
-  files with retry-and-backoff; with --transport tcp it listens on
+  files with retry-and-backoff; under `transport tcp` it listens on
   127.0.0.1:<base-port>+I. When the rounds complete it prints a
   `nectar-node-report v1` block — verdict, accepted edges, traffic
   counters and the delivered-message log — which the conformance harness
@@ -324,7 +290,6 @@ EXAMPLES:
   nectar-cli detect --topology cliques --n 10000 --t 2 --runtime parallel --workers 4
   nectar-cli detect --topology star --n 8 --t 1 --byz 0:silent --per-node --csv
   nectar-cli detect --topology cycle --n 6 --t 1 --schedule 'drop 1 0 1; drop 1 3 4'
-  nectar-cli node --node 2 --topology harary --k 2 --n 6 --t 2 --sock-dir /tmp/fleet
   nectar-cli families --k 4 --n 24 --csv
 ";
 
@@ -418,81 +383,26 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             }
         }
         Some("node") => {
-            let mut out = NodeArgs {
-                node: 0,
-                scenario: None,
-                topology: "harary".into(),
-                k: 2,
-                n: 6,
-                t: 1,
-                byzantine: Vec::new(),
-                seed: 42,
-                transport: "uds".into(),
-                sock_dir: String::new(),
-                base_port: 4600,
-                connect_timeout_ms: 30_000,
-                recv_timeout_ms: 30_000,
-            };
             let mut node: Option<usize> = None;
-            let mut flag_seen: Vec<String> = Vec::new();
+            let mut scenario: Option<String> = None;
             let rest: Vec<String> = it.cloned().collect();
-            parse_flags(&rest, &[], |flag, value| {
-                flag_seen.push(flag.to_string());
-                match (flag, value) {
-                    ("--node", Some(v)) => {
-                        let mut i = 0;
-                        set_usize(&mut i, v, "--node")?;
-                        node = Some(i);
-                    }
-                    ("--scenario", Some(v)) => out.scenario = Some(v.into()),
-                    ("--topology", Some(v)) => out.topology = v.into(),
-                    ("--n", Some(v)) => set_usize(&mut out.n, v, "--n")?,
-                    ("--k", Some(v)) => set_usize(&mut out.k, v, "--k")?,
-                    ("--t", Some(v)) => set_usize(&mut out.t, v, "--t")?,
-                    ("--byz", Some(v)) => out.byzantine.push(parse_byz(v)?),
-                    ("--seed", Some(v)) => {
-                        out.seed = v.parse().map_err(|_| format!("bad --seed value {v}"))?;
-                    }
-                    ("--transport", Some(v)) => match v {
-                        "uds" | "tcp" => out.transport = v.into(),
-                        other => {
-                            return Err(format!("bad --transport {other}; expected uds or tcp"));
-                        }
-                    },
-                    ("--sock-dir", Some(v)) => out.sock_dir = v.into(),
-                    ("--base-port", Some(v)) => {
-                        out.base_port =
-                            v.parse().map_err(|_| format!("bad --base-port value {v}"))?;
-                    }
-                    ("--connect-timeout-ms", Some(v)) => {
-                        out.connect_timeout_ms =
-                            v.parse().map_err(|_| format!("bad --connect-timeout-ms value {v}"))?;
-                    }
-                    ("--recv-timeout-ms", Some(v)) => {
-                        out.recv_timeout_ms =
-                            v.parse().map_err(|_| format!("bad --recv-timeout-ms value {v}"))?;
-                    }
-                    (other, _) => return Err(format!("unknown flag {other}")),
+            parse_flags(&rest, &[], |flag, value| match (flag, value) {
+                ("--node", Some(v)) => {
+                    let mut i = 0;
+                    set_usize(&mut i, v, "--node")?;
+                    node = Some(i);
+                    Ok(())
                 }
-                Ok(())
+                ("--scenario", Some(v)) => {
+                    scenario = Some(v.into());
+                    Ok(())
+                }
+                (other, _) => Err(format!("unknown flag {other}")),
             })?;
-            out.node = node.ok_or("node needs --node <I>")?;
-            if out.scenario.is_some() {
-                // The scenario file is the single source of truth for the
-                // whole fleet; mixing in per-process flags would let two
-                // processes disagree about the scenario they share.
-                if let Some(extra) =
-                    flag_seen.iter().find(|f| !matches!(f.as_str(), "--scenario" | "--node"))
-                {
-                    return Err(format!(
-                        "--scenario replaces the per-process flags; drop {extra} (everything \
-                         but --node comes from the scenario file)"
-                    ));
-                }
-            } else if out.node >= out.n {
-                return Err(format!("--node {} out of range (n = {})", out.node, out.n));
-            }
-            Ok(Command::Node(out))
+            Ok(Command::Node(NodeArgs {
+                node: node.ok_or("node needs --node <I>")?,
+                scenario: scenario.ok_or("node needs --scenario <file>")?,
+            }))
         }
         Some("detect") => {
             let mut out = DetectArgs {
@@ -513,38 +423,33 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             };
             let mut workers: Option<usize> = None;
             let rest: Vec<String> = it.cloned().collect();
-            parse_flags(
-                &rest,
-                &["--threaded", "--json", "--csv", "--per-node", "--profile"],
-                |flag, value| {
-                    match (flag, value) {
-                        ("--threaded", _) => out.runtime = Runtime::Threaded,
-                        ("--json", _) => out.json = true,
-                        ("--csv", _) => out.csv = true,
-                        ("--per-node", _) => out.per_node = true,
-                        ("--profile", _) => out.profile = true,
-                        ("--report", Some(v)) => out.report = Some(v.into()),
-                        ("--schedule", Some(v)) => out.schedule = Some(v.into()),
-                        ("--topology", Some(v)) => out.topology = v.into(),
-                        ("--n", Some(v)) => set_usize(&mut out.n, v, "--n")?,
-                        ("--k", Some(v)) => set_usize(&mut out.k, v, "--k")?,
-                        ("--t", Some(v)) => set_usize(&mut out.t, v, "--t")?,
-                        ("--epochs", Some(v)) => set_usize(&mut out.epochs, v, "--epochs")?,
-                        ("--runtime", Some(v)) => out.runtime = v.parse()?,
-                        ("--workers", Some(v)) => {
-                            let mut w = 0;
-                            set_usize(&mut w, v, "--workers")?;
-                            workers = Some(w);
-                        }
-                        ("--seed", Some(v)) => {
-                            out.seed = v.parse().map_err(|_| format!("bad --seed value {v}"))?;
-                        }
-                        ("--byz", Some(v)) => out.byzantine.push(parse_byz(v)?),
-                        (other, _) => return Err(format!("unknown flag {other}")),
+            parse_flags(&rest, &["--json", "--csv", "--per-node", "--profile"], |flag, value| {
+                match (flag, value) {
+                    ("--json", _) => out.json = true,
+                    ("--csv", _) => out.csv = true,
+                    ("--per-node", _) => out.per_node = true,
+                    ("--profile", _) => out.profile = true,
+                    ("--report", Some(v)) => out.report = Some(v.into()),
+                    ("--schedule", Some(v)) => out.schedule = Some(v.into()),
+                    ("--topology", Some(v)) => out.topology = v.into(),
+                    ("--n", Some(v)) => set_usize(&mut out.n, v, "--n")?,
+                    ("--k", Some(v)) => set_usize(&mut out.k, v, "--k")?,
+                    ("--t", Some(v)) => set_usize(&mut out.t, v, "--t")?,
+                    ("--epochs", Some(v)) => set_usize(&mut out.epochs, v, "--epochs")?,
+                    ("--runtime", Some(v)) => out.runtime = v.parse()?,
+                    ("--workers", Some(v)) => {
+                        let mut w = 0;
+                        set_usize(&mut w, v, "--workers")?;
+                        workers = Some(w);
                     }
-                    Ok(())
-                },
-            )?;
+                    ("--seed", Some(v)) => {
+                        out.seed = v.parse().map_err(|_| format!("bad --seed value {v}"))?;
+                    }
+                    ("--byz", Some(v)) => out.byzantine.push(parse_byz(v)?),
+                    (other, _) => return Err(format!("unknown flag {other}")),
+                }
+                Ok(())
+            })?;
             if let Some(w) = workers {
                 match out.runtime {
                     Runtime::Parallel { .. } => out.runtime = Runtime::Parallel { workers: w },
@@ -708,65 +613,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             }
             Ok(out)
         }
-        Command::Node(args) => {
-            // Two sources for the fleet-wide scenario: a shared scenario
-            // file (`--scenario`, the preferred path) or the deprecated
-            // per-process flag list. Both lower onto the same socket setup.
-            let (scenario, transport, sock_dir, base_port, config) = match &args.scenario {
-                Some(file) => node_setup_from_scenario(file, args.node)?,
-                None => {
-                    let graph = build_topology(&args.topology, args.k, args.n, args.seed)?;
-                    for (node, _) in &args.byzantine {
-                        if *node >= args.n {
-                            return Err(format!(
-                                "byzantine node {node} out of range (n = {})",
-                                args.n
-                            ));
-                        }
-                    }
-                    let mut scenario = Scenario::new(graph, args.t).with_key_seed(args.seed);
-                    for (node, behavior) in &args.byzantine {
-                        scenario = scenario.with_byzantine(*node, behavior.clone());
-                    }
-                    let config = ConnectConfig {
-                        connect_timeout: std::time::Duration::from_millis(args.connect_timeout_ms),
-                        recv_timeout: std::time::Duration::from_millis(args.recv_timeout_ms),
-                        ..ConnectConfig::default()
-                    };
-                    (
-                        scenario,
-                        args.transport.clone(),
-                        args.sock_dir.clone(),
-                        args.base_port,
-                        config,
-                    )
-                }
-            };
-            let report = match transport.as_str() {
-                "tcp" => {
-                    let addr = |i: usize| -> Result<std::net::SocketAddr, String> {
-                        let port = base_port as usize + i;
-                        let port = u16::try_from(port).map_err(|_| {
-                            format!("base port {base_port} + node {i} overflows a port")
-                        })?;
-                        Ok(std::net::SocketAddr::from(([127, 0, 0, 1], port)))
-                    };
-                    let peers = scenario
-                        .topology()
-                        .neighborhood(args.node)
-                        .into_iter()
-                        .map(|p| Ok((p, addr(p)?)))
-                        .collect::<Result<Vec<_>, String>>()?;
-                    let transport =
-                        SocketTransport::tcp(args.node, addr(args.node)?, &peers, &config)
-                            .map_err(|e| format!("node {}: {e}", args.node))?;
-                    run_scenario_node(&scenario, args.node, transport)
-                        .map_err(|e| format!("node {}: {e}", args.node))?
-                }
-                _ => run_node_uds(args.node, &sock_dir, &scenario, &config)?,
-            };
-            Ok(report.to_text())
-        }
+        Command::Node(args) => run_node(&args).map(|report| report.to_text()),
         Command::Run { file } => {
             let compiled = load_scenario(&file)?;
             match compiled.transport {
@@ -880,25 +727,13 @@ fn load_scenario(file: &str) -> Result<CompiledScenario, String> {
     spec.compile().map_err(|e| e.to_string())
 }
 
-/// The `--scenario` source of the `node` command: everything but the node
-/// id comes out of the compiled scenario, so every fleet process shares
-/// one file instead of re-deriving seeded state from flags.
-fn node_setup_from_scenario(
-    file: &str,
-    node: usize,
-) -> Result<(Scenario, String, String, u16, ConnectConfig), String> {
+/// The `node` command: hosts node `args.node` of the socket fleet that
+/// `args.scenario` describes. Everything but the node id comes out of the
+/// compiled scenario, so every fleet process shares one file instead of
+/// re-deriving seeded state from flags.
+fn run_node(args: &NodeArgs) -> Result<NodeReport, String> {
+    let (file, node) = (args.scenario.as_str(), args.node);
     let compiled = load_scenario(file)?;
-    let transport = match compiled.transport {
-        TransportKind::Uds => "uds".to_string(),
-        TransportKind::Tcp => "tcp".to_string(),
-        other => {
-            return Err(format!(
-                "scenario {file} declares transport {}; `node` hosts one process of a \
-                 socket fleet — use `nectar-cli run {file}` for in-process transports",
-                other.name()
-            ));
-        }
-    };
     let n = compiled.graph.node_count();
     if node >= n {
         return Err(format!("--node {node} out of range (n = {n})"));
@@ -908,16 +743,37 @@ fn node_setup_from_scenario(
         recv_timeout: std::time::Duration::from_millis(compiled.recv_timeout_ms),
         ..ConnectConfig::default()
     };
-    Ok((
-        compiled.scenario(),
-        transport,
-        compiled.sock_dir.clone().unwrap_or_default(),
-        compiled.base_port,
-        config,
-    ))
+    let scenario = compiled.scenario();
+    match compiled.transport {
+        TransportKind::Uds => {
+            run_node_uds(node, compiled.sock_dir.as_deref().unwrap_or(""), &scenario, &config)
+        }
+        TransportKind::Tcp => {
+            let base_port = compiled.base_port;
+            let addr = |i: usize| -> Result<std::net::SocketAddr, String> {
+                let port = u16::try_from(base_port as usize + i)
+                    .map_err(|_| format!("base port {base_port} + node {i} overflows a port"))?;
+                Ok(std::net::SocketAddr::from(([127, 0, 0, 1], port)))
+            };
+            let peers = scenario
+                .topology()
+                .neighborhood(node)
+                .into_iter()
+                .map(|p| Ok((p, addr(p)?)))
+                .collect::<Result<Vec<_>, String>>()?;
+            let transport = SocketTransport::tcp(node, addr(node)?, &peers, &config)
+                .map_err(|e| format!("node {node}: {e}"))?;
+            run_scenario_node(&scenario, node, transport).map_err(|e| format!("node {node}: {e}"))
+        }
+        other => Err(format!(
+            "scenario {file} declares transport {}; `node` hosts one process of a \
+             socket fleet — use `nectar-cli run {file}` for in-process transports",
+            other.name()
+        )),
+    }
 }
 
-/// The `--transport uds` body of the `node` command: socket files follow
+/// The `transport uds` body of the `node` command: socket files follow
 /// the `<sock-dir>/node-<id>.sock` convention, so the fleet only has to
 /// agree on the directory.
 #[cfg(unix)]
@@ -949,7 +805,7 @@ fn run_node_uds(
     _config: &ConnectConfig,
 ) -> Result<NodeReport, String> {
     let _ = node;
-    Err("--transport uds needs a Unix platform; use --transport tcp".into())
+    Err("transport uds needs a Unix platform; use transport tcp".into())
 }
 
 /// Human-readable `run` report for the sync transport: scenario
@@ -1298,7 +1154,8 @@ mod tests {
             "2",
             "--byz",
             "3:silent",
-            "--threaded",
+            "--runtime",
+            "event",
         ]))
         .unwrap();
         match cmd {
@@ -1306,7 +1163,7 @@ mod tests {
                 assert_eq!(args.topology, "cycle");
                 assert_eq!(args.n, 8);
                 assert_eq!(args.t, 2);
-                assert_eq!(args.runtime, Runtime::Threaded);
+                assert_eq!(args.runtime, Runtime::Event);
                 assert_eq!(args.byzantine, vec![(3, ByzantineBehavior::Silent)]);
             }
             other => panic!("expected detect, got {other:?}"),
@@ -1315,12 +1172,9 @@ mod tests {
 
     #[test]
     fn runtime_flag_selects_the_engine() {
-        for (value, expected) in [
-            ("sync", Runtime::Sync),
-            ("threaded", Runtime::Threaded),
-            ("event", Runtime::Event),
-            ("parallel", Runtime::parallel()),
-        ] {
+        for (value, expected) in
+            [("sync", Runtime::Sync), ("event", Runtime::Event), ("parallel", Runtime::parallel())]
+        {
             match parse(&strs(&["detect", "--runtime", value])).unwrap() {
                 Command::Detect(args) => assert_eq!(args.runtime, expected),
                 other => panic!("expected detect, got {other:?}"),
@@ -1332,6 +1186,8 @@ mod tests {
             other => panic!("expected detect, got {other:?}"),
         }
         assert!(parse(&strs(&["detect", "--runtime", "warp"])).is_err());
+        assert!(parse(&strs(&["detect", "--runtime", "threaded"])).is_err());
+        assert!(parse(&strs(&["detect", "--threaded"])).is_err());
     }
 
     #[test]
@@ -1688,57 +1544,34 @@ mod tests {
 
     #[test]
     fn node_args_are_parsed() {
-        let cmd = parse(&strs(&[
-            "node",
-            "--node",
-            "2",
+        assert_eq!(
+            parse(&strs(&["node", "--scenario", "fleet.scn", "--node", "2"])).unwrap(),
+            Command::Node(NodeArgs { node: 2, scenario: "fleet.scn".into() })
+        );
+        // Both flags are mandatory; the range check waits for the file's n.
+        assert!(parse(&strs(&["node"])).unwrap_err().contains("--node"));
+        assert!(parse(&strs(&["node", "--node", "0"])).unwrap_err().contains("--scenario"));
+        assert!(parse(&strs(&["node", "--scenario", "fleet.scn"])).unwrap_err().contains("--node"));
+        assert!(parse(&strs(&["node", "--scenario", "fleet.scn", "--node", "x"])).is_err());
+        // The scenario file is the only description of a fleet: nothing
+        // about it can be said (or contradicted) per process.
+        for flag in [
             "--topology",
-            "harary",
-            "--k",
-            "2",
             "--n",
-            "6",
+            "--k",
             "--t",
-            "2",
             "--byz",
-            "1:silent",
             "--seed",
-            "9",
+            "--transport",
             "--sock-dir",
-            "/tmp/fleet",
+            "--base-port",
             "--connect-timeout-ms",
-            "5000",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Node(args) => {
-                assert_eq!(args.node, 2);
-                assert_eq!(args.topology, "harary");
-                assert_eq!((args.k, args.n, args.t), (2, 6, 2));
-                assert_eq!(args.byzantine, vec![(1, ByzantineBehavior::Silent)]);
-                assert_eq!(args.seed, 9);
-                assert_eq!(args.transport, "uds");
-                assert_eq!(args.sock_dir, "/tmp/fleet");
-                assert_eq!(args.connect_timeout_ms, 5000);
-                assert_eq!(args.recv_timeout_ms, 30_000);
-            }
-            other => panic!("expected node, got {other:?}"),
+            "--recv-timeout-ms",
+        ] {
+            let err = parse(&strs(&["node", "--scenario", "fleet.scn", "--node", "0", flag, "1"]))
+                .unwrap_err();
+            assert_eq!(err, format!("unknown flag {flag}"));
         }
-        match parse(&strs(&["node", "--node", "0", "--transport", "tcp", "--base-port", "4700"]))
-            .unwrap()
-        {
-            Command::Node(args) => {
-                assert_eq!(args.transport, "tcp");
-                assert_eq!(args.base_port, 4700);
-            }
-            other => panic!("expected node, got {other:?}"),
-        }
-        // --node is mandatory, must be in range, and the transport name
-        // is validated at parse time.
-        assert!(parse(&strs(&["node"])).is_err());
-        assert!(parse(&strs(&["node", "--node", "6", "--n", "6"])).is_err());
-        assert!(parse(&strs(&["node", "--node", "0", "--transport", "carrier-pigeon"])).is_err());
-        assert!(parse(&strs(&["node", "--node", "0", "--wat", "1"])).is_err());
     }
 
     #[test]
@@ -1931,24 +1764,6 @@ mod tests {
     }
 
     #[test]
-    fn node_scenario_flag_excludes_the_deprecated_flags() {
-        match parse(&strs(&["node", "--scenario", "fleet.scn", "--node", "2"])).unwrap() {
-            Command::Node(args) => {
-                assert_eq!(args.scenario.as_deref(), Some("fleet.scn"));
-                assert_eq!(args.node, 2);
-            }
-            other => panic!("expected node, got {other:?}"),
-        }
-        // Node 9 would be out of range for the flag-path default n = 6,
-        // but with --scenario the range check waits for the file's n.
-        assert!(parse(&strs(&["node", "--scenario", "fleet.scn", "--node", "9"])).is_ok());
-        let err = parse(&strs(&["node", "--scenario", "fleet.scn", "--node", "0", "--t", "2"]))
-            .unwrap_err();
-        assert!(err.contains("--scenario replaces"), "{err}");
-        assert!(err.contains("--t"), "{err}");
-    }
-
-    #[test]
     fn run_executes_a_scenario_file_end_to_end() {
         let dir = std::env::temp_dir().join("nectar-cli-run-e2e");
         std::fs::create_dir_all(&dir).unwrap();
@@ -2003,22 +1818,9 @@ mod tests {
         assert!(err.contains("node --scenario"), "{err}");
         // And the converse: `node` refuses in-process scenarios.
         std::fs::write(&file, "topology harary-k2 6\n").unwrap();
-        let err = run(Command::Node(NodeArgs {
-            node: 0,
-            scenario: Some(file.to_string_lossy().into_owned()),
-            topology: "harary".into(),
-            k: 2,
-            n: 6,
-            t: 1,
-            byzantine: Vec::new(),
-            seed: 42,
-            transport: "uds".into(),
-            sock_dir: String::new(),
-            base_port: 4600,
-            connect_timeout_ms: 30_000,
-            recv_timeout_ms: 30_000,
-        }))
-        .unwrap_err();
+        let err =
+            run(Command::Node(NodeArgs { node: 0, scenario: file.to_string_lossy().into_owned() }))
+                .unwrap_err();
         assert!(err.contains("transport sync"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

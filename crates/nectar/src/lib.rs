@@ -7,7 +7,7 @@
 //! harness ([`experiments`]).
 //!
 //! **Place in the runtime stack:** the top. This crate hosts the
-//! `nectar-cli` binary (whose `--runtime {sync,threaded,event}` flag picks
+//! `nectar-cli` binary (whose `--runtime {sync,event,parallel}` flag picks
 //! the execution engine), the cross-crate integration/property suites
 //! under `tests/` — including the cross-runtime equivalence suite — and
 //! the runnable `examples/`. See `docs/ARCHITECTURE.md` for the full map.
@@ -67,8 +67,7 @@ pub mod prelude {
     pub use nectar_experiments::{CompiledScenario, MobilitySpec, ScenarioSpec, TransportKind};
     pub use nectar_graph::{connectivity, gen, traversal, Graph};
     pub use nectar_protocol::{
-        ByzantineBehavior, Decision, EpochMonitor, EpochOutcome, NectarConfig, NectarNode, Outcome,
-        RunObserver, RunReport, Runtime, Scenario, ScheduleError, Simulation, TopologySchedule,
-        Verdict,
+        ByzantineBehavior, Decision, EpochOutcome, NectarConfig, NectarNode, RunObserver,
+        RunReport, Runtime, Scenario, ScheduleError, Simulation, TopologySchedule, Verdict,
     };
 }

@@ -1,10 +1,9 @@
 //! Event-driven runtime: every node multiplexed on one event loop.
 //!
-//! The thread-per-node runtime ([`crate::threaded`]) mirrors the paper's
-//! evaluation setup but caps practical system sizes at a few hundred nodes
-//! (one OS thread each). This runtime removes that ceiling: all nodes run
-//! as state machines on a single thread, driven by a binary-heap event
-//! queue holding three event kinds —
+//! The sync engine ([`crate::sync`]) polls every node every round, long
+//! after a large fleet has gone quiet. This runtime polls only what is
+//! active: all nodes run as state machines on a single thread, driven by a
+//! binary-heap event queue holding three event kinds —
 //!
 //! * **round ticks** ([`Phase::Send`]): a node is polled for its outgoing
 //!   messages at a given round,
@@ -294,9 +293,9 @@ impl<P: Process> EventNetwork<P> {
 
 /// Runs `rounds` synchronous rounds of the given processes over `topology`
 /// on the event-driven runtime. Returns the processes (in node order) and
-/// the traffic metrics — the same signature as
-/// [`crate::threaded::run_threaded`], with `O(active events)` scheduling
-/// instead of one OS thread per node.
+/// the traffic metrics — the same result as
+/// [`SyncNetwork`](crate::sync::SyncNetwork), with `O(active events)`
+/// scheduling instead of polling every node every round.
 ///
 /// # Panics
 ///
@@ -345,7 +344,7 @@ mod tests {
         }
     }
 
-    /// The toy flooding protocol of the sync/threaded engine tests, with
+    /// The toy flooding protocol of the sync engine tests, with
     /// the quiescence hint the event runtime exploits.
     #[derive(Debug, Clone)]
     struct Flood {

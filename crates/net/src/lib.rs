@@ -2,15 +2,11 @@
 //!
 //! Implements the paper's system model (§II): processes on a static
 //! undirected topology of reliable channels, communicating in synchronous
-//! rounds. Four interchangeable runtimes execute the same [`Process`]
+//! rounds. Three interchangeable runtimes execute the same [`Process`]
 //! code and produce bit-identical results:
 //!
 //! * [`sync::SyncNetwork`]: deterministic, single-threaded, polls every
 //!   node every round (tests, small sweeps),
-//! * [`threaded::run_threaded`]: one OS thread per node over crossbeam
-//!   channels with barrier-aligned rounds ("real code running
-//!   concurrently", matching the paper's one-container-per-process setup;
-//!   practical up to a few hundred nodes),
 //! * [`event::EventNetwork`]: a binary-heap event loop multiplexing all
 //!   nodes as state machines — `O(active events)` scheduling via the
 //!   [`Process::quiescent`] hint, hosting 10k+-node topologies in one
@@ -74,7 +70,6 @@ pub mod parallel;
 pub mod process;
 pub mod schedule;
 pub mod sync;
-pub mod threaded;
 pub mod transport;
 
 pub use event::{run_event_driven, run_event_driven_with, EventNetwork};
@@ -86,7 +81,6 @@ pub use parallel::{
 pub use process::{NodeId, Outgoing, Process, RoundSink, WireSized};
 pub use schedule::{CompiledSchedule, ScheduleError, Scheduled, TopologySchedule};
 pub use sync::SyncNetwork;
-pub use threaded::{run_threaded, run_threaded_with};
 pub use transport::{
     run_over_loopback, ConnectConfig, DeliveryLog, LoopbackHub, LoopbackTransport, NodeDriver,
     Recorded, SendRecord, SocketTransport, Transport, TransportError,

@@ -31,7 +31,7 @@
 //! Worker counts do not affect results, only wall-clock: the cross-runtime
 //! equivalence suite runs the same scenarios at several worker counts and
 //! asserts outcomes (metrics and oracle counters included) are bit-identical
-//! to sync/threaded/event.
+//! to sync/event.
 
 use std::collections::VecDeque;
 

@@ -72,7 +72,7 @@ where
 /// Every engine fires [`round_committed`](RoundSink::round_committed)
 /// exactly once per round of a `run_rounds` horizon, in ascending round
 /// order, after all of that round's deliveries have been committed — the
-/// same instant for all four runtimes, so an observed execution streams an
+/// same instant for all three runtimes, so an observed execution streams an
 /// identical call sequence no matter which engine runs it (rounds an engine
 /// skips as provably silent still fire, with zero bytes). This is the
 /// streaming half of the determinism contract in `docs/DETERMINISM.md`: a

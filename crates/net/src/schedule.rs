@@ -1,7 +1,7 @@
 //! Scripted topology schedules: deterministic network-level fault injection.
 //!
 //! The paper's system model (§II) fixes the communication graph for the
-//! duration of an epoch, and the four runtimes materialize that static
+//! duration of an epoch, and the three runtimes materialize that static
 //! topology up front. Real deployments flap: links drop and heal, nodes
 //! crash and rejoin, partitions open mid-epoch and close again. A
 //! [`TopologySchedule`] scripts exactly those events — seed-driven, round
@@ -1240,7 +1240,7 @@ mod tests {
 
     #[test]
     fn cross_engine_outcomes_are_identical_under_a_busy_schedule() {
-        // Flap + churn + loss + delay on a cycle, run on all four engines:
+        // Flap + churn + loss + delay on a cycle, run on all three engines:
         // final protocol state, metrics and drop counters must match bit
         // for bit. This is the in-crate seed of the schedule-equivalence
         // suite in tests/schedules.rs.
@@ -1271,10 +1271,6 @@ mod tests {
         let (sync_procs, sync_metrics) = sync_net.into_parts();
         let reference = snapshot(&sync_procs, &sync_metrics);
         assert!(sync_procs.iter().map(|p| p.drops()).sum::<u64>() > 0, "schedule must bite");
-
-        let (procs, metrics) =
-            crate::threaded::run_threaded(flood_fleet(&g, &compiled), &g, rounds);
-        assert_eq!(snapshot(&procs, &metrics), reference, "threaded drifted");
 
         let (procs, metrics) =
             crate::event::run_event_driven(flood_fleet(&g, &compiled), &g, rounds);

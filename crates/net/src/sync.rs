@@ -5,14 +5,13 @@
 //! every message sent at round `R` is delivered before round `R + 1`.
 //! Execution is single-threaded and fully deterministic (messages are
 //! delivered in increasing sender order), which the test suite leans on;
-//! [`crate::threaded`] runs the same [`Process`] code concurrently,
-//! [`crate::event`] runs it on an `O(active events)` event loop, and
-//! [`crate::parallel`] fans it over a work-stealing worker pool — all
-//! bit-identically.
+//! [`crate::event`] runs the same [`Process`] code on an `O(active
+//! events)` event loop and [`crate::parallel`] fans it over a
+//! work-stealing worker pool — both bit-identically.
 //!
 //! This engine polls every node every round (`O(n · rounds)` even when the
 //! protocol has quiesced), which is the simplest correct baseline the
-//! other three runtimes are checked against: its per-round order *is* the
+//! other two runtimes are checked against: its per-round order *is* the
 //! canonical order of `docs/DETERMINISM.md`.
 
 use nectar_graph::Graph;

@@ -1,7 +1,7 @@
 //! The transport layer: driving unchanged [`Process`] state machines over
 //! real byte streams.
 //!
-//! The four in-memory engines hand messages across as values. This module
+//! The three in-memory engines hand messages across as values. This module
 //! is the step from simulator to system: the same `Process` code runs
 //! behind a [`Transport`] — an exchanger of codec-encoded
 //! [`Frame`]s — with a [`NodeDriver`] event loop providing round pacing.

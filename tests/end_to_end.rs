@@ -1,4 +1,4 @@
-//! Cross-crate end-to-end tests: full NECTAR executions over both runtimes,
+//! Cross-crate end-to-end tests: full NECTAR executions over every runtime,
 //! checked against ground truth computed directly on the topology.
 
 use nectar::prelude::*;
@@ -40,23 +40,25 @@ fn forced_verdicts_on_the_sync_runtime() {
 }
 
 #[test]
-fn forced_verdicts_on_the_threaded_runtime() {
+fn forced_verdicts_on_the_event_runtime() {
     for (name, g, t, expected) in forced_cases() {
-        let out = Scenario::new(g, t).sim().runtime(Runtime::Threaded).run();
+        let out = Scenario::new(g, t).sim().runtime(Runtime::Event).run();
         assert!(out.agreement(), "{name}: agreement");
         assert_eq!(out.unanimous_verdict(), Some(expected), "{name}");
     }
 }
 
 #[test]
-fn both_runtimes_are_bit_identical() {
+fn all_runtimes_are_bit_identical() {
     let g = gen::k_pasted_tree(3, 15).unwrap();
     let scenario =
         Scenario::new(g, 1).with_key_seed(99).with_byzantine(4, ByzantineBehavior::Silent);
     let sync = scenario.sim().run();
-    let threaded = scenario.sim().runtime(Runtime::Threaded).run();
-    assert_eq!(sync.decisions(), threaded.decisions());
-    assert_eq!(sync.metrics(), threaded.metrics());
+    for runtime in [Runtime::Event, Runtime::Parallel { workers: 2 }] {
+        let other = scenario.sim().runtime(runtime).run();
+        assert_eq!(sync.decisions(), other.decisions(), "{runtime}");
+        assert_eq!(sync.metrics(), other.metrics(), "{runtime}");
+    }
 }
 
 #[test]

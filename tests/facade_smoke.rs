@@ -62,6 +62,5 @@ fn prelude_exports_the_documented_names() {
     let graph: Graph = gen::star(5);
     let scenario = Scenario::new(graph, 1);
     let report: RunReport = scenario.sim().run();
-    let outcome: Outcome = report.into_outcome();
-    let _decisions: &std::collections::BTreeMap<usize, Decision> = &outcome.decisions;
+    let _decisions: &std::collections::BTreeMap<usize, Decision> = report.decisions();
 }

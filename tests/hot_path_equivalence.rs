@@ -17,7 +17,7 @@
 //!   that nothing downstream can tell they exist. So the pin is the
 //!   strongest observable: the full `RunReport` (decisions, traffic
 //!   metrics, oracle counters, rejection tallies) must be bit-identical
-//!   across all four runtimes and across parallel worker counts
+//!   across all three runtimes and across parallel worker counts
 //!   {0, 2, 3, 7}. The oracle's edge-list layer 1 (docs/DETERMINISM.md §7)
 //!   is held to the same pin on the regime it serves: a many-class
 //!   partitioned fleet.
@@ -125,8 +125,7 @@ fn assert_fingerprints_are_ground_truth(participants: &[Participant]) {
 /// Every engine but the sync reference, with the parallel one on the
 /// {0, 2, 3, 7} worker grid (0 = auto-detect, so this also sweeps whatever
 /// the host machine resolves to).
-const OTHER_RUNTIMES: [Runtime; 6] = [
-    Runtime::Threaded,
+const OTHER_RUNTIMES: [Runtime; 5] = [
     Runtime::Event,
     Runtime::Parallel { workers: 0 },
     Runtime::Parallel { workers: 2 },

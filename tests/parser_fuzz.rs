@@ -196,6 +196,8 @@ fn malformed_reports_error_out() {
         valid.replace("[1, 0, 1, false]", "[1, 0, 1]"),
         // Type confusion inside the schedule record.
         valid.replace("\"script\": \"", "\"script\": 3, \"x\": \""),
+        // A report saved by the retired thread-per-node runtime.
+        valid.replace("\"runtime\": \"sync\"", "\"runtime\": \"threaded\""),
     ];
     for (i, case) in cases.iter().enumerate() {
         let got = RunReport::from_json(case);
@@ -400,6 +402,7 @@ fn malformed_scenario_files_error_out() {
         "topology harary-k2 8\nt one\n",
         "topology harary-k2 8\nepochs 0\n",
         "topology harary-k2 8\nruntime warp\n",
+        "topology harary-k2 8\nruntime threaded\n",
         "topology harary-k2 8\nruntime parallel:x\n",
         "topology harary-k2 8\ntransport carrier-pigeon\n",
         "topology harary-k2 8\nbase-port 99999\n",

@@ -1,16 +1,15 @@
 //! Cross-runtime equivalence and scale properties.
 //!
-//! The four engines — deterministic sync, thread-per-node, event-driven,
-//! work-stealing parallel — promise *bit-identical* [`Outcome`]s for any
-//! scenario (same decisions, same traffic metrics, same oracle counters);
-//! the contract each upholds is written down in `docs/DETERMINISM.md`.
+//! The three engines — deterministic sync, event-driven, work-stealing
+//! parallel — promise *bit-identical* [`RunReport`]s for any scenario
+//! (same decisions, same traffic metrics, same oracle counters); the
+//! contract each upholds is written down in `docs/DETERMINISM.md`.
 //! This suite enforces that promise over the full topology generator zoo
 //! (Harary, wheels, LHG pasted-tree/diamond, geometric drone,
 //! random-regular, dense random) and the Byzantine behaviour zoo — the
 //! parallel engine at several worker counts, since worker count must never
 //! leak into results — and pins down the scale claim: the event-driven and
-//! parallel runtimes host a 10 000-node scenario in one process, which
-//! one-OS-thread-per-node cannot.
+//! parallel runtimes host a 10 000-node scenario in one process.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -19,8 +18,7 @@ use std::collections::BTreeSet;
 
 use nectar::prelude::*;
 
-/// One graph from each family of the §V-B generator zoo, sized for quick
-/// threaded execution (every proptest case spawns `n` OS threads).
+/// One graph from each family of the §V-B generator zoo.
 fn arb_zoo_graph() -> impl Strategy<Value = Graph> {
     let mask_graph = (4usize..10).prop_flat_map(|n| {
         let pairs: Vec<(usize, usize)> =
@@ -109,8 +107,8 @@ fn assert_reports_identical(a: &RunReport, b: &RunReport, label: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// sync == threaded == event == parallel, bit for bit, across the
-    /// generator zoo and the Byzantine behaviour zoo. The parallel engine
+    /// sync == event == parallel, bit for bit, across the generator zoo
+    /// and the Byzantine behaviour zoo. The parallel engine
     /// runs at a case-varied worker count: results must not depend on how
     /// the pool is sized (or on which worker stole which node).
     #[test]
@@ -120,10 +118,8 @@ proptest! {
     ) {
         let scenario = build_scenario(&g, t, &cast);
         let sync = scenario.sim().runtime(Runtime::Sync).run();
-        let threaded = scenario.sim().runtime(Runtime::Threaded).run();
         let event = scenario.sim().runtime(Runtime::Event).run();
         let parallel = scenario.sim().workers(workers).run();
-        assert_reports_identical(&sync, &threaded, "sync vs threaded");
         assert_reports_identical(&sync, &event, "sync vs event");
         assert_reports_identical(&sync, &parallel, "sync vs parallel");
     }
@@ -143,10 +139,8 @@ fn colluding_casts_agree_across_runtimes() {
             .with_byzantine(1, ByzantineBehavior::FictitiousEdges { partners: vec![0] })
     };
     let sync = build().sim().run();
-    let threaded = build().sim().runtime(Runtime::Threaded).run();
     let event = build().sim().runtime(Runtime::Event).run();
     let parallel = build().sim().workers(3).run();
-    assert_reports_identical(&sync, &threaded, "sync vs threaded");
     assert_reports_identical(&sync, &event, "sync vs event");
     assert_reports_identical(&sync, &parallel, "sync vs parallel");
 
@@ -164,17 +158,14 @@ fn colluding_casts_agree_across_runtimes() {
         scenario
     };
     let sync = build().sim().run();
-    let threaded = build().sim().runtime(Runtime::Threaded).run();
     let event = build().sim().runtime(Runtime::Event).run();
     let parallel = build().sim().workers(3).run();
-    assert_reports_identical(&sync, &threaded, "falsifier: sync vs threaded");
     assert_reports_identical(&sync, &event, "falsifier: sync vs event");
     assert_reports_identical(&sync, &parallel, "falsifier: sync vs parallel");
 }
 
 /// The scale claim of the event-driven runtime: an n = 10 000 node scenario
-/// — far beyond what one-OS-thread-per-node can host — completes in one
-/// process, with the paper's full `n − 1 = 9 999` round horizon, because
+/// completes in one process, with the paper's full `n − 1 = 9 999` round horizon, because
 /// dissemination quiesces cluster-locally and the scheduler only pays for
 /// active events.
 #[test]
@@ -230,7 +221,6 @@ fn ten_thousand_node_scenario_completes_on_the_parallel_runtime() {
 fn runtime_display_fromstr_round_trips_every_variant() {
     let variants = [
         Runtime::Sync,
-        Runtime::Threaded,
         Runtime::Event,
         Runtime::Parallel { workers: 0 },
         Runtime::Parallel { workers: 1 },
@@ -246,14 +236,16 @@ fn runtime_display_fromstr_round_trips_every_variant() {
     // `parallel:<W>`, while the match-the-machine pool keeps the
     // historical bare name (so old persisted reports still parse).
     assert_eq!(Runtime::Sync.to_string(), "sync");
-    assert_eq!(Runtime::Threaded.to_string(), "threaded");
     assert_eq!(Runtime::Event.to_string(), "event");
     assert_eq!(Runtime::parallel().to_string(), "parallel");
     assert_eq!(Runtime::Parallel { workers: 3 }.to_string(), "parallel:3");
     assert_eq!("parallel".parse::<Runtime>().unwrap(), Runtime::Parallel { workers: 0 });
     assert_eq!("parallel:12".parse::<Runtime>().unwrap(), Runtime::Parallel { workers: 12 });
     // Malformed names are errors, not defaults.
-    for bad in ["", "warp", "Parallel", "parallel:", "parallel:x", "parallel:-1", "sync "] {
+    // ("threaded" named a retired engine.)
+    for bad in
+        ["", "warp", "threaded", "Parallel", "parallel:", "parallel:x", "parallel:-1", "sync "]
+    {
         assert!(bad.parse::<Runtime>().is_err(), "{bad:?} was accepted");
     }
 }

@@ -6,7 +6,7 @@
 //!    so a scenario can be saved, shared and re-run.
 //! 2. **Lowering bit-identity**: a scenario-file run produces a
 //!    `RunReport` byte-for-byte equal to the equivalently hand-built
-//!    `Simulation` run, on all four runtimes. The scenario layer adds
+//!    `Simulation` run, on all three runtimes. The scenario layer adds
 //!    vocabulary, never semantics.
 //! 3. **Mobility determinism**: the generators are pure functions of
 //!    their seed — same seed ⇒ same topology and schedule, and the
@@ -127,11 +127,10 @@ fn zoo_spec(seed: u64) -> ScenarioSpec {
 
     if sync {
         spec.epochs = rng.random_range(1usize..=3);
-        spec.runtime = match rng.random_range(0usize..5) {
+        spec.runtime = match rng.random_range(0usize..4) {
             0 => None,
             1 => Some(Runtime::Sync),
-            2 => Some(Runtime::Threaded),
-            3 => Some(Runtime::Event),
+            2 => Some(Runtime::Event),
             _ => Some(Runtime::Parallel { workers: 2 }),
         };
         if rng.random::<bool>() {
@@ -182,8 +181,7 @@ proptest! {
 
 /// The bit-identity fixtures: scenario text plus a hand-built
 /// `Simulation` closure producing the report the file run must equal.
-const RUNTIMES: [Runtime; 4] =
-    [Runtime::Sync, Runtime::Threaded, Runtime::Event, Runtime::Parallel { workers: 2 }];
+const RUNTIMES: [Runtime; 3] = [Runtime::Sync, Runtime::Event, Runtime::Parallel { workers: 2 }];
 
 fn file_report(text: &str, runtime: Runtime) -> RunReport {
     let full = format!("{text}runtime {runtime}\n");

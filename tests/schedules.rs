@@ -1,11 +1,11 @@
 //! Dynamic-network chaos testing: scripted topology schedules across all
-//! four runtimes.
+//! three runtimes.
 //!
 //! The determinism contract (docs/DETERMINISM.md §4) extends to dynamic
 //! networks: a [`TopologySchedule`] — edges flapping, nodes crashing and
 //! rejoining, partitions opening and healing, per-link loss and delay
-//! windows — produces *bit-identical* outcomes on sync, threaded, event
-//! and parallel engines at any worker count, because every fault is
+//! windows — produces *bit-identical* outcomes on sync, event and
+//! parallel engines at any worker count, because every fault is
 //! applied at the round-commit barrier as a pure function of
 //! `(round, from, to, emission)`. This suite enforces that with a
 //! schedule zoo (flap storms, rolling churn, clean splits,
@@ -210,7 +210,7 @@ fn assert_reports_identical(a: &RunReport, b: &RunReport, label: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// sync == threaded == event == parallel at worker counts {0, 2, 3, 7}
+    /// sync == event == parallel at worker counts {0, 2, 3, 7}
     /// (0 = size the pool to the machine), bit for bit, for every schedule
     /// the zoo scripts: decisions, traffic metrics (schedule drops
     /// included), oracle counters and the recorded schedule itself.
@@ -221,7 +221,6 @@ proptest! {
         let scenario = build_scenario(&g, t, &cast);
         let run = |rt: Runtime| scenario.sim().runtime(rt).schedule(sched.clone()).run();
         let sync = run(Runtime::Sync);
-        assert_reports_identical(&sync, &run(Runtime::Threaded), "sync vs threaded");
         assert_reports_identical(&sync, &run(Runtime::Event), "sync vs event");
         for workers in [0, 2, 3, 7] {
             let parallel = run(Runtime::Parallel { workers });
@@ -243,9 +242,7 @@ proptest! {
 fn a_scripted_split_is_detected_on_every_runtime() {
     let sched = TopologySchedule::new().drop_edge(1, 0, 1).drop_edge(1, 3, 4);
     let scenario = Scenario::new(gen::cycle(6), 1).with_key_seed(7);
-    for runtime in
-        [Runtime::Sync, Runtime::Threaded, Runtime::Event, Runtime::Parallel { workers: 3 }]
-    {
+    for runtime in [Runtime::Sync, Runtime::Event, Runtime::Parallel { workers: 3 }] {
         let out = scenario.sim().runtime(runtime).schedule(sched.clone()).run();
         assert!(out.agreement(), "{runtime:?}");
         assert_eq!(out.unanimous_verdict(), Some(Verdict::Partitionable), "{runtime:?}");
@@ -271,9 +268,7 @@ fn a_split_healed_before_the_horizon_raises_no_false_positive() {
         .heal_edge(2, 0, 1)
         .heal_edge(2, 3, 4);
     let scenario = Scenario::new(gen::cycle(6), 1).with_key_seed(7);
-    for runtime in
-        [Runtime::Sync, Runtime::Threaded, Runtime::Event, Runtime::Parallel { workers: 2 }]
-    {
+    for runtime in [Runtime::Sync, Runtime::Event, Runtime::Parallel { workers: 2 }] {
         let out = scenario.sim().runtime(runtime).schedule(sched.clone()).run();
         assert!(out.agreement(), "{runtime:?}");
         assert_eq!(out.unanimous_verdict(), Some(Verdict::NotPartitionable), "{runtime:?}");

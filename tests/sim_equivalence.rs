@@ -1,25 +1,18 @@
-//! Builder equivalence: `scenario.sim()…run()` must reproduce the legacy
-//! `run_*` entry points bit for bit — decisions, traffic metrics and
-//! connectivity-oracle counters — across the runtime × topology × behaviour
-//! zoos, and the streaming [`RunObserver`] hooks must fire in the canonical
-//! commit order of `docs/DETERMINISM.md` on all four engines.
+//! Builder equivalence: `scenario.sim()…run()` pinned against paths that
+//! share none of its plumbing, and the streaming [`RunObserver`] hooks
+//! pinned to the canonical commit order of `docs/DETERMINISM.md` on all
+//! three engines.
 //!
-//! This suite is the named `builder-equivalence` CI step. Two kinds of
-//! checks, deliberately:
+//! This suite is the named `builder-equivalence` CI step:
 //!
-//! * **Bridge checks** (builder vs deprecated shims). The shims delegate
-//!   to the builder, so these cannot catch a builder-wide semantic drift;
-//!   what they do pin is the *bridging* — `into_outcome`/`into_metrics`
-//!   field mapping, oracle argument plumbing, and that `.epochs(k)` equals
-//!   k independently-constructed sessions (a genuinely different code
-//!   path).
-//! * **Ground-truth checks** (builder vs the per-node reference path,
-//!   `NectarNode::decide_with` over the raw participants). These share
-//!   none of `Simulation::run`'s epoch/collect/report plumbing, so a
-//!   builder-wide drift fails here even though the shims would drift with
-//!   it.
-
-#![allow(deprecated)] // the whole point: legacy run_* vs the builder
+//! * **Ground truth** — the builder's decisions and oracle counters equal
+//!   deciding node by node (`NectarNode::decide_with` over the raw
+//!   participants), which shares none of `Simulation::run`'s
+//!   epoch/collect/report plumbing.
+//! * **Builder axes against their long-hand form** — `.epochs(k)` equals k
+//!   independently constructed sessions sharing one oracle, and
+//!   `.metrics_only()` changes nothing but the skipped decision phase.
+//! * **Observer hook order**, identical on every engine and worker count.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -28,8 +21,7 @@ use nectar::prelude::*;
 use nectar::protocol::ConnectivityOracle;
 
 /// A compact topology zoo: one representative per §V-B family plus a dense
-/// random mask, sized so every case also runs on the thread-per-node
-/// engine.
+/// random mask.
 fn arb_zoo_graph() -> impl Strategy<Value = Graph> {
     let mask_graph = (4usize..9).prop_flat_map(|n| {
         let pairs: Vec<(usize, usize)> =
@@ -89,51 +81,30 @@ fn build_scenario(g: &Graph, t: usize, cast: &[(usize, ByzantineBehavior)]) -> S
     scenario
 }
 
-fn assert_matches_legacy(report: &RunReport, legacy: &Outcome, label: &str) {
-    assert_eq!(report.decisions(), &legacy.decisions, "{label}: decisions differ");
-    assert_eq!(report.metrics(), &legacy.metrics, "{label}: metrics differ");
-    assert_eq!(report.oracle(), &legacy.oracle, "{label}: oracle counters differ");
-    assert_eq!(report.byzantine, legacy.byzantine, "{label}: casts differ");
-    assert_eq!(report.topology, legacy.topology, "{label}: topologies differ");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The builder reproduces every legacy entry point on every runtime:
-    /// `run_on` (decision phase included) and `run_metrics_only_on`, over
-    /// the topology and behaviour zoos, at a case-varied parallel worker
-    /// count.
+    /// A metrics-only run skips the decision phase and nothing else: its
+    /// traffic counters equal the full run's on every runtime, over the
+    /// topology and behaviour zoos, at a case-varied parallel worker count.
     #[test]
-    fn builder_reproduces_legacy_run_outputs(
+    fn metrics_only_runs_report_the_full_runs_metrics(
         (g, t, cast) in arb_scenario(),
         workers in 1usize..4,
     ) {
         let scenario = build_scenario(&g, t, &cast);
-        for runtime in [
-            Runtime::Sync,
-            Runtime::Threaded,
-            Runtime::Event,
-            Runtime::Parallel { workers },
-        ] {
-            let report = scenario.sim().runtime(runtime).run();
-            let legacy = scenario.run_on(runtime);
-            assert_matches_legacy(&report, &legacy, &format!("{runtime}"));
-            let metrics = scenario.sim().runtime(runtime).metrics_only().run();
-            prop_assert_eq!(
-                metrics.metrics(),
-                &scenario.run_metrics_only_on(runtime),
-                "{} metrics-only", runtime
-            );
+        for runtime in [Runtime::Sync, Runtime::Event, Runtime::Parallel { workers }] {
+            let full = scenario.sim().runtime(runtime).run();
+            let metrics_only = scenario.sim().runtime(runtime).metrics_only().run();
+            prop_assert_eq!(metrics_only.metrics(), full.metrics(), "{}", runtime);
+            prop_assert!(metrics_only.decisions().is_empty(), "{}", runtime);
         }
     }
 
-    /// Ground truth, not a bridge check: the builder's decisions and
-    /// oracle counters must equal deciding node by node via
-    /// `NectarNode::decide_with` on the raw participants — the reference
-    /// path that shares no code with `Simulation::run`'s collect/report
-    /// plumbing, so a builder-wide semantic drift cannot hide behind the
-    /// delegating shims.
+    /// Ground truth: the builder's decisions and oracle counters must
+    /// equal deciding node by node via `NectarNode::decide_with` on the raw
+    /// participants — the reference path that shares no code with
+    /// `Simulation::run`'s collect/report plumbing.
     #[test]
     fn builder_decisions_match_the_per_node_reference((g, t, cast) in arb_scenario()) {
         let scenario = build_scenario(&g, t, &cast);
@@ -159,62 +130,34 @@ proptest! {
         prop_assert_eq!(report.oracle().queries, oracle.stats().queries);
         prop_assert_eq!(report.oracle().cache_hits, oracle.stats().cache_hits);
     }
-
-    /// Oracle sharing through the builder equals oracle sharing through the
-    /// legacy `_with_oracle` variants: same decisions and the same per-run
-    /// counter deltas, including the all-cache-hits second run.
-    #[test]
-    fn builder_oracle_sharing_matches_legacy((g, t, cast) in arb_scenario()) {
-        let scenario = build_scenario(&g, t, &cast);
-        let mut builder_oracle = ConnectivityOracle::new();
-        let first = scenario.sim().oracle(&mut builder_oracle).run();
-        let second = scenario.sim().oracle(&mut builder_oracle).run();
-        let mut legacy_oracle = ConnectivityOracle::new();
-        let legacy_first = scenario.run_with_oracle(&mut legacy_oracle);
-        let legacy_second = scenario.run_with_oracle(&mut legacy_oracle);
-        assert_matches_legacy(&first, &legacy_first, "first shared-oracle run");
-        assert_matches_legacy(&second, &legacy_second, "second shared-oracle run");
-    }
 }
 
-/// `.epochs(k)` equals the legacy pattern it replaces: k scenarios with
-/// key seeds `base + e` sharing one oracle (what `nectar-cli detect
-/// --epochs` used to hand-roll).
+/// `.epochs(k)` equals its long-hand form: k single-epoch sessions with
+/// key seeds `base + e` sharing one oracle.
 #[test]
-fn builder_epochs_match_the_legacy_epoch_loop() {
+fn epochs_equal_sessions_with_consecutive_key_seeds_sharing_one_oracle() {
     let g = gen::harary(4, 10).unwrap();
     let scenario =
         Scenario::new(g.clone(), 2).with_key_seed(31).with_byzantine(4, ByzantineBehavior::Silent);
     let report = scenario.sim().runtime(Runtime::Event).epochs(3).run();
     let mut oracle = ConnectivityOracle::new();
     for epoch in 0..3 {
-        let legacy = Scenario::new(g.clone(), 2)
+        let session = Scenario::new(g.clone(), 2)
             .with_key_seed(31 + epoch as u64)
             .with_byzantine(4, ByzantineBehavior::Silent)
-            .run_event_driven_with_oracle(&mut oracle);
-        let e = &report.epochs[epoch];
-        assert_eq!(&e.decisions, &legacy.decisions, "epoch {epoch}");
-        assert_eq!(&e.metrics, &legacy.metrics, "epoch {epoch}");
-        assert_eq!(&e.oracle, &legacy.oracle, "epoch {epoch}");
+            .sim()
+            .runtime(Runtime::Event)
+            .oracle(&mut oracle)
+            .run();
+        let (e, long_hand) = (&report.epochs[epoch], session.last());
+        assert_eq!(e.key_seed, long_hand.key_seed, "epoch {epoch}");
+        assert_eq!(e.decisions, long_hand.decisions, "epoch {epoch}");
+        assert_eq!(e.metrics, long_hand.metrics, "epoch {epoch}");
+        assert_eq!(e.oracle, long_hand.oracle, "epoch {epoch}");
     }
 }
 
-/// `sim().participants()` equals `run_participants()` (same views, bit for
-/// bit, judged by each node's discovered graph and full Debug state).
-#[test]
-fn builder_participants_match_legacy() {
-    let scenario = Scenario::new(gen::cycle(9), 2)
-        .with_key_seed(3)
-        .with_byzantine(1, ByzantineBehavior::Silent);
-    let a = scenario.sim().participants();
-    let b = scenario.run_participants();
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(format!("{x:?}"), format!("{y:?}"));
-    }
-}
-
-/// Observer hook-order contract, enforced across all four engines: per
+/// Observer hook-order contract, enforced across all three engines: per
 /// epoch, `round_committed` for rounds `1..=R` in order (with the exact
 /// per-round byte counts of the sync engine), then `node_decided` in
 /// ascending node order matching the report, then `epoch_closed` — and the
@@ -285,12 +228,9 @@ fn observer_hooks_fire_in_canonical_order_on_all_runtimes() {
     }
 
     // And the identical stream on every other engine / worker count.
-    for runtime in [
-        Runtime::Threaded,
-        Runtime::Event,
-        Runtime::Parallel { workers: 1 },
-        Runtime::Parallel { workers: 3 },
-    ] {
+    for runtime in
+        [Runtime::Event, Runtime::Parallel { workers: 1 }, Runtime::Parallel { workers: 3 }]
+    {
         let (stream, _) = record(runtime);
         assert_eq!(stream, reference, "{runtime}: hook stream drifted");
     }

@@ -135,43 +135,43 @@ fn fleet_scenario(byz: &[(usize, ByzantineBehavior)]) -> Scenario {
 }
 
 /// Spawns the full `nectar-cli node` fleet for [`fleet_scenario`] over
-/// UDS and parses every member's report. `byz_flags` are repeated
-/// `--byz` values, handed to every process identically.
-fn run_uds_fleet(tag: &str, byz_flags: &[&str]) -> Vec<NodeReport> {
+/// UDS and parses every member's report. The fleet is described the only
+/// way a fleet can be: one scenario file, written here and handed to
+/// every process as `--scenario <file> --node i`; `byz` holds its `byz`
+/// directive values.
+fn run_uds_fleet(tag: &str, byz: &[&str]) -> Vec<NodeReport> {
     let dir = std::env::temp_dir().join(format!("nectar-conf-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create socket dir");
+    let file = dir.join("fleet.scn");
+    let byz_lines: String = byz.iter().map(|spec| format!("byz {spec}\n")).collect();
+    std::fs::write(
+        &file,
+        format!(
+            "name conformance fleet {tag}\n\
+             topology harary-k2 {FLEET_N}\n\
+             t 2\n\
+             seed {FLEET_SEED}\n\
+             {byz_lines}\
+             transport uds\n\
+             sock-dir {}\n\
+             connect-timeout-ms 20000\n\
+             recv-timeout-ms 20000\n",
+            dir.display()
+        ),
+    )
+    .expect("write scenario file");
 
-    let mut children: Vec<(usize, Child)> = (0..FLEET_N)
+    let children: Vec<(usize, Child)> = (0..FLEET_N)
         .map(|i| {
-            let mut cmd = Command::new(env!("CARGO_BIN_EXE_nectar-cli"));
-            cmd.args([
-                "node",
-                "--node",
-                &i.to_string(),
-                "--topology",
-                "harary",
-                "--k",
-                "2",
-                "--n",
-                &FLEET_N.to_string(),
-                "--t",
-                "2",
-                "--seed",
-                &FLEET_SEED.to_string(),
-                "--transport",
-                "uds",
-                "--sock-dir",
-                dir.to_str().expect("utf-8 temp dir"),
-                "--connect-timeout-ms",
-                "20000",
-                "--recv-timeout-ms",
-                "20000",
-            ]);
-            for byz in byz_flags {
-                cmd.args(["--byz", byz]);
-            }
-            let child = cmd
+            let child = Command::new(env!("CARGO_BIN_EXE_nectar-cli"))
+                .args([
+                    "node",
+                    "--scenario",
+                    file.to_str().expect("utf-8 temp dir"),
+                    "--node",
+                    &i.to_string(),
+                ])
                 .stdout(Stdio::piped())
                 .stderr(Stdio::piped())
                 .spawn()
@@ -181,7 +181,7 @@ fn run_uds_fleet(tag: &str, byz_flags: &[&str]) -> Vec<NodeReport> {
         .collect();
 
     let mut reports = Vec::with_capacity(FLEET_N);
-    for (i, child) in children.drain(..) {
+    for (i, child) in children {
         let output = child.wait_with_output().expect("collect node process");
         let stdout = String::from_utf8_lossy(&output.stdout);
         assert!(
@@ -273,72 +273,16 @@ fn uds_fleet_matches_sync_on_a_byzantine_cast() {
     );
 }
 
-/// The scenario-file front door to the same harness: a UDS fleet whose
-/// every process is launched with `--scenario <file> --node i` — one
-/// shared file instead of a per-process flag list — must pass the exact
-/// delivered-message equivalence contract the flag-path fleet passes.
+/// The scenario-file front door's own conformance pin: every fleet here
+/// is launched as `--scenario <file> --node i`, and this one holds the
+/// Byzantine cast to the delivered-message contract and nothing else.
 #[test]
 fn uds_fleet_launched_via_a_scenario_file_matches_sync() {
     let byz = [
         (1usize, ByzantineBehavior::Silent),
         (4usize, ByzantineBehavior::TwoFaced { silent_toward: [2, 3].into_iter().collect() }),
     ];
-    let dir = std::env::temp_dir().join(format!("nectar-conf-scn-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create socket dir");
-    let file = dir.join("fleet.scn");
-    std::fs::write(
-        &file,
-        format!(
-            "name conformance fleet\n\
-             topology harary-k2 {FLEET_N}\n\
-             t 2\n\
-             seed {FLEET_SEED}\n\
-             byz 1:silent\n\
-             byz 4:two-faced@2-3\n\
-             transport uds\n\
-             sock-dir {}\n\
-             connect-timeout-ms 20000\n\
-             recv-timeout-ms 20000\n",
-            dir.display()
-        ),
-    )
-    .expect("write scenario file");
-
-    let children: Vec<(usize, Child)> = (0..FLEET_N)
-        .map(|i| {
-            let child = Command::new(env!("CARGO_BIN_EXE_nectar-cli"))
-                .args([
-                    "node",
-                    "--scenario",
-                    file.to_str().expect("utf-8 temp dir"),
-                    "--node",
-                    &i.to_string(),
-                ])
-                .stdout(Stdio::piped())
-                .stderr(Stdio::piped())
-                .spawn()
-                .expect("spawn nectar-cli node");
-            (i, child)
-        })
-        .collect();
-    let mut fleet = Vec::with_capacity(FLEET_N);
-    for (i, child) in children {
-        let output = child.wait_with_output().expect("collect node process");
-        let stdout = String::from_utf8_lossy(&output.stdout);
-        assert!(
-            output.status.success(),
-            "node {i} failed (status {:?}):\nstdout: {stdout}\nstderr: {}",
-            output.status,
-            String::from_utf8_lossy(&output.stderr),
-        );
-        let report = NodeReport::parse(&stdout)
-            .unwrap_or_else(|e| panic!("node {i} emitted an unparseable report: {e}\n{stdout}"));
-        assert_eq!(report.node, i, "process {i} reported as node {}", report.node);
-        fleet.push(report);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
+    let fleet = run_uds_fleet("scn", &["1:silent", "4:two-faced@2-3"]);
     assert_fleet_conforms(&fleet_scenario(&byz), &fleet);
 }
 
