@@ -9,9 +9,7 @@
 //! Each experiment prints its Markdown table to stdout and writes
 //! `results/<id>.csv`.
 
-use nectar_experiments::ablation::{
-    rounds_ablation, wire_format_ablation, RoundsConfig, WireFormatConfig,
-};
+use nectar_experiments::ablation::{rounds_ablation, RoundsConfig};
 use nectar_experiments::cost::{
     fig3_kregular_cost, fig4_drone_nectar, fig5_drone_mtgv2, fig6_drone_scaling_nectar,
     fig7_drone_scaling_mtgv2, large_scale_cost, topology_cost, DroneCostConfig, DroneScalingConfig,
@@ -83,10 +81,6 @@ fn main() {
         for table in topology_resilience(&cfg) {
             emit(&table);
         }
-    }
-    if want("ablation_wire_format") {
-        let cfg = if quick { WireFormatConfig::quick() } else { WireFormatConfig::paper() };
-        emit(&wire_format_ablation(&cfg));
     }
     if want("ablation_rounds") {
         let cfg = if quick { RoundsConfig::quick() } else { RoundsConfig::paper() };

@@ -283,15 +283,11 @@ impl Process for LateRevealNode {
         let mut out = self.inner.send(round);
         if round == self.reveal_round && !self.revealed {
             self.revealed = true;
-            let format = self.inner.config().wire_format;
             for &nbr in self.inner.neighbors().to_vec().iter() {
                 if let Some(msg) = out.iter_mut().find(|o| o.to == nbr) {
                     msg.msg.edges.push(self.payload.clone());
                 } else {
-                    out.push(Outgoing::new(
-                        nbr,
-                        NectarMsg { edges: vec![self.payload.clone()], format },
-                    ));
+                    out.push(Outgoing::new(nbr, NectarMsg { edges: vec![self.payload.clone()] }));
                 }
             }
         }

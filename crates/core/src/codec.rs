@@ -1,11 +1,11 @@
 //! Binary wire codec for [`NectarMsg`]: the serialization a production
 //! deployment would put on the TCP stream, matching the byte accounting of
-//! [`crate::message`] exactly in [`WireFormat::PerEdgeChains`] mode.
+//! [`crate::message`] up to a fixed per-edge framing constant.
 //!
 //! Frame layout:
 //!
 //! ```text
-//! header   : u16 version | u16 format | u32 edge count      (8 bytes)
+//! header   : u16 version | u16 zero | u32 edge count        (8 bytes)
 //! per edge : proof frame | chain frame                       (crypto codec)
 //! ```
 
@@ -14,25 +14,10 @@ use bytes::{Buf, BufMut, BytesMut};
 use nectar_crypto::codec::{CodecError, Decode, Encode, MAX_COLLECTION_LEN};
 use nectar_crypto::{NeighborhoodProof, SignatureChain};
 
-use crate::message::{NectarMsg, RelayedEdge, WireFormat, MSG_HEADER_BYTES};
+use crate::message::{NectarMsg, RelayedEdge, MSG_HEADER_BYTES};
 
 /// Codec version tag (bumped on incompatible frame changes).
 pub const CODEC_VERSION: u16 = 1;
-
-fn format_tag(format: WireFormat) -> u16 {
-    match format {
-        WireFormat::PerEdgeChains => 0,
-        WireFormat::BatchedChain => 1,
-    }
-}
-
-fn format_from_tag(tag: u16) -> Result<WireFormat, CodecError> {
-    match tag {
-        0 => Ok(WireFormat::PerEdgeChains),
-        1 => Ok(WireFormat::BatchedChain),
-        _ => Err(CodecError::LengthOutOfBounds { decoding: "wire format tag", len: tag as usize }),
-    }
-}
 
 impl Encode for RelayedEdge {
     fn encode(&self, buf: &mut BytesMut) {
@@ -58,7 +43,7 @@ impl Decode for RelayedEdge {
 impl Encode for NectarMsg {
     fn encode(&self, buf: &mut BytesMut) {
         buf.put_u16(CODEC_VERSION);
-        buf.put_u16(format_tag(self.format));
+        buf.put_u16(0);
         buf.put_u32(self.edges.len() as u32);
         for edge in &self.edges {
             edge.encode(buf);
@@ -84,7 +69,13 @@ impl Decode for NectarMsg {
                 len: version as usize,
             });
         }
-        let format = format_from_tag(head.get_u16())?;
+        let reserved = head.get_u16();
+        if reserved != 0 {
+            return Err(CodecError::LengthOutOfBounds {
+                decoding: "wire format tag",
+                len: reserved as usize,
+            });
+        }
         let count = head.get_u32() as usize;
         if count > MAX_COLLECTION_LEN {
             return Err(CodecError::LengthOutOfBounds { decoding: "NectarMsg edges", len: count });
@@ -93,7 +84,7 @@ impl Decode for NectarMsg {
         for _ in 0..count {
             edges.push(RelayedEdge::decode(buf)?);
         }
-        Ok(NectarMsg { edges, format })
+        Ok(NectarMsg { edges })
     }
 }
 
@@ -103,7 +94,7 @@ mod tests {
     use nectar_crypto::KeyStore;
     use nectar_net::WireSized;
 
-    fn sample_msg(format: WireFormat) -> (KeyStore, NectarMsg) {
+    fn sample_msg() -> (KeyStore, NectarMsg) {
         let ks = KeyStore::generate(8, 5);
         let edges = [(0u16, 1u16), (1, 2), (2, 3)]
             .into_iter()
@@ -116,38 +107,36 @@ mod tests {
                 RelayedEdge::new(proof, chain)
             })
             .collect();
-        (ks, NectarMsg { edges, format })
+        (ks, NectarMsg { edges })
     }
 
     #[test]
     fn round_trip_preserves_everything() {
-        for format in [WireFormat::PerEdgeChains, WireFormat::BatchedChain] {
-            let (ks, msg) = sample_msg(format);
-            let bytes = msg.to_wire_bytes();
-            let mut slice = bytes.as_slice();
-            let decoded = NectarMsg::decode(&mut slice).expect("decodes");
-            assert!(slice.is_empty());
-            assert_eq!(decoded, msg);
-            // Decoded material still verifies cryptographically.
-            for edge in &decoded.edges {
-                assert!(edge.proof.verify(&ks.verifier()));
-                assert!(edge.chain.verify(&ks.verifier(), &edge.proof.digest()));
-            }
+        let (ks, msg) = sample_msg();
+        let bytes = msg.to_wire_bytes();
+        let mut slice = bytes.as_slice();
+        let decoded = NectarMsg::decode(&mut slice).expect("decodes");
+        assert!(slice.is_empty());
+        assert_eq!(decoded, msg);
+        // Decoded material still verifies cryptographically.
+        for edge in &decoded.edges {
+            assert!(edge.proof.verify(&ks.verifier()));
+            assert!(edge.chain.verify(&ks.verifier(), &edge.proof.digest()));
         }
     }
 
     #[test]
     fn encoded_len_matches_actual_bytes() {
-        let (_, msg) = sample_msg(WireFormat::PerEdgeChains);
+        let (_, msg) = sample_msg();
         assert_eq!(msg.to_wire_bytes().len(), msg.encoded_len());
     }
 
     #[test]
     fn per_edge_accounting_matches_the_codec_exactly() {
         // The WireSized accounting used by the metrics equals the real
-        // serialized size in per-edge mode, minus only the per-signature
+        // serialized size, minus only the per-signature
         // signer-id duplication the minimal accounting omits inside proofs.
-        let (_, msg) = sample_msg(WireFormat::PerEdgeChains);
+        let (_, msg) = sample_msg();
         let accounted = msg.wire_bytes();
         let encoded = msg.encoded_len();
         // Each edge frame carries 2 extra signer ids inside the proof
@@ -157,7 +146,7 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let (_, msg) = sample_msg(WireFormat::PerEdgeChains);
+        let (_, msg) = sample_msg();
         let mut bytes = msg.to_wire_bytes();
         bytes[0] = 0xff;
         let mut slice = bytes.as_slice();
@@ -166,16 +155,22 @@ mod tests {
 
     #[test]
     fn unknown_format_tag_is_rejected() {
-        let (_, msg) = sample_msg(WireFormat::PerEdgeChains);
-        let mut bytes = msg.to_wire_bytes();
-        bytes[3] = 9;
-        let mut slice = bytes.as_slice();
-        assert!(NectarMsg::decode(&mut slice).is_err());
+        let (_, msg) = sample_msg();
+        // The header's second field is reserved: 1 named the retired
+        // batched-chain accounting, anything else was never assigned.
+        for tag in [1, 9] {
+            let mut bytes = msg.to_wire_bytes();
+            bytes[3] = tag;
+            assert!(matches!(
+                NectarMsg::decode(&mut bytes.as_slice()),
+                Err(CodecError::LengthOutOfBounds { decoding: "wire format tag", .. })
+            ));
+        }
     }
 
     #[test]
     fn truncated_frames_error_cleanly() {
-        let (_, msg) = sample_msg(WireFormat::PerEdgeChains);
+        let (_, msg) = sample_msg();
         let bytes = msg.to_wire_bytes();
         for cut in [0, 4, MSG_HEADER_BYTES, MSG_HEADER_BYTES + 10, bytes.len() - 1] {
             let mut slice = &bytes[..cut];
@@ -185,7 +180,7 @@ mod tests {
 
     #[test]
     fn empty_message_round_trips() {
-        let msg = NectarMsg { edges: Vec::new(), format: WireFormat::BatchedChain };
+        let msg = NectarMsg { edges: Vec::new() };
         let bytes = msg.to_wire_bytes();
         assert_eq!(bytes.len(), MSG_HEADER_BYTES);
         let mut slice = bytes.as_slice();
@@ -220,7 +215,7 @@ mod proptests {
                     RelayedEdge::new(proof, chain)
                 })
                 .collect();
-            let msg = NectarMsg { edges, format: WireFormat::PerEdgeChains };
+            let msg = NectarMsg { edges };
             let bytes = msg.to_wire_bytes();
             let mut slice = bytes.as_slice();
             prop_assert_eq!(NectarMsg::decode(&mut slice).unwrap(), msg);

@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::message::WireFormat;
-
 /// NECTAR's two possible decisions (§III-D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Verdict {
@@ -104,8 +102,6 @@ pub struct NectarConfig {
     /// Reject chains with repeated signers (the Dolev–Strong style sanity
     /// condition; correct relays never sign the same edge twice).
     pub require_distinct_signers: bool,
-    /// Byte-accounting wire format.
-    pub wire_format: WireFormat,
 }
 
 impl NectarConfig {
@@ -118,7 +114,6 @@ impl NectarConfig {
             rounds: None,
             check_chain_length: true,
             require_distinct_signers: true,
-            wire_format: WireFormat::default(),
         }
     }
 
@@ -130,12 +125,6 @@ impl NectarConfig {
     /// Sets an explicit round count (builder style).
     pub fn with_rounds(mut self, rounds: usize) -> Self {
         self.rounds = Some(rounds);
-        self
-    }
-
-    /// Sets the wire format (builder style).
-    pub fn with_wire_format(mut self, format: WireFormat) -> Self {
-        self.wire_format = format;
         self
     }
 }
@@ -156,7 +145,6 @@ mod tests {
         let cfg = NectarConfig::new(5, 1);
         assert!(cfg.check_chain_length);
         assert!(cfg.require_distinct_signers);
-        assert_eq!(cfg.wire_format, WireFormat::PerEdgeChains);
     }
 
     #[test]

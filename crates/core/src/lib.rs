@@ -65,11 +65,11 @@ pub mod sim;
 
 pub use byzantine::{ByzantineBehavior, Participant};
 pub use config::{Decision, NectarConfig, Verdict};
-pub use message::{NectarMsg, RelayedEdge, WireFormat};
+pub use message::{NectarMsg, RelayedEdge};
 pub use nectar_graph::{ConnectivityOracle, OracleStats};
 pub use nectar_net::{ScheduleError, TopologySchedule};
 pub use node::{NectarNode, RejectReason};
 pub use remote::{run_scenario_node, sync_fleet_reports, NodeReport};
-pub use report::{decision_csv_row, EpochOutcome, RunReport, ScheduleRecord, DECISIONS_CSV_HEADER};
+pub use report::{EpochOutcome, RunReport, ScheduleRecord, DECISIONS_CSV_HEADER};
 pub use runner::{Runtime, Scenario};
 pub use sim::{RunObserver, Simulation};

@@ -12,21 +12,6 @@ use nectar_crypto::wire;
 use nectar_crypto::{NeighborhoodProof, SignatureChain};
 use nectar_net::WireSized;
 
-/// How message bytes are accounted (and how a production deployment would
-/// serialize them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireFormat {
-    /// Faithful per-edge chains: every relayed edge carries its own chain of
-    /// `R` signatures at round `R`.
-    #[default]
-    PerEdgeChains,
-    /// Batched chains: all edges relayed in the same round share one chain
-    /// of `R` signatures over the batch digest (sound, since every edge
-    /// forwarded at round `R` carries a chain of exactly length `R`); the
-    /// cheaper format the paper's ~500 KB worst case suggests.
-    BatchedChain,
-}
-
 /// One discovered edge in transit: the proof plus its relay chain.
 ///
 /// Both payloads sit behind shared ownership: a node fanning one edge out
@@ -52,24 +37,14 @@ impl RelayedEdge {
     pub fn new(proof: NeighborhoodProof, chain: SignatureChain) -> Self {
         RelayedEdge { proof: Arc::new(proof), chain: Arc::new(chain) }
     }
-
-    /// Wire size of this edge under the given format (chain excluded in
-    /// batched mode — it is charged once per message).
-    fn wire_bytes(&self, format: WireFormat) -> usize {
-        match format {
-            WireFormat::PerEdgeChains => wire::relayed_proof_bytes(&self.proof, &self.chain),
-            WireFormat::BatchedChain => wire::neighborhood_proof_bytes(),
-        }
-    }
 }
 
-/// A round's batch of relayed edges from one node to one neighbor.
+/// A round's batch of relayed edges from one node to one neighbor. Every
+/// relayed edge carries its own chain of `R` signatures at round `R`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NectarMsg {
     /// Edges relayed in this message.
     pub edges: Vec<RelayedEdge>,
-    /// Wire format used for byte accounting.
-    pub format: WireFormat,
 }
 
 /// Fixed per-message framing overhead (sender id + round + count).
@@ -77,16 +52,9 @@ pub const MSG_HEADER_BYTES: usize = 8;
 
 impl WireSized for NectarMsg {
     fn wire_bytes(&self) -> usize {
-        let edges: usize = self.edges.iter().map(|e| e.wire_bytes(self.format)).sum();
-        let shared_chain = match self.format {
-            WireFormat::PerEdgeChains => 0,
-            WireFormat::BatchedChain => {
-                // One chain for the whole batch; every edge in a round-R
-                // batch has a length-R chain, so take the longest present.
-                self.edges.iter().map(|e| wire::chain_bytes(&e.chain)).max().unwrap_or(0)
-            }
-        };
-        MSG_HEADER_BYTES + edges + shared_chain
+        let edges: usize =
+            self.edges.iter().map(|e| wire::relayed_proof_bytes(&e.proof, &e.chain)).sum();
+        MSG_HEADER_BYTES + edges
     }
 }
 
@@ -108,43 +76,15 @@ mod tests {
     #[test]
     fn per_edge_format_charges_each_chain() {
         let ks = KeyStore::generate(6, 1);
-        let msg = NectarMsg {
-            edges: vec![relayed(&ks, 0, 1, &[0, 2]), relayed(&ks, 1, 2, &[1, 2])],
-            format: WireFormat::PerEdgeChains,
-        };
+        let msg =
+            NectarMsg { edges: vec![relayed(&ks, 0, 1, &[0, 2]), relayed(&ks, 1, 2, &[1, 2])] };
         let per_edge = wire::neighborhood_proof_bytes() + 2 * wire::signature_entry_bytes();
         assert_eq!(msg.wire_bytes(), MSG_HEADER_BYTES + 2 * per_edge);
     }
 
     #[test]
-    fn batched_format_charges_one_chain() {
-        let ks = KeyStore::generate(6, 1);
-        let msg = NectarMsg {
-            edges: vec![relayed(&ks, 0, 1, &[0, 2]), relayed(&ks, 1, 2, &[1, 2])],
-            format: WireFormat::BatchedChain,
-        };
-        let expected = MSG_HEADER_BYTES
-            + 2 * wire::neighborhood_proof_bytes()
-            + 2 * wire::signature_entry_bytes();
-        assert_eq!(msg.wire_bytes(), expected);
-    }
-
-    #[test]
-    fn batched_is_never_larger_than_per_edge() {
-        let ks = KeyStore::generate(8, 2);
-        let edges = vec![
-            relayed(&ks, 0, 1, &[0, 3, 4]),
-            relayed(&ks, 1, 2, &[1, 3, 4]),
-            relayed(&ks, 2, 3, &[2, 3, 4]),
-        ];
-        let per = NectarMsg { edges: edges.clone(), format: WireFormat::PerEdgeChains };
-        let batched = NectarMsg { edges, format: WireFormat::BatchedChain };
-        assert!(batched.wire_bytes() <= per.wire_bytes());
-    }
-
-    #[test]
     fn empty_message_is_header_only() {
-        let msg = NectarMsg { edges: Vec::new(), format: WireFormat::PerEdgeChains };
+        let msg = NectarMsg { edges: Vec::new() };
         assert_eq!(msg.wire_bytes(), MSG_HEADER_BYTES);
     }
 }

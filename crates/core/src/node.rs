@@ -372,12 +372,7 @@ impl Process for NectarNode {
                     .push(RelayedEdge { proof: item.proof.clone(), chain: chain.clone() });
             }
         }
-        per_dest
-            .into_iter()
-            .map(|(to, edges)| {
-                Outgoing::new(to, NectarMsg { edges, format: self.config.wire_format })
-            })
-            .collect()
+        per_dest.into_iter().map(|(to, edges)| Outgoing::new(to, NectarMsg { edges })).collect()
     }
 
     fn receive(&mut self, round: usize, from: NodeId, msg: NectarMsg) {
@@ -415,7 +410,6 @@ impl Process for NectarNode {
 mod tests {
     use super::*;
     use crate::config::Verdict;
-    use crate::message::WireFormat;
     use nectar_crypto::KeyStore;
 
     /// Builds proofs for every edge of `g` and returns correct nodes for all
@@ -528,10 +522,7 @@ mod tests {
         let chain = SignatureChain::new().extend(&ks.signer(0), &proof.digest());
         // Use an edge unknown to node 2: (0,1) is not adjacent to node 2's
         // initial knowledge.
-        let msg = NectarMsg {
-            edges: vec![RelayedEdge::new(proof, chain)],
-            format: WireFormat::PerEdgeChains,
-        };
+        let msg = NectarMsg { edges: vec![RelayedEdge::new(proof, chain)] };
         nodes[2].receive(2, 1, msg);
         assert_eq!(nodes[2].rejections()[&RejectReason::WrongChainLength], 1);
         assert_eq!(nodes[2].known_edge_count(), 1);
@@ -545,10 +536,7 @@ mod tests {
         let proof = NeighborhoodProof::new(&ks.signer(0), &ks.signer(1));
         let chain = SignatureChain::new().extend(&ks.signer(0), &proof.digest());
         // Node 2 receives from node 1 a chain whose outermost signer is 0.
-        let msg = NectarMsg {
-            edges: vec![RelayedEdge::new(proof, chain)],
-            format: WireFormat::PerEdgeChains,
-        };
+        let msg = NectarMsg { edges: vec![RelayedEdge::new(proof, chain)] };
         nodes[2].receive(1, 1, msg);
         assert_eq!(nodes[2].rejections()[&RejectReason::OutermostNotSender], 1);
     }
@@ -561,10 +549,7 @@ mod tests {
         // Node 1 announces edge (0,2) that it is not part of.
         let proof = NeighborhoodProof::new(&ks.signer(0), &ks.signer(2));
         let chain = SignatureChain::new().extend(&ks.signer(1), &proof.digest());
-        let msg = NectarMsg {
-            edges: vec![RelayedEdge::new(proof, chain)],
-            format: WireFormat::PerEdgeChains,
-        };
+        let msg = NectarMsg { edges: vec![RelayedEdge::new(proof, chain)] };
         nodes[2].receive(1, 1, msg);
         assert_eq!(nodes[2].rejections()[&RejectReason::InnermostNotEndpoint], 1);
     }
@@ -586,10 +571,7 @@ mod tests {
             nectar_crypto::Signature::from_parts(2, *bogus_sig.tag()),
         );
         let chain = SignatureChain::new().extend(&ks.signer(2), &forged.digest());
-        let msg = NectarMsg {
-            edges: vec![RelayedEdge::new(forged, chain)],
-            format: WireFormat::PerEdgeChains,
-        };
+        let msg = NectarMsg { edges: vec![RelayedEdge::new(forged, chain)] };
         nodes[1].receive(1, 2, msg);
         assert_eq!(nodes[1].rejections()[&RejectReason::BadProof], 1);
     }
@@ -603,10 +585,7 @@ mod tests {
         let digest = proof.digest();
         let chain =
             SignatureChain::new().extend(&ks.signer(2), &digest).extend(&ks.signer(2), &digest);
-        let msg = NectarMsg {
-            edges: vec![RelayedEdge::new(proof, chain)],
-            format: WireFormat::PerEdgeChains,
-        };
+        let msg = NectarMsg { edges: vec![RelayedEdge::new(proof, chain)] };
         nodes[1].receive(2, 2, msg);
         assert_eq!(nodes[1].rejections()[&RejectReason::DuplicateSigner], 1);
     }
@@ -630,10 +609,7 @@ mod tests {
         tag[0] ^= 1;
         links[0] = nectar_crypto::Signature::from_parts(1, tag);
         let deliver = |node: &mut NectarNode, chain: SignatureChain| {
-            let msg = NectarMsg {
-                edges: vec![RelayedEdge::new(proof.clone(), chain)],
-                format: WireFormat::PerEdgeChains,
-            };
+            let msg = NectarMsg { edges: vec![RelayedEdge::new(proof.clone(), chain)] };
             node.receive(2, 2, msg);
         };
         let view = node.view_fingerprint();
@@ -737,29 +713,8 @@ mod tests {
 mod config_knob_tests {
     use super::*;
     use crate::config::Verdict;
-    use crate::message::WireFormat;
     use crate::runner::Scenario;
     use nectar_graph::gen;
-
-    #[test]
-    fn wire_format_changes_bytes_but_not_decisions() {
-        let g = gen::harary(4, 12).unwrap();
-        let per_edge = Scenario::new(g.clone(), 2)
-            .with_config(NectarConfig::new(12, 2).with_wire_format(WireFormat::PerEdgeChains))
-            .sim()
-            .run();
-        let batched = Scenario::new(g, 2)
-            .with_config(NectarConfig::new(12, 2).with_wire_format(WireFormat::BatchedChain))
-            .sim()
-            .run();
-        assert_eq!(per_edge.decisions(), batched.decisions());
-        assert!(
-            batched.metrics().total_bytes_sent() < per_edge.metrics().total_bytes_sent(),
-            "batched chains must be cheaper"
-        );
-        // Message counts are identical: only the accounting differs.
-        assert_eq!(per_edge.metrics().msgs_sent(), batched.metrics().msgs_sent());
-    }
 
     #[test]
     fn disabling_the_length_check_admits_stale_chains() {
@@ -774,10 +729,7 @@ mod config_knob_tests {
         let mut node = NectarNode::new(2, cfg, ks.signer(2), ks.verifier(), proofs);
         let proof = NeighborhoodProof::new(&ks.signer(0), &ks.signer(1));
         let chain = SignatureChain::new().extend(&ks.signer(1), &proof.digest());
-        let msg = NectarMsg {
-            edges: vec![RelayedEdge::new(proof, chain)],
-            format: crate::message::WireFormat::PerEdgeChains,
-        };
+        let msg = NectarMsg { edges: vec![RelayedEdge::new(proof, chain)] };
         node.receive(2, 1, msg);
         assert_eq!(node.known_edge_count(), 2, "stale chain accepted without the check");
         assert!(node.rejections().is_empty());
@@ -843,8 +795,7 @@ mod relay_handoff_tests {
             for (from, to, edge) in in_flight {
                 let known = participants[to].nectar().known_edge_count();
                 let (key, chain) = (edge.proof.endpoints(), edge.chain.clone());
-                let format = scenario.config().wire_format;
-                participants[to].receive(round, from, NectarMsg { edges: vec![edge], format });
+                participants[to].receive(round, from, NectarMsg { edges: vec![edge] });
                 if participants[to].nectar().known_edge_count() > known {
                     accepted_under.insert((to, key), chain);
                 }

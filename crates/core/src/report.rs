@@ -4,55 +4,38 @@
 //! A [`RunReport`] is the thing a run hands back: scenario parameters, the
 //! ground-truth topology, the Byzantine cast, and one [`EpochOutcome`] per
 //! monitoring epoch (decisions, traffic counters, oracle counters). It
-//! *persists*: a hand-rolled serializer — extending the binary codec of
-//! `nectar_crypto::codec` with [`Encode`]/[`Decode`] impls, plus JSON and
-//! CSV text forms — writes results out without touching the decorative
-//! serde shim:
+//! *persists* in two hand-rolled text forms, without touching the
+//! decorative serde shim:
 //!
-//! * **binary** ([`Encode::to_wire_bytes`] / [`Decode::decode`]) — compact,
-//!   loss-free, versioned ([`REPORT_CODEC_VERSION`]);
 //! * **JSON** ([`RunReport::to_json`] / [`RunReport::from_json`]) —
-//!   loss-free and human-greppable, the format behind `nectar-cli detect
-//!   --report <path>`;
+//!   loss-free, versioned ([`REPORT_CODEC_VERSION`]) and human-greppable,
+//!   the format behind the `report <path>` sink and `nectar-cli detect
+//!   --json`;
 //! * **CSV** ([`RunReport::to_csv`] / [`RunReport::decisions_from_csv`]) —
 //!   the per-node decision stream (`epoch,node,verdict,confirmed,
 //!   reachable,connectivity`), the machine-readable per-node granularity
 //!   the evaluation analyses consume. CSV carries decisions only, by
-//!   design; use JSON or the binary codec for full-fidelity persistence.
+//!   design; use JSON for full-fidelity persistence.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use bytes::{Buf, BufMut, BytesMut};
-
-use nectar_crypto::codec::{CodecError, Decode, Encode};
 use nectar_graph::{connectivity, traversal, Graph, OracleStats};
 use nectar_net::{Metrics, NodeId, PhaseProfile};
 
 use crate::config::{Decision, Verdict};
 use crate::runner::Runtime;
 
-/// Version tag of the persisted report formats (bumped on incompatible
-/// changes; both the binary and JSON forms carry it). Version 2 added the
+/// Version tag of the persisted JSON report (bumped on incompatible
+/// changes). Version 2 added the
 /// applied topology schedule and the `schedule_drops` metrics counter;
 /// version 3 added the optional per-phase wall-clock profile.
 pub const REPORT_CODEC_VERSION: u16 = 3;
 
-/// Sanity cap on decoded collection lengths (nodes, edges, rounds): far
-/// above any supported system size, low enough that corrupt length
-/// prefixes cannot trigger huge allocations.
-const MAX_REPORT_ITEMS: usize = 1 << 26;
-
 /// Header of the per-node decision CSV stream — the single definition
-/// shared by [`RunReport::to_csv`], [`RunReport::decisions_from_csv`] and
-/// `nectar-cli detect --per-node --csv`.
+/// shared by [`RunReport::to_csv`] and [`RunReport::decisions_from_csv`]
+/// (what `nectar-cli detect --csv` prints).
 pub const DECISIONS_CSV_HEADER: &str = "epoch,node,verdict,confirmed,reachable,connectivity";
-
-/// One row of the per-node decision CSV stream (no trailing newline),
-/// matching [`DECISIONS_CSV_HEADER`]'s columns.
-pub fn decision_csv_row(epoch: usize, node: NodeId, d: &Decision) -> String {
-    format!("{epoch},{node},{},{},{},{}", d.verdict, d.confirmed, d.reachable, d.connectivity)
-}
 
 /// The topology schedule a session ran under, as persisted in its
 /// [`RunReport`]: the script itself (re-parseable with
@@ -284,7 +267,7 @@ impl RunReport {
                 writeln!(
                     w,
                     "  \"schedule\": {{\"script\": \"{}\", \"transitions\": [{transitions}]}},",
-                    json_escape(&s.script)
+                    json::escape(&s.script)
                 )
                 .expect("infallible");
             }
@@ -509,14 +492,18 @@ impl RunReport {
     /// The per-node decision stream as CSV: header
     /// `epoch,node,verdict,confirmed,reachable,connectivity`, one row per
     /// correct node per epoch, in (epoch, node) order. Carries decisions
-    /// only — metrics and ground truth live in the JSON / binary forms.
+    /// only — metrics and ground truth live in the JSON form.
     pub fn to_csv(&self) -> String {
         let mut out = String::from(DECISIONS_CSV_HEADER);
         out.push('\n');
         for e in &self.epochs {
             for (node, d) in &e.decisions {
-                writeln!(out, "{}", decision_csv_row(e.epoch, *node, d))
-                    .expect("writing to String cannot fail");
+                writeln!(
+                    out,
+                    "{},{node},{},{},{},{}",
+                    e.epoch, d.verdict, d.confirmed, d.reachable, d.connectivity
+                )
+                .expect("writing to String cannot fail");
             }
         }
         out
@@ -560,12 +547,6 @@ impl RunReport {
     }
 }
 
-/// Escapes a string for the JSON subset the reader below understands
-/// (backslash, quote and newline — all the schedule script format needs).
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-}
-
 fn json_u64_array(values: &[u64]) -> String {
     let body = values.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
     format!("[{body}]")
@@ -574,333 +555,6 @@ fn json_u64_array(values: &[u64]) -> String {
 fn json_usize_array(values: impl Iterator<Item = usize>) -> String {
     let body = values.map(|v| v.to_string()).collect::<Vec<_>>().join(", ");
     format!("[{body}]")
-}
-
-// ---- binary codec ------------------------------------------------------
-
-/// Tag `1` was the retired thread-per-node runtime: it stays unassigned so
-/// saved reports of the surviving runtimes keep decoding.
-fn runtime_tag(runtime: Runtime) -> (u8, u32) {
-    match runtime {
-        Runtime::Sync => (0, 0),
-        Runtime::Event => (2, 0),
-        Runtime::Parallel { workers } => (3, workers as u32),
-    }
-}
-
-fn runtime_from_tag(tag: u8, workers: u32) -> Result<Runtime, CodecError> {
-    match tag {
-        0 => Ok(Runtime::Sync),
-        2 => Ok(Runtime::Event),
-        3 => Ok(Runtime::Parallel { workers: workers as usize }),
-        _ => Err(CodecError::LengthOutOfBounds { decoding: "runtime tag", len: tag as usize }),
-    }
-}
-
-fn verdict_tag(verdict: Verdict) -> u8 {
-    match verdict {
-        Verdict::NotPartitionable => 0,
-        Verdict::Partitionable => 1,
-    }
-}
-
-fn verdict_from_tag(tag: u8) -> Result<Verdict, CodecError> {
-    match tag {
-        0 => Ok(Verdict::NotPartitionable),
-        1 => Ok(Verdict::Partitionable),
-        _ => Err(CodecError::LengthOutOfBounds { decoding: "verdict tag", len: tag as usize }),
-    }
-}
-
-fn take<'a>(buf: &mut &'a [u8], n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
-    if buf.len() < n {
-        return Err(CodecError::UnexpectedEnd { decoding: what });
-    }
-    let (head, tail) = buf.split_at(n);
-    *buf = tail;
-    Ok(head)
-}
-
-fn take_len(buf: &mut &[u8], what: &'static str) -> Result<usize, CodecError> {
-    let len = take(buf, 4, what)?.get_u32() as usize;
-    if len > MAX_REPORT_ITEMS {
-        return Err(CodecError::LengthOutOfBounds { decoding: what, len });
-    }
-    Ok(len)
-}
-
-fn put_u64s(buf: &mut BytesMut, values: &[u64]) {
-    buf.put_u32(values.len() as u32);
-    for &v in values {
-        buf.put_u64(v);
-    }
-}
-
-fn take_u64s(buf: &mut &[u8], what: &'static str) -> Result<Vec<u64>, CodecError> {
-    let len = take_len(buf, what)?;
-    let mut head = take(buf, 8 * len, what)?;
-    Ok((0..len).map(|_| head.get_u64()).collect())
-}
-
-impl Encode for RunReport {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u16(REPORT_CODEC_VERSION);
-        let (tag, workers) = runtime_tag(self.runtime);
-        buf.put_u8(tag);
-        buf.put_u32(workers);
-        buf.put_u32(self.n as u32);
-        buf.put_u32(self.t as u32);
-        buf.put_u64(self.key_seed);
-        buf.put_u32(self.byzantine.len() as u32);
-        for &b in &self.byzantine {
-            buf.put_u32(b as u32);
-        }
-        buf.put_u32(self.topology.node_count() as u32);
-        buf.put_u32(self.topology.edge_count() as u32);
-        for (u, v) in self.topology.edges() {
-            buf.put_u32(u as u32);
-            buf.put_u32(v as u32);
-        }
-        match &self.schedule {
-            None => buf.put_u8(0),
-            Some(s) => {
-                buf.put_u8(1);
-                buf.put_u32(s.script.len() as u32);
-                buf.put_slice(s.script.as_bytes());
-                buf.put_u32(s.transitions.len() as u32);
-                for &(round, u, v, up) in &s.transitions {
-                    buf.put_u32(round as u32);
-                    buf.put_u32(u as u32);
-                    buf.put_u32(v as u32);
-                    buf.put_u8(up as u8);
-                }
-            }
-        }
-        buf.put_u32(self.epochs.len() as u32);
-        for e in &self.epochs {
-            buf.put_u32(e.epoch as u32);
-            buf.put_u64(e.key_seed);
-            buf.put_u32(e.decisions.len() as u32);
-            for (&node, d) in &e.decisions {
-                buf.put_u32(node as u32);
-                buf.put_u8(verdict_tag(d.verdict));
-                buf.put_u8(d.confirmed as u8);
-                buf.put_u32(d.reachable as u32);
-                buf.put_u32(d.connectivity as u32);
-            }
-            put_u64s(buf, e.metrics.bytes_sent());
-            put_u64s(buf, e.metrics.msgs_sent());
-            put_u64s(buf, e.metrics.bytes_received());
-            put_u64s(buf, e.metrics.msgs_received());
-            put_u64s(buf, e.metrics.bytes_per_round());
-            buf.put_u64(e.metrics.illegal_sends());
-            buf.put_u64(e.metrics.schedule_drops());
-            for stat in [
-                e.oracle.queries,
-                e.oracle.cache_hits,
-                e.oracle.structure_shortcuts,
-                e.oracle.min_degree_shortcuts,
-                e.oracle.bounded_flows,
-                e.oracle.early_exits,
-            ] {
-                buf.put_u64(stat);
-            }
-            match &e.profile {
-                None => buf.put_u8(0),
-                Some(p) => {
-                    buf.put_u8(1);
-                    for micros in [
-                        p.disseminate_micros,
-                        p.classify_micros,
-                        p.derive_micros,
-                        p.materialize_micros,
-                        p.decide_micros,
-                    ] {
-                        buf.put_u64(micros);
-                    }
-                }
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        let header = 2 + 1 + 4 + 4 + 4 + 8;
-        let byzantine = 4 + 4 * self.byzantine.len();
-        let topology = 4 + 4 + 8 * self.topology.edge_count();
-        let schedule = 1 + self
-            .schedule
-            .as_ref()
-            .map(|s| 4 + s.script.len() + 4 + 13 * s.transitions.len())
-            .unwrap_or(0);
-        let epochs: usize = self
-            .epochs
-            .iter()
-            .map(|e| {
-                let metrics_nodes = e.metrics.bytes_sent().len();
-                4 + 8
-                    + 4
-                    + 14 * e.decisions.len()
-                    + 4 * (4 + 8 * metrics_nodes)
-                    + (4 + 8 * e.metrics.bytes_per_round().len())
-                    + 8
-                    + 8
-                    + 6 * 8
-                    + 1
-                    + e.profile.map_or(0, |_| 5 * 8)
-            })
-            .sum();
-        header + byzantine + topology + schedule + 4 + epochs
-    }
-}
-
-impl Decode for RunReport {
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let mut head = take(buf, 2 + 1 + 4 + 4 + 4 + 8, "report header")?;
-        let version = head.get_u16();
-        if version != REPORT_CODEC_VERSION {
-            return Err(CodecError::LengthOutOfBounds {
-                decoding: "report version",
-                len: version as usize,
-            });
-        }
-        let tag = head.get_u8();
-        let workers = head.get_u32();
-        let runtime = runtime_from_tag(tag, workers)?;
-        let n = head.get_u32() as usize;
-        let t = head.get_u32() as usize;
-        let key_seed = head.get_u64();
-        let byz_len = take_len(buf, "byzantine set")?;
-        let mut byz_head = take(buf, 4 * byz_len, "byzantine set")?;
-        let byzantine: BTreeSet<NodeId> =
-            (0..byz_len).map(|_| byz_head.get_u32() as usize).collect();
-        let topo_n = take_len(buf, "topology size")?;
-        let edge_count = take_len(buf, "topology edges")?;
-        let mut edge_head = take(buf, 8 * edge_count, "topology edges")?;
-        let edges: Vec<(usize, usize)> = (0..edge_count)
-            .map(|_| (edge_head.get_u32() as usize, edge_head.get_u32() as usize))
-            .collect();
-        let topology = Graph::from_edges(topo_n, edges).map_err(|_| {
-            CodecError::LengthOutOfBounds { decoding: "topology edge", len: topo_n }
-        })?;
-        let schedule = match take(buf, 1, "schedule flag")?[0] {
-            0 => None,
-            1 => {
-                let script_len = take_len(buf, "schedule script")?;
-                let script = std::str::from_utf8(take(buf, script_len, "schedule script")?)
-                    .map_err(|_| CodecError::LengthOutOfBounds {
-                        decoding: "schedule script",
-                        len: script_len,
-                    })?
-                    .to_string();
-                let count = take_len(buf, "schedule transitions")?;
-                let mut head = take(buf, 13 * count, "schedule transitions")?;
-                let transitions = (0..count)
-                    .map(|_| {
-                        let round = head.get_u32() as usize;
-                        let u = head.get_u32() as usize;
-                        let v = head.get_u32() as usize;
-                        (round, u, v, head.get_u8() != 0)
-                    })
-                    .collect();
-                Some(ScheduleRecord { script, transitions })
-            }
-            other => {
-                return Err(CodecError::LengthOutOfBounds {
-                    decoding: "schedule flag",
-                    len: other as usize,
-                })
-            }
-        };
-        let epoch_count = take_len(buf, "epoch count")?;
-        let mut epochs = Vec::with_capacity(epoch_count.min(1024));
-        for _ in 0..epoch_count {
-            let mut head = take(buf, 4 + 8, "epoch header")?;
-            let epoch = head.get_u32() as usize;
-            let epoch_seed = head.get_u64();
-            let decision_count = take_len(buf, "decision count")?;
-            let mut decisions = BTreeMap::new();
-            for _ in 0..decision_count {
-                let mut d = take(buf, 14, "decision")?;
-                let node = d.get_u32() as usize;
-                let verdict = verdict_from_tag(d.get_u8())?;
-                let confirmed = match d.get_u8() {
-                    0 => false,
-                    1 => true,
-                    other => {
-                        return Err(CodecError::LengthOutOfBounds {
-                            decoding: "confirmed flag",
-                            len: other as usize,
-                        })
-                    }
-                };
-                let reachable = d.get_u32() as usize;
-                let connectivity = d.get_u32() as usize;
-                decisions.insert(node, Decision { verdict, confirmed, reachable, connectivity });
-            }
-            let bytes_sent = take_u64s(buf, "metrics bytes_sent")?;
-            let msgs_sent = take_u64s(buf, "metrics msgs_sent")?;
-            let bytes_received = take_u64s(buf, "metrics bytes_received")?;
-            let msgs_received = take_u64s(buf, "metrics msgs_received")?;
-            let bytes_per_round = take_u64s(buf, "metrics bytes_per_round")?;
-            if msgs_sent.len() != bytes_sent.len()
-                || bytes_received.len() != bytes_sent.len()
-                || msgs_received.len() != bytes_sent.len()
-            {
-                return Err(CodecError::LengthOutOfBounds {
-                    decoding: "metrics vectors",
-                    len: msgs_sent.len(),
-                });
-            }
-            let mut tail = take(buf, 8 + 8 + 6 * 8, "metrics/oracle tail")?;
-            let illegal_sends = tail.get_u64();
-            let schedule_drops = tail.get_u64();
-            let metrics = Metrics::from_parts(
-                bytes_sent,
-                msgs_sent,
-                bytes_received,
-                msgs_received,
-                bytes_per_round,
-                illegal_sends,
-                schedule_drops,
-            );
-            let oracle = OracleStats {
-                queries: tail.get_u64(),
-                cache_hits: tail.get_u64(),
-                structure_shortcuts: tail.get_u64(),
-                min_degree_shortcuts: tail.get_u64(),
-                bounded_flows: tail.get_u64(),
-                early_exits: tail.get_u64(),
-            };
-            let profile = match take(buf, 1, "profile flag")?[0] {
-                0 => None,
-                1 => {
-                    let mut head = take(buf, 5 * 8, "phase profile")?;
-                    Some(PhaseProfile {
-                        disseminate_micros: head.get_u64(),
-                        classify_micros: head.get_u64(),
-                        derive_micros: head.get_u64(),
-                        materialize_micros: head.get_u64(),
-                        decide_micros: head.get_u64(),
-                    })
-                }
-                other => {
-                    return Err(CodecError::LengthOutOfBounds {
-                        decoding: "profile flag",
-                        len: other as usize,
-                    })
-                }
-            };
-            epochs.push(EpochOutcome {
-                epoch,
-                key_seed: epoch_seed,
-                decisions,
-                metrics,
-                oracle,
-                profile,
-            });
-        }
-        Ok(RunReport { runtime, n, t, key_seed, byzantine, topology, schedule, epochs })
-    }
 }
 
 // ---- minimal JSON reader -----------------------------------------------
@@ -976,6 +630,13 @@ pub mod json {
         fn field(&self, key: &str) -> Result<&Value, String> {
             self.get(key).ok_or_else(|| format!("missing field {key}"))
         }
+    }
+
+    /// Escapes a string for the JSON subset [`parse`] understands
+    /// (backslash, quote and newline — all the schedule script format and
+    /// the matrix's family/cast names need).
+    pub fn escape(s: &str) -> String {
+        s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
     }
 
     /// Parses one JSON document (trailing whitespace allowed).
@@ -1196,45 +857,13 @@ mod tests {
         }
         let parsed = RunReport::from_json(&report.to_json()).expect("parses");
         assert_eq!(parsed, report);
-        let bytes = report.to_wire_bytes();
-        assert_eq!(bytes.len(), report.encoded_len());
-        let mut slice = bytes.as_slice();
-        let decoded = RunReport::decode(&mut slice).expect("decodes");
-        assert!(slice.is_empty());
-        assert_eq!(decoded, report);
-        // Unprofiled runs keep the field absent in both forms.
+        // The decision CSV is indifferent to profiling.
+        let decisions = RunReport::decisions_from_csv(&report.to_csv()).expect("parses");
+        assert!(report.epochs.iter().all(|e| decisions[&e.epoch] == e.decisions));
+        // Unprofiled runs keep the field absent.
         let plain = sample_report();
         assert!(plain.epochs.iter().all(|e| e.profile.is_none()));
         assert!(plain.to_json().contains("\"profile\": null"));
-    }
-
-    #[test]
-    fn binary_codec_round_trips_losslessly() {
-        let report = sample_report();
-        let bytes = report.to_wire_bytes();
-        assert_eq!(bytes.len(), report.encoded_len());
-        let mut slice = bytes.as_slice();
-        let decoded = RunReport::decode(&mut slice).expect("decodes");
-        assert!(slice.is_empty());
-        assert_eq!(decoded, report);
-    }
-
-    #[test]
-    fn binary_codec_rejects_truncation_without_panicking() {
-        let report = sample_report();
-        let bytes = report.to_wire_bytes();
-        for cut in [0, 1, 2, 10, 40, bytes.len() / 2, bytes.len() - 1] {
-            let mut slice = &bytes[..cut];
-            assert!(RunReport::decode(&mut slice).is_err(), "cut at {cut}");
-        }
-        // Byte 2 is the runtime tag; 1 was the retired threaded runtime.
-        let mut retired = bytes.clone();
-        assert_eq!(retired[2], 0, "the sample report runs on sync");
-        retired[2] = 1;
-        assert!(matches!(
-            RunReport::decode(&mut retired.as_slice()),
-            Err(CodecError::LengthOutOfBounds { decoding: "runtime tag", len: 1 })
-        ));
     }
 
     #[test]

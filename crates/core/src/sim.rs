@@ -17,7 +17,7 @@
 //! ```
 //!
 //! [`Simulation::run`] finishes in a [`RunReport`] — the persisted session
-//! result, serializable to JSON, CSV and the binary codec (see
+//! result, serializable to JSON and to the per-node decision CSV (see
 //! [`crate::report`]). A [`RunObserver`] can watch the execution *stream*:
 //! every committed round, every per-node verdict and every closed epoch, in
 //! the canonical commit order of `docs/DETERMINISM.md`, identically on all

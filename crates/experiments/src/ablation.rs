@@ -1,81 +1,13 @@
-//! Ablation studies over the reproduction's design knobs.
-//!
-//! * [`wire_format_ablation`]: faithful per-edge signature chains vs the
-//!   batched-chain encoding — quantifies how much of NECTAR's cost is chain
-//!   signatures (and connects our absolute numbers to the paper's ~500 KB
-//!   ceiling);
-//! * [`rounds_ablation`]: sweeps the round budget `R` and reports view
-//!   completeness, showing why `n − 1` rounds is the safe general-purpose
-//!   choice (§IV-B) while `diameter(G)` rounds already suffice on a known
-//!   topology.
+//! Ablation study over the reproduction's one design knob with a choice
+//! in it: [`rounds_ablation`] sweeps the round budget `R` and reports view
+//! completeness, showing why `n − 1` rounds is the safe general-purpose
+//! choice (§IV-B) while `diameter(G)` rounds already suffice on a known
+//! topology.
 
 use nectar_graph::{gen, traversal, Graph};
-use nectar_protocol::{NectarConfig, Scenario, WireFormat};
+use nectar_protocol::{NectarConfig, Scenario};
 
 use crate::table::{Point, Series, Table};
-
-/// Parameters for the wire-format ablation.
-#[derive(Debug, Clone)]
-pub struct WireFormatConfig {
-    /// System sizes to sweep.
-    pub ns: Vec<usize>,
-    /// Connectivity parameter.
-    pub k: usize,
-}
-
-impl WireFormatConfig {
-    /// Full-size sweep.
-    pub fn paper() -> Self {
-        WireFormatConfig { ns: (20..=100).step_by(20).collect(), k: 10 }
-    }
-
-    /// Scaled-down sweep for tests.
-    pub fn quick() -> Self {
-        WireFormatConfig { ns: vec![12, 20], k: 4 }
-    }
-}
-
-/// **E9a** — NECTAR's cost per node under both wire formats, on k-regular
-/// graphs.
-pub fn wire_format_ablation(cfg: &WireFormatConfig) -> Table {
-    let formats = [
-        ("per-edge chains", WireFormat::PerEdgeChains),
-        ("batched chain", WireFormat::BatchedChain),
-    ];
-    let series = formats
-        .into_iter()
-        .map(|(label, format)| Series {
-            label: label.into(),
-            points: cfg
-                .ns
-                .iter()
-                .filter(|&&n| cfg.k < n)
-                .map(|&n| {
-                    let g = gen::harary(cfg.k, n).expect("k < n checked");
-                    let config = NectarConfig::new(n, cfg.k / 2).with_wire_format(format);
-                    let metrics = Scenario::new(g, cfg.k / 2)
-                        .with_config(config)
-                        .sim()
-                        .metrics_only()
-                        .run()
-                        .into_metrics();
-                    Point {
-                        x: n as f64,
-                        mean: metrics.mean_bytes_sent_per_node() / 1024.0,
-                        ci95: 0.0,
-                    }
-                })
-                .collect(),
-        })
-        .collect();
-    Table {
-        id: "ablation_wire_format".into(),
-        title: format!("Ablation: wire format impact on data sent per node (k = {})", cfg.k),
-        x_label: "Number of Nodes (n)".into(),
-        y_label: "Data sent per node (KBytes)".into(),
-        series,
-    }
-}
 
 /// Parameters for the round-budget ablation.
 #[derive(Debug, Clone)]
@@ -111,13 +43,8 @@ pub fn rounds_ablation(cfg: &RoundsConfig) -> Table {
         let scenario = Scenario::new(cfg.graph.clone(), cfg.t).with_config(config);
         let out = scenario.sim().run();
         // Completeness: mean fraction of edges discovered across nodes.
-        let mean_edges: f64 = out
-            .decisions()
-            .keys()
-            .map(|_| 0.0) // decisions do not expose edge counts; recompute below
-            .sum::<f64>();
-        let _ = mean_edges;
-        // Re-run collecting node views (cheap at these sizes).
+        // Decisions do not expose edge counts, so re-run collecting node
+        // views (cheap at these sizes).
         let frac = completeness_fraction(&scenario, total_edges);
         completeness.points.push(Point { x: rounds as f64, mean: frac, ci95: 0.0 });
         cost.points.push(Point {
@@ -148,16 +75,6 @@ fn completeness_fraction(scenario: &Scenario, total_edges: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn batched_format_is_cheaper() {
-        let t = wire_format_ablation(&WireFormatConfig::quick());
-        let per_edge = &t.series[0];
-        let batched = &t.series[1];
-        for (a, b) in per_edge.points.iter().zip(&batched.points) {
-            assert!(b.mean < a.mean, "batched must be cheaper at n = {}", a.x);
-        }
-    }
 
     #[test]
     fn completeness_saturates_at_the_diameter() {

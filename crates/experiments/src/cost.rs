@@ -15,6 +15,7 @@ use nectar_baselines::{run_mtg, run_mtg_v2, MtgConfig};
 use nectar_graph::{gen, ConnectivityOracle, Graph};
 use nectar_protocol::{Runtime, Scenario};
 
+use crate::matrix::FamilySpec;
 use crate::stats::summarize;
 use crate::table::{Point, Series, Table};
 
@@ -122,25 +123,17 @@ impl TopologyCostConfig {
 /// ≈2× cheaper LHGs and ≈2.5× cheaper wheels).
 pub fn topology_cost(cfg: &TopologyCostConfig) -> Table {
     let k = cfg.k;
-    type Builder = fn(usize, usize) -> Option<Graph>;
-    let families: Vec<(&str, Builder)> = vec![
-        ("k-regular", |k, n| gen::harary(k, n).ok()),
-        ("k-pasted-tree", |k, n| gen::k_pasted_tree(k, n).ok()),
-        ("k-diamond", |k, n| gen::k_diamond(k, n).ok()),
-        ("generalized-wheel", |k, n| gen::generalized_wheel(k, n).ok()),
-        ("multipartite-wheel", |k, n| gen::multipartite_wheel(k, n, 2).ok()),
-    ];
     let mut oracle = ConnectivityOracle::new();
-    let series = families
-        .into_iter()
-        .map(|(name, build)| Series {
-            label: format!("{name}: k = {k}"),
+    let series = FamilySpec::paper_families(k)
+        .iter()
+        .map(|family| Series {
+            label: family.name(),
             points: cfg
                 .ns
                 .iter()
                 .filter_map(|&n| {
-                    build(k, n).map(|g| {
-                        debug_assert_supports_t(&mut oracle, name, &g, k / 2);
+                    family.build(n, 0).ok().map(|g| {
+                        debug_assert_supports_t(&mut oracle, &family.name(), &g, k / 2);
                         Point { x: n as f64, mean: nectar_kb_per_node(&g, k / 2), ci95: 0.0 }
                     })
                 })
@@ -480,21 +473,14 @@ mod tests {
 /// mean bytes per message (longer chains ⇒ bigger messages).
 pub fn topology_quiescence(cfg: &TopologyCostConfig) -> Table {
     let k = cfg.k;
-    type Builder = fn(usize, usize) -> Option<Graph>;
-    let families: Vec<(&str, Builder)> = vec![
-        ("k-regular", |k, n| gen::harary(k, n).ok()),
-        ("k-pasted-tree", |k, n| gen::k_pasted_tree(k, n).ok()),
-        ("k-diamond", |k, n| gen::k_diamond(k, n).ok()),
-        ("generalized-wheel", |k, n| gen::generalized_wheel(k, n).ok()),
-        ("multipartite-wheel", |k, n| gen::multipartite_wheel(k, n, 2).ok()),
-    ];
     let mut series = Vec::new();
-    for (name, build) in families {
+    for family in FamilySpec::paper_families(k) {
+        let name = family.name();
         let mut active_rounds =
             Series { label: format!("{name}: active rounds"), points: Vec::new() };
         let mut per_msg = Series { label: format!("{name}: KB/message"), points: Vec::new() };
         for &n in &cfg.ns {
-            let Some(g) = build(k, n) else { continue };
+            let Ok(g) = family.build(n, 0) else { continue };
             let metrics = Scenario::new(g, k / 2).sim().metrics_only().run().into_metrics();
             let rounds = metrics.bytes_per_round().iter().filter(|&&b| b > 0).count();
             let msgs: u64 = metrics.msgs_sent().iter().sum();
@@ -602,18 +588,14 @@ pub fn large_scale_cost(cfg: &LargeScaleConfig) -> Table {
 /// k-regular graph.
 pub fn per_node_disparity(cfg: &TopologyCostConfig) -> Table {
     let k = cfg.k;
-    type Builder = fn(usize, usize) -> Option<Graph>;
-    let families: Vec<(&str, Builder)> = vec![
-        ("k-regular", |k, n| gen::harary(k, n).ok()),
-        ("generalized-wheel", |k, n| gen::generalized_wheel(k, n).ok()),
-    ];
     let mut series = Vec::new();
-    for (name, build) in families {
+    for family in [FamilySpec::Harary { k }, FamilySpec::Wheel { k }] {
+        let name = family.name();
         let mut min_s = Series { label: format!("{name}: min KB"), points: Vec::new() };
         let mut mean_s = Series { label: format!("{name}: mean KB"), points: Vec::new() };
         let mut max_s = Series { label: format!("{name}: max KB"), points: Vec::new() };
         for &n in &cfg.ns {
-            let Some(g) = build(k, n) else { continue };
+            let Ok(g) = family.build(n, 0) else { continue };
             let metrics = Scenario::new(g, k / 2).sim().metrics_only().run().into_metrics();
             let kb = |b: u64| b as f64 / 1024.0;
             let min = metrics.bytes_sent().iter().copied().min().unwrap_or(0);
@@ -669,8 +651,8 @@ mod mechanism_tests {
                 .map(|p| p.mean)
                 .expect("series present")
         };
-        assert!(rounds_of("k-pasted-tree") < rounds_of("k-regular"));
-        assert!(rounds_of("generalized-wheel") < rounds_of("k-regular"));
+        assert!(rounds_of("pasted-tree") < rounds_of("harary"));
+        assert!(rounds_of("wheel") < rounds_of("harary"));
     }
 
     #[test]
@@ -684,9 +666,8 @@ mod mechanism_tests {
                 .map(|p| p.mean)
                 .expect("series present")
         };
-        let regular_spread = val("k-regular: max KB") / val("k-regular: min KB").max(1e-9);
-        let wheel_spread =
-            val("generalized-wheel: max KB") / val("generalized-wheel: min KB").max(1e-9);
+        let regular_spread = val("harary-k4: max KB") / val("harary-k4: min KB").max(1e-9);
+        let wheel_spread = val("wheel-k4: max KB") / val("wheel-k4: min KB").max(1e-9);
         assert!(
             wheel_spread > regular_spread,
             "hub-heavy wheel spread {wheel_spread:.2} should exceed regular {regular_spread:.2}"

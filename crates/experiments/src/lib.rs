@@ -13,7 +13,7 @@
 //! | Fig. 7 | [`cost::fig7_drone_scaling_mtgv2`] |
 //! | Fig. 8 | [`resilience::fig8_byzantine_resilience`] |
 //! | §V-D topology resilience | [`resilience::topology_resilience`] |
-//! | Reproduction ablations | [`ablation`] |
+//! | Reproduction ablation (round budget) | [`ablation::rounds_ablation`] |
 //! | §VII unsigned-cost conjecture | [`unsigned::unsigned_cost`] |
 //! | Beyond §V: 10k-node clustered-fleet cost | [`cost::large_scale_cost`] |
 //! | Beyond §V: clustered-fleet resilience | [`resilience::clustered_resilience`] |

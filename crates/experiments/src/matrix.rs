@@ -52,8 +52,11 @@ pub const MATRIX_CSV_HEADER: &str = "family,n,cast,trials,truth_partitionable,de
                                      agreement_failures,median_rounds,total_msgs,total_bytes,\
                                      oracle_queries,oracle_cache_hits";
 
-/// One topology family of the §V-B generator zoo, with the parameters that
-/// stay fixed while the sweep varies `n`. Randomized families (BA, WS,
+/// One topology family of the generator zoo, with the parameters that
+/// stay fixed while the sweep varies `n` — the only name → generator table
+/// in the workspace: scenario files (`topology <family> <n>`), `nectar-cli
+/// detect --topology`, `matrix --families` and the §V experiment runners
+/// all build their graphs here. Randomized families (BA, WS,
 /// random-regular, two-cluster geometric) draw from a per-trial seeded
 /// stream, so every cell is reproducible.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,9 +96,55 @@ pub enum FamilySpec {
     },
     /// Two geometric clusters of drones bridged by proximity.
     TwoCluster,
+    /// Logarithmic-Harary `k`-pasted-tree (κ = k, logarithmic diameter).
+    PastedTree {
+        /// Connectivity parameter.
+        k: usize,
+    },
+    /// Logarithmic-Harary `k`-diamond: two pasted trees sharing leaves.
+    Diamond {
+        /// Connectivity parameter.
+        k: usize,
+    },
+    /// Generalized wheel whose `k − 2` hubs form a complete bipartite
+    /// graph (κ = k, the paper's "few paths" worst case).
+    MultipartiteWheel {
+        /// Connectivity parameter (≥ 4).
+        k: usize,
+    },
+    /// Cycle `C_n` (Fig. 1a's ring).
+    Cycle,
+    /// Path `P_n` — the round-count worst case of §IV-B.
+    Path,
+    /// Star with hub 0 (Fig. 1b's 1-partitionable example).
+    Star,
+    /// Complete graph `K_n`.
+    Complete,
+    /// Disjoint 4-cliques (`n` a positive multiple of 4): a maximally
+    /// partitioned fleet, the large-n workload of the event runtime.
+    Cliques,
 }
 
+/// The `topology <family>` / `--families` / `--topology` vocabulary, as
+/// quoted by unknown-name errors.
+const FAMILY_VOCABULARY: &str = "harary[-kK] | wheel[-kK] | pasted-tree[-kK] | diamond[-kK] | \
+     multipartite-wheel[-kK] | random-regular[-dD] | scale-free[-mM] | small-world[-kK-pP] | \
+     grid | torus | two-cluster | cycle | path | star | complete | cliques";
+
 impl FamilySpec {
+    /// The five connectivity-parameterized families of the paper's §V-B
+    /// evaluation at connectivity `k` — the one list behind the §V-C/§V-D
+    /// in-text studies and `nectar-cli families`.
+    pub fn paper_families(k: usize) -> [FamilySpec; 5] {
+        [
+            FamilySpec::Harary { k },
+            FamilySpec::PastedTree { k },
+            FamilySpec::Diamond { k },
+            FamilySpec::Wheel { k },
+            FamilySpec::MultipartiteWheel { k },
+        ]
+    }
+
     /// Stable identifier used in reports, CSV rows and the CLI.
     pub fn name(&self) -> String {
         match self {
@@ -109,52 +158,37 @@ impl FamilySpec {
             FamilySpec::Torus => "torus".into(),
             FamilySpec::RandomRegular { d } => format!("random-regular-d{d}"),
             FamilySpec::TwoCluster => "two-cluster".into(),
+            FamilySpec::PastedTree { k } => format!("pasted-tree-k{k}"),
+            FamilySpec::Diamond { k } => format!("diamond-k{k}"),
+            FamilySpec::MultipartiteWheel { k } => format!("multipartite-wheel-k{k}"),
+            FamilySpec::Cycle => "cycle".into(),
+            FamilySpec::Path => "path".into(),
+            FamilySpec::Star => "star".into(),
+            FamilySpec::Complete => "complete".into(),
+            FamilySpec::Cliques => "cliques".into(),
         }
     }
 
     /// Parses an identifier back into its spec — the inverse of
     /// [`name`](Self::name), also accepting the bare family name with its
-    /// default parameters (`harary` ≡ `harary-k4`). This is the `nectar-cli
-    /// matrix --families` vocabulary.
+    /// default parameters (`harary` ≡ `harary-k4`).
     ///
     /// # Errors
     ///
     /// Returns a message listing the vocabulary on unknown names.
     pub fn parse(name: &str) -> Result<FamilySpec, String> {
-        let tail = |prefix: &str| name.strip_prefix(prefix);
         let num =
             |s: &str| s.parse::<usize>().map_err(|_| format!("bad parameter {s} in family {name}"));
-        if name == "grid" {
-            return Ok(FamilySpec::Grid);
-        }
-        if name == "torus" {
-            return Ok(FamilySpec::Torus);
-        }
-        if name == "two-cluster" {
-            return Ok(FamilySpec::TwoCluster);
-        }
-        if name == "harary" {
-            return Ok(FamilySpec::Harary { k: 4 });
-        }
-        if let Some(k) = tail("harary-k") {
-            return Ok(FamilySpec::Harary { k: num(k)? });
-        }
-        if name == "wheel" {
-            return Ok(FamilySpec::Wheel { k: 4 });
-        }
-        if let Some(k) = tail("wheel-k") {
-            return Ok(FamilySpec::Wheel { k: num(k)? });
-        }
-        if name == "scale-free" {
-            return Ok(FamilySpec::BarabasiAlbert { m: 2 });
-        }
-        if let Some(m) = tail("scale-free-m") {
-            return Ok(FamilySpec::BarabasiAlbert { m: num(m)? });
-        }
-        if name == "small-world" {
-            return Ok(FamilySpec::WattsStrogatz { k: 4, p_per_mille: 100 });
-        }
-        if let Some(params) = tail("small-world-k") {
+        // `<base>` alone takes the default parameter, `<base>-<letter><N>`
+        // sets it; `None` when `name` is some other family.
+        let param = |base: &str, letter: char, default: usize| {
+            let tail = name.strip_prefix(base)?;
+            if tail.is_empty() {
+                return Some(Ok(default));
+            }
+            tail.strip_prefix('-')?.strip_prefix(letter).map(num)
+        };
+        if let Some(params) = name.strip_prefix("small-world-k") {
             let (k, p) = params
                 .split_once("-p")
                 .ok_or_else(|| format!("family {name}: expected small-world-k<K>-p<P>"))?;
@@ -163,16 +197,33 @@ impl FamilySpec {
                 p_per_mille: num(p)?.min(1000) as u16,
             });
         }
-        if name == "random-regular" {
-            return Ok(FamilySpec::RandomRegular { d: 4 });
+        type Make = fn(usize) -> FamilySpec;
+        let parameterized: [(&str, char, usize, Make); 7] = [
+            ("harary", 'k', 4, |k| FamilySpec::Harary { k }),
+            ("wheel", 'k', 4, |k| FamilySpec::Wheel { k }),
+            ("pasted-tree", 'k', 4, |k| FamilySpec::PastedTree { k }),
+            ("diamond", 'k', 4, |k| FamilySpec::Diamond { k }),
+            ("multipartite-wheel", 'k', 4, |k| FamilySpec::MultipartiteWheel { k }),
+            ("random-regular", 'd', 4, |d| FamilySpec::RandomRegular { d }),
+            ("scale-free", 'm', 2, |m| FamilySpec::BarabasiAlbert { m }),
+        ];
+        for (base, letter, default, make) in parameterized {
+            if let Some(value) = param(base, letter, default) {
+                return Ok(make(value?));
+            }
         }
-        if let Some(d) = tail("random-regular-d") {
-            return Ok(FamilySpec::RandomRegular { d: num(d)? });
+        match name {
+            "small-world" => Ok(FamilySpec::WattsStrogatz { k: 4, p_per_mille: 100 }),
+            "grid" => Ok(FamilySpec::Grid),
+            "torus" => Ok(FamilySpec::Torus),
+            "two-cluster" => Ok(FamilySpec::TwoCluster),
+            "cycle" => Ok(FamilySpec::Cycle),
+            "path" => Ok(FamilySpec::Path),
+            "star" => Ok(FamilySpec::Star),
+            "complete" => Ok(FamilySpec::Complete),
+            "cliques" => Ok(FamilySpec::Cliques),
+            _ => Err(format!("unknown family {name}; expected {FAMILY_VOCABULARY}")),
         }
-        Err(format!(
-            "unknown family {name}; expected harary[-kK] | wheel[-kK] | scale-free[-mM] | \
-             small-world[-kK-pP] | grid | torus | random-regular[-dD] | two-cluster"
-        ))
     }
 
     /// Materializes the family at (approximately) `n` nodes from `seed`.
@@ -212,6 +263,17 @@ impl FamilySpec {
                     .map(|placement| placement.graph)
                     .map_err(err)
             }
+            FamilySpec::PastedTree { k } => gen::k_pasted_tree(*k, n).map_err(err),
+            FamilySpec::Diamond { k } => gen::k_diamond(*k, n).map_err(err),
+            FamilySpec::MultipartiteWheel { k } => gen::multipartite_wheel(*k, n, 2).map_err(err),
+            FamilySpec::Cycle => Ok(gen::cycle(n)),
+            FamilySpec::Path => Ok(gen::path(n)),
+            FamilySpec::Star => Ok(gen::star(n)),
+            FamilySpec::Complete => Ok(gen::complete(n)),
+            FamilySpec::Cliques if n == 0 || n % 4 != 0 => {
+                Err(format!("cliques: n must be a positive multiple of 4 (got {n})"))
+            }
+            FamilySpec::Cliques => Ok(gen::disjoint_cliques(n / 4, 4)),
         }
     }
 }
@@ -610,9 +672,9 @@ impl MatrixReport {
             writeln!(
                 w,
                 "    {{\"family\": \"{}\", \"n\": {}, \"cast\": \"{}\",",
-                json_escape(&cell.family),
+                json::escape(&cell.family),
                 cell.n,
-                json_escape(&cell.cast)
+                json::escape(&cell.cast)
             )
             .expect("infallible");
             writeln!(
@@ -830,11 +892,6 @@ impl fmt::Display for MatrixReport {
     }
 }
 
-/// Escapes a string for the JSON subset the shared reader understands.
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -932,6 +989,14 @@ mod tests {
             (FamilySpec::Torus, "torus"),
             (FamilySpec::RandomRegular { d: 4 }, "random-regular-d4"),
             (FamilySpec::TwoCluster, "two-cluster"),
+            (FamilySpec::PastedTree { k: 4 }, "pasted-tree-k4"),
+            (FamilySpec::Diamond { k: 4 }, "diamond-k4"),
+            (FamilySpec::MultipartiteWheel { k: 4 }, "multipartite-wheel-k4"),
+            (FamilySpec::Cycle, "cycle"),
+            (FamilySpec::Path, "path"),
+            (FamilySpec::Star, "star"),
+            (FamilySpec::Complete, "complete"),
+            (FamilySpec::Cliques, "cliques"),
         ];
         for (family, name) in combos {
             assert_eq!(family.name(), name);
@@ -943,6 +1008,11 @@ mod tests {
         // Domain errors surface as messages, not panics.
         assert!(FamilySpec::Harary { k: 4 }.build(3, 0).is_err());
         assert!(FamilySpec::WattsStrogatz { k: 5, p_per_mille: 0 }.build(12, 0).is_err());
+        assert!(FamilySpec::PastedTree { k: 3 }.build(4, 0).is_err());
+        // cliques must not silently truncate or degenerate to 0 nodes.
+        for n in [0, 3, 10] {
+            assert!(FamilySpec::Cliques.build(n, 0).is_err(), "cliques {n}");
+        }
     }
 
     #[test]
@@ -956,13 +1026,24 @@ mod tests {
             FamilySpec::Torus,
             FamilySpec::RandomRegular { d: 5 },
             FamilySpec::TwoCluster,
+            FamilySpec::PastedTree { k: 3 },
+            FamilySpec::Diamond { k: 5 },
+            FamilySpec::MultipartiteWheel { k: 6 },
+            FamilySpec::Cycle,
+            FamilySpec::Path,
+            FamilySpec::Star,
+            FamilySpec::Complete,
+            FamilySpec::Cliques,
         ];
         for family in families {
             assert_eq!(FamilySpec::parse(&family.name()).unwrap(), family);
         }
         assert_eq!(FamilySpec::parse("harary").unwrap(), FamilySpec::Harary { k: 4 });
-        assert!(FamilySpec::parse("klein-bottle").is_err());
-        assert!(FamilySpec::parse("harary-kX").is_err());
+        assert_eq!(FamilySpec::parse("diamond").unwrap(), FamilySpec::Diamond { k: 4 });
+        assert_eq!(FamilySpec::paper_families(4)[4], FamilySpec::MultipartiteWheel { k: 4 });
+        for bad in ["klein-bottle", "harary-kX", "harary-m4", "wheelbarrow", "small-world-k4"] {
+            assert!(FamilySpec::parse(bad).is_err(), "{bad}");
+        }
         let casts = [
             CastSpec::Honest,
             CastSpec::SilentRandom,

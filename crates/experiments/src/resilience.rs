@@ -18,10 +18,11 @@ use std::collections::BTreeMap;
 use nectar_baselines::{
     run_mtg, run_mtg_v2, BaselineVerdict, MtgBehavior, MtgConfig, MtgV2Behavior,
 };
-use nectar_graph::{gen, traversal, ConnectivityOracle, Graph};
+use nectar_graph::{traversal, ConnectivityOracle, Graph};
 use nectar_net::NodeId;
 use nectar_protocol::{ByzantineBehavior, RunReport, Runtime, Scenario, Verdict};
 
+use crate::matrix::FamilySpec;
 use crate::scenarios::{
     bridged_partition, clustered_fleet, cut_byzantine_placement_with, partitioned_with_insiders,
 };
@@ -210,33 +211,17 @@ impl TopologyResilienceConfig {
     }
 }
 
-/// Builds the named family member, if the parameters permit.
-pub fn topology_family(name: &str, k: usize, n: usize) -> Option<Graph> {
-    match name {
-        "k-regular" => gen::harary(k, n).ok(),
-        "k-pasted-tree" => gen::k_pasted_tree(k, n).ok(),
-        "k-diamond" => gen::k_diamond(k, n).ok(),
-        "generalized-wheel" => gen::generalized_wheel(k, n).ok(),
-        "multipartite-wheel" => gen::multipartite_wheel(k, n, 2).ok(),
-        _ => None,
-    }
-}
-
-/// Names of the §V-B topology families.
-pub const TOPOLOGY_FAMILIES: [&str; 5] =
-    ["k-regular", "k-pasted-tree", "k-diamond", "generalized-wheel", "multipartite-wheel"];
-
 /// **§V-D in-text** — success rates on the connectivity-dependent topology
 /// families under worst-case ("key position") Byzantine placement: the
 /// Byzantine nodes sit on a minimum vertex cut whenever `t ≥ κ`, play
 /// two-faced against NECTAR/MtGv2 and saturate filters against MtG.
 /// Returns one table per family.
 pub fn topology_resilience(cfg: &TopologyResilienceConfig) -> Vec<Table> {
-    TOPOLOGY_FAMILIES
+    FamilySpec::paper_families(cfg.k)
         .iter()
         .filter_map(|family| {
-            let g = topology_family(family, cfg.k, cfg.n)?;
-            Some(family_resilience(cfg, family, &g))
+            let g = family.build(cfg.n, 0).ok()?;
+            Some(family_resilience(cfg, &family.name(), &g))
         })
         .collect()
 }
@@ -442,6 +427,7 @@ fn silenced_side(g: &Graph, byz: &[NodeId]) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nectar_graph::gen;
 
     #[test]
     fn fig8_quick_shapes_match_the_paper() {

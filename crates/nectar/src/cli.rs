@@ -6,12 +6,12 @@
 use std::fmt::Write as _;
 
 use nectar_experiments::matrix::{CastSpec, FamilySpec, MatrixSpec};
+use nectar_experiments::scenario::parse_behavior;
 use nectar_experiments::{CompiledScenario, ScenarioSpec, TransportKind};
-use nectar_graph::{connectivity, gen, traversal, Graph};
+use nectar_graph::{connectivity, traversal};
 use nectar_net::transport::{ConnectConfig, SocketTransport};
 use nectar_protocol::{
-    run_scenario_node, ByzantineBehavior, Decision, EpochOutcome, NodeReport, RunObserver,
-    RunReport, Runtime, Scenario, TopologySchedule, Verdict,
+    run_scenario_node, Decision, NodeReport, RunReport, Runtime, Scenario, Verdict,
 };
 
 /// A parsed CLI invocation.
@@ -24,7 +24,9 @@ pub enum Command {
         /// Path of the scenario file.
         file: String,
     },
-    /// Run NECTAR on a generated topology and report the decision.
+    /// Run NECTAR on a generated topology and report the decision: the
+    /// flag spelling of a scenario file, lowered onto the same
+    /// [`ScenarioSpec`] and executed through the same path as `run`.
     Detect(DetectArgs),
     /// Sweep the topology-zoo × attack-zoo experiment matrix and report
     /// per-cell statistics.
@@ -32,8 +34,8 @@ pub enum Command {
     /// Run ONE node of a scenario over a real socket transport and print
     /// its `NodeReport` — the per-process half of multi-process detection.
     Node(NodeArgs),
-    /// Print structural facts (κ, diameter, edges) for every topology
-    /// family at the given size.
+    /// Print structural facts (κ, diameter, edges) for the five §V-B
+    /// topology families at the given connectivity and size.
     Families {
         /// Connectivity parameter.
         k: usize,
@@ -49,41 +51,15 @@ pub enum Command {
 /// Arguments of the `detect` command.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectArgs {
-    /// Topology family name (as accepted by [`build_topology`]).
-    pub topology: String,
-    /// Connectivity parameter (families that need one).
-    pub k: usize,
-    /// System size.
-    pub n: usize,
-    /// Byzantine budget.
-    pub t: usize,
-    /// Byzantine cast: `(node, behaviour)` pairs.
-    pub byzantine: Vec<(usize, ByzantineBehavior)>,
-    /// Which runtime executes the scenario (`--runtime`; `--workers N`
-    /// sizes the `parallel` runtime's pool). Outcomes are bit-identical
-    /// across all three.
-    pub runtime: Runtime,
-    /// Seed for keys and randomized topologies.
-    pub seed: u64,
-    /// Emit the result as a JSON document instead of human-readable text.
+    /// The scenario the flags describe, field for field what the
+    /// equivalent `.scn` file parses to (`spec.to_text()` writes that
+    /// file). Validation is [`ScenarioSpec::compile`]'s alone.
+    pub spec: ScenarioSpec,
+    /// Print `RunReport::to_json()` instead of human-readable text.
     pub json: bool,
-    /// Emit the per-epoch results as CSV rows instead of text.
+    /// Print `RunReport::to_csv()` (one row per correct node per epoch)
+    /// instead of text.
     pub csv: bool,
-    /// Number of monitoring epochs to run (same topology, fresh keys per
-    /// epoch, one shared connectivity oracle across all of them).
-    pub epochs: usize,
-    /// Report every node's verdict (streamed through the `RunObserver`
-    /// hooks) instead of the epoch summaries.
-    pub per_node: bool,
-    /// Persist the full `RunReport` as JSON to this path.
-    pub report: Option<String>,
-    /// Topology schedule (`--schedule`): a path to a schedule script, or
-    /// the script itself inline with `;` separating lines.
-    pub schedule: Option<String>,
-    /// Record a per-phase wall-clock breakdown (dissemination plus the four
-    /// decision stages) into each epoch's outcome, printed with the text
-    /// output and persisted in `--report` JSON.
-    pub profile: bool,
 }
 
 /// Arguments of the `node` command: one OS process hosting one scenario
@@ -104,20 +80,10 @@ pub struct NodeArgs {
 /// sweep; see `nectar_experiments::matrix`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixArgs {
-    /// Family identifiers (`FamilySpec::parse` vocabulary).
-    pub families: Vec<String>,
-    /// System sizes.
-    pub sizes: Vec<usize>,
-    /// Cast identifiers (`CastSpec::parse` vocabulary).
-    pub casts: Vec<String>,
-    /// Byzantine budget per trial.
-    pub t: usize,
-    /// Trials per cell.
-    pub trials: usize,
-    /// Base seed of the per-trial streams.
-    pub seed: u64,
-    /// The engine every trial runs on (results are engine-independent).
-    pub runtime: Runtime,
+    /// The sweep: `MatrixSpec::reduced()` (three families × two sizes ×
+    /// three casts, 100 trials per cell at `t = 2`) with every axis a flag
+    /// names replaced.
+    pub spec: MatrixSpec,
     /// Emit the full MatrixReport JSON to stdout instead of the table.
     pub json: bool,
     /// Emit the per-cell CSV to stdout instead of the table.
@@ -128,37 +94,16 @@ pub struct MatrixArgs {
     pub out_csv: Option<String>,
 }
 
-impl Default for MatrixArgs {
-    /// The reduced sweep of `MatrixSpec::reduced()`: three families × two
-    /// sizes × three casts, 100 trials per cell at `t = 2`.
-    fn default() -> Self {
-        let spec = MatrixSpec::reduced();
-        MatrixArgs {
-            families: spec.families.iter().map(FamilySpec::name).collect(),
-            sizes: spec.sizes,
-            casts: spec.casts.iter().map(CastSpec::name).collect(),
-            t: spec.t,
-            trials: spec.trials,
-            seed: spec.base_seed,
-            runtime: spec.runtime,
-            json: false,
-            csv: false,
-            out: None,
-            out_csv: None,
-        }
-    }
-}
-
 /// Usage text.
 pub const USAGE: &str = "\
 nectar-cli — Byzantine-resilient partition detection
 
 USAGE:
   nectar-cli run <scenario-file>
-  nectar-cli detect --topology <family> --n <N> [--k <K>] [--t <T>]
+  nectar-cli detect --topology <family> --n <N> [--t <T>] [--seed <S>]
              [--byz <node>:<behavior> ...] [--runtime <R>] [--workers <W>]
-             [--seed <S>] [--epochs <E>] [--per-node] [--report <path>]
-             [--schedule <path-or-script>] [--profile] [--json | --csv]
+             [--epochs <E>] [--schedule <path-or-script>] [--report <path>]
+             [--profile] [--json | --csv]
   nectar-cli matrix [--families f1,f2,..] [--sizes n1,n2,..] [--casts c1,c2,..]
              [--t <T>] [--trials <N>] [--seed <S>] [--runtime <R>]
              [--workers <W>] [--out <path.json>] [--out-csv <path.csv>]
@@ -170,10 +115,8 @@ USAGE:
 SCENARIO (run / node --scenario):
   A scenario file describes a whole experiment declaratively — one
   directive per line, `#` comments, defaults for everything omitted:
-  `name <words>`, `topology <family> <n>` (FamilySpec vocabulary:
-  harary-k4, wheel-k4, scale-free-m2, small-world-k4-p100, grid, torus,
-  random-regular-d4, two-cluster) or an explicit edge list
-  (`nodes <N>` + `edge U V` lines), `t <T>`, `seed <S>`,
+  `name <words>`, `topology <family> <n>` (see FAMILIES) or an explicit
+  edge list (`nodes <N>` + `edge U V` lines), `t <T>`, `seed <S>`,
   `cast <CastSpec>` (honest | silent-random | silent-cut |
   equivocate-random | falsify-articulation[-pP] | falsify-colluding[-pP])
   or explicit `byz <node>:<behavior>` lines, `epochs <E>`,
@@ -189,6 +132,14 @@ SCENARIO (run / node --scenario):
   of the fleet, so its processes can never disagree about their
   scenario. Errors carry file:line context. Curated examples live in
   scenarios/; the format is specified in nectar_experiments::scenario.
+
+DETECT:
+  The flag spelling of a sync-transport scenario file: every flag sets
+  the directive of the same name (`--topology F --n N` is `topology F N`,
+  `--byz` is a `byz` line, `--report` the `report` sink, ...), the result
+  is validated by the scenario compiler and run exactly as `run` would
+  run that file — same report bytes on every runtime. Defaults:
+  harary-k4, n = 20, t = 1, seed 42, one epoch, the sync runtime.
 
 RUNTIME (--runtime, default sync):
   sync      deterministic single-threaded round engine — the baseline for
@@ -226,27 +177,29 @@ SCHEDULE (--schedule):
   crossing {a,b,c}), `loss U V A..B P` and `delay U V A..B D` (per-link
   loss probability / fixed delay over rounds A..B; append `-one-way` for
   asymmetric links), `seed S` (loss-roll seed), `#` comments. The value
-  is a file path, or the script itself inline with `;` separating lines
-  (e.g. --schedule 'drop 1 0 1; heal 3 0 1'). Applied identically on
-  every runtime at any worker count, and recorded in --report output.
+  is a file path (as `schedule @<file>`), or the script itself inline
+  with `;` separating lines (each one a `schedule <directive>` line, e.g.
+  --schedule 'drop 1 0 1; heal 3 0 1'). Applied identically on every
+  runtime at any worker count, and recorded in --report output.
 
 OUTPUT:
-  --json emits one machine-readable document with the per-epoch verdicts
-  and connectivity-oracle statistics (cache hits, bounded flows, early
-  exits); --csv emits the same per-epoch results as CSV rows with the
-  header `epoch,verdict,confirmed,agreement,mean_kb_per_node,\
-oracle_queries,oracle_cache_hits`. --per-node switches both (and the
-  text form) to one row per correct node per epoch — streamed live from
-  the run's observer hooks — with the columns `epoch,node,verdict,\
-confirmed,reachable,connectivity`. --report <path> additionally persists
-  the complete RunReport (parameters, topology, per-epoch decisions,
-  traffic and oracle counters) as JSON to <path>. For `families`, --csv
-  emits `family,nodes,edges,kappa,diameter`. --epochs E re-runs detection
+  `detect` and `run` print the same text: topology facts (n, the real κ,
+  t, runtime), the last epoch's verdict, a note when a PARTITIONABLE
+  verdict comes from perceived connectivity dropping to ≤ t on a graph
+  whose real κ is larger, traffic in KB/node and, past one epoch, the
+  oracle's cache use. `detect --json` prints the complete RunReport
+  instead (parameters, topology, schedule, per-epoch per-node decisions,
+  traffic and oracle counters — the document RunReport::from_json
+  reads); `detect --csv` prints its decision stream, one row per correct
+  node per epoch with the columns `epoch,node,verdict,confirmed,\
+reachable,connectivity`. --report <path> persists the same JSON to
+  <path> whatever is printed. For `families`, --csv emits
+  `family,nodes,edges,kappa,diameter`. --epochs E re-runs detection
   E times on the same topology with fresh keys, sharing one oracle so
   unchanged graphs decide from cache. --profile records a per-phase
   wall-clock breakdown (dissemination, then the decision phase's classify /
   derive / materialize / decide stages) per epoch: printed with the text
-  output and persisted in --report JSON. The timings are wall clock —
+  output and persisted in the report JSON. The timings are wall clock —
   nondeterministic across runs and runtimes; all other outputs stay
   bit-identical. (The experiment runners emit CSV too: `cargo run -p
   nectar-bench --bin figures` writes results/<id>.csv for every figure.)
@@ -260,20 +213,24 @@ MATRIX:
   12,16 × honest, silent-cut, falsify-articulation-p800; 100 trials per
   cell at t = 2). Output: a per-cell table (default), the full
   MatrixReport JSON (--json) or per-cell CSV (--csv) on stdout;
-  --out / --out-csv additionally persist both forms. Families:
-  harary[-kK] | wheel[-kK] | scale-free[-mM] | small-world[-kK-pP] |
-  grid | torus | random-regular[-dD] | two-cluster (P is the rewiring
-  probability in per-mille). Casts: honest | silent-random | silent-cut |
+  --out / --out-csv additionally persist both forms. Families: see
+  FAMILIES. Casts: honest | silent-random | silent-cut |
   equivocate-random | falsify-articulation[-pP] | falsify-colluding[-pP]
   (P is the per-measurement flip probability in per-mille; placements
   use the full budget t, falsifiers sit on articulation points). Every
   cell is bit-identical across runtimes and worker counts.
 
-FAMILIES:
-  harary | random-regular | pasted-tree | diamond | wheel |
-  multipartite-wheel | cycle | path | star | complete | drone |
-  torus | small-world | scale-free |
-  cliques (disjoint 4-cliques; --n must be a positive multiple of 4)
+FAMILIES (--topology, --families, `topology <family> <n>`):
+  harary[-kK] | wheel[-kK] | pasted-tree[-kK] | diamond[-kK] |
+  multipartite-wheel[-kK] | random-regular[-dD] | scale-free[-mM] |
+  small-world[-kK-pP] | grid | torus | two-cluster | cycle | path |
+  star | complete | cliques
+  A bare name takes the default parameter (K = 4, D = 4, M = 2, P = 100;
+  P is the rewiring probability in per-mille). grid and torus round n up
+  to a near-square factorization; cliques builds disjoint 4-cliques and
+  needs n to be a positive multiple of 4. `families` tabulates the five
+  connectivity-parameterized §V-B families (harary, pasted-tree,
+  diamond, wheel, multipartite-wheel) at --k.
 
 BEHAVIORS (for --byz):
   silent | crash@<round> | two-faced@<a>-<b> (silent toward nodes a..=b) |
@@ -284,11 +241,12 @@ EXAMPLES:
   nectar-cli node --scenario scenarios/harary-cut.scn --node 2
   nectar-cli matrix --families harary-k4,grid --sizes 12,16 --trials 100
   nectar-cli matrix --casts honest,falsify-colluding-p800 --out matrix.json
-  nectar-cli detect --topology harary --k 4 --n 20 --t 2 --byz 3:silent
+  nectar-cli detect --topology harary-k4 --n 20 --t 2 --byz 3:silent
   nectar-cli detect --topology star --n 8 --t 1 --byz 0:two-faced@4-7
+  nectar-cli detect --topology harary-k4 --n 20 --t 2 --epochs 5 --json
   nectar-cli detect --topology cliques --n 10000 --t 2 --runtime event
   nectar-cli detect --topology cliques --n 10000 --t 2 --runtime parallel --workers 4
-  nectar-cli detect --topology star --n 8 --t 1 --byz 0:silent --per-node --csv
+  nectar-cli detect --topology star --n 8 --t 1 --byz 0:silent --csv
   nectar-cli detect --topology cycle --n 6 --t 1 --schedule 'drop 1 0 1; drop 1 3 4'
   nectar-cli families --k 4 --n 24 --csv
 ";
@@ -317,35 +275,43 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             Ok(Command::Families { k, n, csv })
         }
         Some("matrix") => {
-            let mut out = MatrixArgs::default();
+            let mut out = MatrixArgs {
+                spec: MatrixSpec::reduced(),
+                json: false,
+                csv: false,
+                out: None,
+                out_csv: None,
+            };
             let mut workers: Option<usize> = None;
             let rest: Vec<String> = it.cloned().collect();
             parse_flags(&rest, &["--json", "--csv"], |flag, value| {
+                let spec = &mut out.spec;
                 match (flag, value) {
                     ("--json", _) => out.json = true,
                     ("--csv", _) => out.csv = true,
                     ("--families", Some(v)) => {
-                        out.families = v.split(',').map(str::to_string).collect();
+                        spec.families =
+                            v.split(',').map(FamilySpec::parse).collect::<Result<_, _>>()?;
                     }
                     ("--casts", Some(v)) => {
-                        out.casts = v.split(',').map(str::to_string).collect();
+                        spec.casts = v.split(',').map(CastSpec::parse).collect::<Result<_, _>>()?;
                     }
                     ("--sizes", Some(v)) => {
-                        out.sizes = v
+                        spec.sizes = v
                             .split(',')
                             .map(|s| s.parse().map_err(|_| format!("bad --sizes value {s}")))
                             .collect::<Result<_, _>>()?;
                     }
-                    ("--t", Some(v)) => set_usize(&mut out.t, v, "--t")?,
-                    ("--trials", Some(v)) => set_usize(&mut out.trials, v, "--trials")?,
-                    ("--runtime", Some(v)) => out.runtime = v.parse()?,
+                    ("--t", Some(v)) => set_usize(&mut spec.t, v, "--t")?,
+                    ("--trials", Some(v)) => set_usize(&mut spec.trials, v, "--trials")?,
+                    ("--runtime", Some(v)) => spec.runtime = v.parse()?,
                     ("--workers", Some(v)) => {
                         let mut w = 0;
                         set_usize(&mut w, v, "--workers")?;
                         workers = Some(w);
                     }
                     ("--seed", Some(v)) => {
-                        out.seed = v.parse().map_err(|_| format!("bad --seed value {v}"))?;
+                        spec.base_seed = v.parse().map_err(|_| format!("bad --seed value {v}"))?;
                     }
                     ("--out", Some(v)) => out.out = Some(v.into()),
                     ("--out-csv", Some(v)) => out.out_csv = Some(v.into()),
@@ -353,21 +319,9 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
                 Ok(())
             })?;
-            if let Some(w) = workers {
-                match out.runtime {
-                    Runtime::Parallel { .. } => out.runtime = Runtime::Parallel { workers: w },
-                    other => {
-                        return Err(format!(
-                            "--workers only applies to --runtime parallel (got {other})"
-                        ));
-                    }
-                }
-            }
-            if out.trials == 0 {
+            out.spec.runtime = sized(out.spec.runtime, workers)?;
+            if out.spec.trials == 0 {
                 return Err("--trials must be at least 1".into());
-            }
-            if out.families.is_empty() || out.sizes.is_empty() || out.casts.is_empty() {
-                return Err("--families, --sizes and --casts must all be non-empty".into());
             }
             if out.json && out.csv {
                 return Err("--json and --csv are mutually exclusive".into());
@@ -405,68 +359,58 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             }))
         }
         Some("detect") => {
-            let mut out = DetectArgs {
-                topology: "harary".into(),
-                k: 4,
-                n: 20,
-                t: 1,
-                byzantine: Vec::new(),
-                runtime: Runtime::Sync,
-                seed: 42,
-                json: false,
-                csv: false,
-                epochs: 1,
-                per_node: false,
-                report: None,
-                schedule: None,
-                profile: false,
-            };
+            let (mut family, mut n) = (FamilySpec::Harary { k: 4 }, 20usize);
+            let mut spec = ScenarioSpec::default();
+            let (mut json, mut csv) = (false, false);
             let mut workers: Option<usize> = None;
             let rest: Vec<String> = it.cloned().collect();
-            parse_flags(&rest, &["--json", "--csv", "--per-node", "--profile"], |flag, value| {
+            parse_flags(&rest, &["--json", "--csv", "--profile"], |flag, value| {
                 match (flag, value) {
-                    ("--json", _) => out.json = true,
-                    ("--csv", _) => out.csv = true,
-                    ("--per-node", _) => out.per_node = true,
-                    ("--profile", _) => out.profile = true,
-                    ("--report", Some(v)) => out.report = Some(v.into()),
-                    ("--schedule", Some(v)) => out.schedule = Some(v.into()),
-                    ("--topology", Some(v)) => out.topology = v.into(),
-                    ("--n", Some(v)) => set_usize(&mut out.n, v, "--n")?,
-                    ("--k", Some(v)) => set_usize(&mut out.k, v, "--k")?,
-                    ("--t", Some(v)) => set_usize(&mut out.t, v, "--t")?,
-                    ("--epochs", Some(v)) => set_usize(&mut out.epochs, v, "--epochs")?,
-                    ("--runtime", Some(v)) => out.runtime = v.parse()?,
+                    ("--json", _) => json = true,
+                    ("--csv", _) => csv = true,
+                    ("--profile", _) => spec.profile = true,
+                    ("--report", Some(v)) => spec.report = Some(v.into()),
+                    // A path is `schedule @<file>`; anything else is the
+                    // script itself, one inline `schedule` line per `;`.
+                    ("--schedule", Some(v)) if std::path::Path::new(v).is_file() => {
+                        spec.schedule_file = Some(v.into());
+                    }
+                    ("--schedule", Some(v)) => {
+                        spec.schedule_lines = v
+                            .split(';')
+                            .map(|line| line.trim().to_string())
+                            .filter(|line| !line.is_empty())
+                            .collect();
+                    }
+                    ("--topology", Some(v)) => family = FamilySpec::parse(v)?,
+                    ("--n", Some(v)) => set_usize(&mut n, v, "--n")?,
+                    ("--t", Some(v)) => set_usize(&mut spec.t, v, "--t")?,
+                    ("--epochs", Some(v)) => set_usize(&mut spec.epochs, v, "--epochs")?,
+                    ("--runtime", Some(v)) => spec.runtime = Some(v.parse()?),
                     ("--workers", Some(v)) => {
                         let mut w = 0;
                         set_usize(&mut w, v, "--workers")?;
                         workers = Some(w);
                     }
                     ("--seed", Some(v)) => {
-                        out.seed = v.parse().map_err(|_| format!("bad --seed value {v}"))?;
+                        spec.seed = v.parse().map_err(|_| format!("bad --seed value {v}"))?;
                     }
-                    ("--byz", Some(v)) => out.byzantine.push(parse_byz(v)?),
+                    ("--byz", Some(v)) => spec.byzantine.push(parse_behavior(v)?),
                     (other, _) => return Err(format!("unknown flag {other}")),
                 }
                 Ok(())
             })?;
-            if let Some(w) = workers {
-                match out.runtime {
-                    Runtime::Parallel { .. } => out.runtime = Runtime::Parallel { workers: w },
-                    other => {
-                        return Err(format!(
-                            "--workers only applies to --runtime parallel (got {other})"
-                        ));
-                    }
-                }
+            if workers.is_some() {
+                spec.runtime = Some(sized(spec.runtime.unwrap_or_default(), workers)?);
             }
-            if out.epochs == 0 {
+            if spec.epochs == 0 {
                 return Err("--epochs must be at least 1".into());
             }
-            if out.json && out.csv {
+            if json && csv {
                 return Err("--json and --csv are mutually exclusive".into());
             }
-            Ok(Command::Detect(out))
+            spec.family = Some((family, n));
+            Ok(Command::Detect(DetectArgs { spec, json, csv }))
         }
         Some(other) => Err(format!("unknown command {other}; try `nectar-cli help`")),
     }
@@ -501,51 +445,14 @@ fn set_usize(slot: &mut usize, value: &str, flag: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `node:behavior` descriptors, e.g. `3:silent`, `0:two-faced@4-7`,
-/// `2:crash@3`, `1:hide@0-2` — the same grammar scenario files use for
-/// their `byz` directive (`nectar_experiments::scenario::parse_behavior`),
-/// so a flag incantation and a scenario line never drift apart.
-pub fn parse_byz(spec: &str) -> Result<(usize, ByzantineBehavior), String> {
-    nectar_experiments::scenario::parse_behavior(spec)
-}
-
-/// Builds the requested topology.
-///
-/// # Errors
-///
-/// Returns a message for unknown families or invalid parameters.
-pub fn build_topology(name: &str, k: usize, n: usize, seed: u64) -> Result<Graph, String> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let err = |e: nectar_graph::GraphError| e.to_string();
-    match name {
-        "harary" => gen::harary(k, n).map_err(err),
-        "random-regular" => gen::random_regular_connected(k, n, &mut rng, 100).map_err(err),
-        "pasted-tree" => gen::k_pasted_tree(k, n).map_err(err),
-        "diamond" => gen::k_diamond(k, n).map_err(err),
-        "wheel" => gen::generalized_wheel(k, n).map_err(err),
-        "multipartite-wheel" => gen::multipartite_wheel(k, n, 2).map_err(err),
-        "cycle" => Ok(gen::cycle(n)),
-        "path" => Ok(gen::path(n)),
-        "star" => Ok(gen::star(n)),
-        "complete" => Ok(gen::complete(n)),
-        "drone" => gen::drone_scenario(n, 3.0, 1.8, &mut rng).map(|p| p.graph).map_err(err),
-        "torus" => {
-            let side = (n as f64).sqrt().round() as usize;
-            gen::torus(side.max(3), side.max(3)).map_err(err)
+/// Binds `--workers` to the parallel runtime's pool, in either flag order.
+fn sized(runtime: Runtime, workers: Option<usize>) -> Result<Runtime, String> {
+    match (runtime, workers) {
+        (runtime, None) => Ok(runtime),
+        (Runtime::Parallel { .. }, Some(workers)) => Ok(Runtime::Parallel { workers }),
+        (other, Some(_)) => {
+            Err(format!("--workers only applies to --runtime parallel (got {other})"))
         }
-        "small-world" => gen::watts_strogatz(n, k.max(2) & !1, 0.2, &mut rng).map_err(err),
-        "scale-free" => gen::barabasi_albert(n, k.max(1).min(n - 1), &mut rng).map_err(err),
-        // A maximally partitioned fleet of 4-cliques — the large-n workload
-        // of the event runtime (dissemination is cluster-local).
-        "cliques" => {
-            if n == 0 || n % 4 != 0 {
-                return Err(format!("cliques needs --n to be a positive multiple of 4, got {n}"));
-            }
-            Ok(gen::disjoint_cliques(n / 4, 4))
-        }
-        other => Err(format!("unknown topology family {other}; try `nectar-cli help`")),
     }
 }
 
@@ -558,57 +465,35 @@ pub fn run(cmd: Command) -> Result<String, String> {
     match cmd {
         Command::Help => Ok(USAGE.to_string()),
         Command::Families { k, n, csv } => {
-            let mut out = String::new();
-            if csv {
-                writeln!(out, "family,nodes,edges,kappa,diameter")
-                    .expect("writing to String cannot fail");
-            } else {
-                writeln!(
-                    out,
-                    "{:<22} {:>6} {:>6} {:>9} {:>9}",
-                    "family", "nodes", "edges", "kappa", "diameter"
-                )
-                .expect("writing to String cannot fail");
-            }
-            for family in
-                ["harary", "pasted-tree", "diamond", "wheel", "multipartite-wheel", "cycle", "star"]
-            {
-                match build_topology(family, k, n, 0) {
+            // One writer for the header and every row: CSV or aligned.
+            let row = |cells: [String; 5]| {
+                if csv {
+                    cells.join(",") + "\n"
+                } else {
+                    let [family, nodes, edges, kappa, diameter] = cells;
+                    format!("{family:<22} {nodes:>6} {edges:>6} {kappa:>9} {diameter:>9}\n")
+                }
+            };
+            let mut out = row(["family", "nodes", "edges", "kappa", "diameter"].map(String::from));
+            for spec in FamilySpec::paper_families(k) {
+                let family = spec.name();
+                match spec.build(n, 0) {
                     Ok(g) => {
-                        let kappa = connectivity::vertex_connectivity(&g);
                         let diameter = traversal::diameter(&g)
                             .map(|d| d.to_string())
                             .unwrap_or_else(|| if csv { "inf".into() } else { "∞".into() });
-                        if csv {
-                            writeln!(
-                                out,
-                                "{family},{},{},{kappa},{diameter}",
-                                g.node_count(),
-                                g.edge_count()
-                            )
-                            .expect("writing to String cannot fail");
-                        } else {
-                            writeln!(
-                                out,
-                                "{:<22} {:>6} {:>6} {:>9} {:>9}",
-                                family,
-                                g.node_count(),
-                                g.edge_count(),
-                                kappa,
-                                diameter
-                            )
-                            .expect("writing to String cannot fail");
-                        }
+                        out += &row([
+                            family,
+                            g.node_count().to_string(),
+                            g.edge_count().to_string(),
+                            connectivity::vertex_connectivity(&g).to_string(),
+                            diameter,
+                        ]);
                     }
-                    Err(e) if csv => {
-                        // CSV stays machine-readable: unconstructible
-                        // families are simply omitted (stderr is for humans).
-                        eprintln!("[families] {family} not constructible: {e}");
-                    }
-                    Err(e) => {
-                        writeln!(out, "{family:<22} (not constructible: {e})")
-                            .expect("writing to String cannot fail");
-                    }
+                    // CSV stays machine-readable: unconstructible families
+                    // are simply omitted (stderr is for humans).
+                    Err(e) if csv => eprintln!("[families] not constructible: {e}"),
+                    Err(e) => out += &format!("{family:<22} (not constructible: {e})\n"),
                 }
             }
             Ok(out)
@@ -618,16 +503,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             let compiled = load_scenario(&file)?;
             match compiled.transport {
                 TransportKind::Sync => {
-                    let report = compiled.run_report();
-                    if let Some(path) = &compiled.report {
-                        report
-                            .save_json(path)
-                            .map_err(|e| format!("writing report {path}: {e}"))?;
-                    }
-                    if let Some(path) = &compiled.csv {
-                        std::fs::write(path, report.to_csv())
-                            .map_err(|e| format!("writing CSV {path}: {e}"))?;
-                    }
+                    let report = run_to_sinks(&compiled)?;
                     Ok(render_scenario_text(&file, &compiled, &report))
                 }
                 TransportKind::Loopback => {
@@ -643,20 +519,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
             }
         }
         Command::Matrix(args) => {
-            let spec = MatrixSpec {
-                families: args
-                    .families
-                    .iter()
-                    .map(|f| FamilySpec::parse(f))
-                    .collect::<Result<_, _>>()?,
-                sizes: args.sizes.clone(),
-                casts: args.casts.iter().map(|c| CastSpec::parse(c)).collect::<Result<_, _>>()?,
-                t: args.t,
-                trials: args.trials,
-                base_seed: args.seed,
-                runtime: args.runtime,
-            };
-            let report = spec.run()?;
+            let report = args.spec.run()?;
             if let Some(path) = &args.out {
                 report.save_json(path).map_err(|e| format!("writing report {path}: {e}"))?;
             }
@@ -672,52 +535,33 @@ pub fn run(cmd: Command) -> Result<String, String> {
                 Ok(report.to_string())
             }
         }
-        Command::Detect(args) => {
-            let graph = build_topology(&args.topology, args.k, args.n, args.seed)?;
-            let kappa = connectivity::vertex_connectivity(&graph);
-            for (node, _) in &args.byzantine {
-                if *node >= args.n {
-                    return Err(format!("byzantine node {node} out of range (n = {})", args.n));
-                }
-            }
-            let schedule = match &args.schedule {
-                Some(spec) => Some(load_schedule(spec, &graph)?),
-                None => None,
-            };
-            let mut scenario = Scenario::new(graph, args.t).with_key_seed(args.seed);
-            for (node, behavior) in &args.byzantine {
-                scenario = scenario.with_byzantine(*node, behavior.clone());
-            }
-            // One session runs all epochs: the builder re-seeds the keys
-            // per epoch and shares one oracle, so epochs after the first
-            // decide from cache. Per-node rows are not read back off the
-            // report — they stream live through the observer hooks.
-            let mut stream = PerNodeStream::default();
-            let mut sim = scenario.sim().runtime(args.runtime).epochs(args.epochs);
-            if let Some(schedule) = schedule {
-                sim = sim.schedule(schedule);
-            }
-            if args.profile {
-                sim = sim.profile();
-            }
-            if args.per_node {
-                sim = sim.observe(&mut stream);
-            }
-            let report = sim.run();
-            if let Some(path) = &args.report {
-                report.save_json(path).map_err(|e| format!("writing report {path}: {e}"))?;
-            }
-            if args.per_node {
-                Ok(render_per_node(&args, kappa, &stream.rows))
-            } else if args.json {
-                Ok(render_detect_json(&args, kappa, &report.epochs))
-            } else if args.csv {
-                Ok(render_detect_csv(&report.epochs))
+        Command::Detect(DetectArgs { spec, json, csv }) => {
+            let compiled = spec.compile().map_err(|e| e.to_string())?;
+            let report = run_to_sinks(&compiled)?;
+            if json {
+                Ok(report.to_json())
+            } else if csv {
+                Ok(report.to_csv())
             } else {
-                Ok(render_detect_text(&args, kappa, &report.epochs))
+                let (family, n) = spec.family.as_ref().expect("parse always names a family");
+                let source = format!("detect --topology {} --n {n}", family.name());
+                Ok(render_scenario_text(&source, &compiled, &report))
             }
         }
     }
+}
+
+/// The in-process execution both front doors share: runs the compiled
+/// plan on its runtime and feeds the `report` / `csv` sinks it declares.
+fn run_to_sinks(compiled: &CompiledScenario) -> Result<RunReport, String> {
+    let report = compiled.run_report();
+    if let Some(path) = &compiled.report {
+        report.save_json(path).map_err(|e| format!("writing report {path}: {e}"))?;
+    }
+    if let Some(path) = &compiled.csv {
+        std::fs::write(path, report.to_csv()).map_err(|e| format!("writing CSV {path}: {e}"))?;
+    }
+    Ok(report)
 }
 
 /// Loads and compiles a scenario file; parse and compile errors already
@@ -808,14 +652,25 @@ fn run_node_uds(
     Err("transport uds needs a Unix platform; use transport tcp".into())
 }
 
-/// Human-readable `run` report for the sync transport: scenario
-/// provenance, topology facts, the last epoch's verdict and traffic.
-fn render_scenario_text(file: &str, compiled: &CompiledScenario, report: &RunReport) -> String {
+/// `scenario:` header line: the scenario's name when it has one, then
+/// where it came from (a file path, or the `detect` invocation).
+fn scenario_title(source: &str, compiled: &CompiledScenario) -> String {
+    if compiled.name.is_empty() {
+        source.to_string()
+    } else {
+        format!("{} ({source})", compiled.name)
+    }
+}
+
+/// The one human-readable report of an in-process run (`run` on the sync
+/// transport, and `detect`): scenario provenance, topology facts, the last
+/// epoch's verdict and traffic.
+fn render_scenario_text(source: &str, compiled: &CompiledScenario, report: &RunReport) -> String {
     let kappa = connectivity::vertex_connectivity(&compiled.graph);
     let outcome = report.epochs.last().expect("at least one epoch runs");
     let mut out = String::new();
-    let name = if compiled.name.is_empty() { file } else { &compiled.name };
-    writeln!(out, "scenario: {name} ({file})").expect("writing to String cannot fail");
+    writeln!(out, "scenario: {}", scenario_title(source, compiled))
+        .expect("writing to String cannot fail");
     writeln!(
         out,
         "topology: n = {} (κ = {kappa}), t = {}, runtime {}",
@@ -836,6 +691,10 @@ fn render_scenario_text(file: &str, compiled: &CompiledScenario, report: &RunRep
         Some(v) => {
             writeln!(out, "verdict:  {v} (confirmed partition: {})", outcome.any_confirmed())
                 .expect("writing to String cannot fail");
+            if v == Verdict::Partitionable && kappa > compiled.t {
+                writeln!(out, "note:     perceived connectivity dropped to ≤ t; real κ = {kappa}")
+                    .expect("writing to String cannot fail");
+            }
         }
         None => {
             writeln!(out, "verdict:  DISAGREEMENT — this would falsify Lemma 2, please report")
@@ -884,8 +743,7 @@ fn render_scenario_loopback(
     metrics: &nectar_net::Metrics,
 ) -> String {
     let mut out = String::new();
-    let name = if compiled.name.is_empty() { file } else { &compiled.name };
-    writeln!(out, "scenario: {name} ({file}) over loopback channels")
+    writeln!(out, "scenario: {} over loopback channels", scenario_title(file, compiled))
         .expect("writing to String cannot fail");
     writeln!(
         out,
@@ -914,226 +772,23 @@ fn render_scenario_loopback(
     out
 }
 
-/// Resolves a `--schedule` value into a validated [`TopologySchedule`]:
-/// the value is read as a file when one exists at that path, otherwise it
-/// is the script itself with `;` accepted as a line separator. The script
-/// is compiled against the topology here so an inconsistent schedule is a
-/// CLI error, not a panic inside the simulation.
-fn load_schedule(spec: &str, graph: &Graph) -> Result<TopologySchedule, String> {
-    let text = match std::fs::read_to_string(spec) {
-        Ok(contents) => contents,
-        Err(_) => spec.replace(';', "\n"),
-    };
-    let schedule = TopologySchedule::parse(&text).map_err(|e| format!("--schedule: {e}"))?;
-    schedule.compile(graph).map_err(|e| format!("--schedule: {e}"))?;
-    Ok(schedule)
-}
-
-/// Collects the per-node verdict stream from the run's observer hooks —
-/// the `detect --per-node` data source (closing the "no machine-readable
-/// per-node decisions" gap).
-#[derive(Debug, Default)]
-struct PerNodeStream {
-    rows: Vec<(usize, usize, Decision)>,
-}
-
-impl RunObserver for PerNodeStream {
-    fn node_decided(&mut self, epoch: usize, node: usize, decision: &Decision) {
-        self.rows.push((epoch, node, *decision));
-    }
-}
-
-/// Renders the streamed per-node verdicts: CSV or JSON when requested,
-/// an aligned table otherwise. CSV rows come from the same formatter as
-/// `RunReport::to_csv`, so the stream stays parseable by
-/// `RunReport::decisions_from_csv`.
-fn render_per_node(args: &DetectArgs, kappa: usize, rows: &[(usize, usize, Decision)]) -> String {
-    let mut out = String::new();
-    if args.csv {
-        out.push_str(nectar_protocol::DECISIONS_CSV_HEADER);
-        out.push('\n');
-        for (epoch, node, d) in rows {
-            writeln!(out, "{}", nectar_protocol::decision_csv_row(*epoch, *node, d))
-                .expect("writing to String cannot fail");
-        }
-    } else if args.json {
-        writeln!(out, "{{").expect("writing to String cannot fail");
-        writeln!(
-            out,
-            "  \"topology\": \"{}\", \"n\": {}, \"t\": {}, \"kappa\": {kappa},",
-            args.topology, args.n, args.t
-        )
-        .expect("writing to String cannot fail");
-        writeln!(out, "  \"per_node\": [").expect("writing to String cannot fail");
-        for (i, (epoch, node, d)) in rows.iter().enumerate() {
-            let sep = if i + 1 == rows.len() { "" } else { "," };
-            writeln!(
-                out,
-                "    {{\"epoch\": {epoch}, \"node\": {node}, \"verdict\": \"{}\", \
-                 \"confirmed\": {}, \"reachable\": {}, \"connectivity\": {}}}{sep}",
-                d.verdict, d.confirmed, d.reachable, d.connectivity
-            )
-            .expect("writing to String cannot fail");
-        }
-        writeln!(out, "  ]").expect("writing to String cannot fail");
-        writeln!(out, "}}").expect("writing to String cannot fail");
-    } else {
-        writeln!(
-            out,
-            "{:>5} {:>5} {:<18} {:>9} {:>9} {:>12}",
-            "epoch", "node", "verdict", "confirmed", "reachable", "connectivity"
-        )
-        .expect("writing to String cannot fail");
-        for (epoch, node, d) in rows {
-            writeln!(
-                out,
-                "{epoch:>5} {node:>5} {:<18} {:>9} {:>9} {:>12}",
-                d.verdict.to_string(),
-                d.confirmed,
-                d.reachable,
-                d.connectivity
-            )
-            .expect("writing to String cannot fail");
-        }
-    }
-    out
-}
-
-/// Human-readable `detect` report (epoch summaries after the first when
-/// `--epochs` exceeds 1).
-fn render_detect_text(args: &DetectArgs, kappa: usize, outcomes: &[EpochOutcome]) -> String {
-    let outcome = outcomes.last().expect("at least one epoch runs");
-    let mut out = String::new();
-    writeln!(out, "topology: {} (n = {}, κ = {kappa}), t = {}", args.topology, args.n, args.t)
-        .expect("writing to String cannot fail");
-    if !args.byzantine.is_empty() {
-        writeln!(
-            out,
-            "byzantine: {:?}",
-            args.byzantine.iter().map(|(n, _)| *n).collect::<Vec<_>>()
-        )
-        .expect("writing to String cannot fail");
-    }
-    match outcome.unanimous_verdict() {
-        Some(v) => {
-            let confirmed = outcome.any_confirmed();
-            writeln!(out, "verdict:  {v} (confirmed partition: {confirmed})")
-                .expect("writing to String cannot fail");
-            if v == Verdict::Partitionable && kappa > args.t {
-                writeln!(out, "note:     perceived connectivity dropped to ≤ t; real κ = {kappa}")
-                    .expect("writing to String cannot fail");
-            }
-        }
-        None => {
-            writeln!(out, "verdict:  DISAGREEMENT — this would falsify Lemma 2, please report")
-                .expect("writing to String cannot fail");
-        }
-    }
-    writeln!(
-        out,
-        "traffic:  {:.1} KB/node mean, {:.1} KB/node max",
-        outcome.metrics.mean_bytes_sent_per_node() / 1024.0,
-        outcome.metrics.max_bytes_sent_per_node() as f64 / 1024.0
-    )
-    .expect("writing to String cannot fail");
-    if args.epochs > 1 {
-        writeln!(out, "epochs:   {} (identical topology, fresh keys per epoch)", args.epochs)
-            .expect("writing to String cannot fail");
-        let hits: u64 = outcomes.iter().map(|o| o.oracle.cache_hits).sum();
-        let queries: u64 = outcomes.iter().map(|o| o.oracle.queries).sum();
-        writeln!(out, "oracle:   {hits}/{queries} decisions served from cache")
-            .expect("writing to String cannot fail");
-    }
-    if let Some(p) = outcome.profile {
-        writeln!(
-            out,
-            "profile:  disseminate {}µs | classify {}µs | derive {}µs | \
-             materialize {}µs | decide {}µs (last epoch, wall clock)",
-            p.disseminate_micros,
-            p.classify_micros,
-            p.derive_micros,
-            p.materialize_micros,
-            p.decide_micros
-        )
-        .expect("writing to String cannot fail");
-    }
-    out
-}
-
-/// CSV `detect` report: one row per epoch, columns documented in [`USAGE`].
-fn render_detect_csv(outcomes: &[EpochOutcome]) -> String {
-    let mut out = String::from(
-        "epoch,verdict,confirmed,agreement,mean_kb_per_node,oracle_queries,oracle_cache_hits\n",
-    );
-    for (epoch, outcome) in outcomes.iter().enumerate() {
-        let verdict = match outcome.unanimous_verdict() {
-            Some(v) => v.to_string(),
-            None => "DISAGREEMENT".into(),
-        };
-        let confirmed = outcome.any_confirmed();
-        writeln!(
-            out,
-            "{epoch},{verdict},{confirmed},{},{:.3},{},{}",
-            outcome.agreement(),
-            outcome.metrics.mean_bytes_sent_per_node() / 1024.0,
-            outcome.oracle.queries,
-            outcome.oracle.cache_hits,
-        )
-        .expect("writing to String cannot fail");
-    }
-    out
-}
-
-/// Machine-readable `detect` report: run parameters, per-epoch verdicts and
-/// the per-epoch connectivity-oracle counters.
-fn render_detect_json(args: &DetectArgs, kappa: usize, outcomes: &[EpochOutcome]) -> String {
-    let mut out = String::new();
-    let byz: Vec<String> = args.byzantine.iter().map(|(n, _)| n.to_string()).collect();
-    writeln!(out, "{{").expect("writing to String cannot fail");
-    writeln!(
-        out,
-        "  \"topology\": \"{}\", \"n\": {}, \"k\": {}, \"t\": {}, \"seed\": {}, \"kappa\": {kappa},",
-        args.topology, args.n, args.k, args.t, args.seed
-    )
-    .expect("writing to String cannot fail");
-    writeln!(out, "  \"byzantine\": [{}],", byz.join(", ")).expect("writing to String cannot fail");
-    writeln!(out, "  \"epochs\": [").expect("writing to String cannot fail");
-    for (epoch, outcome) in outcomes.iter().enumerate() {
-        let verdict = match outcome.unanimous_verdict() {
-            Some(v) => format!("\"{v}\""),
-            None => "null".into(),
-        };
-        let confirmed = outcome.any_confirmed();
-        let s = &outcome.oracle;
-        let sep = if epoch + 1 == outcomes.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"epoch\": {epoch}, \"verdict\": {verdict}, \"confirmed\": {confirmed}, \
-             \"agreement\": {}, \"mean_kb_per_node\": {:.3}, \"oracle\": {{\"queries\": {}, \
-             \"cache_hits\": {}, \"structure_shortcuts\": {}, \"min_degree_shortcuts\": {}, \
-             \"bounded_flows\": {}, \"early_exits\": {}}}}}{sep}",
-            outcome.agreement(),
-            outcome.metrics.mean_bytes_sent_per_node() / 1024.0,
-            s.queries,
-            s.cache_hits,
-            s.structure_shortcuts,
-            s.min_degree_shortcuts,
-            s.bounded_flows,
-            s.early_exits,
-        )
-        .expect("writing to String cannot fail");
-    }
-    writeln!(out, "  ]").expect("writing to String cannot fail");
-    writeln!(out, "}}").expect("writing to String cannot fail");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nectar_protocol::ByzantineBehavior;
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(ToString::to_string).collect()
+    }
+
+    /// Parses a `detect` invocation down to its arguments.
+    fn detect(flags: &[&str]) -> DetectArgs {
+        let mut args = vec!["detect"];
+        args.extend_from_slice(flags);
+        match parse(&strs(&args)).unwrap() {
+            Command::Detect(args) => args,
+            other => panic!("expected detect, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1144,30 +799,33 @@ mod tests {
 
     #[test]
     fn detect_args_are_parsed() {
-        let cmd = parse(&strs(&[
-            "detect",
+        let args = detect(&[
             "--topology",
             "cycle",
             "--n",
             "8",
             "--t",
             "2",
+            "--seed",
+            "7",
             "--byz",
             "3:silent",
             "--runtime",
             "event",
-        ]))
-        .unwrap();
-        match cmd {
-            Command::Detect(args) => {
-                assert_eq!(args.topology, "cycle");
-                assert_eq!(args.n, 8);
-                assert_eq!(args.t, 2);
-                assert_eq!(args.runtime, Runtime::Event);
-                assert_eq!(args.byzantine, vec![(3, ByzantineBehavior::Silent)]);
-            }
-            other => panic!("expected detect, got {other:?}"),
-        }
+        ]);
+        // Every flag lands on the spec field of the same name — and on
+        // nothing else: the rest is the scenario layer's defaults.
+        let mut expected = ScenarioSpec::default();
+        expected.family = Some((FamilySpec::Cycle, 8));
+        (expected.t, expected.seed) = (2, 7);
+        expected.byzantine = vec![(3, ByzantineBehavior::Silent)];
+        expected.runtime = Some(Runtime::Event);
+        assert_eq!(args, DetectArgs { spec: expected, json: false, csv: false });
+        // No flags at all: the documented defaults, one more spec.
+        let mut bare = ScenarioSpec::default();
+        bare.family = Some((FamilySpec::Harary { k: 4 }, 20));
+        assert_eq!(detect(&[]).spec, bare);
+        assert_eq!(detect(&["--topology", "harary-k6"]).spec.family.unwrap().0.name(), "harary-k6");
     }
 
     #[test]
@@ -1175,16 +833,11 @@ mod tests {
         for (value, expected) in
             [("sync", Runtime::Sync), ("event", Runtime::Event), ("parallel", Runtime::parallel())]
         {
-            match parse(&strs(&["detect", "--runtime", value])).unwrap() {
-                Command::Detect(args) => assert_eq!(args.runtime, expected),
-                other => panic!("expected detect, got {other:?}"),
-            }
+            assert_eq!(detect(&["--runtime", value]).spec.runtime, Some(expected));
         }
-        // Default is the deterministic engine; bad names error out.
-        match parse(&strs(&["detect"])).unwrap() {
-            Command::Detect(args) => assert_eq!(args.runtime, Runtime::Sync),
-            other => panic!("expected detect, got {other:?}"),
-        }
+        // Default is the scenario layer's (the deterministic engine); bad
+        // names error out.
+        assert_eq!(detect(&[]).spec.runtime, None);
         assert!(parse(&strs(&["detect", "--runtime", "warp"])).is_err());
         assert!(parse(&strs(&["detect", "--runtime", "threaded"])).is_err());
         assert!(parse(&strs(&["detect", "--threaded"])).is_err());
@@ -1194,19 +847,16 @@ mod tests {
     fn workers_flag_sizes_the_parallel_pool() {
         // --workers binds to the parallel runtime in either flag order.
         for args in [
-            ["detect", "--runtime", "parallel", "--workers", "4"],
-            ["detect", "--workers", "4", "--runtime", "parallel"],
+            ["--runtime", "parallel", "--workers", "4"],
+            ["--workers", "4", "--runtime", "parallel"],
         ] {
-            match parse(&strs(&args)).unwrap() {
-                Command::Detect(a) => assert_eq!(a.runtime, Runtime::Parallel { workers: 4 }),
-                other => panic!("expected detect, got {other:?}"),
-            }
+            assert_eq!(detect(&args).spec.runtime, Some(Runtime::Parallel { workers: 4 }));
         }
         // Without --workers the pool matches the machine (workers: 0).
-        match parse(&strs(&["detect", "--runtime", "parallel"])).unwrap() {
-            Command::Detect(a) => assert_eq!(a.runtime, Runtime::Parallel { workers: 0 }),
-            other => panic!("expected detect, got {other:?}"),
-        }
+        assert_eq!(
+            detect(&["--runtime", "parallel"]).spec.runtime,
+            Some(Runtime::Parallel { workers: 0 })
+        );
         // --workers without the parallel runtime is a user error.
         assert!(parse(&strs(&["detect", "--workers", "4"])).is_err());
         assert!(parse(&strs(&["detect", "--runtime", "event", "--workers", "4"])).is_err());
@@ -1215,30 +865,12 @@ mod tests {
 
     #[test]
     fn detect_on_the_event_runtime_matches_sync_output() {
-        let run_with = |rt: &str| {
-            run(parse(&strs(&["detect", "--topology", "cycle", "--n", "8", "--runtime", rt]))
-                .unwrap())
-            .unwrap()
-        };
+        // The decision stream is the runtime-independent output (text and
+        // JSON name the engine that ran).
+        let run_with =
+            |rt: &str| run(Command::Detect(detect(&["--runtime", rt, "--csv"]))).unwrap();
         assert_eq!(run_with("sync"), run_with("event"));
         assert_eq!(run_with("sync"), run_with("parallel"));
-    }
-
-    #[test]
-    fn detect_csv_emits_one_row_per_epoch() {
-        let cmd =
-            parse(&strs(&["detect", "--topology", "cycle", "--n", "6", "--epochs", "2", "--csv"]))
-                .unwrap();
-        let out = run(cmd).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(
-            lines[0],
-            "epoch,verdict,confirmed,agreement,mean_kb_per_node,oracle_queries,oracle_cache_hits"
-        );
-        assert!(lines[1].starts_with("0,NOT_PARTITIONABLE,false,true,"), "{}", lines[1]);
-        // The second epoch decides entirely from the shared oracle's cache.
-        assert!(lines[2].ends_with(",6,6"), "{}", lines[2]);
     }
 
     #[test]
@@ -1258,11 +890,12 @@ mod tests {
             "1",
             "--byz",
             "0:silent",
-            "--per-node",
             "--csv",
         ]))
         .unwrap();
         let out = run(cmd).unwrap();
+        // `--csv` is `RunReport::to_csv()`: it parses back as one.
+        assert_eq!(RunReport::decisions_from_csv(&out).unwrap()[&0].len(), 7);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], "epoch,node,verdict,confirmed,reachable,connectivity");
         // 7 correct nodes (the hub is Byzantine), one epoch.
@@ -1274,20 +907,6 @@ mod tests {
         let nodes: Vec<usize> =
             lines[1..].iter().map(|l| l.split(',').nth(1).unwrap().parse().unwrap()).collect();
         assert_eq!(nodes, (1..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn per_node_json_and_text_cover_all_epochs() {
-        let base = ["detect", "--topology", "cycle", "--n", "6", "--epochs", "2", "--per-node"];
-        let mut json_args = base.to_vec();
-        json_args.push("--json");
-        let json = run(parse(&strs(&json_args)).unwrap()).unwrap();
-        assert!(json.contains("\"per_node\": ["), "{json}");
-        assert_eq!(json.matches("\"verdict\": \"NOT_PARTITIONABLE\"").count(), 12, "{json}");
-        assert!(json.contains("\"epoch\": 1, \"node\": 5"), "{json}");
-        let text = run(parse(&strs(&base)).unwrap()).unwrap();
-        assert!(text.lines().next().unwrap().contains("verdict"), "{text}");
-        assert_eq!(text.lines().count(), 1 + 12, "{text}");
     }
 
     #[test]
@@ -1333,12 +952,17 @@ mod tests {
         .unwrap();
         match &cmd {
             Command::Detect(args) => {
-                assert_eq!(args.schedule.as_deref(), Some("drop 1 0 1; drop 1 3 4"));
+                assert_eq!(args.spec.schedule_lines, vec!["drop 1 0 1", "drop 1 3 4"]);
             }
             other => panic!("expected detect, got {other:?}"),
         }
         let out = run(cmd).unwrap();
         assert!(out.contains("verdict:  PARTITIONABLE (confirmed partition: true)"), "{out}");
+        // The ring itself is 2-connected: the verdict is about the view.
+        assert!(
+            out.contains("note:     perceived connectivity dropped to ≤ t; real κ = 2"),
+            "{out}"
+        );
         // The same script healed before the decision round leaves the
         // static verdict intact.
         let healed = run(parse(&strs(&[
@@ -1377,6 +1001,12 @@ mod tests {
             report_path.to_str().unwrap(),
         ]))
         .unwrap();
+        match &cmd {
+            Command::Detect(args) => {
+                assert_eq!(args.spec.schedule_file.as_deref(), sched_path.to_str());
+            }
+            other => panic!("expected detect, got {other:?}"),
+        }
         let out = run(cmd).unwrap();
         assert!(out.contains("PARTITIONABLE"), "{out}");
         let report = nectar_protocol::RunReport::load_json(&report_path).unwrap();
@@ -1394,23 +1024,17 @@ mod tests {
                 .unwrap())
         };
         // Malformed syntax, an edge the topology does not have, and a heal
-        // without a matching drop all surface as messages.
-        assert!(run_sched("drop one zero").unwrap_err().contains("--schedule"));
-        assert!(run_sched("drop 1 0 3").unwrap_err().contains("--schedule"));
-        assert!(run_sched("heal 2 0 1").unwrap_err().contains("--schedule"));
+        // without a matching drop all surface as the scenario compiler's
+        // messages.
+        assert_eq!(run_sched("drop one zero").unwrap_err(), "expected 3 argument(s), found 2");
+        assert!(run_sched("drop 1 0 3").unwrap_err().contains("(0, 3) is not a base-graph edge"));
+        assert!(run_sched("heal 2 0 1").unwrap_err().contains("without a matching drop"));
     }
 
     #[test]
     fn matrix_args_are_parsed_with_reduced_defaults() {
         match parse(&strs(&["matrix"])).unwrap() {
-            Command::Matrix(args) => {
-                assert_eq!(args.families.len(), 3);
-                assert_eq!(args.sizes, vec![12, 16]);
-                assert_eq!(args.casts.len(), 3);
-                assert_eq!(args.t, 2);
-                assert_eq!(args.trials, 100);
-                assert_eq!(args.runtime, Runtime::Sync);
-            }
+            Command::Matrix(args) => assert_eq!(args.spec, MatrixSpec::reduced()),
             other => panic!("expected matrix, got {other:?}"),
         }
         match parse(&strs(&[
@@ -1433,12 +1057,16 @@ mod tests {
         .unwrap()
         {
             Command::Matrix(args) => {
-                assert_eq!(args.families, vec!["harary-k4", "grid"]);
-                assert_eq!(args.sizes, vec![8, 12]);
-                assert_eq!(args.casts, vec!["honest", "silent-cut"]);
-                assert_eq!(args.t, 1);
-                assert_eq!(args.trials, 5);
-                assert_eq!(args.runtime, Runtime::Parallel { workers: 3 });
+                let expected = MatrixSpec {
+                    families: vec![FamilySpec::Harary { k: 4 }, FamilySpec::Grid],
+                    sizes: vec![8, 12],
+                    casts: vec![CastSpec::Honest, CastSpec::SilentCut],
+                    t: 1,
+                    trials: 5,
+                    runtime: Runtime::Parallel { workers: 3 },
+                    ..MatrixSpec::reduced()
+                };
+                assert_eq!(args.spec, expected);
             }
             other => panic!("expected matrix, got {other:?}"),
         }
@@ -1481,12 +1109,8 @@ mod tests {
         let cells = nectar_experiments::MatrixReport::cells_from_csv(&csv).expect("parses back");
         assert_eq!(cells, report.cells);
         // Unknown family and cast names surface as messages, not panics.
-        assert!(run(
-            parse(&strs(&["matrix", "--families", "klein-bottle", "--trials", "1"])).unwrap()
-        )
-        .is_err());
-        assert!(run(parse(&strs(&["matrix", "--casts", "gaslight", "--trials", "1"])).unwrap())
-            .is_err());
+        assert!(parse(&strs(&["matrix", "--families", "klein-bottle"])).is_err());
+        assert!(parse(&strs(&["matrix", "--casts", "gaslight"])).is_err());
     }
 
     #[test]
@@ -1527,19 +1151,32 @@ mod tests {
 
     #[test]
     fn byz_specs_cover_all_behaviors() {
-        assert_eq!(parse_byz("3:silent").unwrap().1, ByzantineBehavior::Silent);
-        assert_eq!(parse_byz("1:crash@2").unwrap().1, ByzantineBehavior::CrashAfter { round: 2 });
+        // `--byz` is the scenario file's `byz` line: one grammar, and
+        // repeated flags accumulate in order.
+        let cast = detect(&[
+            "--byz",
+            "3:silent",
+            "--byz",
+            "1:crash@2",
+            "--byz",
+            "0:two-faced@4-6",
+            "--byz",
+            "2:hide@1-2",
+        ])
+        .spec
+        .byzantine;
         assert_eq!(
-            parse_byz("0:two-faced@4-6").unwrap().1,
-            ByzantineBehavior::TwoFaced { silent_toward: [4, 5, 6].into() }
+            cast,
+            vec![
+                (3, ByzantineBehavior::Silent),
+                (1, ByzantineBehavior::CrashAfter { round: 2 }),
+                (0, ByzantineBehavior::TwoFaced { silent_toward: [4, 5, 6].into() }),
+                (2, ByzantineBehavior::HideEdges { toward: [1, 2].into() }),
+            ]
         );
-        assert_eq!(
-            parse_byz("0:hide@1-2").unwrap().1,
-            ByzantineBehavior::HideEdges { toward: [1, 2].into() }
-        );
-        assert!(parse_byz("nonsense").is_err());
-        assert!(parse_byz("0:warp@1-2").is_err());
-        assert!(parse_byz("0:two-faced@6-4").is_err());
+        for bad in ["nonsense", "0:warp@1-2", "0:two-faced@6-4"] {
+            assert!(parse(&strs(&["detect", "--byz", bad])).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -1580,55 +1217,40 @@ mod tests {
         assert!(parse(&strs(&["frobnicate"])).is_err());
         assert!(parse(&strs(&["detect", "--n"])).is_err());
         assert!(parse(&strs(&["detect", "--epochs", "0"])).is_err());
+        // Retired flags: `--k` is part of the family name, `--per-node` is
+        // what `--csv` prints.
+        assert_eq!(parse(&strs(&["detect", "--k", "4"])).unwrap_err(), "unknown flag --k");
+        assert_eq!(
+            parse(&strs(&["detect", "--per-node", "--csv"])).unwrap_err(),
+            "unknown flag --per-node"
+        );
+        assert!(parse(&strs(&["detect", "--topology", "drone"]))
+            .unwrap_err()
+            .contains("two-cluster"));
     }
 
     #[test]
     fn json_and_epochs_flags_are_parsed() {
-        let cmd =
-            parse(&strs(&["detect", "--topology", "cycle", "--n", "6", "--json", "--epochs", "3"]))
-                .unwrap();
-        match cmd {
-            Command::Detect(args) => {
-                assert!(args.json);
-                assert_eq!(args.epochs, 3);
-            }
-            other => panic!("expected detect, got {other:?}"),
-        }
+        let args = detect(&["--topology", "cycle", "--n", "6", "--json", "--epochs", "3"]);
+        assert!(args.json);
+        assert_eq!(args.spec.epochs, 3);
         // Defaults: plain text, one epoch.
-        match parse(&strs(&["detect"])).unwrap() {
-            Command::Detect(args) => {
-                assert!(!args.json);
-                assert_eq!(args.epochs, 1);
-            }
-            other => panic!("expected detect, got {other:?}"),
-        }
+        let args = detect(&[]);
+        assert!(!args.json);
+        assert_eq!(args.spec.epochs, 1);
     }
 
     #[test]
     fn detect_json_reports_verdict_and_oracle_stats() {
-        let cmd = parse(&strs(&[
-            "detect",
-            "--topology",
-            "cycle",
-            "--n",
-            "8",
-            "--t",
-            "1",
-            "--epochs",
-            "2",
-            "--json",
-        ]))
-        .unwrap();
-        let out = run(cmd).unwrap();
-        assert!(out.contains("\"verdict\": \"NOT_PARTITIONABLE\""), "{out}");
-        assert!(out.contains("\"kappa\": 2"), "{out}");
-        assert!(out.contains("\"cache_hits\""), "{out}");
-        assert!(out.contains("\"early_exits\""), "{out}");
-        assert!(out.contains("\"epoch\": 1"), "{out}");
-        // Epoch 1 re-runs the same topology: every query is a cache hit,
-        // visible as queries == cache_hits == n in the second epoch object.
-        let epoch1 = out.lines().find(|l| l.contains("\"epoch\": 1")).unwrap();
-        assert!(epoch1.contains("\"queries\": 8, \"cache_hits\": 8"), "{epoch1}");
+        let flags = ["--topology", "cycle", "--n", "8", "--t", "1", "--epochs", "2", "--json"];
+        let out = run(Command::Detect(detect(&flags))).unwrap();
+        // `--json` is `RunReport::to_json()`: the document its reader reads.
+        let report = RunReport::from_json(&out).expect("--json prints a RunReport");
+        assert_eq!(report.unanimous_verdict(), Some(Verdict::NotPartitionable));
+        assert_eq!((report.true_connectivity(), report.epochs.len()), (2, 2));
+        // Epoch 1 re-runs the same topology: every query is a cache hit.
+        let oracle = &report.epochs[1].oracle;
+        assert_eq!((oracle.queries, oracle.cache_hits), (8, 8));
     }
 
     #[test]
@@ -1647,7 +1269,7 @@ mod tests {
         ]))
         .unwrap();
         match &cmd {
-            Command::Detect(args) => assert!(args.profile),
+            Command::Detect(args) => assert!(args.spec.profile),
             other => panic!("expected detect, got {other:?}"),
         }
         let out = run(cmd).unwrap();
@@ -1667,36 +1289,30 @@ mod tests {
         let cmd =
             parse(&strs(&["detect", "--topology", "cycle", "--n", "6", "--epochs", "3"])).unwrap();
         let out = run(cmd).unwrap();
-        assert!(out.contains("epochs:   3"), "{out}");
-        assert!(out.contains("17/18 decisions served from cache"), "{out}");
+        assert!(out.contains("epochs:   3 — oracle served 17/18 decisions from cache"), "{out}");
     }
 
     #[test]
-    fn build_topology_knows_all_families() {
-        for family in [
-            "harary",
-            "random-regular",
-            "pasted-tree",
-            "diamond",
-            "wheel",
-            "multipartite-wheel",
-            "cycle",
-            "path",
-            "star",
-            "complete",
-            "drone",
-            "torus",
-            "small-world",
-            "scale-free",
-            "cliques",
-        ] {
-            assert!(build_topology(family, 4, 20, 1).is_ok(), "{family}");
+    fn usage_families_all_parse_and_build() {
+        // The vocabulary lines of the FAMILIES section are its `|` lists.
+        let section = USAGE.split("\nFAMILIES").nth(1).expect("USAGE has a FAMILIES section");
+        let section = section.split("\n\n").next().unwrap();
+        let names: Vec<&str> = section
+            .lines()
+            .filter(|line| line.contains('|'))
+            .flat_map(|line| line.split('|'))
+            .map(|name| name.split('[').next().unwrap().trim())
+            .filter(|name| !name.is_empty())
+            .collect();
+        assert_eq!(names.len(), 16, "{names:?}");
+        let unknown = FamilySpec::parse("klein-bottle").unwrap_err();
+        for name in names {
+            let family = FamilySpec::parse(name).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let graph = family.build(24, 1).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(graph.node_count() >= 24, "{name}");
+            // The parser's own vocabulary line names it too.
+            assert!(unknown.contains(name), "{name} missing from: {unknown}");
         }
-        assert!(build_topology("klein-bottle", 4, 20, 1).is_err());
-        // cliques must not silently truncate or degenerate to 0 nodes.
-        assert!(build_topology("cliques", 4, 10, 1).is_err());
-        assert!(build_topology("cliques", 4, 3, 1).is_err());
-        assert!(build_topology("cliques", 4, 0, 1).is_err());
     }
 
     #[test]
@@ -1742,7 +1358,8 @@ mod tests {
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], "family,nodes,edges,kappa,diameter");
         assert!(lines[1..].iter().all(|l| l.split(',').count() == 5), "{out}");
-        assert!(lines.iter().any(|l| l.starts_with("harary,24,48,4,")), "{out}");
+        assert_eq!(lines.len(), 1 + 5, "the five §V-B families: {out}");
+        assert!(lines.iter().any(|l| l.starts_with("harary-k4,24,48,4,")), "{out}");
     }
 
     #[test]
@@ -1750,6 +1367,46 @@ mod tests {
         let cmd = parse(&strs(&["detect", "--topology", "cycle", "--n", "5", "--byz", "9:silent"]))
             .unwrap();
         assert!(run(cmd).is_err());
+    }
+
+    #[test]
+    fn drifted_detect_invocations_are_compile_errors() {
+        // Inputs `detect`'s own validation used to get wrong (a panic on
+        // an id beyond the torus that was built, a bogus DISAGREEMENT
+        // verdict, two silent accepts): each is refused with the scenario
+        // compiler's reason.
+        for (flags, reason) in [
+            // Ids are checked against the graph that was built (torus
+            // rounds 10 up to 3 × 4), not against --n.
+            (
+                &["--topology", "torus", "--n", "10", "--byz", "12:silent"][..],
+                "byzantine node 12 is out of range for 12 nodes",
+            ),
+            (&["--topology", "cycle", "--n", "0"][..], "t = 1 needs fewer than the n = 0 nodes"),
+            (
+                &["--topology", "cycle", "--n", "6", "--t", "9"][..],
+                "t = 9 needs fewer than the n = 6 nodes",
+            ),
+            (
+                &["--topology", "cycle", "--n", "6", "--byz", "3:silent", "--byz", "3:silent"][..],
+                "byzantine node 3 is cast twice",
+            ),
+        ] {
+            let err = run(Command::Detect(detect(flags))).unwrap_err();
+            assert_eq!(err, reason, "{flags:?}");
+        }
+        // The invocation that panicked (`--byz 9` passed the `< --n` check,
+        // the torus had 9 nodes) names a node of the 12-node torus now.
+        let out = run(Command::Detect(detect(&[
+            "--topology",
+            "torus",
+            "--n",
+            "10",
+            "--byz",
+            "9:silent",
+        ])))
+        .unwrap();
+        assert!(out.contains("topology: n = 12 "), "{out}");
     }
 
     #[test]
@@ -1846,5 +1503,23 @@ mod tests {
         assert!(USAGE.contains("nectar-cli run <scenario-file>"));
         assert!(USAGE.contains("node --scenario"));
         assert!(USAGE.contains("mobility waypoint"));
+        // Every EXAMPLES line is an invocation `parse` accepts (single
+        // quotes group words, as in a shell).
+        let examples = USAGE.split("\nEXAMPLES:\n").nth(1).expect("USAGE has an EXAMPLES block");
+        let mut checked = 0;
+        for line in examples.lines() {
+            let line = line.trim().strip_prefix("nectar-cli ").expect("an invocation per line");
+            let mut args: Vec<String> = Vec::new();
+            for (i, chunk) in line.split('\'').enumerate() {
+                if i % 2 == 1 {
+                    args.push(chunk.to_string());
+                } else {
+                    args.extend(chunk.split_whitespace().map(str::to_string));
+                }
+            }
+            assert!(parse(&args).is_ok(), "USAGE example does not parse: {line}");
+            checked += 1;
+        }
+        assert!(checked >= 10, "EXAMPLES block went missing");
     }
 }

@@ -2,9 +2,7 @@
 //! quick mode, produces well-formed tables, and reproduces the paper's
 //! qualitative shapes.
 
-use nectar::experiments::ablation::{
-    rounds_ablation, wire_format_ablation, RoundsConfig, WireFormatConfig,
-};
+use nectar::experiments::ablation::{rounds_ablation, RoundsConfig};
 use nectar::experiments::cost::{
     fig3_kregular_cost, fig4_drone_nectar, fig5_drone_mtgv2, fig6_drone_scaling_nectar,
     fig7_drone_scaling_mtgv2, topology_cost, DroneCostConfig, DroneScalingConfig, Fig3Config,
@@ -98,7 +96,6 @@ fn fig8_quick_reproduces_the_headline() {
 
 #[test]
 fn ablations_run_quick() {
-    assert_well_formed(&wire_format_ablation(&WireFormatConfig::quick()));
     assert_well_formed(&rounds_ablation(&RoundsConfig::quick()));
 }
 

@@ -406,6 +406,9 @@ fn malformed_scenario_files_error_out() {
         "topology harary-k2 8\nruntime parallel:x\n",
         "topology harary-k2 8\ntransport carrier-pigeon\n",
         "topology harary-k2 8\nbase-port 99999\n",
+        // Sizes outside a generator's domain.
+        "topology cliques 10\n",
+        "topology pasted-tree-k3 4\n",
         // Cross-reference errors: placements, edges and schedules that
         // do not fit the declared topology.
         "nodes 4\nedge 0 9\n",

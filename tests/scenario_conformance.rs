@@ -1,5 +1,7 @@
 //! Conformance suite for the scenario layer (the CI step
-//! `scenario-conformance`), pinning its three contracts:
+//! `scenario-conformance`), pinning its three contracts — plus the
+//! flag front door's: `nectar-cli detect` lowers onto the same
+//! `ScenarioSpec` a `.scn` file parses to (contract 2e).
 //!
 //! 1. **Round-trip**: `ScenarioSpec::parse(spec.to_text()) == spec` over
 //!    a generated scenario zoo — the canonical text form loses nothing,
@@ -55,9 +57,22 @@ fn zoo_spec(seed: u64) -> ScenarioSpec {
                 FamilySpec::Grid,
                 FamilySpec::Torus,
                 FamilySpec::TwoCluster,
+                FamilySpec::PastedTree { k: 2 },
+                FamilySpec::Diamond { k: 3 },
+                FamilySpec::MultipartiteWheel { k: 4 },
+                FamilySpec::Cycle,
+                FamilySpec::Path,
+                FamilySpec::Star,
+                FamilySpec::Complete,
+                FamilySpec::Cliques,
             ];
-            let n = rng.random_range(9usize..=24);
-            spec.family = Some((families.choose(&mut rng).expect("non-empty").clone(), n));
+            let family = families.choose(&mut rng).expect("non-empty").clone();
+            // Whole 4-cliques only: 12..=24 in steps of 4.
+            let n = match family {
+                FamilySpec::Cliques => 4 * rng.random_range(3usize..=6),
+                _ => rng.random_range(9usize..=24),
+            };
+            spec.family = Some((family, n));
             // Sync scenarios may ride a rolling-churn schedule, which is
             // valid on any base graph.
             if sync && rng.random::<bool>() {
@@ -274,6 +289,46 @@ fn edge_list_scenarios_lower_bit_identically_on_all_runtimes() {
         let hand_built = scenario.sim().runtime(runtime).run();
         assert_eq!(file_report(&text, runtime), hand_built, "runtime {runtime}");
     }
+}
+
+/// Contract 2e: the flag front door is the file front door. `detect`
+/// fills a `ScenarioSpec` from its flags, so the report it writes is
+/// byte-for-byte the one `run` writes for the file `spec.to_text()`
+/// spells — static topology + `--byz`, a seeded family over `--epochs`,
+/// an inline `--schedule` — on every runtime.
+#[test]
+fn detect_writes_the_report_its_spelled_out_scenario_file_writes() {
+    use nectar::cli::{parse, run, Command};
+    let dir = std::env::temp_dir().join("nectar-detect-lowering");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let at = |name: String| dir.join(name).display().to_string();
+    let flag_sets: [&[&str]; 3] = [
+        &["--topology", "harary-k4", "--n", "12", "--t", "2", "--seed", "5", "--byz", "3:hide@6-8"],
+        &["--topology", "small-world", "--n", "12", "--seed", "9", "--epochs", "2"],
+        &["--topology", "cycle", "--n", "6", "--schedule", "drop 1 0 1; heal 3 0 1"],
+    ];
+    for (i, flags) in flag_sets.iter().enumerate() {
+        for runtime in RUNTIMES {
+            let (by_detect, by_run) = (at(format!("detect-{i}.json")), at(format!("run-{i}.json")));
+            let runtime = runtime.to_string();
+            let mut args = vec!["detect", "--runtime", &runtime, "--report", &by_detect];
+            args.extend_from_slice(flags);
+            let args: Vec<String> = args.into_iter().map(String::from).collect();
+            let Command::Detect(detect) = parse(&args).expect("flags parse") else {
+                panic!("detect parses to Command::Detect");
+            };
+            // The file the flags spell, its sink pointed next door.
+            let mut spelled = detect.spec.clone();
+            spelled.report = Some(by_run.clone());
+            let file = at(format!("spelled-{i}.scn"));
+            std::fs::write(&file, spelled.to_text()).expect("scenario file writes");
+            run(Command::Detect(detect)).expect("detect runs");
+            run(Command::Run { file }).expect("the spelled-out file runs");
+            let (a, b) = (std::fs::read(&by_detect).unwrap(), std::fs::read(&by_run).unwrap());
+            assert!(!a.is_empty() && a == b, "flag set {i} on {runtime}: reports differ");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Contract 3: mobility generators are pure functions of their seed.
