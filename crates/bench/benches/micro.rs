@@ -1,11 +1,17 @@
 //! Criterion micro-benchmarks for the cryptographic substrate: SHA-256
 //! throughput, signing/verification, proof and chain operations. These are
-//! the per-message costs behind NECTAR's network figures.
+//! the per-message costs behind NECTAR's network figures. Plus the wire
+//! path's two per-message costs: decoding a message and one frame's trip
+//! through the streaming decoder.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use nectar_crypto::{hmac::HmacKey, sha256::sha256, KeyStore, NeighborhoodProof, SignatureChain};
+use nectar_crypto::{
+    hmac::HmacKey, sha256::sha256, Decode, Encode, Frame, FrameBuffer, KeyStore, NeighborhoodProof,
+    SignatureChain,
+};
+use nectar_protocol::{NectarMsg, RelayedEdge};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
@@ -74,5 +80,31 @@ fn bench_proof_and_chain(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sha256, bench_sign_verify, bench_proof_and_chain);
+fn bench_wire_path(c: &mut Criterion) {
+    // A mid-run relay batch: 16 edges, each six hops from its origin.
+    let ks = KeyStore::generate(17, 1);
+    let edges = (0..16u16)
+        .map(|a| {
+            let proof = NeighborhoodProof::new(&ks.signer(a), &ks.signer(a + 1));
+            let digest = proof.digest();
+            let chain = (0..6).fold(SignatureChain::new(), |c, h| c.extend(&ks.signer(h), &digest));
+            RelayedEdge::new(proof, chain)
+        })
+        .collect();
+    let wire = NectarMsg { edges }.to_wire_bytes();
+    c.bench_function("nectar_msg_decode/16", |b| {
+        b.iter(|| NectarMsg::decode(&mut black_box(wire.as_slice())))
+    });
+
+    let frame = Frame::Data { from: 3, round: 2, payload: vec![0xabu8; 4096] };
+    let mut decoder = FrameBuffer::new();
+    c.bench_function("frame_roundtrip/4096", |b| {
+        b.iter(|| {
+            decoder.extend(&black_box(&frame).to_wire_bytes());
+            decoder.next_frame()
+        })
+    });
+}
+
+criterion_group!(benches, bench_sha256, bench_sign_verify, bench_proof_and_chain, bench_wire_path);
 criterion_main!(benches);

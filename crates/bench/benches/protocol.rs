@@ -1,6 +1,7 @@
 //! Criterion benchmarks for end-to-end protocol executions: NECTAR vs the
 //! baselines on identical topologies, and the three runtimes (sync,
-//! event-driven, work-stealing parallel) on identical scenarios.
+//! event-driven, work-stealing parallel) plus the loopback transport on
+//! identical scenarios.
 //!
 //! The committed baseline `BENCH_protocol.json` holds this bench's medians
 //! (refresh with `NECTAR_BENCH_JSON=BENCH_protocol.json cargo bench -p
@@ -16,7 +17,9 @@ use std::hint::black_box;
 use nectar_baselines::{run_mtg, run_mtg_v2, MtgConfig};
 use nectar_crypto::{KeyStore, NeighborhoodProof};
 use nectar_graph::gen;
-use nectar_net::{run_event_driven, NodeId, Outgoing, Process, Scheduled, WireSized};
+use nectar_net::{
+    run_event_driven, run_over_loopback, NodeId, Outgoing, Process, Scheduled, WireSized,
+};
 use nectar_protocol::{
     ConnectivityOracle, NectarNode, Participant, Runtime, Scenario, TopologySchedule,
 };
@@ -54,6 +57,15 @@ fn bench_runtimes(c: &mut Criterion) {
     });
     group.bench_function("parallel", |b| {
         b.iter(|| black_box(&scenario).sim().workers(2).metrics_only().run())
+    });
+    // The wire path on the same scenario: the same participants behind
+    // `NodeDriver`s, every message through the codec and the frame layer.
+    group.bench_function("loopback", |b| {
+        b.iter(|| {
+            let s = black_box(&scenario);
+            let rounds = s.config().effective_rounds();
+            run_over_loopback(s.build_participants(), s.topology(), rounds).expect("loopback run")
+        })
     });
     group.finish();
 }

@@ -5,11 +5,13 @@
 //! structs across address spaces, so each node serializes a
 //! [`NodeReport`] — verdict, accepted edges, traffic counters and the
 //! node's delivered-message log — as versioned, line-oriented text on
-//! stdout. The conformance harness unions the fleet's reports and
-//! compares them against [`sync_fleet_reports`], the same scenario run on
-//! the deterministic sync engine with the [`Recorded`] capture layer; per
-//! `docs/DETERMINISM.md` the socket path is pinned by delivered-message
-//! equivalence, not bit-identity.
+//! stdout. The log comes from the same place on both sides of the
+//! conformance contract: the [`Recorded`] capture layer around the
+//! participant, driven by a [`NodeDriver`] here and by the deterministic
+//! sync engine in [`sync_fleet_reports`], which the harness compares the
+//! union of the fleet's reports against. Per `docs/DETERMINISM.md` the
+//! socket path is pinned by delivered-message equivalence, not
+//! bit-identity.
 
 use std::collections::BTreeMap;
 
@@ -189,8 +191,9 @@ fn report_for(participant: &Participant, deliveries: DeliveryLog, sent: (u64, u6
 /// Runs node `node` of `scenario` over `transport` — the body of
 /// `nectar-cli node`. Builds the full participant cast locally (the key
 /// universe is a pure function of `n` and the key seed, so every process
-/// derives identical keys), drives this node's participant for the
-/// scenario's round count, then decides.
+/// derives identical keys), drives this node's participant — behind the
+/// [`Recorded`] layer, for the report's deliveries — for the scenario's
+/// round count, then decides.
 ///
 /// # Errors
 ///
@@ -216,9 +219,10 @@ pub fn run_scenario_node<T: Transport>(
     );
     let participant =
         scenario.build_participants().into_iter().nth(node).expect("participant for every node");
-    let mut driver = NodeDriver::new(participant, transport);
+    let mut driver = NodeDriver::new(Recorded::new(participant), transport);
     driver.run(scenario.config().effective_rounds())?;
-    let (participant, log, sent, _illegal) = driver.into_parts();
+    let (recorded, sent, _illegal) = driver.into_parts();
+    let (participant, log) = recorded.into_parts();
     let bytes: u64 = sent.iter().map(|r| r.wire_bytes as u64).sum();
     let msgs = sent.len() as u64;
     Ok(report_for(&participant, log, (bytes, msgs)))
@@ -319,7 +323,7 @@ mod tests {
             .build_participants()
             .into_iter()
             .enumerate()
-            .map(|(i, p)| NodeDriver::new(p, hub.transport(i, g.neighborhood(i))))
+            .map(|(i, p)| NodeDriver::new(Recorded::new(p), hub.transport(i, g.neighborhood(i))))
             .collect();
         for round in 1..=scenario.config().effective_rounds() {
             for d in drivers.iter_mut() {
@@ -331,7 +335,8 @@ mod tests {
         }
         let mut fleet_log = DeliveryLog::new();
         for (i, driver) in drivers.into_iter().enumerate() {
-            let (participant, log, sent, _) = driver.into_parts();
+            let (recorded, sent, _) = driver.into_parts();
+            let (participant, log) = recorded.into_parts();
             fleet_log.merge(&log);
             let bytes: u64 = sent.iter().map(|r| r.wire_bytes as u64).sum();
             let report = report_for(&participant, log, (bytes, sent.len() as u64));

@@ -62,11 +62,12 @@ pub trait Encode {
     /// Exact number of bytes [`encode`](Self::encode) appends.
     fn encoded_len(&self) -> usize;
 
-    /// Convenience: encodes into a fresh buffer.
+    /// Convenience: encodes into a fresh buffer and hands that buffer
+    /// back (no copy of what was just written).
     fn to_wire_bytes(&self) -> Vec<u8> {
         let mut buf = BytesMut::with_capacity(self.encoded_len());
         self.encode(&mut buf);
-        buf.to_vec()
+        buf.into()
     }
 }
 

@@ -90,10 +90,40 @@ impl Frame {
             Frame::RoundEnd { from, round } => (KIND_ROUND_END, *from, *round, &[]),
         }
     }
+
+    /// The wire bytes of `Frame::Data { from, round, payload:
+    /// msg.to_wire_bytes() }`, with `msg` encoded straight behind the
+    /// header: one buffer per frame, no payload vector in between. The
+    /// length field is what `msg` actually wrote.
+    pub fn data_wire_bytes<M: Encode>(from: u16, round: u32, msg: &M) -> Vec<u8> {
+        let mut buf = BytesMut::with_capacity(FRAME_HEADER_BYTES + msg.encoded_len());
+        put_header(&mut buf, KIND_DATA, from, round, 0);
+        msg.encode(&mut buf);
+        let len = (buf.len() - FRAME_HEADER_BYTES) as u32;
+        buf[FRAME_HEADER_BYTES - 4..FRAME_HEADER_BYTES].copy_from_slice(&len.to_be_bytes());
+        buf.into()
+    }
+
+    /// The frame a validated header and its payload bytes amount to.
+    fn assemble(kind: u8, from: u16, round: u32, payload: &[u8]) -> Frame {
+        match kind {
+            KIND_HELLO => Frame::Hello { from },
+            KIND_ROUND_END => Frame::RoundEnd { from, round },
+            _ => Frame::Data { from, round, payload: payload.to_vec() },
+        }
+    }
+}
+
+fn put_header(buf: &mut BytesMut, kind: u8, from: u16, round: u32, len: u32) {
+    buf.put_u8(FRAME_VERSION);
+    buf.put_u8(kind);
+    buf.put_u16(from);
+    buf.put_u32(round);
+    buf.put_u32(len);
 }
 
 /// Validated header fields: kind, from, round, payload length.
-fn parse_header(head: &mut &[u8]) -> Result<(u8, u16, u32, usize), CodecError> {
+fn parse_header(mut head: &[u8]) -> Result<(u8, u16, u32, usize), CodecError> {
     let version = head.get_u8();
     if version != FRAME_VERSION {
         return Err(CodecError::LengthOutOfBounds {
@@ -127,11 +157,7 @@ fn parse_header(head: &mut &[u8]) -> Result<(u8, u16, u32, usize), CodecError> {
 impl Encode for Frame {
     fn encode(&self, buf: &mut BytesMut) {
         let (kind, from, round, payload) = self.parts();
-        buf.put_u8(FRAME_VERSION);
-        buf.put_u8(kind);
-        buf.put_u16(from);
-        buf.put_u32(round);
-        buf.put_u32(payload.len() as u32);
+        put_header(buf, kind, from, round, payload.len() as u32);
         buf.put_slice(payload);
     }
 
@@ -142,16 +168,9 @@ impl Encode for Frame {
 
 impl Decode for Frame {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let mut head = need(buf, FRAME_HEADER_BYTES, "frame header")?;
-        let (kind, from, round, len) = parse_header(&mut head)?;
-        match kind {
-            KIND_HELLO => Ok(Frame::Hello { from }),
-            KIND_ROUND_END => Ok(Frame::RoundEnd { from, round }),
-            _ => {
-                let payload = need(buf, len, "frame payload")?.to_vec();
-                Ok(Frame::Data { from, round, payload })
-            }
-        }
+        let (kind, from, round, len) =
+            parse_header(need(buf, FRAME_HEADER_BYTES, "frame header")?)?;
+        Ok(Frame::assemble(kind, from, round, need(buf, len, "frame payload")?))
     }
 }
 
@@ -184,7 +203,8 @@ impl FrameBuffer {
         self.buf.len() - self.start
     }
 
-    /// The next complete frame, `Ok(None)` if more bytes are needed.
+    /// The next complete frame, `Ok(None)` if more bytes are needed. The
+    /// header is parsed once and the payload leaves the buffer once.
     ///
     /// # Errors
     ///
@@ -196,17 +216,19 @@ impl FrameBuffer {
         if avail.len() < FRAME_HEADER_BYTES {
             return Ok(None);
         }
-        let mut head = &avail[..FRAME_HEADER_BYTES];
-        let (_, _, _, len) = parse_header(&mut head)?;
+        let (kind, from, round, len) = parse_header(&avail[..FRAME_HEADER_BYTES])?;
         let total = FRAME_HEADER_BYTES + len;
         if avail.len() < total {
             return Ok(None);
         }
-        let mut slice = &avail[..total];
-        let frame = Frame::decode(&mut slice)?;
+        let frame = Frame::assemble(kind, from, round, &avail[FRAME_HEADER_BYTES..total]);
         self.start += total;
-        // Reclaim consumed prefix once it dominates the allocation.
-        if self.start > 4096 && self.start * 2 > self.buf.len() {
+        if self.start == self.buf.len() {
+            // Everything consumed: nothing to move.
+            self.buf.clear();
+            self.start = 0;
+        } else if self.start > 4096 && self.start * 2 > self.buf.len() {
+            // Reclaim consumed prefix once it dominates the allocation.
             self.buf.drain(..self.start);
             self.start = 0;
         }
@@ -235,6 +257,18 @@ mod tests {
             let mut slice = bytes.as_slice();
             assert_eq!(Frame::decode(&mut slice).unwrap(), frame);
             assert!(slice.is_empty(), "decode must consume exactly one frame");
+        }
+    }
+
+    #[test]
+    fn a_message_encoded_behind_its_header_is_the_data_frame_of_its_bytes() {
+        let ks = crate::keys::KeyStore::generate(4, 7);
+        let digest = crate::sha256::sha256(b"payload");
+        let empty = crate::chain::SignatureChain::new();
+        let chain = empty.extend(&ks.signer(0), &digest).extend(&ks.signer(3), &digest);
+        for msg in [&empty, &chain] {
+            let frame = Frame::Data { from: 9, round: 5, payload: msg.to_wire_bytes() };
+            assert_eq!(Frame::data_wire_bytes(9, 5, msg), frame.to_wire_bytes());
         }
     }
 

@@ -47,8 +47,7 @@ use std::path::{Path, PathBuf};
 
 use nectar_graph::Graph;
 use nectar_net::{
-    run_over_loopback, DeliveryLog, Metrics, NodeId, ScheduleError, TopologySchedule,
-    TransportError,
+    run_over_loopback, Metrics, NodeId, ScheduleError, TopologySchedule, TransportError,
 };
 use nectar_protocol::{
     ByzantineBehavior, ConnectivityOracle, Decision, RunReport, Runtime, Scenario,
@@ -901,24 +900,28 @@ impl CompiledScenario {
 
     /// Runs the plan over in-process loopback channels behind the real
     /// wire codec — the `transport loopback` execution path. Returns each
-    /// node's decision plus the transport metrics and fleet delivery log.
+    /// node's decision plus the transport metrics. It produces no delivery
+    /// log: a caller that wants one drives `Recorded` participants
+    /// through `run_over_loopback` itself. (The third slot is vestigial,
+    /// like `run_over_loopback`'s, and leaves with the next `benchmark/`
+    /// PR, whose frozen code destructures three.)
     ///
     /// # Errors
     ///
     /// The first transport or codec failure.
     pub fn run_loopback(
         &self,
-    ) -> Result<(BTreeMap<NodeId, Decision>, Metrics, DeliveryLog), TransportError> {
+    ) -> Result<(BTreeMap<NodeId, Decision>, Metrics, ()), TransportError> {
         let scenario = self.scenario();
         let participants = scenario.build_participants();
-        let (participants, metrics, log) = run_over_loopback(
+        let (participants, metrics, ()) = run_over_loopback(
             participants,
             scenario.topology(),
             scenario.config().effective_rounds(),
         )?;
         let mut oracle = ConnectivityOracle::new();
         let (decisions, _) = scenario.collect_decisions(&participants, &mut oracle, 1);
-        Ok((decisions, metrics, log))
+        Ok((decisions, metrics, ()))
     }
 }
 

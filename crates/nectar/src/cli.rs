@@ -507,7 +507,7 @@ pub fn run(cmd: Command) -> Result<String, String> {
                     Ok(render_scenario_text(&file, &compiled, &report))
                 }
                 TransportKind::Loopback => {
-                    let (decisions, metrics, _log) =
+                    let (decisions, metrics, ()) =
                         compiled.run_loopback().map_err(|e| format!("{file}: {e}"))?;
                     Ok(render_scenario_loopback(&file, &compiled, &decisions, &metrics))
                 }

@@ -24,15 +24,22 @@
 //! `docs/DETERMINISM.md` — so a fleet of drivers feeds every process the
 //! exact delivery sequence the in-memory engines would. (A peer can run
 //! at most one round ahead — it cannot close round `r + 1` before our own
-//! `RoundEnd(r)` reaches it — which the per-round buffers absorb.)
+//! `RoundEnd(r)` reaches it — which the per-round buffers absorb; a frame
+//! from further ahead than that is a protocol violation, not something to
+//! buffer.) The driver does pacing, ordering and decode, and nothing else.
 //!
 //! **Conformance contract.** Socket scheduling is still wall-clock
 //! nondeterministic, so the socket path is pinned by *delivered-message
 //! equivalence* rather than bit-identity: a [`DeliveryLog`] records the
-//! set of delivered `(from, to, sha256(payload))` triples on both the
-//! in-memory path (via the [`Recorded`] wrapper) and the driver path, and
-//! `tests/transport_conformance.rs` asserts fleet-level equality of logs,
-//! verdicts and accepted-edge sets.
+//! set of delivered `(from, to, SHA-256 of the payload)` triples. One layer
+//! captures it on every execution path — the [`Recorded`] process wrapper,
+//! around the processes an in-memory engine runs and around the one a
+//! `NodeDriver` drives alike; the driver itself keeps no log and hashes
+//! nothing. `tests/transport_conformance.rs` asserts fleet-level equality
+//! of logs, verdicts and accepted-edge sets. (`Recorded` hashes the
+//! canonical re-encoding of what was delivered; `tests/parser_fuzz.rs`
+//! pins that the decoders accept canonical bytes only, so that digest is
+//! the digest of the bytes that crossed the wire.)
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{Read, Write};
@@ -42,7 +49,6 @@ use std::time::{Duration, Instant};
 
 use nectar_crypto::codec::{CodecError, Decode, Encode};
 use nectar_crypto::frame::{Frame, FrameBuffer};
-use nectar_crypto::sha256::sha256;
 use nectar_graph::Graph;
 use parking_lot::Mutex;
 
@@ -116,13 +122,16 @@ pub trait Transport {
     /// The peers this transport has channels to, ascending.
     fn peers(&self) -> &[NodeId];
 
-    /// Sends one frame toward `to`.
+    /// Sends one frame toward `to`, as its wire bytes
+    /// ([`Encode::to_wire_bytes`] of a [`Frame`], or
+    /// [`Frame::data_wire_bytes`]): the buffer the sender encoded into is
+    /// the buffer that travels.
     ///
     /// # Errors
     ///
     /// [`TransportError::UnknownPeer`] for nodes outside
     /// [`peers`](Self::peers); I/O errors from the underlying channel.
-    fn send(&mut self, to: NodeId, frame: Frame) -> Result<(), TransportError>;
+    fn send(&mut self, to: NodeId, frame: Vec<u8>) -> Result<(), TransportError>;
 
     /// Receives the next inbound frame (any peer), blocking up to the
     /// transport's receive deadline.
@@ -134,7 +143,7 @@ pub trait Transport {
     fn recv(&mut self) -> Result<Frame, TransportError>;
 }
 
-/// The set of delivered `(from, to, sha256(payload))` triples — the
+/// The set of delivered `(from, to, SHA-256 of the payload)` triples — the
 /// socket path's correctness currency. Two executions that deliver the
 /// same message sets to the same nodes are *delivered-message equivalent*
 /// regardless of wall-clock interleaving.
@@ -176,11 +185,12 @@ impl DeliveryLog {
 }
 
 /// Wraps a [`Process`] so every delivered message is recorded in a
-/// [`DeliveryLog`] before the process sees it — the capture layer that
-/// makes the in-memory engines comparable to the socket path. The wrapper
-/// is transparent to the engines (id, sends, quiescence and link events
-/// all forward), so a `Recorded` fleet produces bit-identical outcomes to
-/// the bare one.
+/// [`DeliveryLog`] before the process sees it — the one capture layer,
+/// on every execution path: wrap the processes handed to an in-memory
+/// engine, to [`run_over_loopback`] or to a [`NodeDriver`] and read the
+/// logs back. The wrapper is transparent (id, sends, quiescence and link
+/// events all forward), so a `Recorded` fleet produces bit-identical
+/// outcomes to the bare one.
 #[derive(Debug)]
 pub struct Recorded<P> {
     inner: P,
@@ -219,7 +229,8 @@ where
     }
 
     fn receive(&mut self, round: usize, from: NodeId, msg: P::Msg) {
-        self.log.record(from, self.inner.id(), sha256(&msg.to_wire_bytes()));
+        let digest = nectar_crypto::sha256::sha256(&msg.to_wire_bytes());
+        self.log.record(from, self.inner.id(), digest);
         self.inner.receive(round, from, msg);
     }
 
@@ -259,7 +270,6 @@ pub struct NodeDriver<P: Process, T: Transport> {
     /// Peers whose `RoundEnd` marker has arrived, per round.
     ended: BTreeMap<u32, BTreeSet<NodeId>>,
     delivered_through: u32,
-    log: DeliveryLog,
     sent: Vec<SendRecord>,
     illegal_sends: u64,
 }
@@ -291,7 +301,6 @@ where
             buffered: BTreeMap::new(),
             ended: BTreeMap::new(),
             delivered_through: 0,
-            log: DeliveryLog::new(),
             sent: Vec::new(),
             illegal_sends: 0,
         }
@@ -306,19 +315,18 @@ where
     ///
     /// Transport send failures.
     pub fn begin_round(&mut self, round: usize) -> Result<(), TransportError> {
-        let from = self.process.id() as u16;
+        let (from, r) = (self.process.id() as u16, round as u32);
         for out in self.process.send(round) {
             if !self.peer_set.contains(&out.to) {
                 self.illegal_sends += 1;
                 continue;
             }
             self.sent.push(SendRecord { round, to: out.to, wire_bytes: out.msg.wire_bytes() });
-            let frame = Frame::Data { from, round: round as u32, payload: out.msg.to_wire_bytes() };
-            self.transport.send(out.to, frame)?;
+            self.transport.send(out.to, Frame::data_wire_bytes(from, r, &out.msg))?;
         }
+        let end = Frame::RoundEnd { from, round: r }.to_wire_bytes();
         for i in 0..self.peers.len() {
-            let peer = self.peers[i];
-            self.transport.send(peer, Frame::RoundEnd { from, round: round as u32 })?;
+            self.transport.send(self.peers[i], end.clone())?;
         }
         Ok(())
     }
@@ -337,11 +345,9 @@ where
             let frame = self.transport.recv()?;
             self.absorb(frame)?;
         }
-        let to = self.process.id();
         let ready = self.buffered.remove(&r).unwrap_or_default();
         for (from, payloads) in ready {
             for payload in payloads {
-                let digest = sha256(&payload);
                 let mut slice = payload.as_slice();
                 let msg = P::Msg::decode(&mut slice)?;
                 if !slice.is_empty() {
@@ -352,7 +358,6 @@ where
                         ),
                     });
                 }
-                self.log.record(from, to, digest);
                 self.process.receive(round, from, msg);
             }
         }
@@ -377,43 +382,55 @@ where
     fn absorb(&mut self, frame: Frame) -> Result<(), TransportError> {
         match frame {
             // Handshake frames carry no protocol content.
-            Frame::Hello { .. } => Ok(()),
+            Frame::Hello { .. } => {}
             Frame::Data { from, round, payload } => {
-                let from = from as NodeId;
-                if !self.peer_set.contains(&from) {
-                    return Err(TransportError::Protocol {
-                        detail: format!("data frame from non-peer node {from}"),
-                    });
+                if self.admits("data", from as NodeId, round)? {
+                    let senders = self.buffered.entry(round).or_default();
+                    senders.entry(from as NodeId).or_default().push(payload);
                 }
-                // A frame for an already-delivered round arrived after its
-                // barrier closed — only a misbehaving transport produces
-                // this; the round's delivery set is final, so drop it.
-                if round > self.delivered_through {
-                    self.buffered.entry(round).or_default().entry(from).or_default().push(payload);
-                }
-                Ok(())
             }
             Frame::RoundEnd { from, round } => {
-                let from = from as NodeId;
-                if !self.peer_set.contains(&from) {
-                    return Err(TransportError::Protocol {
-                        detail: format!("round-end frame from non-peer node {from}"),
-                    });
+                if self.admits("round-end", from as NodeId, round)? {
+                    self.ended.entry(round).or_default().insert(from as NodeId);
                 }
-                self.ended.entry(round).or_default().insert(from);
-                Ok(())
             }
         }
+        Ok(())
+    }
+
+    /// Whether a `kind` frame from `from` for `round` is to be kept.
+    /// `Ok(false)` for an already-delivered round: it arrived after its
+    /// barrier closed — only a misbehaving transport produces this; the
+    /// round's delivery set is final, so the frame is dropped.
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::Protocol`] for a non-peer sender, and for a round
+    /// later than `delivered_through + 2`: a peer runs at most one round
+    /// ahead of the round being collected (module docs), so such a frame
+    /// is a violation, and buffering it would let one peer grow this
+    /// node's memory without bound.
+    fn admits(&self, kind: &str, from: NodeId, round: u32) -> Result<bool, TransportError> {
+        if !self.peer_set.contains(&from) {
+            return Err(TransportError::Protocol {
+                detail: format!("{kind} frame from non-peer node {from}"),
+            });
+        }
+        if round > self.delivered_through.saturating_add(2) {
+            return Err(TransportError::Protocol {
+                detail: format!(
+                    "{kind} frame from node {from} for round {round}, but only round {} has \
+                     been delivered: a peer runs at most one round ahead",
+                    self.delivered_through
+                ),
+            });
+        }
+        Ok(round > self.delivered_through)
     }
 
     /// The driven process.
     pub fn process(&self) -> &P {
         &self.process
-    }
-
-    /// Deliveries recorded so far.
-    pub fn delivery_log(&self) -> &DeliveryLog {
-        &self.log
     }
 
     /// Successful sends so far, in emission order.
@@ -426,10 +443,9 @@ where
         self.illegal_sends
     }
 
-    /// Decomposes the driver: process, delivery log, send records,
-    /// illegal-send count.
-    pub fn into_parts(self) -> (P, DeliveryLog, Vec<SendRecord>, u64) {
-        (self.process, self.log, self.sent, self.illegal_sends)
+    /// Decomposes the driver: process, send records, illegal-send count.
+    pub fn into_parts(self) -> (P, Vec<SendRecord>, u64) {
+        (self.process, self.sent, self.illegal_sends)
     }
 }
 
@@ -490,11 +506,11 @@ impl Transport for LoopbackTransport {
         &self.peers
     }
 
-    fn send(&mut self, to: NodeId, frame: Frame) -> Result<(), TransportError> {
+    fn send(&mut self, to: NodeId, frame: Vec<u8>) -> Result<(), TransportError> {
         if !self.peers.contains(&to) {
             return Err(TransportError::UnknownPeer { peer: to });
         }
-        self.mailboxes[to].lock().push_back(frame.to_wire_bytes());
+        self.mailboxes[to].lock().push_back(frame);
         Ok(())
     }
 
@@ -519,8 +535,11 @@ impl Transport for LoopbackTransport {
 }
 
 /// Runs a fleet of processes over loopback transports for `rounds`
-/// rounds, returning the final processes, traffic metrics and the fleet's
-/// delivery log.
+/// rounds, returning the final processes and traffic metrics. A caller
+/// that wants the fleet's [`DeliveryLog`] passes [`Recorded`] processes
+/// and reads them back, as with any engine. (The third slot of the result
+/// is vestigial — it held a log the driver no longer keeps — and leaves
+/// with the next `benchmark/` PR, whose frozen code destructures three.)
 ///
 /// Drivers advance in lock-step (everyone sends round `r`, then everyone
 /// delivers round `r`), which together with the driver's
@@ -542,7 +561,7 @@ pub fn run_over_loopback<P>(
     processes: Vec<P>,
     topology: &Graph,
     rounds: usize,
-) -> Result<(Vec<P>, Metrics, DeliveryLog), TransportError>
+) -> Result<(Vec<P>, Metrics, ()), TransportError>
 where
     P: Process,
     P::Msg: Encode + Decode,
@@ -567,20 +586,18 @@ where
         }
     }
     let mut metrics = Metrics::new(n);
-    let mut log = DeliveryLog::new();
     let mut out = Vec::with_capacity(n);
     for (i, driver) in drivers.into_iter().enumerate() {
-        let (process, node_log, sent, illegal) = driver.into_parts();
+        let (process, sent, illegal) = driver.into_parts();
         for record in &sent {
             metrics.record_send(record.round, i, record.to, record.wire_bytes);
         }
         for _ in 0..illegal {
             metrics.record_illegal_send();
         }
-        log.merge(&node_log);
         out.push(process);
     }
-    Ok((out, metrics, log))
+    Ok((out, metrics, ()))
 }
 
 // ---------------------------------------------------------------------------
@@ -906,9 +923,9 @@ impl Transport for SocketTransport {
         &self.peers
     }
 
-    fn send(&mut self, to: NodeId, frame: Frame) -> Result<(), TransportError> {
+    fn send(&mut self, to: NodeId, frame: Vec<u8>) -> Result<(), TransportError> {
         let writer = self.writers.get_mut(&to).ok_or(TransportError::UnknownPeer { peer: to })?;
-        writer.write_all(&frame.to_wire_bytes()).map_err(|e| io_err("socket write", &e))?;
+        writer.write_all(&frame).map_err(|e| io_err("socket write", &e))?;
         writer.flush().map_err(|e| io_err("socket write", &e))
     }
 
@@ -991,10 +1008,27 @@ mod tests {
             .collect()
     }
 
+    /// The loopback run of the chatter fleet behind the capture layer:
+    /// the bare processes back, the metrics, and the fleet's merged log.
+    fn recorded_loopback(g: &Graph, rounds: usize) -> (Vec<Chatter>, Metrics, DeliveryLog) {
+        let wrapped: Vec<_> = chatter_fleet(g).into_iter().map(Recorded::new).collect();
+        let (wrapped, metrics, ()) = run_over_loopback(wrapped, g, rounds).unwrap();
+        let mut fleet_log = DeliveryLog::new();
+        let fleet = wrapped
+            .into_iter()
+            .map(|w| {
+                let (process, log) = w.into_parts();
+                fleet_log.merge(&log);
+                process
+            })
+            .collect();
+        (fleet, metrics, fleet_log)
+    }
+
     #[test]
     fn loopback_delivers_in_ascending_sender_order() {
         let g = gen::complete(4);
-        let (fleet, metrics, log) = run_over_loopback(chatter_fleet(&g), &g, 2).unwrap();
+        let (fleet, metrics, log) = recorded_loopback(&g, 2);
         for node in &fleet {
             let expect: Vec<(usize, NodeId, u8)> = (1..=2usize)
                 .flat_map(|r| node.peers.iter().map(move |&p| (r, p, p as u8)))
@@ -1044,9 +1078,44 @@ mod tests {
             assert_eq!(w.delivery_log().len(), 2);
             fleet_log.merge(w.delivery_log());
         }
-        // The loopback fleet must produce the identical delivery set.
-        let (_, _, loop_log) = run_over_loopback(chatter_fleet(&g), &g, 1).unwrap();
+        // The loopback fleet — drivers around the same wrapper — must
+        // produce the identical delivery set.
+        let (_, _, loop_log) = recorded_loopback(&g, 1);
         assert_eq!(fleet_log, loop_log);
+    }
+
+    #[test]
+    fn a_frame_from_more_than_one_round_ahead_is_a_protocol_error() {
+        let hub = LoopbackHub::new(2);
+        let node = Chatter { id: 0, peers: vec![1], seen: Vec::new() };
+        let mut driver = NodeDriver::new(node, hub.transport(0, vec![1]));
+        let mut peer = hub.transport(1, vec![0]);
+        let mut push = |frame: Frame| peer.send(0, frame.to_wire_bytes()).unwrap();
+        // One round ahead is legal: the peer closed round 1 and already
+        // sent for round 2 while we still collect round 1.
+        push(Frame::Data { from: 1, round: 2, payload: vec![7] });
+        push(Frame::RoundEnd { from: 1, round: 1 });
+        push(Frame::RoundEnd { from: 1, round: 2 });
+        driver.run(2).unwrap();
+        assert_eq!(driver.process().seen, vec![(2, 1, 7)]);
+        // Round 5 while round 3 is being collected is not: an error
+        // naming the peer and both rounds, not a buffer that grows.
+        for frame in [
+            Frame::Data { from: 1, round: 5, payload: vec![7] },
+            Frame::RoundEnd { from: 1, round: 5 },
+        ] {
+            push(frame);
+            driver.begin_round(3).unwrap();
+            match driver.finish_round(3) {
+                Err(TransportError::Protocol { detail }) => {
+                    for part in ["node 1", "round 5", "round 2"] {
+                        assert!(detail.contains(part), "{detail:?} lacks {part:?}");
+                    }
+                }
+                other => panic!("expected a protocol error, got {other:?}"),
+            }
+        }
+        assert!(driver.buffered.is_empty() && driver.ended.is_empty());
     }
 
     #[cfg(unix)]
@@ -1066,9 +1135,11 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let transport =
                     SocketTransport::uds(i, &listen, &[peer], &config).expect("connect");
-                let mut driver = NodeDriver::new(fleet.into_iter().nth(i).unwrap(), transport);
+                let node = Recorded::new(fleet.into_iter().nth(i).unwrap());
+                let mut driver = NodeDriver::new(node, transport);
                 driver.run(2).expect("run");
-                let (process, log, sent, illegal) = driver.into_parts();
+                let (recorded, sent, illegal) = driver.into_parts();
+                let (process, log) = recorded.into_parts();
                 assert_eq!(illegal, 0);
                 assert_eq!(sent.len(), 2);
                 assert_eq!(process.seen.len(), 2);
@@ -1079,7 +1150,7 @@ mod tests {
         for h in handles {
             fleet_log.merge(&h.join().unwrap());
         }
-        let (_, _, loop_log) = run_over_loopback(chatter_fleet(&g), &g, 2).unwrap();
+        let (_, _, loop_log) = recorded_loopback(&g, 2);
         assert_eq!(fleet_log, loop_log);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1127,7 +1198,7 @@ mod tests {
         let hub = LoopbackHub::new(3);
         let mut t = hub.transport(0, vec![1]);
         assert_eq!(
-            t.send(2, Frame::Hello { from: 0 }),
+            t.send(2, Frame::Hello { from: 0 }.to_wire_bytes()),
             Err(TransportError::UnknownPeer { peer: 2 })
         );
     }

@@ -3,6 +3,11 @@
 //! [`Buf`] big-endian readers over `&[u8]` (which advance the slice, exactly
 //! like the real crate). Byte order is big-endian network order throughout,
 //! matching the real `bytes` API the codecs were written against.
+//!
+//! Standing rule: every [`Buf`] / [`BufMut`] method here exists under the
+//! same name and signature in real `bytes` (as does
+//! `Vec<u8>: From<BytesMut>`, which the codecs use to hand a filled buffer
+//! on), so swapping the shim for the crate is a manifest edit.
 
 #![forbid(unsafe_code)]
 
@@ -130,41 +135,46 @@ impl BufMut for Vec<u8> {
     }
 }
 
-/// Big-endian consuming reads from the front of a buffer.
+/// Big-endian consuming reads from the front of a buffer. Nothing here
+/// allocates: the fixed-width getters read into stack arrays.
 pub trait Buf {
     /// Bytes left to read.
     fn remaining(&self) -> usize;
 
-    /// Consumes and returns the next `n` bytes.
+    /// Consumes the next `dst.len()` bytes into `dst`.
     ///
     /// # Panics
     ///
-    /// Panics if fewer than `n` bytes remain (like the real `bytes` crate).
-    fn take_bytes(&mut self, n: usize) -> Vec<u8>;
+    /// Panics if fewer than `dst.len()` bytes remain (like the real
+    /// `bytes` crate).
+    fn copy_to_slice(&mut self, dst: &mut [u8]);
 
     /// Consumes one byte.
     fn get_u8(&mut self) -> u8 {
-        self.take_bytes(1)[0]
+        let mut b = [0u8; 1];
+        self.copy_to_slice(&mut b);
+        b[0]
     }
 
     /// Consumes a big-endian `u16`.
     fn get_u16(&mut self) -> u16 {
-        let b = self.take_bytes(2);
-        u16::from_be_bytes([b[0], b[1]])
+        let mut b = [0u8; 2];
+        self.copy_to_slice(&mut b);
+        u16::from_be_bytes(b)
     }
 
     /// Consumes a big-endian `u32`.
     fn get_u32(&mut self) -> u32 {
-        let b = self.take_bytes(4);
-        u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+        let mut b = [0u8; 4];
+        self.copy_to_slice(&mut b);
+        u32::from_be_bytes(b)
     }
 
     /// Consumes a big-endian `u64`.
     fn get_u64(&mut self) -> u64 {
-        let b = self.take_bytes(8);
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(&b);
-        u64::from_be_bytes(arr)
+        let mut b = [0u8; 8];
+        self.copy_to_slice(&mut b);
+        u64::from_be_bytes(b)
     }
 }
 
@@ -173,11 +183,12 @@ impl Buf for &[u8] {
         self.len()
     }
 
-    fn take_bytes(&mut self, n: usize) -> Vec<u8> {
+    fn copy_to_slice(&mut self, dst: &mut [u8]) {
+        let n = dst.len();
         assert!(self.len() >= n, "buffer underflow: need {n}, have {}", self.len());
         let (head, tail) = self.split_at(n);
+        dst.copy_from_slice(head);
         *self = tail;
-        head.to_vec()
     }
 }
 
@@ -198,8 +209,12 @@ mod tests {
         let mut slice = bytes.as_slice();
         assert_eq!(slice.get_u16(), 0xBEEF);
         assert_eq!(slice.get_u32(), 0xDEAD_BEEF);
-        assert_eq!(slice.take_bytes(3), vec![1, 2, 3]);
-        assert_eq!(slice.take_bytes(4), vec![0, 0, 0, 0]);
+        let mut three = [0xFFu8; 3];
+        slice.copy_to_slice(&mut three);
+        assert_eq!(three, [1, 2, 3]);
+        let mut four = [0xFFu8; 4];
+        slice.copy_to_slice(&mut four);
+        assert_eq!(four, [0, 0, 0, 0]);
         assert_eq!(slice.remaining(), 0);
     }
 

@@ -449,14 +449,58 @@ fn malformed_scenario_files_error_out() {
 
 // ---------------------------------------------------------------------------
 // Frame codec (the socket transport's wire format, nectar_crypto::frame)
+// and the payload it carries (nectar_protocol::codec)
 // ---------------------------------------------------------------------------
 
 mod frame_fuzz {
     use nectar::crypto::{
-        CodecError, Decode, Encode, Frame, FrameBuffer, FRAME_HEADER_BYTES, FRAME_VERSION,
-        MAX_FRAME_PAYLOAD,
+        CodecError, Decode, Encode, Frame, FrameBuffer, KeyStore, NeighborhoodProof,
+        SignatureChain, FRAME_HEADER_BYTES, FRAME_VERSION, MAX_FRAME_PAYLOAD,
     };
+    use nectar::protocol::{NectarMsg, RelayedEdge};
     use proptest::prelude::*;
+
+    /// What the receive path accepts: a decode that consumes every byte
+    /// (`NodeDriver` rejects trailing bytes after a payload).
+    fn accept<M: Decode>(bytes: &[u8]) -> Option<M> {
+        let mut rest = bytes;
+        M::decode(&mut rest).ok().filter(|_| rest.is_empty())
+    }
+
+    /// The decoders accept canonical bytes only: `wire` itself and every
+    /// single-byte `^ mask` mutation of it either fails to decode or
+    /// decodes to a value whose encoding is exactly the bytes decoded
+    /// (after `canon`, for a field the decoder is documented to ignore).
+    /// This is what lets a digest of the *re-encoded* message — the one
+    /// `Recorded` logs — stand for the bytes that crossed the wire.
+    fn assert_canonical<M: Encode + Decode>(
+        wire: &[u8],
+        mask: u8,
+        canon: impl Fn(&M, &mut [u8]),
+    ) -> Result<(), TestCaseError> {
+        let original = accept::<M>(wire).map(|value| value.to_wire_bytes());
+        prop_assert_eq!(original.as_deref(), Some(wire), "a valid encoding is accepted as itself");
+        let mut mutated = wire.to_vec();
+        for at in 0..wire.len() {
+            mutated[at] ^= mask;
+            if let Some(value) = accept::<M>(&mutated) {
+                let mut expect = mutated.clone();
+                canon(&value, &mut expect);
+                prop_assert_eq!(value.to_wire_bytes(), expect, "byte {} ^ {:#04x}", at, mask);
+            }
+            mutated[at] = wire[at];
+        }
+        Ok(())
+    }
+
+    /// The one field the frame decoder drops: a `Hello` carries no
+    /// protocol content and no round, so its round field is not looked at
+    /// on the way in and is 0 on the way out.
+    fn hello_round_is_ignored(decoded: &Frame, wire: &mut [u8]) {
+        if matches!(decoded, Frame::Hello { .. }) {
+            wire[4..8].fill(0);
+        }
+    }
 
     fn sample_frames() -> Vec<Frame> {
         vec![
@@ -555,7 +599,7 @@ mod frame_fuzz {
 
         /// Single-byte mutations of a valid multi-frame stream either
         /// still parse or error cleanly — never a panic, and every frame
-        /// that does come out is byte-exact with some decodable input.
+        /// that does come out re-encodes to exactly the bytes it consumed.
         #[test]
         fn mutated_frame_streams_never_panic(
             payload in proptest::collection::vec(proptest::num::u8::ANY, 0..48),
@@ -570,12 +614,63 @@ mod frame_fuzz {
             stream[pos] = byte;
             let mut streaming = FrameBuffer::new();
             streaming.extend(&stream);
+            let mut consumed = 0;
             for _ in 0..4 {
                 match streaming.next_frame() {
-                    Ok(Some(_)) => {}
+                    Ok(Some(frame)) => {
+                        let mut taken = stream[consumed..][..frame.encoded_len()].to_vec();
+                        hello_round_is_ignored(&frame, &mut taken);
+                        prop_assert_eq!(frame.to_wire_bytes(), taken);
+                        consumed += frame.encoded_len();
+                    }
                     Ok(None) | Err(_) => break,
                 }
             }
+            prop_assert_eq!(consumed, stream.len() - streaming.pending());
+        }
+
+        /// Canonical decode, frames: generated frames of all three kinds,
+        /// every position, one-shot decoder. Apart from a `Hello`'s round,
+        /// every bit of every frame is either rejected or preserved.
+        #[test]
+        fn accepted_frames_reencode_to_the_bytes_decoded(
+            from in proptest::num::u16::ANY,
+            round in proptest::num::u32::ANY,
+            payload in proptest::collection::vec(proptest::num::u8::ANY, 0..40),
+            mask in 1u8..=255,
+        ) {
+            for frame in [
+                Frame::Hello { from },
+                Frame::RoundEnd { from, round },
+                Frame::Data { from, round, payload },
+            ] {
+                assert_canonical(&frame.to_wire_bytes(), mask, hello_round_is_ignored)?;
+            }
+        }
+
+        /// Canonical decode, payloads: generated `NectarMsg`s (0–4 edges,
+        /// chains of 0–3 links), every position. Nothing is normalized on
+        /// the way in — version, reserved field, counts, ids, tags and
+        /// padding are each either rejected or carried verbatim.
+        #[test]
+        fn accepted_payloads_reencode_to_the_bytes_decoded(
+            edge_spec in proptest::collection::vec((0u16..6, 0u16..6, 0usize..4), 0..5),
+            mask in 1u8..=255,
+        ) {
+            let ks = KeyStore::generate(8, 3);
+            let edges = edge_spec
+                .into_iter()
+                .filter(|(a, b, _)| a != b)
+                .map(|(a, b, hops)| {
+                    let proof = NeighborhoodProof::new(&ks.signer(a), &ks.signer(b));
+                    let digest = proof.digest();
+                    let chain = (0..hops).fold(SignatureChain::new(), |chain, h| {
+                        chain.extend(&ks.signer(h as u16), &digest)
+                    });
+                    RelayedEdge::new(proof, chain)
+                })
+                .collect();
+            assert_canonical::<NectarMsg>(&NectarMsg { edges }.to_wire_bytes(), mask, |_, _| {})?;
         }
     }
 }

@@ -21,7 +21,7 @@ use std::process::{Child, Command, Stdio};
 use proptest::prelude::*;
 
 use nectar::graph::{gen, ConnectivityOracle, Graph};
-use nectar::net::transport::{DeliveryLog, NodeDriver};
+use nectar::net::transport::{DeliveryLog, NodeDriver, Recorded};
 use nectar::net::LoopbackHub;
 use nectar::prelude::*;
 use nectar::protocol::{sync_fleet_reports, NodeReport};
@@ -103,7 +103,7 @@ proptest! {
 
         let rounds = scenario.config().effective_rounds();
         let participants = scenario.build_participants();
-        let (participants, metrics, _log) =
+        let (participants, metrics, ()) =
             nectar::net::run_over_loopback(participants, scenario.topology(), rounds)
                 .expect("loopback run");
         let mut oracle = ConnectivityOracle::new();
@@ -287,9 +287,10 @@ fn uds_fleet_launched_via_a_scenario_file_matches_sync() {
 }
 
 /// In-process twin of the UDS fleet on the same seeded scenario, driving
-/// [`NodeDriver`]s over loopback: pins that the *driver* layer (round
-/// barrier, ascending-sender delivery, delivery logging) — not just the
-/// sync engine — is the behaviour the multi-process fleet must match.
+/// [`NodeDriver`]s over loopback around the same [`Recorded`] capture
+/// layer `nectar-cli node` uses: pins that the *driver* layer (round
+/// barrier, ascending-sender delivery, decode) — not just the sync
+/// engine — is the behaviour the multi-process fleet must match.
 #[test]
 fn loopback_fleet_matches_sync_on_the_conformance_scenario() {
     let byz = [
@@ -304,7 +305,7 @@ fn loopback_fleet_matches_sync_on_the_conformance_scenario() {
         .build_participants()
         .into_iter()
         .enumerate()
-        .map(|(i, p)| NodeDriver::new(p, hub.transport(i, g.neighborhood(i))))
+        .map(|(i, p)| NodeDriver::new(Recorded::new(p), hub.transport(i, g.neighborhood(i))))
         .collect();
     for round in 1..=scenario.config().effective_rounds() {
         for d in drivers.iter_mut() {
@@ -316,11 +317,12 @@ fn loopback_fleet_matches_sync_on_the_conformance_scenario() {
     }
     let mut fleet_log = DeliveryLog::new();
     for (i, driver) in drivers.into_iter().enumerate() {
-        let (_participant, log, sent, _) = driver.into_parts();
+        let (recorded, sent, _) = driver.into_parts();
+        let log = recorded.delivery_log();
         let bytes: u64 = sent.iter().map(|r| r.wire_bytes as u64).sum();
         assert_eq!(bytes, reference[&i].bytes_sent, "node {i} bytes");
         assert_eq!(sent.len() as u64, reference[&i].msgs_sent, "node {i} msgs");
-        fleet_log.merge(&log);
+        fleet_log.merge(log);
     }
     assert_eq!(fleet_log, reference_log);
 }
