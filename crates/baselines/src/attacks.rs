@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use nectar_crypto::KeyStore;
 use nectar_graph::Graph;
-use nectar_net::{Crash, Faulty, Metrics, NodeId, Outgoing, Process, SyncNetwork, TwoFaced};
+use nectar_net::{Metrics, Mute, Muted, NodeId, Outgoing, Process, SyncNetwork};
 
 use crate::bloom::BloomFilter;
 use crate::mtg::{FilterMsg, MtgConfig, MtgNode};
@@ -88,12 +88,11 @@ impl Process for FilterSaturator {
 /// Heterogeneous MtG participant.
 #[derive(Debug)]
 pub enum MtgParticipant {
-    /// Runs the unmodified protocol.
-    Correct(MtgNode),
+    /// The protocol node, behind the [`Mute`] its cast gave it
+    /// ([`Mute::Never`] for a correct one).
+    Node(Muted<MtgNode>),
     /// All-ones-filter attacker.
     Saturator(FilterSaturator),
-    /// Correct logic behind a traffic fault (silent / two-faced).
-    TrafficFault(Faulty<MtgNode>),
 }
 
 impl Process for MtgParticipant {
@@ -101,59 +100,22 @@ impl Process for MtgParticipant {
 
     fn id(&self) -> NodeId {
         match self {
-            MtgParticipant::Correct(n) => n.id(),
+            MtgParticipant::Node(n) => n.id(),
             MtgParticipant::Saturator(s) => s.id(),
-            MtgParticipant::TrafficFault(f) => f.id(),
         }
     }
 
     fn send(&mut self, round: usize) -> Vec<Outgoing<FilterMsg>> {
         match self {
-            MtgParticipant::Correct(n) => n.send(round),
+            MtgParticipant::Node(n) => n.send(round),
             MtgParticipant::Saturator(s) => s.send(round),
-            MtgParticipant::TrafficFault(f) => f.send(round),
         }
     }
 
     fn receive(&mut self, round: usize, from: NodeId, msg: FilterMsg) {
         match self {
-            MtgParticipant::Correct(n) => n.receive(round, from, msg),
+            MtgParticipant::Node(n) => n.receive(round, from, msg),
             MtgParticipant::Saturator(s) => s.receive(round, from, msg),
-            MtgParticipant::TrafficFault(f) => f.receive(round, from, msg),
-        }
-    }
-}
-
-/// Heterogeneous MtGv2 participant.
-#[derive(Debug)]
-pub enum MtgV2Participant {
-    /// Runs the unmodified protocol.
-    Correct(MtgV2Node),
-    /// Correct logic behind a traffic fault (silent / two-faced).
-    TrafficFault(Faulty<MtgV2Node>),
-}
-
-impl Process for MtgV2Participant {
-    type Msg = crate::mtg_v2::SignedIdsMsg;
-
-    fn id(&self) -> NodeId {
-        match self {
-            MtgV2Participant::Correct(n) => n.id(),
-            MtgV2Participant::TrafficFault(f) => f.id(),
-        }
-    }
-
-    fn send(&mut self, round: usize) -> Vec<Outgoing<Self::Msg>> {
-        match self {
-            MtgV2Participant::Correct(n) => n.send(round),
-            MtgV2Participant::TrafficFault(f) => f.send(round),
-        }
-    }
-
-    fn receive(&mut self, round: usize, from: NodeId, msg: Self::Msg) {
-        match self {
-            MtgV2Participant::Correct(n) => n.receive(round, from, msg),
-            MtgV2Participant::TrafficFault(f) => f.receive(round, from, msg),
         }
     }
 }
@@ -206,19 +168,19 @@ pub fn run_mtg(
     let n = topology.node_count();
     let participants: Vec<MtgParticipant> = (0..n)
         .map(|i| {
-            let node = MtgNode::new(i, config, topology.neighborhood(i));
+            let muted = |mute| {
+                let node = MtgNode::new(i, config, topology.neighborhood(i));
+                MtgParticipant::Node(Muted::new(node, mute))
+            };
             match byzantine.get(&i) {
-                None => MtgParticipant::Correct(node),
+                None => muted(Mute::Never),
                 Some(MtgBehavior::SaturateFilter) => MtgParticipant::Saturator(
                     FilterSaturator::new(i, config, topology.neighborhood(i)),
                 ),
-                Some(MtgBehavior::Silent) => MtgParticipant::TrafficFault(Faulty::new(
-                    node,
-                    Box::new(Crash { from_round: 1 }),
-                )),
-                Some(MtgBehavior::TwoFaced { silent_toward }) => MtgParticipant::TrafficFault(
-                    Faulty::new(node, Box::new(TwoFaced::new(silent_toward.iter().copied()))),
-                ),
+                Some(MtgBehavior::Silent) => muted(Mute::From { round: 1 }),
+                Some(MtgBehavior::TwoFaced { silent_toward }) => {
+                    muted(Mute::Toward(silent_toward.clone()))
+                }
             }
         })
         .collect();
@@ -229,7 +191,7 @@ pub fn run_mtg(
     let verdicts = participants
         .iter()
         .filter_map(|p| match p {
-            MtgParticipant::Correct(n) if !byz.contains(&n.id()) => Some((n.id(), n.decide())),
+            MtgParticipant::Node(n) if !byz.contains(&n.id()) => Some((n.id(), n.inner().decide())),
             _ => None,
         })
         .collect();
@@ -246,7 +208,7 @@ pub fn run_mtg_v2(
 ) -> BaselineOutcome {
     let n = topology.node_count();
     let keys = KeyStore::generate(n, key_seed);
-    let participants: Vec<MtgV2Participant> = (0..n)
+    let participants: Vec<Muted<MtgV2Node>> = (0..n)
         .map(|i| {
             let node = MtgV2Node::new(
                 i,
@@ -255,16 +217,14 @@ pub fn run_mtg_v2(
                 &keys.signer(i as u16),
                 keys.verifier(),
             );
-            match byzantine.get(&i) {
-                None => MtgV2Participant::Correct(node),
-                Some(MtgV2Behavior::Silent) => MtgV2Participant::TrafficFault(Faulty::new(
-                    node,
-                    Box::new(Crash { from_round: 1 }),
-                )),
-                Some(MtgV2Behavior::TwoFaced { silent_toward }) => MtgV2Participant::TrafficFault(
-                    Faulty::new(node, Box::new(TwoFaced::new(silent_toward.iter().copied()))),
-                ),
-            }
+            let mute = match byzantine.get(&i) {
+                None => Mute::Never,
+                Some(MtgV2Behavior::Silent) => Mute::From { round: 1 },
+                Some(MtgV2Behavior::TwoFaced { silent_toward }) => {
+                    Mute::Toward(silent_toward.clone())
+                }
+            };
+            Muted::new(node, mute)
         })
         .collect();
     let mut net = SyncNetwork::new(participants, topology.clone());
@@ -273,10 +233,8 @@ pub fn run_mtg_v2(
     let byz: BTreeSet<NodeId> = byzantine.keys().copied().collect();
     let verdicts = participants
         .iter()
-        .filter_map(|p| match p {
-            MtgV2Participant::Correct(n) if !byz.contains(&n.id()) => Some((n.id(), n.decide())),
-            _ => None,
-        })
+        .filter(|p| !byz.contains(&p.id()))
+        .map(|p| (p.id(), p.inner().decide()))
         .collect();
     BaselineOutcome { verdicts, metrics, byzantine: byz }
 }

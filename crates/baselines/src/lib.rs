@@ -54,7 +54,7 @@ pub mod verdict;
 
 pub use attacks::{
     run_mtg, run_mtg_v2, BaselineOutcome, FilterSaturator, MtgBehavior, MtgParticipant,
-    MtgV2Behavior, MtgV2Participant,
+    MtgV2Behavior,
 };
 pub use bloom::BloomFilter;
 pub use mtg::{FilterMsg, MtgConfig, MtgNode};

@@ -229,7 +229,7 @@ fn dense_view_fleet(n: usize) -> (Scenario, Vec<Participant>) {
                     node.announce_extra_proof(p.clone());
                 }
             }
-            participants.push(Participant::Correct(node));
+            participants.push(Participant::correct(node));
         }
     }
     (scenario, participants)

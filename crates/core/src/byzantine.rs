@@ -4,15 +4,15 @@
 //! nodes can attempt against NECTAR: stay silent, behave correctly toward
 //! one side of the network and crashed toward the other, hide their own
 //! edges, declare fictitious edges among themselves, or withhold signed
-//! material to replay it later. This module implements all of them as
-//! [`Participant`] variants that plug into the same runtimes as correct
-//! nodes.
+//! material to replay it later. Every one of them is a correct
+//! [`NectarNode`] whose outgoing batch is rewritten, so this module has one
+//! [`Participant`] — a node plus a send-time deviation — that plugs into
+//! the same runtimes as correct nodes.
 
 use std::collections::BTreeSet;
-use std::fmt;
 
 use nectar_crypto::{NeighborhoodProof, SignatureChain, Signer};
-use nectar_net::{Crash, Faulty, NodeId, Outgoing, Process, TwoFaced};
+use nectar_net::{Mute, NodeId, Outgoing, Process};
 
 use crate::message::{NectarMsg, RelayedEdge};
 use crate::node::NectarNode;
@@ -30,8 +30,9 @@ pub enum ByzantineBehavior {
         round: usize,
     },
     /// The bridge attack of §V-D: acts correctly toward every node *not* in
-    /// the set, and as a crashed node toward the set (drops both incoming
-    /// and outgoing traffic with them).
+    /// the set, and as a crashed node toward the set — it stops *sending*
+    /// to them but keeps receiving from them, and relays what it hears to
+    /// the favoured side (the split views behind Fig. 8's plateau).
     TwoFaced {
         /// Nodes toward which this node plays dead.
         silent_toward: BTreeSet<NodeId>,
@@ -107,278 +108,113 @@ pub(crate) fn falsify_flips(seed: u64, node: NodeId, other: NodeId, per_mille: u
     (z % 1000) < per_mille as u64
 }
 
-/// A protocol participant: a correct node or one of the Byzantine variants.
+/// A protocol participant: a [`NectarNode`] plus what — if anything — it
+/// does to its own outgoing batch each round.
 ///
-/// Using an enum keeps heterogeneous systems in one `Vec<Participant>` that
-/// both runtimes can execute without dynamic dispatch.
+/// Every §IV deviation is a correct node whose sends are rewritten (or
+/// whose state was doctored before round 1: `HideEdges` and
+/// `FictitiousEdges` need no send-time hook at all), so a heterogeneous
+/// system is one `Vec<Participant>` that every runtime executes without
+/// dynamic dispatch.
 #[derive(Debug)]
-pub enum Participant {
-    /// A correct NECTAR node.
-    Correct(NectarNode),
-    /// A node whose traffic is distorted by a [`nectar_net::FaultModel`]
-    /// (silent, crash-after, two-faced).
-    TrafficFault(Faulty<NectarNode>),
-    /// The late-reveal colluder.
-    LateReveal(LateRevealNode),
-    /// The equivocating announcer.
-    Equivocator(EquivocatorNode),
-    /// The measurement falsifier.
-    Falsifier(FalsifierNode),
+pub struct Participant {
+    node: NectarNode,
+    deviation: Deviation,
+}
+
+// The fleet holds one of these per node, so its size is budgeted: box a
+// deviation's payload before raising the bound.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Participant>() <= 296);
+
+/// The send-time rewrite of one participant.
+#[derive(Debug)]
+enum Deviation {
+    /// Sends exactly what the node produces.
+    None,
+    /// Silent, crash-after, two-faced: part of the batch is dropped.
+    Mute(Mute),
+    /// Late reveal: `payload` — the concealed edge under a chain pre-signed
+    /// by the colluders — is injected toward every neighbor at `round`, the
+    /// one round at which the chain length is acceptable.
+    Reveal { round: usize, payload: Box<RelayedEdge>, done: bool },
+    /// Equivocation: in round 1 these victims see only the edge they share
+    /// with this node.
+    Equivocate(BTreeSet<NodeId>),
+    /// Data falsification: these real incident edges (normalized endpoint
+    /// pairs) are cut from every copy of the round-1 announcement.
+    Suppress(BTreeSet<(u16, u16)>),
 }
 
 impl Participant {
-    /// The underlying NECTAR state (every variant wraps one).
-    pub fn nectar(&self) -> &NectarNode {
-        match self {
-            Participant::Correct(n) => n,
-            Participant::TrafficFault(f) => f.inner(),
-            Participant::LateReveal(l) => &l.inner,
-            Participant::Equivocator(e) => &e.inner,
-            Participant::Falsifier(d) => &d.inner,
-        }
+    /// A correct participant around `node` (also what the build-time
+    /// deviations use, once they have doctored the node's state).
+    pub fn correct(node: NectarNode) -> Self {
+        Participant { node, deviation: Deviation::None }
     }
 
-    /// Whether this participant runs the unmodified protocol.
-    pub fn is_correct(&self) -> bool {
-        matches!(self, Participant::Correct(_))
-    }
-}
-
-impl Process for Participant {
-    type Msg = NectarMsg;
-
-    fn id(&self) -> NodeId {
-        match self {
-            Participant::Correct(n) => n.id(),
-            Participant::TrafficFault(f) => f.id(),
-            Participant::LateReveal(l) => l.id(),
-            Participant::Equivocator(e) => e.id(),
-            Participant::Falsifier(d) => d.id(),
-        }
+    /// `node` behind a traffic [`Mute`] (silent, crash-after, two-faced).
+    pub fn muted(node: NectarNode, mute: Mute) -> Self {
+        Participant { node, deviation: Deviation::Mute(mute) }
     }
 
-    fn send(&mut self, round: usize) -> Vec<Outgoing<NectarMsg>> {
-        match self {
-            Participant::Correct(n) => n.send(round),
-            Participant::TrafficFault(f) => f.send(round),
-            Participant::LateReveal(l) => l.send(round),
-            Participant::Equivocator(e) => e.send(round),
-            Participant::Falsifier(d) => d.send(round),
-        }
-    }
-
-    fn receive(&mut self, round: usize, from: NodeId, msg: NectarMsg) {
-        match self {
-            Participant::Correct(n) => n.receive(round, from, msg),
-            Participant::TrafficFault(f) => f.receive(round, from, msg),
-            Participant::LateReveal(l) => l.receive(round, from, msg),
-            Participant::Equivocator(e) => e.receive(round, from, msg),
-            Participant::Falsifier(d) => d.receive(round, from, msg),
-        }
-    }
-
-    fn quiescent(&self) -> bool {
-        match self {
-            Participant::Correct(n) => n.quiescent(),
-            // `Faulty` keeps the conservative default (see `nectar-net`).
-            Participant::TrafficFault(f) => f.quiescent(),
-            Participant::LateReveal(l) => l.quiescent(),
-            Participant::Equivocator(e) => e.quiescent(),
-            Participant::Falsifier(d) => d.quiescent(),
-        }
-    }
-
-    fn link_changed(&mut self, round: usize, peer: NodeId, up: bool) {
-        // NECTAR nodes ignore the notification (mid-epoch re-announcement
-        // is blocked by the chain-length rule), but forwarding keeps any
-        // wrapper stack — auditors, fault models — fully informed.
-        match self {
-            Participant::Correct(n) => n.link_changed(round, peer, up),
-            Participant::TrafficFault(f) => f.link_changed(round, peer, up),
-            Participant::LateReveal(l) => l.inner.link_changed(round, peer, up),
-            Participant::Equivocator(e) => e.inner.link_changed(round, peer, up),
-            Participant::Falsifier(d) => d.inner.link_changed(round, peer, up),
-        }
-    }
-}
-
-/// Wraps a correct node with a traffic fault model chosen by `behavior`.
-pub(crate) fn wrap_traffic_fault(node: NectarNode, behavior: &ByzantineBehavior) -> Participant {
-    match behavior {
-        ByzantineBehavior::Silent => {
-            Participant::TrafficFault(Faulty::new(node, Box::new(Crash { from_round: 1 })))
-        }
-        ByzantineBehavior::CrashAfter { round } => {
-            Participant::TrafficFault(Faulty::new(node, Box::new(Crash { from_round: *round })))
-        }
-        ByzantineBehavior::TwoFaced { silent_toward } => Participant::TrafficFault(Faulty::new(
-            node,
-            Box::new(TwoFaced::new(silent_toward.iter().copied())),
-        )),
-        other => unreachable!("not a traffic fault: {other:?}"),
-    }
-}
-
-/// The late-reveal Byzantine node: hides one real edge, then injects it with
-/// a pre-signed colluder chain at exactly the round matching the chain
-/// length.
-pub struct LateRevealNode {
-    pub(crate) inner: NectarNode,
-    reveal_round: usize,
-    payload: RelayedEdge,
-    revealed: bool,
-}
-
-impl fmt::Debug for LateRevealNode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LateRevealNode")
-            .field("id", &self.inner.node_id())
-            .field("reveal_round", &self.reveal_round)
-            .field("revealed", &self.revealed)
-            .finish()
-    }
-}
-
-impl LateRevealNode {
-    /// Builds the colluder: `chain_signers` are the signing keys of the
-    /// colluding path (innermost first; the innermost **must** be an
-    /// endpoint of `proof` and the outermost must be this node).
+    /// The late-reveal colluder: hides one real edge, then injects it with
+    /// a pre-signed colluder chain at exactly the round matching the chain
+    /// length. `chain_signers` are the signing keys of the colluding path
+    /// (innermost first; the innermost **must** be an endpoint of `proof`
+    /// and the outermost must be this node).
     ///
     /// # Panics
     ///
     /// Panics if the signer ordering violates the two constraints above
     /// (the attack would be rejected by every correct node otherwise).
-    pub fn new(mut inner: NectarNode, proof: NeighborhoodProof, chain_signers: &[&Signer]) -> Self {
+    pub fn late_reveal(
+        mut node: NectarNode,
+        proof: NeighborhoodProof,
+        chain_signers: &[&Signer],
+    ) -> Self {
         let (u, v) = proof.endpoints();
         let first = chain_signers.first().expect("chain needs at least one signer").id();
         assert!(first == u || first == v, "innermost colluder must be an edge endpoint");
         let last = chain_signers.last().expect("non-empty").id() as usize;
-        assert_eq!(last, inner.node_id(), "outermost colluder must be the revealing node");
+        assert_eq!(last, node.node_id(), "outermost colluder must be the revealing node");
         let digest = proof.digest();
         let mut chain = SignatureChain::new();
         for signer in chain_signers {
             chain = chain.extend(signer, &digest);
         }
-        let reveal_round = chain.len();
         // Conceal the edge from the initial announcements.
-        let other = if u as usize == inner.node_id() { v } else { u };
-        inner.hide_edge_to(other as usize);
-        LateRevealNode {
-            inner,
-            reveal_round,
-            payload: RelayedEdge::new(proof, chain),
-            revealed: false,
-        }
-    }
-}
-
-impl Process for LateRevealNode {
-    type Msg = NectarMsg;
-
-    fn id(&self) -> NodeId {
-        self.inner.id()
+        let other = if u as usize == node.node_id() { v } else { u };
+        node.hide_edge_to(other as usize);
+        let deviation = Deviation::Reveal {
+            round: chain.len(),
+            payload: Box::new(RelayedEdge::new(proof, chain)),
+            done: false,
+        };
+        Participant { node, deviation }
     }
 
-    fn send(&mut self, round: usize) -> Vec<Outgoing<NectarMsg>> {
-        let mut out = self.inner.send(round);
-        if round == self.reveal_round && !self.revealed {
-            self.revealed = true;
-            for &nbr in self.inner.neighbors().to_vec().iter() {
-                if let Some(msg) = out.iter_mut().find(|o| o.to == nbr) {
-                    msg.msg.edges.push(self.payload.clone());
-                } else {
-                    out.push(Outgoing::new(nbr, NectarMsg { edges: vec![self.payload.clone()] }));
-                }
-            }
-        }
-        out
+    /// The equivocating announcer: `victims` only ever see the one edge
+    /// they share with it in round 1.
+    pub fn equivocator(node: NectarNode, victims: BTreeSet<NodeId>) -> Self {
+        Participant { node, deviation: Deviation::Equivocate(victims) }
     }
 
-    fn receive(&mut self, round: usize, from: NodeId, msg: NectarMsg) {
-        self.inner.receive(round, from, msg);
-    }
-
-    fn quiescent(&self) -> bool {
-        // The reveal is a *spontaneous* send: until it has fired, this node
-        // must keep receiving round ticks even with an empty relay queue.
-        self.revealed && self.inner.quiescent()
-    }
-}
-
-/// The equivocating Byzantine node: victims only ever see the one edge they
-/// share with it in round 1.
-#[derive(Debug)]
-pub struct EquivocatorNode {
-    pub(crate) inner: NectarNode,
-    victims: BTreeSet<NodeId>,
-}
-
-impl EquivocatorNode {
-    /// Wraps `inner`, impoverishing round-1 announcements toward `victims`.
-    pub fn new(inner: NectarNode, victims: BTreeSet<NodeId>) -> Self {
-        EquivocatorNode { inner, victims }
-    }
-}
-
-impl Process for EquivocatorNode {
-    type Msg = NectarMsg;
-
-    fn id(&self) -> NodeId {
-        self.inner.id()
-    }
-
-    fn send(&mut self, round: usize) -> Vec<Outgoing<NectarMsg>> {
-        let mut out = self.inner.send(round);
-        if round == 1 {
-            let me = self.inner.node_id() as u16;
-            for o in &mut out {
-                if self.victims.contains(&o.to) {
-                    let victim = o.to as u16;
-                    o.msg.edges.retain(|e| {
-                        let (u, v) = e.proof.endpoints();
-                        (u == me && v == victim) || (v == me && u == victim)
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    fn receive(&mut self, round: usize, from: NodeId, msg: NectarMsg) {
-        self.inner.receive(round, from, msg);
-    }
-
-    fn quiescent(&self) -> bool {
-        // Equivocation only *rewrites* round-1 announcements (which the
-        // inner node always has pending at round 1); it never adds sends.
-        self.inner.quiescent()
-    }
-}
-
-/// The data-falsifying Byzantine node: announces a fabricated neighborhood
-/// measurement while *privately* keeping the true view — the Kailkhura-style
-/// sensor that lies in its reports, not in its state. Suppression happens at
-/// send time, so unlike [`ByzantineBehavior::HideEdges`] the falsifier still
-/// knows the suppressed edges (it never re-relays them as "news", and its
-/// own — irrelevant — verdict is computed over the truth). Fabricated "up"
-/// measurements toward colluding partners are injected at build time via
-/// [`NectarNode::announce_extra_proof`], exactly like
-/// [`ByzantineBehavior::FictitiousEdges`].
-#[derive(Debug)]
-pub struct FalsifierNode {
-    pub(crate) inner: NectarNode,
-    /// Normalized endpoint keys of real incident edges reported "down".
-    suppressed: BTreeSet<(u16, u16)>,
-}
-
-impl FalsifierNode {
-    /// Wraps `inner`, flipping each real incident edge to "down" with
-    /// probability `flips_per_mille / 1000` on the coin stream of `seed`
-    /// (one pure draw per `(seed, node, neighbor)` key). Fabricated partner
-    /// edges, if any, must already be announced on `inner`.
-    pub fn new(inner: NectarNode, flips_per_mille: u16, seed: u64) -> Self {
-        let me = inner.node_id();
-        let suppressed = inner
+    /// The data-falsifying node: announces a fabricated neighborhood
+    /// measurement while *privately* keeping the true view — the
+    /// Kailkhura-style sensor that lies in its reports, not in its state.
+    /// Each real incident edge flips to "down" with probability
+    /// `flips_per_mille / 1000` on the coin stream of `seed` (one pure draw
+    /// per `(seed, node, neighbor)` key). Suppression happens at send time,
+    /// so unlike [`ByzantineBehavior::HideEdges`] the falsifier still knows
+    /// the suppressed edges (it never re-relays them as "news", and its own
+    /// — irrelevant — verdict is computed over the truth). Fabricated "up"
+    /// measurements toward colluding partners, if any, must already be
+    /// announced on `node` ([`NectarNode::announce_extra_proof`], exactly
+    /// like [`ByzantineBehavior::FictitiousEdges`]).
+    pub fn falsifier(node: NectarNode, flips_per_mille: u16, seed: u64) -> Self {
+        let me = node.node_id();
+        let suppressed = node
             .neighbors()
             .iter()
             .filter(|&&nbr| falsify_flips(seed, me, nbr, flips_per_mille))
@@ -387,45 +223,99 @@ impl FalsifierNode {
                 (a.min(b), a.max(b))
             })
             .collect();
-        FalsifierNode { inner, suppressed }
+        Participant { node, deviation: Deviation::Suppress(suppressed) }
     }
 
-    /// The edges this falsifier reports "down" (normalized endpoint pairs).
-    pub fn suppressed(&self) -> &BTreeSet<(u16, u16)> {
-        &self.suppressed
+    /// The underlying NECTAR state.
+    pub fn nectar(&self) -> &NectarNode {
+        &self.node
+    }
+
+    /// Whether this participant sends exactly what its node produces.
+    pub fn is_correct(&self) -> bool {
+        matches!(self.deviation, Deviation::None)
     }
 }
 
-impl Process for FalsifierNode {
+impl Process for Participant {
     type Msg = NectarMsg;
 
     fn id(&self) -> NodeId {
-        self.inner.id()
+        self.node.id()
     }
 
     fn send(&mut self, round: usize) -> Vec<Outgoing<NectarMsg>> {
-        let mut out = self.inner.send(round);
-        // Round 1 carries exactly the node's own neighborhood announcement;
-        // the flipped-down edges are cut from every copy (a consistent lie).
-        // Later rounds relay other nodes' proofs and pass through honestly.
-        if round == 1 && !self.suppressed.is_empty() {
-            for o in &mut out {
-                o.msg.edges.retain(|e| !self.suppressed.contains(&e.proof.endpoints()));
+        let mut out = self.node.send(round);
+        match &mut self.deviation {
+            Deviation::None => {}
+            Deviation::Mute(mute) => mute.apply(round, &mut out),
+            Deviation::Reveal { round: at, payload, done } => {
+                if round == *at && !*done {
+                    *done = true;
+                    for &nbr in self.node.neighbors() {
+                        match out.iter_mut().find(|o| o.to == nbr) {
+                            Some(o) => o.msg.edges.push((**payload).clone()),
+                            None => out.push(Outgoing::new(
+                                nbr,
+                                NectarMsg { edges: vec![(**payload).clone()] },
+                            )),
+                        }
+                    }
+                }
             }
-            out.retain(|o| !o.msg.edges.is_empty());
+            Deviation::Equivocate(victims) => {
+                if round == 1 {
+                    let me = self.node.node_id() as u16;
+                    for o in out.iter_mut().filter(|o| victims.contains(&o.to)) {
+                        let victim = o.to as u16;
+                        o.msg.edges.retain(|e| {
+                            let (u, v) = e.proof.endpoints();
+                            (u == me && v == victim) || (v == me && u == victim)
+                        });
+                    }
+                }
+            }
+            Deviation::Suppress(suppressed) => {
+                // Round 1 carries exactly the node's own neighborhood
+                // announcement; the flipped-down edges are cut from every
+                // copy (a consistent lie). Later rounds relay other nodes'
+                // proofs and pass through honestly.
+                if round == 1 && !suppressed.is_empty() {
+                    for o in &mut out {
+                        o.msg.edges.retain(|e| !suppressed.contains(&e.proof.endpoints()));
+                    }
+                    out.retain(|o| !o.msg.edges.is_empty());
+                }
+            }
         }
         out
     }
 
     fn receive(&mut self, round: usize, from: NodeId, msg: NectarMsg) {
-        self.inner.receive(round, from, msg);
+        self.node.receive(round, from, msg);
     }
 
     fn quiescent(&self) -> bool {
-        // Falsification only *removes* from round-1 announcements (always
-        // pending on the inner node at round 1); it never adds a
-        // spontaneous send, so the inner hint stays sound as-is.
-        self.inner.quiescent()
+        match &self.deviation {
+            // Conservative, like `nectar_net::Muted`: at most `t` nodes.
+            Deviation::Mute(_) => false,
+            // The reveal is a *spontaneous* send: until it has fired, this
+            // node must keep receiving round ticks even with an empty
+            // relay queue.
+            Deviation::Reveal { done, .. } => *done && self.node.quiescent(),
+            // The rewrites only *remove* from round-1 announcements (always
+            // pending on the node at round 1); they never add a send, so
+            // the node's hint stays sound as-is.
+            Deviation::None | Deviation::Equivocate(_) | Deviation::Suppress(_) => {
+                self.node.quiescent()
+            }
+        }
+    }
+
+    fn link_changed(&mut self, round: usize, peer: NodeId, up: bool) {
+        // NECTAR nodes ignore the notification (mid-epoch re-announcement
+        // is blocked by the chain-length rule); forwarded all the same.
+        self.node.link_changed(round, peer, up);
     }
 }
 
@@ -462,7 +352,7 @@ mod tests {
         let proof = NeighborhoodProof::new(&ks.signer(0), &ks.signer(1));
         let s0 = ks.signer(0);
         let s1 = ks.signer(1);
-        let mut node = LateRevealNode::new(inner, proof, &[&s0, &s1]);
+        let mut node = Participant::late_reveal(inner, proof, &[&s0, &s1]);
 
         // Round 1: the concealed edge is absent from announcements.
         let out1 = node.send(1);
@@ -495,7 +385,7 @@ mod tests {
         let proof = NeighborhoodProof::new(&ks.signer(0), &ks.signer(1));
         let s3 = ks.signer(3);
         let s1 = ks.signer(1);
-        let _ = LateRevealNode::new(inner, proof, &[&s3, &s1]);
+        let _ = Participant::late_reveal(inner, proof, &[&s3, &s1]);
     }
 
     #[test]
@@ -527,7 +417,7 @@ mod tests {
         let g = gen::complete(4);
         let ks = KeyStore::generate(4, 5);
         let inner = correct_node(0, &g, &ks, 1);
-        let mut node = EquivocatorNode::new(inner, [2].into());
+        let mut node = Participant::equivocator(inner, [2].into());
         let out = node.send(1);
         let to_victim = out.iter().find(|o| o.to == 2).expect("message to victim");
         assert_eq!(to_victim.msg.edges.len(), 1);
@@ -555,8 +445,13 @@ mod tests {
         let g = gen::complete(4);
         let ks = KeyStore::generate(4, 5);
         let inner = correct_node(0, &g, &ks, 1);
-        let mut node = FalsifierNode::new(inner, 1000, 7);
-        assert_eq!(node.suppressed().len(), 3, "all three incident edges flip at p = 1");
+        let mut node = Participant::falsifier(inner, 1000, 7);
+        match &node.deviation {
+            Deviation::Suppress(edges) => {
+                assert_eq!(edges.len(), 3, "all three incident edges flip at p = 1")
+            }
+            other => panic!("not a falsifier: {other:?}"),
+        }
         let out = node.send(1);
         // Own edges are cut everywhere; empty messages are dropped whole.
         for o in &out {
@@ -573,10 +468,10 @@ mod tests {
         let g = gen::cycle(5);
         let ks = KeyStore::generate(5, 5);
         let inner = correct_node(2, &g, &ks, 1);
-        let node = FalsifierNode::new(inner, 1000, 3);
+        let node = Participant::falsifier(inner, 1000, 3);
         // The lie is in the reports only: the discovered view still holds
         // both real incident edges.
-        assert_eq!(node.inner.known_edge_count(), 2);
+        assert_eq!(node.nectar().known_edge_count(), 2);
     }
 
     #[test]
@@ -664,10 +559,10 @@ mod tests {
     fn participant_enum_dispatches_ids() {
         let g = gen::cycle(4);
         let ks = KeyStore::generate(4, 5);
-        let correct = Participant::Correct(correct_node(2, &g, &ks, 1));
+        let correct = Participant::correct(correct_node(2, &g, &ks, 1));
         assert_eq!(correct.id(), 2);
         assert!(correct.is_correct());
-        let faulty = wrap_traffic_fault(correct_node(3, &g, &ks, 1), &ByzantineBehavior::Silent);
+        let faulty = Participant::muted(correct_node(3, &g, &ks, 1), Mute::From { round: 1 });
         assert_eq!(faulty.id(), 3);
         assert!(!faulty.is_correct());
         assert_eq!(faulty.nectar().node_id(), 3);
@@ -677,8 +572,7 @@ mod tests {
     fn silent_fault_sends_nothing_ever() {
         let g = gen::cycle(4);
         let ks = KeyStore::generate(4, 5);
-        let mut faulty =
-            wrap_traffic_fault(correct_node(0, &g, &ks, 1), &ByzantineBehavior::Silent);
+        let mut faulty = Participant::muted(correct_node(0, &g, &ks, 1), Mute::From { round: 1 });
         for round in 1..4 {
             assert!(faulty.send(round).is_empty(), "round {round}");
         }

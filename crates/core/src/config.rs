@@ -82,6 +82,10 @@ impl Decision {
     }
 }
 
+/// The largest fleet a scenario may describe: node ids travel as `u16`
+/// signer identities (`nectar_crypto::SignerId`).
+pub const MAX_NODES: usize = 1 << 16;
+
 /// NECTAR's parameters: the paper's inputs (`n`, `t`) plus reproduction
 /// knobs whose defaults follow Algorithm 1 exactly.
 #[derive(Debug, Clone, PartialEq)]

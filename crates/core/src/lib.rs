@@ -12,7 +12,7 @@
 //! [`runner::Runtime`]; [`Scenario`] describes a scenario, and
 //! [`Scenario::sim`] starts the [`Simulation`] builder every experiment,
 //! example and test drives (runtime, workers, shared oracle, epochs,
-//! streaming [`RunObserver`]s), finishing in a persisted [`RunReport`].
+//! schedule), finishing in a persisted [`RunReport`].
 //! The decision phase answers `κ ≤ t` through `nectar_graph`'s
 //! `ConnectivityOracle`.
 //!
@@ -64,7 +64,7 @@ pub mod runner;
 pub mod sim;
 
 pub use byzantine::{ByzantineBehavior, Participant};
-pub use config::{Decision, NectarConfig, Verdict};
+pub use config::{Decision, NectarConfig, Verdict, MAX_NODES};
 pub use message::{NectarMsg, RelayedEdge};
 pub use nectar_graph::{ConnectivityOracle, OracleStats};
 pub use nectar_net::{ScheduleError, TopologySchedule};
@@ -72,4 +72,4 @@ pub use node::{NectarNode, RejectReason};
 pub use remote::{run_scenario_node, sync_fleet_reports, NodeReport};
 pub use report::{EpochOutcome, RunReport, ScheduleRecord, DECISIONS_CSV_HEADER};
 pub use runner::{Runtime, Scenario};
-pub use sim::{RunObserver, Simulation};
+pub use sim::Simulation;

@@ -22,15 +22,12 @@ use std::time::Instant;
 use nectar_crypto::{KeyStore, NeighborhoodProof, Verifier};
 use nectar_graph::{traversal, ConnectivityOracle, Fingerprint, Graph, OracleStats};
 use nectar_net::{
-    parallel_map, CompiledSchedule, Metrics, NodeId, PhaseProfile, Process, RoundSink, Scheduled,
+    parallel_map, CompiledSchedule, Metrics, Mute, NodeId, PhaseProfile, Process, Scheduled,
     SyncNetwork,
 };
 
-use crate::byzantine::{
-    falsify_flips, wrap_traffic_fault, ByzantineBehavior, EquivocatorNode, FalsifierNode,
-    LateRevealNode, Participant,
-};
-use crate::config::{Decision, NectarConfig};
+use crate::byzantine::{falsify_flips, ByzantineBehavior, Participant};
+use crate::config::{Decision, NectarConfig, MAX_NODES};
 use crate::node::NectarNode;
 
 /// Which engine executes a scenario's propagation rounds. All three run
@@ -130,7 +127,17 @@ pub struct Scenario {
 impl Scenario {
     /// A scenario over `topology` tolerating up to `t` Byzantine nodes,
     /// with paper-default parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology has more than [`MAX_NODES`] nodes (node ids
+    /// are `u16` on the wire).
     pub fn new(topology: Graph, t: usize) -> Self {
+        assert!(
+            topology.node_count() <= MAX_NODES,
+            "a fleet of {} nodes exceeds the {MAX_NODES}-node limit (node ids are u16 on the wire)",
+            topology.node_count()
+        );
         let config = NectarConfig::new(topology.node_count(), t);
         Scenario { topology, config, byzantine: BTreeMap::new(), key_seed: 0x4E45_4354 }
     }
@@ -234,17 +241,19 @@ impl Scenario {
             proofs,
         );
         match self.byzantine.get(&i) {
-            None => Participant::Correct(node),
-            Some(
-                b @ (ByzantineBehavior::Silent
-                | ByzantineBehavior::CrashAfter { .. }
-                | ByzantineBehavior::TwoFaced { .. }),
-            ) => wrap_traffic_fault(node, b),
+            None => Participant::correct(node),
+            Some(ByzantineBehavior::Silent) => Participant::muted(node, Mute::From { round: 1 }),
+            Some(ByzantineBehavior::CrashAfter { round }) => {
+                Participant::muted(node, Mute::From { round: *round })
+            }
+            Some(ByzantineBehavior::TwoFaced { silent_toward }) => {
+                Participant::muted(node, Mute::Toward(silent_toward.clone()))
+            }
             Some(ByzantineBehavior::HideEdges { toward }) => {
                 for &v in toward {
                     node.hide_edge_to(v);
                 }
-                Participant::Correct(node)
+                Participant::correct(node)
             }
             Some(ByzantineBehavior::FictitiousEdges { partners }) => {
                 for &p in partners {
@@ -260,7 +269,7 @@ impl Scenario {
                         ));
                     }
                 }
-                Participant::Correct(node)
+                Participant::correct(node)
             }
             Some(ByzantineBehavior::LateReveal { partner, others }) => {
                 assert!(
@@ -281,10 +290,10 @@ impl Scenario {
                 let mut chain_signers = vec![&partner_signer];
                 chain_signers.extend(other_signers.iter());
                 chain_signers.push(&self_signer);
-                Participant::LateReveal(LateRevealNode::new(node, proof, &chain_signers))
+                Participant::late_reveal(node, proof, &chain_signers)
             }
             Some(ByzantineBehavior::Equivocate { victims }) => {
-                Participant::Equivocator(EquivocatorNode::new(node, victims.clone()))
+                Participant::equivocator(node, victims.clone())
             }
             Some(ByzantineBehavior::FalsifyData { flips_per_mille, seed, partners }) => {
                 // Fabricated "up" measurements first (they ride the normal
@@ -305,7 +314,7 @@ impl Scenario {
                         ));
                     }
                 }
-                Participant::Falsifier(FalsifierNode::new(node, *flips_per_mille, *seed))
+                Participant::falsifier(node, *flips_per_mille, *seed)
             }
         }
     }
@@ -324,26 +333,22 @@ impl Scenario {
 
     /// Executes the propagation rounds on the chosen runtime, returning the
     /// final participants and traffic metrics — the one place all runtime
-    /// dispatch happens. Every committed round is reported to `sink`, in
-    /// the canonical order of `docs/DETERMINISM.md`, identically on all
-    /// three engines.
+    /// dispatch happens.
     pub(crate) fn propagate(
         &self,
         runtime: Runtime,
         schedule: Option<&Arc<CompiledSchedule>>,
-        sink: &mut dyn RoundSink,
     ) -> (Vec<Participant>, Metrics) {
         let participants = self.build_participants_with(runtime.decision_workers());
         let rounds = self.config.effective_rounds();
         match schedule {
-            None => dispatch(runtime, participants, &self.topology, rounds, sink),
+            None => dispatch(runtime, participants, &self.topology, rounds),
             Some(compiled) => {
                 // Same dispatch, with every participant behind the schedule
                 // wrapper; the wrappers are pure functions of the shared
                 // compiled schedule, so engine equivalence is untouched.
                 let wrapped = Scheduled::wrap_all(participants, compiled);
-                let (wrapped, mut metrics) =
-                    dispatch(runtime, wrapped, &self.topology, rounds, sink);
+                let (wrapped, mut metrics) = dispatch(runtime, wrapped, &self.topology, rounds);
                 let drops = wrapped.iter().map(Scheduled::drops).sum();
                 metrics.record_schedule_drops(drops);
                 (wrapped.into_iter().map(Scheduled::into_inner).collect(), metrics)
@@ -368,15 +373,14 @@ impl Scenario {
         oracle: &mut ConnectivityOracle,
         workers: usize,
     ) -> (BTreeMap<NodeId, Decision>, OracleStats) {
-        self.collect(participants, oracle, workers, None, |_, _| {})
+        self.collect(participants, oracle, workers, None)
     }
 
     /// The decision phase: groups the surviving participants' views into
     /// classes (Lemma 2), answers each class's `κ ≤ t` question through the
-    /// oracle, and emits every correct node's decision — in ascending node
-    /// order, reporting each to `on_decided` as it commits (the per-node
-    /// stream behind [`RunObserver::node_decided`](crate::sim::RunObserver)).
-    /// Returns the decisions plus this run's share of the oracle counters.
+    /// oracle, and emits every correct node's decision, in ascending node
+    /// order. Returns the decisions plus this run's share of the oracle
+    /// counters.
     /// When `profile` is supplied, the four stage timings are written into
     /// it (wall clock — nondeterministic, never part of the canonical
     /// outputs).
@@ -386,7 +390,6 @@ impl Scenario {
         oracle: &mut ConnectivityOracle,
         workers: usize,
         mut profile: Option<&mut PhaseProfile>,
-        mut on_decided: impl FnMut(NodeId, &Decision),
     ) -> (BTreeMap<NodeId, Decision>, OracleStats) {
         let mut stage_start = Instant::now();
         let lap = |stage_start: &mut Instant| -> u64 {
@@ -443,7 +446,7 @@ impl Scenario {
         // fingerprint-keyed answer) already ignored those edges — and a
         // 2⁻⁶⁴ XOR collision could merge distinct views, the same accepted
         // failure class the fingerprint-keyed oracle cache has always had
-        // (see `Fingerprint`'s docs and docs/DETERMINISM.md §7).
+        // (see `Fingerprint`'s docs and docs/DETERMINISM.md §6).
         let mut class_index: HashMap<Fingerprint, usize> = HashMap::new();
         let mut class_reps: Vec<&crate::node::NectarNode> = Vec::new();
         let mut node_class: Vec<usize> = Vec::with_capacity(correct.len());
@@ -506,8 +509,7 @@ impl Scenario {
         // where the bounded verdict cache flushed between the stage-4 plan
         // and this query; a class's graph is dropped as soon as its verdict
         // sits in the cache, so the phase holds the graphs still waiting
-        // for their flows, not one per class. This per-node order is the
-        // canonical decision-commit order every observer stream reproduces.
+        // for their flows, not one per class.
         let mut decisions = BTreeMap::new();
         for (node, &c) in correct.iter().zip(&node_class) {
             let ViewClass { fingerprint, edges, graph, component_size } = &mut classes[c];
@@ -519,7 +521,6 @@ impl Scenario {
             }
             let reachable = component_size.get(&node.node_id()).copied().unwrap_or(1);
             let decision = Decision::from_view(n, t, reachable, answer.kappa.report());
-            on_decided(node.node_id(), &decision);
             decisions.insert(node.node_id(), decision);
         }
         if let Some(p) = profile.as_deref_mut() {
@@ -536,7 +537,6 @@ fn dispatch<P>(
     procs: Vec<P>,
     topology: &Graph,
     rounds: usize,
-    sink: &mut dyn RoundSink,
 ) -> (Vec<P>, Metrics)
 where
     P: Process + Send,
@@ -545,13 +545,11 @@ where
     match runtime {
         Runtime::Sync => {
             let mut net = SyncNetwork::new(procs, topology.clone());
-            net.run_rounds_with(rounds, sink);
+            net.run_rounds(rounds);
             net.into_parts()
         }
-        Runtime::Event => nectar_net::run_event_driven_with(procs, topology, rounds, sink),
-        Runtime::Parallel { workers } => {
-            nectar_net::run_parallel_with(procs, topology, rounds, workers, sink)
-        }
+        Runtime::Event => nectar_net::run_event_driven(procs, topology, rounds),
+        Runtime::Parallel { workers } => nectar_net::run_parallel(procs, topology, rounds, workers),
     }
 }
 
@@ -759,6 +757,12 @@ mod tests {
         let out = Scenario::new(gen::cycle(5), 1).sim().run();
         assert_eq!(out.success_rate(Verdict::NotPartitionable), 1.0);
         assert_eq!(out.success_rate(Verdict::Partitionable), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 65536-node limit")]
+    fn a_fleet_beyond_the_node_id_space_is_refused() {
+        let _ = Scenario::new(Graph::empty(MAX_NODES + 1), 1);
     }
 
     #[test]

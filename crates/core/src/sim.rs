@@ -1,7 +1,7 @@
 //! The one way to execute a scenario: the [`Simulation`] builder.
 //!
 //! Runtime, worker pool, shared oracle, metrics-only, epochs, schedule and
-//! observer are each one method of a single session API, so a new
+//! profile are each one method of a single session API, so a new
 //! execution axis adds a method rather than multiplying entry points:
 //!
 //! ```
@@ -18,70 +18,25 @@
 //!
 //! [`Simulation::run`] finishes in a [`RunReport`] — the persisted session
 //! result, serializable to JSON and to the per-node decision CSV (see
-//! [`crate::report`]). A [`RunObserver`] can watch the execution *stream*:
-//! every committed round, every per-node verdict and every closed epoch, in
-//! the canonical commit order of `docs/DETERMINISM.md`, identically on all
-//! three engines — the per-node decision granularity distributed-detection
-//! analyses (Kailkhura et al.) treat as the primary experimental output.
+//! [`crate::report`]). Everything a watcher of the run could ask for is in
+//! it: traffic per committed round (`Metrics::bytes_per_round`), every
+//! correct node's verdict in ascending node order — the per-node decision
+//! granularity distributed-detection analyses (Kailkhura et al.) treat as
+//! the primary experimental output — and the epochs in order.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use nectar_graph::{ConnectivityOracle, OracleStats};
-use nectar_net::{CompiledSchedule, NodeId, PhaseProfile, RoundSink, TopologySchedule};
+use nectar_net::{CompiledSchedule, PhaseProfile, TopologySchedule};
 
 use crate::byzantine::Participant;
-use crate::config::Decision;
 use crate::report::{EpochOutcome, RunReport, ScheduleRecord};
 use crate::runner::{Runtime, Scenario};
 
-/// Streaming hooks fed from every engine while a [`Simulation`] runs.
-///
-/// All hooks fire in the canonical commit order of `docs/DETERMINISM.md`,
-/// so the observed stream is bit-identical across the three runtimes and any
-/// worker count: per epoch, `round_committed` fires once per round of the
-/// horizon in ascending round order (rounds an engine skipped as provably
-/// silent included), then `node_decided` fires once per correct node in
-/// ascending node order, then `epoch_closed` fires once. Every hook
-/// defaults to a no-op, so an observer implements only what it watches.
-pub trait RunObserver {
-    /// Round `round` (1-based) of epoch `epoch` committed, carrying `bytes`
-    /// of traffic.
-    fn round_committed(&mut self, epoch: usize, round: usize, bytes: u64) {
-        let _ = (epoch, round, bytes);
-    }
-
-    /// Correct node `node` decided `decision` during epoch `epoch` (never
-    /// fires on metrics-only runs).
-    fn node_decided(&mut self, epoch: usize, node: NodeId, decision: &Decision) {
-        let _ = (epoch, node, decision);
-    }
-
-    /// Epoch `epoch` finished with `outcome` (fired before the outcome is
-    /// folded into the final [`RunReport`]).
-    fn epoch_closed(&mut self, epoch: usize, outcome: &EpochOutcome) {
-        let _ = (epoch, outcome);
-    }
-}
-
-/// Adapts the engines' [`RoundSink`] barrier stream to a [`RunObserver`],
-/// stamping the current epoch onto each committed round.
-struct EpochSink<'s, 'a> {
-    observer: &'s mut Option<&'a mut dyn RunObserver>,
-    epoch: usize,
-}
-
-impl RoundSink for EpochSink<'_, '_> {
-    fn round_committed(&mut self, round: usize, bytes: u64) {
-        if let Some(observer) = self.observer.as_deref_mut() {
-            observer.round_committed(self.epoch, round, bytes);
-        }
-    }
-}
-
 /// A configured-but-not-yet-executed session over one [`Scenario`]:
-/// runtime, worker pool, shared oracle, epoch count, observers. Finish with
+/// runtime, worker pool, shared oracle, epoch count, schedule. Finish with
 /// [`run`](Simulation::run) (→ [`RunReport`]) or
 /// [`participants`](Simulation::participants) (→ raw protocol state).
 ///
@@ -94,14 +49,13 @@ pub struct Simulation<'a> {
     oracle: Option<&'a mut ConnectivityOracle>,
     metrics_only: bool,
     epochs: usize,
-    observer: Option<&'a mut dyn RunObserver>,
     schedule: Option<TopologySchedule>,
     profile: bool,
 }
 
 impl Scenario {
     /// Starts a [`Simulation`] over this scenario: sync runtime, private
-    /// oracle, one epoch, full decision phase, no observer, no profiling.
+    /// oracle, one epoch, full decision phase, no schedule, no profiling.
     pub fn sim(&self) -> Simulation<'_> {
         Simulation {
             scenario: self,
@@ -109,7 +63,6 @@ impl Scenario {
             oracle: None,
             metrics_only: false,
             epochs: 1,
-            observer: None,
             schedule: None,
             profile: false,
         }
@@ -166,13 +119,6 @@ impl<'a> Simulation<'a> {
         self
     }
 
-    /// Streams the execution through `observer` (see [`RunObserver`] for
-    /// the hook order contract).
-    pub fn observe(mut self, observer: &'a mut dyn RunObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
     /// Runs the session under a [`TopologySchedule`]: scripted edge
     /// drops/heals, node churn, partitions and per-link loss/delay windows
     /// applied at the round-commit barrier, bit-identically on every
@@ -211,16 +157,8 @@ impl<'a> Simulation<'a> {
     /// Panics if a `FictitiousEdges` / `LateReveal` behaviour names
     /// non-Byzantine accomplices.
     pub fn run(self) -> RunReport {
-        let Simulation {
-            scenario,
-            runtime,
-            oracle,
-            metrics_only,
-            epochs,
-            mut observer,
-            schedule,
-            profile,
-        } = self;
+        let Simulation { scenario, runtime, oracle, metrics_only, epochs, schedule, profile } =
+            self;
         let compiled = compile_schedule(schedule.as_ref(), scenario);
         let mut own_oracle = ConnectivityOracle::new();
         let oracle = match oracle {
@@ -243,41 +181,30 @@ impl<'a> Simulation<'a> {
                 working.set_key_seed(key_seed);
                 working
             };
-            let mut sink = EpochSink { observer: &mut observer, epoch };
             let mut phase_profile = profile.then(PhaseProfile::default);
             let disseminate_start = Instant::now();
-            let (participants, metrics) = sc.propagate(runtime, compiled.as_ref(), &mut sink);
+            let (participants, metrics) = sc.propagate(runtime, compiled.as_ref());
             if let Some(p) = phase_profile.as_mut() {
                 p.disseminate_micros = disseminate_start.elapsed().as_micros() as u64;
             }
             let (decisions, oracle_stats) = if metrics_only {
                 (BTreeMap::new(), OracleStats::default())
             } else {
-                let decided = &mut observer;
                 sc.collect(
                     &participants,
                     oracle,
                     runtime.decision_workers(),
                     phase_profile.as_mut(),
-                    |node, decision| {
-                        if let Some(observer) = decided.as_deref_mut() {
-                            observer.node_decided(epoch, node, decision);
-                        }
-                    },
                 )
             };
-            let outcome = EpochOutcome {
+            epoch_outcomes.push(EpochOutcome {
                 epoch,
                 key_seed,
                 decisions,
                 metrics,
                 oracle: oracle_stats,
                 profile: phase_profile,
-            };
-            if let Some(observer) = observer.as_deref_mut() {
-                observer.epoch_closed(epoch, &outcome);
-            }
-            epoch_outcomes.push(outcome);
+            });
         }
         RunReport {
             runtime,
@@ -305,9 +232,8 @@ impl<'a> Simulation<'a> {
     /// Executes the propagation rounds only and returns the raw
     /// participants (full protocol state, in node order) — for tests and
     /// experiments that inspect per-node views. Honors the configured
-    /// runtime and observer (`round_committed` fires; there is no decision
-    /// phase); the oracle, epoch count and metrics-only settings do not
-    /// apply.
+    /// runtime and schedule; there is no decision phase, so the oracle,
+    /// epoch count and metrics-only settings do not apply.
     ///
     /// # Panics
     ///
@@ -315,9 +241,7 @@ impl<'a> Simulation<'a> {
     /// non-Byzantine accomplices.
     pub fn participants(self) -> Vec<Participant> {
         let compiled = compile_schedule(self.schedule.as_ref(), self.scenario);
-        let mut observer = self.observer;
-        let mut sink = EpochSink { observer: &mut observer, epoch: 0 };
-        self.scenario.propagate(self.runtime, compiled.as_ref(), &mut sink).0
+        self.scenario.propagate(self.runtime, compiled.as_ref()).0
     }
 }
 
@@ -416,61 +340,5 @@ mod tests {
     #[should_panic(expected = "at least one epoch")]
     fn zero_epochs_is_rejected() {
         let _ = Scenario::new(gen::cycle(4), 1).sim().epochs(0);
-    }
-
-    /// Observer recording every hook invocation in order.
-    #[derive(Default)]
-    struct Recorder {
-        events: Vec<String>,
-    }
-
-    impl RunObserver for Recorder {
-        fn round_committed(&mut self, epoch: usize, round: usize, bytes: u64) {
-            self.events.push(format!("round {epoch}/{round}/{bytes}"));
-        }
-        fn node_decided(&mut self, epoch: usize, node: NodeId, decision: &Decision) {
-            self.events.push(format!("node {epoch}/{node}/{}", decision.verdict));
-        }
-        fn epoch_closed(&mut self, epoch: usize, outcome: &EpochOutcome) {
-            self.events.push(format!("epoch {epoch}/{}", outcome.decisions.len()));
-        }
-    }
-
-    #[test]
-    fn observer_sees_rounds_then_decisions_then_epoch_close() {
-        let mut recorder = Recorder::default();
-        let scenario = Scenario::new(gen::cycle(5), 1);
-        let report = scenario.sim().observe(&mut recorder).run();
-        let rounds = scenario.config().effective_rounds();
-        assert_eq!(recorder.events.len(), rounds + 5 + 1);
-        for (r, event) in recorder.events[..rounds].iter().enumerate() {
-            assert!(event.starts_with(&format!("round 0/{}/", r + 1)), "{event}");
-        }
-        for (i, event) in recorder.events[rounds..rounds + 5].iter().enumerate() {
-            assert_eq!(event, &format!("node 0/{i}/NOT_PARTITIONABLE"));
-        }
-        assert_eq!(recorder.events.last().unwrap(), "epoch 0/5");
-        // The streamed bytes add up to the report's total traffic.
-        let streamed: u64 = recorder.events[..rounds]
-            .iter()
-            .map(|e| e.rsplit('/').next().unwrap().parse::<u64>().unwrap())
-            .sum();
-        assert_eq!(streamed, report.metrics().total_bytes_sent());
-    }
-
-    #[test]
-    fn observer_streams_are_identical_across_runtimes() {
-        let scenario = Scenario::new(gen::harary(4, 10).unwrap(), 2)
-            .with_byzantine(3, ByzantineBehavior::Silent)
-            .with_key_seed(7);
-        let record = |runtime: Runtime| {
-            let mut recorder = Recorder::default();
-            scenario.sim().runtime(runtime).observe(&mut recorder).run();
-            recorder.events
-        };
-        let reference = record(Runtime::Sync);
-        for runtime in [Runtime::Event, Runtime::Parallel { workers: 3 }] {
-            assert_eq!(record(runtime), reference, "{runtime} stream drifted");
-        }
     }
 }

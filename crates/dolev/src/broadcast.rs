@@ -300,7 +300,7 @@ impl Process for BrachaNode {
 mod tests {
     use super::*;
     use nectar_graph::{gen, Graph};
-    use nectar_net::{Crash, Faulty, SyncNetwork};
+    use nectar_net::{Mute, Muted, SyncNetwork};
 
     fn build(g: &Graph, t: usize, dealer: NodeId, value: u64) -> Vec<BrachaNode> {
         let n = g.node_count();
@@ -348,50 +348,19 @@ mod tests {
         // One crashed/Byzantine relay cannot stop delivery: κ = 3 leaves 2
         // disjoint relay routes plus the direct edges.
         let g = gen::harary(3, 10).unwrap();
-        let mut nodes: Vec<_> = build(&g, 1, 0, 7).into_iter().map(Some).collect();
-        #[derive(Debug)]
-        enum P {
-            Honest(BrachaNode),
-            Byz(Faulty<BrachaNode>),
-        }
-        impl Process for P {
-            type Msg = PathMsg<BcastClaim>;
-            fn id(&self) -> NodeId {
-                match self {
-                    P::Honest(x) => x.id(),
-                    P::Byz(x) => x.id(),
-                }
-            }
-            fn send(&mut self, round: usize) -> Vec<Outgoing<Self::Msg>> {
-                match self {
-                    P::Honest(x) => x.send(round),
-                    P::Byz(x) => x.send(round),
-                }
-            }
-            fn receive(&mut self, round: usize, from: NodeId, msg: Self::Msg) {
-                match self {
-                    P::Honest(x) => x.receive(round, from, msg),
-                    P::Byz(x) => x.receive(round, from, msg),
-                }
-            }
-        }
-        let participants: Vec<P> = (0..10)
-            .map(|i| {
-                let node = nodes[i].take().expect("built above");
-                if i == 5 {
-                    P::Byz(Faulty::new(node, Box::new(Crash { from_round: 1 })))
-                } else {
-                    P::Honest(node)
-                }
+        let participants: Vec<Muted<BrachaNode>> = build(&g, 1, 0, 7)
+            .into_iter()
+            .enumerate()
+            .map(|(i, node)| {
+                Muted::new(node, if i == 5 { Mute::From { round: 1 } } else { Mute::Never })
             })
             .collect();
         let mut net = SyncNetwork::new(participants, g.clone());
         net.run_rounds(27);
         let (participants, _) = net.into_parts();
-        for p in participants {
-            if let P::Honest(h) = p {
-                assert_eq!(h.delivered_value(), Some(7), "node {}", h.node_id());
-            }
+        for p in participants.iter().filter(|p| p.id() != 5) {
+            let h = p.inner();
+            assert_eq!(h.delivered_value(), Some(7), "node {}", h.node_id());
         }
     }
 

@@ -6,7 +6,7 @@
 //! seeded function**: the same `(spec, seed)` always yields the same base
 //! graph and the same schedule, on every machine and every runtime — the
 //! same determinism leg the multi-process fleet stands on (topologies and
-//! keys as pure functions of the seed, `docs/DETERMINISM.md` §8). Three
+//! keys as pure functions of the seed, `docs/DETERMINISM.md` §7). Three
 //! generator families:
 //!
 //! * [`waypoint`] — random-waypoint motion over a geometric graph (the

@@ -50,7 +50,7 @@ use nectar_net::{
     run_over_loopback, Metrics, NodeId, ScheduleError, TopologySchedule, TransportError,
 };
 use nectar_protocol::{
-    ByzantineBehavior, ConnectivityOracle, Decision, RunReport, Runtime, Scenario,
+    ByzantineBehavior, ConnectivityOracle, Decision, RunReport, Runtime, Scenario, MAX_NODES,
 };
 
 use crate::matrix::{CastSpec, FamilySpec};
@@ -607,6 +607,23 @@ impl ScenarioSpec {
             reason,
         };
         let whole = |reason: String| ScenarioError { file: self.src.file.clone(), line: 0, reason };
+
+        // 0. Node ids are `u16` on the wire: refuse a larger fleet on the
+        // directive that sized it, before anything that large is built.
+        let declared = match (&self.family, self.nodes, &self.mobility) {
+            (Some((_, n)), _, _) => Some(("topology", *n)),
+            (None, Some(n), _) => Some(("nodes", n)),
+            (None, None, Some(MobilitySpec::Waypoint { nodes, .. })) => Some(("mobility", *nodes)),
+            _ => None,
+        };
+        if let Some((key, n)) = declared.filter(|&(_, n)| n > MAX_NODES) {
+            return Err(at(
+                key,
+                format!(
+                    "{n} nodes exceed the {MAX_NODES}-node limit (node ids are u16 on the wire)"
+                ),
+            ));
+        }
 
         // 1. Topology — declared, explicit, or generated by waypoint.
         let supplies = self.mobility.as_ref().is_some_and(MobilitySpec::supplies_topology);

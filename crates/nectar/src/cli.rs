@@ -1391,6 +1391,11 @@ mod tests {
                 &["--topology", "cycle", "--n", "6", "--byz", "3:silent", "--byz", "3:silent"][..],
                 "byzantine node 3 is cast twice",
             ),
+            // Node 65 536 has no `u16` wire id (this one panicked).
+            (
+                &["--topology", "cliques", "--n", "65540", "--t", "1"][..],
+                "65540 nodes exceed the 65536-node limit (node ids are u16 on the wire)",
+            ),
         ] {
             let err = run(Command::Detect(detect(flags))).unwrap_err();
             assert_eq!(err, reason, "{flags:?}");

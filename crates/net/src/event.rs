@@ -32,7 +32,7 @@ use std::collections::BinaryHeap;
 use nectar_graph::Graph;
 
 use crate::metrics::Metrics;
-use crate::process::{NodeId, Process, RoundSink, WireSized};
+use crate::process::{NodeId, Process, WireSized};
 
 /// What an event does when it surfaces from the queue. Declaration order is
 /// scheduling order within a round.
@@ -153,16 +153,6 @@ impl<P: Process> EventNetwork<P> {
     /// the loop ends as soon as the queue holds nothing but the epoch
     /// boundary, i.e. once every node has quiesced).
     pub fn run_rounds(&mut self, rounds: usize) {
-        self.run_rounds_with(rounds, &mut ());
-    }
-
-    /// [`run_rounds`](Self::run_rounds), reporting each committed round to
-    /// `sink`. A round is committed the moment the first event of a later
-    /// round surfaces (the heap is ordered, so nothing of the earlier round
-    /// can still be queued); rounds the quiescence scheduling skipped
-    /// entirely still fire, in order, with the zero traffic they carried —
-    /// so the sink stream is identical to [`crate::sync::SyncNetwork`]'s.
-    pub fn run_rounds_with<S: RoundSink + ?Sized>(&mut self, rounds: usize, sink: &mut S) {
         if rounds == 0 {
             return;
         }
@@ -175,14 +165,8 @@ impl<P: Process> EventNetwork<P> {
             seq: 0,
             msg: None,
         }));
-        // First round not yet reported to the sink.
-        let mut uncommitted = self.next_round;
         while let Some(Reverse(ev)) = self.queue.pop() {
             self.events_processed += 1;
-            while uncommitted < ev.round {
-                sink.round_committed(uncommitted, self.round_bytes(uncommitted));
-                uncommitted += 1;
-            }
             match ev.phase {
                 Phase::Send => self.fire_send(ev.round, ev.node),
                 Phase::Deliver => {
@@ -193,19 +177,13 @@ impl<P: Process> EventNetwork<P> {
                 }
                 Phase::EpochEnd => {
                     // The boundary sorts after every send/delivery of the
-                    // horizon round, so the horizon commits here.
-                    sink.round_committed(horizon, self.round_bytes(horizon));
+                    // horizon round.
                     self.next_round = ev.round + 1;
                     return;
                 }
             }
         }
         unreachable!("the epoch-boundary event always surfaces");
-    }
-
-    /// Bytes committed during `round` (0 when the round carried nothing).
-    fn round_bytes(&self, round: usize) -> u64 {
-        self.metrics.bytes_per_round().get(round - 1).copied().unwrap_or(0)
     }
 
     /// Polls node `i` for round `round` and queues its deliveries.
@@ -306,24 +284,8 @@ pub fn run_event_driven<P: Process>(
     topology: &Graph,
     rounds: usize,
 ) -> (Vec<P>, Metrics) {
-    run_event_driven_with(processes, topology, rounds, &mut ())
-}
-
-/// [`run_event_driven`] with a [`RoundSink`] observing every committed
-/// round (skipped-as-silent rounds included).
-///
-/// # Panics
-///
-/// Panics unless `processes[i].id() == i` for every `i` and the process
-/// count equals the topology's node count.
-pub fn run_event_driven_with<P: Process, S: RoundSink + ?Sized>(
-    processes: Vec<P>,
-    topology: &Graph,
-    rounds: usize,
-    sink: &mut S,
-) -> (Vec<P>, Metrics) {
     let mut net = EventNetwork::new(processes, topology.clone());
-    net.run_rounds_with(rounds, sink);
+    net.run_rounds(rounds);
     net.into_parts()
 }
 
@@ -332,70 +294,8 @@ mod tests {
     use super::*;
     use crate::process::Outgoing;
     use crate::sync::SyncNetwork;
+    use crate::testkit::{floods, Flood, IdMsg};
     use nectar_graph::gen;
-    use std::collections::BTreeSet;
-
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct IdMsg(usize);
-
-    impl WireSized for IdMsg {
-        fn wire_bytes(&self) -> usize {
-            8
-        }
-    }
-
-    /// The toy flooding protocol of the sync engine tests, with
-    /// the quiescence hint the event runtime exploits.
-    #[derive(Debug, Clone)]
-    struct Flood {
-        id: usize,
-        neighbors: Vec<usize>,
-        known: BTreeSet<usize>,
-        outbox: Vec<usize>,
-    }
-
-    impl Flood {
-        fn new(id: usize, g: &Graph) -> Self {
-            Flood {
-                id,
-                neighbors: g.neighborhood(id),
-                known: [id].into_iter().collect(),
-                outbox: vec![id],
-            }
-        }
-    }
-
-    impl Process for Flood {
-        type Msg = IdMsg;
-
-        fn id(&self) -> usize {
-            self.id
-        }
-
-        fn send(&mut self, _round: usize) -> Vec<Outgoing<IdMsg>> {
-            let outbox = std::mem::take(&mut self.outbox);
-            outbox
-                .into_iter()
-                .flat_map(|payload| {
-                    self.neighbors.iter().map(move |&to| Outgoing::new(to, IdMsg(payload)))
-                })
-                .collect()
-        }
-
-        fn receive(&mut self, _round: usize, _from: usize, msg: IdMsg) {
-            if self.known.insert(msg.0) {
-                self.outbox.push(msg.0);
-            }
-        }
-
-        fn quiescent(&self) -> bool {
-            self.outbox.is_empty()
-        }
-    }
-
-    fn floods(g: &Graph) -> Vec<Flood> {
-        (0..g.node_count()).map(|i| Flood::new(i, g)).collect()
-    }
 
     #[test]
     fn event_flooding_covers_connected_graph() {
@@ -548,80 +448,9 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::process::Outgoing;
     use crate::sync::SyncNetwork;
+    use crate::testkit::{arb_graph, floods};
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
-
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct IdMsg(usize);
-
-    impl WireSized for IdMsg {
-        fn wire_bytes(&self) -> usize {
-            8
-        }
-    }
-
-    #[derive(Debug, Clone)]
-    struct Flood {
-        id: usize,
-        neighbors: Vec<usize>,
-        known: BTreeSet<usize>,
-        outbox: Vec<usize>,
-        received: Vec<(usize, usize, usize)>,
-    }
-
-    impl Flood {
-        fn new(id: usize, g: &Graph) -> Self {
-            Flood {
-                id,
-                neighbors: g.neighborhood(id),
-                known: [id].into_iter().collect(),
-                outbox: vec![id],
-                received: Vec::new(),
-            }
-        }
-    }
-
-    impl Process for Flood {
-        type Msg = IdMsg;
-
-        fn id(&self) -> usize {
-            self.id
-        }
-
-        fn send(&mut self, _round: usize) -> Vec<Outgoing<IdMsg>> {
-            let outbox = std::mem::take(&mut self.outbox);
-            outbox
-                .into_iter()
-                .flat_map(|payload| {
-                    self.neighbors.iter().map(move |&to| Outgoing::new(to, IdMsg(payload)))
-                })
-                .collect()
-        }
-
-        fn receive(&mut self, round: usize, from: usize, msg: IdMsg) {
-            self.received.push((round, from, msg.0));
-            if self.known.insert(msg.0) {
-                self.outbox.push(msg.0);
-            }
-        }
-
-        fn quiescent(&self) -> bool {
-            self.outbox.is_empty()
-        }
-    }
-
-    fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
-        (2..=max_n).prop_flat_map(|n| {
-            let pairs: Vec<(usize, usize)> =
-                (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))).collect();
-            proptest::collection::vec(proptest::bool::ANY, pairs.len()).prop_map(move |mask| {
-                let edges = pairs.iter().zip(&mask).filter_map(|(&e, &keep)| keep.then_some(e));
-                Graph::from_edges(n, edges).expect("generated edges are in range")
-            })
-        })
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -632,11 +461,9 @@ mod proptests {
         #[test]
         fn event_and_sync_trajectories_are_identical(g in arb_graph(9)) {
             let n = g.node_count();
-            let procs: Vec<Flood> = (0..n).map(|i| Flood::new(i, &g)).collect();
-            let mut sync_net = SyncNetwork::new(procs, g.clone());
+            let mut sync_net = SyncNetwork::new(floods(&g), g.clone());
             sync_net.run_rounds(n);
-            let procs: Vec<Flood> = (0..n).map(|i| Flood::new(i, &g)).collect();
-            let (event_procs, event_metrics) = run_event_driven(procs, &g, n);
+            let (event_procs, event_metrics) = run_event_driven(floods(&g), &g, n);
             for (a, b) in sync_net.processes().iter().zip(&event_procs) {
                 prop_assert_eq!(&a.received, &b.received, "node {}", a.id);
                 prop_assert_eq!(&a.known, &b.known);

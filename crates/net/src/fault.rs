@@ -1,45 +1,65 @@
-//! Fault interposition: wrap a correct process and distort its traffic.
+//! Byzantine silence: wrap a correct process and mute part of what it sends.
 //!
-//! Byzantine behaviour in the evaluation (§V-D) is largely *traffic-shaped*:
-//! crashing, staying silent toward half the network, or dropping messages.
-//! [`Faulty`] wraps any [`Process`] with a [`FaultModel`] that filters its
-//! incoming and outgoing messages, so the same correct protocol code can be
-//! subjected to every such behaviour. Protocol-specific deviations (lying
-//! about neighborhoods, forging chains) live next to each protocol instead.
+//! The traffic-shaped Byzantine behaviours of the evaluation (§V-D) —
+//! staying silent, crashing mid-run, playing dead toward one side of the
+//! network — never touch what a node *receives*: a crashed node stops
+//! sending, nothing more. [`Mute`] names the part of the outgoing traffic
+//! that is dropped and [`Muted`] applies it around any [`Process`], so a
+//! fleet with a few such nodes is still one homogeneous `Vec<Muted<P>>`.
+//! Protocol-specific deviations (lying about neighborhoods, forging
+//! chains) live next to each protocol instead.
 
 use std::collections::BTreeSet;
-use std::fmt;
-
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 
 use crate::process::{NodeId, Outgoing, Process};
 
-/// A traffic-level fault model applied around a process.
-pub trait FaultModel<M>: fmt::Debug + Send {
-    /// Filters/distorts the messages the wrapped process wants to send.
-    fn filter_outgoing(&mut self, round: usize, out: Vec<Outgoing<M>>) -> Vec<Outgoing<M>>;
+/// Which of a process's outgoing messages are dropped before they reach the
+/// network.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Mute {
+    /// Nothing is dropped: the wrapped process is correct.
+    Never,
+    /// Crash: everything is dropped from `round` onwards (`round = 1` is a
+    /// node that is silent for the whole execution).
+    From {
+        /// First silent round.
+        round: usize,
+    },
+    /// The paper's bridge attack (§V-D): correct toward everyone else,
+    /// crashed toward these nodes. Only the messages *to* them are dropped —
+    /// the node keeps hearing the silenced side and relays what it learns
+    /// to the favoured side, which is exactly what splits correct nodes'
+    /// views in Fig. 8.
+    Toward(BTreeSet<NodeId>),
+}
 
-    /// Filters/distorts a message before the wrapped process sees it.
-    /// Returning `None` suppresses delivery.
-    fn filter_incoming(&mut self, round: usize, from: NodeId, msg: M) -> Option<M> {
-        let _ = round;
-        let _ = from;
-        Some(msg)
+impl Mute {
+    /// Drops the muted part of round `round`'s outgoing batch.
+    pub fn apply<M>(&self, round: usize, out: &mut Vec<Outgoing<M>>) {
+        match self {
+            Mute::Never => {}
+            Mute::From { round: first } => {
+                if round >= *first {
+                    out.clear();
+                }
+            }
+            Mute::Toward(silenced) => out.retain(|o| !silenced.contains(&o.to)),
+        }
     }
 }
 
-/// A process whose traffic passes through a [`FaultModel`].
+/// A process whose outgoing traffic passes through a [`Mute`]. Incoming
+/// traffic and link notices reach the wrapped process untouched.
 #[derive(Debug)]
-pub struct Faulty<P: Process> {
+pub struct Muted<P> {
     inner: P,
-    fault: Box<dyn FaultModel<P::Msg>>,
+    mute: Mute,
 }
 
-impl<P: Process> Faulty<P> {
-    /// Wraps `inner` with `fault`.
-    pub fn new(inner: P, fault: Box<dyn FaultModel<P::Msg>>) -> Self {
-        Faulty { inner, fault }
+impl<P> Muted<P> {
+    /// Wraps `inner`; with [`Mute::Never`] the wrapper is transparent.
+    pub fn new(inner: P, mute: Mute) -> Self {
+        Muted { inner, mute }
     }
 
     /// The wrapped process.
@@ -48,13 +68,7 @@ impl<P: Process> Faulty<P> {
     }
 }
 
-/// `Faulty` deliberately keeps the default (conservative)
-/// [`Process::quiescent`] hint: fault models only *filter* traffic today,
-/// but a scripted [`ClosureFault`] may fabricate messages out of thin air,
-/// so the wrapper cannot promise silence even when the inner process can.
-/// Faulty nodes are few (at most `t`), so polling them every round costs
-/// the event runtime only `O(t · rounds)` extra events.
-impl<P: Process> Process for Faulty<P> {
+impl<P: Process> Process for Muted<P> {
     type Msg = P::Msg;
 
     fn id(&self) -> NodeId {
@@ -62,216 +76,74 @@ impl<P: Process> Process for Faulty<P> {
     }
 
     fn send(&mut self, round: usize) -> Vec<Outgoing<P::Msg>> {
-        let out = self.inner.send(round);
-        self.fault.filter_outgoing(round, out)
+        let mut out = self.inner.send(round);
+        self.mute.apply(round, &mut out);
+        out
     }
 
     fn receive(&mut self, round: usize, from: NodeId, msg: P::Msg) {
-        if let Some(msg) = self.fault.filter_incoming(round, from, msg) {
-            self.inner.receive(round, from, msg);
-        }
+        self.inner.receive(round, from, msg);
+    }
+
+    /// A muting wrapper keeps the conservative `false`: its node is one of
+    /// at most `t`, so polling it every round costs the event and parallel
+    /// engines `O(t · rounds)` empty polls, and no reasoning about what the
+    /// inner hint means once its sends are being dropped is needed.
+    fn quiescent(&self) -> bool {
+        matches!(self.mute, Mute::Never) && self.inner.quiescent()
     }
 
     fn link_changed(&mut self, round: usize, peer: NodeId, up: bool) {
-        // Fault models shape traffic, not link awareness: the inner process
-        // hears about topology changes unfiltered.
         self.inner.link_changed(round, peer, up);
-    }
-}
-
-/// Crash fault: sends nothing from `from_round` onwards (a node that crashed
-/// before round 1 is silent for the whole execution).
-#[derive(Debug, Clone)]
-pub struct Crash {
-    /// First round in which the node is silent.
-    pub from_round: usize,
-}
-
-impl<M> FaultModel<M> for Crash
-where
-    M: fmt::Debug + Send,
-{
-    fn filter_outgoing(&mut self, round: usize, out: Vec<Outgoing<M>>) -> Vec<Outgoing<M>> {
-        if round >= self.from_round {
-            Vec::new()
-        } else {
-            out
-        }
-    }
-}
-
-/// The paper's bridge attack behaviour (§V-D): act correctly toward one part
-/// of the network and as a *crashed* node toward the other. A crashed node
-/// stops sending but still receives, so only outgoing messages to
-/// `silent_toward` are dropped — the node keeps collecting the silenced
-/// side's information and relays it to the favoured side, which is exactly
-/// what splits correct nodes' views in Fig. 8.
-#[derive(Debug, Clone)]
-pub struct TwoFaced {
-    /// Nodes toward which this node plays dead.
-    pub silent_toward: BTreeSet<NodeId>,
-}
-
-impl TwoFaced {
-    /// Builds the fault from any iterator of victim nodes.
-    pub fn new(silent_toward: impl IntoIterator<Item = NodeId>) -> Self {
-        TwoFaced { silent_toward: silent_toward.into_iter().collect() }
-    }
-}
-
-impl<M> FaultModel<M> for TwoFaced
-where
-    M: fmt::Debug + Send,
-{
-    fn filter_outgoing(&mut self, _round: usize, out: Vec<Outgoing<M>>) -> Vec<Outgoing<M>> {
-        out.into_iter().filter(|o| !self.silent_toward.contains(&o.to)).collect()
-    }
-}
-
-/// Message-loss fault: drops each outgoing message independently with
-/// probability `p` (seeded, deterministic).
-pub struct DropRandom {
-    p: f64,
-    rng: StdRng,
-}
-
-impl DropRandom {
-    /// Creates the fault with drop probability `p` (clamped to `[0, 1]`).
-    pub fn new(p: f64, seed: u64) -> Self {
-        DropRandom { p: p.clamp(0.0, 1.0), rng: StdRng::seed_from_u64(seed) }
-    }
-}
-
-impl fmt::Debug for DropRandom {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DropRandom").field("p", &self.p).finish()
-    }
-}
-
-impl<M> FaultModel<M> for DropRandom
-where
-    M: fmt::Debug + Send,
-{
-    fn filter_outgoing(&mut self, _round: usize, out: Vec<Outgoing<M>>) -> Vec<Outgoing<M>> {
-        out.into_iter().filter(|_| self.rng.random::<f64>() >= self.p).collect()
-    }
-}
-
-/// Fully scriptable fault for tests: closures over outgoing and incoming
-/// traffic.
-pub struct ClosureFault<M> {
-    outgoing: Box<dyn FnMut(usize, Vec<Outgoing<M>>) -> Vec<Outgoing<M>> + Send>,
-    incoming: Box<dyn FnMut(usize, NodeId, M) -> Option<M> + Send>,
-}
-
-impl<M> ClosureFault<M> {
-    /// Builds the fault from the two filter closures.
-    pub fn new(
-        outgoing: impl FnMut(usize, Vec<Outgoing<M>>) -> Vec<Outgoing<M>> + Send + 'static,
-        incoming: impl FnMut(usize, NodeId, M) -> Option<M> + Send + 'static,
-    ) -> Self {
-        ClosureFault { outgoing: Box::new(outgoing), incoming: Box::new(incoming) }
-    }
-}
-
-impl<M> fmt::Debug for ClosureFault<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("ClosureFault(<scripted>)")
-    }
-}
-
-impl<M> FaultModel<M> for ClosureFault<M>
-where
-    M: fmt::Debug + Send,
-{
-    fn filter_outgoing(&mut self, round: usize, out: Vec<Outgoing<M>>) -> Vec<Outgoing<M>> {
-        (self.outgoing)(round, out)
-    }
-
-    fn filter_incoming(&mut self, round: usize, from: NodeId, msg: M) -> Option<M> {
-        (self.incoming)(round, from, msg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::WireSized;
+    use crate::testkit::{Flood, IdMsg};
+    use nectar_graph::gen;
 
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct Beacon(usize);
-
-    impl WireSized for Beacon {
-        fn wire_bytes(&self) -> usize {
-            4
-        }
-    }
-
-    /// Sends one beacon to every peer each round; records receptions.
-    #[derive(Debug)]
-    struct Chatty {
-        id: usize,
-        peers: Vec<usize>,
-        seen: Vec<(usize, usize)>,
-    }
-
-    impl Process for Chatty {
-        type Msg = Beacon;
-        fn id(&self) -> usize {
-            self.id
-        }
-        fn send(&mut self, _round: usize) -> Vec<Outgoing<Beacon>> {
-            self.peers.iter().map(|&to| Outgoing::new(to, Beacon(self.id))).collect()
-        }
-        fn receive(&mut self, round: usize, from: usize, _msg: Beacon) {
-            self.seen.push((round, from));
-        }
-    }
-
-    fn chatty(id: usize, peers: Vec<usize>) -> Chatty {
-        Chatty { id, peers, seen: Vec::new() }
+    /// Node 0 of a 3-star: two peers, one id to flood.
+    fn hub(mute: Mute) -> Muted<Flood> {
+        Muted::new(Flood::new(0, &gen::star(3)), mute)
     }
 
     #[test]
     fn crash_silences_from_given_round() {
-        let mut f = Faulty::new(chatty(0, vec![1]), Box::new(Crash { from_round: 2 }));
-        assert_eq!(f.send(1).len(), 1);
-        assert_eq!(f.send(2).len(), 0);
-        assert_eq!(f.send(3).len(), 0);
+        let mut f = hub(Mute::From { round: 2 });
+        assert_eq!(f.send(1).len(), 2);
+        // A fresh id refills the outbox before each later poll, so the
+        // empty batches are the mute's doing.
+        for round in [2, 3] {
+            f.receive(round - 1, 1, IdMsg(10 + round));
+            assert!(!f.inner().outbox.is_empty());
+            assert_eq!(f.send(round).len(), 0);
+        }
     }
 
     #[test]
     fn two_faced_silences_outgoing_but_keeps_listening() {
-        let mut f = Faulty::new(chatty(0, vec![1, 2]), Box::new(TwoFaced::new([2])));
+        let mut f = hub(Mute::Toward([2].into()));
         let out = f.send(1);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].to, 1);
         // A crashed node still receives: traffic from the silenced side is
         // processed (and can be leaked to the favoured side).
-        f.receive(1, 2, Beacon(2));
-        f.receive(1, 1, Beacon(1));
-        assert_eq!(f.inner().seen, vec![(1, 2), (1, 1)]);
+        f.receive(1, 2, IdMsg(2));
+        f.receive(1, 1, IdMsg(1));
+        assert_eq!(f.inner().received, vec![(1, 2, 2), (1, 1, 1)]);
+        let leaked = f.send(2);
+        assert_eq!(leaked.iter().map(|o| (o.to, o.msg.0)).collect::<Vec<_>>(), [(1, 2), (1, 1)]);
     }
 
     #[test]
-    fn drop_random_extremes() {
-        let mut always = Faulty::new(chatty(0, vec![1]), Box::new(DropRandom::new(1.0, 7)));
-        assert!(always.send(1).is_empty());
-        let mut never = Faulty::new(chatty(0, vec![1]), Box::new(DropRandom::new(0.0, 7)));
-        assert_eq!(never.send(1).len(), 1);
-    }
-
-    #[test]
-    fn closure_fault_scripts_traffic() {
-        let fault = ClosureFault::new(
-            |round, out| if round == 1 { Vec::new() } else { out },
-            |_round, from, msg| (from != 9).then_some(msg),
-        );
-        let mut f = Faulty::new(chatty(0, vec![1]), Box::new(fault));
-        assert!(f.send(1).is_empty());
-        assert_eq!(f.send(2).len(), 1);
-        f.receive(2, 9, Beacon(9));
-        f.receive(2, 1, Beacon(1));
-        assert_eq!(f.inner().seen, vec![(2, 1)]);
+    fn never_is_transparent_and_muting_stays_schedulable() {
+        let mut correct = hub(Mute::Never);
+        assert_eq!(correct.send(1).len(), 2);
+        assert!(correct.quiescent(), "the inner hint shows through");
+        let mut silent = hub(Mute::From { round: 1 });
+        assert!(silent.send(1).is_empty());
+        assert!(silent.inner().quiescent() && !silent.quiescent());
     }
 }

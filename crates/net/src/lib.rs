@@ -19,9 +19,9 @@
 //!
 //! Traffic is charged to per-node counters ([`metrics::Metrics`]) using each
 //! message's wire size, which is how the evaluation's data-sent-per-node
-//! figures are produced. Byzantine *traffic* behaviours (crash, two-faced
-//! silence, message loss) are applied by wrapping any process in
-//! [`fault::Faulty`].
+//! figures are produced. Byzantine *silence* (crash, two-faced) is one
+//! value, [`fault::Mute`], applied by wrapping any process in
+//! [`fault::Muted`].
 //!
 //! # Example
 //!
@@ -70,15 +70,15 @@ pub mod parallel;
 pub mod process;
 pub mod schedule;
 pub mod sync;
+#[cfg(test)]
+pub(crate) mod testkit;
 pub mod transport;
 
-pub use event::{run_event_driven, run_event_driven_with, EventNetwork};
-pub use fault::{ClosureFault, Crash, DropRandom, FaultModel, Faulty, TwoFaced};
+pub use event::{run_event_driven, EventNetwork};
+pub use fault::{Mute, Muted};
 pub use metrics::{Metrics, PhaseProfile};
-pub use parallel::{
-    parallel_map, resolve_workers, run_parallel, run_parallel_with, ParallelNetwork,
-};
-pub use process::{NodeId, Outgoing, Process, RoundSink, WireSized};
+pub use parallel::{parallel_map, resolve_workers, run_parallel, ParallelNetwork};
+pub use process::{NodeId, Outgoing, Process, WireSized};
 pub use schedule::{CompiledSchedule, ScheduleError, Scheduled, TopologySchedule};
 pub use sync::SyncNetwork;
 pub use transport::{

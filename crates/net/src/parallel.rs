@@ -40,7 +40,7 @@ use parking_lot::Mutex;
 use nectar_graph::Graph;
 
 use crate::metrics::Metrics;
-use crate::process::{NodeId, Process, RoundSink, WireSized};
+use crate::process::{NodeId, Process, WireSized};
 
 /// Resolves a requested worker count: `0` means "match the machine"
 /// (`std::thread::available_parallelism`, 1 if unknown); any other value is
@@ -223,35 +223,17 @@ where
     /// soon as every node is quiescent and no delivery is pending, the
     /// remaining rounds are provably silent and are skipped wholesale).
     pub fn run_rounds(&mut self, rounds: usize) {
-        self.run_rounds_with(rounds, &mut ());
-    }
-
-    /// [`run_rounds`](Self::run_rounds), reporting each committed round to
-    /// `sink`, in ascending order — rounds skipped wholesale as provably
-    /// silent still fire with the zero bytes they carried, so the stream is
-    /// identical to [`crate::sync::SyncNetwork`]'s.
-    pub fn run_rounds_with<S: RoundSink + ?Sized>(&mut self, rounds: usize, sink: &mut S) {
         let horizon = self.next_round + rounds;
         while self.next_round < horizon {
             if !self.active.iter().any(|&a| a) {
                 // Nobody may send spontaneously and nothing is in flight:
                 // every remaining round is a no-op, exactly as under the
                 // sync engine (which would poll n nodes to learn the same).
-                while self.next_round < horizon {
-                    sink.round_committed(self.next_round, 0);
-                    self.next_round += 1;
-                }
+                self.next_round = horizon;
                 return;
             }
-            let round = self.next_round;
             self.step();
-            sink.round_committed(round, self.round_bytes(round));
         }
-    }
-
-    /// Bytes committed during `round` (0 when the round carried nothing).
-    fn round_bytes(&self, round: usize) -> u64 {
-        self.metrics.bytes_per_round().get(round - 1).copied().unwrap_or(0)
     }
 
     /// Executes one round: parallel send phase, canonical-order commit,
@@ -398,32 +380,8 @@ where
     P: Process + Send,
     P::Msg: Send,
 {
-    run_parallel_with(processes, topology, rounds, workers, &mut ())
-}
-
-/// [`run_parallel`] with a [`RoundSink`] observing every committed round
-/// (skipped-as-silent rounds included). The sink runs on the calling
-/// thread, at the single-threaded commit barrier, so observation costs no
-/// synchronization.
-///
-/// # Panics
-///
-/// Panics unless `processes[i].id() == i` for every `i` and the process
-/// count equals the topology's node count.
-pub fn run_parallel_with<P, S>(
-    processes: Vec<P>,
-    topology: &Graph,
-    rounds: usize,
-    workers: usize,
-    sink: &mut S,
-) -> (Vec<P>, Metrics)
-where
-    P: Process + Send,
-    P::Msg: Send,
-    S: RoundSink + ?Sized,
-{
     let mut net = ParallelNetwork::new(processes, topology.clone(), workers);
-    net.run_rounds_with(rounds, sink);
+    net.run_rounds(rounds);
     net.into_parts()
 }
 
@@ -432,73 +390,8 @@ mod tests {
     use super::*;
     use crate::process::Outgoing;
     use crate::sync::SyncNetwork;
+    use crate::testkit::{floods, Flood, IdMsg};
     use nectar_graph::gen;
-    use std::collections::BTreeSet;
-
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct IdMsg(usize);
-
-    impl WireSized for IdMsg {
-        fn wire_bytes(&self) -> usize {
-            8
-        }
-    }
-
-    /// The toy flooding protocol of the other engines' tests, with the
-    /// quiescence hint the scheduler exploits.
-    #[derive(Debug, Clone)]
-    struct Flood {
-        id: usize,
-        neighbors: Vec<usize>,
-        known: BTreeSet<usize>,
-        outbox: Vec<usize>,
-        received: Vec<(usize, usize, usize)>,
-    }
-
-    impl Flood {
-        fn new(id: usize, g: &Graph) -> Self {
-            Flood {
-                id,
-                neighbors: g.neighborhood(id),
-                known: [id].into_iter().collect(),
-                outbox: vec![id],
-                received: Vec::new(),
-            }
-        }
-    }
-
-    impl Process for Flood {
-        type Msg = IdMsg;
-
-        fn id(&self) -> usize {
-            self.id
-        }
-
-        fn send(&mut self, _round: usize) -> Vec<Outgoing<IdMsg>> {
-            let outbox = std::mem::take(&mut self.outbox);
-            outbox
-                .into_iter()
-                .flat_map(|payload| {
-                    self.neighbors.iter().map(move |&to| Outgoing::new(to, IdMsg(payload)))
-                })
-                .collect()
-        }
-
-        fn receive(&mut self, round: usize, from: usize, msg: IdMsg) {
-            self.received.push((round, from, msg.0));
-            if self.known.insert(msg.0) {
-                self.outbox.push(msg.0);
-            }
-        }
-
-        fn quiescent(&self) -> bool {
-            self.outbox.is_empty()
-        }
-    }
-
-    fn floods(g: &Graph) -> Vec<Flood> {
-        (0..g.node_count()).map(|i| Flood::new(i, g)).collect()
-    }
 
     #[test]
     fn parallel_flooding_covers_connected_graph() {
@@ -699,80 +592,9 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::process::Outgoing;
     use crate::sync::SyncNetwork;
+    use crate::testkit::{arb_graph, floods};
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
-
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct IdMsg(usize);
-
-    impl WireSized for IdMsg {
-        fn wire_bytes(&self) -> usize {
-            8
-        }
-    }
-
-    #[derive(Debug, Clone)]
-    struct Flood {
-        id: usize,
-        neighbors: Vec<usize>,
-        known: BTreeSet<usize>,
-        outbox: Vec<usize>,
-        received: Vec<(usize, usize, usize)>,
-    }
-
-    impl Flood {
-        fn new(id: usize, g: &Graph) -> Self {
-            Flood {
-                id,
-                neighbors: g.neighborhood(id),
-                known: [id].into_iter().collect(),
-                outbox: vec![id],
-                received: Vec::new(),
-            }
-        }
-    }
-
-    impl Process for Flood {
-        type Msg = IdMsg;
-
-        fn id(&self) -> usize {
-            self.id
-        }
-
-        fn send(&mut self, _round: usize) -> Vec<Outgoing<IdMsg>> {
-            let outbox = std::mem::take(&mut self.outbox);
-            outbox
-                .into_iter()
-                .flat_map(|payload| {
-                    self.neighbors.iter().map(move |&to| Outgoing::new(to, IdMsg(payload)))
-                })
-                .collect()
-        }
-
-        fn receive(&mut self, round: usize, from: usize, msg: IdMsg) {
-            self.received.push((round, from, msg.0));
-            if self.known.insert(msg.0) {
-                self.outbox.push(msg.0);
-            }
-        }
-
-        fn quiescent(&self) -> bool {
-            self.outbox.is_empty()
-        }
-    }
-
-    fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
-        (2..=max_n).prop_flat_map(|n| {
-            let pairs: Vec<(usize, usize)> =
-                (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))).collect();
-            proptest::collection::vec(proptest::bool::ANY, pairs.len()).prop_map(move |mask| {
-                let edges = pairs.iter().zip(&mask).filter_map(|(&e, &keep)| keep.then_some(e));
-                Graph::from_edges(n, edges).expect("generated edges are in range")
-            })
-        })
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -786,11 +608,9 @@ mod proptests {
             workers in 1usize..5,
         ) {
             let n = g.node_count();
-            let procs: Vec<Flood> = (0..n).map(|i| Flood::new(i, &g)).collect();
-            let mut sync_net = SyncNetwork::new(procs, g.clone());
+            let mut sync_net = SyncNetwork::new(floods(&g), g.clone());
             sync_net.run_rounds(n);
-            let procs: Vec<Flood> = (0..n).map(|i| Flood::new(i, &g)).collect();
-            let (par_procs, par_metrics) = run_parallel(procs, &g, n, workers);
+            let (par_procs, par_metrics) = run_parallel(floods(&g), &g, n, workers);
             for (a, b) in sync_net.processes().iter().zip(&par_procs) {
                 prop_assert_eq!(&a.received, &b.received, "node {}", a.id);
                 prop_assert_eq!(&a.known, &b.known);

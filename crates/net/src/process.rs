@@ -67,36 +67,6 @@ where
     }
 }
 
-/// Observes the round barrier of a runtime execution.
-///
-/// Every engine fires [`round_committed`](RoundSink::round_committed)
-/// exactly once per round of a `run_rounds` horizon, in ascending round
-/// order, after all of that round's deliveries have been committed — the
-/// same instant for all three runtimes, so an observed execution streams an
-/// identical call sequence no matter which engine runs it (rounds an engine
-/// skips as provably silent still fire, with zero bytes). This is the
-/// streaming half of the determinism contract in `docs/DETERMINISM.md`: a
-/// new runtime must fire the sink at its round-commit barrier or it cannot
-/// claim bit-identical observability.
-pub trait RoundSink {
-    /// Round `round` (1-based) has committed; `bytes` is the traffic it
-    /// carried (the engine's `Metrics::bytes_per_round` entry).
-    fn round_committed(&mut self, round: usize, bytes: u64);
-}
-
-/// The no-op sink behind every unobserved entry point.
-impl RoundSink for () {
-    fn round_committed(&mut self, _round: usize, _bytes: u64) {}
-}
-
-/// Forward through references so `&mut dyn RoundSink` plugs into the
-/// generic engine entry points.
-impl<S: RoundSink + ?Sized> RoundSink for &mut S {
-    fn round_committed(&mut self, round: usize, bytes: u64) {
-        (**self).round_committed(round, bytes);
-    }
-}
-
 /// A protocol participant driven by a synchronous runtime.
 ///
 /// The runtime calls, for every round `r = 1, 2, …`:

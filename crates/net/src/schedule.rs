@@ -950,72 +950,11 @@ impl<P: Process> Process for Scheduled<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::WireSized;
     use crate::sync::SyncNetwork;
-
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct Token(u32);
-
-    impl WireSized for Token {
-        fn wire_bytes(&self) -> usize {
-            4
-        }
-    }
-
-    /// Reactive flooder: relays every newly learned token to all peers, and
-    /// re-announces everything it knows when a link comes up — the behaviour
-    /// a healed edge must re-wake.
-    #[derive(Debug)]
-    struct Flood {
-        id: usize,
-        peers: Vec<usize>,
-        known: BTreeSet<u32>,
-        outbox: Vec<u32>,
-    }
-
-    impl Flood {
-        fn new(id: usize, peers: Vec<usize>) -> Self {
-            Flood { id, peers, known: [id as u32].into(), outbox: vec![id as u32] }
-        }
-    }
-
-    impl Process for Flood {
-        type Msg = Token;
-
-        fn id(&self) -> usize {
-            self.id
-        }
-
-        fn send(&mut self, _round: usize) -> Vec<Outgoing<Token>> {
-            let outbox = std::mem::take(&mut self.outbox);
-            self.peers
-                .iter()
-                .flat_map(|&to| outbox.iter().map(move |&t| Outgoing::new(to, Token(t))))
-                .collect()
-        }
-
-        fn receive(&mut self, _round: usize, _from: usize, msg: Token) {
-            if self.known.insert(msg.0) {
-                self.outbox.push(msg.0);
-            }
-        }
-
-        fn quiescent(&self) -> bool {
-            self.outbox.is_empty()
-        }
-
-        fn link_changed(&mut self, _round: usize, _peer: usize, up: bool) {
-            if up {
-                let mut known: Vec<u32> = self.known.iter().copied().collect();
-                self.outbox.append(&mut known);
-            }
-        }
-    }
+    use crate::testkit::{floods, Flood};
 
     fn flood_fleet(g: &Graph, compiled: &Arc<CompiledSchedule>) -> Vec<Scheduled<Flood>> {
-        let procs =
-            (0..g.node_count()).map(|i| Flood::new(i, g.neighborhood(i))).collect::<Vec<_>>();
-        Scheduled::wrap_all(procs, compiled)
+        Scheduled::wrap_all(floods(g), compiled)
     }
 
     fn path4() -> Graph {
@@ -1289,7 +1228,7 @@ mod tests {
         let compiled = Arc::new(
             TopologySchedule::new().drop_edge(2, 0, 1).heal_edge(5, 0, 1).compile(&g).unwrap(),
         );
-        let mut node = Scheduled::new(Flood::new(0, vec![1]), &compiled);
+        let mut node = Scheduled::new(Flood::new(0, &g), &compiled);
         let _ = node.send(1);
         assert!(!node.quiescent(), "transitions pending at rounds 2 and 5");
         let _ = node.send(2);

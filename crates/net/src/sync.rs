@@ -17,7 +17,7 @@
 use nectar_graph::Graph;
 
 use crate::metrics::Metrics;
-use crate::process::{NodeId, Process, RoundSink};
+use crate::process::{NodeId, Process};
 
 /// A synchronous network executing one [`Process`] per topology node.
 #[derive(Debug)]
@@ -84,23 +84,9 @@ impl<P: Process> SyncNetwork<P> {
 
     /// Runs `rounds` synchronous rounds.
     pub fn run_rounds(&mut self, rounds: usize) {
-        self.run_rounds_with(rounds, &mut ());
-    }
-
-    /// [`run_rounds`](Self::run_rounds), reporting each committed round to
-    /// `sink` — this engine's per-step order *is* the canonical commit
-    /// order every other runtime's sink stream must reproduce.
-    pub fn run_rounds_with<S: RoundSink + ?Sized>(&mut self, rounds: usize, sink: &mut S) {
         for _ in 0..rounds {
-            let round = self.next_round;
             self.step();
-            sink.round_committed(round, self.round_bytes(round));
         }
-    }
-
-    /// Bytes committed during `round` (0 when the round carried nothing).
-    fn round_bytes(&self, round: usize) -> u64 {
-        self.metrics.bytes_per_round().get(round - 1).copied().unwrap_or(0)
     }
 
     /// The round [`step`](Self::step) will execute next (1-based).
@@ -141,70 +127,12 @@ impl<P: Process> SyncNetwork<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::{Outgoing, WireSized};
+    use crate::process::Outgoing;
+    use crate::testkit::{floods, Flood, IdMsg};
     use nectar_graph::gen;
 
-    /// Toy flooding protocol: each node floods its id once; receivers
-    /// remember ids and forward first sightings. Used to validate engine
-    /// semantics (synchrony, neighbor-only channels, determinism).
-    #[derive(Debug, Clone)]
-    struct Flood {
-        id: usize,
-        neighbors: Vec<usize>,
-        known: std::collections::BTreeSet<usize>,
-        outbox: Vec<usize>,
-        received_rounds: Vec<(usize, usize, usize)>, // (round, from, payload)
-    }
-
-    impl Flood {
-        fn new(id: usize, g: &Graph) -> Self {
-            Flood {
-                id,
-                neighbors: g.neighborhood(id),
-                known: [id].into_iter().collect(),
-                outbox: vec![id],
-                received_rounds: Vec::new(),
-            }
-        }
-    }
-
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct IdMsg(usize);
-
-    impl WireSized for IdMsg {
-        fn wire_bytes(&self) -> usize {
-            8
-        }
-    }
-
-    impl Process for Flood {
-        type Msg = IdMsg;
-
-        fn id(&self) -> usize {
-            self.id
-        }
-
-        fn send(&mut self, _round: usize) -> Vec<Outgoing<IdMsg>> {
-            let outbox = std::mem::take(&mut self.outbox);
-            outbox
-                .into_iter()
-                .flat_map(|payload| {
-                    self.neighbors.iter().map(move |&to| Outgoing::new(to, IdMsg(payload)))
-                })
-                .collect()
-        }
-
-        fn receive(&mut self, round: usize, from: usize, msg: IdMsg) {
-            self.received_rounds.push((round, from, msg.0));
-            if self.known.insert(msg.0) {
-                self.outbox.push(msg.0);
-            }
-        }
-    }
-
     fn run_flood(g: &Graph, rounds: usize) -> SyncNetwork<Flood> {
-        let procs = (0..g.node_count()).map(|i| Flood::new(i, g)).collect();
-        let mut net = SyncNetwork::new(procs, g.clone());
+        let mut net = SyncNetwork::new(floods(g), g.clone());
         net.run_rounds(rounds);
         net
     }
@@ -232,7 +160,7 @@ mod tests {
         let net = run_flood(&g, 3);
         // Node 3 learns node 0's id exactly at round 3 (three hops away).
         let p3 = net.process(3);
-        let arrival = p3.received_rounds.iter().find(|&&(_, _, payload)| payload == 0).unwrap();
+        let arrival = p3.received.iter().find(|&&(_, _, payload)| payload == 0).unwrap();
         assert_eq!(arrival.0, 3);
         assert_eq!(arrival.1, 2, "must arrive from the intermediate neighbor");
     }
@@ -286,7 +214,7 @@ mod tests {
         let a = run_flood(&g, 6);
         let b = run_flood(&g, 6);
         for (pa, pb) in a.processes().iter().zip(b.processes()) {
-            assert_eq!(pa.received_rounds, pb.received_rounds);
+            assert_eq!(pa.received, pb.received);
         }
         assert_eq!(a.metrics(), b.metrics());
     }
@@ -303,73 +231,9 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::process::{Outgoing, WireSized};
+    use crate::testkit::{arb_graph, floods};
     use nectar_graph::traversal;
     use proptest::prelude::*;
-    use std::collections::BTreeSet;
-
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    struct IdMsg(usize);
-
-    impl WireSized for IdMsg {
-        fn wire_bytes(&self) -> usize {
-            8
-        }
-    }
-
-    #[derive(Debug, Clone)]
-    struct Flood {
-        id: usize,
-        neighbors: Vec<usize>,
-        known: BTreeSet<usize>,
-        outbox: Vec<usize>,
-    }
-
-    impl Flood {
-        fn new(id: usize, g: &Graph) -> Self {
-            Flood {
-                id,
-                neighbors: g.neighborhood(id),
-                known: [id].into_iter().collect(),
-                outbox: vec![id],
-            }
-        }
-    }
-
-    impl Process for Flood {
-        type Msg = IdMsg;
-
-        fn id(&self) -> usize {
-            self.id
-        }
-
-        fn send(&mut self, _round: usize) -> Vec<Outgoing<IdMsg>> {
-            let outbox = std::mem::take(&mut self.outbox);
-            outbox
-                .into_iter()
-                .flat_map(|payload| {
-                    self.neighbors.iter().map(move |&to| Outgoing::new(to, IdMsg(payload)))
-                })
-                .collect()
-        }
-
-        fn receive(&mut self, _round: usize, _from: usize, msg: IdMsg) {
-            if self.known.insert(msg.0) {
-                self.outbox.push(msg.0);
-            }
-        }
-    }
-
-    fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
-        (2..=max_n).prop_flat_map(|n| {
-            let pairs: Vec<(usize, usize)> =
-                (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))).collect();
-            proptest::collection::vec(proptest::bool::ANY, pairs.len()).prop_map(move |mask| {
-                let edges = pairs.iter().zip(&mask).filter_map(|(&e, &keep)| keep.then_some(e));
-                Graph::from_edges(n, edges).expect("generated edges are in range")
-            })
-        })
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -379,8 +243,7 @@ mod proptests {
         #[test]
         fn flood_coverage_equals_reachability(g in arb_graph(9)) {
             let n = g.node_count();
-            let procs: Vec<Flood> = (0..n).map(|i| Flood::new(i, &g)).collect();
-            let mut net = SyncNetwork::new(procs, g.clone());
+            let mut net = SyncNetwork::new(floods(&g), g.clone());
             net.run_rounds(n);
             for p in net.processes() {
                 let reach = traversal::reachable_from(&g, p.id);
@@ -395,8 +258,7 @@ mod proptests {
         #[test]
         fn metrics_are_internally_consistent(g in arb_graph(8)) {
             let n = g.node_count();
-            let procs: Vec<Flood> = (0..n).map(|i| Flood::new(i, &g)).collect();
-            let mut net = SyncNetwork::new(procs, g.clone());
+            let mut net = SyncNetwork::new(floods(&g), g.clone());
             net.run_rounds(n);
             let m = net.metrics();
             let total_msgs: u64 = m.msgs_sent().iter().sum();

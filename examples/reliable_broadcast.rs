@@ -11,37 +11,9 @@
 //! over Dolev path-vector transport (§VI-B) — and the broadcast succeeds
 //! even with a Byzantine relay crashing mid-protocol.
 
-use nectar::net::{Crash, Faulty, NodeId, Outgoing, Process, SyncNetwork};
+use nectar::net::{Mute, Muted, Process, SyncNetwork};
 use nectar::prelude::*;
-use nectar::unsigned::{BcastClaim, BrachaConfig, BrachaNode, PathMsg};
-
-#[derive(Debug)]
-enum Participant {
-    Honest(BrachaNode),
-    Byz(Faulty<BrachaNode>),
-}
-
-impl Process for Participant {
-    type Msg = PathMsg<BcastClaim>;
-    fn id(&self) -> NodeId {
-        match self {
-            Participant::Honest(x) => x.id(),
-            Participant::Byz(x) => x.id(),
-        }
-    }
-    fn send(&mut self, round: usize) -> Vec<Outgoing<Self::Msg>> {
-        match self {
-            Participant::Honest(x) => x.send(round),
-            Participant::Byz(x) => x.send(round),
-        }
-    }
-    fn receive(&mut self, round: usize, from: NodeId, msg: Self::Msg) {
-        match self {
-            Participant::Honest(x) => x.receive(round, from, msg),
-            Participant::Byz(x) => x.receive(round, from, msg),
-        }
-    }
-}
+use nectar::unsigned::{BrachaConfig, BrachaNode};
 
 fn main() -> Result<(), nectar::graph::GraphError> {
     let n = 10;
@@ -64,18 +36,15 @@ fn main() -> Result<(), nectar::graph::GraphError> {
     // same Byzantine node crashing from round 1.
     let value = 0xB10C;
     let cfg = BrachaConfig::new(n, t, 0);
-    let participants: Vec<Participant> = (0..n)
+    let participants: Vec<Muted<BrachaNode>> = (0..n)
         .map(|i| {
             let node = if i == 0 {
                 BrachaNode::dealer(i, cfg, graph.neighborhood(i), value)
             } else {
                 BrachaNode::new(i, cfg, graph.neighborhood(i))
             };
-            if i == byzantine_relay {
-                Participant::Byz(Faulty::new(node, Box::new(Crash { from_round: 1 })))
-            } else {
-                Participant::Honest(node)
-            }
+            let mute = if i == byzantine_relay { Mute::From { round: 1 } } else { Mute::Never };
+            Muted::new(node, mute)
         })
         .collect();
     let mut net = SyncNetwork::new(participants, graph);
@@ -83,13 +52,12 @@ fn main() -> Result<(), nectar::graph::GraphError> {
     let (participants, metrics) = net.into_parts();
 
     println!("broadcast:         dealer 0 proposes {value:#x}");
-    for p in &participants {
-        if let Participant::Honest(h) = p {
-            let delivered =
-                h.delivered_value().map(|v| format!("{v:#x}")).unwrap_or_else(|| "nothing".into());
-            println!("  node {:>2} delivered {delivered}", h.node_id());
-            assert_eq!(h.delivered_value(), Some(value));
-        }
+    for p in participants.iter().filter(|p| p.id() != byzantine_relay) {
+        let h = p.inner();
+        let delivered =
+            h.delivered_value().map(|v| format!("{v:#x}")).unwrap_or_else(|| "nothing".into());
+        println!("  node {:>2} delivered {delivered}", h.node_id());
+        assert_eq!(h.delivered_value(), Some(value));
     }
     println!(
         "\nAll correct nodes delivered the dealer's value despite the crashed\n\

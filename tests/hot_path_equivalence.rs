@@ -7,7 +7,8 @@
 //!
 //! * **Fingerprint ground truth.** Every node's rolling
 //!   [`NectarNode::view_fingerprint`] must equal the from-scratch digest of
-//!   its discovered graph, after arbitrary behaviour-zoo runs and under
+//!   its discovered graph, after arbitrary runs of the shared zoo
+//!   (`tests/common`: all eight Byzantine behaviours) and under
 //!   active [`TopologySchedule`]s — the schedules exercise edge drops and
 //!   heals mid-dissemination, i.e. views that grow through every relay
 //!   acceptance path.
@@ -18,80 +19,21 @@
 //!   strongest observable: the full `RunReport` (decisions, traffic
 //!   metrics, oracle counters, rejection tallies) must be bit-identical
 //!   across all three runtimes and across parallel worker counts
-//!   {0, 2, 3, 7}. The oracle's edge-list layer 1 (docs/DETERMINISM.md §7)
+//!   {0, 2, 3, 7}. The oracle's edge-list layer 1 (docs/DETERMINISM.md §6)
 //!   is held to the same pin on the regime it serves: a many-class
 //!   partitioned fleet.
 //!
 //! This suite is the named `hot-path-equivalence` CI step.
 
+mod common;
+
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
+use common::{arb_scenario, assert_reports_identical, build_scenario};
 use nectar::graph::Fingerprint;
 use nectar::prelude::*;
 use nectar::protocol::Participant;
-
-/// A compact topology zoo: one representative per §V-B family plus a dense
-/// random mask, sized so every case also runs on the thread-per-node
-/// engine (mirrors `tests/sim_equivalence.rs`).
-fn arb_zoo_graph() -> impl Strategy<Value = Graph> {
-    let mask_graph = (4usize..9).prop_flat_map(|n| {
-        let pairs: Vec<(usize, usize)> =
-            (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))).collect();
-        proptest::collection::vec(0.0f64..1.0, pairs.len()).prop_map(move |weights| {
-            let edges = pairs.iter().zip(&weights).filter_map(|(&e, &w)| (w < 0.5).then_some(e));
-            Graph::from_edges(n, edges).expect("edges in range")
-        })
-    });
-    prop_oneof![
-        (2usize..5, 0usize..6)
-            .prop_map(|(k, extra)| gen::harary(k, k + 2 + extra).expect("valid harary")),
-        (3usize..5, 0usize..5).prop_map(|(k, extra)| {
-            gen::generalized_wheel(k, (2 * k + 2 + extra).max(k + 3)).expect("valid wheel")
-        }),
-        (2usize..4, 0usize..5)
-            .prop_map(|(k, extra)| gen::k_pasted_tree(k, 2 * k + 4 + extra).expect("valid lhg")),
-        (3usize..9).prop_map(gen::cycle),
-        (4usize..9).prop_map(gen::star),
-        mask_graph,
-    ]
-}
-
-/// A Byzantine cast from the topology-independent behaviour zoo.
-fn arb_cast(n: usize, t: usize) -> impl Strategy<Value = Vec<(usize, ByzantineBehavior)>> {
-    let behavior = (0..4usize, proptest::collection::btree_set(0..n, 0..3), 1..4usize).prop_map(
-        move |(kind, others, round)| {
-            let others: BTreeSet<usize> = others;
-            match kind {
-                0 => ByzantineBehavior::Silent,
-                1 => ByzantineBehavior::CrashAfter { round },
-                2 => ByzantineBehavior::TwoFaced { silent_toward: others },
-                _ => ByzantineBehavior::HideEdges { toward: others },
-            }
-        },
-    );
-    proptest::collection::btree_set(0..n, 0..=t).prop_flat_map(move |nodes| {
-        let nodes: Vec<usize> = nodes.into_iter().collect();
-        proptest::collection::vec(behavior.clone(), nodes.len())
-            .prop_map(move |behaviors| nodes.iter().copied().zip(behaviors).collect())
-    })
-}
-
-fn arb_scenario() -> impl Strategy<Value = (Graph, usize, Vec<(usize, ByzantineBehavior)>)> {
-    arb_zoo_graph().prop_flat_map(|g| {
-        let n = g.node_count();
-        let t = 2.min(n / 3);
-        arb_cast(n, t).prop_map(move |cast| (g.clone(), t, cast))
-    })
-}
-
-fn build_scenario(g: &Graph, t: usize, cast: &[(usize, ByzantineBehavior)]) -> Scenario {
-    let mut scenario = Scenario::new(g.clone(), t).with_key_seed(55);
-    for (node, behavior) in cast {
-        scenario = scenario.with_byzantine(*node, behavior.clone());
-    }
-    scenario
-}
 
 /// Asserts that every participant's rolling fingerprint equals the
 /// from-scratch digest of its discovered graph, through both from-scratch
@@ -132,19 +74,6 @@ const OTHER_RUNTIMES: [Runtime; 5] = [
     Runtime::Parallel { workers: 3 },
     Runtime::Parallel { workers: 7 },
 ];
-
-/// The non-`runtime` content of two reports must match bit for bit; the
-/// `runtime` tag is the one field that legitimately names the engine.
-fn assert_reports_bit_identical(report: &RunReport, reference: &RunReport, label: &str) {
-    assert_eq!(report.epochs, reference.epochs, "{label}: epoch outcomes drifted");
-    assert_eq!(report.byzantine, reference.byzantine, "{label}: casts differ");
-    assert_eq!(report.topology, reference.topology, "{label}: topologies differ");
-    assert_eq!(report.schedule, reference.schedule, "{label}: schedule records differ");
-    assert_eq!(
-        (report.n, report.t, report.key_seed),
-        (reference.n, reference.t, reference.key_seed)
-    );
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -195,7 +124,7 @@ proptest! {
         let reference = scenario.sim().run();
         for runtime in OTHER_RUNTIMES {
             let report = scenario.sim().runtime(runtime).run();
-            assert_reports_bit_identical(&report, &reference, &format!("{runtime}"));
+            assert_reports_identical(&report, &reference, &format!("{runtime}"));
         }
     }
 }
@@ -224,7 +153,7 @@ fn scheduled_multi_epoch_runs_are_bit_identical_everywhere() {
     assert!(!reference.decisions().is_empty());
     for runtime in OTHER_RUNTIMES {
         let report = run(runtime);
-        assert_reports_bit_identical(&report, &reference, &format!("{runtime}"));
+        assert_reports_identical(&report, &reference, &format!("{runtime}"));
         // The JSON projection agrees too, once the legitimate runtime/
         // workers header line is dropped — a codec-level restatement of
         // the same pin.
@@ -276,6 +205,6 @@ fn many_class_partitioned_fleets_are_bit_identical_everywhere() {
     assert!(reference.decisions().values().all(|d| d.confirmed));
     for runtime in OTHER_RUNTIMES {
         let report = scenario.sim().runtime(runtime).run();
-        assert_reports_bit_identical(&report, &reference, &format!("{runtime}"));
+        assert_reports_identical(&report, &reference, &format!("{runtime}"));
     }
 }

@@ -1,47 +1,15 @@
 //! Property-based tests of Definition 3: Termination, Agreement, Safety,
 //! 2t-Sensitivity and Validity over random graphs, random Byzantine casts
-//! and the full behaviour zoo.
+//! and the full behaviour zoo of `tests/common`.
+
+mod common;
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
+use common::{arb_mask_graph as arb_graph, arb_scenario_over, ZooScenario};
 use nectar::prelude::*;
-
-/// Random connected-ish graph on up to `max_n` nodes (edges kept with the
-/// given density; may be disconnected, which is a valid input too).
-fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
-    (4..=max_n).prop_flat_map(|n| {
-        let pairs: Vec<(usize, usize)> =
-            (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))).collect();
-        proptest::collection::vec(0.0f64..1.0, pairs.len()).prop_map(move |weights| {
-            let edges = pairs.iter().zip(&weights).filter_map(|(&e, &w)| (w < 0.45).then_some(e));
-            Graph::from_edges(n, edges).expect("edges in range")
-        })
-    })
-}
-
-/// A Byzantine cast: up to `t` nodes with behaviours that are valid for any
-/// topology (silent / crash / two-faced / hide / equivocate).
-fn arb_cast(n: usize, t: usize) -> impl Strategy<Value = Vec<(usize, ByzantineBehavior)>> {
-    let behavior = (0..5usize, proptest::collection::btree_set(0..n, 0..3), 1..4usize).prop_map(
-        move |(kind, others, round)| {
-            let others: BTreeSet<usize> = others;
-            match kind {
-                0 => ByzantineBehavior::Silent,
-                1 => ByzantineBehavior::CrashAfter { round },
-                2 => ByzantineBehavior::TwoFaced { silent_toward: others },
-                3 => ByzantineBehavior::HideEdges { toward: others },
-                _ => ByzantineBehavior::Equivocate { victims: others },
-            }
-        },
-    );
-    proptest::collection::btree_set(0..n, 0..=t).prop_flat_map(move |nodes| {
-        let nodes: Vec<usize> = nodes.into_iter().collect();
-        proptest::collection::vec(behavior.clone(), nodes.len())
-            .prop_map(move |behaviors| nodes.iter().copied().zip(behaviors).collect())
-    })
-}
 
 fn run_with_cast(g: &Graph, t: usize, cast: &[(usize, ByzantineBehavior)]) -> RunReport {
     let mut scenario = Scenario::new(g.clone(), t).with_key_seed(7);
@@ -51,18 +19,10 @@ fn run_with_cast(g: &Graph, t: usize, cast: &[(usize, ByzantineBehavior)]) -> Ru
     scenario.sim().run()
 }
 
-/// A graph, the Byzantine budget `t` used to size its cast, and a cast
-/// drawn from the full behaviour zoo (silent / crash / two-faced / hide /
-/// equivocate) via [`arb_cast`]. Yielding `t` keeps the budget and the
-/// cast size defined in one place.
-fn arb_graph_and_cast(
-    max_n: usize,
-) -> impl Strategy<Value = (Graph, usize, Vec<(usize, ByzantineBehavior)>)> {
-    arb_graph(max_n).prop_flat_map(|g| {
-        let n = g.node_count();
-        let t = 2.min(n / 3);
-        arb_cast(n, t).prop_map(move |cast| (g.clone(), t, cast))
-    })
+/// A random graph, the Byzantine budget `t` used to size its cast, and a
+/// cast drawn from the full behaviour zoo (all eight, colluders included).
+fn arb_graph_and_cast(max_n: usize) -> impl Strategy<Value = ZooScenario> {
+    arb_scenario_over(arb_graph(max_n))
 }
 
 proptest! {

@@ -15,11 +15,12 @@
 //! nodes every round), so any hint violation fails loudly at the exact
 //! round it occurs.
 
+mod common;
+
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeSet;
 
+use common::{arb_cast, arb_scenario, arb_zoo_graph};
 use nectar::net::{
     run_event_driven, run_parallel, NodeId, Outgoing, Process, Scheduled, SyncNetwork, WireSized,
 };
@@ -127,57 +128,6 @@ fn audit_scheduled(scenario: &Scenario, schedule: &TopologySchedule) {
     assert_eq!(sync_metrics, parallel_metrics, "sync vs parallel under schedule");
 }
 
-/// One graph from each family of the §V-B generator zoo (sizes kept small:
-/// the audit runs the full `n − 1` round horizon on the polling engine).
-fn arb_zoo_graph() -> impl Strategy<Value = Graph> {
-    let mask_graph = (4usize..10).prop_flat_map(|n| {
-        let pairs: Vec<(usize, usize)> =
-            (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))).collect();
-        proptest::collection::vec(0.0f64..1.0, pairs.len()).prop_map(move |weights| {
-            let edges = pairs.iter().zip(&weights).filter_map(|(&e, &w)| (w < 0.45).then_some(e));
-            Graph::from_edges(n, edges).expect("edges in range")
-        })
-    });
-    prop_oneof![
-        (2usize..5, 0usize..8)
-            .prop_map(|(k, extra)| gen::harary(k, k + 2 + extra).expect("valid harary")),
-        (2usize..4, 0usize..6)
-            .prop_map(|(k, extra)| gen::k_pasted_tree(k, 2 * k + 4 + extra).expect("valid lhg")),
-        (0u64..1000, 0usize..7).prop_map(|(seed, d)| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            gen::drone_scenario(10, d as f64, 2.0, &mut rng).expect("valid drone").graph
-        }),
-        mask_graph,
-    ]
-}
-
-/// A Byzantine cast from the behaviour zoo (topology-independent variants;
-/// partner-free falsifiers lie "down" only, so any placement is legal).
-fn arb_cast(n: usize, t: usize) -> impl Strategy<Value = Vec<(usize, ByzantineBehavior)>> {
-    let behavior = (0..6usize, proptest::collection::btree_set(0..n, 0..3), 1..4usize).prop_map(
-        move |(kind, others, round)| {
-            let others: BTreeSet<usize> = others;
-            match kind {
-                0 => ByzantineBehavior::Silent,
-                1 => ByzantineBehavior::CrashAfter { round },
-                2 => ByzantineBehavior::TwoFaced { silent_toward: others },
-                3 => ByzantineBehavior::HideEdges { toward: others },
-                4 => ByzantineBehavior::FalsifyData {
-                    flips_per_mille: (round * 250) as u16,
-                    seed: round as u64,
-                    partners: vec![],
-                },
-                _ => ByzantineBehavior::Equivocate { victims: others },
-            }
-        },
-    );
-    proptest::collection::btree_set(0..n, 0..=t).prop_flat_map(move |nodes| {
-        let nodes: Vec<usize> = nodes.into_iter().collect();
-        proptest::collection::vec(behavior.clone(), nodes.len())
-            .prop_map(move |behaviors| nodes.iter().copied().zip(behaviors).collect())
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -186,11 +136,7 @@ proptest! {
     /// a receive — the exact assumption the event/parallel schedulers make.
     #[test]
     fn quiescent_hints_are_sound_across_the_zoo(
-        (g, t, cast) in arb_zoo_graph().prop_flat_map(|g| {
-            let n = g.node_count();
-            let t = 2.min(n / 3);
-            arb_cast(n, t).prop_map(move |cast| (g.clone(), t, cast))
-        }),
+        (g, t, cast) in arb_scenario(),
         seed in 0u64..1000,
     ) {
         let mut scenario = Scenario::new(g, t).with_key_seed(seed);

@@ -4,105 +4,18 @@
 //! parallel — promise *bit-identical* [`RunReport`]s for any scenario
 //! (same decisions, same traffic metrics, same oracle counters); the
 //! contract each upholds is written down in `docs/DETERMINISM.md`.
-//! This suite enforces that promise over the full topology generator zoo
-//! (Harary, wheels, LHG pasted-tree/diamond, geometric drone,
-//! random-regular, dense random) and the Byzantine behaviour zoo — the
-//! parallel engine at several worker counts, since worker count must never
+//! This suite enforces that promise over the shared zoo of `tests/common`
+//! (every §V-B topology family, casts over all eight Byzantine
+//! behaviours) — the parallel engine at several worker counts, since worker count must never
 //! leak into results — and pins down the scale claim: the event-driven and
 //! parallel runtimes host a 10 000-node scenario in one process.
 
+mod common;
+
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::BTreeSet;
 
+use common::{arb_scenario, assert_reports_identical, build_scenario};
 use nectar::prelude::*;
-
-/// One graph from each family of the §V-B generator zoo.
-fn arb_zoo_graph() -> impl Strategy<Value = Graph> {
-    let mask_graph = (4usize..10).prop_flat_map(|n| {
-        let pairs: Vec<(usize, usize)> =
-            (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))).collect();
-        proptest::collection::vec(0.0f64..1.0, pairs.len()).prop_map(move |weights| {
-            let edges = pairs.iter().zip(&weights).filter_map(|(&e, &w)| (w < 0.45).then_some(e));
-            Graph::from_edges(n, edges).expect("edges in range")
-        })
-    });
-    prop_oneof![
-        (2usize..5, 0usize..8)
-            .prop_map(|(k, extra)| gen::harary(k, k + 2 + extra).expect("valid harary")),
-        (3usize..5, 0usize..6).prop_map(|(k, extra)| {
-            gen::generalized_wheel(k, (2 * k + 2 + extra).max(k + 3)).expect("valid wheel")
-        }),
-        (0usize..6).prop_map(|extra| {
-            gen::multipartite_wheel(4, 10 + extra, 2).expect("valid multipartite wheel")
-        }),
-        (2usize..4, 0usize..6)
-            .prop_map(|(k, extra)| gen::k_pasted_tree(k, 2 * k + 4 + extra).expect("valid lhg")),
-        (2usize..4, 0usize..6)
-            .prop_map(|(k, extra)| gen::k_diamond(k, 2 * k + 4 + extra).expect("valid diamond")),
-        (0u64..1000, 0usize..7).prop_map(|(seed, d)| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            gen::drone_scenario(10, d as f64, 2.0, &mut rng).expect("valid drone").graph
-        }),
-        (0u64..1000, 3usize..5).prop_map(|(seed, k)| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let n = if k % 2 == 1 { 12 } else { 13 };
-            gen::random_regular(k, n, &mut rng).expect("valid random regular")
-        }),
-        mask_graph,
-    ]
-}
-
-/// A Byzantine cast from the behaviour zoo (topology-independent variants;
-/// partner-free falsifiers lie "down" only, so any placement is legal).
-fn arb_cast(n: usize, t: usize) -> impl Strategy<Value = Vec<(usize, ByzantineBehavior)>> {
-    let behavior = (0..6usize, proptest::collection::btree_set(0..n, 0..3), 1..4usize).prop_map(
-        move |(kind, others, round)| {
-            let others: BTreeSet<usize> = others;
-            match kind {
-                0 => ByzantineBehavior::Silent,
-                1 => ByzantineBehavior::CrashAfter { round },
-                2 => ByzantineBehavior::TwoFaced { silent_toward: others },
-                3 => ByzantineBehavior::HideEdges { toward: others },
-                4 => ByzantineBehavior::FalsifyData {
-                    flips_per_mille: (round * 250) as u16,
-                    seed: round as u64,
-                    partners: vec![],
-                },
-                _ => ByzantineBehavior::Equivocate { victims: others },
-            }
-        },
-    );
-    proptest::collection::btree_set(0..n, 0..=t).prop_flat_map(move |nodes| {
-        let nodes: Vec<usize> = nodes.into_iter().collect();
-        proptest::collection::vec(behavior.clone(), nodes.len())
-            .prop_map(move |behaviors| nodes.iter().copied().zip(behaviors).collect())
-    })
-}
-
-fn arb_scenario() -> impl Strategy<Value = (Graph, usize, Vec<(usize, ByzantineBehavior)>)> {
-    arb_zoo_graph().prop_flat_map(|g| {
-        let n = g.node_count();
-        let t = 2.min(n / 3);
-        arb_cast(n, t).prop_map(move |cast| (g.clone(), t, cast))
-    })
-}
-
-fn build_scenario(g: &Graph, t: usize, cast: &[(usize, ByzantineBehavior)]) -> Scenario {
-    let mut scenario = Scenario::new(g.clone(), t).with_key_seed(77);
-    for (node, behavior) in cast {
-        scenario = scenario.with_byzantine(*node, behavior.clone());
-    }
-    scenario
-}
-
-fn assert_reports_identical(a: &RunReport, b: &RunReport, label: &str) {
-    assert_eq!(a.decisions(), b.decisions(), "{label}: decisions differ");
-    assert_eq!(a.metrics(), b.metrics(), "{label}: metrics differ");
-    assert_eq!(a.byzantine, b.byzantine, "{label}: casts differ");
-    assert_eq!(a.oracle(), b.oracle(), "{label}: oracle counters differ");
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -125,10 +38,9 @@ proptest! {
     }
 }
 
-/// The colluding behaviours the random cast cannot produce (they constrain
-/// which nodes must be Byzantine) still agree across runtimes — LateReveal
-/// in particular sends *spontaneously*, the hard case for event and
-/// parallel scheduling alike.
+/// Fixed colluding casts, as a deterministic anchor beside the random ones
+/// — LateReveal in particular sends *spontaneously*, the hard case for
+/// event and parallel scheduling alike.
 #[test]
 fn colluding_casts_agree_across_runtimes() {
     let g = gen::cycle(8);

@@ -257,6 +257,28 @@ fn a_delay_overflowing_the_round_counter_is_refused_with_its_file_and_line() {
     assert!(shown.contains("overflows the round counter"), "{shown}");
 }
 
+/// A fleet too large for `u16` node ids is refused on the directive that
+/// sized it — whichever of the three it was — never built and truncated.
+#[test]
+fn a_fleet_beyond_the_node_id_space_is_refused_with_its_file_and_line() {
+    for (text, line) in [
+        ("t 1\ntopology cliques 65540\n", 2),
+        ("nodes 70000\nedge 0 1\nt 1\n", 1),
+        ("t 1\nseed 3\nmobility waypoint nodes=65537\n", 3),
+    ] {
+        let err = ScenarioSpec::parse(text, "fleet.scn")
+            .expect("the size is a valid number")
+            .compile()
+            .expect_err("node 65536 has no wire id");
+        let shown = err.to_string();
+        assert!(shown.starts_with(&format!("fleet.scn:{line}: ")), "{shown}");
+        assert!(shown.contains("exceed the 65536-node limit"), "{shown}");
+    }
+    // The limit itself is a legal size.
+    let fits = ScenarioSpec::parse("topology cliques 65536\nt 1\n", "fleet.scn").unwrap();
+    assert!(fits.compile().is_ok());
+}
+
 /// Contract 2c: a mobility directive lowers onto the exact schedule its
 /// generator emits, on every runtime.
 #[test]

@@ -15,63 +15,15 @@
 //! every correct node, and a cut healed early enough raises no false
 //! positive.
 
+mod common;
+
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeSet;
 
+use common::{arb_cast, arb_zoo_graph, assert_reports_identical, build_scenario};
 use nectar::graph::{ConnectivityOracle, Fingerprint};
 use nectar::net::{run_event_driven, Outgoing, Process, Scheduled, SyncNetwork, WireSized};
 use nectar::prelude::*;
-
-/// A compact slice of the §V-B generator zoo (every proptest case runs
-/// seven simulations, one of them thread-per-node).
-fn arb_zoo_graph() -> impl Strategy<Value = Graph> {
-    let mask_graph = (4usize..9).prop_flat_map(|n| {
-        let pairs: Vec<(usize, usize)> =
-            (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v))).collect();
-        proptest::collection::vec(0.0f64..1.0, pairs.len()).prop_map(move |weights| {
-            let edges = pairs.iter().zip(&weights).filter_map(|(&e, &w)| (w < 0.5).then_some(e));
-            Graph::from_edges(n, edges).expect("edges in range")
-        })
-    });
-    prop_oneof![
-        (2usize..5, 0usize..6)
-            .prop_map(|(k, extra)| gen::harary(k, k + 2 + extra).expect("valid harary")),
-        (3usize..5, 0usize..4).prop_map(|(k, extra)| {
-            gen::generalized_wheel(k, (2 * k + 2 + extra).max(k + 3)).expect("valid wheel")
-        }),
-        (2usize..4, 0usize..5)
-            .prop_map(|(k, extra)| gen::k_diamond(k, 2 * k + 4 + extra).expect("valid diamond")),
-        (0u64..1000, 0usize..7).prop_map(|(seed, d)| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            gen::drone_scenario(9, d as f64, 2.0, &mut rng).expect("valid drone").graph
-        }),
-        (5usize..11).prop_map(gen::cycle),
-        mask_graph,
-    ]
-}
-
-/// A Byzantine cast from the behaviour zoo, so scripted faults compose
-/// with adversarial ones.
-fn arb_cast(n: usize, t: usize) -> impl Strategy<Value = Vec<(usize, ByzantineBehavior)>> {
-    let behavior = (0..4usize, proptest::collection::btree_set(0..n, 0..3), 1..4usize).prop_map(
-        move |(kind, others, round)| {
-            let others: BTreeSet<usize> = others;
-            match kind {
-                0 => ByzantineBehavior::Silent,
-                1 => ByzantineBehavior::CrashAfter { round },
-                2 => ByzantineBehavior::TwoFaced { silent_toward: others },
-                _ => ByzantineBehavior::HideEdges { toward: others },
-            }
-        },
-    );
-    proptest::collection::btree_set(0..n, 0..=t).prop_flat_map(move |nodes| {
-        let nodes: Vec<usize> = nodes.into_iter().collect();
-        proptest::collection::vec(behavior.clone(), nodes.len())
-            .prop_map(move |behaviors| nodes.iter().copied().zip(behaviors).collect())
-    })
-}
 
 /// Per-edge flap chains: each selected edge drops at its start round and
 /// then alternates heal/drop for `cycles` cycles. Distinct edges keep the
@@ -190,21 +142,6 @@ fn arb_scheduled_scenario(
             },
         )
     })
-}
-
-fn build_scenario(g: &Graph, t: usize, cast: &[(usize, ByzantineBehavior)]) -> Scenario {
-    let mut scenario = Scenario::new(g.clone(), t).with_key_seed(77);
-    for (node, behavior) in cast {
-        scenario = scenario.with_byzantine(*node, behavior.clone());
-    }
-    scenario
-}
-
-fn assert_reports_identical(a: &RunReport, b: &RunReport, label: &str) {
-    assert_eq!(a.decisions(), b.decisions(), "{label}: decisions differ");
-    assert_eq!(a.metrics(), b.metrics(), "{label}: metrics differ");
-    assert_eq!(a.oracle(), b.oracle(), "{label}: oracle counters differ");
-    assert_eq!(a.schedule, b.schedule, "{label}: schedule records differ");
 }
 
 proptest! {

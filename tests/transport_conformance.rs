@@ -5,7 +5,8 @@
 //! Two layers, matching the two transports:
 //!
 //! * **Loopback** (in-process, still fully framed): bit-level
-//!   equivalence. A proptest over the topology × behaviour zoos checks
+//!   equivalence. A proptest over the shared zoo of `tests/common`
+//!   (topology families × all eight Byzantine behaviours) checks
 //!   that driving the participants over [`run_over_loopback`] reproduces
 //!   `Runtime::Sync`'s decisions *and* traffic metrics exactly.
 //! * **UDS fleet** (one OS process per node via `nectar-cli node`):
@@ -15,12 +16,14 @@
 //!   run, and the union of the fleet's `DeliveryLog`s must equal the
 //!   in-memory capture — honest and Byzantine casts alike.
 
-use std::collections::BTreeSet;
+mod common;
+
 use std::process::{Child, Command, Stdio};
 
 use proptest::prelude::*;
 
-use nectar::graph::{gen, ConnectivityOracle, Graph};
+use common::{arb_scenario, build_scenario};
+use nectar::graph::{gen, ConnectivityOracle};
 use nectar::net::transport::{DeliveryLog, NodeDriver, Recorded};
 use nectar::net::LoopbackHub;
 use nectar::prelude::*;
@@ -29,65 +32,6 @@ use nectar::protocol::{sync_fleet_reports, NodeReport};
 // ---------------------------------------------------------------------------
 // Loopback: decision- and metrics-equivalence across the zoos.
 // ---------------------------------------------------------------------------
-
-/// A reduced cut of the `tests/runtimes.rs` generator zoo (loopback pays
-/// full wire encode/decode per message, so sizes stay small).
-fn arb_zoo_graph() -> impl Strategy<Value = Graph> {
-    prop_oneof![
-        (2usize..5, 0usize..6)
-            .prop_map(|(k, extra)| gen::harary(k, k + 2 + extra).expect("valid harary")),
-        (3usize..5, 0usize..5).prop_map(|(k, extra)| {
-            gen::generalized_wheel(k, (2 * k + 2 + extra).max(k + 3)).expect("valid wheel")
-        }),
-        (2usize..4, 0usize..5)
-            .prop_map(|(k, extra)| gen::k_pasted_tree(k, 2 * k + 4 + extra).expect("valid lhg")),
-        (4usize..10).prop_map(gen::cycle),
-        (5usize..10).prop_map(gen::star),
-    ]
-}
-
-/// A Byzantine cast from the behaviour zoo (topology-independent
-/// variants only, as in the cross-runtime suite).
-fn arb_cast(n: usize, t: usize) -> impl Strategy<Value = Vec<(usize, ByzantineBehavior)>> {
-    let behavior = (0..6usize, proptest::collection::btree_set(0..n, 0..3), 1..4usize).prop_map(
-        move |(kind, others, round)| {
-            let others: BTreeSet<usize> = others;
-            match kind {
-                0 => ByzantineBehavior::Silent,
-                1 => ByzantineBehavior::CrashAfter { round },
-                2 => ByzantineBehavior::TwoFaced { silent_toward: others },
-                3 => ByzantineBehavior::HideEdges { toward: others },
-                4 => ByzantineBehavior::FalsifyData {
-                    flips_per_mille: (round * 250) as u16,
-                    seed: round as u64,
-                    partners: vec![],
-                },
-                _ => ByzantineBehavior::Equivocate { victims: others },
-            }
-        },
-    );
-    proptest::collection::btree_set(0..n, 0..=t).prop_flat_map(move |nodes| {
-        let nodes: Vec<usize> = nodes.into_iter().collect();
-        proptest::collection::vec(behavior.clone(), nodes.len())
-            .prop_map(move |behaviors| nodes.iter().copied().zip(behaviors).collect())
-    })
-}
-
-fn arb_scenario() -> impl Strategy<Value = (Graph, usize, Vec<(usize, ByzantineBehavior)>)> {
-    arb_zoo_graph().prop_flat_map(|g| {
-        let n = g.node_count();
-        let t = 2.min(n / 3);
-        arb_cast(n, t).prop_map(move |cast| (g.clone(), t, cast))
-    })
-}
-
-fn build_scenario(g: &Graph, t: usize, cast: &[(usize, ByzantineBehavior)]) -> Scenario {
-    let mut scenario = Scenario::new(g.clone(), t).with_key_seed(77);
-    for (node, behavior) in cast {
-        scenario = scenario.with_byzantine(*node, behavior.clone());
-    }
-    scenario
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
