@@ -16,8 +16,11 @@ use nectar_crypto::{NeighborhoodProof, SignatureChain};
 
 use crate::message::{NectarMsg, RelayedEdge, MSG_HEADER_BYTES};
 
-/// Codec version tag (bumped on incompatible frame changes).
-pub const CODEC_VERSION: u16 = 1;
+/// Codec version tag (bumped on incompatible frame changes). Version 2
+/// kept the layout of 1 and changed what a chain link signs (the previous
+/// link's tag), so a fleet mixing the two refuses the first frame instead
+/// of rejecting every relayed edge as a bad chain.
+pub const CODEC_VERSION: u16 = 2;
 
 impl Encode for RelayedEdge {
     fn encode(&self, buf: &mut BytesMut) {
@@ -151,6 +154,18 @@ mod tests {
         bytes[0] = 0xff;
         let mut slice = bytes.as_slice();
         assert!(NectarMsg::decode(&mut slice).is_err());
+    }
+
+    #[test]
+    fn a_version_1_header_is_refused() {
+        let (_, msg) = sample_msg();
+        let mut bytes = msg.to_wire_bytes();
+        assert_eq!(bytes[..2], CODEC_VERSION.to_be_bytes());
+        bytes[..2].copy_from_slice(&1u16.to_be_bytes());
+        assert_eq!(
+            NectarMsg::decode(&mut bytes.as_slice()),
+            Err(CodecError::LengthOutOfBounds { decoding: "NectarMsg version", len: 1 })
+        );
     }
 
     #[test]

@@ -82,12 +82,10 @@ pub struct NectarNode {
 struct PendingRelay {
     proof: Arc<NeighborhoodProof>,
     chain: Arc<SignatureChain>,
-    /// The digest this node's link signs: `chain`'s running digest over
-    /// `proof.digest()`, as the verification walk in
-    /// [`validate`](NectarNode::validate) left it (the payload digest itself
-    /// for the empty chain of an own announcement). Carrying it makes the
-    /// signature in `send` one HMAC instead of a re-fold of the whole chain.
-    running: [u8; 32],
+    /// `proof.digest()` — what the first link of `chain` signs — as
+    /// [`validate`](NectarNode::validate) computed it, so `send` extends the
+    /// chain without hashing the proof again.
+    payload_digest: [u8; 32],
     /// The neighbor the edge came from, which does not get it back; `None`
     /// for own announcements.
     exclude: Option<NodeId>,
@@ -97,8 +95,13 @@ impl PendingRelay {
     /// A round-1 announcement: empty chain, sent to every neighbor
     /// (Alg. 1 ll. 6–8).
     fn announcement(proof: Arc<NeighborhoodProof>) -> Self {
-        let running = proof.digest();
-        PendingRelay { proof, chain: Arc::new(SignatureChain::new()), running, exclude: None }
+        let payload_digest = proof.digest();
+        PendingRelay {
+            proof,
+            chain: Arc::new(SignatureChain::new()),
+            payload_digest,
+            exclude: None,
+        }
     }
 }
 
@@ -301,9 +304,8 @@ impl NectarNode {
     }
 
     /// Validates a relayed edge per Alg. 1 l. 14 plus the signature rules of
-    /// §II. Returns the reason if the edge fails; if it passes, the running
-    /// digest of its chain — what this node's own link will sign when it
-    /// relays the edge, computed by the verification walk as its last step.
+    /// §II. Returns the reason if the edge fails; if it passes, the proof
+    /// digest the chain was verified over.
     ///
     /// The proof check runs behind the `verified_proofs` memo: a proof this
     /// node already verified successfully (under a chain it then rejected)
@@ -339,7 +341,10 @@ impl NectarNode {
             }
             self.verified_proofs.insert(digest);
         }
-        chain.verify_running(&self.verifier, &digest).ok_or(RejectReason::BadChain)
+        if !chain.verify(&self.verifier, &digest) {
+            return Err(RejectReason::BadChain);
+        }
+        Ok(digest)
     }
 }
 
@@ -355,13 +360,12 @@ impl Process for NectarNode {
         if pending.is_empty() {
             return Vec::new();
         }
-        // Extend each chain once with our signature (σ_i(msg)) over the
-        // running digest its verification left behind, then fan the edge out
-        // to every neighbor not excluded — each copy is two pointer bumps
-        // (shared proof, shared extended chain), not a signature buffer.
+        // Extend each chain once with our signature (σ_i(msg)), then fan the
+        // edge out to every neighbor not excluded — each copy is two pointer
+        // bumps (shared proof, shared extended chain), not a signature buffer.
         let mut per_dest: BTreeMap<NodeId, Vec<RelayedEdge>> = BTreeMap::new();
         for item in pending {
-            let chain = Arc::new(item.chain.extend_at(&self.signer, &item.running));
+            let chain = Arc::new(item.chain.extend(&self.signer, &item.payload_digest));
             for &nbr in &self.neighbors {
                 if item.exclude == Some(nbr) {
                     continue;
@@ -385,13 +389,13 @@ impl Process for NectarNode {
             }
             match self.validate(round, from, &edge) {
                 Err(reason) => self.reject(reason),
-                Ok(running) => {
+                Ok(payload_digest) => {
                     self.discovered.insert(key, edge.proof.clone());
                     self.toggle_view_edge(key);
                     self.pending.push(PendingRelay {
                         proof: edge.proof,
                         chain: edge.chain,
-                        running,
+                        payload_digest,
                         exclude: Some(from),
                     });
                 }
@@ -761,8 +765,7 @@ mod relay_handoff_tests {
     /// Drives `scenario` round by round and checks every edge a correct node
     /// sends: its chain must be the chain the node accepted the edge under
     /// (the empty chain for its own announcements), extended from scratch
-    /// with [`SignatureChain::extend`] — i.e. the running digest handed from
-    /// `validate` to `send` is exactly the digest the re-fold would sign.
+    /// with [`SignatureChain::extend`] over the proof's own digest.
     /// Returns how many relays of each received-chain length were checked.
     fn check_relays(scenario: &Scenario) -> BTreeMap<usize, usize> {
         let n = scenario.topology().node_count();

@@ -2,22 +2,24 @@
 //!
 //! NECTAR relays every discovered edge inside a signature chain whose length
 //! must equal the current round number (Alg. 1 l. 14): each relay appends
-//! its own signature over everything it received. The chain both
-//! authenticates the relay path and timestamps the message — a Byzantine
-//! node cannot replay an edge "late" without producing a chain of the wrong
-//! length, and cannot splice chains because every link signs the running
-//! digest of all previous links (the Dolev–Strong argument of Lemma 2).
+//! its own signature over what it received — the previous relay's signature.
+//! The chain both authenticates the relay path and timestamps the message —
+//! a Byzantine node cannot replay an edge "late" without producing a chain
+//! of the wrong length, and cannot splice chains because every link's tag is
+//! a MAC over the tag before it, down to the payload digest (the
+//! Dolev–Strong argument of Lemma 2).
 
 use serde::{Deserialize, Serialize};
 
 use crate::keys::{Signature, Signer, SignerId, Verifier};
-use crate::sha256::Sha256;
 
 /// A signature chain over a fixed payload digest.
 ///
-/// Link `1` signs the payload digest; link `i + 1` signs
-/// `SHA256(digest_i ‖ signer_i ‖ tag_i)`, so links cannot be reordered,
-/// dropped or transplanted onto another payload.
+/// Link `1` signs the payload digest; link `i + 1` signs `tag_i`, the 32
+/// bytes of the signature before it. Equal tags under one key mean equal
+/// signed messages, so each tag commits to every earlier one and links
+/// cannot be reordered, dropped or transplanted onto another payload; a
+/// link re-attributed to another signer fails its own MAC.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct SignatureChain {
     links: Vec<Signature>,
@@ -66,52 +68,28 @@ impl SignatureChain {
         ids().enumerate().all(|(i, id)| ids().take(i).all(|earlier| earlier != id))
     }
 
-    /// Returns a new chain extended by `signer`'s signature over the running
-    /// digest (σ_signer(previous chain)).
-    ///
-    /// Re-derives the running digest from `payload_digest`, one hash per
-    /// link. A relay that has just verified this chain already holds that
-    /// digest ([`verify_running`](Self::verify_running)) and signs it through
-    /// [`extend_at`](Self::extend_at) instead.
+    /// Returns a new chain extended by `signer`'s signature over what it
+    /// received (σ_signer(previous chain)): the last link's tag, or
+    /// `payload_digest` for the empty chain. One HMAC, whatever the chain
+    /// length.
     pub fn extend(&self, signer: &Signer, payload_digest: &[u8; 32]) -> SignatureChain {
-        self.extend_at(signer, &self.running_digest(payload_digest))
-    }
-
-    /// Returns a new chain extended by `signer`'s signature over `running`,
-    /// which must be this chain's running digest: the value
-    /// [`verify_running`](Self::verify_running) returned for it (for the
-    /// empty chain, the payload digest itself). One HMAC, whatever the chain
-    /// length. A wrong `running` yields a chain that fails verification —
-    /// the same power [`from_links`](Self::from_links) already grants.
-    pub fn extend_at(&self, signer: &Signer, running: &[u8; 32]) -> SignatureChain {
+        let signed = self.links.last().map_or(payload_digest, Signature::tag);
         let mut links = Vec::with_capacity(self.links.len() + 1);
         links.extend_from_slice(&self.links);
-        links.push(signer.sign(running));
+        links.push(signer.sign(signed));
         SignatureChain { links }
     }
 
     /// Verifies every link over `payload_digest`.
     pub fn verify(&self, verifier: &Verifier, payload_digest: &[u8; 32]) -> bool {
-        self.verify_running(verifier, payload_digest).is_some()
-    }
-
-    /// Verifies every link over `payload_digest` and returns the running
-    /// digest the *next* link signs — the walk's last fold, which a relay
-    /// hands to [`extend_at`](Self::extend_at) rather than recomputing.
-    /// `None` exactly when [`verify`](Self::verify) is `false`.
-    pub fn verify_running(
-        &self,
-        verifier: &Verifier,
-        payload_digest: &[u8; 32],
-    ) -> Option<[u8; 32]> {
-        let mut digest = *payload_digest;
+        let mut signed = payload_digest;
         for link in &self.links {
-            if !verifier.verify(&digest, link) {
-                return None;
+            if !verifier.verify(signed, link) {
+                return false;
             }
-            digest = fold(&digest, link);
+            signed = link.tag();
         }
-        Some(digest)
+        true
     }
 
     /// Raw links, innermost first (for wire encoding).
@@ -124,30 +102,13 @@ impl SignatureChain {
     pub fn from_links(links: Vec<Signature>) -> Self {
         SignatureChain { links }
     }
-
-    /// Digest the next link would sign.
-    fn running_digest(&self, payload_digest: &[u8; 32]) -> [u8; 32] {
-        let mut digest = *payload_digest;
-        for link in &self.links {
-            digest = fold(&digest, link);
-        }
-        digest
-    }
-}
-
-fn fold(digest: &[u8; 32], link: &Signature) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(digest);
-    h.update(&link.signer().to_be_bytes());
-    h.update(link.tag());
-    h.finalize()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::keys::KeyStore;
-    use crate::sha256::{compressions_in, sha256};
+    use crate::sha256::{compressions_in, sha256, Sha256};
 
     fn setup() -> (KeyStore, [u8; 32]) {
         (KeyStore::generate(6, 99), sha256(b"payload"))
@@ -233,23 +194,104 @@ mod tests {
 
     #[test]
     fn the_cost_model_holds_in_compressions() {
-        // Per link: one 32-byte tag (2) plus one 66-byte fold (2). Signing
-        // at a known running digest: one tag, whatever the length.
+        // Per link: one tag over 32 bytes (2), to check it or to make it.
         let (ks, digest) = setup();
         let verifier = ks.verifier();
         let mut chain = SignatureChain::new();
         for len in 0..=5u64 {
-            let (running, n) = compressions_in(|| chain.verify_running(&verifier, &digest));
-            assert_eq!(n, 4 * len, "verifying {len} links");
-            let running = running.expect("an honest chain verifies");
-            let (next, n) = compressions_in(|| chain.extend_at(&ks.signer(len as u16), &running));
-            assert_eq!(n, 2, "extending {len} links at a known digest");
-            // From scratch, the same link costs the re-fold on top.
-            let (from_scratch, n) =
-                compressions_in(|| chain.extend(&ks.signer(len as u16), &digest));
-            assert_eq!(n, 2 * len + 2);
-            assert_eq!(from_scratch, next);
+            let (ok, n) = compressions_in(|| chain.verify(&verifier, &digest));
+            assert!(ok, "an honest chain verifies");
+            assert_eq!(n, 2 * len, "verifying {len} links");
+            let (next, n) = compressions_in(|| chain.extend(&ks.signer(len as u16), &digest));
+            assert_eq!(n, 2, "extending {len} links");
             chain = next;
+        }
+    }
+
+    fn three_links(ks: &KeyStore, digest: &[u8; 32]) -> SignatureChain {
+        SignatureChain::new()
+            .extend(&ks.signer(0), digest)
+            .extend(&ks.signer(1), digest)
+            .extend(&ks.signer(2), digest)
+    }
+
+    #[test]
+    fn what_each_link_signs_is_pinned() {
+        // Known answer — tag_1 = HMAC(k_0, digest), tag_{i+1} = HMAC(k_i,
+        // tag_i) with k_i = HMAC(seed, i), reproducible with any HMAC-SHA256:
+        // changing what a link signs changes these tags.
+        let ks = KeyStore::generate(4, 1);
+        let digest = sha256(b"nectar chain known answer");
+        let chain = three_links(&ks, &digest);
+        let hex = |tag: &[u8; 32]| tag.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let tags: Vec<String> = chain.links().iter().map(|l| hex(l.tag())).collect();
+        assert_eq!(
+            tags,
+            [
+                "1856b30b80e9452ad92eb9f5e94de18e1eb47c4b8bf9381d7b71893e2637bb78",
+                "c8a15fbfa1fb8f8a62d42b02636858f22403dbada68a7b873f35f6654b24011d",
+                "2ad14570f1dc93fed4fd2ff45bf19d379455d3332ef8196b0bd90bae6237bc4f",
+            ]
+        );
+        // Link 1 signs the payload digest, link i + 1 the tag before it.
+        let links = chain.links();
+        assert_eq!(links[0], ks.signer(0).sign(&digest));
+        assert_eq!(links[1], ks.signer(1).sign(links[0].tag()));
+        assert_eq!(links[2], ks.signer(2).sign(links[1].tag()));
+    }
+
+    #[test]
+    fn a_chain_over_the_folded_digest_is_refused() {
+        // The construction this one replaced: link i + 1 over
+        // SHA256(digest_i ‖ signer_i ‖ tag_i). There is one scheme, no
+        // fallback — such a chain is a bad chain past its first link.
+        let (ks, digest) = setup();
+        let mut running = digest;
+        let mut links: Vec<Signature> = Vec::new();
+        for id in 0..3u16 {
+            let link = ks.signer(id).sign(&running);
+            let mut h = Sha256::new();
+            h.update(&running);
+            h.update(&id.to_be_bytes());
+            h.update(link.tag());
+            running = h.finalize();
+            links.push(link);
+        }
+        let verifier = ks.verifier();
+        assert!(SignatureChain::from_links(links[..1].to_vec()).verify(&verifier, &digest));
+        assert!(!SignatureChain::from_links(links[..2].to_vec()).verify(&verifier, &digest));
+        assert!(!SignatureChain::from_links(links).verify(&verifier, &digest));
+    }
+
+    #[test]
+    fn dropping_the_middle_link_fails() {
+        let (ks, digest) = setup();
+        let mut links = three_links(&ks, &digest).links().to_vec();
+        links.remove(1);
+        assert!(!SignatureChain::from_links(links).verify(&ks.verifier(), &digest));
+    }
+
+    #[test]
+    fn grafting_the_suffix_of_another_payloads_chain_fails() {
+        let (ks, digest) = setup();
+        let other_digest = sha256(b"other");
+        let ours = three_links(&ks, &digest);
+        let theirs = three_links(&ks, &other_digest);
+        for cut in 1..3 {
+            let mut links = ours.links()[..cut].to_vec();
+            links.extend_from_slice(&theirs.links()[cut..]);
+            assert!(!SignatureChain::from_links(links).verify(&ks.verifier(), &digest), "{cut}");
+        }
+    }
+
+    #[test]
+    fn swapping_one_links_signer_id_fails() {
+        let (ks, digest) = setup();
+        let chain = three_links(&ks, &digest);
+        for victim in 0..3 {
+            let mut links = chain.links().to_vec();
+            links[victim] = Signature::from_parts(5, *links[victim].tag());
+            assert!(!SignatureChain::from_links(links).verify(&ks.verifier(), &digest), "{victim}");
         }
     }
 
@@ -292,26 +334,6 @@ mod proptests {
         }
 
         #[test]
-        fn the_verification_walk_returns_what_the_next_link_signs(
-            payload in proptest::collection::vec(proptest::num::u8::ANY, 0..64),
-            signers in proptest::collection::vec(0u16..10, 1..8),
-        ) {
-            let ks = KeyStore::generate(10, 6);
-            let verifier = ks.verifier();
-            let digest = sha256(&payload);
-            let mut at_running = SignatureChain::new();
-            let mut from_scratch = SignatureChain::new();
-            for &s in &signers {
-                // Link for link, signing the walk's digest is `extend`.
-                let running = at_running.verify_running(&verifier, &digest);
-                prop_assert_eq!(running, Some(at_running.running_digest(&digest)));
-                at_running = at_running.extend_at(&ks.signer(s), &running.unwrap());
-                from_scratch = from_scratch.extend(&ks.signer(s), &digest);
-                prop_assert_eq!(&at_running, &from_scratch);
-            }
-        }
-
-        #[test]
         fn the_walk_is_none_exactly_when_verify_is_false(
             signers in proptest::collection::vec(0u16..10, 1..7),
             swap in 0usize..7,
@@ -342,11 +364,12 @@ mod proptests {
             links.swap(swap % signers.len(), (swap + 1) % signers.len());
             mutants.push((SignatureChain::from_links(links), digest));
             for (i, (mutant, payload)) in mutants.iter().enumerate() {
-                let walked = mutant.verify_running(&verifier, payload);
-                prop_assert_eq!(walked.is_some(), mutant.verify(&verifier, payload));
-                // Only the untouched chain (and a swap of a link with itself
-                // or with an identical neighbour) survives.
-                prop_assert_eq!(walked.is_some(), i == 0 || (mutant == &chain && payload == &digest));
+                // Only the untouched chain (and a swap of a link with itself)
+                // survives.
+                prop_assert_eq!(
+                    mutant.verify(&verifier, payload),
+                    i == 0 || (mutant == &chain && payload == &digest)
+                );
             }
         }
 

@@ -170,7 +170,9 @@ impl Decode for SignatureChain {
         if len > MAX_COLLECTION_LEN {
             return Err(CodecError::LengthOutOfBounds { decoding: "chain", len });
         }
-        let mut links = Vec::with_capacity(len);
+        // Reserve for what the buffer can hold, not for what the prefix claims.
+        let mut links =
+            Vec::with_capacity(len.min(buf.len() / crate::wire::signature_entry_bytes()));
         for _ in 0..len {
             links.push(Signature::decode(buf)?);
         }

@@ -13,7 +13,8 @@
 //! schedule layer: a flap schedule adds O(n + T), not n × T. And the wire
 //! path: over the sync engine's own count, a loopback run allocates per
 //! delivered edge and per frame what decoding and framing must own — not a
-//! heap vector per integer read, nor a copy of every buffer it fills.
+//! heap vector per integer read, nor a copy of every buffer it fills — and
+//! reserves for the bytes it was given, not for a length those bytes claim.
 //!
 //! The counting allocator is process-global, which is why these tests have
 //! an integration-test binary to themselves and take turns under `SERIAL`.
@@ -22,7 +23,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use nectar::crypto::{Decode, Encode, KeyStore, NeighborhoodProof, SignatureChain};
+use nectar::crypto::{CodecError, Decode, Encode, KeyStore, NeighborhoodProof, SignatureChain};
 use nectar::graph::ConnectivityOracle;
 use nectar::net::{run_over_loopback, NodeId, Outgoing, Process, SyncNetwork};
 use nectar::prelude::*;
@@ -31,12 +32,14 @@ use nectar::protocol::{NectarMsg, RelayedEdge};
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the only addition is a statistic.
+// `GlobalAlloc` contract; the only additions are statistics.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `layout` is the caller's, passed through as is.
         unsafe { System.alloc(layout) }
     }
@@ -259,4 +262,18 @@ fn decoding_a_message_allocates_three_per_edge_whatever_the_chain_length() {
     let (short, long) = (decode_allocations(2), decode_allocations(6));
     assert_eq!(short, long, "allocations must not depend on the chain length");
     assert!(long <= 3 * e as u64 + 1, "decoding {e} edges made {long} allocations");
+}
+
+/// A chain's 2-byte length prefix is a claim, not a size: a buffer that
+/// claims 65 535 links and holds none ends early without the decoder having
+/// reserved the 2.2 MB (65 535 × 34 B) the claim describes.
+#[test]
+fn decoding_a_chain_reserves_for_the_buffer_not_for_the_claimed_length() {
+    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let wire = u16::MAX.to_be_bytes();
+    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let decoded = SignatureChain::decode(&mut wire.as_slice());
+    let requested = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    assert!(matches!(decoded, Err(CodecError::UnexpectedEnd { .. })), "{decoded:?}");
+    assert!(requested < 4096, "decoding an empty claim of 65 535 links requested {requested} B");
 }

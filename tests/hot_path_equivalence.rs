@@ -1,9 +1,7 @@
 //! Hot-path cache equivalence: the fast paths — incremental view
-//! fingerprints, the per-node proof-verification memo, the running chain
-//! digest carried from a relay's verification to its signature, and
-//! `Arc`-interned relay payloads — must be *observationally pure*
-//! (docs/DETERMINISM.md §4). Two kinds of pins, matching the two ways a
-//! cache could leak:
+//! fingerprints, the per-node proof-verification memo and `Arc`-interned
+//! relay payloads — must be *observationally pure* (docs/DETERMINISM.md
+//! §4). Two kinds of pins, matching the two ways a cache could leak:
 //!
 //! * **Fingerprint ground truth.** Every node's rolling
 //!   [`NectarNode::view_fingerprint`] must equal the from-scratch digest of
@@ -12,16 +10,14 @@
 //!   active [`TopologySchedule`]s — the schedules exercise edge drops and
 //!   heals mid-dissemination, i.e. views that grow through every relay
 //!   acceptance path.
-//! * **Whole-run bit-identity.** The proof memo, the digest hand-off and
-//!   the interning have no per-value oracle here (the hand-off's is
-//!   `node::relay_handoff_tests` in `nectar-protocol`); their contract is
-//!   that nothing downstream can tell they exist. So the pin is the
-//!   strongest observable: the full `RunReport` (decisions, traffic
-//!   metrics, oracle counters, rejection tallies) must be bit-identical
-//!   across all three runtimes and across parallel worker counts
-//!   {0, 2, 3, 7}. The oracle's edge-list layer 1 (docs/DETERMINISM.md §6)
-//!   is held to the same pin on the regime it serves: a many-class
-//!   partitioned fleet.
+//! * **Whole-run bit-identity.** The proof memo and the interning have no
+//!   per-value oracle here; their contract is that nothing downstream can
+//!   tell they exist. So the pin is the strongest observable: the full
+//!   `RunReport` (decisions, traffic metrics, oracle counters, rejection
+//!   tallies) must be bit-identical across all three runtimes and across
+//!   parallel worker counts {0, 2, 3, 7}. The oracle's edge-list layer 1
+//!   (docs/DETERMINISM.md §6) is held to the same pin on the regime it
+//!   serves: a many-class partitioned fleet.
 //!
 //! This suite is the named `hot-path-equivalence` CI step.
 
