@@ -5,11 +5,9 @@
 //! paper's Byzantine evaluation — is that a filter full of ones claims every
 //! node is reachable, and nothing authenticates it (§V-D).
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-size Bloom filter over `u64` items with double hashing
 /// (Kirsch–Mitzenmacher).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
     bits: Vec<u64>,
     m_bits: usize,

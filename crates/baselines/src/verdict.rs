@@ -1,13 +1,11 @@
 //! Baseline decision type.
 
-use serde::{Deserialize, Serialize};
-
 /// What a (non-Byzantine-resilient) partition detector concludes.
 ///
 /// Unlike NECTAR's `Verdict`, the baselines reason about the *current*
 /// graph only: connected or partitioned, with no notion of potential
 /// Byzantine cuts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BaselineVerdict {
     /// Every process appears reachable.
     Connected,

@@ -239,16 +239,17 @@ fn dense_view_fleet(n: usize) -> (Scenario, Vec<Participant>) {
 /// dense-view fleets (16-cliques, 120-edge views — the worst case for the
 /// per-node O(m_view) edge-key walks) re-decided against one warm shared
 /// oracle, the epoch-monitoring workload where dissemination has already
-/// converged. Like every committed median, the numbers are from a
-/// single-core box (docs/BENCHMARKS.md); `workers = 1` keeps the fan-out
-/// honest there.
+/// converged.
 ///
 /// Those rows only ever see a *warm* oracle — after the first iteration
-/// every class is a cache hit — so they say nothing about what a class
+/// every view is a cache hit — so they say nothing about what a view
 /// costs the first time it is decided. The `cold_sparse` row prices that:
 /// a really disseminated 10k fleet of 2 500 four-cliques (the benchmark's
 /// `fleet_sparse` shape: every view a 6-edge island in a 10 000-id space)
 /// decided against a fresh oracle every iteration, 2 500 cold queries.
+/// `cold_dense` is the same question on the shape that costs the
+/// sequential loop most: the 50k dense-view fleet, 3 125 cold 120-edge
+/// views per iteration.
 fn bench_collect_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("collect_scaling");
     group.sample_size(10);
@@ -260,6 +261,14 @@ fn bench_collect_scaling(c: &mut Criterion) {
                 black_box(scenario.collect_decisions(black_box(&participants), &mut oracle, 1))
             })
         });
+        if n == 50_000 {
+            group.bench_with_input(BenchmarkId::new("cold_dense", n), &n, |b, _| {
+                b.iter(|| {
+                    let mut oracle = ConnectivityOracle::new();
+                    black_box(scenario.collect_decisions(black_box(&participants), &mut oracle, 1))
+                })
+            });
+        }
     }
     let n = 10_000usize;
     let scenario = Scenario::new(gen::disjoint_cliques(n / 4, 4), 2);

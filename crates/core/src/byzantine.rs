@@ -125,7 +125,7 @@ pub struct Participant {
 // The fleet holds one of these per node, so its size is budgeted: box a
 // deviation's payload before raising the bound.
 #[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<Participant>() <= 296);
+const _: () = assert!(std::mem::size_of::<Participant>() <= 272);
 
 /// The send-time rewrite of one participant.
 #[derive(Debug)]

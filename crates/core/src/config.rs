@@ -1,9 +1,7 @@
 //! Protocol parameters and decision types.
 
-use serde::{Deserialize, Serialize};
-
 /// NECTAR's two possible decisions (§III-D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verdict {
     /// No placement of Byzantine nodes can disconnect correct nodes.
     NotPartitionable,
@@ -37,7 +35,7 @@ impl std::str::FromStr for Verdict {
 /// flag (§IV-A). `confirmed = true` means an actual partition was detected
 /// — some nodes were unreachable — which per the Validity property implies
 /// the Byzantine nodes form a vertex cut of `G`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Decision {
     /// PARTITIONABLE / NOT_PARTITIONABLE.
     pub verdict: Verdict,

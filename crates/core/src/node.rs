@@ -16,7 +16,7 @@
 //!    `G_i` and `k` its vertex connectivity, decide NOT_PARTITIONABLE iff
 //!    `k > t ∧ r = n`, PARTITIONABLE otherwise, with `confirmed = (r ≠ n)`.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use nectar_crypto::{NeighborhoodProof, SignatureChain, Signer, Verifier};
@@ -62,18 +62,6 @@ pub struct NectarNode {
     /// Edges accepted in the previous round, to relay this round
     /// (`to_be_sent_R`), with the neighbor to skip.
     pending: Vec<PendingRelay>,
-    /// Digests of proofs whose signatures already verified — a proof
-    /// re-presented after its chain was rejected skips the two signature
-    /// checks. Sound because [`NeighborhoodProof::digest`] covers the full
-    /// proof content (statement, signer ids, signature tags), so equal
-    /// digests mean equal proofs up to a SHA-256 collision; only *successes*
-    /// are memoized, so a hit can never flip a verdict.
-    ///
-    /// Chains have no such memo: an edge whose chain verified is in
-    /// `discovered` from then on, and flooding suppression drops every later
-    /// copy before [`validate`](Self::validate) runs, so a verified chain is
-    /// never presented again.
-    verified_proofs: BTreeSet<[u8; 32]>,
     /// Rejected-message diagnostics.
     rejections: BTreeMap<RejectReason, u64>,
 }
@@ -131,7 +119,6 @@ impl NectarNode {
             discovered: BTreeMap::new(),
             view_fingerprint: Fingerprint::empty(n),
             pending: Vec::new(),
-            verified_proofs: BTreeSet::new(),
             rejections: BTreeMap::new(),
         };
         for (nbr, proof) in neighbor_proofs {
@@ -243,7 +230,9 @@ impl NectarNode {
     /// [`ConnectivityOracle`]'s bounded fast path.
     pub fn decide(&self) -> Decision {
         let g = self.discovered_graph();
-        self.decide_given_connectivity(connectivity::vertex_connectivity(&g))
+        let reachable = traversal::reachable_count(&g, self.id);
+        let kappa = connectivity::vertex_connectivity(&g);
+        Decision::from_view(self.config.n, self.config.t, reachable, kappa)
     }
 
     /// The decision phase answered through a [`ConnectivityOracle`].
@@ -266,22 +255,23 @@ impl NectarNode {
     /// component of the list — so a node whose view is a small island in a
     /// large fleet never touches an `n`-sized structure.
     pub fn decide_with(&self, oracle: &mut ConnectivityOracle) -> Decision {
+        self.decide_in_view(oracle, &traversal::edge_component_sizes(self.view_edges()))
+    }
+
+    /// The body of [`decide_with`](Self::decide_with), given the component
+    /// sizes of this node's view ([`traversal::edge_component_sizes`] of
+    /// [`view_edges`](Self::view_edges)) — so the scenario runner derives
+    /// them once per distinct view instead of once per node.
+    pub(crate) fn decide_in_view(
+        &self,
+        oracle: &mut ConnectivityOracle,
+        component_size: &BTreeMap<NodeId, usize>,
+    ) -> Decision {
         let t = self.config.t;
         let answer = oracle
             .answer_edges(self.view_fingerprint, self.view_edges(), t, || self.discovered_graph());
-        let reachable =
-            traversal::edge_component_sizes(self.view_edges()).get(&self.id).copied().unwrap_or(1);
+        let reachable = component_size.get(&self.id).copied().unwrap_or(1);
         Decision::from_view(self.config.n, t, reachable, answer.kappa.report())
-    }
-
-    /// The decision phase with an externally computed vertex connectivity of
-    /// [`discovered_graph`](Self::discovered_graph). All correct nodes end up
-    /// with identical `G_i` (Lemma 2), so batch runners compute κ once per
-    /// distinct discovered graph and reuse it here.
-    pub fn decide_given_connectivity(&self, connectivity: usize) -> Decision {
-        let g = self.discovered_graph();
-        let reachable = traversal::reachable_count(&g, self.id);
-        Decision::from_view(self.config.n, self.config.t, reachable, connectivity)
     }
 
     /// Canonical key of the discovered edge set (for decision caching across
@@ -305,16 +295,12 @@ impl NectarNode {
 
     /// Validates a relayed edge per Alg. 1 l. 14 plus the signature rules of
     /// §II. Returns the reason if the edge fails; if it passes, the proof
-    /// digest the chain was verified over.
-    ///
-    /// The proof check runs behind the `verified_proofs` memo: a proof this
-    /// node already verified successfully (under a chain it then rejected)
-    /// is admitted without re-running the two signature checks. Failures are
-    /// never memoized, so the rejection behaviour — and every counter
-    /// derived from it — is bit-identical to always re-verifying. The chain
-    /// is verified link by link on every call.
+    /// digest the chain was verified over. Proof and chain are verified on
+    /// every call: an accepted edge never comes back here (flooding
+    /// suppression drops its later copies first), so only a rejected edge's
+    /// proof can be checked twice.
     fn validate(
-        &mut self,
+        &self,
         round: usize,
         from: NodeId,
         edge: &RelayedEdge,
@@ -335,11 +321,8 @@ impl NectarNode {
             return Err(RejectReason::DuplicateSigner);
         }
         let digest = edge.proof.digest();
-        if !self.verified_proofs.contains(&digest) {
-            if !edge.proof.verify(&self.verifier) {
-                return Err(RejectReason::BadProof);
-            }
-            self.verified_proofs.insert(digest);
+        if !edge.proof.verify(&self.verifier) {
+            return Err(RejectReason::BadProof);
         }
         if !chain.verify(&self.verifier, &digest) {
             return Err(RejectReason::BadChain);
@@ -595,10 +578,10 @@ mod tests {
     }
 
     #[test]
-    fn a_proof_verified_under_a_bad_chain_is_not_verified_twice() {
-        // The proof memo's one reachable hit: the proof checks run before
-        // the chain checks, so a good proof under a bad chain is memoized
-        // while the edge stays unknown — and may come back.
+    fn a_good_proof_rejected_under_a_bad_chain_is_accepted_under_a_good_one() {
+        // A rejection leaves no trace but its counter: the edge stays
+        // unknown, so the same proof is accepted when it comes back under a
+        // chain that verifies, and relayed once.
         let g = nectar_graph::gen::path(5);
         let ks = KeyStore::generate(5, 7);
         let mut nodes = build_nodes(&g, 1);
@@ -623,7 +606,6 @@ mod tests {
         assert_eq!(node.rejections().len(), 1);
         assert_eq!((node.known_edge_count(), node.view_fingerprint()), (2, view));
         assert!(node.quiescent(), "a rejected edge is not queued for relay");
-        assert!(node.verified_proofs.contains(&digest));
 
         deliver(node, chain.clone());
         assert_eq!(node.rejections()[&RejectReason::BadChain], 1, "no new rejection");

@@ -15,6 +15,7 @@
 
 use std::collections::BTreeMap;
 
+use nectar_crypto::KeyStore;
 use nectar_net::transport::{DeliveryLog, NodeDriver, Recorded, Transport, TransportError};
 use nectar_net::{NodeId, SyncNetwork};
 
@@ -217,8 +218,10 @@ pub fn run_scenario_node<T: Transport>(
         expected.as_slice(),
         "transport peers must be node {node}'s topology neighborhood"
     );
-    let participant =
-        scenario.build_participants().into_iter().nth(node).expect("participant for every node");
+    // One process drives one node: derive the key universe, sign only this
+    // node's proofs.
+    let keys = KeyStore::generate(n, scenario.key_seed());
+    let participant = scenario.build_participant(node, &keys, &keys.verifier());
     let mut driver = NodeDriver::new(Recorded::new(participant), transport);
     driver.run(scenario.config().effective_rounds())?;
     let (recorded, sent, _illegal) = driver.into_parts();

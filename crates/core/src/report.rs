@@ -4,8 +4,7 @@
 //! A [`RunReport`] is the thing a run hands back: scenario parameters, the
 //! ground-truth topology, the Byzantine cast, and one [`EpochOutcome`] per
 //! monitoring epoch (decisions, traffic counters, oracle counters). It
-//! *persists* in two hand-rolled text forms, without touching the
-//! decorative serde shim:
+//! *persists* in two hand-rolled text forms:
 //!
 //! * **JSON** ([`RunReport::to_json`] / [`RunReport::from_json`]) —
 //!   loss-free, versioned ([`REPORT_CODEC_VERSION`]) and human-greppable,
@@ -324,13 +323,8 @@ impl RunReport {
                 Some(p) => writeln!(
                     w,
                     "     \"profile\": {{\"disseminate_micros\": {}, \
-                     \"classify_micros\": {}, \"derive_micros\": {}, \
-                     \"materialize_micros\": {}, \"decide_micros\": {}}}}}{sep}",
-                    p.disseminate_micros,
-                    p.classify_micros,
-                    p.derive_micros,
-                    p.materialize_micros,
-                    p.decide_micros
+                     \"decide_micros\": {}}}}}{sep}",
+                    p.disseminate_micros, p.decide_micros
                 )
                 .expect("infallible"),
             }
@@ -440,9 +434,6 @@ impl RunReport {
                     let micros = |key: &str| -> Result<u64, String> { p.field(key)?.as_u64(key) };
                     Some(PhaseProfile {
                         disseminate_micros: micros("disseminate_micros")?,
-                        classify_micros: micros("classify_micros")?,
-                        derive_micros: micros("derive_micros")?,
-                        materialize_micros: micros("materialize_micros")?,
                         decide_micros: micros("decide_micros")?,
                     })
                 }
@@ -847,16 +838,23 @@ mod tests {
         let report = Scenario::new(gen::cycle(8), 1).sim().epochs(2).profile().run();
         for e in &report.epochs {
             let p = e.profile.expect("profiled run records a breakdown per epoch");
-            // Every phase actually executed; the non-trivial ones take
-            // measurable time, and the totals are self-consistent.
             assert_eq!(
                 p.total_micros(),
-                p.disseminate_micros + p.collect_micros(),
+                p.disseminate_micros + p.decide_micros,
                 "phase totals must add up"
             );
         }
         let parsed = RunReport::from_json(&report.to_json()).expect("parses");
         assert_eq!(parsed, report);
+        // Version-3 files written with per-stage decision timings still
+        // load: keys the profile no longer has are ignored.
+        let staged = report.to_json().replace(
+            "\"decide_micros\":",
+            "\"classify_micros\": 7, \"derive_micros\": 8, \"materialize_micros\": 9, \
+             \"decide_micros\":",
+        );
+        assert_ne!(staged, report.to_json());
+        assert_eq!(RunReport::from_json(&staged).expect("parses"), report);
         // The decision CSV is indifferent to profiling.
         let decisions = RunReport::decisions_from_csv(&report.to_csv()).expect("parses");
         assert!(report.epochs.iter().all(|e| decisions[&e.epoch] == e.decisions));

@@ -17,13 +17,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
-use std::time::Instant;
 
 use nectar_crypto::{KeyStore, NeighborhoodProof, Verifier};
 use nectar_graph::{traversal, ConnectivityOracle, Fingerprint, Graph, OracleStats};
 use nectar_net::{
-    parallel_map, CompiledSchedule, Metrics, Mute, NodeId, PhaseProfile, Process, Scheduled,
-    SyncNetwork,
+    parallel_map, CompiledSchedule, Metrics, Mute, NodeId, Process, Scheduled, SyncNetwork,
 };
 
 use crate::byzantine::{falsify_flips, ByzantineBehavior, Participant};
@@ -44,9 +42,8 @@ use crate::node::NectarNode;
 ///   scheduling and fans each round's polls and committed deliveries out
 ///   across work-stealing workers (see `docs/DETERMINISM.md` for why the
 ///   per-round commit keeps this bit-identical). The worker count never
-///   affects results, only wall-clock; the decision phase also fans its
-///   per-view-class stages across the same number of workers (each
-///   fan-out spawns a fresh scoped crew — there is no persistent pool).
+///   affects results, only wall-clock; participant construction (proof
+///   signing) fans out over the same number of workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Runtime {
     /// Deterministic single-threaded round engine.
@@ -69,9 +66,9 @@ impl Runtime {
         Runtime::Parallel { workers: 0 }
     }
 
-    /// Worker threads available to the decision phase under this runtime
-    /// (1 = run it inline, as the single-threaded runtimes do).
-    pub(crate) fn decision_workers(self) -> usize {
+    /// Worker threads participant construction fans out over under this
+    /// runtime (1 = inline, as the single-threaded runtimes do).
+    pub(crate) fn build_workers(self) -> usize {
         match self {
             Runtime::Parallel { workers } => nectar_net::resolve_workers(workers),
             _ => 1,
@@ -219,15 +216,28 @@ impl Scenario {
     /// Panics if a `FictitiousEdges` / `LateReveal` behaviour names
     /// non-Byzantine accomplices.
     pub fn build_participants_with(&self, workers: usize) -> Vec<Participant> {
+        self.build_participants_keyed(self.key_seed, workers)
+    }
+
+    /// [`build_participants_with`](Self::build_participants_with) over the
+    /// key universe of `key_seed` rather than the scenario's own — how a
+    /// multi-epoch session re-keys each epoch.
+    fn build_participants_keyed(&self, key_seed: u64, workers: usize) -> Vec<Participant> {
         let n = self.topology.node_count();
-        let keys = KeyStore::generate(n, self.key_seed);
+        let keys = KeyStore::generate(n, key_seed);
         let verifier = keys.verifier();
         parallel_map((0..n).collect(), workers, |i| self.build_participant(i, &keys, &verifier))
     }
 
     /// Builds the participant for node `i` — the per-node body of
-    /// [`build_participants_with`], independent across nodes.
-    fn build_participant(&self, i: NodeId, keys: &KeyStore, verifier: &Verifier) -> Participant {
+    /// [`build_participants_with`](Self::build_participants_with),
+    /// independent across nodes.
+    pub(crate) fn build_participant(
+        &self,
+        i: NodeId,
+        keys: &KeyStore,
+        verifier: &Verifier,
+    ) -> Participant {
         let proofs: BTreeMap<NodeId, NeighborhoodProof> = self
             .topology
             .neighbors(i)
@@ -324,22 +334,17 @@ impl Scenario {
         self.key_seed
     }
 
-    /// In-place seed override — lets a multi-epoch simulation re-seed one
-    /// working clone per session instead of deep-cloning the topology and
-    /// cast every epoch.
-    pub(crate) fn set_key_seed(&mut self, seed: u64) {
-        self.key_seed = seed;
-    }
-
     /// Executes the propagation rounds on the chosen runtime, returning the
     /// final participants and traffic metrics — the one place all runtime
-    /// dispatch happens.
+    /// dispatch happens. `key_seed` is the epoch's key universe (the
+    /// scenario's own seed for a single-epoch run).
     pub(crate) fn propagate(
         &self,
         runtime: Runtime,
+        key_seed: u64,
         schedule: Option<&Arc<CompiledSchedule>>,
     ) -> (Vec<Participant>, Metrics) {
-        let participants = self.build_participants_with(runtime.decision_workers());
+        let participants = self.build_participants_keyed(key_seed, runtime.build_workers());
         let rounds = self.config.effective_rounds();
         match schedule {
             None => dispatch(runtime, participants, &self.topology, rounds),
@@ -357,174 +362,53 @@ impl Scenario {
     }
 
     /// The decision phase as a standalone, repeatable pass over borrowed
-    /// participants: groups their views into classes, answers each class's
-    /// `κ ≤ t` question through `oracle`, and returns every correct node's
-    /// decision plus this pass's share of the oracle counters — identical
-    /// decisions and counters to the decision phase of a full
+    /// participants: every correct node's decision plus this pass's share
+    /// of the oracle counters — identical decisions and counters to the
+    /// decision phase of a full
     /// [`Simulation::run`](crate::sim::Simulation::run) over the same
     /// participants. Public so steady-state consumers — epoch monitors
     /// re-deciding an unchanged fleet, the `collect_scaling` bench — can
-    /// re-run decisions without re-running dissemination. `workers` fans
-    /// the per-class stages over that many work-stealing workers (`1` =
-    /// inline, the non-parallel runtimes' setting).
+    /// re-run decisions without re-running dissemination. `_workers` is
+    /// ignored (the phase is one sequential loop); it keeps the signature
+    /// the frozen benchmark compiles against.
     pub fn collect_decisions(
         &self,
         participants: &[Participant],
         oracle: &mut ConnectivityOracle,
-        workers: usize,
+        _workers: usize,
     ) -> (BTreeMap<NodeId, Decision>, OracleStats) {
-        self.collect(participants, oracle, workers, None)
+        self.collect(participants, oracle)
     }
 
-    /// The decision phase: groups the surviving participants' views into
-    /// classes (Lemma 2), answers each class's `κ ≤ t` question through the
-    /// oracle, and emits every correct node's decision, in ascending node
-    /// order. Returns the decisions plus this run's share of the oracle
-    /// counters.
-    /// When `profile` is supplied, the four stage timings are written into
-    /// it (wall clock — nondeterministic, never part of the canonical
-    /// outputs).
+    /// The decision phase: every correct node's decision, in ascending node
+    /// order, plus this run's share of the oracle counters.
+    ///
+    /// Each node issues its own oracle query under its rolling view
+    /// fingerprint, exactly as [`NectarNode::decide_with`] would — the
+    /// first node of a view pays, the rest hit the verdict cache without
+    /// touching their edge lists (Lemma 2: usually one view) — so decisions
+    /// and counters equal node-by-node `decide_with` at any cache capacity.
+    /// The one thing shared across nodes here is `reachable`: the component
+    /// sizes of a view are derived once, the first time its fingerprint is
+    /// seen, for O(n + Σ_views m) overall instead of O(n · m). Keying by
+    /// fingerprint accepts the same 2⁻⁶⁴ collision the oracle's verdict
+    /// cache always has (docs/DETERMINISM.md §6).
     pub(crate) fn collect(
         &self,
         participants: &[Participant],
         oracle: &mut ConnectivityOracle,
-        workers: usize,
-        mut profile: Option<&mut PhaseProfile>,
     ) -> (BTreeMap<NodeId, Decision>, OracleStats) {
-        let mut stage_start = Instant::now();
-        let lap = |stage_start: &mut Instant| -> u64 {
-            let now = Instant::now();
-            let micros = now.duration_since(*stage_start).as_micros() as u64;
-            *stage_start = now;
-            micros
-        };
-        let byzantine = self.byzantine_nodes();
         let before = *oracle.stats();
-        let n = self.config.n;
-        let t = self.config.t;
-        // Correct nodes that ended up with identical G_i (the common case,
-        // per Lemma 2) form one *view class*: the view's fingerprint and
-        // component sizes are derived once per class from the edge key
-        // alone, in O(m_view), and every member's decision follows —
-        // `reachable` is the size of the member's component, the `κ ≤ t`
-        // answer comes from the shared oracle. Lemma 2 also makes classes
-        // *independent* of each other, so everything per-class — the edge
-        // keys, the fingerprint + component derivation, and the view-graph
-        // materializations — fans out over [`parallel_map`]'s work-stealing
-        // pool when the executing runtime brought workers along
-        // (`workers > 1`, i.e. [`Runtime::Parallel`]); the single-threaded
-        // runtimes run the identical code inline.
-        //
-        // Only the oracle interaction itself stays sequential: each member
-        // still issues its own query in node order (the first of a class
-        // pays, the rest hit the verdict cache), so the per-node oracle
-        // counters are identical to calling [`NectarNode::decide_with`]
-        // node by node — but a 10 000 node fleet no longer pays 10 000
-        // full-graph constructions and BFS passes. The oracle's cache and
-        // its layer-1 shortcuts read the class's edge list alone
-        // ([`ConnectivityOracle::answer_edges`]), so a view graph is only
-        // materialized for a class whose verdict needs bounded flows
-        // (planned up front via the non-counting
-        // [`ConnectivityOracle::needs_graph`]).
-        let correct: Vec<&crate::node::NectarNode> = participants
-            .iter()
-            .filter(|p| !byzantine.contains(&p.nectar().node_id()))
-            .map(|p| p.nectar())
-            .collect();
-        // Stages 1+2 (sequential, O(n) total): group nodes into view
-        // classes by their *incrementally maintained* fingerprints
-        // ([`NectarNode::view_fingerprint`], kept current by every view
-        // mutation), in first-seen node order. This is the read that used
-        // to dominate the phase: previously every node materialized its
-        // O(m_view) canonical edge key just so identical views could be
-        // deduplicated, an O(n · m) sweep on a converged fleet. Now
-        // classification reads one 8-byte digest per node. Grouping by
-        // fingerprint rather than exact edge key folds in two extra
-        // equivalences, both observationally pure: views differing only in
-        // filtered-out edges (out-of-range endpoints, self-loops) share a
-        // class — every decision input (component sizes, the oracle's
-        // fingerprint-keyed answer) already ignored those edges — and a
-        // 2⁻⁶⁴ XOR collision could merge distinct views, the same accepted
-        // failure class the fingerprint-keyed oracle cache has always had
-        // (see `Fingerprint`'s docs and docs/DETERMINISM.md §6).
-        let mut class_index: HashMap<Fingerprint, usize> = HashMap::new();
-        let mut class_reps: Vec<&crate::node::NectarNode> = Vec::new();
-        let mut node_class: Vec<usize> = Vec::with_capacity(correct.len());
-        for node in &correct {
-            let idx = *class_index.entry(node.view_fingerprint()).or_insert_with(|| {
-                class_reps.push(node);
-                class_reps.len() - 1
-            });
-            node_class.push(idx);
-        }
-        if let Some(p) = profile.as_deref_mut() {
-            p.classify_micros = lap(&mut stage_start);
-        }
-        // Stage 3 (parallel): per-class edge list + component sizes, derived
-        // once from each class's *representative* (its first member in node
-        // order — any member works, they share the view). The edge list is
-        // retained: it is what the oracle's cache and layer 1 read, and
-        // what stage 4 and the stage-5 fallback build a view graph from.
-        struct ViewClass {
-            fingerprint: Fingerprint,
-            /// The view's in-range, non-loop edges, ascending.
-            edges: Vec<(usize, usize)>,
-            /// Materialized only while bounded flows need it (stage 4).
-            graph: Option<Graph>,
-            /// Component size per vertex named by the view's edges;
-            /// unnamed vertices are implicit singletons.
-            component_size: BTreeMap<NodeId, usize>,
-        }
-        let mut classes: Vec<ViewClass> = parallel_map(class_reps, workers, |node| {
-            // The filter hides the length from `collect`; size the list once.
-            let mut edges = Vec::with_capacity(node.known_edge_count());
-            edges.extend(node.view_edges());
-            let component_size = traversal::edge_component_sizes(edges.iter().copied());
-            ViewClass { fingerprint: node.view_fingerprint(), edges, graph: None, component_size }
-        });
-        if let Some(p) = profile.as_deref_mut() {
-            p.derive_micros = lap(&mut stage_start);
-        }
-        // Stage 4 (parallel): plan each class — cached, settled by layer 1,
-        // or flow-bound — and pre-materialize the flow-bound view graphs.
-        // `needs_graph` records nothing; the counted queries replay per
-        // node in stage 5.
-        let view_graph = |edges: &[(usize, usize)]| {
-            Graph::from_edges(n, edges.iter().copied()).expect("bounded endpoints, no self-loops")
-        };
-        let planner = &*oracle;
-        let graphs = parallel_map(classes.iter().collect(), workers, |class: &ViewClass| {
-            planner
-                .needs_graph(class.fingerprint, class.edges.iter().copied(), t)
-                .then(|| view_graph(&class.edges))
-        });
-        for (class, graph) in classes.iter_mut().zip(graphs) {
-            class.graph = graph;
-        }
-        if let Some(p) = profile.as_deref_mut() {
-            p.materialize_micros = lap(&mut stage_start);
-        }
-        // Stage 5 (sequential): per-node decisions in node order, each
-        // issuing its own oracle query. The lazy build covers the rare case
-        // where the bounded verdict cache flushed between the stage-4 plan
-        // and this query; a class's graph is dropped as soon as its verdict
-        // sits in the cache, so the phase holds the graphs still waiting
-        // for their flows, not one per class.
+        let mut component_sizes: HashMap<Fingerprint, BTreeMap<NodeId, usize>> = HashMap::new();
         let mut decisions = BTreeMap::new();
-        for (node, &c) in correct.iter().zip(&node_class) {
-            let ViewClass { fingerprint, edges, graph, component_size } = &mut classes[c];
-            let answer = oracle.answer_edges(*fingerprint, edges.iter().copied(), t, || {
-                &*graph.get_or_insert_with(|| view_graph(edges))
-            });
-            if graph.is_some() && oracle.peek(*fingerprint, t).is_some() {
-                *graph = None;
+        for node in participants.iter().map(Participant::nectar) {
+            if self.byzantine.contains_key(&node.node_id()) {
+                continue;
             }
-            let reachable = component_size.get(&node.node_id()).copied().unwrap_or(1);
-            let decision = Decision::from_view(n, t, reachable, answer.kappa.report());
-            decisions.insert(node.node_id(), decision);
-        }
-        if let Some(p) = profile.as_deref_mut() {
-            p.decide_micros = lap(&mut stage_start);
+            let sizes = component_sizes
+                .entry(node.view_fingerprint())
+                .or_insert_with(|| traversal::edge_component_sizes(node.view_edges()));
+            decisions.insert(node.node_id(), node.decide_in_view(oracle, sizes));
         }
         (decisions, oracle.stats().since(&before))
     }
@@ -693,9 +577,9 @@ mod tests {
 
     #[test]
     fn batched_view_class_decisions_match_per_node_decide_with() {
-        // collect() groups identical views (Lemma 2) and derives each
-        // decision from the class's shared graph/components; the result
-        // must equal node-by-node decide_with, oracle counters included.
+        // collect() shares one component-size derivation across identical
+        // views (Lemma 2); the result must equal node-by-node decide_with,
+        // oracle counters included.
         let scenario = Scenario::new(gen::harary(4, 12).unwrap(), 2)
             .with_byzantine(2, ByzantineBehavior::TwoFaced { silent_toward: [7, 8].into() })
             .with_byzantine(9, ByzantineBehavior::Silent)
@@ -713,12 +597,12 @@ mod tests {
 
     #[test]
     fn starved_oracle_caches_change_neither_decisions_nor_counters() {
-        // With no cache every member re-decides its class; with one slot
-        // the classes evict each other between stage 4's plan and stage
-        // 5's queries. Either way collect must stay node-by-node
-        // `decide_with` — decisions and all six counters — on flow-bound
-        // views (a Byzantine-split Harary graph: several classes, δ > t)
-        // and on layer-1 views (a partitioned fleet) alike.
+        // With no cache every node re-decides its view; with one slot the
+        // views evict each other between queries. Either way collect must
+        // stay node-by-node `decide_with` — decisions and all six counters
+        // — on flow-bound views (a Byzantine-split Harary graph: several
+        // distinct views, δ > t) and on layer-1 views (a partitioned fleet)
+        // alike.
         let split_views = Scenario::new(gen::harary(4, 12).unwrap(), 2)
             .with_byzantine(2, ByzantineBehavior::TwoFaced { silent_toward: [7, 8].into() })
             .with_byzantine(9, ByzantineBehavior::Silent)

@@ -139,7 +139,7 @@ impl<'a> Simulation<'a> {
     }
 
     /// Records a per-phase wall-clock breakdown
-    /// ([`PhaseProfile`]: dissemination, then the four decision stages)
+    /// ([`PhaseProfile`]: dissemination, then the decision phase)
     /// into each epoch's [`EpochOutcome::profile`]. Off by default — the
     /// timings are wall clock and therefore nondeterministic, so profiled
     /// reports are excluded from bit-identical cross-runtime comparison;
@@ -167,35 +167,15 @@ impl<'a> Simulation<'a> {
         };
         let base_seed = scenario.key_seed();
         let mut epoch_outcomes = Vec::with_capacity(epochs);
-        // One working clone serves every epoch after the first (re-seeded
-        // in place): epochs differ only in their key seed, and a deep
-        // topology + cast clone per epoch would be pure waste at fleet
-        // sizes.
-        let mut reseeded: Option<Scenario> = None;
         for epoch in 0..epochs {
             let key_seed = base_seed + epoch as u64;
-            let sc: &Scenario = if epoch == 0 {
-                scenario
-            } else {
-                let working = reseeded.get_or_insert_with(|| scenario.clone());
-                working.set_key_seed(key_seed);
-                working
-            };
-            let mut phase_profile = profile.then(PhaseProfile::default);
-            let disseminate_start = Instant::now();
-            let (participants, metrics) = sc.propagate(runtime, compiled.as_ref());
-            if let Some(p) = phase_profile.as_mut() {
-                p.disseminate_micros = disseminate_start.elapsed().as_micros() as u64;
-            }
+            let start = Instant::now();
+            let (participants, metrics) = scenario.propagate(runtime, key_seed, compiled.as_ref());
+            let disseminated = start.elapsed();
             let (decisions, oracle_stats) = if metrics_only {
                 (BTreeMap::new(), OracleStats::default())
             } else {
-                sc.collect(
-                    &participants,
-                    oracle,
-                    runtime.decision_workers(),
-                    phase_profile.as_mut(),
-                )
+                scenario.collect(&participants, oracle)
             };
             epoch_outcomes.push(EpochOutcome {
                 epoch,
@@ -203,7 +183,10 @@ impl<'a> Simulation<'a> {
                 decisions,
                 metrics,
                 oracle: oracle_stats,
-                profile: phase_profile,
+                profile: profile.then(|| PhaseProfile {
+                    disseminate_micros: disseminated.as_micros() as u64,
+                    decide_micros: (start.elapsed() - disseminated).as_micros() as u64,
+                }),
             });
         }
         RunReport {
@@ -241,7 +224,7 @@ impl<'a> Simulation<'a> {
     /// non-Byzantine accomplices.
     pub fn participants(self) -> Vec<Participant> {
         let compiled = compile_schedule(self.schedule.as_ref(), self.scenario);
-        self.scenario.propagate(self.runtime, compiled.as_ref()).0
+        self.scenario.propagate(self.runtime, self.scenario.key_seed(), compiled.as_ref()).0
     }
 }
 

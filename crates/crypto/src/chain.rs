@@ -9,8 +9,6 @@
 //! a MAC over the tag before it, down to the payload digest (the
 //! Dolev–Strong argument of Lemma 2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::keys::{Signature, Signer, SignerId, Verifier};
 
 /// A signature chain over a fixed payload digest.
@@ -20,7 +18,7 @@ use crate::keys::{Signature, Signer, SignerId, Verifier};
 /// signed messages, so each tag commits to every earlier one and links
 /// cannot be reordered, dropped or transplanted onto another payload; a
 /// link re-attributed to another signer fails its own MAC.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct SignatureChain {
     links: Vec<Signature>,
 }

@@ -18,8 +18,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::hmac::HmacKey;
 
 /// Identity of a signer. Node ids are dense indices below the system size
@@ -30,7 +28,7 @@ pub type SignerId = u16;
 ///
 /// Equality is byte-wise; a signature transported through Byzantine hands
 /// either arrives intact or fails [`Verifier::verify`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Signature {
     signer: SignerId,
     tag: [u8; 32],

@@ -8,13 +8,11 @@
 //! exactly the power the paper grants them ("Byzantine nodes may however
 //! forge proofs of neighborhood between Byzantine processes").
 
-use serde::{Deserialize, Serialize};
-
 use crate::keys::{Signature, Signer, SignerId, Verifier};
 use crate::sha256::Sha256;
 
 /// A both-endpoint-signed declaration of the undirected edge `(a, b)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NeighborhoodProof {
     a: SignerId,
     b: SignerId,

@@ -10,8 +10,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use nectar_net::{NodeId, WireSized};
 
 /// A claim transported by path-vector dissemination: any small value with a
@@ -23,7 +21,7 @@ pub trait Claim: Copy + Ord + std::fmt::Debug {
 
 /// Identifies a claim: the undirected edge being announced plus the
 /// announcing endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClaimId {
     /// Announcing endpoint (must be one of the edge endpoints).
     pub origin: NodeId,

@@ -1,10 +1,8 @@
 //! Sample statistics: the paper reports 50-run averages with 95% confidence
 //! intervals (§V-B).
 
-use serde::{Deserialize, Serialize};
-
 /// Mean, standard deviation and 95% confidence half-width of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample mean.
     pub mean: f64,

@@ -5,10 +5,8 @@
 //! plots. The figure binaries print the Markdown form and write the CSV
 //! form under `results/`.
 
-use serde::{Deserialize, Serialize};
-
 /// One measured point of a series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// x-axis value (number of nodes, distance, Byzantine count, …).
     pub x: f64,
@@ -19,7 +17,7 @@ pub struct Point {
 }
 
 /// A labelled series (one curve of a figure).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Curve label, e.g. `"Nectar: k = 10"`.
     pub label: String,
@@ -28,7 +26,7 @@ pub struct Series {
 }
 
 /// A full figure or table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Stable identifier, e.g. `"fig3"`.
     pub id: String,

@@ -7,8 +7,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::GraphError;
 
 /// An undirected simple graph on the vertex set `{0, …, n-1}`.
@@ -30,7 +28,7 @@ use crate::error::GraphError;
 /// assert_eq!(g.neighbors(1).collect::<Vec<_>>(), vec![0, 2]);
 /// # Ok::<(), nectar_graph::GraphError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Graph {
     adj: Vec<BTreeSet<usize>>,
 }
@@ -341,18 +339,5 @@ mod tests {
         let m = g.to_adjacency_matrix();
         assert!(m[0][2] && m[2][0]);
         assert!(!m[0][1] && !m[1][0]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        let json = serde_json_like(&g);
-        assert!(json.contains('0'));
-    }
-
-    // serde_json is not a workspace dependency; exercise Serialize through the
-    // compact `serde` test shim below instead of pulling a new crate in.
-    fn serde_json_like(g: &Graph) -> String {
-        format!("{:?}", g)
     }
 }

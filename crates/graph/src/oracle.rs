@@ -354,42 +354,9 @@ impl ConnectivityOracle {
         answer
     }
 
-    /// Inspects the verdict cache for `fp` at threshold `t` without
-    /// recording anything: not a query, no counter moves. Note the answer
-    /// may still be gone by the time a counted query asks (the bounded
-    /// cache flushes wholesale when full), so a `Some` here is a hint, not
-    /// a promise.
-    pub fn peek(&self, fp: Fingerprint, t: usize) -> Option<OracleAnswer> {
-        self.cache.get(&(fp, t)).copied()
-    }
-
-    /// The planning probe for batch consumers: whether
-    /// [`answer_edges`](Self::answer_edges) on this view would call its
-    /// `graph` closure right now — the verdict is not cached and layer 1
-    /// leaves it open. Records nothing. Lets the scenario runner
-    /// materialize (in parallel) only the view graphs flows will run on,
-    /// before replaying the counted queries in node order; like
-    /// [`peek`](Self::peek) it is a hint — a cache flush in between makes
-    /// the counted query build the graph itself.
-    pub fn needs_graph(
-        &self,
-        fp: Fingerprint,
-        edges: impl IntoIterator<Item = (usize, usize)>,
-        t: usize,
-    ) -> bool {
-        self.peek(fp, t).is_none() && matches!(layer_one(fp.n, edges, t), LayerOne::Open)
-    }
-
-    /// Cumulative counters since construction (or the last [`reset_stats`]).
-    ///
-    /// [`reset_stats`]: Self::reset_stats
+    /// Cumulative counters since construction.
     pub fn stats(&self) -> &OracleStats {
         &self.stats
-    }
-
-    /// Zeroes the counters, keeping cached verdicts.
-    pub fn reset_stats(&mut self) {
-        self.stats = OracleStats::default();
     }
 
     /// Number of cached verdicts.
@@ -614,19 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_inspects_without_counting() {
-        let g = gen::cycle(6);
-        let fp = Fingerprint::of(&g);
-        let mut oracle = ConnectivityOracle::new();
-        assert_eq!(oracle.peek(fp, 1), None, "empty cache has nothing to peek");
-        let answer = oracle.answer(&g, 1);
-        let before = *oracle.stats();
-        assert_eq!(oracle.peek(fp, 1), Some(answer));
-        assert_eq!(oracle.peek(fp, 3), None, "different t is a different decision problem");
-        assert_eq!(*oracle.stats(), before, "peek must not move any counter");
-    }
-
-    #[test]
     fn low_degree_pairs_are_probed_first() {
         // A κ = 2 drone placement whose min-degree vertex has both dense
         // (κ(v, w) > t) and fringe (κ(v, w) ≤ t) non-neighbors: the
@@ -818,7 +772,6 @@ mod proptests {
         assert_eq!(answer, expected, "edge path, t = {t}, {g:?}, list {list:?}");
         assert_eq!(*from_edges.stats(), expected_stats, "edge path, t = {t}, {g:?}");
         assert_eq!(graph_built, expected_stats.bounded_flows > 0, "graph is for flows only");
-        assert_eq!(from_edges.needs_graph(fp, list, t), graph_built, "plan, t = {t}, {g:?}");
     }
 
     #[test]

@@ -197,9 +197,9 @@ reachable,connectivity`. --report <path> persists the same JSON to
   `family,nodes,edges,kappa,diameter`. --epochs E re-runs detection
   E times on the same topology with fresh keys, sharing one oracle so
   unchanged graphs decide from cache. --profile records a per-phase
-  wall-clock breakdown (dissemination, then the decision phase's classify /
-  derive / materialize / decide stages) per epoch: printed with the text
-  output and persisted in the report JSON. The timings are wall clock —
+  wall-clock breakdown (dissemination, then the decision phase) per
+  epoch: printed with the text output and persisted in the report JSON.
+  The timings are wall clock —
   nondeterministic across runs and runtimes; all other outputs stay
   bit-identical. (The experiment runners emit CSV too: `cargo run -p
   nectar-bench --bin figures` writes results/<id>.csv for every figure.)
@@ -721,13 +721,8 @@ fn render_scenario_text(source: &str, compiled: &CompiledScenario, report: &RunR
     if let Some(p) = outcome.profile {
         writeln!(
             out,
-            "profile:  disseminate {}µs | classify {}µs | derive {}µs | \
-             materialize {}µs | decide {}µs (last epoch, wall clock)",
-            p.disseminate_micros,
-            p.classify_micros,
-            p.derive_micros,
-            p.materialize_micros,
-            p.decide_micros
+            "profile:  disseminate {}µs | decide {}µs (last epoch, wall clock)",
+            p.disseminate_micros, p.decide_micros
         )
         .expect("writing to String cannot fail");
     }

@@ -5,10 +5,8 @@
 //! receiver and per round, plus protocol violations (messages addressed to
 //! non-neighbors, which reliable channels cannot carry).
 
-use serde::{Deserialize, Serialize};
-
 /// Byte and message counters collected by a runtime execution.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     bytes_sent: Vec<u64>,
     msgs_sent: Vec<u64>,
@@ -180,9 +178,7 @@ impl Metrics {
 }
 
 /// Wall-clock breakdown of one epoch's phases, in microseconds: the
-/// dissemination rounds, then the four decision-phase stages (classify
-/// views, derive per-class keys/components, materialize oracle-miss graphs,
-/// and the sequential oracle-decide walk).
+/// dissemination rounds, then the decision phase.
 ///
 /// Deliberately *not* part of [`Metrics`]: metrics are compared bit-for-bit
 /// across runtimes by the determinism suite, while wall-clock readings are
@@ -191,39 +187,20 @@ impl Metrics {
 /// are excluded from every cross-runtime equivalence check; two profiled
 /// runs of the same scenario will not agree on these numbers, only on
 /// everything else.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
-    /// The propagation rounds (Alg. 1 ll. 5–15), all of them.
+    /// Participant construction plus the propagation rounds (Alg. 1
+    /// ll. 5–15), all of them.
     pub disseminate_micros: u64,
-    /// Decision stages 1+2: grouping nodes into view classes by their
-    /// incremental fingerprints.
-    pub classify_micros: u64,
-    /// Decision stage 3: per-class edge list + component sizes.
-    pub derive_micros: u64,
-    /// Decision stage 4: planning each class from its edge list (cached,
-    /// settled by the oracle's layer 1, or flow-bound) and
-    /// pre-materializing the view graphs of the flow-bound classes only —
-    /// a class the edge list settles never builds a graph.
-    pub materialize_micros: u64,
-    /// Decision stage 5: the sequential per-node oracle queries and
-    /// decision commits.
+    /// The decision phase (Alg. 1 ll. 16–23): every correct node's oracle
+    /// query and decision.
     pub decide_micros: u64,
 }
 
 impl PhaseProfile {
-    /// Sum of all phase timings.
+    /// Sum of both phase timings.
     pub fn total_micros(&self) -> u64 {
-        self.disseminate_micros
-            + self.classify_micros
-            + self.derive_micros
-            + self.materialize_micros
-            + self.decide_micros
-    }
-
-    /// Total time spent in the decision phase (stages 1–5, everything but
-    /// dissemination).
-    pub fn collect_micros(&self) -> u64 {
-        self.total_micros() - self.disseminate_micros
+        self.disseminate_micros + self.decide_micros
     }
 }
 
@@ -233,15 +210,8 @@ mod tests {
 
     #[test]
     fn phase_profile_totals_add_up() {
-        let profile = PhaseProfile {
-            disseminate_micros: 100,
-            classify_micros: 20,
-            derive_micros: 30,
-            materialize_micros: 5,
-            decide_micros: 45,
-        };
-        assert_eq!(profile.total_micros(), 200);
-        assert_eq!(profile.collect_micros(), 100);
+        let profile = PhaseProfile { disseminate_micros: 100, decide_micros: 45 };
+        assert_eq!(profile.total_micros(), 145);
         assert_eq!(PhaseProfile::default().total_micros(), 0);
     }
 

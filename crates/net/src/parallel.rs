@@ -34,8 +34,7 @@
 //! to sync/event.
 
 use std::collections::VecDeque;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use nectar_graph::Graph;
 
@@ -111,16 +110,19 @@ where
                     let mut out: Vec<(usize, R)> = Vec::new();
                     let mut grabbed: Vec<(usize, T)> = Vec::with_capacity(GRAB_BATCH);
                     loop {
-                        // Own work first (front)...
+                        // Own work first (front)... (Poison is ignored
+                        // here and below: no step of a drain can tear a
+                        // deque, and a worker's panic resurfaces at join.)
                         {
-                            let mut own = deques[w].lock();
+                            let mut own = deques[w].lock().unwrap_or_else(PoisonError::into_inner);
                             let take = own.len().min(GRAB_BATCH);
                             grabbed.extend(own.drain(..take));
                         }
                         // ...then steal half a victim's backlog (back).
                         if grabbed.is_empty() {
                             for victim in (1..deques.len()).map(|d| (w + d) % deques.len()) {
-                                let mut v = deques[victim].lock();
+                                let mut v =
+                                    deques[victim].lock().unwrap_or_else(PoisonError::into_inner);
                                 let len = v.len();
                                 if len > 0 {
                                     let take = (len / 2).max(1).min(GRAB_BATCH);

@@ -44,13 +44,12 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{Read, Write};
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use nectar_crypto::codec::{CodecError, Decode, Encode};
 use nectar_crypto::frame::{Frame, FrameBuffer};
 use nectar_graph::Graph;
-use parking_lot::Mutex;
 
 use crate::metrics::Metrics;
 use crate::process::{NodeId, Process, WireSized};
@@ -510,7 +509,9 @@ impl Transport for LoopbackTransport {
         if !self.peers.contains(&to) {
             return Err(TransportError::UnknownPeer { peer: to });
         }
-        self.mailboxes[to].lock().push_back(frame);
+        // A poisoned mailbox is still a whole queue: push and pop cannot
+        // tear it.
+        self.mailboxes[to].lock().unwrap_or_else(PoisonError::into_inner).push_back(frame);
         Ok(())
     }
 
@@ -519,7 +520,11 @@ impl Transport for LoopbackTransport {
             if let Some(frame) = self.decoder.next_frame()? {
                 return Ok(frame);
             }
-            match self.mailboxes[self.local].lock().pop_front() {
+            match self.mailboxes[self.local]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .pop_front()
+            {
                 Some(chunk) => self.decoder.extend(&chunk),
                 // Loopback fleets run in lock-step: an empty mailbox
                 // means the barrier logic asked for a frame that was

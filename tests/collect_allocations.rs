@@ -1,15 +1,17 @@
-//! Scaling pin for the decision phase on a partitioned fleet: every view is
+//! Scaling pins for the decision phase. On a partitioned fleet every view is
 //! a small island in the fleet's id space, so `collect_decisions` must cost
-//! O(m_view) per view class — no `n`-sized graph, no per-component queue.
+//! O(m_view) per distinct view — no `n`-sized graph, no per-component queue.
 //! Allocation *counts* are exact and machine-independent, so the pin is a
-//! count: a per-class `Graph::empty(n)` plus a BFS over its ~n singleton
-//! components costs ~n allocations per class (~1 M here), against a
-//! handful per class when the oracle decides from the edge list.
+//! count: a per-view `Graph::empty(n)` plus a BFS over its ~n singleton
+//! components costs ~n allocations per view (~1 M here), against a
+//! handful per view when the oracle decides from the edge list. On a
+//! converged fleet every node holds the same view, which must be derived
+//! once, not once per node.
 //!
 //! The same kind of pin holds the relay path: an accepted edge owns its
 //! slot in the view, its relay queue entry and the one extended chain the
 //! fan-out shares — not a set for its single excluded neighbor, byte vectors
-//! for digests, or a memo entry no later delivery can reach. And the
+//! for digests, or a memo entry per verified proof or chain. And the
 //! schedule layer: a flap schedule adds O(n + T), not n × T. And the wire
 //! path: over the sync engine's own count, a loopback run allocates per
 //! delivered edge and per frame what decoding and framing must own — not a
@@ -78,6 +80,29 @@ fn deciding_a_partitioned_fleet_allocates_per_class_not_per_node_squared() {
     );
 }
 
+/// The other extreme: one connected view shared by the whole fleet. Its
+/// component sizes are derived once, not once per node. (Measured: 129
+/// allocations; 19 456 — 76 per node, growing with n — when every node
+/// derives the n-vertex map for itself, as node-by-node `decide_with` does.)
+#[test]
+fn deciding_a_converged_connected_fleet_derives_its_one_view_once() {
+    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let n = 256;
+    let scenario = Scenario::new(gen::star(n), 1).with_key_seed(5);
+    let participants = scenario.sim().runtime(Runtime::Event).participants();
+    let mut oracle = ConnectivityOracle::new();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let (decisions, stats) = scenario.collect_decisions(&participants, &mut oracle, 1);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(decisions.len(), n);
+    assert!(decisions.values().all(|d| !d.confirmed && d.reachable == n));
+    assert_eq!(stats.cache_hits, n as u64 - 1, "one view: one cold query");
+    assert!(
+        allocations < 20 * n as u64,
+        "collect_decisions made {allocations} allocations for {n} nodes sharing one view"
+    );
+}
+
 /// The schedule layer costs what the flapping links cost: each `Scheduled`
 /// wrapper reads its own node's row of the compiled index, so wrapping a
 /// fleet and running it under T transitions adds allocations in O(n + T) —
@@ -140,7 +165,7 @@ fn a_whole_run_allocates_a_handful_per_accepted_edge() {
     // exactly once.
     let edges = n * k / 2;
     let accepted = (n * (edges - k)) as u64;
-    // Measured 28 777 (4.3 per accepted edge); 90 181 (13.6) with a set per
+    // Measured 27 831 (4.2 per accepted edge); 90 181 (13.6) with a set per
     // excluded neighbor, heap-built digests and statements, a set per
     // distinctness check, a doubled chain buffer and the chain memo.
     assert!(

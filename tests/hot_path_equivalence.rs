@@ -1,7 +1,7 @@
 //! Hot-path cache equivalence: the fast paths — incremental view
-//! fingerprints, the per-node proof-verification memo and `Arc`-interned
-//! relay payloads — must be *observationally pure* (docs/DETERMINISM.md
-//! §4). Two kinds of pins, matching the two ways a cache could leak:
+//! fingerprints and `Arc`-interned relay payloads — must be
+//! *observationally pure* (docs/DETERMINISM.md §4). Two kinds of pins,
+//! matching the two ways a cache could leak:
 //!
 //! * **Fingerprint ground truth.** Every node's rolling
 //!   [`NectarNode::view_fingerprint`] must equal the from-scratch digest of
@@ -10,14 +10,14 @@
 //!   active [`TopologySchedule`]s — the schedules exercise edge drops and
 //!   heals mid-dissemination, i.e. views that grow through every relay
 //!   acceptance path.
-//! * **Whole-run bit-identity.** The proof memo and the interning have no
-//!   per-value oracle here; their contract is that nothing downstream can
-//!   tell they exist. So the pin is the strongest observable: the full
+//! * **Whole-run bit-identity.** The interning has no per-value oracle
+//!   here; its contract is that nothing downstream can tell it exists. So
+//!   the pin is the strongest observable: the full
 //!   `RunReport` (decisions, traffic metrics, oracle counters, rejection
 //!   tallies) must be bit-identical across all three runtimes and across
 //!   parallel worker counts {0, 2, 3, 7}. The oracle's edge-list layer 1
 //!   (docs/DETERMINISM.md §6) is held to the same pin on the regime it
-//!   serves: a many-class partitioned fleet.
+//!   serves: a partitioned fleet of many distinct views.
 //!
 //! This suite is the named `hot-path-equivalence` CI step.
 

@@ -104,8 +104,7 @@ fn ten_thousand_node_scenario_completes_on_the_event_runtime() {
 /// The same 10 000-node scenario on the parallel runtime: the work-stealing
 /// pool must host it just as the event loop does (active-set scheduling
 /// skips the quiesced tail of the 9 999-round horizon), with the identical
-/// outcome — decision phase included, whose per-class work fans out over
-/// the same pool.
+/// outcome, decision phase included.
 #[test]
 fn ten_thousand_node_scenario_completes_on_the_parallel_runtime() {
     let n = 10_000;
