@@ -40,8 +40,17 @@
 //! assert_eq!(chain.len(), 2);
 //! assert!(chain.verify(&keys.verifier(), &digest));
 //! ```
+//!
+//! # Denied, not forbidden, unsafe code
+//!
+//! Every other crate of the workspace forbids unsafe code outright. This one
+//! denies it, so that [`sha256`] can allow it at exactly one call: entering
+//! the SHA-extension compression kernel once runtime feature detection has
+//! confirmed the CPU has them (`docs/ARCHITECTURE.md` §2, "The crypto
+//! layer"). The kernel's body is safe code; any other unsafe block in this
+//! crate is still a compile error.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod chain;
 pub mod codec;

@@ -124,40 +124,122 @@ impl Sha256 {
     }
 
     /// One application of the SHA-256 compression function (FIPS 180-4 §6.2.2):
-    /// the unit the cost model in `docs/ARCHITECTURE.md` counts in.
+    /// the unit the cost model in `docs/ARCHITECTURE.md` counts in. Runs on
+    /// the CPU's SHA extensions when it has them, on [`compress_scalar`]
+    /// otherwise; both return the same eight words.
     fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         #[cfg(test)]
         COMPRESSIONS.with(|c| c.set(c.get() + 1));
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::detected() {
+            // SAFETY: `sha_ni::compress` needs `sha`, `sse2`, `ssse3` and
+            // `sse4.1`; `sse2` is baseline on x86_64 and `detected` has just
+            // confirmed the other three at runtime.
+            #[allow(unsafe_code)]
+            return unsafe { sha_ni::compress(state, block) };
         }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+        compress_scalar(state, block);
+    }
+}
+
+/// The portable compression kernel: the only one on CPUs without the SHA
+/// extensions, and the reference `sha_ni::compress` is pinned against.
+fn compress_scalar(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let temp2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(temp1);
+        d = c;
+        c = b;
+        b = a;
+        a = temp1.wrapping_add(temp2);
+    }
+    let add = [a, b, c, d, e, f, g, h];
+    for (s, v) in state.iter_mut().zip(add) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// The compression on the x86 SHA extensions (`sha256rnds2` runs two
+/// rounds, `sha256msg1`/`sha256msg2` extend the message schedule). Values
+/// in, values out: no pointer is read or written, so the body needs no
+/// `unsafe` — only the call, which must first have seen `detected`, does.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has what [`compress`] is compiled for (`sse2` is
+    /// baseline on x86_64). `std` caches the probe, so this is three loads.
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let [a, b, c, d, e, f, g, h] = state.map(|x| x as i32);
+        // The round instruction keeps the state in two vectors, named by
+        // their lanes from high to low.
+        let (abef_in, cdgh_in) = (_mm_set_epi32(a, b, e, f), _mm_set_epi32(c, d, g, h));
+        let (mut abef, mut cdgh) = (abef_in, cdgh_in);
+
+        let mut m = [0i32; 16];
+        for (word, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as i32;
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
+        // The next sixteen schedule words, four to a vector and lowest lane
+        // first: group `i` of four rounds reads `w[0]`, then slides the
+        // window on by one vector.
+        let mut w = [0, 4, 8, 12].map(|j| _mm_set_epi32(m[j + 3], m[j + 2], m[j + 1], m[j]));
+        for i in 0..16 {
+            let k = [4 * i + 3, 4 * i + 2, 4 * i + 1, 4 * i].map(|t| K[t] as i32);
+            let wk = _mm_add_epi32(w[0], _mm_set_epi32(k[0], k[1], k[2], k[3]));
+            // Two rounds on the low lanes, two on the high: the first
+            // leaves the new ABEF in `cdgh`, the second puts it back.
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+            // W[t] = σ1(W[t−2]) + W[t−7] + σ0(W[t−15]) + W[t−16] for the
+            // four t sixteen words on: msg1 adds σ0, alignr brings in
+            // W[t−7], msg2 adds σ1 (of words it produces itself for the
+            // upper two lanes). The last four groups compute words nothing
+            // reads, which the unrolled loop drops.
+            let sigma0 = _mm_sha256msg1_epu32(w[0], w[1]);
+            let w7 = _mm_alignr_epi8::<4>(w[3], w[2]);
+            let next = _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w7), w[3]);
+            w = [w[1], w[2], w[3], next];
         }
-        let add = [a, b, c, d, e, f, g, h];
-        for (s, v) in state.iter_mut().zip(add) {
-            *s = s.wrapping_add(v);
-        }
+
+        let (abef, cdgh) = (_mm_add_epi32(abef, abef_in), _mm_add_epi32(cdgh, cdgh_in));
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|x| x as u32);
     }
 }
 
@@ -167,8 +249,8 @@ thread_local! {
 }
 
 /// Compressions `work` performs on this thread: the crate's tests pin the
-/// cost model with it (tag = 2, chain link = 4, extend at a known digest
-/// = 2).
+/// cost model with it (tag = 2, chain link = 2, extend at a known digest
+/// = 2). It counts in the dispatcher, so the pins hold on both kernels.
 #[cfg(test)]
 pub(crate) fn compressions_in<T>(work: impl FnOnce() -> T) -> (T, u64) {
     let before = COMPRESSIONS.with(std::cell::Cell::get);
@@ -255,5 +337,67 @@ mod tests {
     fn distinct_inputs_have_distinct_digests() {
         assert_ne!(sha256(b"nectar"), sha256(b"nectaR"));
         assert_ne!(sha256(b""), sha256(b"\0"));
+    }
+
+    /// The FIPS 180-4 §5.1.1 padding of a short `msg`, as whole blocks.
+    fn padded_blocks(msg: &[u8]) -> Vec<[u8; 64]> {
+        let mut bytes = msg.to_vec();
+        bytes.push(0x80);
+        while bytes.len() % 64 != 56 {
+            bytes.push(0);
+        }
+        bytes.extend_from_slice(&(8 * msg.len() as u64).to_be_bytes());
+        bytes.chunks_exact(64).map(|b| b.try_into().unwrap()).collect()
+    }
+
+    #[test]
+    fn the_sha_ni_kernel_matches_the_scalar_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        let detected = sha_ni::detected();
+        #[cfg(not(target_arch = "x86_64"))]
+        let detected = false;
+        if !detected {
+            println!("SHA extensions absent: scalar kernel only");
+            return;
+        }
+        // Calling the SHA-NI kernel takes the crate's one `unsafe`, so the
+        // test reaches it the way everything else does: through the
+        // dispatcher, which runs it whenever `detected` holds.
+        let dispatched: fn(&mut [u32; 8], &[u8; 64]) = Sha256::compress;
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for _ in 0..10_000 {
+            let state: [u32; 8] = std::array::from_fn(|_| next() as u32);
+            let mut block = [0u8; 64];
+            for chunk in block.chunks_exact_mut(8) {
+                chunk.copy_from_slice(&next().to_le_bytes());
+            }
+            let (mut fast, mut reference) = (state, state);
+            dispatched(&mut fast, &block);
+            compress_scalar(&mut reference, &block);
+            assert_eq!(fast, reference, "state {state:08x?}, block {}", hex(&block));
+        }
+
+        let abc = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad";
+        let two_blocks = "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1";
+        let vectors = [
+            (&b"abc"[..], abc),
+            (b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq", two_blocks),
+        ];
+        for kernel in [dispatched, compress_scalar] {
+            for (msg, digest) in vectors {
+                let mut state = H0;
+                for block in padded_blocks(msg) {
+                    kernel(&mut state, &block);
+                }
+                let bytes: Vec<u8> = state.iter().flat_map(|w| w.to_be_bytes()).collect();
+                assert_eq!(hex(&bytes), digest);
+            }
+        }
     }
 }
