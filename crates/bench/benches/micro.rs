@@ -33,6 +33,13 @@ fn bench_sign_verify(c: &mut Criterion) {
     let key = HmacKey::new(b"bench key");
     let digest = [0x5au8; 32];
     c.bench_function("hmac_tag_32B", |b| b.iter(|| key.tag(black_box(&digest))));
+    // Two such tags checked as one pair. The pair is crate-private; a
+    // two-link chain's `verify` is exactly one of it (two 32-byte messages)
+    // plus two key lookups and tag compares.
+    let two_links = (0..2u16).fold(SignatureChain::new(), |c, h| c.extend(&ks.signer(h), &digest));
+    c.bench_function("hmac_tag_pair_32B", |b| {
+        b.iter(|| two_links.verify(black_box(&verifier), black_box(&digest)))
+    });
     let msg = vec![0x5au8; 128];
     c.bench_function("sign_128B", |b| b.iter(|| signer.sign(black_box(&msg))));
     let sig = signer.sign(&msg);

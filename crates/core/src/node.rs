@@ -346,20 +346,24 @@ impl Process for NectarNode {
         // Extend each chain once with our signature (σ_i(msg)), then fan the
         // edge out to every neighbor not excluded — each copy is two pointer
         // bumps (shared proof, shared extended chain), not a signature buffer.
-        let mut per_dest: BTreeMap<NodeId, Vec<RelayedEdge>> = BTreeMap::new();
+        // One batch per neighbor slot; `neighbors` ascends, so the messages
+        // go out in destination order.
+        let mut per_slot: Vec<Vec<RelayedEdge>> =
+            self.neighbors.iter().map(|_| Vec::with_capacity(pending.len())).collect();
         for item in pending {
             let chain = Arc::new(item.chain.extend(&self.signer, &item.payload_digest));
-            for &nbr in &self.neighbors {
-                if item.exclude == Some(nbr) {
-                    continue;
+            for (&nbr, edges) in self.neighbors.iter().zip(&mut per_slot) {
+                if item.exclude != Some(nbr) {
+                    edges.push(RelayedEdge { proof: item.proof.clone(), chain: chain.clone() });
                 }
-                per_dest
-                    .entry(nbr)
-                    .or_default()
-                    .push(RelayedEdge { proof: item.proof.clone(), chain: chain.clone() });
             }
         }
-        per_dest.into_iter().map(|(to, edges)| Outgoing::new(to, NectarMsg { edges })).collect()
+        self.neighbors
+            .iter()
+            .zip(per_slot)
+            .filter(|(_, edges)| !edges.is_empty())
+            .map(|(&to, edges)| Outgoing::new(to, NectarMsg { edges }))
+            .collect()
     }
 
     fn receive(&mut self, round: usize, from: NodeId, msg: NectarMsg) {

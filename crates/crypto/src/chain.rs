@@ -78,16 +78,20 @@ impl SignatureChain {
         SignatureChain { links }
     }
 
-    /// Verifies every link over `payload_digest`.
+    /// Verifies every link over `payload_digest`. What each link signs is
+    /// already in the chain, so the links are checked two at a time, their
+    /// tags computed together: link `i` over what it received, link `i + 1`
+    /// over link `i`'s tag.
     pub fn verify(&self, verifier: &Verifier, payload_digest: &[u8; 32]) -> bool {
         let mut signed = payload_digest;
-        for link in &self.links {
-            if !verifier.verify(signed, link) {
+        let mut pairs = self.links.chunks_exact(2);
+        for pair in &mut pairs {
+            if !verifier.verify_pair((signed, &pair[0]), (pair[0].tag(), &pair[1])) {
                 return false;
             }
-            signed = link.tag();
+            signed = pair[1].tag();
         }
-        true
+        pairs.remainder().iter().all(|last| verifier.verify(signed, last))
     }
 
     /// Raw links, innermost first (for wire encoding).
@@ -290,6 +294,37 @@ mod tests {
             let mut links = chain.links().to_vec();
             links[victim] = Signature::from_parts(5, *links[victim].tag());
             assert!(!SignatureChain::from_links(links).verify(&ks.verifier(), &digest), "{victim}");
+        }
+    }
+
+    #[test]
+    fn corrupting_any_link_of_any_length_fails() {
+        // Links are checked in pairs with an odd one last: every length up
+        // to 9 puts a victim in lane A, in lane B and in the remainder.
+        let ks = KeyStore::generate(10, 3);
+        let verifier = ks.verifier();
+        let digest = sha256(b"payload");
+        let mut chain = SignatureChain::new();
+        for len in 0..=9u16 {
+            assert!(chain.verify(&verifier, &digest), "honest chain of {len}");
+            for victim in 0..chain.len() {
+                let link = &chain.links()[victim];
+                let mut tag = *link.tag();
+                tag[victim % 32] ^= 0x80;
+                // Another registered signer, and one the registry lacks.
+                let (other, unknown) = ((link.signer() + 1) % 10, 10);
+                for bad in [
+                    Signature::from_parts(link.signer(), tag),
+                    Signature::from_parts(other, *link.tag()),
+                    Signature::from_parts(unknown, *link.tag()),
+                ] {
+                    let mut links = chain.links().to_vec();
+                    links[victim] = bad;
+                    let mutant = SignatureChain::from_links(links);
+                    assert!(!mutant.verify(&verifier, &digest), "link {victim} of {len}");
+                }
+            }
+            chain = chain.extend(&ks.signer(len), &digest);
         }
     }
 

@@ -7,9 +7,13 @@
 
 use std::fmt;
 
-use crate::sha256::{sha256, Sha256};
+use crate::sha256::{digest_bytes, sha256, Sha256, H0};
 
 const BLOCK_LEN: usize = 64;
+
+/// The longest message whose inner hash is one block: it, the `0x80` byte
+/// and the 8-byte length fill at most 64 bytes.
+const ONE_BLOCK_MSG: usize = BLOCK_LEN - 9;
 
 /// An HMAC-SHA-256 key with its two pad blocks already absorbed.
 ///
@@ -35,7 +39,8 @@ impl fmt::Debug for HmacKey {
 
 impl HmacKey {
     /// Prepares `key`: keys longer than one block are hashed first, shorter
-    /// ones zero-padded (RFC 2104 §2).
+    /// ones zero-padded (RFC 2104 §2). The two pad blocks are independent,
+    /// so they are absorbed as one pair.
     pub fn new(key: &[u8]) -> Self {
         let mut key_block = [0u8; BLOCK_LEN];
         if key.len() > BLOCK_LEN {
@@ -43,22 +48,66 @@ impl HmacKey {
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
-        let absorb = |pad: u8| {
-            let mut h = Sha256::new();
-            h.update(&key_block.map(|b| b ^ pad));
-            h.midstate()
-        };
-        HmacKey { inner: absorb(0x36), outer: absorb(0x5c) }
+        let (mut inner, mut outer) = (H0, H0);
+        Sha256::compress_pair(
+            &mut inner,
+            &key_block.map(|b| b ^ 0x36),
+            &mut outer,
+            &key_block.map(|b| b ^ 0x5c),
+        );
+        HmacKey { inner, outer }
     }
 
-    /// Computes `HMAC-SHA256(key, msg)`.
+    /// Computes `HMAC-SHA256(key, msg)`. The outer hash, over a 32-byte
+    /// digest, is always one block; so is the inner one for a message of at
+    /// most 55 bytes, and then no hasher is built.
     pub fn tag(&self, msg: &[u8]) -> [u8; 32] {
-        let mut inner = Sha256::from_midstate(self.inner, 1);
-        inner.update(msg);
-        let mut outer = Sha256::from_midstate(self.outer, 1);
-        outer.update(&inner.finalize());
-        outer.finalize()
+        let inner = if msg.len() <= ONE_BLOCK_MSG {
+            let mut inner = self.inner;
+            Sha256::compress(&mut inner, &last_block(msg));
+            digest_bytes(&inner)
+        } else {
+            let mut inner = Sha256::from_midstate(self.inner, 1);
+            inner.update(msg);
+            inner.finalize()
+        };
+        let mut outer = self.outer;
+        Sha256::compress(&mut outer, &last_block(&inner));
+        digest_bytes(&outer)
     }
+
+    /// `[a.tag(msg_a), b.tag(msg_b)]`, with the two inner compressions run
+    /// as one [`Sha256::compress_pair`] and the two outer ones as another.
+    /// If either message is longer than 55 bytes, two plain tags.
+    pub(crate) fn tag_pair(
+        (a, msg_a): (&HmacKey, &[u8]),
+        (b, msg_b): (&HmacKey, &[u8]),
+    ) -> [[u8; 32]; 2] {
+        if msg_a.len() > ONE_BLOCK_MSG || msg_b.len() > ONE_BLOCK_MSG {
+            return [a.tag(msg_a), b.tag(msg_b)];
+        }
+        let (mut inner_a, mut inner_b) = (a.inner, b.inner);
+        Sha256::compress_pair(&mut inner_a, &last_block(msg_a), &mut inner_b, &last_block(msg_b));
+        let (mut outer_a, mut outer_b) = (a.outer, b.outer);
+        Sha256::compress_pair(
+            &mut outer_a,
+            &last_block(&digest_bytes(&inner_a)),
+            &mut outer_b,
+            &last_block(&digest_bytes(&inner_b)),
+        );
+        [digest_bytes(&outer_a), digest_bytes(&outer_b)]
+    }
+}
+
+/// The one block left to compress after a pad block when `msg` is at most
+/// [`ONE_BLOCK_MSG`] bytes: `msg ‖ 0x80 ‖ 0… ‖ bit length`, the length
+/// counting the pad block's 64 bytes too (FIPS 180-4 §5.1.1).
+fn last_block(msg: &[u8]) -> [u8; BLOCK_LEN] {
+    let mut block = [0u8; BLOCK_LEN];
+    block[..msg.len()].copy_from_slice(msg);
+    block[msg.len()] = 0x80;
+    block[56..].copy_from_slice(&(8 * (BLOCK_LEN + msg.len()) as u64).to_be_bytes());
+    block
 }
 
 /// Computes `HMAC-SHA256(key, msg)` for a key used once; callers that tag
@@ -164,6 +213,7 @@ than block-size data. The key needs to be hashed before being used by the HMAC a
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::sha256::compressions_in;
     use proptest::prelude::*;
 
     /// RFC 2104 as written: pad the key, hash both pad blocks with the data
@@ -189,6 +239,21 @@ mod proptests {
             msg in proptest::collection::vec(proptest::num::u8::ANY, 0..300),
         ) {
             prop_assert_eq!(HmacKey::new(&key).tag(&msg), textbook_hmac(&key, &msg));
+        }
+
+        #[test]
+        fn a_tag_pair_is_two_tags(
+            key_a in proptest::collection::vec(proptest::num::u8::ANY, 0..80),
+            key_b in proptest::collection::vec(proptest::num::u8::ANY, 0..80),
+            msg_a in proptest::collection::vec(proptest::num::u8::ANY, 0..=120),
+            msg_b in proptest::collection::vec(proptest::num::u8::ANY, 0..=120),
+        ) {
+            let (a, b) = (HmacKey::new(&key_a), HmacKey::new(&key_b));
+            let (pair, paired) = compressions_in(|| HmacKey::tag_pair((&a, &msg_a), (&b, &msg_b)));
+            let (singles, single) = compressions_in(|| [a.tag(&msg_a), b.tag(&msg_b)]);
+            prop_assert_eq!(pair, singles);
+            // Pairing changes when compressions run, never how many.
+            prop_assert_eq!(paired, single);
         }
     }
 }

@@ -139,6 +139,23 @@ impl Verifier {
             None => false,
         }
     }
+
+    /// [`verify`](Self::verify) on both pairs, computing the two tags as
+    /// one [`HmacKey::tag_pair`]: `true` only if both signers are known and
+    /// both tags match.
+    pub(crate) fn verify_pair(
+        &self,
+        (msg_a, sig_a): (&[u8], &Signature),
+        (msg_b, sig_b): (&[u8], &Signature),
+    ) -> bool {
+        let secret = |sig: &Signature| self.secrets.get(sig.signer as usize);
+        match (secret(sig_a), secret(sig_b)) {
+            (Some(a), Some(b)) => {
+                HmacKey::tag_pair((a, msg_a), (b, msg_b)) == [sig_a.tag, sig_b.tag]
+            }
+            _ => false,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -206,6 +223,31 @@ mod tests {
         let printed = format!("{:?}{:?}", ks, ks.signer(0));
         assert!(printed.contains("redacted"));
         assert!(!printed.contains("[0x"));
+    }
+
+    #[test]
+    fn a_pair_verifies_only_when_both_lanes_do() {
+        let ks = KeyStore::generate(4, 7);
+        let verifier = ks.verifier();
+        let good = ks.signer(1).sign(b"first");
+        let other = ks.signer(2).sign(b"second");
+        let bad = Signature::from_parts(1, [0xab; 32]);
+        let unknown = KeyStore::generate(5, 7).signer(4).sign(b"second");
+        fn lane<'a>(msg: &'a [u8], sig: &'a Signature) -> (&'a [u8], &'a Signature) {
+            (msg, sig)
+        }
+        let (first, second) = (lane(b"first", &good), lane(b"second", &other));
+        assert!(verifier.verify_pair(first, second));
+        assert!(verifier.verify_pair(second, first));
+        for (a, b, why) in [
+            (lane(b"first", &bad), second, "lane A's tag is bad"),
+            (first, lane(b"second", &bad), "lane B's tag is bad"),
+            (first, lane(b"first", &other), "lane B signs another message"),
+            (lane(b"second", &unknown), second, "lane A's signer is unknown"),
+            (first, lane(b"second", &unknown), "lane B's signer is unknown"),
+        ] {
+            assert!(!verifier.verify_pair(a, b), "{why}");
+        }
     }
 
     #[test]

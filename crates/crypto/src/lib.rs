@@ -44,11 +44,11 @@
 //! # Denied, not forbidden, unsafe code
 //!
 //! Every other crate of the workspace forbids unsafe code outright. This one
-//! denies it, so that [`sha256`] can allow it at exactly one call: entering
-//! the SHA-extension compression kernel once runtime feature detection has
-//! confirmed the CPU has them (`docs/ARCHITECTURE.md` §2, "The crypto
-//! layer"). The kernel's body is safe code; any other unsafe block in this
-//! crate is still a compile error.
+//! denies it, so that [`sha256`] can allow it at exactly two calls: entering
+//! the SHA-extension compression kernels — one block, or two interleaved —
+//! once runtime feature detection has confirmed the CPU has them
+//! (`docs/ARCHITECTURE.md` §2, "The crypto layer"). The kernels' bodies are
+//! safe code; any other unsafe block in this crate is still a compile error.
 
 #![deny(unsafe_code)]
 

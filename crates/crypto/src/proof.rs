@@ -72,7 +72,7 @@ impl NeighborhoodProof {
             return false;
         }
         let stmt = statement_bytes(self.a, self.b);
-        verifier.verify(&stmt, &self.sig_a) && verifier.verify(&stmt, &self.sig_b)
+        verifier.verify_pair((&stmt, &self.sig_a), (&stmt, &self.sig_b))
     }
 
     /// Digest of the proof contents, used as the payload binding for

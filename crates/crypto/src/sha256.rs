@@ -7,7 +7,7 @@
 
 /// Initial hash state (FIPS 180-4 §5.3.3): the first 32 bits of the
 /// fractional parts of the square roots of the first 8 primes.
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -66,12 +66,6 @@ impl Sha256 {
         Sha256 { state, buf: [0; 64], buf_len: 0, total_len: 64 * blocks }
     }
 
-    /// The chaining value, meaningful only on a block boundary.
-    pub(crate) fn midstate(&self) -> [u32; 8] {
-        debug_assert_eq!(self.buf_len, 0, "midstate is only defined on a block boundary");
-        self.state
-    }
-
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
@@ -116,18 +110,14 @@ impl Sha256 {
         }
         self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         Self::compress(&mut self.state, &self.buf);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        digest_bytes(&self.state)
     }
 
     /// One application of the SHA-256 compression function (FIPS 180-4 §6.2.2):
     /// the unit the cost model in `docs/ARCHITECTURE.md` counts in. Runs on
     /// the CPU's SHA extensions when it has them, on [`compress_scalar`]
     /// otherwise; both return the same eight words.
-    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         #[cfg(test)]
         COMPRESSIONS.with(|c| c.set(c.get() + 1));
         #[cfg(target_arch = "x86_64")]
@@ -140,6 +130,40 @@ impl Sha256 {
         }
         compress_scalar(state, block);
     }
+
+    /// Two independent compressions, `block_a` into `a` and `block_b` into
+    /// `b`: the same eight words each as two [`compress`](Self::compress)
+    /// calls, and counted as two. On the SHA extensions the lanes' rounds
+    /// interleave, so each lane's `sha256rnds2` runs while the other's waits
+    /// on its previous result; without them it is two scalar compressions.
+    pub(crate) fn compress_pair(
+        a: &mut [u32; 8],
+        block_a: &[u8; 64],
+        b: &mut [u32; 8],
+        block_b: &[u8; 64],
+    ) {
+        #[cfg(test)]
+        COMPRESSIONS.with(|c| c.set(c.get() + 2));
+        #[cfg(target_arch = "x86_64")]
+        if sha_ni::detected() {
+            // SAFETY: `sha_ni::compress_pair` needs the same four features as
+            // `sha_ni::compress`, which `detected` has just confirmed.
+            #[allow(unsafe_code)]
+            return unsafe { sha_ni::compress_pair(a, block_a, b, block_b) };
+        }
+        compress_scalar(a, block_a);
+        compress_scalar(b, block_b);
+    }
+}
+
+/// The chaining value `state` as 32 big-endian bytes: the digest, once the
+/// padding block has been compressed.
+pub(crate) fn digest_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
 }
 
 /// The portable compression kernel: the only one on CPUs without the SHA
@@ -196,50 +220,103 @@ mod sha_ni {
 
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub(super) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-        let [a, b, c, d, e, f, g, h] = state.map(|x| x as i32);
-        // The round instruction keeps the state in two vectors, named by
-        // their lanes from high to low.
-        let (abef_in, cdgh_in) = (_mm_set_epi32(a, b, e, f), _mm_set_epi32(c, d, g, h));
-        let (mut abef, mut cdgh) = (abef_in, cdgh_in);
-
-        let mut m = [0i32; 16];
-        for (word, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
-            *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as i32;
-        }
-        // The next sixteen schedule words, four to a vector and lowest lane
-        // first: group `i` of four rounds reads `w[0]`, then slides the
-        // window on by one vector.
-        let mut w = [0, 4, 8, 12].map(|j| _mm_set_epi32(m[j + 3], m[j + 2], m[j + 1], m[j]));
+        let mut lane = Lane::load(state, block);
         for i in 0..16 {
+            lane.rounds(i);
+            lane.schedule();
+        }
+        *state = lane.finish();
+    }
+
+    /// [`compress`] on two independent inputs, group by group: lane B's two
+    /// `sha256rnds2` go between lane A's and the next, where A would
+    /// otherwise wait on its own result.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_pair(
+        a: &mut [u32; 8],
+        block_a: &[u8; 64],
+        b: &mut [u32; 8],
+        block_b: &[u8; 64],
+    ) {
+        let (mut lane_a, mut lane_b) = (Lane::load(a, block_a), Lane::load(b, block_b));
+        for i in 0..16 {
+            lane_a.rounds(i);
+            lane_b.rounds(i);
+            lane_a.schedule();
+            lane_b.schedule();
+        }
+        (*a, *b) = (lane_a.finish(), lane_b.finish());
+    }
+
+    /// One compression in flight. The round instruction keeps the state in
+    /// two vectors, named by their lanes from high to low; `w` holds the
+    /// next sixteen schedule words, four to a vector and lowest lane first.
+    struct Lane {
+        abef_in: __m128i,
+        cdgh_in: __m128i,
+        abef: __m128i,
+        cdgh: __m128i,
+        w: [__m128i; 4],
+    }
+
+    impl Lane {
+        #[inline]
+        #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+        fn load(state: &[u32; 8], block: &[u8; 64]) -> Self {
+            let [a, b, c, d, e, f, g, h] = state.map(|x| x as i32);
+            let (abef, cdgh) = (_mm_set_epi32(a, b, e, f), _mm_set_epi32(c, d, g, h));
+            let mut m = [0i32; 16];
+            for (word, bytes) in m.iter_mut().zip(block.chunks_exact(4)) {
+                *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as i32;
+            }
+            let w = [0, 4, 8, 12].map(|j| _mm_set_epi32(m[j + 3], m[j + 2], m[j + 1], m[j]));
+            Lane { abef_in: abef, cdgh_in: cdgh, abef, cdgh, w }
+        }
+
+        /// Group `i`: rounds `4i .. 4i + 4`, reading `w[0]`.
+        #[inline]
+        #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+        fn rounds(&mut self, i: usize) {
             let k = [4 * i + 3, 4 * i + 2, 4 * i + 1, 4 * i].map(|t| K[t] as i32);
-            let wk = _mm_add_epi32(w[0], _mm_set_epi32(k[0], k[1], k[2], k[3]));
+            let wk = _mm_add_epi32(self.w[0], _mm_set_epi32(k[0], k[1], k[2], k[3]));
             // Two rounds on the low lanes, two on the high: the first
             // leaves the new ABEF in `cdgh`, the second puts it back.
-            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
-            // W[t] = σ1(W[t−2]) + W[t−7] + σ0(W[t−15]) + W[t−16] for the
-            // four t sixteen words on: msg1 adds σ0, alignr brings in
-            // W[t−7], msg2 adds σ1 (of words it produces itself for the
-            // upper two lanes). The last four groups compute words nothing
-            // reads, which the unrolled loop drops.
+            self.cdgh = _mm_sha256rnds2_epu32(self.cdgh, self.abef, wk);
+            self.abef = _mm_sha256rnds2_epu32(self.abef, self.cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+        }
+
+        /// Slides `w` on by one vector: `W[t] = σ1(W[t−2]) + W[t−7] +
+        /// σ0(W[t−15]) + W[t−16]` for the four `t` sixteen words on. msg1
+        /// adds σ0, alignr brings in `W[t−7]`, msg2 adds σ1 (of words it
+        /// produces itself for the upper two lanes). The last four groups
+        /// compute words nothing reads.
+        #[inline]
+        #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+        fn schedule(&mut self) {
+            let w = self.w;
             let sigma0 = _mm_sha256msg1_epu32(w[0], w[1]);
             let w7 = _mm_alignr_epi8::<4>(w[3], w[2]);
             let next = _mm_sha256msg2_epu32(_mm_add_epi32(sigma0, w7), w[3]);
-            w = [w[1], w[2], w[3], next];
+            self.w = [w[1], w[2], w[3], next];
         }
 
-        let (abef, cdgh) = (_mm_add_epi32(abef, abef_in), _mm_add_epi32(cdgh, cdgh_in));
-        *state = [
-            _mm_extract_epi32::<3>(abef),
-            _mm_extract_epi32::<2>(abef),
-            _mm_extract_epi32::<3>(cdgh),
-            _mm_extract_epi32::<2>(cdgh),
-            _mm_extract_epi32::<1>(abef),
-            _mm_extract_epi32::<0>(abef),
-            _mm_extract_epi32::<1>(cdgh),
-            _mm_extract_epi32::<0>(cdgh),
-        ]
-        .map(|x| x as u32);
+        #[inline]
+        #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+        fn finish(self) -> [u32; 8] {
+            let abef = _mm_add_epi32(self.abef, self.abef_in);
+            let cdgh = _mm_add_epi32(self.cdgh, self.cdgh_in);
+            [
+                _mm_extract_epi32::<3>(abef),
+                _mm_extract_epi32::<2>(abef),
+                _mm_extract_epi32::<3>(cdgh),
+                _mm_extract_epi32::<2>(cdgh),
+                _mm_extract_epi32::<1>(abef),
+                _mm_extract_epi32::<0>(abef),
+                _mm_extract_epi32::<1>(cdgh),
+                _mm_extract_epi32::<0>(cdgh),
+            ]
+            .map(|x| x as u32)
+        }
     }
 }
 
@@ -250,7 +327,8 @@ thread_local! {
 
 /// Compressions `work` performs on this thread: the crate's tests pin the
 /// cost model with it (tag = 2, chain link = 2, extend at a known digest
-/// = 2). It counts in the dispatcher, so the pins hold on both kernels.
+/// = 2). It counts in the dispatchers, so the pins hold on both kernels and
+/// whether or not the compressions were paired.
 #[cfg(test)]
 pub(crate) fn compressions_in<T>(work: impl FnOnce() -> T) -> (T, u64) {
     let before = COMPRESSIONS.with(std::cell::Cell::get);
@@ -360,9 +438,9 @@ mod tests {
             println!("SHA extensions absent: scalar kernel only");
             return;
         }
-        // Calling the SHA-NI kernel takes the crate's one `unsafe`, so the
-        // test reaches it the way everything else does: through the
-        // dispatcher, which runs it whenever `detected` holds.
+        // Calling the SHA-NI kernel directly would take an `unsafe` of its
+        // own, so the test reaches it the way everything else does: through
+        // the dispatcher, which runs it whenever `detected` holds.
         let dispatched: fn(&mut [u32; 8], &[u8; 64]) = Sha256::compress;
         let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
         let mut next = || {
@@ -399,5 +477,60 @@ mod tests {
                 assert_eq!(hex(&bytes), digest);
             }
         }
+    }
+
+    #[test]
+    fn the_sha_ni_pair_kernel_matches_the_scalar_kernel() {
+        #[cfg(target_arch = "x86_64")]
+        let detected = sha_ni::detected();
+        #[cfg(not(target_arch = "x86_64"))]
+        let detected = false;
+        if !detected {
+            println!("SHA extensions absent: scalar kernel only");
+            return;
+        }
+        // Through the dispatcher, as in the single-lane test above.
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut input = || {
+            let state: [u32; 8] = std::array::from_fn(|_| next() as u32);
+            let mut block = [0u8; 64];
+            for chunk in block.chunks_exact_mut(8) {
+                chunk.copy_from_slice(&next().to_le_bytes());
+            }
+            (state, block)
+        };
+        for _ in 0..10_000 {
+            let ((state_a, block_a), (state_b, block_b)) = (input(), input());
+            let (mut a, mut b) = (state_a, state_b);
+            Sha256::compress_pair(&mut a, &block_a, &mut b, &block_b);
+            for (lane, mut reference, block) in [(a, state_a, block_a), (b, state_b, block_b)] {
+                compress_scalar(&mut reference, &block);
+                assert_eq!(lane, reference, "state {reference:08x?}, block {}", hex(&block));
+            }
+        }
+
+        // "abc" in lane A beside the two-block vector in lane B: A runs its
+        // one block twice from `H0`, B runs its two in turn.
+        let abc = padded_blocks(b"abc");
+        let two = padded_blocks(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
+        let mut b = H0;
+        for block in &two {
+            let mut a = H0;
+            Sha256::compress_pair(&mut a, &abc[0], &mut b, block);
+            assert_eq!(
+                hex(&digest_bytes(&a)),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+            );
+        }
+        assert_eq!(
+            hex(&digest_bytes(&b)),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
     }
 }
