@@ -88,9 +88,9 @@ fn flap_schedule() -> TopologySchedule {
 /// n ∈ {100, 1 000, 10 000, 50 000}, full `n − 1` round horizon.
 /// Dissemination is cluster-local and quiesces after ~4 rounds, so the
 /// comparison isolates pure scheduling cost: the event loop pays
-/// O(active events), the parallel engine pays the same active-set schedule
-/// minus the per-event heap (rounds commit in batches) and spreads polls
-/// and deliveries over its worker pool, and the sync engine polls all n
+/// O(active nodes + messages) per round, the parallel engine pays the same
+/// active-set schedule and spreads polls and deliveries over its worker
+/// pool, and the sync engine polls all n
 /// nodes for all n − 1 rounds. Each engine is only benched where it is
 /// *practical*: sync stops at n = 10 000 (n · rounds polling reaches
 /// minutes at 50k), and the parallel rows start at n = 1 000 — below that

@@ -35,9 +35,9 @@ use crate::node::NectarNode;
 ///
 /// * [`Sync`](Runtime::Sync) polls every node every round — the simple
 ///   deterministic baseline for tests and small sweeps;
-/// * [`Event`](Runtime::Event) multiplexes all nodes on a binary-heap
-///   event loop with `O(active events)` scheduling — hosting 10 000+-node
-///   topologies in one process;
+/// * [`Event`](Runtime::Event) multiplexes all nodes on one thread,
+///   polling only the active ones and committing each round's deliveries
+///   as one sorted vector — hosting 10 000+-node topologies in one process;
 /// * [`Parallel`](Runtime::Parallel) keeps the event runtime's active-set
 ///   scheduling and fans each round's polls and committed deliveries out
 ///   across work-stealing workers (see `docs/DETERMINISM.md` for why the
@@ -49,7 +49,7 @@ pub enum Runtime {
     /// Deterministic single-threaded round engine.
     #[default]
     Sync,
-    /// Single-threaded event loop over a binary-heap event queue.
+    /// Single-threaded active-set loop, one sorted delivery vector per round.
     Event,
     /// Work-stealing worker pool over round-committed execution.
     Parallel {

@@ -1,91 +1,38 @@
-//! Event-driven runtime: every node multiplexed on one event loop.
+//! Event-driven runtime: every node multiplexed on one round loop.
 //!
 //! The sync engine ([`crate::sync`]) polls every node every round, long
 //! after a large fleet has gone quiet. This runtime polls only what is
-//! active: all nodes run as state machines on a single thread, driven by a
-//! binary-heap event queue holding three event kinds —
+//! active: all nodes run as state machines on a single thread, and each
+//! round is committed in three steps —
 //!
-//! * **round ticks** ([`Phase::Send`]): a node is polled for its outgoing
-//!   messages at a given round,
-//! * **message deliveries** ([`Phase::Deliver`]): one queued message
-//!   reaches its destination,
-//! * **epoch boundaries** ([`Phase::EpochEnd`]): the run's round horizon,
-//!   itself an event, closes the epoch when it surfaces.
+//! * **poll** the round's active nodes in ascending id, appending every
+//!   legal message to one reused delivery vector keyed `(destination,
+//!   push index)`,
+//! * **sort** that vector in place,
+//! * **deliver** it in order; each delivery activates its destination for
+//!   the next round.
 //!
-//! Cost is `O(active events · log queue)` instead of `O(n · rounds)`:
-//! nodes whose [`Process::quiescent`] hint reports an empty outbox are not
-//! polled again until a delivery re-activates them, so a 10 000-node
-//! NECTAR scenario whose dissemination quiesces after a handful of rounds
-//! finishes almost immediately even though the paper's default horizon is
-//! `n − 1 = 9 999` rounds.
+//! Cost is `O(active nodes + messages · log messages)` per round instead of
+//! `O(n)`, and nothing once the active set is empty: nodes whose
+//! [`Process::quiescent`] hint reports an empty outbox are not polled again
+//! until a delivery re-activates them, so a 10 000-node NECTAR scenario
+//! whose dissemination quiesces after a handful of rounds finishes almost
+//! immediately even though the paper's default horizon is `n − 1 = 9 999`
+//! rounds.
 //!
-//! Event ordering reproduces the synchronous model (§II) exactly: all
-//! sends of round `R` precede all deliveries of round `R`, deliveries are
-//! sorted by destination, then sender, then emission order — the precise
-//! order [`crate::sync::SyncNetwork`] uses — so outcomes are bit-identical
-//! to every other runtime (the cross-runtime equivalence suite asserts
-//! this, metrics included; the contract is `docs/DETERMINISM.md`).
-
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+//! The order reproduces the synchronous model (§II) exactly: all sends of
+//! round `R` precede all deliveries of round `R`, and since messages are
+//! pushed in (sender, emission) order, sorting on `(destination, push
+//! index)` delivers by destination, then sender, then emission order — the
+//! precise order [`crate::sync::SyncNetwork`] uses — so outcomes are
+//! bit-identical to every other runtime (the cross-runtime equivalence
+//! suite asserts this, metrics included; the contract is
+//! `docs/DETERMINISM.md`).
 
 use nectar_graph::Graph;
 
 use crate::metrics::Metrics;
 use crate::process::{NodeId, Process, WireSized};
-
-/// What an event does when it surfaces from the queue. Declaration order is
-/// scheduling order within a round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Phase {
-    /// Poll a node for its outgoing messages (a round tick for that node).
-    Send,
-    /// Deliver one in-flight message to its destination.
-    Deliver,
-    /// Close the current epoch: the run's round horizon.
-    EpochEnd,
-}
-
-/// One queued event. Ordered by `(round, phase, node, from, seq)`; `seq` is
-/// a global emission counter, so messages from one sender to one
-/// destination keep their production order.
-struct Event<M> {
-    round: usize,
-    phase: Phase,
-    /// Sending node for [`Phase::Send`], destination for [`Phase::Deliver`].
-    node: NodeId,
-    /// Sender ([`Phase::Deliver`] only).
-    from: NodeId,
-    seq: u64,
-    /// Payload ([`Phase::Deliver`] only).
-    msg: Option<M>,
-}
-
-impl<M> Event<M> {
-    fn key(&self) -> (usize, Phase, NodeId, NodeId, u64) {
-        (self.round, self.phase, self.node, self.from, self.seq)
-    }
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl<M> Eq for Event<M> {}
-
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
-    }
-}
 
 /// An event-driven network executing one [`Process`] per topology node on a
 /// single thread, scheduling only active nodes.
@@ -93,11 +40,14 @@ pub struct EventNetwork<P: Process> {
     processes: Vec<P>,
     topology: Graph,
     metrics: Metrics,
-    queue: BinaryHeap<Reverse<Event<P::Msg>>>,
-    /// Per node, the highest round for which a Send event is already queued
-    /// (0 = none), deduplicating activations from multiple deliveries.
-    send_scheduled: Vec<usize>,
-    seq: u64,
+    /// The nodes to poll at `next_round`, ascending and distinct.
+    active: Vec<NodeId>,
+    /// Per node, the highest round it is already scheduled for (0 = none),
+    /// deduplicating activations from multiple deliveries.
+    scheduled: Vec<usize>,
+    /// One round's legal messages keyed `(destination, push index)`; empty
+    /// between rounds, kept for its capacity.
+    deliveries: Vec<((u32, u32), NodeId, P::Msg)>,
     next_round: usize,
     events_processed: u64,
 }
@@ -107,7 +57,7 @@ impl<P: Process> std::fmt::Debug for EventNetwork<P> {
         f.debug_struct("EventNetwork")
             .field("nodes", &self.processes.len())
             .field("next_round", &self.next_round)
-            .field("queued_events", &self.queue.len())
+            .field("active", &self.active.len())
             .field("events_processed", &self.events_processed)
             .finish()
     }
@@ -115,9 +65,9 @@ impl<P: Process> std::fmt::Debug for EventNetwork<P> {
 
 impl<P: Process> EventNetwork<P> {
     /// Creates a network over `topology` with one process per node. Every
-    /// node receives an initial round-1 tick (round 1 is the announcement
-    /// round of every protocol in the tree; from round 2 on, only active
-    /// nodes stay scheduled).
+    /// node is active at round 1 (round 1 is the announcement round of
+    /// every protocol in the tree; from round 2 on, only active nodes stay
+    /// scheduled).
     ///
     /// # Panics
     ///
@@ -133,96 +83,76 @@ impl<P: Process> EventNetwork<P> {
             assert_eq!(p.id(), i, "process at index {i} reports id {}", p.id());
         }
         let n = processes.len();
-        let mut net = EventNetwork {
+        EventNetwork {
             processes,
             topology,
             metrics: Metrics::new(n),
-            queue: BinaryHeap::new(),
-            send_scheduled: vec![0; n],
-            seq: 0,
+            active: (0..n).collect(),
+            scheduled: vec![1; n],
+            deliveries: Vec::new(),
             next_round: 1,
             events_processed: 0,
-        };
-        for i in 0..n {
-            net.schedule_send(1, i);
         }
-        net
     }
 
     /// Runs `rounds` further synchronous rounds (or less work than that:
-    /// the loop ends as soon as the queue holds nothing but the epoch
-    /// boundary, i.e. once every node has quiesced).
+    /// once every node has quiesced, the run jumps to the horizon).
     pub fn run_rounds(&mut self, rounds: usize) {
         if rounds == 0 {
             return;
         }
-        let horizon = self.next_round + rounds - 1;
-        self.queue.push(Reverse(Event {
-            round: horizon,
-            phase: Phase::EpochEnd,
-            node: 0,
-            from: 0,
-            seq: 0,
-            msg: None,
-        }));
-        while let Some(Reverse(ev)) = self.queue.pop() {
+        let horizon = self.next_round + rounds;
+        while self.next_round < horizon && !self.active.is_empty() {
+            self.step();
+        }
+        self.next_round = horizon;
+        // The epoch boundary counts as one event.
+        self.events_processed += 1;
+    }
+
+    /// Commits one round: polls the active nodes, then delivers their
+    /// messages in canonical order.
+    fn step(&mut self) {
+        let round = self.next_round;
+        self.next_round += 1;
+        let polled = std::mem::take(&mut self.active);
+        for &i in &polled {
             self.events_processed += 1;
-            match ev.phase {
-                Phase::Send => self.fire_send(ev.round, ev.node),
-                Phase::Deliver => {
-                    let msg = ev.msg.expect("deliver events carry a message");
-                    self.processes[ev.node].receive(ev.round, ev.from, msg);
-                    // A delivery may refill the destination's outbox.
-                    self.schedule_send(ev.round + 1, ev.node);
+            for out in self.processes[i].send(round) {
+                if out.to >= self.processes.len() || !self.topology.has_edge(i, out.to) {
+                    self.metrics.record_illegal_send();
+                    continue;
                 }
-                Phase::EpochEnd => {
-                    // The boundary sorts after every send/delivery of the
-                    // horizon round.
-                    self.next_round = ev.round + 1;
-                    return;
-                }
+                self.metrics.record_send(round, i, out.to, WireSized::wire_bytes(&out.msg));
+                // Both fit: ids are below the node count, and a round's
+                // messages number far fewer than 2^32.
+                let key = (out.to as u32, self.deliveries.len() as u32);
+                self.deliveries.push((key, i, out.msg));
+            }
+            // Nodes that may still send spontaneously stay on the schedule;
+            // quiescent ones wait for a delivery to re-activate them.
+            if !self.processes[i].quiescent() {
+                self.schedule(round + 1, i);
             }
         }
-        unreachable!("the epoch-boundary event always surfaces");
+        let mut deliveries = std::mem::take(&mut self.deliveries);
+        deliveries.sort_unstable_by_key(|&(key, _, _)| key);
+        for ((to, _), from, msg) in deliveries.drain(..) {
+            let to = to as NodeId;
+            self.events_processed += 1;
+            self.processes[to].receive(round, from, msg);
+            // A delivery may refill the destination's outbox.
+            self.schedule(round + 1, to);
+        }
+        self.deliveries = deliveries;
+        self.active.sort_unstable();
     }
 
-    /// Polls node `i` for round `round` and queues its deliveries.
-    fn fire_send(&mut self, round: usize, i: NodeId) {
-        for out in self.processes[i].send(round) {
-            if out.to >= self.processes.len() || !self.topology.has_edge(i, out.to) {
-                self.metrics.record_illegal_send();
-                continue;
-            }
-            self.metrics.record_send(round, i, out.to, WireSized::wire_bytes(&out.msg));
-            self.seq += 1;
-            self.queue.push(Reverse(Event {
-                round,
-                phase: Phase::Deliver,
-                node: out.to,
-                from: i,
-                seq: self.seq,
-                msg: Some(out.msg),
-            }));
-        }
-        // Nodes that may still send spontaneously stay on the schedule;
-        // quiescent ones wait for a delivery to re-activate them.
-        if !self.processes[i].quiescent() {
-            self.schedule_send(round + 1, i);
-        }
-    }
-
-    /// Queues a round tick for node `i`, unless one is already queued.
-    fn schedule_send(&mut self, round: usize, i: NodeId) {
-        if self.send_scheduled[i] < round {
-            self.send_scheduled[i] = round;
-            self.queue.push(Reverse(Event {
-                round,
-                phase: Phase::Send,
-                node: i,
-                from: 0,
-                seq: 0,
-                msg: None,
-            }));
+    /// Activates node `i` for `round`, unless it already is.
+    fn schedule(&mut self, round: usize, i: NodeId) {
+        if self.scheduled[i] < round {
+            self.scheduled[i] = round;
+            self.active.push(i);
         }
     }
 
@@ -232,8 +162,8 @@ impl<P: Process> EventNetwork<P> {
         self.next_round
     }
 
-    /// Total events processed so far (round ticks + deliveries + epoch
-    /// boundaries) — the runtime's actual work, which quiescence keeps far
+    /// Total events processed so far (polls + deliveries + one per epoch
+    /// boundary) — the runtime's actual work, which quiescence keeps far
     /// below `n · rounds` on workloads that settle early.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
@@ -387,6 +317,97 @@ mod tests {
             assert_eq!(a.known, b.known);
         }
         assert_eq!(split.metrics(), whole.metrics());
+    }
+
+    /// `path(3)` flooded to quiescence, counted by hand: polls + deliveries
+    /// per round are 3 + 4, 3 + 6, 3 + 2 and 1 + 0 (round 3 reaches only
+    /// node 1, which is polled once more and has nothing new to send).
+    const PATH3_FLOOD_EVENTS: u64 = 22;
+
+    #[test]
+    fn events_processed_counts_polls_deliveries_and_boundaries() {
+        let g = gen::path(3);
+        let mut whole = EventNetwork::new(floods(&g), g.clone());
+        whole.run_rounds(10);
+        assert_eq!(whole.events_processed(), PATH3_FLOOD_EVENTS + 1);
+        assert_eq!(whole.next_round(), 11);
+
+        // Split after round 2 (3 + 4 + 3 + 6 events): two boundaries.
+        let mut split = EventNetwork::new(floods(&g), g.clone());
+        split.run_rounds(2);
+        assert_eq!(split.events_processed(), 16 + 1);
+        split.run_rounds(8);
+        assert_eq!(split.events_processed(), PATH3_FLOOD_EVENTS + 2);
+        assert_eq!(split.next_round(), 11);
+        assert_eq!(split.metrics(), whole.metrics());
+    }
+
+    #[test]
+    fn zero_rounds_is_a_no_op_and_a_quiesced_network_jumps_to_the_horizon() {
+        let g = gen::path(3);
+        let mut net = EventNetwork::new(floods(&g), g.clone());
+        net.run_rounds(0);
+        assert_eq!((net.next_round(), net.events_processed()), (1, 0));
+        net.run_rounds(4);
+        assert_eq!((net.next_round(), net.events_processed()), (5, PATH3_FLOOD_EVENTS + 1));
+        net.run_rounds(0);
+        assert_eq!((net.next_round(), net.events_processed()), (5, PATH3_FLOOD_EVENTS + 1));
+        // Nothing is active: a million rounds poll nothing and deliver
+        // nothing, and cost only the boundary.
+        let metrics = net.metrics().clone();
+        net.run_rounds(1_000_000);
+        assert_eq!(net.next_round(), 1_000_005);
+        assert_eq!(net.events_processed(), PATH3_FLOOD_EVENTS + 2);
+        assert_eq!(net.metrics(), &metrics);
+    }
+
+    #[test]
+    fn bursts_arrive_by_destination_then_sender_then_emission() {
+        /// Sends `BURST` messages to every neighbour in each of rounds 1
+        /// and 2, interleaved across destinations, and logs every arrival.
+        #[derive(Debug)]
+        struct Burst {
+            id: usize,
+            neighbors: Vec<usize>,
+            got: Vec<(usize, usize, usize)>,
+        }
+        const BURST: usize = 6;
+        impl Process for Burst {
+            type Msg = IdMsg;
+            fn id(&self) -> usize {
+                self.id
+            }
+            fn send(&mut self, round: usize) -> Vec<Outgoing<IdMsg>> {
+                if round > 2 {
+                    return Vec::new();
+                }
+                (0..BURST)
+                    .flat_map(|k| self.neighbors.iter().map(move |&to| Outgoing::new(to, IdMsg(k))))
+                    .collect()
+            }
+            fn receive(&mut self, round: usize, from: usize, msg: IdMsg) {
+                self.got.push((round, from, msg.0));
+            }
+        }
+        let g = gen::complete(8);
+        let bursts = || -> Vec<Burst> {
+            (0..8).map(|id| Burst { id, neighbors: g.neighborhood(id), got: Vec::new() }).collect()
+        };
+        let mut sync_net = SyncNetwork::new(bursts(), g.clone());
+        sync_net.run_rounds(3);
+        let (procs, metrics) = run_event_driven(bursts(), &g, 3);
+        for (p, reference) in procs.iter().zip(sync_net.processes()) {
+            let expected: Vec<_> = (1..=2)
+                .flat_map(|round| {
+                    (0..8)
+                        .filter(move |&from| from != p.id)
+                        .flat_map(move |from| (0..BURST).map(move |k| (round, from, k)))
+                })
+                .collect();
+            assert_eq!(p.got, expected, "node {}", p.id);
+            assert_eq!(p.got, reference.got, "node {}", p.id);
+        }
+        assert_eq!(&metrics, sync_net.metrics());
     }
 
     #[test]

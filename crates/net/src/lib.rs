@@ -7,8 +7,9 @@
 //!
 //! * [`sync::SyncNetwork`]: deterministic, single-threaded, polls every
 //!   node every round (tests, small sweeps),
-//! * [`event::EventNetwork`]: a binary-heap event loop multiplexing all
-//!   nodes as state machines — `O(active events)` scheduling via the
+//! * [`event::EventNetwork`]: a single-threaded loop multiplexing all
+//!   nodes as state machines, committing each round as one sorted
+//!   delivery vector — `O(active nodes + messages)` scheduling via the
 //!   [`Process::quiescent`] hint, hosting 10k+-node topologies in one
 //!   process,
 //! * [`parallel::ParallelNetwork`]: a work-stealing worker pool over
