@@ -12,13 +12,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use nectar_net::{NodeId, WireSized};
 
-/// A claim transported by path-vector dissemination: any small value with a
-/// designated originating node.
-pub trait Claim: Copy + Ord + std::fmt::Debug {
-    /// The node that originated (and must head every path of) this claim.
-    fn origin(&self) -> NodeId;
-}
-
 /// Identifies a claim: the undirected edge being announced plus the
 /// announcing endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -34,53 +27,44 @@ impl ClaimId {
     pub fn new(origin: NodeId, a: u16, b: u16) -> Self {
         ClaimId { origin, edge: (a.min(b), a.max(b)) }
     }
-
-    /// Whether the claimed origin is actually an endpoint of the edge (the
-    /// only shape a correct announcer produces).
-    pub fn well_formed(&self) -> bool {
-        let (a, b) = self.edge;
-        self.origin == a as NodeId || self.origin == b as NodeId
-    }
-}
-
-impl Claim for ClaimId {
-    fn origin(&self) -> NodeId {
-        self.origin
-    }
 }
 
 /// A path-vector message: the claim plus the node sequence it traversed,
 /// starting at the origin and ending with the latest relay.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PathMsg<C> {
+pub struct PathMsg {
     /// What is being claimed.
-    pub claim: C,
-    /// Traversal path, `path[0] == claim.origin()`, `path.last()` = sender.
+    pub claim: ClaimId,
+    /// Traversal path, `path[0] == claim.origin`, `path.last()` = sender.
     pub path: Vec<NodeId>,
 }
 
 /// Per-message framing overhead (claim id, edge, length prefix).
 pub const PATH_MSG_HEADER_BYTES: usize = 8;
 
-impl<C> WireSized for PathMsg<C> {
+impl WireSized for PathMsg {
     fn wire_bytes(&self) -> usize {
         PATH_MSG_HEADER_BYTES + 2 * self.path.len()
     }
 }
 
-impl<C: Claim> PathMsg<C> {
+impl PathMsg {
     /// Structural sanity from the point of view of node `me` receiving the
     /// message from direct neighbor `from`:
     ///
+    /// * the claimed origin is an endpoint of the claimed edge (the only
+    ///   shape a correct announcer produces),
     /// * the path starts at the claim's origin,
     /// * the path ends with `from` (channels authenticate the immediate
     ///   sender; everything earlier may be Byzantine fiction),
     /// * the path is simple and does not already contain `me`.
-    ///
-    /// Claim-specific checks (e.g. [`ClaimId::well_formed`]) are the
-    /// caller's responsibility.
     pub fn plausible_for(&self, me: NodeId, from: NodeId) -> bool {
-        if self.path.first() != Some(&self.claim.origin()) || self.path.last() != Some(&from) {
+        let origin = self.claim.origin;
+        let (a, b) = self.claim.edge;
+        if origin != a as NodeId && origin != b as NodeId {
+            return false;
+        }
+        if self.path.first() != Some(&origin) || self.path.last() != Some(&from) {
             return false;
         }
         if self.path.contains(&me) {
@@ -91,7 +75,7 @@ impl<C: Claim> PathMsg<C> {
     }
 
     /// The message a relay forwards: same claim, path extended by `me`.
-    pub fn extended_by(&self, me: NodeId) -> PathMsg<C> {
+    pub fn extended_by(&self, me: NodeId) -> PathMsg {
         let mut path = self.path.clone();
         path.push(me);
         PathMsg { claim: self.claim, path }
@@ -99,38 +83,32 @@ impl<C: Claim> PathMsg<C> {
 }
 
 /// Collects paths per claim and decides delivery.
-#[derive(Debug, Clone)]
-pub struct PathStore<C: Claim = ClaimId> {
+#[derive(Debug, Clone, Default)]
+pub struct PathStore {
     /// All distinct accepted paths, per claim.
-    paths: BTreeMap<C, BTreeSet<Vec<NodeId>>>,
-    delivered: BTreeSet<C>,
+    paths: BTreeMap<ClaimId, BTreeSet<Vec<NodeId>>>,
 }
 
-impl<C: Claim> Default for PathStore<C> {
-    fn default() -> Self {
-        PathStore { paths: BTreeMap::new(), delivered: BTreeSet::new() }
-    }
-}
-
-impl<C: Claim> PathStore<C> {
+impl PathStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         PathStore::default()
     }
 
     /// Records a path for a claim; returns `true` if it was new.
-    pub fn insert(&mut self, claim: C, path: Vec<NodeId>) -> bool {
+    pub fn insert(&mut self, claim: ClaimId, path: Vec<NodeId>) -> bool {
         self.paths.entry(claim).or_default().insert(path)
     }
 
     /// Number of distinct paths stored for a claim.
-    pub fn path_count(&self, claim: &C) -> usize {
+    pub fn path_count(&self, claim: &ClaimId) -> usize {
         self.paths.get(claim).map_or(0, BTreeSet::len)
     }
 
-    /// Marks and reports delivery: `true` once the stored paths contain
-    /// `t + 1` pairwise internally-disjoint *received paths* from the
-    /// origin.
+    /// Whether node `me` delivers the claim: `true` once the stored paths
+    /// contain `t + 1` pairwise internally-disjoint *received paths* from
+    /// the origin. Recomputed on every call; the predicate is monotone in
+    /// the stored paths.
     ///
     /// The disjointness test deliberately works over whole received paths,
     /// **not** over the union graph of their edges: in the union, a
@@ -141,12 +119,8 @@ impl<C: Claim> PathStore<C> {
     /// false claim contains at least one Byzantine relay, so `t` Byzantine
     /// nodes can never populate `t + 1` disjoint ones (pigeonhole — Dolev's
     /// original argument).
-    pub fn deliverable(&mut self, claim: C, me: NodeId, n: usize, t: usize) -> bool {
-        let _ = n;
-        if self.delivered.contains(&claim) {
-            return true;
-        }
-        if claim.origin() == me {
+    pub fn deliverable(&self, claim: ClaimId, me: NodeId, t: usize) -> bool {
+        if claim.origin == me {
             return false;
         }
         let Some(paths) = self.paths.get(&claim) else {
@@ -155,33 +129,17 @@ impl<C: Claim> PathStore<C> {
         // Direct reception from the origin is a route with no interior
         // nodes: nothing can sever it, deliver immediately (Dolev's base
         // case).
-        if paths.contains(&vec![claim.origin()]) {
-            self.delivered.insert(claim);
+        if paths.contains(&vec![claim.origin]) {
             return true;
         }
         let interiors: Vec<BTreeSet<NodeId>> =
             paths.iter().map(|p| p.iter().copied().skip(1).collect()).collect();
-        if find_disjoint(&interiors, t + 1) {
-            self.delivered.insert(claim);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether the claim has been delivered.
-    pub fn is_delivered(&self, claim: &C) -> bool {
-        self.delivered.contains(claim)
+        find_disjoint(&interiors, t + 1)
     }
 
     /// All claims for which at least one path was stored.
-    pub fn claims(&self) -> impl Iterator<Item = &C> {
+    pub fn claims(&self) -> impl Iterator<Item = &ClaimId> {
         self.paths.keys()
-    }
-
-    /// All delivered claims.
-    pub fn delivered(&self) -> impl Iterator<Item = &C> {
-        self.delivered.iter()
     }
 
     /// Total number of stored paths across claims (cost diagnostics).
@@ -246,10 +204,10 @@ mod tests {
         // Path must start at the origin.
         let bad_start = PathMsg { claim, path: vec![2, 3] };
         assert!(!bad_start.plausible_for(4, 3));
-        // Origin-must-be-endpoint is a claim-level check now.
-        let bad_origin = ClaimId::new(5, 0, 1);
-        assert!(!bad_origin.well_formed());
-        assert!(ClaimId::new(0, 0, 1).well_formed());
+        // The origin must be an endpoint of the claimed edge, even when
+        // the path is otherwise well-shaped.
+        let bad_origin = PathMsg { claim: ClaimId::new(5, 0, 1), path: vec![5, 2, 3] };
+        assert!(!bad_origin.plausible_for(4, 3));
         // Paths must be simple.
         let looped = PathMsg { claim, path: vec![0, 2, 0, 3] };
         assert!(!looped.plausible_for(4, 3));
@@ -267,7 +225,7 @@ mod tests {
         let claim = ClaimId::new(0, 0, 1);
         let mut store = PathStore::new();
         store.insert(claim, vec![0]);
-        assert!(store.deliverable(claim, 5, 6, 3));
+        assert!(store.deliverable(claim, 5, 3));
     }
 
     #[test]
@@ -277,11 +235,10 @@ mod tests {
         // Two paths sharing interior node 2: only 1 disjoint route.
         store.insert(claim, vec![0, 2, 3]);
         store.insert(claim, vec![0, 2, 4]);
-        assert!(!store.deliverable(claim, 5, 6, 1));
+        assert!(!store.deliverable(claim, 5, 1));
         // A second, disjoint route arrives: delivers at t = 1.
         store.insert(claim, vec![0, 3]);
-        assert!(store.deliverable(claim, 5, 6, 1));
-        assert!(store.is_delivered(&claim));
+        assert!(store.deliverable(claim, 5, 1));
     }
 
     #[test]
@@ -295,7 +252,7 @@ mod tests {
             store.insert(claim, vec![0, mid, 9]);
         }
         assert_eq!(store.path_count(&claim), 4);
-        assert!(!store.deliverable(claim, 7, 10, 1));
+        assert!(!store.deliverable(claim, 7, 1));
     }
 
     #[test]
@@ -311,7 +268,7 @@ mod tests {
         let mut store = PathStore::new();
         store.insert(claim, vec![0, 5, 9]);
         store.insert(claim, vec![0, 9, 5]);
-        assert!(!store.deliverable(claim, 7, 10, 1));
+        assert!(!store.deliverable(claim, 7, 1));
     }
 
     #[test]
@@ -324,8 +281,8 @@ mod tests {
         // Overlapping decoys should not confuse the search.
         store.insert(claim, vec![0, 2, 3]);
         store.insert(claim, vec![0, 5, 2]);
-        assert!(!store.deliverable(claim, 7, 10, 3), "only 3 disjoint paths, t+1 = 4");
-        assert!(store.deliverable(claim, 7, 10, 2));
+        assert!(!store.deliverable(claim, 7, 3), "only 3 disjoint paths, t+1 = 4");
+        assert!(store.deliverable(claim, 7, 2));
     }
 
     #[test]
@@ -397,7 +354,7 @@ mod proptests {
             for p in paths {
                 store.insert(claim, p);
             }
-            prop_assert!(!store.deliverable(claim, 99, 200, t));
+            prop_assert!(!store.deliverable(claim, 99, t));
         }
 
         /// Completeness: t + 1 constructed disjoint paths always deliver, no
@@ -423,7 +380,7 @@ mod proptests {
                 }
                 store.insert(claim, path);
             }
-            prop_assert!(store.deliverable(claim, 9999, 10_000, t));
+            prop_assert!(store.deliverable(claim, 9999, t));
         }
 
         /// Delivery is monotone: adding paths never undoes deliverability.
@@ -435,7 +392,7 @@ mod proptests {
             let mut store = PathStore::new();
             store.insert(claim, vec![0, 2]);
             store.insert(claim, vec![0, 3]);
-            prop_assert!(store.deliverable(claim, 60, 100, 1));
+            prop_assert!(store.deliverable(claim, 60, 1));
             for e in extra {
                 let mut path = vec![0usize];
                 let mut seen = BTreeSet::from([0usize]);
@@ -446,7 +403,7 @@ mod proptests {
                 }
                 store.insert(claim, path);
             }
-            prop_assert!(store.deliverable(claim, 60, 100, 1));
+            prop_assert!(store.deliverable(claim, 60, 1));
         }
     }
 }

@@ -33,19 +33,11 @@
 //! paper notes), against NECTAR's `O(n⁴)` total messages. The trade-offs in
 //! assumptions are equally sharp — see [`detector`] for the exact
 //! guarantees this variant retains and loses.
-//!
-//! The same transport also carries the related-work composition §VI-B
-//! highlights: **Bracha reliable broadcast over Dolev reliable
-//! communication** for partially connected Byzantine networks
-//! ([`broadcast`]), with validity, agreement and equivocation resistance
-//! exercised in its test suite.
 
 #![forbid(unsafe_code)]
 
-pub mod broadcast;
 pub mod detector;
 pub mod dissemination;
 
-pub use broadcast::{BcastClaim, BrachaConfig, BrachaNode, Phase};
 pub use detector::{UnsignedConfig, UnsignedNode};
-pub use dissemination::{Claim, ClaimId, PathMsg, PathStore};
+pub use dissemination::{ClaimId, PathMsg, PathStore};

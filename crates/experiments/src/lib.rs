@@ -35,9 +35,9 @@ pub mod chart;
 pub mod cost;
 pub mod matrix;
 pub mod mobility;
+pub mod placements;
 pub mod resilience;
 pub mod scenario;
-pub mod scenarios;
 pub mod stats;
 pub mod table;
 pub mod unsigned;
@@ -49,7 +49,7 @@ pub use matrix::{
     CastSpec, CellStats, FamilySpec, MatrixCell, MatrixReport, MatrixSpec, MATRIX_CODEC_VERSION,
     MATRIX_CSV_HEADER,
 };
-pub use scenarios::{
+pub use placements::{
     articulation_byzantine_placement, articulation_falsifier_cast, bridged_partition,
     cut_byzantine_placement, partitioned_with_insiders, random_byzantine_placement, BridgeScenario,
     InsiderScenario,

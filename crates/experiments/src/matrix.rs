@@ -36,7 +36,7 @@ use nectar_net::NodeId;
 use nectar_protocol::report::json::{self, Fields};
 use nectar_protocol::{ByzantineBehavior, Runtime, Scenario, Verdict};
 
-use crate::scenarios::{
+use crate::placements::{
     articulation_byzantine_placement, articulation_falsifier_cast, cut_byzantine_placement,
     random_byzantine_placement,
 };

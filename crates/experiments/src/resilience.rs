@@ -23,7 +23,7 @@ use nectar_net::NodeId;
 use nectar_protocol::{ByzantineBehavior, RunReport, Runtime, Scenario, Verdict};
 
 use crate::matrix::FamilySpec;
-use crate::scenarios::{
+use crate::placements::{
     bridged_partition, clustered_fleet, cut_byzantine_placement_with, partitioned_with_insiders,
 };
 use crate::stats::summarize;

@@ -22,7 +22,7 @@
 //!    counts {0, 2, 3, 7}.
 
 use nectar_experiments::matrix::{CastSpec, FamilySpec, MatrixReport, MatrixSpec};
-use nectar_experiments::scenarios::articulation_falsifier_cast;
+use nectar_experiments::placements::articulation_falsifier_cast;
 use nectar_graph::gen;
 use nectar_net::process::Process as _;
 use nectar_protocol::{RejectReason, Runtime, Scenario};

@@ -14,15 +14,27 @@
 //! cut ⇒ no correct node decides NOT_PARTITIONABLE; at t = 1 the stronger
 //! κ(G) ≤ t ⇒ …), **2t-Sensitivity** (κ(G) ≥ 2t ⇒ every correct node
 //! decides NOT_PARTITIONABLE) and **Validity** (`confirmed` only when some
-//! subset of the cast is a vertex cut, or G itself is partitioned). A
-//! violation prints the edge list and the cast.
+//! subset of the cast is a vertex cut, or G itself is partitioned).
 //!
-//! This suite is the named `model-check` CI step.
+//! * **The §VII unsigned detector** (`nectar::unsigned`, Dolev path
+//!   vectors, t = 1) over the same graphs on n ≤ 5 plus the six-node
+//!   sample, with node 0 correct, silent, crashing, two-faced or flooding
+//!   forged-origin claims. Every correct node's accepted graph is a
+//!   subgraph of G; Safety as above; with no cast and κ(G) > t every view
+//!   is G and every verdict NOT_PARTITIONABLE. Agreement is *not*
+//!   asserted: without signatures a crash or a two-faced node can split
+//!   correct nodes' verdicts (`nectar-dolev`'s
+//!   `agreement_is_not_guaranteed_without_signatures`).
+//!
+//! A violation prints the edge list and the cast. This suite is the named
+//! `model-check` CI step.
 
 mod common;
 
 use common::build_scenario;
+use nectar::net::{Mute, Muted, NodeId, Outgoing, Process, SyncNetwork};
 use nectar::prelude::*;
+use nectar::unsigned::{ClaimId, PathMsg, UnsignedConfig, UnsignedNode};
 
 /// The labelled graphs on `n` nodes whose edge mask is a multiple of
 /// `stride` (`stride = 1`: all `2^(n(n−1)/2)` of them).
@@ -126,4 +138,157 @@ fn sampled_six_node_graphs_under_colluding_pairs() {
             check(g, kappa, 2, &[(0, zero.clone()), (1, one.clone())]);
         }
     }
+}
+
+/// Node 0's part in an unsigned run.
+#[derive(Debug, Clone)]
+enum UnsignedCast {
+    /// Node 0 runs the protocol behind this mute; `Mute::Never` is no cast.
+    Mute(Mute),
+    /// Node 0 runs the protocol and also, in round 1, floods a claim of
+    /// every non-edge in each endpoint's name, as if relaying it: path
+    /// `[a, 0]` (just `[0]` in its own name).
+    Fabricate,
+}
+
+/// One member of an unsigned fleet; the enum lets correct nodes be
+/// decided after the run.
+#[derive(Debug)]
+enum UnsignedProcess {
+    Correct(UnsignedNode),
+    /// Node 0 as cast: the protocol behind a mute, plus the forged
+    /// messages it adds to round 1.
+    Byzantine(Muted<UnsignedNode>, Vec<Outgoing<PathMsg>>),
+}
+
+impl Process for UnsignedProcess {
+    type Msg = PathMsg;
+
+    fn id(&self) -> NodeId {
+        match self {
+            UnsignedProcess::Correct(p) => p.id(),
+            UnsignedProcess::Byzantine(p, _) => p.id(),
+        }
+    }
+
+    fn send(&mut self, round: usize) -> Vec<Outgoing<PathMsg>> {
+        match self {
+            UnsignedProcess::Correct(p) => p.send(round),
+            UnsignedProcess::Byzantine(p, forged) => {
+                let mut out = p.send(round);
+                out.append(forged);
+                out
+            }
+        }
+    }
+
+    fn receive(&mut self, round: usize, from: NodeId, msg: PathMsg) {
+        match self {
+            UnsignedProcess::Correct(p) => p.receive(round, from, msg),
+            UnsignedProcess::Byzantine(p, _) => p.receive(round, from, msg),
+        }
+    }
+}
+
+/// Node 0's round-1 forgeries on `g`: each endpoint's claim of each
+/// non-edge, sent to each of node 0's neighbours.
+fn forgeries(g: &Graph) -> Vec<Outgoing<PathMsg>> {
+    let n = g.node_count();
+    let pairs = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b)));
+    let claims = pairs.filter(|&(a, b)| !g.has_edge(a, b)).flat_map(|(a, b)| {
+        [ClaimId::new(a, a as u16, b as u16), ClaimId::new(b, a as u16, b as u16)]
+    });
+    claims
+        .flat_map(|claim| {
+            let path = if claim.origin == 0 { vec![0] } else { vec![claim.origin, 0] };
+            g.neighborhood(0)
+                .into_iter()
+                .map(move |nbr| Outgoing::new(nbr, PathMsg { claim, path: path.clone() }))
+        })
+        .collect()
+}
+
+/// Runs the unsigned detector on `g` at t = 1 with node 0 playing `cast`,
+/// and asserts on every correct node: its accepted graph is a subgraph of
+/// G, Safety (κ(G) ≤ t ⇒ not NOT_PARTITIONABLE; at t = 1 this covers node
+/// 0 being a cut vertex) and, with no cast and κ(G) > t, completeness
+/// (view = G, NOT_PARTITIONABLE).
+fn check_unsigned(g: &Graph, kappa: usize, cast: &UnsignedCast) {
+    let t = 1;
+    let n = g.node_count();
+    let cfg = UnsignedConfig::new(n, t);
+    let fleet: Vec<UnsignedProcess> = (0..n)
+        .map(|i| {
+            let node = UnsignedNode::new(i, cfg, g.neighborhood(i));
+            match cast {
+                _ if i != 0 => UnsignedProcess::Correct(node),
+                UnsignedCast::Mute(Mute::Never) => UnsignedProcess::Correct(node),
+                UnsignedCast::Mute(mute) => {
+                    UnsignedProcess::Byzantine(Muted::new(node, mute.clone()), Vec::new())
+                }
+                UnsignedCast::Fabricate => {
+                    UnsignedProcess::Byzantine(Muted::new(node, Mute::Never), forgeries(g))
+                }
+            }
+        })
+        .collect();
+    let mut net = SyncNetwork::new(fleet, g.clone());
+    net.run_rounds(cfg.rounds());
+    let no_cast = matches!(cast, UnsignedCast::Mute(Mute::Never));
+    for process in net.into_parts().0 {
+        let UnsignedProcess::Correct(mut node) = process else { continue };
+        let view = node.accepted_graph();
+        let decision = node.decide();
+        let fail = |property: &str| -> ! {
+            let edges: Vec<(usize, usize)> = g.edges().collect();
+            let view: Vec<(usize, usize)> = view.edges().collect();
+            panic!(
+                "unsigned {property} violated\n  n = {n}, t = {t}, κ(G) = {kappa}\n  \
+                 edges: {edges:?}\n  cast of node 0: {cast:?}\n  node {}: view {view:?}, \
+                 {decision:?}",
+                node.node_id()
+            );
+        };
+        if view.edges().any(|(u, v)| !g.has_edge(u, v)) {
+            fail("view ⊆ G");
+        }
+        if kappa <= t && decision.verdict == Verdict::NotPartitionable {
+            fail("Safety");
+        }
+        if no_cast && kappa > t && (view != *g || decision.verdict != Verdict::NotPartitionable) {
+            fail("completeness");
+        }
+    }
+}
+
+/// Every labelled graph on 2 ..= 5 nodes plus the six-node sample, node 0
+/// playing each of `casts(n)` in turn.
+fn sweep_unsigned(casts: impl Fn(usize) -> Vec<UnsignedCast>) {
+    let graphs =
+        (2..=5).flat_map(|n| labelled_graphs(n, 1)).chain(labelled_graphs(6, 127).take(256));
+    for g in graphs {
+        let kappa = connectivity::vertex_connectivity(&g);
+        for cast in casts(g.node_count()) {
+            check_unsigned(&g, kappa, &cast);
+        }
+    }
+}
+
+#[test]
+fn unsigned_detector_on_every_small_graph_under_muting_casts() {
+    sweep_unsigned(|n| {
+        [
+            Mute::Never,
+            Mute::From { round: 1 },
+            Mute::From { round: 2 },
+            Mute::Toward((n / 2..n).collect()),
+        ]
+        .map(UnsignedCast::Mute)
+        .into()
+    });
+}
+
+#[test]
+fn unsigned_detector_on_every_small_graph_under_a_fabricator() {
+    sweep_unsigned(|_| vec![UnsignedCast::Fabricate]);
 }
