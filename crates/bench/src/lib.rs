@@ -6,8 +6,9 @@
 //!   (`BENCH_graph.json`, `BENCH_protocol.json`), consumed by the
 //!   `bench_diff` binary and the CI regression gate.
 //!
-//! The actual figure regeneration lives in `src/bin/figures.rs` (one target
-//! per paper figure) and the Criterion micro-benchmarks in `benches/`.
+//! The actual figure regeneration lives in `src/bin/figures.rs` (one loop
+//! over `nectar_experiments::FIGURES`) and the Criterion micro-benchmarks
+//! in `benches/`.
 
 #![forbid(unsafe_code)]
 

@@ -547,8 +547,8 @@ impl MatrixSpec {
 
 /// Aggregated counters of one matrix cell. Everything is integral, so cell
 /// stats are `Eq`-comparable bit for bit across runtimes and round-trip
-/// through the integer-only JSON grammar; the rate accessors derive the
-/// paper-style ratios on demand.
+/// through the integer-only JSON grammar; [`CellStats::detection_rate`]
+/// derives the paper-style ratio on demand.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CellStats {
     /// Trials run in this cell.
@@ -590,25 +590,6 @@ impl CellStats {
             return 1.0;
         }
         self.detected as f64 / self.truth_partitionable as f64
-    }
-
-    /// False-positive fraction of the `κ > t` trials (0.0 when the cell
-    /// has none).
-    pub fn false_positive_rate(&self) -> f64 {
-        let negatives = self.trials - self.truth_partitionable;
-        if negatives == 0 {
-            return 0.0;
-        }
-        self.false_positives as f64 / negatives as f64
-    }
-
-    /// False-negative fraction of the `κ ≤ t` trials (0.0 when the cell
-    /// has none).
-    pub fn false_negative_rate(&self) -> f64 {
-        if self.truth_partitionable == 0 {
-            return 0.0;
-        }
-        self.false_negatives as f64 / self.truth_partitionable as f64
     }
 }
 

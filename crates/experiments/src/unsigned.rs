@@ -10,84 +10,51 @@ use nectar_graph::gen;
 use nectar_net::SyncNetwork;
 use nectar_protocol::Scenario;
 
-use crate::table::{Point, Series, Table};
-
-/// Parameters for the signed-vs-unsigned comparison.
-#[derive(Debug, Clone)]
-pub struct UnsignedCostConfig {
-    /// System sizes to sweep (keep modest: the unsigned message count grows
-    /// with the number of simple paths).
-    pub ns: Vec<usize>,
-    /// Connectivity parameter of the Harary substrate.
-    pub k: usize,
-    /// Byzantine budget (drives the `t + 1` disjoint-path requirement).
-    pub t: usize,
-}
-
-impl UnsignedCostConfig {
-    /// Full-size sweep.
-    pub fn paper() -> Self {
-        UnsignedCostConfig { ns: vec![8, 10, 12, 14, 16], k: 4, t: 1 }
-    }
-
-    /// Scaled-down sweep for tests.
-    pub fn quick() -> Self {
-        UnsignedCostConfig { ns: vec![8, 10], k: 4, t: 1 }
-    }
-}
+use crate::table::Table;
+use crate::{labelled, sweep, xs};
 
 /// **E11** — messages per node, NECTAR vs the unsigned Dolev-style variant,
-/// on k-regular graphs.
-pub fn unsigned_cost(cfg: &UnsignedCostConfig) -> Table {
-    let mut nectar_msgs = Series { label: "NECTAR messages/node".into(), points: Vec::new() };
-    let mut unsigned_msgs = Series { label: "unsigned messages/node".into(), points: Vec::new() };
-    let mut nectar_kb = Series { label: "NECTAR KB/node".into(), points: Vec::new() };
-    let mut unsigned_kb = Series { label: "unsigned KB/node".into(), points: Vec::new() };
-    for &n in &cfg.ns {
-        let g = match gen::harary(cfg.k, n) {
-            Ok(g) => g,
-            Err(_) => continue,
-        };
-        let nectar = Scenario::new(g.clone(), cfg.t).sim().metrics_only().run().into_metrics();
-        let ucfg = UnsignedConfig::new(n, cfg.t);
+/// on k-regular graphs (Harary k = 4, t = 1). System sizes stay modest: the
+/// unsigned message count grows with the number of simple paths.
+pub fn unsigned_cost(quick: bool) -> Vec<Table> {
+    const K: usize = 4;
+    const T: usize = 1;
+    let ns: &[usize] = if quick { &[8, 10] } else { &[8, 10, 12, 14, 16] };
+    let curves = sweep(xs(ns), 1, |i, _| {
+        let n = ns[i];
+        let g = gen::harary(K, n).expect("K < n");
+        let nectar = Scenario::new(g.clone(), T).sim().metrics_only().run().into_metrics();
+        let ucfg = UnsignedConfig::new(n, T);
         let nodes: Vec<UnsignedNode> =
-            (0..n).map(|i| UnsignedNode::new(i, ucfg, g.neighborhood(i))).collect();
+            (0..n).map(|v| UnsignedNode::new(v, ucfg, g.neighborhood(v))).collect();
         let mut net = SyncNetwork::new(nodes, g);
         net.run_rounds(ucfg.rounds());
         let unsigned = net.metrics();
-        let x = n as f64;
-        let per_node = |total: u64| total as f64 / x;
-        nectar_msgs.points.push(Point {
-            x,
-            mean: per_node(nectar.msgs_sent().iter().sum()),
-            ci95: 0.0,
-        });
-        unsigned_msgs.points.push(Point {
-            x,
-            mean: per_node(unsigned.msgs_sent().iter().sum()),
-            ci95: 0.0,
-        });
-        nectar_kb.points.push(Point {
-            x,
-            mean: nectar.mean_bytes_sent_per_node() / 1024.0,
-            ci95: 0.0,
-        });
-        unsigned_kb.points.push(Point {
-            x,
-            mean: unsigned.mean_bytes_sent_per_node() / 1024.0,
-            ci95: 0.0,
-        });
-    }
-    Table {
+        let per_node = |total: u64| total as f64 / n as f64;
+        [
+            per_node(nectar.msgs_sent().iter().sum()),
+            per_node(unsigned.msgs_sent().iter().sum()),
+            nectar.mean_bytes_sent_per_node() / 1024.0,
+            unsigned.mean_bytes_sent_per_node() / 1024.0,
+        ]
+    });
+    vec![Table {
         id: "unsigned_cost".into(),
         title: format!(
-            "Conclusion conjecture: signed vs unsigned detection cost (Harary k = {}, t = {})",
-            cfg.k, cfg.t
+            "Conclusion conjecture: signed vs unsigned detection cost (Harary k = {K}, t = {T})"
         ),
         x_label: "Number of Nodes (n)".into(),
         y_label: "messages / KB per node".into(),
-        series: vec![nectar_msgs, unsigned_msgs, nectar_kb, unsigned_kb],
-    }
+        series: labelled(
+            [
+                "NECTAR messages/node",
+                "unsigned messages/node",
+                "NECTAR KB/node",
+                "unsigned KB/node",
+            ],
+            curves,
+        ),
+    }]
 }
 
 #[cfg(test)]
@@ -96,7 +63,7 @@ mod tests {
 
     #[test]
     fn unsigned_message_count_dwarfs_nectar() {
-        let t = unsigned_cost(&UnsignedCostConfig::quick());
+        let t = &unsigned_cost(true)[0];
         let nectar = &t.series[0];
         let unsigned = &t.series[1];
         for (a, b) in nectar.points.iter().zip(&unsigned.points) {
@@ -112,7 +79,7 @@ mod tests {
 
     #[test]
     fn unsigned_growth_is_steeper_than_nectar() {
-        let t = unsigned_cost(&UnsignedCostConfig::quick());
+        let t = &unsigned_cost(true)[0];
         let ratio_at = |s: &crate::table::Series, i: usize| s.points[i].mean;
         let nectar_growth = ratio_at(&t.series[0], 1) / ratio_at(&t.series[0], 0);
         let unsigned_growth = ratio_at(&t.series[1], 1) / ratio_at(&t.series[1], 0);
