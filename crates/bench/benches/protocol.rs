@@ -1,7 +1,7 @@
 //! Criterion benchmarks for end-to-end protocol executions: NECTAR vs the
 //! baselines on identical topologies, and the three runtimes (sync,
-//! event-driven, work-stealing parallel) plus the loopback transport on
-//! identical scenarios.
+//! event-driven, and event-driven on a 2-worker pool) plus the loopback
+//! transport on identical scenarios.
 //!
 //! The committed baseline `BENCH_protocol.json` holds this bench's medians
 //! (refresh with `NECTAR_BENCH_JSON=BENCH_protocol.json cargo bench -p
@@ -56,7 +56,13 @@ fn bench_runtimes(c: &mut Criterion) {
         b.iter(|| black_box(&scenario).sim().runtime(Runtime::Event).metrics_only().run())
     });
     group.bench_function("parallel", |b| {
-        b.iter(|| black_box(&scenario).sim().workers(2).metrics_only().run())
+        b.iter(|| {
+            black_box(&scenario)
+                .sim()
+                .runtime(Runtime::Parallel { workers: 2 })
+                .metrics_only()
+                .run()
+        })
     });
     // The wire path on the same scenario: the same participants behind
     // `NodeDriver`s, every message through the codec and the frame layer.
@@ -88,9 +94,9 @@ fn flap_schedule() -> TopologySchedule {
 /// n ∈ {100, 1 000, 10 000, 50 000}, full `n − 1` round horizon.
 /// Dissemination is cluster-local and quiesces after ~4 rounds, so the
 /// comparison isolates pure scheduling cost: the event loop pays
-/// O(active nodes + messages) per round, the parallel engine pays the same
-/// active-set schedule and spreads polls and deliveries over its worker
-/// pool, and the sync engine polls all n
+/// O(active nodes + messages) per round, the parallel runtime is that
+/// same loop with its polls and deliveries spread over a worker pool, and
+/// the sync engine polls all n
 /// nodes for all n − 1 rounds. Each engine is only benched where it is
 /// *practical*: sync stops at n = 10 000 (n · rounds polling reaches
 /// minutes at 50k), and the parallel rows start at n = 1 000 — below that
@@ -108,7 +114,13 @@ fn bench_runtime_scaling(c: &mut Criterion) {
         });
         if n >= 1_000 {
             group.bench_with_input(BenchmarkId::new("parallel", n), &scenario, |b, s| {
-                b.iter(|| black_box(s).sim().workers(2).metrics_only().run())
+                b.iter(|| {
+                    black_box(s)
+                        .sim()
+                        .runtime(Runtime::Parallel { workers: 2 })
+                        .metrics_only()
+                        .run()
+                })
             });
         }
         if n <= 10_000 {

@@ -5,13 +5,12 @@
 //! Taïani, *Partition Detection in Byzantine Networks* (ICDCS 2024).
 //!
 //! **Place in the runtime stack:** the protocol layer. [`NectarNode`]
-//! implements `nectar_net::Process`, so the same node code executes on any
-//! of the three runtimes — deterministic sync, the event-driven loop that
-//! hosts 10k+-node fleets, or the work-stealing parallel engine that
-//! spreads them over every core — selected via
-//! [`runner::Runtime`]; [`Scenario`] describes a scenario, and
+//! implements `nectar_net::Process`, so the same node code executes on
+//! either engine — deterministic sync, or the event-driven loop that hosts
+//! 10k+-node fleets, on one thread or fanned out over every core — selected
+//! via [`runner::Runtime`]; [`Scenario`] describes a scenario, and
 //! [`Scenario::sim`] starts the [`Simulation`] builder every experiment,
-//! example and test drives (runtime, workers, shared oracle, epochs,
+//! example and test drives (runtime and its workers, shared oracle, epochs,
 //! schedule), finishing in a persisted [`RunReport`].
 //! The decision phase answers `κ ≤ t` through `nectar_graph`'s
 //! `ConnectivityOracle`.

@@ -813,7 +813,11 @@ mod tests {
 
     #[test]
     fn json_round_trips_metrics_only_and_parallel_runtime() {
-        let report = Scenario::new(gen::cycle(6), 1).sim().workers(3).metrics_only().run();
+        let report = Scenario::new(gen::cycle(6), 1)
+            .sim()
+            .runtime(Runtime::Parallel { workers: 3 })
+            .metrics_only()
+            .run();
         let parsed = RunReport::from_json(&report.to_json()).expect("parses");
         assert_eq!(parsed, report);
         assert_eq!(parsed.runtime, Runtime::Parallel { workers: 3 });

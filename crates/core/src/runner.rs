@@ -1,6 +1,6 @@
 //! Scenario builder and runner: NECTAR over any topology with any Byzantine
-//! cast, on any of the three runtimes — the execution harness behind the
-//! paper's evaluation campaigns (§V).
+//! cast, on any runtime — the execution harness behind the paper's
+//! evaluation campaigns (§V).
 //!
 //! This is the entry point the experiments, examples and integration tests
 //! share. A [`Scenario`] owns the topology, the protocol parameters and the
@@ -8,12 +8,11 @@
 //! [`Simulation`](crate::sim::Simulation) builder that executes the
 //! propagation rounds and collects every correct node's decision plus
 //! traffic metrics into a [`RunReport`](crate::report::RunReport). The
-//! [`Runtime`] enum selects the execution engine — deterministic sync,
-//! the event-driven loop that hosts 10k+-node topologies, or the
-//! work-stealing parallel engine that spreads those topologies over every
-//! core — and all three produce bit-identical results (enforced by the
-//! cross-runtime equivalence property suite; the contract lives in
-//! `docs/DETERMINISM.md`).
+//! [`Runtime`] enum selects the execution engine — deterministic sync, or
+//! the event-driven loop that hosts 10k+-node topologies, on one thread or
+//! fanned out over every core — and all produce bit-identical results
+//! (enforced by the cross-runtime equivalence property suite; the contract
+//! lives in `docs/DETERMINISM.md`).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -21,29 +20,31 @@ use std::sync::Arc;
 use nectar_crypto::{KeyStore, NeighborhoodProof, Verifier};
 use nectar_graph::{traversal, ConnectivityOracle, Fingerprint, Graph, OracleStats};
 use nectar_net::{
-    parallel_map, CompiledSchedule, Metrics, Mute, NodeId, Process, Scheduled, SyncNetwork,
+    parallel_map, CompiledSchedule, EventNetwork, Metrics, Mute, NodeId, Process, Scheduled,
+    SyncNetwork,
 };
 
 use crate::byzantine::{falsify_flips, ByzantineBehavior, Participant};
 use crate::config::{Decision, NectarConfig, MAX_NODES};
 use crate::node::NectarNode;
 
-/// Which engine executes a scenario's propagation rounds. All three run
-/// the same [`Participant`] code and produce bit-identical
+/// Which engine executes a scenario's propagation rounds. Every variant
+/// runs the same [`Participant`] code and produces bit-identical
 /// [`RunReport`](crate::report::RunReport)s; they differ only in
 /// scheduling:
 ///
 /// * [`Sync`](Runtime::Sync) polls every node every round — the simple
 ///   deterministic baseline for tests and small sweeps;
-/// * [`Event`](Runtime::Event) multiplexes all nodes on one thread,
-///   polling only the active ones and committing each round's deliveries
-///   as one sorted vector — hosting 10 000+-node topologies in one process;
-/// * [`Parallel`](Runtime::Parallel) keeps the event runtime's active-set
-///   scheduling and fans each round's polls and committed deliveries out
-///   across work-stealing workers (see `docs/DETERMINISM.md` for why the
-///   per-round commit keeps this bit-identical). The worker count never
-///   affects results, only wall-clock; participant construction (proof
-///   signing) fans out over the same number of workers.
+/// * [`Event`](Runtime::Event) runs an [`EventNetwork`]: it polls only the
+///   active nodes and commits each round's deliveries as one sorted vector
+///   — hosting 10 000+-node topologies in one process;
+/// * [`Parallel`](Runtime::Parallel) runs the same [`EventNetwork`] with
+///   each round's polls and deliveries fanned out over `workers`
+///   work-stealing threads (see `docs/DETERMINISM.md` §3 for why the
+///   per-round commit keeps this bit-identical); `parallel:1` is `Event`.
+///   The worker count never affects results, only wall-clock; participant
+///   construction (proof signing) fans out over the same number of
+///   workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Runtime {
     /// Deterministic single-threaded round engine.
@@ -51,7 +52,7 @@ pub enum Runtime {
     Sync,
     /// Single-threaded active-set loop, one sorted delivery vector per round.
     Event,
-    /// Work-stealing worker pool over round-committed execution.
+    /// The event loop, each round fanned out over a worker pool.
     Parallel {
         /// Worker threads; `0` means "match the machine"
         /// (see [`nectar_net::resolve_workers`]).
@@ -66,9 +67,9 @@ impl Runtime {
         Runtime::Parallel { workers: 0 }
     }
 
-    /// Worker threads participant construction fans out over under this
-    /// runtime (1 = inline, as the single-threaded runtimes do).
-    pub(crate) fn build_workers(self) -> usize {
+    /// Worker threads the engine and participant construction fan out
+    /// over under this runtime (1 = inline, as `sync` and `event` run).
+    pub(crate) fn workers(self) -> usize {
         match self {
             Runtime::Parallel { workers } => nectar_net::resolve_workers(workers),
             _ => 1,
@@ -344,7 +345,7 @@ impl Scenario {
         key_seed: u64,
         schedule: Option<&Arc<CompiledSchedule>>,
     ) -> (Vec<Participant>, Metrics) {
-        let participants = self.build_participants_keyed(key_seed, runtime.build_workers());
+        let participants = self.build_participants_keyed(key_seed, runtime.workers());
         let rounds = self.config.effective_rounds();
         match schedule {
             None => dispatch(runtime, participants, &self.topology, rounds),
@@ -432,8 +433,11 @@ where
             net.run_rounds(rounds);
             net.into_parts()
         }
-        Runtime::Event => nectar_net::run_event_driven(procs, topology, rounds),
-        Runtime::Parallel { workers } => nectar_net::run_parallel(procs, topology, rounds, workers),
+        Runtime::Event | Runtime::Parallel { .. } => {
+            let mut net = EventNetwork::with_workers(procs, topology.clone(), runtime.workers());
+            net.run_rounds(rounds);
+            net.into_parts()
+        }
     }
 }
 
@@ -501,7 +505,7 @@ mod tests {
             .with_key_seed(5);
         let a = scenario.sim().run();
         for workers in [0, 1, 2, 5] {
-            let b = scenario.sim().workers(workers).run();
+            let b = scenario.sim().runtime(Runtime::Parallel { workers }).run();
             assert_eq!(a.decisions(), b.decisions(), "{workers} workers");
             assert_eq!(a.metrics(), b.metrics(), "{workers} workers");
             assert_eq!(a.oracle(), b.oracle(), "{workers} workers");
@@ -520,7 +524,7 @@ mod tests {
                 .with_key_seed(9)
         };
         let a = build().sim().run();
-        let b = build().sim().workers(3).run();
+        let b = build().sim().runtime(Runtime::Parallel { workers: 3 }).run();
         assert_eq!(a.decisions(), b.decisions());
         assert_eq!(a.metrics(), b.metrics());
     }

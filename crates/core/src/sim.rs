@@ -1,8 +1,8 @@
 //! The one way to execute a scenario: the [`Simulation`] builder.
 //!
-//! Runtime, worker pool, shared oracle, metrics-only, epochs, schedule and
-//! profile are each one method of a single session API, so a new
-//! execution axis adds a method rather than multiplying entry points:
+//! Runtime (with its worker count), shared oracle, metrics-only, epochs,
+//! schedule and profile are each one method of a single session API, so a
+//! new execution axis adds a method rather than multiplying entry points:
 //!
 //! ```
 //! use nectar_protocol::{Runtime, Scenario};
@@ -36,8 +36,8 @@ use crate::report::{EpochOutcome, RunReport, ScheduleRecord};
 use crate::runner::{Runtime, Scenario};
 
 /// A configured-but-not-yet-executed session over one [`Scenario`]:
-/// runtime, worker pool, shared oracle, epoch count, schedule. Finish with
-/// [`run`](Simulation::run) (→ [`RunReport`]) or
+/// runtime (with its worker count), shared oracle, epoch count, schedule.
+/// Finish with [`run`](Simulation::run) (→ [`RunReport`]) or
 /// [`participants`](Simulation::participants) (→ raw protocol state).
 ///
 /// This builder is the seam every future execution axis plugs into
@@ -71,19 +71,11 @@ impl Scenario {
 
 impl<'a> Simulation<'a> {
     /// Selects the engine executing the propagation rounds (default
-    /// [`Runtime::Sync`]). Results are bit-identical on all three; only
-    /// wall-clock differs.
+    /// [`Runtime::Sync`]), and with [`Runtime::Parallel`] its worker
+    /// count. Results are bit-identical on every runtime; only wall-clock
+    /// differs.
     pub fn runtime(mut self, runtime: Runtime) -> Self {
         self.runtime = runtime;
-        self
-    }
-
-    /// Shorthand for [`runtime`](Self::runtime)`(Runtime::Parallel {
-    /// workers })`: the work-stealing engine with a pool of `workers`
-    /// threads (`0` = match the machine). The worker count never affects
-    /// results.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.runtime = Runtime::Parallel { workers };
         self
     }
 
@@ -299,15 +291,6 @@ mod tests {
         let second = scenario.sim().oracle(&mut oracle).run();
         assert_eq!(first.decisions(), second.decisions());
         assert_eq!(second.oracle().cache_hits, second.oracle().queries);
-    }
-
-    #[test]
-    fn workers_shorthand_selects_the_parallel_engine() {
-        let report = Scenario::new(gen::cycle(6), 1).sim().workers(2).run();
-        assert_eq!(report.runtime, Runtime::Parallel { workers: 2 });
-        let sync = Scenario::new(gen::cycle(6), 1).sim().run();
-        assert_eq!(report.decisions(), sync.decisions());
-        assert_eq!(report.metrics(), sync.metrics());
     }
 
     #[test]

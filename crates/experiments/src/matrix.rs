@@ -460,9 +460,20 @@ impl MatrixSpec {
     /// # Errors
     ///
     /// Returns a message when a family/size combination is outside its
-    /// generator's domain (no partial sweeps: the spec is validated by
-    /// running it).
+    /// generator's domain, or when `t` leaves no correct node on one of
+    /// the built graphs (no partial sweeps: both are checked before any
+    /// trial runs).
     pub fn run(&self) -> Result<MatrixReport, String> {
+        // The scenario compiler's budget check, on each built graph: grid
+        // and torus round n, so the size axis alone cannot decide it.
+        for family in &self.families {
+            for &n in &self.sizes {
+                let nodes = family.build(n, self.base_seed)?.node_count();
+                if self.t >= nodes {
+                    return Err(format!("t = {} needs fewer than the n = {nodes} nodes", self.t));
+                }
+            }
+        }
         // One oracle for the whole sweep: repeated views across trials and
         // cells answer from cache (the counters land in each cell's stats).
         let mut oracle = ConnectivityOracle::new();
@@ -921,6 +932,28 @@ mod tests {
         // κ(grid) = 2 > 1 as well — but the honest column shows it too.
         let grid_honest = &report.cells[2];
         assert_eq!(grid_honest.stats.false_positives, 0);
+    }
+
+    #[test]
+    fn a_budget_leaving_no_correct_node_is_refused_before_any_trial() {
+        let cycle = MatrixSpec {
+            families: vec![FamilySpec::Cycle],
+            sizes: vec![3],
+            t: 5,
+            trials: 1,
+            ..tiny_spec()
+        };
+        assert_eq!(cycle.run().unwrap_err(), "t = 5 needs fewer than the n = 3 nodes");
+        // The check reads the built graph: a grid rounds n = 3 up to 2 × 2.
+        let grid = MatrixSpec {
+            families: vec![FamilySpec::Grid],
+            casts: vec![CastSpec::Honest],
+            t: 3,
+            ..cycle
+        };
+        assert_eq!(grid.run().expect("t = 3 leaves one correct node").cells.len(), 1);
+        let grid = MatrixSpec { t: 4, ..grid };
+        assert_eq!(grid.run().unwrap_err(), "t = 4 needs fewer than the n = 4 nodes");
     }
 
     #[test]

@@ -10,9 +10,7 @@ use nectar_experiments::scenario::parse_behavior;
 use nectar_experiments::{CompiledScenario, ScenarioSpec, TransportKind};
 use nectar_graph::{connectivity, traversal};
 use nectar_net::transport::{ConnectConfig, SocketTransport};
-use nectar_protocol::{
-    run_scenario_node, Decision, NodeReport, RunReport, Runtime, Scenario, Verdict,
-};
+use nectar_protocol::{run_scenario_node, Decision, NodeReport, RunReport, Scenario, Verdict};
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,13 +99,12 @@ nectar-cli — Byzantine-resilient partition detection
 USAGE:
   nectar-cli run <scenario-file>
   nectar-cli detect --topology <family> --n <N> [--t <T>] [--seed <S>]
-             [--byz <node>:<behavior> ...] [--runtime <R>] [--workers <W>]
-             [--epochs <E>] [--schedule <path-or-script>] [--report <path>]
+             [--byz <node>:<behavior> ...] [--runtime <R>] [--epochs <E>]
+             [--schedule <path-or-script>] [--report <path>]
              [--profile] [--json | --csv]
   nectar-cli matrix [--families f1,f2,..] [--sizes n1,n2,..] [--casts c1,c2,..]
              [--t <T>] [--trials <N>] [--seed <S>] [--runtime <R>]
-             [--workers <W>] [--out <path.json>] [--out-csv <path.csv>]
-             [--json | --csv]
+             [--out <path.json>] [--out-csv <path.csv>] [--json | --csv]
   nectar-cli node --scenario <file> --node <I>
   nectar-cli families --k <K> --n <N> [--csv]
   nectar-cli help
@@ -142,16 +139,15 @@ DETECT:
   harary-k4, n = 20, t = 1, seed 42, one epoch, the sync runtime.
 
 RUNTIME (--runtime, default sync):
-  sync      deterministic single-threaded round engine — the baseline for
-            tests and small sweeps
-  event     event-driven loop, O(active events) scheduling — large n
-            (10k+ nodes in one process) on a single core
-  parallel  the event runtime's active-set scheduling plus a work-stealing
-            worker pool committing deliveries once per round — large n on
-            many cores; size the pool with --workers <W> (default:
-            match the machine; only wall-clock depends on it). Reports
-            name this runtime `parallel:<W>` when W is explicit.
-  All three produce bit-identical outcomes (docs/DETERMINISM.md).
+  sync        deterministic single-threaded round engine — the baseline
+              for tests and small sweeps
+  event       active-set round loop, O(active events) scheduling — large
+              n (10k+ nodes in one process) on a single core
+  parallel:W  the same event loop with each round's polls and deliveries
+              fanned out over W work-stealing workers — large n on many
+              cores. Bare `parallel` (W = 0) matches the machine; only
+              wall-clock depends on W, and parallel:1 is `event`.
+  All produce bit-identical outcomes (docs/DETERMINISM.md).
 
 NODE (multi-process detection):
   `node` is the real-transport counterpart of `run`: every process of a
@@ -245,7 +241,7 @@ EXAMPLES:
   nectar-cli detect --topology star --n 8 --t 1 --byz 0:two-faced@4-7
   nectar-cli detect --topology harary-k4 --n 20 --t 2 --epochs 5 --json
   nectar-cli detect --topology cliques --n 10000 --t 2 --runtime event
-  nectar-cli detect --topology cliques --n 10000 --t 2 --runtime parallel --workers 4
+  nectar-cli detect --topology cliques --n 10000 --t 2 --runtime parallel:4
   nectar-cli detect --topology star --n 8 --t 1 --byz 0:silent --csv
   nectar-cli detect --topology cycle --n 6 --t 1 --schedule 'drop 1 0 1; drop 1 3 4'
   nectar-cli families --k 4 --n 24 --csv
@@ -282,7 +278,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 out: None,
                 out_csv: None,
             };
-            let mut workers: Option<usize> = None;
             let rest: Vec<String> = it.cloned().collect();
             parse_flags(&rest, &["--json", "--csv"], |flag, value| {
                 let spec = &mut out.spec;
@@ -305,11 +300,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     ("--t", Some(v)) => set_usize(&mut spec.t, v, "--t")?,
                     ("--trials", Some(v)) => set_usize(&mut spec.trials, v, "--trials")?,
                     ("--runtime", Some(v)) => spec.runtime = v.parse()?,
-                    ("--workers", Some(v)) => {
-                        let mut w = 0;
-                        set_usize(&mut w, v, "--workers")?;
-                        workers = Some(w);
-                    }
                     ("--seed", Some(v)) => {
                         spec.base_seed = v.parse().map_err(|_| format!("bad --seed value {v}"))?;
                     }
@@ -319,7 +309,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
                 Ok(())
             })?;
-            out.spec.runtime = sized(out.spec.runtime, workers)?;
             if out.spec.trials == 0 {
                 return Err("--trials must be at least 1".into());
             }
@@ -362,7 +351,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let (mut family, mut n) = (FamilySpec::Harary { k: 4 }, 20usize);
             let mut spec = ScenarioSpec::default();
             let (mut json, mut csv) = (false, false);
-            let mut workers: Option<usize> = None;
             let rest: Vec<String> = it.cloned().collect();
             parse_flags(&rest, &["--json", "--csv", "--profile"], |flag, value| {
                 match (flag, value) {
@@ -387,11 +375,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     ("--t", Some(v)) => set_usize(&mut spec.t, v, "--t")?,
                     ("--epochs", Some(v)) => set_usize(&mut spec.epochs, v, "--epochs")?,
                     ("--runtime", Some(v)) => spec.runtime = Some(v.parse()?),
-                    ("--workers", Some(v)) => {
-                        let mut w = 0;
-                        set_usize(&mut w, v, "--workers")?;
-                        workers = Some(w);
-                    }
                     ("--seed", Some(v)) => {
                         spec.seed = v.parse().map_err(|_| format!("bad --seed value {v}"))?;
                     }
@@ -400,9 +383,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 }
                 Ok(())
             })?;
-            if workers.is_some() {
-                spec.runtime = Some(sized(spec.runtime.unwrap_or_default(), workers)?);
-            }
             if spec.epochs == 0 {
                 return Err("--epochs must be at least 1".into());
             }
@@ -443,17 +423,6 @@ fn parse_flags(
 fn set_usize(slot: &mut usize, value: &str, flag: &str) -> Result<(), String> {
     *slot = value.parse().map_err(|_| format!("bad {flag} value {value}"))?;
     Ok(())
-}
-
-/// Binds `--workers` to the parallel runtime's pool, in either flag order.
-fn sized(runtime: Runtime, workers: Option<usize>) -> Result<Runtime, String> {
-    match (runtime, workers) {
-        (runtime, None) => Ok(runtime),
-        (Runtime::Parallel { .. }, Some(workers)) => Ok(Runtime::Parallel { workers }),
-        (other, Some(_)) => {
-            Err(format!("--workers only applies to --runtime parallel (got {other})"))
-        }
-    }
 }
 
 /// Executes a command, returning the text to print.
@@ -770,7 +739,7 @@ fn render_scenario_loopback(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nectar_protocol::ByzantineBehavior;
+    use nectar_protocol::{ByzantineBehavior, Runtime};
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(ToString::to_string).collect()
@@ -839,23 +808,22 @@ mod tests {
     }
 
     #[test]
-    fn workers_flag_sizes_the_parallel_pool() {
-        // --workers binds to the parallel runtime in either flag order.
-        for args in [
-            ["--runtime", "parallel", "--workers", "4"],
-            ["--workers", "4", "--runtime", "parallel"],
-        ] {
-            assert_eq!(detect(&args).spec.runtime, Some(Runtime::Parallel { workers: 4 }));
-        }
-        // Without --workers the pool matches the machine (workers: 0).
+    fn runtime_flag_alone_sizes_the_parallel_pool() {
+        // `parallel:W` is the one spelling of the pool size, as in a .scn
+        // file; the bare name matches the machine (workers: 0).
+        assert_eq!(
+            detect(&["--runtime", "parallel:4"]).spec.runtime,
+            Some(Runtime::Parallel { workers: 4 })
+        );
         assert_eq!(
             detect(&["--runtime", "parallel"]).spec.runtime,
             Some(Runtime::Parallel { workers: 0 })
         );
-        // --workers without the parallel runtime is a user error.
-        assert!(parse(&strs(&["detect", "--workers", "4"])).is_err());
-        assert!(parse(&strs(&["detect", "--runtime", "event", "--workers", "4"])).is_err());
-        assert!(parse(&strs(&["detect", "--runtime", "parallel", "--workers", "x"])).is_err());
+        // There is no second spelling that could override it.
+        for command in ["detect", "matrix"] {
+            let args = strs(&[command, "--runtime", "parallel:4", "--workers", "2"]);
+            assert_eq!(parse(&args).unwrap_err(), "unknown flag --workers");
+        }
     }
 
     #[test]
@@ -1045,9 +1013,7 @@ mod tests {
             "--trials",
             "5",
             "--runtime",
-            "parallel",
-            "--workers",
-            "3",
+            "parallel:3",
         ]))
         .unwrap()
         {
@@ -1106,6 +1072,19 @@ mod tests {
         // Unknown family and cast names surface as messages, not panics.
         assert!(parse(&strs(&["matrix", "--families", "klein-bottle"])).is_err());
         assert!(parse(&strs(&["matrix", "--casts", "gaslight"])).is_err());
+        // A budget that casts every node is the scenario compiler's error,
+        // as under `detect` and `run`, before any trial runs.
+        let all_cast =
+            ["matrix", "--families", "cycle", "--sizes", "3", "--t", "5", "--trials", "1"];
+        assert_eq!(
+            run(parse(&strs(&all_cast)).unwrap()).unwrap_err(),
+            "t = 5 needs fewer than the n = 3 nodes"
+        );
+        assert_eq!(
+            run(parse(&strs(&["detect", "--topology", "cycle", "--n", "3", "--t", "5"])).unwrap())
+                .unwrap_err(),
+            "t = 5 needs fewer than the n = 3 nodes"
+        );
     }
 
     #[test]

@@ -2,21 +2,19 @@
 //!
 //! Implements the paper's system model (§II): processes on a static
 //! undirected topology of reliable channels, communicating in synchronous
-//! rounds. Three interchangeable runtimes execute the same [`Process`]
-//! code and produce bit-identical results:
+//! rounds. Two interchangeable in-memory engines execute the same
+//! [`Process`] code and produce bit-identical results:
 //!
 //! * [`sync::SyncNetwork`]: deterministic, single-threaded, polls every
-//!   node every round (tests, small sweeps),
-//! * [`event::EventNetwork`]: a single-threaded loop multiplexing all
-//!   nodes as state machines, committing each round as one sorted
-//!   delivery vector — `O(active nodes + messages)` scheduling via the
+//!   node every round (tests, small sweeps, the equivalence reference),
+//! * [`event::EventNetwork`]: an active-set loop multiplexing all nodes as
+//!   state machines, committing each round as one sorted delivery vector —
+//!   `O(active nodes + messages)` scheduling via the
 //!   [`Process::quiescent`] hint, hosting 10k+-node topologies in one
-//!   process,
-//! * [`parallel::ParallelNetwork`]: a work-stealing worker pool over
-//!   round-committed execution — the event runtime's active-set scheduling
-//!   plus real parallelism, kept deterministic by merging each round's
-//!   messages into the canonical sync order before committing deliveries
-//!   (see `docs/DETERMINISM.md` for the contract).
+//!   process. Built [`with_workers`](event::EventNetwork::with_workers),
+//!   it fans each round's polls and deliveries out over the
+//!   [`parallel::parallel_map`] pool, committing in the same canonical
+//!   order (see `docs/DETERMINISM.md` for the contract).
 //!
 //! Traffic is charged to per-node counters ([`metrics::Metrics`]) using each
 //! message's wire size, which is how the evaluation's data-sent-per-node
@@ -78,7 +76,7 @@ pub mod transport;
 pub use event::{run_event_driven, EventNetwork};
 pub use fault::{Mute, Muted};
 pub use metrics::{Metrics, PhaseProfile};
-pub use parallel::{parallel_map, resolve_workers, run_parallel, ParallelNetwork};
+pub use parallel::{parallel_map, resolve_workers};
 pub use process::{NodeId, Outgoing, Process, WireSized};
 pub use schedule::{CompiledSchedule, ScheduleError, Scheduled, TopologySchedule};
 pub use sync::SyncNetwork;

@@ -1179,7 +1179,7 @@ mod tests {
 
     #[test]
     fn cross_engine_outcomes_are_identical_under_a_busy_schedule() {
-        // Flap + churn + loss + delay on a cycle, run on all three engines:
+        // Flap + churn + loss + delay on a cycle, run on every engine:
         // final protocol state, metrics and drop counters must match bit
         // for bit. This is the in-crate seed of the schedule-equivalence
         // suite in tests/schedules.rs.
@@ -1216,8 +1216,13 @@ mod tests {
         assert_eq!(snapshot(&procs, &metrics), reference, "event drifted");
 
         for workers in [0, 2, 3, 7] {
-            let (procs, metrics) =
-                crate::parallel::run_parallel(flood_fleet(&g, &compiled), &g, rounds, workers);
+            let mut net = crate::event::EventNetwork::with_workers(
+                flood_fleet(&g, &compiled),
+                g.clone(),
+                workers,
+            );
+            net.run_rounds(rounds);
+            let (procs, metrics) = net.into_parts();
             assert_eq!(snapshot(&procs, &metrics), reference, "parallel/{workers} drifted");
         }
     }

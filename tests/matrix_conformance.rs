@@ -20,6 +20,8 @@
 //! 4. **Engine independence**: the same spec produces bit-identical
 //!    `CellStats` on the sync, event and parallel runtimes at worker
 //!    counts {0, 2, 3, 7}.
+//! 5. **No sweep without a correct node**: `nectar-cli matrix` refuses a
+//!    budget `t ≥ n` with exit 2 before any trial runs, as `detect` does.
 
 use nectar_experiments::matrix::{CastSpec, FamilySpec, MatrixReport, MatrixSpec};
 use nectar_experiments::placements::articulation_falsifier_cast;
@@ -200,4 +202,25 @@ fn conformance_reports_round_trip_through_both_codecs() {
     assert_eq!(parsed, report);
     let cells = MatrixReport::cells_from_csv(&report.to_csv()).expect("CSV round trip");
     assert_eq!(cells, report.cells);
+}
+
+/// The CLI's refusals exit 2 with the library's message, before any trial
+/// runs: a matrix budget that casts every node, and `--workers`, which
+/// would have overridden the count `--runtime parallel:W` names.
+#[test]
+fn refused_invocations_exit_2_with_their_message() {
+    let cli = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_nectar-cli"))
+            .args(args)
+            .output()
+            .expect("run nectar-cli");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let all_cast = ["matrix", "--families", "cycle", "--sizes", "3", "--t", "5", "--trials", "1"];
+    let budget = "error: t = 5 needs fewer than the n = 3 nodes\n".to_string();
+    assert_eq!(cli(&all_cast), (Some(2), budget));
+    for command in ["matrix", "detect"] {
+        let args = [command, "--runtime", "parallel:4", "--workers", "2", "--json"];
+        assert_eq!(cli(&args), (Some(2), "error: unknown flag --workers\n".to_string()));
+    }
 }

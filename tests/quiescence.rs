@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 
 use common::{arb_cast, arb_scenario, arb_zoo_graph};
 use nectar::net::{
-    run_event_driven, run_parallel, NodeId, Outgoing, Process, Scheduled, SyncNetwork, WireSized,
+    run_event_driven, EventNetwork, NodeId, Outgoing, Process, Scheduled, SyncNetwork, WireSized,
 };
 use nectar::prelude::*;
 
@@ -102,12 +102,13 @@ fn audit(scenario: &Scenario) {
 }
 
 /// Audits the scenario under an active [`TopologySchedule`], on the
-/// polling sync engine and on the two engines that trust the hint (event
-/// and parallel). The stack is `Scheduled<QuiescenceAuditor<Participant>>`:
-/// the schedule wrapper filters traffic and delivers `link_changed`
-/// notices *into* the auditor, so the audited contract is exactly the one
-/// inner processes live under on a dynamic network. Metrics must agree
-/// across all three engines — a node skipped while a notice was pending
+/// polling sync engine and on the engine that trusts the hint (event, on
+/// one worker and on three). The stack is
+/// `Scheduled<QuiescenceAuditor<Participant>>`: the schedule wrapper
+/// filters traffic and delivers `link_changed` notices *into* the
+/// auditor, so the audited contract is exactly the one inner processes
+/// live under on a dynamic network. Metrics must agree
+/// across all three runs — a node skipped while a notice was pending
 /// would show up as lost traffic.
 fn audit_scheduled(scenario: &Scenario, schedule: &TopologySchedule) {
     let rounds = scenario.config().effective_rounds();
@@ -123,7 +124,9 @@ fn audit_scheduled(scenario: &Scenario, schedule: &TopologySchedule) {
     net.run_rounds(rounds);
     let (_, sync_metrics) = net.into_parts();
     let (_, event_metrics) = run_event_driven(stack(), scenario.topology(), rounds);
-    let (_, parallel_metrics) = run_parallel(stack(), scenario.topology(), rounds, 3);
+    let mut net = EventNetwork::with_workers(stack(), scenario.topology().clone(), 3);
+    net.run_rounds(rounds);
+    let (_, parallel_metrics) = net.into_parts();
     assert_eq!(sync_metrics, event_metrics, "sync vs event under schedule");
     assert_eq!(sync_metrics, parallel_metrics, "sync vs parallel under schedule");
 }
@@ -296,7 +299,9 @@ fn a_healed_edge_rewakes_quiescent_nodes_on_event_and_parallel_engines() {
     net.run_rounds(rounds);
     let (sync_procs, sync_metrics) = net.into_parts();
     let (event_procs, event_metrics) = run_event_driven(stack(), &g, rounds);
-    let (par_procs, par_metrics) = run_parallel(stack(), &g, rounds, 2);
+    let mut net = EventNetwork::with_workers(stack(), g.clone(), 2);
+    net.run_rounds(rounds);
+    let (par_procs, par_metrics) = net.into_parts();
     for procs in [&sync_procs, &event_procs, &par_procs] {
         for p in procs.iter() {
             assert_eq!(p.inner().inner.known, full, "node {} never re-flooded", p.inner().inner.id);

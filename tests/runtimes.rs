@@ -1,14 +1,16 @@
 //! Cross-runtime equivalence and scale properties.
 //!
-//! The three engines — deterministic sync, event-driven, work-stealing
-//! parallel — promise *bit-identical* [`RunReport`]s for any scenario
+//! Every runtime — deterministic sync, event-driven, and the event loop
+//! fanned out over workers (`parallel:W`) — promises *bit-identical*
+//! [`RunReport`]s for any scenario
 //! (same decisions, same traffic metrics, same oracle counters); the
 //! contract each upholds is written down in `docs/DETERMINISM.md`.
 //! This suite enforces that promise over the shared zoo of `tests/common`
 //! (every §V-B topology family, casts over all eight Byzantine
-//! behaviours) — the parallel engine at several worker counts, since worker count must never
-//! leak into results — and pins down the scale claim: the event-driven and
-//! parallel runtimes host a 10 000-node scenario in one process.
+//! behaviours) — the parallel runtime at several worker counts, since worker count must never
+//! leak into results — and pins down the scale claim: the event-driven
+//! runtime hosts a 10 000-node scenario in one process, on one or two
+//! workers.
 
 mod common;
 
@@ -21,7 +23,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// sync == event == parallel, bit for bit, across the generator zoo
-    /// and the Byzantine behaviour zoo. The parallel engine
+    /// and the Byzantine behaviour zoo. The parallel runtime
     /// runs at a case-varied worker count: results must not depend on how
     /// the pool is sized (or on which worker stole which node).
     #[test]
@@ -32,7 +34,7 @@ proptest! {
         let scenario = build_scenario(&g, t, &cast);
         let sync = scenario.sim().runtime(Runtime::Sync).run();
         let event = scenario.sim().runtime(Runtime::Event).run();
-        let parallel = scenario.sim().workers(workers).run();
+        let parallel = scenario.sim().runtime(Runtime::Parallel { workers }).run();
         assert_reports_identical(&sync, &event, "sync vs event");
         assert_reports_identical(&sync, &parallel, "sync vs parallel");
     }
@@ -52,7 +54,7 @@ fn colluding_casts_agree_across_runtimes() {
     };
     let sync = build().sim().run();
     let event = build().sim().runtime(Runtime::Event).run();
-    let parallel = build().sim().workers(3).run();
+    let parallel = build().sim().runtime(Runtime::Parallel { workers: 3 }).run();
     assert_reports_identical(&sync, &event, "sync vs event");
     assert_reports_identical(&sync, &parallel, "sync vs parallel");
 
@@ -71,9 +73,26 @@ fn colluding_casts_agree_across_runtimes() {
     };
     let sync = build().sim().run();
     let event = build().sim().runtime(Runtime::Event).run();
-    let parallel = build().sim().workers(3).run();
+    let parallel = build().sim().runtime(Runtime::Parallel { workers: 3 }).run();
     assert_reports_identical(&sync, &event, "falsifier: sync vs event");
     assert_reports_identical(&sync, &parallel, "falsifier: sync vs parallel");
+}
+
+const TEN_THOUSAND: usize = 10_000;
+
+/// The 10 000-node scale scenario: 2 500 disjoint 4-cliques, t = 2.
+fn ten_thousand_node_scenario() -> Scenario {
+    Scenario::new(gen::disjoint_cliques(TEN_THOUSAND / 4, 4), 2)
+        .with_key_seed(42)
+        .with_byzantine(0, ByzantineBehavior::Silent)
+        .with_byzantine(4, ByzantineBehavior::TwoFaced { silent_toward: [5].into() })
+}
+
+/// The scenario's event-runtime report, run once and shared by both scale
+/// tests.
+fn ten_thousand_node_event_report() -> &'static RunReport {
+    static REPORT: std::sync::OnceLock<RunReport> = std::sync::OnceLock::new();
+    REPORT.get_or_init(|| ten_thousand_node_scenario().sim().runtime(Runtime::Event).run())
 }
 
 /// The scale claim of the event-driven runtime: an n = 10 000 node scenario
@@ -82,15 +101,8 @@ fn colluding_casts_agree_across_runtimes() {
 /// active events.
 #[test]
 fn ten_thousand_node_scenario_completes_on_the_event_runtime() {
-    let n = 10_000;
-    let g = gen::disjoint_cliques(n / 4, 4);
-    let out = Scenario::new(g, 2)
-        .with_key_seed(42)
-        .with_byzantine(0, ByzantineBehavior::Silent)
-        .with_byzantine(4, ByzantineBehavior::TwoFaced { silent_toward: [5].into() })
-        .sim()
-        .runtime(Runtime::Event)
-        .run();
+    let n = TEN_THOUSAND;
+    let out = ten_thousand_node_event_report();
     assert_eq!(out.decisions().len(), n - 2);
     assert!(out.agreement());
     // Ground truth: the fleet is maximally partitioned; every correct node
@@ -101,27 +113,14 @@ fn ten_thousand_node_scenario_completes_on_the_event_runtime() {
     assert!(out.metrics().total_bytes_sent() > 0);
 }
 
-/// The same 10 000-node scenario on the parallel runtime: the work-stealing
-/// pool must host it just as the event loop does (active-set scheduling
-/// skips the quiesced tail of the 9 999-round horizon), with the identical
-/// outcome, decision phase included.
+/// The same 10 000-node scenario on two workers. Every round is past the
+/// pool's inline threshold, so this is the NECTAR fleet on which the fanned
+/// rounds really run threaded, and its report must equal the event one.
 #[test]
 fn ten_thousand_node_scenario_completes_on_the_parallel_runtime() {
-    let n = 10_000;
-    let g = gen::disjoint_cliques(n / 4, 4);
-    let out = Scenario::new(g, 2)
-        .with_key_seed(42)
-        .with_byzantine(0, ByzantineBehavior::Silent)
-        .with_byzantine(4, ByzantineBehavior::TwoFaced { silent_toward: [5].into() })
-        .sim()
-        .workers(2)
-        .run();
-    assert_eq!(out.decisions().len(), n - 2);
-    assert!(out.agreement());
-    assert_eq!(out.unanimous_verdict(), Some(Verdict::Partitionable));
-    assert!(out.decisions().values().all(|d| d.confirmed));
-    assert!(out.decisions().values().all(|d| d.reachable <= 4));
-    assert!(out.metrics().total_bytes_sent() > 0);
+    let parallel =
+        ten_thousand_node_scenario().sim().runtime(Runtime::Parallel { workers: 2 }).run();
+    assert_reports_identical(ten_thousand_node_event_report(), &parallel, "event vs parallel:2");
 }
 
 /// `Runtime`'s `Display`/`FromStr` pair is the CLI `--runtime` vocabulary
