@@ -5,17 +5,19 @@
 //! structs across address spaces, so each node serializes a
 //! [`NodeReport`] — verdict, accepted edges, traffic counters and the
 //! node's delivered-message log — as versioned, line-oriented text on
-//! stdout. The log comes from the same place on both sides of the
-//! conformance contract: the [`Recorded`] capture layer around the
-//! participant, driven by a [`NodeDriver`] here and by the deterministic
-//! sync engine in [`sync_fleet_reports`], which the harness compares the
-//! union of the fleet's reports against. Per `docs/DETERMINISM.md` the
-//! socket path is pinned by delivered-message equivalence, not
-//! bit-identity.
+//! stdout, in the [`text`](nectar_net::text) grammar that `.scn` files
+//! and schedule scripts share. The log comes from the same place on both
+//! sides of the conformance contract: the [`Recorded`] capture layer
+//! around the participant, driven by a [`NodeDriver`] here and by the
+//! deterministic sync engine in [`sync_fleet_reports`], which the harness
+//! compares the union of the fleet's reports against. Per
+//! `docs/DETERMINISM.md` the socket path is pinned by delivered-message
+//! equivalence, not bit-identity.
 
 use std::collections::BTreeMap;
 
 use nectar_crypto::KeyStore;
+use nectar_net::text::{self, Line, TextError};
 use nectar_net::transport::{DeliveryLog, NodeDriver, Recorded, Transport, TransportError};
 use nectar_net::{NodeId, SyncNetwork};
 
@@ -99,82 +101,58 @@ impl NodeReport {
     }
 
     /// Parses the first `nectar-node-report` block found in `text`
-    /// (surrounding output is ignored).
+    /// (surrounding output is ignored). The block is read in the shared
+    /// [`text`](nectar_net::text) grammar: one `<key> <value…>` line per
+    /// field, in [`to_text`](Self::to_text)'s order.
     ///
     /// # Errors
     ///
-    /// A description of the first malformed or missing line.
-    pub fn parse(text: &str) -> Result<NodeReport, String> {
-        let mut lines = text.lines().map(str::trim).skip_while(|l| *l != "nectar-node-report v1");
-        match lines.next() {
-            Some(_) => {}
-            None => return Err("no `nectar-node-report v1` header found".into()),
+    /// The first malformed or missing line.
+    pub fn parse(text: &str) -> Result<NodeReport, TextError> {
+        let mut lines = text::lines(text)
+            .skip_while(|l| (l.keyword, l.args.as_slice()) != ("nectar-node-report", &["v1"]));
+        let whole = |reason: String| TextError { line: 0, reason };
+        lines.next().ok_or_else(|| whole("no `nectar-node-report v1` header found".into()))?;
+        let mut field = |key: &str| match lines.next() {
+            Some(line) if line.keyword == key => Ok(line),
+            Some(line) => Err(line.error(format!("expected `{key} ...`, got `{}`", line.keyword))),
+            None => Err(whole(format!("report ended before `{key}`"))),
+        };
+        let node = one(&field("node")?)?;
+        let decision = Decision {
+            verdict: one(&field("verdict")?)?,
+            confirmed: one(&field("confirmed")?)?,
+            reachable: one(&field("reachable")?)?,
+            connectivity: one(&field("connectivity")?)?,
+        };
+        let bytes_sent = one(&field("bytes-sent")?)?;
+        let msgs_sent = one(&field("msgs-sent")?)?;
+        // Counts are untrusted: read line by line, never preallocated.
+        let mut accepted_edges = Vec::new();
+        for _ in 0..one::<u64>(&field("edges")?)? {
+            let line = field("edge")?;
+            let [a, b] = line.args()?;
+            accepted_edges.push((line.num(a, "edge endpoint")?, line.num(b, "edge endpoint")?));
         }
-        let mut next_field = |key: &str| -> Result<String, String> {
-            let line = lines.next().ok_or_else(|| format!("report ended before `{key}`"))?;
-            line.strip_prefix(key)
-                .and_then(|rest| rest.strip_prefix(' '))
-                .map(str::to_owned)
-                .ok_or_else(|| format!("expected `{key} ...`, got `{line}`"))
-        };
-        let parse_num = |key: &str, value: &str| -> Result<usize, String> {
-            value.parse().map_err(|_| format!("bad {key} `{value}`"))
-        };
-        let node = parse_num("node", &next_field("node")?)?;
-        let verdict = next_field("verdict")?.parse()?;
-        let confirmed = match next_field("confirmed")?.as_str() {
-            "true" => true,
-            "false" => false,
-            other => return Err(format!("bad confirmed `{other}`")),
-        };
-        let reachable = parse_num("reachable", &next_field("reachable")?)?;
-        let connectivity = parse_num("connectivity", &next_field("connectivity")?)?;
-        let bytes_sent = parse_num("bytes-sent", &next_field("bytes-sent")?)? as u64;
-        let msgs_sent = parse_num("msgs-sent", &next_field("msgs-sent")?)? as u64;
-        let edge_count = parse_num("edges", &next_field("edges")?)?;
-        let mut accepted_edges = Vec::with_capacity(edge_count);
-        for _ in 0..edge_count {
-            let value = next_field("edge")?;
-            let mut parts = value.split(' ');
-            let a = parts
-                .next()
-                .and_then(|p| p.parse().ok())
-                .ok_or_else(|| format!("bad edge `{value}`"))?;
-            let b = parts
-                .next()
-                .and_then(|p| p.parse().ok())
-                .ok_or_else(|| format!("bad edge `{value}`"))?;
-            if parts.next().is_some() {
-                return Err(format!("bad edge `{value}`"));
-            }
-            accepted_edges.push((a, b));
-        }
-        let delivery_count = parse_num("deliveries", &next_field("deliveries")?)?;
         let mut deliveries = DeliveryLog::new();
-        for _ in 0..delivery_count {
-            let value = next_field("delivery")?;
-            let mut parts = value.split(' ');
-            let mut field = |what: &str| {
-                parts.next().ok_or_else(|| format!("delivery missing {what}: `{value}`"))
-            };
-            let from = parse_num("delivery from", field("from")?)?;
-            let to = parse_num("delivery to", field("to")?)?;
-            let digest = unhex64(field("digest")?)?;
-            deliveries.record(from, to, digest);
+        for _ in 0..one::<u64>(&field("deliveries")?)? {
+            let line = field("delivery")?;
+            let [from, to, digest] = line.args()?;
+            let digest = unhex64(digest).map_err(|e| line.error(e))?;
+            deliveries.record(
+                line.num(from, "delivery from")?,
+                line.num(to, "delivery to")?,
+                digest,
+            );
         }
-        match lines.next() {
-            Some("end") => {}
-            other => return Err(format!("expected `end`, got {other:?}")),
-        }
-        Ok(NodeReport {
-            node,
-            decision: Decision { verdict, confirmed, reachable, connectivity },
-            accepted_edges,
-            bytes_sent,
-            msgs_sent,
-            deliveries,
-        })
+        field("end")?.args::<0>()?;
+        Ok(NodeReport { node, decision, accepted_edges, bytes_sent, msgs_sent, deliveries })
     }
+}
+
+/// The single value of a `<key> <value>` report line.
+fn one<T: std::str::FromStr>(line: &Line) -> Result<T, TextError> {
+    line.num(line.args::<1>()?[0], line.keyword)
 }
 
 fn report_for(participant: &Participant, deliveries: DeliveryLog, sent: (u64, u64)) -> NodeReport {
@@ -288,6 +266,9 @@ mod tests {
         // A corrupted digest character.
         let bad = text.replacen("delivery 1 0 ", "delivery 1 0 zz", 1);
         assert!(NodeReport::parse(&bad).is_err());
+        // Errors inside the block name their line of the whole stream.
+        let noisy = format!("starting up...\n\n{}", text.replace("confirmed false", "confirmed ?"));
+        assert_eq!(NodeReport::parse(&noisy).unwrap_err().to_string(), "line 6: bad confirmed ?");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use nectar_graph::{connectivity, traversal, Graph, OracleStats};
 use nectar_net::{Metrics, NodeId, PhaseProfile};
 
-use crate::config::{Decision, Verdict};
+use crate::config::{Decision, Verdict, MAX_NODES};
 use crate::runner::Runtime;
 
 /// Version tag of the persisted JSON report (bumped on incompatible
@@ -363,6 +363,10 @@ impl RunReport {
             .collect::<Result<_, _>>()?;
         let topo = obj.field("topology")?.as_obj("topology")?;
         let topo_n = topo.field("n")?.as_u64("topology.n")? as usize;
+        // Checked before anything of that size is allocated.
+        if topo_n != n || n > MAX_NODES {
+            return Err(format!("topology.n {topo_n} must equal n {n}, at most {MAX_NODES}"));
+        }
         let mut edges = Vec::new();
         for e in topo.field("edges")?.as_arr("topology.edges")? {
             let pair = e.as_arr("edge")?;
@@ -416,11 +420,15 @@ impl RunReport {
             let u64s = |key: &str| -> Result<Vec<u64>, String> {
                 m.field(key)?.as_arr(key)?.iter().map(|v| v.as_u64(key)).collect()
             };
+            let per_node = |key: &str| match u64s(key)? {
+                v if v.len() == n => Ok(v),
+                v => Err(format!("{key} has {} entries, not one per node (n = {n})", v.len())),
+            };
             let metrics = Metrics::from_parts(
-                u64s("bytes_sent")?,
-                u64s("msgs_sent")?,
-                u64s("bytes_received")?,
-                u64s("msgs_received")?,
+                per_node("bytes_sent")?,
+                per_node("msgs_sent")?,
+                per_node("bytes_received")?,
+                per_node("msgs_received")?,
                 u64s("bytes_per_round")?,
                 m.field("illegal_sends")?.as_u64("illegal_sends")?,
                 m.field("schedule_drops")?.as_u64("schedule_drops")?,

@@ -4,8 +4,9 @@
 //!
 //! Every execution axis the repo has grown — three runtimes, the
 //! topology/attack zoos, [`TopologySchedule`]s, mobility generators, the
-//! socket fleet — is reachable from one hand-rolled text format (in the
-//! style of `TopologySchedule::parse` / `RunReport::from_json`; no serde):
+//! socket fleet — is reachable from one text format, read by the same
+//! [`text`](nectar_net::text) reader as schedule scripts and node
+//! reports (`#` comments, one keyword and its words per line; no serde):
 //!
 //! ```text
 //! # scenarios/demo.scn
@@ -21,11 +22,12 @@
 //! ```
 //!
 //! The flow is **parse → compile → lower**. [`ScenarioSpec::parse`] maps
-//! text to a plain struct, rejecting malformed directives with
-//! `file:line` context ([`ScenarioError`]). [`ScenarioSpec::compile`]
-//! validates every cross-field constraint — cast placements against the
-//! topology, the schedule against the base graph, transport × runtime
-//! legality — and freezes a [`CompiledScenario`]. Lowering then reuses the
+//! text to a plain struct, rejecting malformed and duplicate directives
+//! with `file:line` context ([`ScenarioError`]). [`ScenarioSpec::compile`]
+//! is the one home of every cross-field rule — directives that exclude
+//! each other, cast placements against the topology, the schedule against
+//! the base graph, transport × runtime legality — and freezes a
+//! [`CompiledScenario`]. Lowering then reuses the
 //! seams that already exist instead of a parallel execution path: the
 //! sync-transport plan becomes a `Scenario` plus `Simulation` builder
 //! calls ([`CompiledScenario::run_report`]), the loopback plan becomes
@@ -46,6 +48,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use nectar_graph::Graph;
+use nectar_net::text::{self, Line, TextError};
 use nectar_net::{
     run_over_loopback, Metrics, NodeId, ScheduleError, TopologySchedule, TransportError,
 };
@@ -148,7 +151,7 @@ impl TransportKind {
 struct SourceMap {
     file: String,
     dir: PathBuf,
-    line_of: BTreeMap<&'static str, usize>,
+    line_of: BTreeMap<String, usize>,
     edge_lines: Vec<usize>,
     byz_lines: Vec<usize>,
     schedule_lines: Vec<usize>,
@@ -267,225 +270,111 @@ impl ScenarioSpec {
     }
 
     /// Parses a scenario document. `file` labels errors (pass `""` for
-    /// in-memory text). One directive per line; blank lines and `#`
-    /// comments are skipped; single-valued directives may appear at most
-    /// once; `edge`, `byz` and inline `schedule` lines repeat.
+    /// in-memory text). One directive per line in the shared
+    /// [`text`](nectar_net::text) grammar (blank lines and `#` comments are
+    /// skipped); single-valued directives may appear at most once; `edge`,
+    /// `byz` and inline `schedule` lines repeat. Directives that exclude
+    /// each other are [`compile`](Self::compile)'s to refuse.
     ///
     /// # Errors
     ///
-    /// A [`ScenarioError`] at the first malformed, duplicate or
-    /// conflicting directive.
+    /// A [`ScenarioError`] at the first malformed or duplicate directive.
     pub fn parse(text: &str, file: &str) -> Result<ScenarioSpec, ScenarioError> {
         let mut spec = ScenarioSpec {
             src: SourceMap { file: file.into(), ..Default::default() },
             ..Default::default()
         };
-        let fail = |line: usize, reason: String| ScenarioError { file: file.into(), line, reason };
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            // Strip trailing comments so directives and notes can share a
-            // line, like the schedule script format.
-            let line = line.split('#').next().unwrap_or("").trim();
-            let words: Vec<&str> = line.split_whitespace().collect();
-            let (keyword, rest) = words.split_first().expect("non-empty line");
-            let mut once = |key: &'static str| -> Result<(), ScenarioError> {
-                match spec.src.line_of.insert(key, line_no) {
-                    Some(first) => Err(fail(
-                        line_no,
-                        format!("duplicate {key} directive (first at line {first})"),
-                    )),
-                    None => Ok(()),
-                }
-            };
-            let arg = |count: usize| -> Result<&[&str], ScenarioError> {
-                if rest.len() == count {
-                    Ok(rest)
-                } else {
-                    Err(fail(
-                        line_no,
-                        format!("{keyword} takes {count} argument(s), got {}", rest.len()),
-                    ))
-                }
-            };
-            let num = |word: &str, what: &str| -> Result<u64, ScenarioError> {
-                word.parse::<u64>().map_err(|_| fail(line_no, format!("bad {what} {word}")))
-            };
-            match *keyword {
-                "name" => {
-                    once("name")?;
-                    if rest.is_empty() {
-                        return Err(fail(line_no, "name needs a value".into()));
-                    }
-                    spec.name = rest.join(" ");
-                }
-                "topology" => {
-                    once("topology")?;
-                    if spec.nodes.is_some() || !spec.edges.is_empty() {
-                        return Err(fail(
-                            line_no,
-                            "topology conflicts with an explicit nodes/edge topology".into(),
-                        ));
-                    }
-                    let args = arg(2)?;
-                    let family = FamilySpec::parse(args[0]).map_err(|e| fail(line_no, e))?;
-                    spec.family = Some((family, num(args[1], "topology size")? as usize));
-                }
-                "nodes" => {
-                    once("nodes")?;
-                    if spec.family.is_some() {
-                        return Err(fail(
-                            line_no,
-                            "nodes conflicts with a topology directive".into(),
-                        ));
-                    }
-                    spec.nodes = Some(num(arg(1)?[0], "node count")? as usize);
-                }
-                "edge" => {
-                    if spec.family.is_some() {
-                        return Err(fail(
-                            line_no,
-                            "edge conflicts with a topology directive".into(),
-                        ));
-                    }
-                    let args = arg(2)?;
-                    spec.edges.push((
-                        num(args[0], "node id")? as usize,
-                        num(args[1], "node id")? as usize,
-                    ));
-                    spec.src.edge_lines.push(line_no);
-                }
-                "t" => {
-                    once("t")?;
-                    spec.t = num(arg(1)?[0], "t")? as usize;
-                }
-                "seed" => {
-                    once("seed")?;
-                    spec.seed = num(arg(1)?[0], "seed")?;
-                }
-                "cast" => {
-                    once("cast")?;
-                    if !spec.byzantine.is_empty() {
-                        return Err(fail(line_no, "cast and byz are mutually exclusive".into()));
-                    }
-                    spec.cast = Some(CastSpec::parse(arg(1)?[0]).map_err(|e| fail(line_no, e))?);
-                }
-                "byz" => {
-                    if spec.cast.is_some() {
-                        return Err(fail(line_no, "cast and byz are mutually exclusive".into()));
-                    }
-                    let (node, behavior) =
-                        parse_behavior(arg(1)?[0]).map_err(|e| fail(line_no, e))?;
-                    spec.byzantine.push((node, behavior));
-                    spec.src.byz_lines.push(line_no);
-                }
-                "epochs" => {
-                    once("epochs")?;
-                    let epochs = num(arg(1)?[0], "epoch count")? as usize;
-                    if epochs == 0 {
-                        return Err(fail(line_no, "epochs must be at least 1".into()));
-                    }
-                    spec.epochs = epochs;
-                }
-                "runtime" => {
-                    once("runtime")?;
-                    // Parsed eagerly: a bad runtime name errors here, at
-                    // its line, not later out of context.
-                    spec.runtime = Some(arg(1)?[0].parse().map_err(|e| fail(line_no, e))?);
-                }
-                "schedule" => {
-                    if spec.mobility.is_some() {
-                        return Err(fail(
-                            line_no,
-                            "mobility and an explicit schedule are mutually exclusive".into(),
-                        ));
-                    }
-                    if let Some(path) = rest.first().and_then(|w| w.strip_prefix('@')) {
-                        once("schedule")?;
-                        let args = arg(1)?;
-                        debug_assert_eq!(args.len(), 1);
-                        if !spec.schedule_lines.is_empty() {
-                            return Err(fail(
-                                line_no,
-                                "cannot mix an @file schedule with inline schedule lines".into(),
-                            ));
-                        }
-                        if path.is_empty() {
-                            return Err(fail(line_no, "schedule @ needs a file path".into()));
-                        }
-                        spec.schedule_file = Some(path.to_string());
-                    } else {
-                        if spec.schedule_file.is_some() {
-                            return Err(fail(
-                                line_no,
-                                "cannot mix an @file schedule with inline schedule lines".into(),
-                            ));
-                        }
-                        if rest.is_empty() {
-                            return Err(fail(
-                                line_no,
-                                "schedule needs a directive or @file".into(),
-                            ));
-                        }
-                        spec.schedule_lines.push(rest.join(" "));
-                        spec.src.schedule_lines.push(line_no);
-                    }
-                }
-                "mobility" => {
-                    once("mobility")?;
-                    if spec.schedule_file.is_some() || !spec.schedule_lines.is_empty() {
-                        return Err(fail(
-                            line_no,
-                            "mobility and an explicit schedule are mutually exclusive".into(),
-                        ));
-                    }
-                    spec.mobility = Some(MobilitySpec::parse(rest).map_err(|e| fail(line_no, e))?);
-                }
-                "transport" => {
-                    once("transport")?;
-                    spec.transport =
-                        TransportKind::parse(arg(1)?[0]).map_err(|e| fail(line_no, e))?;
-                }
-                "sock-dir" => {
-                    once("sock-dir")?;
-                    spec.sock_dir = Some(arg(1)?[0].to_string());
-                }
-                "base-port" => {
-                    once("base-port")?;
-                    let port = num(arg(1)?[0], "base port")?;
-                    spec.base_port = u16::try_from(port)
-                        .map_err(|_| fail(line_no, format!("bad base port {port}")))?;
-                }
-                "connect-timeout-ms" => {
-                    once("connect-timeout-ms")?;
-                    spec.connect_timeout_ms = num(arg(1)?[0], "timeout")?;
-                }
-                "recv-timeout-ms" => {
-                    once("recv-timeout-ms")?;
-                    spec.recv_timeout_ms = num(arg(1)?[0], "timeout")?;
-                }
-                "report" => {
-                    once("report")?;
-                    spec.report = Some(arg(1)?[0].to_string());
-                }
-                "csv" => {
-                    once("csv")?;
-                    spec.csv = Some(arg(1)?[0].to_string());
-                }
-                "profile" => {
-                    once("profile")?;
-                    arg(0)?;
-                    spec.profile = true;
-                }
-                other => {
-                    return Err(fail(line_no, format!("unknown directive `{other}`")));
-                }
-            }
+        for line in text::lines(text) {
+            spec.directive(&line).map_err(|e| ScenarioError {
+                file: file.into(),
+                line: e.line,
+                reason: e.reason,
+            })?;
         }
         Ok(spec)
+    }
+
+    /// Records one directive line into the spec.
+    fn directive(&mut self, line: &Line) -> Result<(), TextError> {
+        let rest = line.args.as_slice();
+        let bad = |reason: String| line.error(reason);
+        let arg = || line.args::<1>().map(|[word]| word);
+        let repeats = match line.keyword {
+            "edge" | "byz" => true,
+            "schedule" => !rest.first().is_some_and(|w| w.starts_with('@')),
+            _ => false,
+        };
+        if !repeats {
+            if let Some(first) = self.src.line_of.insert(line.keyword.into(), line.number) {
+                let reason =
+                    format!("duplicate {} directive (first at line {first})", line.keyword);
+                return Err(line.error(reason));
+            }
+        }
+        match line.keyword {
+            "name" if rest.is_empty() => return Err(line.error("name needs a value")),
+            "name" => self.name = rest.join(" "),
+            "topology" => {
+                let [family, n] = line.args()?;
+                let family = FamilySpec::parse(family).map_err(bad)?;
+                self.family = Some((family, line.num(n, "topology size")?));
+            }
+            "nodes" => {
+                let [n] = line.args()?;
+                self.nodes = Some(line.num(n, "node count")?);
+            }
+            "edge" => {
+                let [u, v] = line.args()?;
+                self.edges.push((line.num(u, "node id")?, line.num(v, "node id")?));
+                self.src.edge_lines.push(line.number);
+            }
+            "t" => self.t = line.num(arg()?, "t")?,
+            "seed" => self.seed = line.num(arg()?, "seed")?,
+            "cast" => self.cast = Some(CastSpec::parse(arg()?).map_err(bad)?),
+            "byz" => {
+                self.byzantine.push(parse_behavior(arg()?).map_err(bad)?);
+                self.src.byz_lines.push(line.number);
+            }
+            "epochs" => match line.num(arg()?, "epoch count")? {
+                0 => return Err(line.error("epochs must be at least 1")),
+                epochs => self.epochs = epochs,
+            },
+            // Parsed eagerly: a bad runtime name errors here, at its line,
+            // not later out of context.
+            "runtime" => self.runtime = Some(arg()?.parse().map_err(bad)?),
+            "schedule" => match rest.first().and_then(|w| w.strip_prefix('@')) {
+                Some(path) => {
+                    line.args::<1>()?;
+                    if path.is_empty() {
+                        return Err(line.error("schedule @ needs a file path"));
+                    }
+                    self.schedule_file = Some(path.to_string());
+                }
+                None if rest.is_empty() => {
+                    return Err(line.error("schedule needs a directive or @file"));
+                }
+                None => {
+                    self.schedule_lines.push(rest.join(" "));
+                    self.src.schedule_lines.push(line.number);
+                }
+            },
+            "mobility" => self.mobility = Some(MobilitySpec::parse(rest).map_err(bad)?),
+            "transport" => self.transport = TransportKind::parse(arg()?).map_err(bad)?,
+            "sock-dir" => self.sock_dir = Some(arg()?.to_string()),
+            "base-port" => self.base_port = line.num(arg()?, "base port")?,
+            "connect-timeout-ms" => {
+                self.connect_timeout_ms = line.num(arg()?, "timeout")?;
+            }
+            "recv-timeout-ms" => self.recv_timeout_ms = line.num(arg()?, "timeout")?,
+            "report" => self.report = Some(arg()?.to_string()),
+            "csv" => self.csv = Some(arg()?.to_string()),
+            "profile" => {
+                line.args::<0>()?;
+                self.profile = true;
+            }
+            other => return Err(line.error(format!("unknown directive `{other}`"))),
+        }
+        Ok(())
     }
 
     /// Renders the spec back to canonical scenario text, round-tripping
@@ -594,8 +483,9 @@ impl ScenarioSpec {
     /// an executable [`CompiledScenario`]: the topology is built (or
     /// generated by waypoint mobility), the cast is placed on it, the
     /// schedule is parsed/generated and compiled against the base graph,
-    /// and transport × runtime legality is checked. Works on hand-built
-    /// specs too — parse-time conflict checks are repeated here.
+    /// and transport × runtime legality is checked. This is the one place
+    /// cross-field rules live, so hand-built specs (`nectar-cli detect`'s)
+    /// get exactly the checks a parsed file does.
     ///
     /// # Errors
     ///
@@ -608,7 +498,36 @@ impl ScenarioSpec {
         };
         let whole = |reason: String| ScenarioError { file: self.src.file.clone(), line: 0, reason };
 
-        // 0. Node ids are `u16` on the wire: refuse a larger fleet on the
+        // 0. Before anything is built: directives that exclude each other,
+        // each pair refused once, at the line of the directive it names
+        // first.
+        let explicit_schedule = self.schedule_file.is_some() || !self.schedule_lines.is_empty();
+        let exclusions = [
+            (
+                "topology",
+                self.family.is_some() && (self.nodes.is_some() || !self.edges.is_empty()),
+                "topology conflicts with an explicit nodes/edge topology",
+            ),
+            (
+                "cast",
+                self.cast.is_some() && !self.byzantine.is_empty(),
+                "cast and byz are mutually exclusive",
+            ),
+            (
+                "mobility",
+                self.mobility.is_some() && explicit_schedule,
+                "mobility and an explicit schedule are mutually exclusive",
+            ),
+            (
+                "schedule",
+                self.schedule_file.is_some() && !self.schedule_lines.is_empty(),
+                "cannot mix an @file schedule with inline schedule lines",
+            ),
+        ];
+        if let Some(&(key, _, reason)) = exclusions.iter().find(|(_, clash, _)| *clash) {
+            return Err(at(key, reason.into()));
+        }
+        // Node ids are `u16` on the wire: refuse a larger fleet on the
         // directive that sized it, before anything that large is built.
         let declared = match (&self.family, self.nodes, &self.mobility) {
             (Some((_, n)), _, _) => Some(("topology", *n)),
@@ -644,19 +563,7 @@ impl ScenarioSpec {
             graph.expect("waypoint supplies a topology")
         } else {
             match (&self.family, self.nodes) {
-                (Some(_), Some(_)) => {
-                    return Err(at(
-                        "topology",
-                        "topology conflicts with an explicit nodes/edge topology".into(),
-                    ));
-                }
-                (Some((family, n)), None) => {
-                    if !self.edges.is_empty() {
-                        return Err(at(
-                            "topology",
-                            "topology conflicts with an explicit nodes/edge topology".into(),
-                        ));
-                    }
+                (Some((family, n)), _) => {
                     family.build(*n, self.seed).map_err(|e| at("topology", e))?
                 }
                 (None, Some(n)) => {
@@ -695,9 +602,6 @@ impl ScenarioSpec {
         if self.t >= n {
             return Err(at("t", format!("t = {} needs fewer than the n = {n} nodes", self.t)));
         }
-        if self.cast.is_some() && !self.byzantine.is_empty() {
-            return Err(at("cast", "cast and byz are mutually exclusive".into()));
-        }
         let mut seen_nodes = BTreeSet::new();
         for (i, &(node, _)) in self.byzantine.iter().enumerate() {
             let line = self.src.byz_lines.get(i).copied().unwrap_or(0);
@@ -733,22 +637,10 @@ impl ScenarioSpec {
         let schedule = if let Some(schedule) = generated_schedule {
             Some(schedule)
         } else if let Some(mobility) = &self.mobility {
-            if self.schedule_file.is_some() || !self.schedule_lines.is_empty() {
-                return Err(at(
-                    "mobility",
-                    "mobility and an explicit schedule are mutually exclusive".into(),
-                ));
-            }
             let (_, schedule) =
                 mobility.generate(Some(&graph), self.seed).map_err(|e| at("mobility", e))?;
             Some(schedule)
         } else if let Some(path) = &self.schedule_file {
-            if !self.schedule_lines.is_empty() {
-                return Err(at(
-                    "schedule",
-                    "cannot mix an @file schedule with inline schedule lines".into(),
-                ));
-            }
             let resolved = self.src.dir.join(path);
             let text = std::fs::read_to_string(&resolved)
                 .map_err(|e| at("schedule", format!("cannot read schedule file {path}: {e}")))?;
@@ -786,7 +678,7 @@ impl ScenarioSpec {
             let requires_sync: &[(&'static str, bool)] = &[
                 ("runtime", self.runtime.is_some()),
                 ("epochs", self.epochs != 1),
-                ("schedule", self.schedule_file.is_some() || !self.schedule_lines.is_empty()),
+                ("schedule", explicit_schedule),
                 ("mobility", self.mobility.is_some()),
                 ("report", self.report.is_some()),
                 ("csv", self.csv.is_some()),
@@ -1093,13 +985,6 @@ profile
             ("warp 3\n", "unknown directive"),
             ("t 1\nt 2\n", "duplicate t directive (first at line 1)"),
             ("epochs 0\n", "epochs must be at least 1"),
-            ("topology harary-k2 8\nnodes 8\n", "conflicts"),
-            ("nodes 8\ntopology harary-k2 8\n", "conflicts"),
-            ("cast silent-cut\nbyz 0:silent\n", "mutually exclusive"),
-            ("byz 0:silent\ncast silent-cut\n", "mutually exclusive"),
-            ("schedule drop 2 0 1\nmobility churn\n", "mutually exclusive"),
-            ("mobility churn\nschedule drop 2 0 1\n", "mutually exclusive"),
-            ("schedule @a.sched\nschedule drop 2 0 1\n", "cannot mix"),
             ("t\n", "takes 1 argument"),
             ("profile now\n", "takes 0 argument"),
             ("cast nonsense\n", "unknown cast"),
@@ -1118,6 +1003,15 @@ profile
     fn compile_checks_cross_field_constraints() {
         for (doc, needle) in [
             ("t 1\n", "needs a topology"),
+            // Directives that exclude each other parse; compile refuses them.
+            ("topology harary-k2 8\nnodes 8\n", "conflicts"),
+            ("nodes 8\ntopology harary-k2 8\n", "conflicts"),
+            ("topology harary-k2 8\nedge 0 1\n", "conflicts"),
+            ("cast silent-cut\nbyz 0:silent\n", "mutually exclusive"),
+            ("byz 0:silent\ncast silent-cut\n", "mutually exclusive"),
+            ("schedule drop 2 0 1\nmobility churn\n", "mutually exclusive"),
+            ("mobility churn\nschedule drop 2 0 1\n", "mutually exclusive"),
+            ("schedule @a.sched\nschedule drop 2 0 1\n", "cannot mix"),
             ("edge 0 1\n", "need a nodes directive"),
             ("nodes 4\nedge 0 9\n", "out of range"),
             ("nodes 4\nedge 0 0\n", "loop"),
@@ -1136,6 +1030,17 @@ profile
         ] {
             let err = ScenarioSpec::parse(doc, "bad.scn").unwrap().compile().unwrap_err();
             assert!(err.reason.contains(needle), "{doc:?} gave {err}");
+        }
+        // An exclusion is anchored at its rule's directive (topology, cast,
+        // mobility, @file schedule), wherever that sits in the file.
+        for (doc, line) in [
+            ("edge 0 1\ntopology harary-k2 8\n", 2),
+            ("byz 0:silent\ncast silent-cut\n", 2),
+            ("topology harary-k2 8\nschedule drop 2 0 1\nmobility churn\n", 3),
+            ("schedule @a.sched\nschedule drop 2 0 1\n", 1),
+        ] {
+            let err = ScenarioSpec::parse(doc, "bad.scn").unwrap().compile().unwrap_err();
+            assert_eq!((err.file.as_str(), err.line), ("bad.scn", line), "{doc:?} gave {err}");
         }
     }
 

@@ -989,7 +989,7 @@ mod tests {
         // Malformed syntax, an edge the topology does not have, and a heal
         // without a matching drop all surface as the scenario compiler's
         // messages.
-        assert_eq!(run_sched("drop one zero").unwrap_err(), "expected 3 argument(s), found 2");
+        assert_eq!(run_sched("drop one zero").unwrap_err(), "drop takes 3 argument(s), got 2");
         assert!(run_sched("drop 1 0 3").unwrap_err().contains("(0, 3) is not a base-graph edge"));
         assert!(run_sched("heal 2 0 1").unwrap_err().contains("without a matching drop"));
     }

@@ -22,6 +22,9 @@
 //! value, [`fault::Mute`], applied by wrapping any process in
 //! [`fault::Muted`].
 //!
+//! The workspace's line formats — schedule scripts, `.scn` scenario files
+//! and socket-fleet node reports — share one reader, [`text`].
+//!
 //! # Example
 //!
 //! ```
@@ -71,6 +74,7 @@ pub mod schedule;
 pub mod sync;
 #[cfg(test)]
 pub(crate) mod testkit;
+pub mod text;
 pub mod transport;
 
 pub use event::{run_event_driven, EventNetwork};

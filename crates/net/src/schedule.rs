@@ -49,6 +49,7 @@ use std::sync::Arc;
 use nectar_graph::Graph;
 
 use crate::process::{NodeId, Outgoing, Process};
+use crate::text::{self, Line, TextError};
 
 /// Why a schedule failed to parse or compile.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -280,7 +281,8 @@ impl TopologySchedule {
 
     /// Parses the line-based text format (the CLI's `--schedule` payload).
     ///
-    /// One directive per line; blank lines and `#` comments are ignored:
+    /// One directive per line in the shared [`text`](crate::text) grammar
+    /// (blank lines and `#` comments are ignored):
     ///
     /// ```text
     /// seed 42                     # loss-window seed (optional)
@@ -300,93 +302,81 @@ impl TopologySchedule {
     /// it never panics (a property test feeds this parser mutated
     /// documents).
     pub fn parse(text: &str) -> Result<Self, ScheduleError> {
-        let mut schedule = TopologySchedule::new();
-        for (idx, raw) in text.lines().enumerate() {
-            let line = idx + 1;
-            let content = raw.split('#').next().unwrap_or("").trim();
-            if content.is_empty() {
-                continue;
+        text::lines(text).try_fold(TopologySchedule::new(), |schedule, line| {
+            schedule
+                .directive(&line)
+                .map_err(|e| ScheduleError::Parse { line: e.line, reason: e.reason })
+        })
+    }
+
+    /// Applies one line of the text format.
+    fn directive(self, line: &Line) -> Result<Self, TextError> {
+        let node = |word: &str| line.num::<NodeId>(word, "node");
+        let round = |word: &str| line.num::<usize>(word, "round");
+        let range = |word: &str| match word.split_once("..") {
+            Some((a, b)) => Ok(round(a)?..round(b)?),
+            None => Err(line.error(format!("bad round range {word} (expected `start..end`)"))),
+        };
+        Ok(match line.keyword {
+            "seed" => {
+                let [s] = line.args()?;
+                self.with_seed(line.num(s, "seed")?)
             }
-            let words: Vec<&str> = content.split_whitespace().collect();
-            let args = &words[1..];
-            schedule = match words[0] {
-                "seed" => {
-                    let [s] = expect_args::<1>(line, args)?;
-                    schedule.with_seed(parse_num::<u64>(line, s, "seed")?)
-                }
-                "drop" => {
-                    let [r, u, v] = expect_args::<3>(line, args)?;
-                    schedule.drop_edge(
-                        parse_round(line, r)?,
-                        parse_num(line, u, "node")?,
-                        parse_num(line, v, "node")?,
-                    )
-                }
-                "heal" => {
-                    let [r, u, v] = expect_args::<3>(line, args)?;
-                    schedule.heal_edge(
-                        parse_round(line, r)?,
-                        parse_num(line, u, "node")?,
-                        parse_num(line, v, "node")?,
-                    )
-                }
-                "crash" => {
-                    let [r, x] = expect_args::<2>(line, args)?;
-                    schedule.crash(parse_round(line, r)?, parse_num(line, x, "node")?)
-                }
-                "rejoin" => {
-                    let [r, x] = expect_args::<2>(line, args)?;
-                    schedule.rejoin(parse_round(line, r)?, parse_num(line, x, "node")?)
-                }
-                "partition" | "heal-partition" => {
-                    if args.len() < 2 {
-                        return Err(ScheduleError::Parse {
-                            line,
-                            reason: format!("{} needs a round and at least one node", words[0]),
-                        });
-                    }
-                    let round = parse_round(line, args[0])?;
-                    let side = args[1..]
-                        .iter()
-                        .map(|w| parse_num(line, w, "node"))
-                        .collect::<Result<Vec<NodeId>, _>>()?;
-                    if words[0] == "partition" {
-                        schedule.partition(round, side)
+            "drop" => {
+                let [r, u, v] = line.args()?;
+                self.drop_edge(round(r)?, node(u)?, node(v)?)
+            }
+            "heal" => {
+                let [r, u, v] = line.args()?;
+                self.heal_edge(round(r)?, node(u)?, node(v)?)
+            }
+            "crash" => {
+                let [r, x] = line.args()?;
+                self.crash(round(r)?, node(x)?)
+            }
+            "rejoin" => {
+                let [r, x] = line.args()?;
+                self.rejoin(round(r)?, node(x)?)
+            }
+            "partition" | "heal-partition" => match line.args.as_slice() {
+                [r, side @ ..] if !side.is_empty() => {
+                    let r = round(r)?;
+                    let side = side.iter().map(|w| node(w)).collect::<Result<Vec<_>, _>>()?;
+                    if line.keyword == "partition" {
+                        self.partition(r, side)
                     } else {
-                        schedule.heal_partition(round, side)
+                        self.heal_partition(r, side)
                     }
                 }
-                "loss" | "loss-one-way" => {
-                    let [u, v, range, p] = expect_args::<4>(line, args)?;
-                    let (start, end) = parse_range(line, range)?;
-                    let p = parse_num::<f64>(line, p, "probability")?;
-                    let (u, v) = (parse_num(line, u, "node")?, parse_num(line, v, "node")?);
-                    if words[0] == "loss" {
-                        schedule.loss(u, v, start..end, p)
-                    } else {
-                        schedule.loss_one_way(u, v, start..end, p)
-                    }
+                _ => {
+                    let keyword = line.keyword;
+                    return Err(
+                        line.error(format!("{keyword} needs a round and at least one node"))
+                    );
                 }
-                "delay" | "delay-one-way" => {
-                    let [u, v, range, d] = expect_args::<4>(line, args)?;
-                    let (start, end) = parse_range(line, range)?;
-                    let d = parse_num::<usize>(line, d, "delay")?;
-                    let (u, v) = (parse_num(line, u, "node")?, parse_num(line, v, "node")?);
-                    if words[0] == "delay" {
-                        schedule.delay(u, v, start..end, d)
-                    } else {
-                        schedule.delay_one_way(u, v, start..end, d)
-                    }
+            },
+            "loss" | "loss-one-way" => {
+                let [u, v, rounds, p] = line.args()?;
+                let (u, v, rounds) = (node(u)?, node(v)?, range(rounds)?);
+                let p = line.num(p, "probability")?;
+                if line.keyword == "loss" {
+                    self.loss(u, v, rounds, p)
+                } else {
+                    self.loss_one_way(u, v, rounds, p)
                 }
-                other => {
-                    return Err(ScheduleError::Parse {
-                        line,
-                        reason: format!("unknown directive `{other}`"),
-                    })
+            }
+            "delay" | "delay-one-way" => {
+                let [u, v, rounds, d] = line.args()?;
+                let (u, v, rounds) = (node(u)?, node(v)?, range(rounds)?);
+                let d = line.num(d, "delay")?;
+                if line.keyword == "delay" {
+                    self.delay(u, v, rounds, d)
+                } else {
+                    self.delay_one_way(u, v, rounds, d)
                 }
-            };
-        }
-        Ok(schedule)
+            }
+            other => return Err(line.error(format!("unknown directive `{other}`"))),
+        })
     }
 
     /// Serializes back to the text format; `parse(to_script())` round-trips
@@ -628,37 +618,6 @@ impl TopologySchedule {
         );
         Ok(CompiledSchedule { seed: self.seed, base: base.clone(), transitions, notices, windows })
     }
-}
-
-fn expect_args<'a, const K: usize>(
-    line: usize,
-    args: &[&'a str],
-) -> Result<[&'a str; K], ScheduleError> {
-    <[&str; K]>::try_from(args).map_err(|_| ScheduleError::Parse {
-        line,
-        reason: format!("expected {K} argument(s), found {}", args.len()),
-    })
-}
-
-fn parse_num<T: std::str::FromStr>(
-    line: usize,
-    word: &str,
-    what: &str,
-) -> Result<T, ScheduleError> {
-    word.parse::<T>()
-        .map_err(|_| ScheduleError::Parse { line, reason: format!("invalid {what} `{word}`") })
-}
-
-fn parse_round(line: usize, word: &str) -> Result<usize, ScheduleError> {
-    parse_num::<usize>(line, word, "round")
-}
-
-fn parse_range(line: usize, word: &str) -> Result<(usize, usize), ScheduleError> {
-    let (a, b) = word.split_once("..").ok_or_else(|| ScheduleError::Parse {
-        line,
-        reason: format!("invalid round range `{word}` (expected `start..end`)"),
-    })?;
-    Ok((parse_num(line, a, "round")?, parse_num(line, b, "round")?))
 }
 
 /// Rows of `T` bucketed by node in CSR form: node `i`'s row is

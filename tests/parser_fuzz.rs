@@ -1,14 +1,17 @@
 //! Negative-input hardening for the hand-rolled parsers: a malformed
-//! `RunReport` JSON document or topology-schedule script must come back as
-//! an `Err`, never a panic — persisted reports and `--schedule` arguments
-//! are exactly the inputs that arrive damaged (truncated copies, editor
-//! mangling, wrong file entirely). The property tests mutate *valid*
-//! documents at random positions, which probes the parser states a
-//! hand-written grammar actually reaches, unlike purely random bytes.
+//! `RunReport` JSON document, topology-schedule script, scenario file or
+//! `nectar-node-report v1` block must come back as an `Err`, never a
+//! panic — persisted reports, `--schedule` arguments and the reports a
+//! socket fleet prints across process boundaries are exactly the inputs
+//! that arrive damaged (truncated copies, editor mangling, wrong file
+//! entirely). The property tests mutate *valid* documents at random
+//! positions, which probes the parser states a hand-written grammar
+//! actually reaches, unlike purely random bytes.
 
 use proptest::prelude::*;
 
 use nectar::prelude::*;
+use nectar::protocol::{sync_fleet_reports, NodeReport};
 use nectar_experiments::matrix::{CastSpec, FamilySpec, MatrixReport, MatrixSpec};
 
 fn sample_report_json(with_schedule: bool) -> String {
@@ -42,6 +45,15 @@ fn sample_matrix_report() -> MatrixReport {
     }
     .run()
     .expect("sample spec is in domain")
+}
+
+/// A real node report block: node 0 of a Byzantine cut fleet, with
+/// accepted edges and a delivery log.
+fn sample_node_report() -> String {
+    let scenario = Scenario::new(gen::cycle(6), 2)
+        .with_key_seed(9)
+        .with_byzantine(3, ByzantineBehavior::Silent);
+    sync_fleet_reports(&scenario).0[&0].to_text()
 }
 
 const SAMPLE_SCRIPT: &str = "\
@@ -175,6 +187,45 @@ proptest! {
             prop_assert!(!err.to_string().is_empty());
         }
     }
+
+    /// `NodeReport::parse` on a damaged report block: `Ok` or a non-empty
+    /// `Err`, never a panic.
+    #[test]
+    fn mutated_node_reports_never_panic(
+        muts in proptest::collection::vec((0usize..5, 0usize..10_000, 0u8..255), 1..4),
+    ) {
+        let mut doc = sample_node_report();
+        for (kind, pos, payload) in muts {
+            doc = mutate(&doc, kind, pos, payload);
+        }
+        if let Err(e) = NodeReport::parse(&doc) {
+            prop_assert!(!e.to_string().is_empty(), "error message must say something");
+        }
+    }
+}
+
+/// Targeted malformed node reports: each must be a parse *error*. A count
+/// near `u64::MAX` once reached `Vec::with_capacity` and panicked.
+#[test]
+fn malformed_node_reports_error_out() {
+    let valid = sample_node_report();
+    let edges = valid.lines().find(|l| l.starts_with("edges ")).unwrap();
+    let deliveries = valid.lines().find(|l| l.starts_with("deliveries ")).unwrap();
+    let cases: Vec<String> = vec![
+        String::new(),
+        valid.replace("nectar-node-report v1", "nectar-node-report v2"),
+        valid[..valid.len() / 2].to_string(),
+        valid.replace(edges, "edges 18000000000000000000"),
+        valid.replace(deliveries, "deliveries 18000000000000000000"),
+        valid.replace(edges, "edges -1"),
+        valid.replacen("\nedge ", "\nedge 1 ", 1),
+        valid.replace("end\n", "end now\n"),
+    ];
+    for (i, case) in cases.iter().enumerate() {
+        assert_ne!(case, &valid, "case {i} damaged nothing");
+        let got = NodeReport::parse(case);
+        assert!(got.is_err(), "case {i} parsed as {got:?}");
+    }
 }
 
 /// Targeted malformed reports: each of these must be a parse *error* —
@@ -198,6 +249,13 @@ fn malformed_reports_error_out() {
         valid.replace("\"script\": \"", "\"script\": 3, \"x\": \""),
         // A report saved by the retired thread-per-node runtime.
         valid.replace("\"runtime\": \"sync\"", "\"runtime\": \"threaded\""),
+        // Per-node metric vectors of unequal lengths (these reached an
+        // assert in `Metrics::from_parts`).
+        valid.replace("\"msgs_sent\": [", "\"msgs_sent\": [7, "),
+        // A topology too large to allocate (once a capacity-overflow
+        // panic), and one that disagrees with the report's n.
+        valid.replace("\"topology\": {\"n\": 6", "\"topology\": {\"n\": 1000000000000000000"),
+        valid.replace("\"topology\": {\"n\": 6", "\"topology\": {\"n\": 7"),
     ];
     for (i, case) in cases.iter().enumerate() {
         let got = RunReport::from_json(case);
