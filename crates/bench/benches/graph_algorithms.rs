@@ -60,19 +60,18 @@ fn bench_min_cut_and_traversal(c: &mut Criterion) {
 }
 
 fn bench_generators(c: &mut Criterion) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use nectar_graph::rng::Rng;
     let mut group = c.benchmark_group("generators");
     group.bench_function("harary_k10_n100", |b| b.iter(|| gen::harary(10, 100).expect("valid")));
     group.bench_function("drone_n100", |b| {
         b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(7);
+            let mut rng = Rng::seed_from_u64(7);
             gen::drone_scenario(100, 3.0, 1.8, &mut rng).expect("valid")
         })
     });
     group.bench_function("random_regular_k6_n100", |b| {
         b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(7);
+            let mut rng = Rng::seed_from_u64(7);
             gen::random_regular(6, 100, &mut rng).expect("valid")
         })
     });

@@ -9,8 +9,6 @@
 //! per edge : proof frame | chain frame                       (crypto codec)
 //! ```
 
-use bytes::{Buf, BufMut, BytesMut};
-
 use nectar_crypto::codec::{CodecError, Decode, Encode, MAX_COLLECTION_LEN};
 use nectar_crypto::{NeighborhoodProof, SignatureChain};
 
@@ -23,7 +21,7 @@ use crate::message::{NectarMsg, RelayedEdge, MSG_HEADER_BYTES};
 pub const CODEC_VERSION: u16 = 2;
 
 impl Encode for RelayedEdge {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         self.proof.encode(buf);
         self.chain.encode(buf);
     }
@@ -44,10 +42,10 @@ impl Decode for RelayedEdge {
 }
 
 impl Encode for NectarMsg {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u16(CODEC_VERSION);
-        buf.put_u16(0);
-        buf.put_u32(self.edges.len() as u32);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&CODEC_VERSION.to_be_bytes());
+        buf.extend_from_slice(&0u16.to_be_bytes());
+        buf.extend_from_slice(&(self.edges.len() as u32).to_be_bytes());
         for edge in &self.edges {
             edge.encode(buf);
         }
@@ -60,26 +58,25 @@ impl Encode for NectarMsg {
 
 impl Decode for NectarMsg {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        if buf.len() < MSG_HEADER_BYTES {
-            return Err(CodecError::UnexpectedEnd { decoding: "NectarMsg header" });
-        }
-        let mut head = &buf[..MSG_HEADER_BYTES];
-        *buf = &buf[MSG_HEADER_BYTES..];
-        let version = head.get_u16();
+        let (&[v0, v1, r0, r1, c0, c1, c2, c3], tail) = buf
+            .split_first_chunk::<MSG_HEADER_BYTES>()
+            .ok_or(CodecError::UnexpectedEnd { decoding: "NectarMsg header" })?;
+        *buf = tail;
+        let version = u16::from_be_bytes([v0, v1]);
         if version != CODEC_VERSION {
             return Err(CodecError::LengthOutOfBounds {
                 decoding: "NectarMsg version",
                 len: version as usize,
             });
         }
-        let reserved = head.get_u16();
+        let reserved = u16::from_be_bytes([r0, r1]);
         if reserved != 0 {
             return Err(CodecError::LengthOutOfBounds {
                 decoding: "wire format tag",
                 len: reserved as usize,
             });
         }
-        let count = head.get_u32() as usize;
+        let count = u32::from_be_bytes([c0, c1, c2, c3]) as usize;
         if count > MAX_COLLECTION_LEN {
             return Err(CodecError::LengthOutOfBounds { decoding: "NectarMsg edges", len: count });
         }
@@ -197,7 +194,11 @@ mod tests {
     fn empty_message_round_trips() {
         let msg = NectarMsg { edges: Vec::new() };
         let bytes = msg.to_wire_bytes();
-        assert_eq!(bytes.len(), MSG_HEADER_BYTES);
+        assert_eq!(bytes, [0, 2, 0, 0, 0, 0, 0, 0], "big-endian version, reserved, count");
+        assert_eq!(
+            NectarMsg::decode(&mut &bytes[..MSG_HEADER_BYTES - 1]),
+            Err(CodecError::UnexpectedEnd { decoding: "NectarMsg header" })
+        );
         let mut slice = bytes.as_slice();
         assert_eq!(NectarMsg::decode(&mut slice).unwrap(), msg);
     }

@@ -8,8 +8,6 @@
 //! HMAC tag padded to ECDSA's 64 bytes, see `docs/ARCHITECTURE.md` §2, "The
 //! crypto layer"), so measured sizes equal encoded sizes byte-for-byte.
 
-use bytes::{Buf, BufMut, BytesMut};
-
 use crate::chain::SignatureChain;
 use crate::keys::{Signature, SignerId};
 use crate::proof::NeighborhoodProof;
@@ -57,7 +55,7 @@ pub const MAX_COLLECTION_LEN: usize = u16::MAX as usize;
 /// Serialize a value into a byte buffer.
 pub trait Encode {
     /// Appends this value's wire form to `buf`.
-    fn encode(&self, buf: &mut BytesMut);
+    fn encode(&self, buf: &mut Vec<u8>);
 
     /// Exact number of bytes [`encode`](Self::encode) appends.
     fn encoded_len(&self) -> usize;
@@ -65,9 +63,9 @@ pub trait Encode {
     /// Convenience: encodes into a fresh buffer and hands that buffer
     /// back (no copy of what was just written).
     fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        let mut buf = Vec::with_capacity(self.encoded_len());
         self.encode(&mut buf);
-        buf.into()
+        buf
     }
 }
 
@@ -94,12 +92,21 @@ pub(crate) fn need<'a>(
     Ok(head)
 }
 
+/// [`need`] for a fixed-width head, handed back by value for
+/// `from_be_bytes`.
+pub(crate) fn need_array<const N: usize>(
+    buf: &mut &[u8],
+    what: &'static str,
+) -> Result<[u8; N], CodecError> {
+    Ok(need(buf, N, what)?.try_into().expect("need returns exactly N bytes"))
+}
+
 impl Encode for Signature {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u16(self.signer());
-        buf.put_slice(self.tag());
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.signer().to_be_bytes());
+        buf.extend_from_slice(self.tag());
         // Pad the 32-byte HMAC tag up to the ECDSA wire width.
-        buf.put_bytes(0, SIGNATURE_WIRE_BYTES - 32);
+        buf.resize(buf.len() + SIGNATURE_WIRE_BYTES - 32, 0);
     }
 
     fn encoded_len(&self) -> usize {
@@ -109,11 +116,8 @@ impl Encode for Signature {
 
 impl Decode for Signature {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let mut head = need(buf, 2, "signature signer")?;
-        let signer: SignerId = head.get_u16();
-        let tag_bytes = need(buf, 32, "signature tag")?;
-        let mut tag = [0u8; 32];
-        tag.copy_from_slice(tag_bytes);
+        let signer: SignerId = u16::from_be_bytes(need_array(buf, "signature signer")?);
+        let tag = need_array(buf, "signature tag")?;
         let padding = need(buf, SIGNATURE_WIRE_BYTES - 32, "signature padding")?;
         if padding.iter().any(|&b| b != 0) {
             return Err(CodecError::BadPadding);
@@ -123,10 +127,10 @@ impl Decode for Signature {
 }
 
 impl Encode for NeighborhoodProof {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         let (a, b) = self.endpoints();
-        buf.put_u16(a);
-        buf.put_u16(b);
+        buf.extend_from_slice(&a.to_be_bytes());
+        buf.extend_from_slice(&b.to_be_bytes());
         self.sig_a().encode(buf);
         self.sig_b().encode(buf);
     }
@@ -141,9 +145,8 @@ impl Encode for NeighborhoodProof {
 
 impl Decode for NeighborhoodProof {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let mut head = need(buf, 4, "proof endpoints")?;
-        let a = head.get_u16();
-        let b = head.get_u16();
+        let [a0, a1, b0, b1] = need_array(buf, "proof endpoints")?;
+        let (a, b) = (u16::from_be_bytes([a0, a1]), u16::from_be_bytes([b0, b1]));
         let sig_a = Signature::decode(buf)?;
         let sig_b = Signature::decode(buf)?;
         Ok(NeighborhoodProof::from_parts(a, b, sig_a, sig_b))
@@ -151,8 +154,8 @@ impl Decode for NeighborhoodProof {
 }
 
 impl Encode for SignatureChain {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u16(self.len() as u16);
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&(self.len() as u16).to_be_bytes());
         for link in self.links() {
             link.encode(buf);
         }
@@ -165,8 +168,7 @@ impl Encode for SignatureChain {
 
 impl Decode for SignatureChain {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let mut head = need(buf, 2, "chain length")?;
-        let len = head.get_u16() as usize;
+        let len = u16::from_be_bytes(need_array(buf, "chain length")?) as usize;
         if len > MAX_COLLECTION_LEN {
             return Err(CodecError::LengthOutOfBounds { decoding: "chain", len });
         }
@@ -249,6 +251,34 @@ mod tests {
         for cut in [0, 1, 3, 5, 40, bytes.len() - 1] {
             let mut slice = &bytes[..cut];
             assert!(NeighborhoodProof::decode(&mut slice).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn signature_wire_form_is_big_endian_and_zero_padded() {
+        let sig = Signature::from_parts(0x1234, [7; 32]);
+        let bytes = sig.to_wire_bytes();
+        let mut expected = vec![0x12, 0x34];
+        expected.extend([7; 32]);
+        expected.extend([0; SIGNATURE_WIRE_BYTES - 32]);
+        assert_eq!(bytes, expected);
+        let mut slice = bytes.as_slice();
+        assert_eq!(Signature::decode(&mut slice), Ok(sig));
+        assert!(slice.is_empty());
+        // A cut names the field it fell in, never reads past the end.
+        for (cut, field) in [
+            (0, "signature signer"),
+            (1, "signature signer"),
+            (2, "signature tag"),
+            (33, "signature tag"),
+            (34, "signature padding"),
+            (bytes.len() - 1, "signature padding"),
+        ] {
+            assert_eq!(
+                Signature::decode(&mut &bytes[..cut]),
+                Err(CodecError::UnexpectedEnd { decoding: field }),
+                "cut at {cut}"
+            );
         }
     }
 

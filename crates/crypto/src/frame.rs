@@ -27,9 +27,7 @@
 //! * **Versioning.** The first byte of every frame is the codec version;
 //!   a mismatch is an immediate decode error, not a misparse.
 
-use bytes::{Buf, BufMut, BytesMut};
-
-use crate::codec::{need, CodecError, Decode, Encode};
+use crate::codec::{need, need_array, CodecError, Decode, Encode};
 
 /// Frame codec version (first byte of every frame on the wire).
 pub const FRAME_VERSION: u8 = 1;
@@ -96,12 +94,12 @@ impl Frame {
     /// header: one buffer per frame, no payload vector in between. The
     /// length field is what `msg` actually wrote.
     pub fn data_wire_bytes<M: Encode>(from: u16, round: u32, msg: &M) -> Vec<u8> {
-        let mut buf = BytesMut::with_capacity(FRAME_HEADER_BYTES + msg.encoded_len());
+        let mut buf = Vec::with_capacity(FRAME_HEADER_BYTES + msg.encoded_len());
         put_header(&mut buf, KIND_DATA, from, round, 0);
         msg.encode(&mut buf);
         let len = (buf.len() - FRAME_HEADER_BYTES) as u32;
         buf[FRAME_HEADER_BYTES - 4..FRAME_HEADER_BYTES].copy_from_slice(&len.to_be_bytes());
-        buf.into()
+        buf
     }
 
     /// The frame a validated header and its payload bytes amount to.
@@ -114,27 +112,25 @@ impl Frame {
     }
 }
 
-fn put_header(buf: &mut BytesMut, kind: u8, from: u16, round: u32, len: u32) {
-    buf.put_u8(FRAME_VERSION);
-    buf.put_u8(kind);
-    buf.put_u16(from);
-    buf.put_u32(round);
-    buf.put_u32(len);
+fn put_header(buf: &mut Vec<u8>, kind: u8, from: u16, round: u32, len: u32) {
+    buf.extend_from_slice(&[FRAME_VERSION, kind]);
+    buf.extend_from_slice(&from.to_be_bytes());
+    buf.extend_from_slice(&round.to_be_bytes());
+    buf.extend_from_slice(&len.to_be_bytes());
 }
 
 /// Validated header fields: kind, from, round, payload length.
-fn parse_header(mut head: &[u8]) -> Result<(u8, u16, u32, usize), CodecError> {
-    let version = head.get_u8();
+fn parse_header(head: &[u8; FRAME_HEADER_BYTES]) -> Result<(u8, u16, u32, usize), CodecError> {
+    let [version, kind, f0, f1, r0, r1, r2, r3, l0, l1, l2, l3] = *head;
     if version != FRAME_VERSION {
         return Err(CodecError::LengthOutOfBounds {
             decoding: "frame version",
             len: version as usize,
         });
     }
-    let kind = head.get_u8();
-    let from = head.get_u16();
-    let round = head.get_u32();
-    let len = head.get_u32() as usize;
+    let from = u16::from_be_bytes([f0, f1]);
+    let round = u32::from_be_bytes([r0, r1, r2, r3]);
+    let len = u32::from_be_bytes([l0, l1, l2, l3]) as usize;
     if len > MAX_FRAME_PAYLOAD {
         return Err(CodecError::LengthOutOfBounds { decoding: "frame payload length", len });
     }
@@ -155,10 +151,10 @@ fn parse_header(mut head: &[u8]) -> Result<(u8, u16, u32, usize), CodecError> {
 }
 
 impl Encode for Frame {
-    fn encode(&self, buf: &mut BytesMut) {
+    fn encode(&self, buf: &mut Vec<u8>) {
         let (kind, from, round, payload) = self.parts();
         put_header(buf, kind, from, round, payload.len() as u32);
-        buf.put_slice(payload);
+        buf.extend_from_slice(payload);
     }
 
     fn encoded_len(&self) -> usize {
@@ -168,8 +164,7 @@ impl Encode for Frame {
 
 impl Decode for Frame {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let (kind, from, round, len) =
-            parse_header(need(buf, FRAME_HEADER_BYTES, "frame header")?)?;
+        let (kind, from, round, len) = parse_header(&need_array(buf, "frame header")?)?;
         Ok(Frame::assemble(kind, from, round, need(buf, len, "frame payload")?))
     }
 }
@@ -213,10 +208,10 @@ impl FrameBuffer {
     /// alone, before any payload arrives.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, CodecError> {
         let avail = &self.buf[self.start..];
-        if avail.len() < FRAME_HEADER_BYTES {
+        let Some(head) = avail.first_chunk() else {
             return Ok(None);
-        }
-        let (kind, from, round, len) = parse_header(&avail[..FRAME_HEADER_BYTES])?;
+        };
+        let (kind, from, round, len) = parse_header(head)?;
         let total = FRAME_HEADER_BYTES + len;
         if avail.len() < total {
             return Ok(None);
@@ -258,6 +253,27 @@ mod tests {
             assert_eq!(Frame::decode(&mut slice).unwrap(), frame);
             assert!(slice.is_empty(), "decode must consume exactly one frame");
         }
+    }
+
+    #[test]
+    fn header_fields_are_big_endian_at_fixed_offsets() {
+        let frame = Frame::Data { from: 0xBEEF, round: 0xDEAD_BEEF, payload: vec![1, 2, 3] };
+        let bytes = frame.to_wire_bytes();
+        assert_eq!(
+            bytes,
+            [FRAME_VERSION, KIND_DATA, 0xBE, 0xEF, 0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 3, 1, 2, 3]
+        );
+        let mut slice = bytes.as_slice();
+        assert_eq!(Frame::decode(&mut slice), Ok(frame));
+        assert!(slice.is_empty());
+        assert_eq!(
+            Frame::decode(&mut &bytes[..FRAME_HEADER_BYTES - 1]),
+            Err(CodecError::UnexpectedEnd { decoding: "frame header" })
+        );
+        assert_eq!(
+            Frame::decode(&mut &bytes[..FRAME_HEADER_BYTES + 2]),
+            Err(CodecError::UnexpectedEnd { decoding: "frame payload" })
+        );
     }
 
     #[test]

@@ -8,10 +8,8 @@
 
 use std::collections::BTreeMap;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use nectar_baselines::{run_mtg, run_mtg_v2, MtgConfig};
+use nectar_graph::rng::Rng;
 use nectar_graph::{gen, ConnectivityOracle, Graph};
 use nectar_net::Metrics;
 use nectar_protocol::{Runtime, Scenario};
@@ -189,7 +187,7 @@ pub fn per_node_disparity(quick: bool) -> Vec<Table> {
 type Cost = fn(&Graph, usize, u64) -> f64;
 
 fn drone_graph(n: usize, d: f64, radius: f64, seed: u64) -> Graph {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     gen::drone_scenario(n, d, radius, &mut rng).expect("valid drone parameters").graph
 }
 

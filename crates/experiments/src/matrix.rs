@@ -28,9 +28,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::fmt::Write as _;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
+use nectar_graph::rng::Rng;
 use nectar_graph::{gen, ConnectivityOracle, Graph};
 use nectar_net::NodeId;
 use nectar_protocol::report::json::{self, Fields};
@@ -192,10 +190,7 @@ impl FamilySpec {
             let (k, p) = params
                 .split_once("-p")
                 .ok_or_else(|| format!("family {name}: expected small-world-k<K>-p<P>"))?;
-            return Ok(FamilySpec::WattsStrogatz {
-                k: num(k)?,
-                p_per_mille: num(p)?.min(1000) as u16,
-            });
+            return Ok(FamilySpec::WattsStrogatz { k: num(k)?, p_per_mille: per_mille(p, name)? });
         }
         type Make = fn(usize) -> FamilySpec;
         let parameterized: [(&str, char, usize, Make); 7] = [
@@ -233,7 +228,7 @@ impl FamilySpec {
     /// Propagates the generator's parameter validation as a message (a
     /// family/size combination outside the generator's domain).
     pub fn build(&self, n: usize, seed: u64) -> Result<Graph, String> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let err = |e: nectar_graph::GraphError| format!("{}: {e}", self.name());
         match self {
             FamilySpec::Harary { k } => gen::harary(*k, n).map_err(err),
@@ -312,6 +307,15 @@ pub enum CastSpec {
     },
 }
 
+/// A `-p<P>` parameter in per mille: `0..=1000`, refused (never clamped)
+/// above, so a name always means the rate it spells.
+fn per_mille(p: &str, name: &str) -> Result<u16, String> {
+    match p.parse::<u16>() {
+        Ok(value) if value <= 1000 => Ok(value),
+        _ => Err(format!("bad parameter p{p} in {name}: expected a per-mille rate in 0..=1000")),
+    }
+}
+
 impl CastSpec {
     /// Stable identifier used in reports, CSV rows and the CLI.
     pub fn name(&self) -> String {
@@ -339,11 +343,6 @@ impl CastSpec {
     ///
     /// Returns a message listing the vocabulary on unknown names.
     pub fn parse(name: &str) -> Result<CastSpec, String> {
-        let flips = |s: &str| {
-            s.parse::<u16>()
-                .map_err(|_| format!("bad flip rate {s} in cast {name}"))
-                .map(|p| p.min(1000))
-        };
         match name {
             "honest" => Ok(CastSpec::Honest),
             "silent-random" => Ok(CastSpec::SilentRandom),
@@ -353,10 +352,12 @@ impl CastSpec {
             "falsify-colluding" => Ok(CastSpec::FalsifyColluding { flips_per_mille: 800 }),
             _ => {
                 if let Some(p) = name.strip_prefix("falsify-articulation-p") {
-                    return Ok(CastSpec::FalsifyArticulation { flips_per_mille: flips(p)? });
+                    return Ok(CastSpec::FalsifyArticulation {
+                        flips_per_mille: per_mille(p, name)?,
+                    });
                 }
                 if let Some(p) = name.strip_prefix("falsify-colluding-p") {
-                    return Ok(CastSpec::FalsifyColluding { flips_per_mille: flips(p)? });
+                    return Ok(CastSpec::FalsifyColluding { flips_per_mille: per_mille(p, name)? });
                 }
                 Err(format!(
                     "unknown cast {name}; expected honest | silent-random | silent-cut | \
@@ -1058,6 +1059,13 @@ mod tests {
         for bad in ["klein-bottle", "harary-kX", "harary-m4", "wheelbarrow", "small-world-k4"] {
             assert!(FamilySpec::parse(bad).is_err(), "{bad}");
         }
+        // A per-mille parameter above 1000 is refused, not clamped to p1000.
+        let p1000 = FamilySpec::WattsStrogatz { k: 4, p_per_mille: 1000 };
+        assert_eq!(FamilySpec::parse(&p1000.name()).unwrap(), p1000);
+        let err = FamilySpec::parse("small-world-k4-p2000").unwrap_err();
+        assert!(err.contains("0..=1000"), "{err}");
+        let err = CastSpec::parse("falsify-colluding-p5000").unwrap_err();
+        assert!(err.contains("0..=1000"), "{err}");
         let casts = [
             CastSpec::Honest,
             CastSpec::SilentRandom,

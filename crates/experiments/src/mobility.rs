@@ -28,10 +28,7 @@
 
 use std::collections::BTreeSet;
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{RngExt, SeedableRng};
-
+use nectar_graph::rng::Rng;
 use nectar_graph::Graph;
 use nectar_net::{NodeId, TopologySchedule};
 
@@ -240,11 +237,11 @@ pub fn waypoint(
     }
     // Mean degree ≈ n·πr²/side² = density  ⇒  side = r·√(πn/density).
     let side = radius * (std::f64::consts::PI * n as f64 / density).sqrt();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut positions: Vec<(f64, f64)> =
-        (0..n).map(|_| (rng.random::<f64>() * side, rng.random::<f64>() * side)).collect();
+        (0..n).map(|_| (rng.next_f64() * side, rng.next_f64() * side)).collect();
     let mut targets: Vec<(f64, f64)> =
-        (0..n).map(|_| (rng.random::<f64>() * side, rng.random::<f64>() * side)).collect();
+        (0..n).map(|_| (rng.next_f64() * side, rng.next_f64() * side)).collect();
 
     let mut per_round: Vec<BTreeSet<(NodeId, NodeId)>> = Vec::with_capacity(rounds);
     for round in 0..rounds {
@@ -261,7 +258,7 @@ pub fn waypoint(
             let dist = (dx * dx + dy * dy).sqrt();
             if dist <= speed {
                 positions[i] = (tx, ty);
-                targets[i] = (rng.random::<f64>() * side, rng.random::<f64>() * side);
+                targets[i] = (rng.next_f64() * side, rng.next_f64() * side);
             } else {
                 positions[i] = (px + dx / dist * speed, py + dy / dist * speed);
             }
@@ -363,8 +360,8 @@ pub fn rolling_churn(
         return Err("churn needs a topology with at least one edge".into());
     }
     edges.sort_unstable();
-    let mut rng = StdRng::seed_from_u64(seed);
-    edges.shuffle(&mut rng);
+    let mut rng = Rng::seed_from_u64(seed);
+    rng.shuffle(&mut edges);
     let mut schedule = TopologySchedule::new().with_seed(seed);
     for (k, &(u, v)) in edges.iter().enumerate() {
         let drop_round = 1 + k * period;

@@ -11,10 +11,7 @@
 //!   NECTAR ("the graph is at most t-connected, and the Byzantine nodes are
 //!   the t key nodes that decide the connectivity parameter").
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
+use nectar_graph::rng::Rng;
 use nectar_graph::{connectivity, gen, traversal, ConnectivityOracle, Graph};
 use nectar_net::NodeId;
 use nectar_protocol::ByzantineBehavior;
@@ -40,7 +37,7 @@ pub struct InsiderScenario {
 ///
 /// Panics if `t` exceeds the size of either part.
 pub fn partitioned_with_insiders(n: usize, t: usize, seed: u64) -> InsiderScenario {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let placement =
         gen::drone_scenario(n, 6.0, 2.4, &mut rng).expect("drone parameters are valid constants");
     let part_a: Vec<NodeId> = placement.first_cluster().collect();
@@ -49,8 +46,8 @@ pub fn partitioned_with_insiders(n: usize, t: usize, seed: u64) -> InsiderScenar
     let mut byzantine = Vec::with_capacity(t);
     let mut a_pool = part_a.clone();
     let mut b_pool = part_b.clone();
-    a_pool.shuffle(&mut rng);
-    b_pool.shuffle(&mut rng);
+    rng.shuffle(&mut a_pool);
+    rng.shuffle(&mut b_pool);
     for i in 0..t {
         let pool = if i % 2 == 0 { &mut a_pool } else { &mut b_pool };
         byzantine.push(pool.pop().expect("pool size checked above"));
@@ -84,7 +81,7 @@ pub struct BridgeScenario {
 pub fn bridged_partition(n: usize, t: usize, links_per_part: usize, seed: u64) -> BridgeScenario {
     assert!(t >= 1, "bridge scenario requires at least one Byzantine bridge");
     let correct = n - t;
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let placement = gen::drone_scenario(correct, 6.0, 2.4, &mut rng)
         .expect("drone parameters are valid constants");
     let part_a: Vec<NodeId> = placement.first_cluster().collect();
@@ -102,7 +99,7 @@ pub fn bridged_partition(n: usize, t: usize, links_per_part: usize, seed: u64) -
         for part in [&part_a, &part_b] {
             // Distinct random endpoints in this part.
             let mut pool = part.clone();
-            pool.shuffle(&mut rng);
+            rng.shuffle(&mut pool);
             for &target in pool.iter().take(links_per_part) {
                 graph.add_edge(b, target).expect("in range");
             }
@@ -139,9 +136,9 @@ pub struct ClusteredFleet {
 pub fn clustered_fleet(clusters: usize, size: usize, t: usize, seed: u64) -> ClusteredFleet {
     assert!(t <= clusters, "at most one Byzantine insider per cluster");
     let graph = gen::disjoint_cliques(clusters, size);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut cluster_ids: Vec<usize> = (0..clusters).collect();
-    cluster_ids.shuffle(&mut rng);
+    rng.shuffle(&mut cluster_ids);
     let mut byzantine: Vec<NodeId> = cluster_ids
         .into_iter()
         .take(t)
@@ -160,9 +157,9 @@ pub fn clustered_fleet(clusters: usize, size: usize, t: usize, seed: u64) -> Clu
 pub fn random_byzantine_placement(g: &Graph, t: usize, seed: u64) -> Vec<NodeId> {
     let n = g.node_count();
     assert!(t <= n, "cannot pick {t} Byzantine nodes out of {n}");
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut nodes: Vec<NodeId> = (0..n).collect();
-    nodes.shuffle(&mut rng);
+    rng.shuffle(&mut nodes);
     nodes.truncate(t);
     nodes.sort_unstable();
     nodes
@@ -199,7 +196,7 @@ pub fn cut_byzantine_placement_with(
         return random_byzantine_placement(g, t, seed);
     }
     let mut cut = nectar_graph::connectivity::min_vertex_cut(g).unwrap_or_default();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     // Components of G \ cut: pad only from the most populous one.
     let without = g.without_nodes(&cut);
     let (ids, count) = nectar_graph::traversal::connected_components(&without);
@@ -214,7 +211,7 @@ pub fn cut_byzantine_placement_with(
     let mut pool: Vec<NodeId> = (0..g.node_count())
         .filter(|v| !cut_set.contains(v) && largest.is_some_and(|c| ids[*v] == c))
         .collect();
-    pool.shuffle(&mut rng);
+    rng.shuffle(&mut pool);
     while cut.len() < t {
         match pool.pop() {
             Some(extra) => cut.push(extra),
@@ -246,7 +243,7 @@ pub fn articulation_byzantine_placement(g: &Graph, t: usize, seed: u64) -> Vec<N
     if points.len() < t {
         // Pad from the most populous component left by the chosen points,
         // so the extras can never swallow a separated side whole.
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let chosen: std::collections::BTreeSet<NodeId> = points.iter().copied().collect();
         let without = g.without_nodes(&points);
         let (ids, count) = traversal::connected_components(&without);
@@ -260,7 +257,7 @@ pub fn articulation_byzantine_placement(g: &Graph, t: usize, seed: u64) -> Vec<N
         let mut pool: Vec<NodeId> = (0..g.node_count())
             .filter(|v| !chosen.contains(v) && largest.is_some_and(|c| ids[*v] == c))
             .collect();
-        pool.shuffle(&mut rng);
+        rng.shuffle(&mut pool);
         while points.len() < t {
             match pool.pop() {
                 Some(extra) => points.push(extra),

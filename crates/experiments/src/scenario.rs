@@ -603,11 +603,20 @@ impl ScenarioSpec {
             return Err(at("t", format!("t = {} needs fewer than the n = {n} nodes", self.t)));
         }
         let mut seen_nodes = BTreeSet::new();
-        for (i, &(node, _)) in self.byzantine.iter().enumerate() {
+        for (i, &(node, ref behavior)) in self.byzantine.iter().enumerate() {
             let line = self.src.byz_lines.get(i).copied().unwrap_or(0);
             let fail = |reason: String| ScenarioError { file: self.src.file.clone(), line, reason };
             if node >= n {
                 return Err(fail(format!("byzantine node {node} is out of range for {n} nodes")));
+            }
+            if let ByzantineBehavior::TwoFaced { silent_toward: range }
+            | ByzantineBehavior::HideEdges { toward: range } = behavior
+            {
+                if let Some(&far) = range.last().filter(|&&far| far >= n) {
+                    return Err(fail(format!(
+                        "byzantine node {node} names node {far}, out of range for {n} nodes"
+                    )));
+                }
             }
             if !seen_nodes.insert(node) {
                 return Err(fail(format!("byzantine node {node} is cast twice")));
@@ -870,6 +879,10 @@ fn parse_node_range(range: &str, spec: &str) -> Result<BTreeSet<NodeId>, String>
     if a > b {
         return Err(format!("empty range in {spec}"));
     }
+    // Refused before the range is materialized: ids are u16 on the wire.
+    if b >= MAX_NODES {
+        return Err(format!("range end {b} in {spec} exceeds the {MAX_NODES}-node limit"));
+    }
     Ok((a..=b).collect())
 }
 
@@ -991,6 +1004,8 @@ profile
             ("topology klein-bottle 8\n", "unknown family"),
             ("transport warp\n", "unknown transport"),
             ("byz 0:explode\n", "unknown behavior"),
+            ("byz 0:hide@0-70000\n", "exceeds the 65536-node limit"),
+            ("byz 0:two-faced@0-100000000\n", "exceeds the 65536-node limit"),
             ("base-port 99999\n", "bad base port"),
         ] {
             let err = ScenarioSpec::parse(doc, "bad.scn").unwrap_err();
@@ -1017,6 +1032,8 @@ profile
             ("nodes 4\nedge 0 0\n", "loop"),
             ("topology harary-k2 8\nt 8\n", "fewer than"),
             ("topology harary-k2 8\nbyz 9:silent\n", "out of range"),
+            ("topology harary-k2 20\nbyz 0:two-faced@1-500\n", "names node 500, out of range"),
+            ("topology harary-k2 20\nbyz 0:hide@0-20\n", "names node 20, out of range"),
             ("topology harary-k2 8\nbyz 1:silent\nbyz 1:crash@2\n", "cast twice"),
             ("topology harary-k2 8\nschedule @missing.sched\n", "cannot read schedule file"),
             ("mobility waypoint\ntopology harary-k2 8\n", "generates its own topology"),

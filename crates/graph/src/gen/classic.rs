@@ -4,9 +4,8 @@
 //! ring that is safe against one Byzantine node, the star whose hub is a
 //! cut vertex) plus the standard families tests sweep over.
 
-use rand::{Rng, RngExt};
-
 use crate::graph::Graph;
+use crate::rng::Rng;
 
 /// Complete graph `K_n`.
 pub fn complete(n: usize) -> Graph {
@@ -79,12 +78,12 @@ pub fn disjoint_cliques(count: usize, size: usize) -> Graph {
 /// # Panics
 ///
 /// Panics if `p` is not within `[0, 1]`.
-pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
+pub fn erdos_renyi(n: usize, p: f64, rng: &mut Rng) -> Graph {
     assert!((0.0..=1.0).contains(&p), "edge probability must be in [0, 1]");
     let mut g = Graph::empty(n);
     for u in 0..n {
         for v in u + 1..n {
-            if rng.random::<f64>() < p {
+            if rng.next_f64() < p {
                 g.add_edge(u, v).expect("indices in range");
             }
         }
@@ -96,8 +95,6 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
 mod tests {
     use super::*;
     use crate::traversal::{diameter, is_connected};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn complete_graph_shape() {
@@ -142,21 +139,21 @@ mod tests {
 
     #[test]
     fn erdos_renyi_extremes() {
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::seed_from_u64(42);
         assert_eq!(erdos_renyi(8, 0.0, &mut rng).edge_count(), 0);
         assert!(erdos_renyi(8, 1.0, &mut rng).is_complete());
     }
 
     #[test]
     fn erdos_renyi_is_seeded_deterministic() {
-        let g1 = erdos_renyi(20, 0.3, &mut StdRng::seed_from_u64(7));
-        let g2 = erdos_renyi(20, 0.3, &mut StdRng::seed_from_u64(7));
+        let g1 = erdos_renyi(20, 0.3, &mut Rng::seed_from_u64(7));
+        let g2 = erdos_renyi(20, 0.3, &mut Rng::seed_from_u64(7));
         assert_eq!(g1, g2);
     }
 
     #[test]
     fn dense_er_graphs_are_usually_connected() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let g = erdos_renyi(30, 0.5, &mut rng);
         assert!(is_connected(&g));
     }

@@ -5,10 +5,9 @@
 //! related work draws on (§VI-A); the library ships them so downstream
 //! users can evaluate partition detection on their own deployment shapes.
 
-use rand::{Rng, RngExt};
-
 use crate::error::GraphError;
 use crate::graph::Graph;
+use crate::rng::Rng;
 
 /// `rows × cols` grid graph (4-neighborhood).
 pub fn grid(rows: usize, cols: usize) -> Graph {
@@ -60,12 +59,7 @@ pub fn torus(rows: usize, cols: usize) -> Result<Graph, GraphError> {
 ///
 /// Returns [`GraphError::InvalidParameters`] unless `k` is even,
 /// `2 ≤ k < n`, and `p ∈ [0, 1]`.
-pub fn watts_strogatz<R: Rng + ?Sized>(
-    n: usize,
-    k: usize,
-    p: f64,
-    rng: &mut R,
-) -> Result<Graph, GraphError> {
+pub fn watts_strogatz(n: usize, k: usize, p: f64, rng: &mut Rng) -> Result<Graph, GraphError> {
     if k % 2 != 0 || k < 2 || k >= n {
         return Err(GraphError::InvalidParameters {
             reason: format!("Watts-Strogatz requires even 2 <= k < n (got k={k}, n={n})"),
@@ -80,11 +74,11 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
     for v in 0..n {
         for j in 1..=k / 2 {
             let mut target = (v + j) % n;
-            if rng.random::<f64>() < p {
+            if rng.next_f64() < p {
                 // Rewire to a uniform non-self, non-duplicate endpoint;
                 // keep the lattice edge if no legal target exists.
                 for _ in 0..2 * n {
-                    let candidate = rng.random_range(0..n);
+                    let candidate = rng.range(0..n);
                     if candidate != v && !g.has_edge(v, candidate) {
                         target = candidate;
                         break;
@@ -106,11 +100,7 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
 /// # Errors
 ///
 /// Returns [`GraphError::InvalidParameters`] unless `1 ≤ m < n`.
-pub fn barabasi_albert<R: Rng + ?Sized>(
-    n: usize,
-    m: usize,
-    rng: &mut R,
-) -> Result<Graph, GraphError> {
+pub fn barabasi_albert(n: usize, m: usize, rng: &mut Rng) -> Result<Graph, GraphError> {
     if m == 0 || m >= n {
         return Err(GraphError::InvalidParameters {
             reason: format!("Barabasi-Albert requires 1 <= m < n (got m={m}, n={n})"),
@@ -129,7 +119,7 @@ pub fn barabasi_albert<R: Rng + ?Sized>(
         let mut targets = std::collections::BTreeSet::new();
         let mut guard = 0;
         while targets.len() < m && guard < 100 * n {
-            let pick = if urn.is_empty() { v - 1 } else { urn[rng.random_range(0..urn.len())] };
+            let pick = if urn.is_empty() { v - 1 } else { urn[rng.range(0..urn.len())] };
             targets.insert(pick);
             guard += 1;
         }
@@ -147,8 +137,6 @@ mod tests {
     use super::*;
     use crate::connectivity::vertex_connectivity;
     use crate::traversal::{diameter, is_connected};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn grid_shape() {
@@ -178,7 +166,7 @@ mod tests {
 
     #[test]
     fn watts_strogatz_zero_p_is_the_ring_lattice() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let g = watts_strogatz(12, 4, 0.0, &mut rng).unwrap();
         assert!((0..12).all(|v| g.degree(v) == 4));
         assert_eq!(vertex_connectivity(&g), 4);
@@ -186,7 +174,7 @@ mod tests {
 
     #[test]
     fn watts_strogatz_rewiring_shrinks_the_diameter() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let lattice = watts_strogatz(40, 4, 0.0, &mut rng).unwrap();
         let small_world = watts_strogatz(40, 4, 0.3, &mut rng).unwrap();
         if is_connected(&small_world) {
@@ -196,7 +184,7 @@ mod tests {
 
     #[test]
     fn watts_strogatz_rejects_bad_parameters() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         assert!(watts_strogatz(10, 3, 0.1, &mut rng).is_err());
         assert!(watts_strogatz(10, 4, 1.5, &mut rng).is_err());
         assert!(watts_strogatz(4, 4, 0.1, &mut rng).is_err());
@@ -204,7 +192,7 @@ mod tests {
 
     #[test]
     fn barabasi_albert_shape() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let g = barabasi_albert(30, 2, &mut rng).unwrap();
         assert_eq!(g.node_count(), 30);
         assert!(is_connected(&g));
@@ -216,7 +204,7 @@ mod tests {
 
     #[test]
     fn barabasi_albert_has_hubs() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let g = barabasi_albert(60, 2, &mut rng).unwrap();
         let max_deg = g.max_degree().unwrap();
         assert!(max_deg >= 8, "preferential attachment should grow hubs (max degree {max_deg})");
@@ -224,11 +212,11 @@ mod tests {
 
     #[test]
     fn generators_are_seeded_deterministic() {
-        let a = watts_strogatz(20, 4, 0.2, &mut StdRng::seed_from_u64(9)).unwrap();
-        let b = watts_strogatz(20, 4, 0.2, &mut StdRng::seed_from_u64(9)).unwrap();
+        let a = watts_strogatz(20, 4, 0.2, &mut Rng::seed_from_u64(9)).unwrap();
+        let b = watts_strogatz(20, 4, 0.2, &mut Rng::seed_from_u64(9)).unwrap();
         assert_eq!(a, b);
-        let a = barabasi_albert(20, 2, &mut StdRng::seed_from_u64(9)).unwrap();
-        let b = barabasi_albert(20, 2, &mut StdRng::seed_from_u64(9)).unwrap();
+        let a = barabasi_albert(20, 2, &mut Rng::seed_from_u64(9)).unwrap();
+        let b = barabasi_albert(20, 2, &mut Rng::seed_from_u64(9)).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -7,10 +7,9 @@
 //! and `d = 0` the graph is complete; `d = 6` yields a partitioned network
 //! (§V-B).
 
-use rand::{Rng, RngExt};
-
 use crate::error::GraphError;
 use crate::graph::Graph;
+use crate::rng::Rng;
 
 /// A drone placement: node coordinates plus the induced communication graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,11 +67,11 @@ impl DronePlacement {
 ///
 /// Returns [`GraphError::InvalidParameters`] if `radius` or `d` is negative
 /// or not finite.
-pub fn drone_scenario<R: Rng + ?Sized>(
+pub fn drone_scenario(
     n: usize,
     d: f64,
     radius: f64,
-    rng: &mut R,
+    rng: &mut Rng,
 ) -> Result<DronePlacement, GraphError> {
     two_cluster_geometric(n, d, radius, 1.0, rng)
 }
@@ -84,12 +83,12 @@ pub fn drone_scenario<R: Rng + ?Sized>(
 ///
 /// Returns [`GraphError::InvalidParameters`] if any of `d`, `radius`,
 /// `cluster_radius` is negative or not finite.
-pub fn two_cluster_geometric<R: Rng + ?Sized>(
+pub fn two_cluster_geometric(
     n: usize,
     d: f64,
     radius: f64,
     cluster_radius: f64,
-    rng: &mut R,
+    rng: &mut Rng,
 ) -> Result<DronePlacement, GraphError> {
     for (name, v) in [("d", d), ("radius", radius), ("cluster_radius", cluster_radius)] {
         if !v.is_finite() || v < 0.0 {
@@ -108,9 +107,9 @@ pub fn two_cluster_geometric<R: Rng + ?Sized>(
     Ok(DronePlacement { positions, graph, radius })
 }
 
-fn sample_in_disk<R: Rng + ?Sized>(cx: f64, cy: f64, disk_radius: f64, rng: &mut R) -> (f64, f64) {
-    let r = disk_radius * rng.random::<f64>().sqrt();
-    let theta = 2.0 * std::f64::consts::PI * rng.random::<f64>();
+fn sample_in_disk(cx: f64, cy: f64, disk_radius: f64, rng: &mut Rng) -> (f64, f64) {
+    let r = disk_radius * rng.next_f64().sqrt();
+    let theta = 2.0 * std::f64::consts::PI * rng.next_f64();
     (cx + r * theta.cos(), cy + r * theta.sin())
 }
 
@@ -134,12 +133,10 @@ fn graph_from_positions(positions: &[(f64, f64)], radius: f64) -> Graph {
 mod tests {
     use super::*;
     use crate::traversal::{is_connected, is_partitioned};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn rejects_bad_parameters() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::seed_from_u64(0);
         assert!(drone_scenario(10, -1.0, 1.0, &mut rng).is_err());
         assert!(drone_scenario(10, 0.0, f64::NAN, &mut rng).is_err());
         assert!(two_cluster_geometric(10, 0.0, 1.0, -2.0, &mut rng).is_err());
@@ -148,7 +145,7 @@ mod tests {
     #[test]
     fn coincident_clusters_with_wide_scope_are_complete() {
         // d = 0, radius = 2.4: any two points in the unit disk are within 2.
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let p = drone_scenario(20, 0.0, 2.4, &mut rng).unwrap();
         assert!(p.graph.is_complete());
     }
@@ -156,7 +153,7 @@ mod tests {
     #[test]
     fn distant_clusters_are_partitioned() {
         // d = 6, radius = 2.4: inter-cluster distance is at least 4.
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let p = drone_scenario(20, 6.0, 2.4, &mut rng).unwrap();
         assert!(is_partitioned(&p.graph));
         // No edge crosses the two scatters.
@@ -169,7 +166,7 @@ mod tests {
 
     #[test]
     fn moderate_distance_usually_connects_clusters() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let mut connected = 0;
         for _ in 0..20 {
             let p = drone_scenario(20, 1.0, 2.4, &mut rng).unwrap();
@@ -182,7 +179,7 @@ mod tests {
 
     #[test]
     fn with_radius_recomputes_edges_in_place() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let p = drone_scenario(16, 0.0, 2.4, &mut rng).unwrap();
         let narrow = p.with_radius(0.05);
         assert_eq!(narrow.positions, p.positions);
@@ -191,15 +188,15 @@ mod tests {
 
     #[test]
     fn sampling_is_seeded_deterministic() {
-        let a = drone_scenario(12, 2.0, 1.2, &mut StdRng::seed_from_u64(7)).unwrap();
-        let b = drone_scenario(12, 2.0, 1.2, &mut StdRng::seed_from_u64(7)).unwrap();
+        let a = drone_scenario(12, 2.0, 1.2, &mut Rng::seed_from_u64(7)).unwrap();
+        let b = drone_scenario(12, 2.0, 1.2, &mut Rng::seed_from_u64(7)).unwrap();
         assert_eq!(a.positions, b.positions);
         assert_eq!(a.graph, b.graph);
     }
 
     #[test]
     fn points_stay_within_their_disk() {
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = Rng::seed_from_u64(8);
         let p = two_cluster_geometric(30, 5.0, 1.0, 1.0, &mut rng).unwrap();
         for i in p.first_cluster() {
             let (x, y) = p.positions[i];

@@ -11,6 +11,11 @@
 //! * [`drone_scenario`]: the two-barycenter random geometric graphs of
 //!   Fig. 2,
 //! * [`complete`], [`path`], [`cycle`], [`star`], [`erdos_renyi`]: classics.
+//!
+//! The randomized families (`erdos_renyi`, `random_regular[_connected]`,
+//! `watts_strogatz`, `barabasi_albert`, `drone_scenario`,
+//! `two_cluster_geometric`) draw from a caller-seeded [`crate::rng::Rng`],
+//! so a seed names one graph on every platform.
 
 mod classic;
 mod extra;

@@ -2,10 +2,9 @@
 //! (§V-B cites Steger and Wormald, *Generating Random Regular Graphs
 //! Quickly*, 1999).
 
-use rand::{Rng, RngExt};
-
 use crate::error::GraphError;
 use crate::graph::Graph;
+use crate::rng::Rng;
 use crate::traversal::is_connected;
 
 /// Samples a random k-regular simple graph on `n` nodes with the
@@ -18,11 +17,7 @@ use crate::traversal::is_connected;
 /// # Errors
 ///
 /// Returns [`GraphError::InvalidParameters`] if `k ≥ n` or `k·n` is odd.
-pub fn random_regular<R: Rng + ?Sized>(
-    k: usize,
-    n: usize,
-    rng: &mut R,
-) -> Result<Graph, GraphError> {
+pub fn random_regular(k: usize, n: usize, rng: &mut Rng) -> Result<Graph, GraphError> {
     if k >= n {
         return Err(GraphError::InvalidParameters {
             reason: format!("random regular graph requires k < n (got k={k}, n={n})"),
@@ -51,10 +46,10 @@ pub fn random_regular<R: Rng + ?Sized>(
 ///
 /// Returns [`GraphError::InvalidParameters`] on bad `(k, n)` (see
 /// [`random_regular`]) or when `max_attempts` samples were all disconnected.
-pub fn random_regular_connected<R: Rng + ?Sized>(
+pub fn random_regular_connected(
     k: usize,
     n: usize,
-    rng: &mut R,
+    rng: &mut Rng,
     max_attempts: usize,
 ) -> Result<Graph, GraphError> {
     for _ in 0..max_attempts {
@@ -70,7 +65,7 @@ pub fn random_regular_connected<R: Rng + ?Sized>(
     })
 }
 
-fn try_pairing<R: Rng + ?Sized>(k: usize, n: usize, rng: &mut R) -> Option<Graph> {
+fn try_pairing(k: usize, n: usize, rng: &mut Rng) -> Option<Graph> {
     let mut g = Graph::empty(n);
     // Remaining free stubs per node.
     let mut free: Vec<usize> = vec![k; n];
@@ -80,8 +75,8 @@ fn try_pairing<R: Rng + ?Sized>(k: usize, n: usize, rng: &mut R) -> Option<Graph
         // Retry a bounded number of random picks before declaring a wedge.
         let mut placed = false;
         for _ in 0..50 {
-            let a = open[rng.random_range(0..open.len())];
-            let b = open[rng.random_range(0..open.len())];
+            let a = open[rng.range(0..open.len())];
+            let b = open[rng.range(0..open.len())];
             if a == b || g.has_edge(a, b) {
                 continue;
             }
@@ -135,26 +130,24 @@ fn find_legal_pair(g: &Graph, open: &[usize]) -> Option<(usize, usize)> {
 mod tests {
     use super::*;
     use crate::connectivity::vertex_connectivity;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn rejects_invalid_parameters() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::seed_from_u64(0);
         assert!(random_regular(5, 5, &mut rng).is_err());
         assert!(random_regular(3, 5, &mut rng).is_err()); // odd k*n
     }
 
     #[test]
     fn zero_regular_graph_is_empty() {
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = Rng::seed_from_u64(0);
         let g = random_regular(0, 6, &mut rng).unwrap();
         assert_eq!(g.edge_count(), 0);
     }
 
     #[test]
     fn samples_are_k_regular_and_simple() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         for (k, n) in [(2, 10), (3, 10), (4, 15), (6, 20)] {
             let g = random_regular(k, n, &mut rng).unwrap();
             assert!((0..n).all(|v| g.degree(v) == k), "({k},{n})");
@@ -164,7 +157,7 @@ mod tests {
 
     #[test]
     fn connected_variant_is_connected_with_expected_connectivity() {
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         let g = random_regular_connected(4, 20, &mut rng, 100).unwrap();
         assert!(is_connected(&g));
         // Random 4-regular graphs are 4-connected w.h.p.; at minimum 1.
@@ -173,8 +166,8 @@ mod tests {
 
     #[test]
     fn seeded_sampling_is_deterministic() {
-        let g1 = random_regular(4, 16, &mut StdRng::seed_from_u64(11)).unwrap();
-        let g2 = random_regular(4, 16, &mut StdRng::seed_from_u64(11)).unwrap();
+        let g1 = random_regular(4, 16, &mut Rng::seed_from_u64(11)).unwrap();
+        let g2 = random_regular(4, 16, &mut Rng::seed_from_u64(11)).unwrap();
         assert_eq!(g1, g2);
     }
 }

@@ -195,30 +195,6 @@ impl Graph {
         }
         out
     }
-
-    /// Merges all edges of `other` into `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeOutOfRange`] if `other` has more nodes than
-    /// `self`.
-    pub fn union_edges(&mut self, other: &Graph) -> Result<(), GraphError> {
-        for (u, v) in other.edges() {
-            self.add_edge(u, v)?;
-        }
-        Ok(())
-    }
-
-    /// Dense adjacency-matrix view (`true` where an edge is present).
-    pub fn to_adjacency_matrix(&self) -> Vec<Vec<bool>> {
-        let n = self.node_count();
-        let mut m = vec![vec![false; n]; n];
-        for (u, v) in self.edges() {
-            m[u][v] = true;
-            m[v][u] = true;
-        }
-        m
-    }
 }
 
 impl FromIterator<(usize, usize)> for Graph {
@@ -319,25 +295,9 @@ mod tests {
     }
 
     #[test]
-    fn union_edges_merges_graphs() {
-        let mut a = Graph::from_edges(4, [(0, 1)]).unwrap();
-        let b = Graph::from_edges(4, [(2, 3), (0, 1)]).unwrap();
-        a.union_edges(&b).unwrap();
-        assert_eq!(a.edge_count(), 2);
-    }
-
-    #[test]
     fn from_iterator_sizes_vertex_set() {
         let g: Graph = [(0, 4), (1, 2)].into_iter().collect();
         assert_eq!(g.node_count(), 5);
         assert_eq!(g.edge_count(), 2);
-    }
-
-    #[test]
-    fn adjacency_matrix_matches_edges() {
-        let g = Graph::from_edges(3, [(0, 2)]).unwrap();
-        let m = g.to_adjacency_matrix();
-        assert!(m[0][2] && m[2][0]);
-        assert!(!m[0][1] && !m[1][0]);
     }
 }

@@ -619,9 +619,8 @@ mod tests {
         // A κ = 2 drone placement whose min-degree vertex has both dense
         // (κ(v, w) > t) and fringe (κ(v, w) ≤ t) non-neighbors: the
         // low-degree-first order must answer YES with a single bounded flow.
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(0);
+        use crate::rng::Rng;
+        let mut rng = Rng::seed_from_u64(0);
         let g = gen::drone_scenario(24, 3.0, 2.2, &mut rng).unwrap().graph;
         let kappa = vertex_connectivity(&g);
         let delta = g.min_degree().unwrap();
@@ -650,9 +649,8 @@ mod proptests {
     use super::*;
     use crate::connectivity::vertex_connectivity;
     use crate::gen;
+    use crate::rng::Rng;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     /// One shared oracle across all cases also exercises cache keying: any
     /// fingerprint mix-up between the zoo's graphs would surface as a
@@ -698,7 +696,7 @@ mod proptests {
 
         #[test]
         fn matches_exact_on_geometric(seed in 0u64..1000, d in 0usize..7) {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let placement = gen::drone_scenario(12, d as f64, 2.0, &mut rng).unwrap();
             let mut oracle = ConnectivityOracle::new();
             check_against_exact(&mut oracle, &placement.graph);
@@ -706,7 +704,7 @@ mod proptests {
 
         #[test]
         fn matches_exact_on_random_regular(seed in 0u64..1000, k in 3usize..6) {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let n = if k % 2 == 1 { 12 } else { 13 };
             let g = gen::random_regular(k, n, &mut rng).unwrap();
             let mut oracle = ConnectivityOracle::new();
@@ -845,7 +843,7 @@ mod proptests {
             per_mille in 0u32..=1000,
         ) {
             let p = f64::from(per_mille) / 1000.0;
-            let g = gen::erdos_renyi(n, p, &mut StdRng::seed_from_u64(seed));
+            let g = gen::erdos_renyi(n, p, &mut Rng::seed_from_u64(seed));
             for t in 0..=3 {
                 check_against_dense_reference(&g, t, seed);
             }

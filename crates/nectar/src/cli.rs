@@ -1148,7 +1148,14 @@ mod tests {
                 (2, ByzantineBehavior::HideEdges { toward: [1, 2].into() }),
             ]
         );
-        for bad in ["nonsense", "0:warp@1-2", "0:two-faced@6-4"] {
+        // A range past the u16 id space is refused before it is built.
+        for bad in [
+            "nonsense",
+            "0:warp@1-2",
+            "0:two-faced@6-4",
+            "0:two-faced@0-100000000",
+            "0:hide@0-10000000",
+        ] {
             assert!(parse(&strs(&["detect", "--byz", bad])).is_err(), "{bad}");
         }
     }
@@ -1364,6 +1371,10 @@ mod tests {
             (
                 &["--topology", "cycle", "--n", "6", "--byz", "3:silent", "--byz", "3:silent"][..],
                 "byzantine node 3 is cast twice",
+            ),
+            (
+                &["--n", "20", "--byz", "0:two-faced@1-500"][..],
+                "byzantine node 0 names node 500, out of range for 20 nodes",
             ),
             // Node 65 536 has no `u16` wire id (this one panicked).
             (

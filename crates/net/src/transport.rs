@@ -787,42 +787,16 @@ impl SocketTransport {
         let _ = std::fs::remove_file(listen);
         let listener = UnixListener::bind(listen).map_err(|e| io_err("binding socket", &e))?;
         listener.set_nonblocking(true).map_err(|e| io_err("binding socket", &e))?;
-        let deadline = Instant::now() + config.connect_timeout;
-        let (tx, rx) = mpsc::channel();
-        let (ready_tx, ready_rx) = mpsc::channel();
-        {
-            let tx = tx.clone();
-            let expected = peers.len();
-            std::thread::spawn(move || {
-                accept_all(
-                    || {
-                        listener.accept().map(|(stream, _)| {
-                            let _ = stream.set_nonblocking(false);
-                            stream
-                        })
-                    },
-                    expected,
-                    deadline,
-                    tx,
-                    ready_tx,
-                );
-            });
-        }
-        let mut writers: BTreeMap<NodeId, Box<dyn Write + Send>> = BTreeMap::new();
-        for (peer, path) in peers {
-            let stream =
-                dial_with_backoff(|| UnixStream::connect(path), deadline, config.initial_backoff)?;
-            writers.insert(*peer, Box::new(stream));
-        }
-        Self::finish(local, peers.iter().map(|&(p, _)| p).collect(), writers, rx, ready_rx, {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            remaining + Duration::from_secs(1)
-        })
-        .map(|mut t| {
-            t.cleanup = Some(listen.to_path_buf());
-            t.recv_timeout = config.recv_timeout;
-            t
-        })
+        let accept = move || {
+            listener.accept().map(|(stream, _)| {
+                let _ = stream.set_nonblocking(false);
+                stream
+            })
+        };
+        let mut transport =
+            Self::connect(local, accept, |path| UnixStream::connect(path), peers, config)?;
+        transport.cleanup = Some(listen.to_path_buf());
+        Ok(transport)
     }
 
     /// Connects a TCP transport on loopback/LAN addresses: binds
@@ -842,63 +816,52 @@ impl SocketTransport {
 
         let listener = TcpListener::bind(listen).map_err(|e| io_err("binding socket", &e))?;
         listener.set_nonblocking(true).map_err(|e| io_err("binding socket", &e))?;
+        let accept = move || {
+            listener.accept().map(|(stream, _)| {
+                let _ = stream.set_nonblocking(false);
+                let _ = stream.set_nodelay(true);
+                stream
+            })
+        };
+        let dial = |addr: &std::net::SocketAddr| {
+            let stream = TcpStream::connect(addr)?;
+            let _ = stream.set_nodelay(true);
+            Ok(stream)
+        };
+        Self::connect(local, accept, dial, peers, config)
+    }
+
+    /// The bring-up both constructors share, over any stream type: accept
+    /// every peer on a background thread, dial every peer's address with
+    /// backoff, send the `Hello` handshake on every outbound link, then
+    /// wait for the accept loop to confirm every peer dialed us.
+    fn connect<S: Read + Write + Send + 'static, A>(
+        local: NodeId,
+        accept: impl FnMut() -> std::io::Result<S> + Send + 'static,
+        mut dial: impl FnMut(&A) -> std::io::Result<S>,
+        peers: &[(NodeId, A)],
+        config: &ConnectConfig,
+    ) -> Result<SocketTransport, TransportError> {
         let deadline = Instant::now() + config.connect_timeout;
         let (tx, rx) = mpsc::channel();
         let (ready_tx, ready_rx) = mpsc::channel();
         {
             let tx = tx.clone();
             let expected = peers.len();
-            std::thread::spawn(move || {
-                accept_all(
-                    || {
-                        listener.accept().map(|(stream, _)| {
-                            let _ = stream.set_nonblocking(false);
-                            let _ = stream.set_nodelay(true);
-                            stream
-                        })
-                    },
-                    expected,
-                    deadline,
-                    tx,
-                    ready_tx,
-                );
-            });
+            std::thread::spawn(move || accept_all(accept, expected, deadline, tx, ready_tx));
         }
         let mut writers: BTreeMap<NodeId, Box<dyn Write + Send>> = BTreeMap::new();
         for (peer, addr) in peers {
-            let stream =
-                dial_with_backoff(|| TcpStream::connect(addr), deadline, config.initial_backoff)?;
-            let _ = stream.set_nodelay(true);
+            let stream = dial_with_backoff(|| dial(addr), deadline, config.initial_backoff)?;
             writers.insert(*peer, Box::new(stream));
         }
-        Self::finish(local, peers.iter().map(|&(p, _)| p).collect(), writers, rx, ready_rx, {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            remaining + Duration::from_secs(1)
-        })
-        .map(|mut t| {
-            t.recv_timeout = config.recv_timeout;
-            t
-        })
-    }
-
-    /// Shared tail of both constructors: send the `Hello` handshake on
-    /// every outbound link, then wait for the accept loop to confirm
-    /// every peer dialed us.
-    fn finish(
-        local: NodeId,
-        mut peers: Vec<NodeId>,
-        mut writers: BTreeMap<NodeId, Box<dyn Write + Send>>,
-        rx: mpsc::Receiver<Result<Frame, TransportError>>,
-        ready_rx: mpsc::Receiver<Result<(), TransportError>>,
-        ready_wait: Duration,
-    ) -> Result<SocketTransport, TransportError> {
-        peers.sort_unstable();
-        peers.dedup();
         let hello = Frame::Hello { from: local as u16 }.to_wire_bytes();
-        for (_, writer) in writers.iter_mut() {
+        for writer in writers.values_mut() {
             writer.write_all(&hello).map_err(|e| io_err("socket write", &e))?;
             writer.flush().map_err(|e| io_err("socket write", &e))?;
         }
+        let ready_wait =
+            deadline.saturating_duration_since(Instant::now()) + Duration::from_secs(1);
         match ready_rx.recv_timeout(ready_wait) {
             Ok(Ok(())) => {}
             Ok(Err(e)) => return Err(e),
@@ -908,12 +871,15 @@ impl SocketTransport {
                 });
             }
         }
+        let mut peers: Vec<NodeId> = peers.iter().map(|(p, _)| *p).collect();
+        peers.sort_unstable();
+        peers.dedup();
         Ok(SocketTransport {
             local,
             peers,
             writers,
             rx,
-            recv_timeout: Duration::from_secs(30),
+            recv_timeout: config.recv_timeout,
             cleanup: None,
         })
     }
@@ -949,7 +915,6 @@ impl Transport for SocketTransport {
 mod tests {
     use super::*;
     use crate::process::{Outgoing, WireSized};
-    use bytes::{BufMut, BytesMut};
     use nectar_graph::gen;
 
     /// A one-byte test message.
@@ -965,8 +930,8 @@ mod tests {
     }
 
     impl Encode for Ping {
-        fn encode(&self, buf: &mut BytesMut) {
-            buf.put_u8(self.0);
+        fn encode(&self, buf: &mut Vec<u8>) {
+            buf.push(self.0);
         }
 
         fn encoded_len(&self) -> usize {

@@ -10,15 +10,14 @@
 //! a rally order before the split actually happens.
 
 use nectar::graph::gen;
+use nectar::graph::rng::Rng;
 use nectar::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn main() -> Result<(), nectar::graph::GraphError> {
     let n = 20;
     let radius = 2.4;
     let t = 1;
-    let mut rng = StdRng::seed_from_u64(42);
+    let mut rng = Rng::seed_from_u64(42);
 
     println!("drone patrol: {n} drones, scope {radius}, tolerating t = {t} compromised drone\n");
     println!("{:>5} {:>7} {:>6} {:>20} {:>10}", "d", "edges", "κ", "verdict", "confirmed");

@@ -8,10 +8,9 @@
 #![allow(dead_code)]
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::BTreeSet;
 
+use nectar::graph::rng::Rng;
 use nectar::prelude::*;
 
 /// A scenario as the suites draw it: topology, Byzantine budget, cast.
@@ -48,11 +47,11 @@ pub fn arb_zoo_graph() -> impl Strategy<Value = Graph> {
         (2usize..4, 0usize..5)
             .prop_map(|(k, extra)| gen::k_diamond(k, 2 * k + 4 + extra).expect("valid diamond")),
         (0u64..1000, 0usize..7).prop_map(|(seed, d)| {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             gen::drone_scenario(10, d as f64, 2.0, &mut rng).expect("valid drone").graph
         }),
         (0u64..1000, 3usize..5).prop_map(|(seed, k)| {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let n = if k % 2 == 1 { 12 } else { 13 };
             gen::random_regular(k, n, &mut rng).expect("valid random regular")
         }),

@@ -63,9 +63,8 @@ fn all_runtimes_are_bit_identical() {
 
 #[test]
 fn confirmed_partition_in_a_severed_drone_swarm() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(5);
+    use nectar::graph::rng::Rng;
+    let mut rng = Rng::seed_from_u64(5);
     let placement = gen::drone_scenario(16, 6.0, 2.4, &mut rng).unwrap();
     let out = Scenario::new(placement.graph, 1).sim().run();
     assert_eq!(out.unanimous_verdict(), Some(Verdict::Partitionable));

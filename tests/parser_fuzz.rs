@@ -476,6 +476,10 @@ fn malformed_scenario_files_error_out() {
         "topology harary-k2 8\nbyz 9:silent\n",
         "topology harary-k2 8\nbyz 1:silent\nbyz 1:silent\n",
         "topology harary-k2 8\nbyz 1:warp@2\n",
+        // Node ranges are bounded before they are materialized, and must
+        // name nodes of the topology.
+        "topology harary-k2 20\nbyz 0:hide@0-70000\n",
+        "topology harary-k2 20\nbyz 0:two-faced@1-500\n",
         "topology harary-k2 8\nschedule drop 1 0 9\n",
         "topology harary-k2 8\nschedule drop 1 0 3\n",
         "topology harary-k2 8\nschedule @no-such-file.sched\n",

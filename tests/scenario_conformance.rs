@@ -15,29 +15,26 @@
 //!    schedule always validates against its base graph.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{RngExt, SeedableRng};
 
+use nectar::graph::rng::Rng;
 use nectar::prelude::*;
 use nectar_experiments::matrix::{CastSpec, FamilySpec};
 
 /// One member of the scenario zoo: a random but valid, compilable,
 /// canonically-expressible spec derived purely from `seed`.
 fn zoo_spec(seed: u64) -> ScenarioSpec {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut spec = ScenarioSpec::default();
-    if rng.random::<bool>() {
+    if rng.next_bool() {
         let words = ["split", "cut", "swarm", "fleet", "heal", "probe", "zoo"];
-        let count = rng.random_range(1usize..=3);
-        let name: Vec<&str> =
-            (0..count).map(|_| *words.choose(&mut rng).expect("non-empty")).collect();
+        let count = rng.range_inclusive(1..=3);
+        let name: Vec<&str> = (0..count).map(|_| *rng.choose(&words).expect("non-empty")).collect();
         spec.name = name.join(" ");
     }
-    spec.seed = rng.random_range(0u64..10_000);
+    spec.seed = rng.range(0..10_000) as u64;
 
     // Transport first: it decides which execution keys stay legal.
-    let transport = match rng.random_range(0usize..10) {
+    let transport = match rng.range(0..10) {
         0..=6 => TransportKind::Sync,
         7 => TransportKind::Loopback,
         8 => TransportKind::Uds,
@@ -48,7 +45,7 @@ fn zoo_spec(seed: u64) -> ScenarioSpec {
 
     // Topology: a family, an explicit edge list, or (sync only, since a
     // schedule comes with it) waypoint mobility generating its own.
-    let n = match rng.random_range(0usize..if sync { 3 } else { 2 }) {
+    let n = match rng.range(0..if sync { 3 } else { 2 }) {
         0 => {
             let families = [
                 FamilySpec::Harary { k: 2 },
@@ -66,50 +63,50 @@ fn zoo_spec(seed: u64) -> ScenarioSpec {
                 FamilySpec::Complete,
                 FamilySpec::Cliques,
             ];
-            let family = families.choose(&mut rng).expect("non-empty").clone();
+            let family = rng.choose(&families).expect("non-empty").clone();
             // Whole 4-cliques only: 12..=24 in steps of 4.
             let n = match family {
-                FamilySpec::Cliques => 4 * rng.random_range(3usize..=6),
-                _ => rng.random_range(9usize..=24),
+                FamilySpec::Cliques => 4 * rng.range_inclusive(3..=6),
+                _ => rng.range_inclusive(9..=24),
             };
             spec.family = Some((family, n));
             // Sync scenarios may ride a rolling-churn schedule, which is
             // valid on any base graph.
-            if sync && rng.random::<bool>() {
+            if sync && rng.next_bool() {
                 spec.mobility = Some(MobilitySpec::Churn {
-                    period: rng.random_range(1usize..=2),
-                    down: rng.random_range(1usize..=3),
+                    period: rng.range_inclusive(1..=2),
+                    down: rng.range_inclusive(1..=3),
                     rounds: 6,
                 });
             }
             n
         }
         1 => {
-            let n = rng.random_range(4usize..=8);
+            let n = rng.range_inclusive(4..=8);
             spec.nodes = Some(n);
             spec.edges = gen::cycle(n).edges().collect();
             // Inline schedule lines against known cycle edges.
-            if sync && rng.random::<bool>() {
+            if sync && rng.next_bool() {
                 spec.schedule_lines = vec!["drop 1 0 1".into(), "heal 3 0 1".into()];
             }
             n
         }
         _ => {
-            let n = rng.random_range(9usize..=24);
+            let n = rng.range_inclusive(9..=24);
             spec.mobility = Some(MobilitySpec::Waypoint {
                 nodes: n,
                 radius_milli: 2000,
-                speed_milli: rng.random_range(200u64..=600),
+                speed_milli: rng.range_inclusive(200..=600) as u64,
                 density_milli: 6000,
-                rounds: rng.random_range(4usize..=8),
+                rounds: rng.range_inclusive(4..=8),
             });
             n
         }
     };
-    spec.t = rng.random_range(1usize..=2.min(n - 1));
+    spec.t = rng.range_inclusive(1..=2.min(n - 1));
 
     // Byzantine side: a cast by name, explicit byz lines, or honest.
-    match rng.random_range(0usize..3) {
+    match rng.range(0..3) {
         0 => {
             let casts = [
                 CastSpec::Honest,
@@ -119,20 +116,18 @@ fn zoo_spec(seed: u64) -> ScenarioSpec {
                 CastSpec::FalsifyArticulation { flips_per_mille: 800 },
                 CastSpec::FalsifyColluding { flips_per_mille: 500 },
             ];
-            spec.cast = Some(casts.choose(&mut rng).expect("non-empty").clone());
+            spec.cast = Some(rng.choose(&casts).expect("non-empty").clone());
         }
         1 => {
             // Two distinct nodes with canonically-expressible behaviors.
             for node in [0, n / 2] {
-                let behavior = match rng.random_range(0usize..4) {
+                let behavior = match rng.range(0..4) {
                     0 => ByzantineBehavior::Silent,
-                    1 => ByzantineBehavior::CrashAfter { round: rng.random_range(1usize..=4) },
+                    1 => ByzantineBehavior::CrashAfter { round: rng.range_inclusive(1..=4) },
                     2 => ByzantineBehavior::TwoFaced {
-                        silent_toward: (1..=rng.random_range(1usize..n)).collect(),
+                        silent_toward: (1..=rng.range(1..n)).collect(),
                     },
-                    _ => ByzantineBehavior::HideEdges {
-                        toward: (1..=rng.random_range(1usize..n)).collect(),
-                    },
+                    _ => ByzantineBehavior::HideEdges { toward: (1..=rng.range(1..n)).collect() },
                 };
                 spec.byzantine.push((node, behavior));
             }
@@ -141,31 +136,31 @@ fn zoo_spec(seed: u64) -> ScenarioSpec {
     }
 
     if sync {
-        spec.epochs = rng.random_range(1usize..=3);
-        spec.runtime = match rng.random_range(0usize..4) {
+        spec.epochs = rng.range_inclusive(1..=3);
+        spec.runtime = match rng.range(0..4) {
             0 => None,
             1 => Some(Runtime::Sync),
             2 => Some(Runtime::Event),
             _ => Some(Runtime::Parallel { workers: 2 }),
         };
-        if rng.random::<bool>() {
+        if rng.next_bool() {
             spec.report = Some("out/report.json".into());
         }
-        if rng.random::<bool>() {
+        if rng.next_bool() {
             spec.csv = Some("out/decisions.csv".into());
         }
-        spec.profile = rng.random::<bool>();
+        spec.profile = rng.next_bool();
     } else {
         match transport {
             TransportKind::Uds => {
-                if rng.random::<bool>() {
+                if rng.next_bool() {
                     spec.sock_dir = Some("/tmp/zoo-fleet".into());
                 }
-                spec.recv_timeout_ms = rng.random_range(1_000u64..=60_000);
+                spec.recv_timeout_ms = rng.range_inclusive(1_000..=60_000) as u64;
             }
             TransportKind::Tcp => {
-                spec.base_port = rng.random_range(4_000u16..=9_000);
-                spec.connect_timeout_ms = rng.random_range(1_000u64..=60_000);
+                spec.base_port = rng.range_inclusive(4_000..=9_000) as u16;
+                spec.connect_timeout_ms = rng.range_inclusive(1_000..=60_000) as u64;
             }
             _ => {}
         }

@@ -13,7 +13,7 @@ fn family_zoo() -> Vec<(String, Graph)> {
     zoo.push(("diamond(3,18)".into(), gen::k_diamond(3, 18).unwrap()));
     zoo.push(("gw(4,12)".into(), gen::generalized_wheel(4, 12).unwrap()));
     zoo.push(("mw(4,12)".into(), gen::multipartite_wheel(4, 12, 2).unwrap()));
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(17);
+    let mut rng = nectar::graph::rng::Rng::seed_from_u64(17);
     zoo.push((
         "random_regular(4,14)".into(),
         gen::random_regular_connected(4, 14, &mut rng, 50).unwrap(),
@@ -134,9 +134,8 @@ fn lhg_families_finish_earlier_than_k_regular() {
 
 #[test]
 fn drone_graphs_over_the_whole_distance_range() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(23);
+    use nectar::graph::rng::Rng;
+    let mut rng = Rng::seed_from_u64(23);
     for d in [0.0, 2.0, 4.0, 6.0] {
         let placement = gen::drone_scenario(14, d, 2.4, &mut rng).unwrap();
         let out = Scenario::new(placement.graph.clone(), 1).sim().run();
@@ -161,9 +160,8 @@ fn drone_graphs_over_the_whole_distance_range() {
 
 #[test]
 fn nectar_handles_the_extended_topology_families() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    let mut rng = StdRng::seed_from_u64(31);
+    use nectar::graph::rng::Rng;
+    let mut rng = Rng::seed_from_u64(31);
     let zoo: Vec<(&str, Graph)> = vec![
         ("torus(4,5)", gen::torus(4, 5).unwrap()),
         ("grid(4,5)", gen::grid(4, 5)),
@@ -206,10 +204,9 @@ fn torus_with_byzantine_neighborhood_is_flagged() {
 /// matrix sweeps: node/edge counts, degree bounds, connectivity and seed
 /// determinism, over randomized parameter grids.
 mod generator_properties {
+    use nectar::graph::rng::Rng;
     use nectar::prelude::*;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -248,7 +245,7 @@ mod generator_properties {
             let k = 2 * half_k;
             prop_assume!(k < n);
             let p = p_per_mille as f64 / 1000.0;
-            let g = gen::watts_strogatz(n, k, p, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let g = gen::watts_strogatz(n, k, p, &mut Rng::seed_from_u64(seed)).unwrap();
             prop_assert_eq!(g.node_count(), n);
             // Rewiring moves edges, it never mints them.
             prop_assert!(g.edge_count() <= n * k / 2);
@@ -268,7 +265,7 @@ mod generator_properties {
                 }
             }
             // Seed determinism: the same stream rebuilds the same graph.
-            let again = gen::watts_strogatz(n, k, p, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let again = gen::watts_strogatz(n, k, p, &mut Rng::seed_from_u64(seed)).unwrap();
             prop_assert_eq!(again, g);
         }
 
@@ -279,7 +276,7 @@ mod generator_properties {
             seed in 0u64..u64::MAX,
         ) {
             prop_assume!(m < n);
-            let g = gen::barabasi_albert(n, m, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let g = gen::barabasi_albert(n, m, &mut Rng::seed_from_u64(seed)).unwrap();
             prop_assert_eq!(g.node_count(), n);
             // Between "every latecomer found one target" and "every
             // latecomer attached all m distinct targets".
@@ -292,7 +289,7 @@ mod generator_properties {
             for v in m..n {
                 prop_assert!(g.degree(v) >= 1);
             }
-            let again = gen::barabasi_albert(n, m, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let again = gen::barabasi_albert(n, m, &mut Rng::seed_from_u64(seed)).unwrap();
             prop_assert_eq!(again, g);
         }
     }
