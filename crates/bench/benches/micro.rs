@@ -2,7 +2,9 @@
 //! throughput, signing/verification, proof and chain operations. These are
 //! the per-message costs behind NECTAR's network figures. Plus the wire
 //! path's two per-message costs: decoding a message and one frame's trip
-//! through the streaming decoder.
+//! through the streaming decoder. And the cost flooding suppression leaves
+//! after the crypto is skipped: a node dropping a message of edges it
+//! already knows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -11,7 +13,9 @@ use nectar_crypto::{
     hmac::HmacKey, sha256::sha256, Decode, Encode, Frame, FrameBuffer, KeyStore, NeighborhoodProof,
     SignatureChain,
 };
-use nectar_protocol::{NectarMsg, RelayedEdge};
+use nectar_graph::gen;
+use nectar_net::{NodeId, Process};
+use nectar_protocol::{NectarConfig, NectarMsg, NectarNode, RelayedEdge};
 
 fn bench_sha256(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
@@ -111,5 +115,56 @@ fn bench_wire_path(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_sha256, bench_sign_verify, bench_proof_and_chain, bench_wire_path);
+fn bench_receive_known(c: &mut Criterion) {
+    // Node 0 of Fig. 3's largest point (Harary k = 10, n = 100) once its view
+    // is complete: its 10 edges from set-up plus the other 490 announced.
+    // A neighbor then delivers 64 of those edges again — the 89 % of a
+    // run's deliveries that flooding suppression drops before any signature
+    // check (Alg. 1 l. 14). Each iteration clones the message (one vector,
+    // two refcount bumps per edge), as every delivered copy is.
+    let (k, n) = (10, 100);
+    let g = gen::harary(k, n).expect("valid parameters");
+    let ks = KeyStore::generate(n, 1);
+    let proof =
+        |u: usize, v: usize| NeighborhoodProof::new(&ks.signer(u as u16), &ks.signer(v as u16));
+    let own = g.neighbors(0).map(|j| (j as NodeId, proof(0, j))).collect();
+    let mut node =
+        NectarNode::new(0, NectarConfig::new(n, k / 2), ks.signer(0), ks.verifier(), own);
+    let edges: Vec<(usize, usize)> = g.edges().collect();
+    for &(u, v) in edges.iter().filter(|&&(u, _)| u != 0) {
+        node.announce_extra_proof(proof(u, v));
+    }
+    assert_eq!(node.known_edge_count(), edges.len());
+    let from = node.neighbors()[0];
+    let msg = NectarMsg {
+        edges: edges
+            .iter()
+            .step_by(edges.len() / 64)
+            .take(64)
+            .map(|&(u, v)| {
+                let proof = proof(u, v);
+                let digest = proof.digest();
+                let chain = [u, from]
+                    .iter()
+                    .fold(SignatureChain::new(), |c, &h| c.extend(&ks.signer(h as u16), &digest));
+                RelayedEdge::new(proof, chain)
+            })
+            .collect(),
+    };
+    let mut group = c.benchmark_group("receive_known");
+    group.bench_with_input(BenchmarkId::from_parameter(msg.edges.len()), &msg, |b, msg| {
+        b.iter(|| node.receive(2, from, black_box(msg).clone()));
+    });
+    group.finish();
+    assert!(node.rejections().is_empty() && node.known_edge_count() == edges.len());
+}
+
+criterion_group!(
+    benches,
+    bench_sha256,
+    bench_sign_verify,
+    bench_proof_and_chain,
+    bench_wire_path,
+    bench_receive_known
+);
 criterion_main!(benches);

@@ -15,8 +15,14 @@
 //! 3. **Decision** (ll. 16–23): with `r` the number of reachable nodes in
 //!    `G_i` and `k` its vertex connectivity, decide NOT_PARTITIONABLE iff
 //!    `k > t ∧ r = n`, PARTITIONABLE otherwise, with `confirmed = (r ≠ n)`.
+//!
+//! `G_i` is held as a hash set of packed endpoint keys and nothing else: a
+//! copy of a known edge costs one probe, and the set is sorted only when
+//! something reads it as an edge list — the scenario runner's decision
+//! loop once per distinct view, not per node.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use nectar_crypto::{NeighborhoodProof, SignatureChain, Signer, Verifier};
@@ -43,18 +49,53 @@ pub enum RejectReason {
     BadChain,
 }
 
+/// Packs a proof's endpoints `(a, b)` into one view key. `u32` order on
+/// keys is the tuple order on endpoint pairs.
+fn edge_key((a, b): (u16, u16)) -> u32 {
+    (a as u32) << 16 | b as u32
+}
+
+/// The endpoints [`edge_key`] packed.
+fn endpoints_of(key: u32) -> (u16, u16) {
+    ((key >> 16) as u16, key as u16)
+}
+
+/// The view's hasher: one multiply by the 64-bit golden ratio and one
+/// xorshift, so every key bit reaches both the high bits the set's control
+/// bytes read and the low bits that pick its bucket. Only edges whose
+/// proofs verified (and a Byzantine node's own doctored state) enter the
+/// set, so no peer can fill it with colliding keys.
+#[derive(Debug, Default, Clone, Copy)]
+struct EdgeKeyHasher(u64);
+
+impl Hasher for EdgeKeyHasher {
+    fn write_u32(&mut self, key: u32) {
+        let x = u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = x ^ (x >> 32);
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the view hashes u32 keys only");
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A correct NECTAR participant.
 #[derive(Debug)]
 pub struct NectarNode {
-    id: NodeId,
     config: NectarConfig,
     signer: Signer,
     verifier: Verifier,
     neighbors: Vec<NodeId>,
-    /// `G_i`: every proof discovered so far, keyed by normalized endpoints.
-    /// Values are the shared-ownership payloads the relay fan-out copies by
-    /// pointer — a proof relayed along k paths is one allocation, not k.
-    discovered: BTreeMap<(u16, u16), Arc<NeighborhoodProof>>,
+    /// `G_i`: the endpoints of every edge discovered so far, one
+    /// [`edge_key`] each. Flooding suppression (l. 14) drops a copy of a
+    /// known edge on one probe of this set, before any signature check.
+    /// The set has no order; whoever reads the view as a list gets it
+    /// sorted on that read.
+    discovered: HashSet<u32, BuildHasherDefault<EdgeKeyHasher>>,
     /// Rolling digest of [`discovered_graph`](Self::discovered_graph),
     /// toggled on every view mutation so the decision phase reads view
     /// identity in O(1) instead of walking O(m_view) edge keys.
@@ -110,13 +151,18 @@ impl NectarNode {
     ) -> Self {
         assert_eq!(signer.id() as usize, id, "signer identity must match node id");
         let n = config.n;
+        // Room for every edge among the node and its `d` neighbors (at most
+        // `n`): a clique fleet's whole view, and a start on a larger one.
+        let d = neighbor_proofs.len();
         let mut node = NectarNode {
-            id,
             config,
             signer,
             verifier,
             neighbors: neighbor_proofs.keys().copied().collect(),
-            discovered: BTreeMap::new(),
+            discovered: HashSet::with_capacity_and_hasher(
+                (d * (d + 1) / 2).min(n),
+                Default::default(),
+            ),
             view_fingerprint: Fingerprint::empty(n),
             pending: Vec::new(),
             rejections: BTreeMap::new(),
@@ -127,25 +173,33 @@ impl NectarNode {
                 (a as usize == id && b as usize == nbr) || (b as usize == id && a as usize == nbr),
                 "proof endpoints ({a},{b}) must join node {id} and neighbor {nbr}"
             );
-            let proof = Arc::new(proof);
-            if node.discovered.insert(proof.endpoints(), proof.clone()).is_none() {
-                node.toggle_view_edge(proof.endpoints());
-            }
-            node.pending.push(PendingRelay::announcement(proof));
+            node.set_view_edge(proof.endpoints(), true);
+            node.pending.push(PendingRelay::announcement(Arc::new(proof)));
         }
         node
     }
 
-    /// Folds `key` into the rolling view digest iff
-    /// [`discovered_graph`](Self::discovered_graph) keeps the edge
+    /// Adds (`present`) or removes the edge `endpoints` from the view. On a
+    /// change it folds the edge into the rolling digest iff
+    /// [`discovered_graph`](Self::discovered_graph) keeps it
     /// (in-range, non-loop), preserving the invariant
     /// `self.view_fingerprint == Fingerprint::of(&self.discovered_graph())`
     /// across every view mutation (a property test pins it).
-    fn toggle_view_edge(&mut self, key: (u16, u16)) {
-        let (u, v) = (key.0 as usize, key.1 as usize);
-        if u < self.config.n && v < self.config.n && u != v {
+    fn set_view_edge(&mut self, endpoints: (u16, u16), present: bool) {
+        let key = edge_key(endpoints);
+        let changed =
+            if present { self.discovered.insert(key) } else { self.discovered.remove(&key) };
+        let (u, v) = (endpoints.0 as usize, endpoints.1 as usize);
+        if changed && u < self.config.n && v < self.config.n && u != v {
             self.view_fingerprint.toggle_edge(u, v);
         }
+    }
+
+    /// The view's keys in ascending order.
+    fn sorted_keys(&self) -> Vec<u32> {
+        let mut keys: Vec<u32> = self.discovered.iter().copied().collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Adds an extra proof to announce in round 1 *as if* it were a real
@@ -153,31 +207,24 @@ impl NectarNode {
     /// Byzantine fictitious-edge behaviour (§IV, "pairs of Byzantine nodes
     /// that declare fictitious edges").
     pub fn announce_extra_proof(&mut self, proof: NeighborhoodProof) {
-        let proof = Arc::new(proof);
-        // Re-announcing known endpoints replaces the stored proof without
-        // changing the edge set, so the digest only moves on a fresh key.
-        if self.discovered.insert(proof.endpoints(), proof.clone()).is_none() {
-            self.toggle_view_edge(proof.endpoints());
-        }
-        self.pending.push(PendingRelay::announcement(proof));
+        self.set_view_edge(proof.endpoints(), true);
+        self.pending.push(PendingRelay::announcement(Arc::new(proof)));
     }
 
-    /// Removes the proof (and pending announcement) for edge to `neighbor`,
-    /// while keeping the channel usable. Entry point for the Byzantine
+    /// Removes the edge to `neighbor` from the view (and its pending
+    /// announcement), while keeping the channel usable. Entry point for the Byzantine
     /// edge-hiding behaviour.
     pub fn hide_edge_to(&mut self, neighbor: NodeId) {
-        let id = self.id as u16;
+        let id = self.signer.id();
         let nbr = neighbor as u16;
         let key = (id.min(nbr), id.max(nbr));
-        if self.discovered.remove(&key).is_some() {
-            self.toggle_view_edge(key);
-        }
+        self.set_view_edge(key, false);
         self.pending.retain(|p| p.proof.endpoints() != key);
     }
 
     /// This node's id.
     pub fn node_id(&self) -> NodeId {
-        self.id
+        self.signer.id() as NodeId
     }
 
     /// The protocol configuration.
@@ -206,12 +253,14 @@ impl NectarNode {
     /// The edges [`discovered_graph`](Self::discovered_graph) keeps —
     /// in-range, non-loop — in canonical (ascending) order: the view as an
     /// edge list, for consumers that can decide without building the
-    /// `n`-sized graph.
+    /// `n`-sized graph. The keys are sorted on the first `next`, not here:
+    /// an oracle cache hit takes this iterator and never advances it.
     pub(crate) fn view_edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let n = self.config.n;
-        self.discovered
-            .keys()
-            .map(|&(u, v)| (u as usize, v as usize))
+        std::iter::once(())
+            .flat_map(move |()| self.sorted_keys())
+            .map(endpoints_of)
+            .map(|(u, v)| (u as usize, v as usize))
             .filter(move |&(u, v)| u < n && v < n && u != v)
     }
 
@@ -230,7 +279,7 @@ impl NectarNode {
     /// [`ConnectivityOracle`]'s bounded fast path.
     pub fn decide(&self) -> Decision {
         let g = self.discovered_graph();
-        let reachable = traversal::reachable_count(&g, self.id);
+        let reachable = traversal::reachable_count(&g, self.node_id());
         let kappa = connectivity::vertex_connectivity(&g);
         Decision::from_view(self.config.n, self.config.t, reachable, kappa)
     }
@@ -270,14 +319,14 @@ impl NectarNode {
         let t = self.config.t;
         let answer = oracle
             .answer_edges(self.view_fingerprint, self.view_edges(), t, || self.discovered_graph());
-        let reachable = component_size.get(&self.id).copied().unwrap_or(1);
+        let reachable = component_size.get(&self.node_id()).copied().unwrap_or(1);
         Decision::from_view(self.config.n, t, reachable, answer.kappa.report())
     }
 
-    /// Canonical key of the discovered edge set (for decision caching across
-    /// nodes with identical views).
+    /// Canonical key of the discovered edge set, ascending (for decision
+    /// caching across nodes with identical views).
     pub fn discovered_edge_key(&self) -> Vec<(u16, u16)> {
-        self.discovered.keys().copied().collect()
+        self.sorted_keys().into_iter().map(endpoints_of).collect()
     }
 
     /// The rolling digest of [`discovered_graph`](Self::discovered_graph),
@@ -335,7 +384,7 @@ impl Process for NectarNode {
     type Msg = NectarMsg;
 
     fn id(&self) -> NodeId {
-        self.id
+        self.node_id()
     }
 
     fn send(&mut self, _round: usize) -> Vec<Outgoing<NectarMsg>> {
@@ -368,17 +417,16 @@ impl Process for NectarNode {
 
     fn receive(&mut self, round: usize, from: NodeId, msg: NectarMsg) {
         for edge in msg.edges {
-            let key = edge.proof.endpoints();
+            let endpoints = edge.proof.endpoints();
             // Flooding suppression first (l. 14): known edges are ignored
             // without paying signature verification.
-            if self.discovered.contains_key(&key) {
+            if self.discovered.contains(&edge_key(endpoints)) {
                 continue;
             }
             match self.validate(round, from, &edge) {
                 Err(reason) => self.reject(reason),
                 Ok(payload_digest) => {
-                    self.discovered.insert(key, edge.proof.clone());
-                    self.toggle_view_edge(key);
+                    self.set_view_edge(endpoints, true);
                     self.pending.push(PendingRelay {
                         proof: edge.proof,
                         chain: edge.chain,
@@ -815,6 +863,123 @@ mod relay_handoff_tests {
                 checked.keys().any(|&len| len >= longest_received),
                 "relays of chains {longest_received}+ links long were checked: {checked:?}"
             );
+        }
+    }
+}
+
+#[cfg(test)]
+mod view_set_tests {
+    //! The view is a hash set with no order of its own; these pin that it
+    //! reads back exactly as an ordered set of endpoint pairs would.
+
+    use super::*;
+    use nectar_crypto::{KeyStore, Signature};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    const N: usize = 8;
+
+    /// A relay of the edge `(a, b)` that `from` delivers under a chain
+    /// starting at endpoint `a`, and the round whose length check it passes.
+    fn relay(ks: &KeyStore, a: u16, b: u16, from: u16) -> (usize, RelayedEdge) {
+        let proof = NeighborhoodProof::new(&ks.signer(a), &ks.signer(b));
+        let digest = proof.digest();
+        let mut chain = SignatureChain::new().extend(&ks.signer(a), &digest);
+        if from != a {
+            chain = chain.extend(&ks.signer(from), &digest);
+        }
+        (chain.len(), RelayedEdge::new(proof, chain))
+    }
+
+    /// A proof for `(a, b)` whose signatures are all zeros: it verifies for
+    /// no key, and its endpoints may lie outside `0..N`.
+    fn forged(a: u16, b: u16) -> NeighborhoodProof {
+        let (lo, hi) = (a.min(b), a.max(b));
+        NeighborhoodProof::from_parts(
+            lo,
+            hi,
+            Signature::from_parts(lo, [0; 32]),
+            Signature::from_parts(hi, [0; 32]),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every step of a random sequence of view mutations — extra
+        /// announcements (forged ones with endpoints ≥ n and self-loops
+        /// included), accepted relays, relays rejected for a bad chain or a
+        /// forged proof, and hidden edges — node 0's view reads back as a
+        /// `BTreeSet` model: the same keys in ascending order, the same
+        /// in-range edge list, the same count, and a rolling fingerprint
+        /// equal to the digest of the discovered graph.
+        #[test]
+        fn view_set_matches_a_btree_model(
+            ops in proptest::collection::vec((0u8..5, 0u16..12, 0u16..12), 0..40),
+        ) {
+            let ks = KeyStore::generate(N, 7);
+            let proofs: BTreeMap<NodeId, NeighborhoodProof> = [1u16, 2]
+                .into_iter()
+                .map(|j| (j as NodeId, NeighborhoodProof::new(&ks.signer(0), &ks.signer(j))))
+                .collect();
+            let mut node =
+                NectarNode::new(0, NectarConfig::new(N, 1), ks.signer(0), ks.verifier(), proofs);
+            let mut model: BTreeSet<(u16, u16)> = [(0, 1), (0, 2)].into();
+            for (step, &(kind, a, b)) in ops.iter().enumerate() {
+                let from = 1 + (a + b) % 2;
+                let (x, y) = (a % N as u16, b % N as u16);
+                match kind {
+                    0 => {
+                        let proof = if a != b && (a as usize) < N && (b as usize) < N {
+                            NeighborhoodProof::new(&ks.signer(a), &ks.signer(b))
+                        } else {
+                            forged(a, b)
+                        };
+                        model.insert(proof.endpoints());
+                        node.announce_extra_proof(proof);
+                    }
+                    1 | 2 if x != y => {
+                        let (round, mut edge) = relay(&ks, x, y, from);
+                        if kind == 2 {
+                            let mut links = edge.chain.links().to_vec();
+                            let mut tag = *links[0].tag();
+                            tag[0] ^= 1;
+                            links[0] = Signature::from_parts(x, tag);
+                            edge.chain = Arc::new(SignatureChain::from_links(links));
+                        } else {
+                            model.insert((x.min(y), x.max(y)));
+                        }
+                        node.receive(round, from as NodeId, NectarMsg { edges: vec![edge] });
+                    }
+                    3 => {
+                        model.remove(&(0, a));
+                        node.hide_edge_to(a as NodeId);
+                    }
+                    4 if a != b => {
+                        let proof = forged(a, b);
+                        let chain = SignatureChain::new()
+                            .extend(&ks.signer(from), &proof.digest());
+                        let edge = RelayedEdge::new(proof, chain);
+                        node.receive(1, from as NodeId, NectarMsg { edges: vec![edge] });
+                    }
+                    _ => {}
+                }
+                let keys: Vec<(u16, u16)> = model.iter().copied().collect();
+                let edges: Vec<(usize, usize)> = keys
+                    .iter()
+                    .map(|&(u, v)| (u as usize, v as usize))
+                    .filter(|&(u, v)| u < N && v < N && u != v)
+                    .collect();
+                prop_assert_eq!(node.discovered_edge_key(), keys, "step {}", step);
+                prop_assert_eq!(node.view_edges().collect::<Vec<_>>(), edges, "step {}", step);
+                prop_assert_eq!(node.known_edge_count(), model.len(), "step {}", step);
+                prop_assert_eq!(
+                    node.view_fingerprint(),
+                    Fingerprint::of(&node.discovered_graph()),
+                    "step {}",
+                    step
+                );
+            }
         }
     }
 }

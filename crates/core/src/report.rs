@@ -339,7 +339,7 @@ impl RunReport {
     /// # Errors
     ///
     /// Returns a human-readable message on malformed or version-skewed
-    /// input.
+    /// input, and on a report with no epochs.
     pub fn from_json(input: &str) -> Result<RunReport, String> {
         let value = json::parse(input)?;
         let obj = value.as_obj("report")?;
@@ -400,8 +400,13 @@ impl RunReport {
                 Some(ScheduleRecord { script, transitions })
             }
         };
+        let epoch_values = obj.field("epochs")?.as_arr("epochs")?;
+        // Every accessor reads the last epoch; a run always has one.
+        if epoch_values.is_empty() {
+            return Err("epochs is empty: a run report holds at least one epoch".into());
+        }
         let mut epochs = Vec::new();
-        for e in obj.field("epochs")?.as_arr("epochs")? {
+        for e in epoch_values {
             let e = e.as_obj("epoch")?;
             let mut decisions = BTreeMap::new();
             for d in e.field("decisions")?.as_arr("decisions")? {

@@ -256,6 +256,9 @@ fn malformed_reports_error_out() {
         // panic), and one that disagrees with the report's n.
         valid.replace("\"topology\": {\"n\": 6", "\"topology\": {\"n\": 1000000000000000000"),
         valid.replace("\"topology\": {\"n\": 6", "\"topology\": {\"n\": 7"),
+        // No epochs: every accessor reads the last one (once a panic on
+        // the first `decisions()` or `agreement()` after loading).
+        format!("{}\"epochs\": []\n}}", &valid[..valid.find("\"epochs\": [").unwrap()]),
     ];
     for (i, case) in cases.iter().enumerate() {
         let got = RunReport::from_json(case);
