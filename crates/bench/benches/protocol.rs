@@ -153,6 +153,21 @@ fn bench_runtime_scaling(c: &mut Criterion) {
     group.finish();
 }
 
+/// Participant construction alone on the `fleet_sparse` topology (2 500
+/// four-cliques, 15 000 edges): key universe, one proof per edge, the
+/// 10 000 nodes and their round-1 queues — the set-up every run of that
+/// fleet pays before its first round.
+fn bench_setup(c: &mut Criterion) {
+    let n = 10_000;
+    let scenario = Scenario::new(gen::disjoint_cliques(n / 4, 4), 2);
+    let mut group = c.benchmark_group("setup");
+    group.sample_size(10);
+    group.bench_with_input(BenchmarkId::new("build_participants", n), &scenario, |b, s| {
+        b.iter(|| black_box(s).build_participants())
+    });
+    group.finish();
+}
+
 #[derive(Debug, Clone)]
 struct Never;
 
@@ -336,6 +351,7 @@ criterion_group!(
     bench_nectar_with_decisions,
     bench_runtimes,
     bench_runtime_scaling,
+    bench_setup,
     bench_schedule_overhead,
     bench_collect_scaling,
     bench_matrix_smoke,

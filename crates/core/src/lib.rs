@@ -72,3 +72,20 @@ pub use remote::{run_scenario_node, sync_fleet_reports, NodeReport};
 pub use report::{EpochOutcome, RunReport, ScheduleRecord, DECISIONS_CSV_HEADER};
 pub use runner::{Runtime, Scenario};
 pub use sim::Simulation;
+
+// The unit tests draw their scenarios from the integration suites' shared
+// zoo, `tests/common`, which names this crate's items through the facade's
+// paths (`nectar::prelude`, `nectar::graph`). Under test those paths
+// resolve here.
+#[cfg(test)]
+extern crate self as nectar;
+#[cfg(test)]
+use nectar_graph as graph;
+#[cfg(test)]
+mod prelude {
+    pub use crate::{ByzantineBehavior, RunReport, Scenario};
+    pub use nectar_graph::{gen, Graph};
+}
+#[cfg(test)]
+#[path = "../../../tests/common/mod.rs"]
+mod zoo;

@@ -16,8 +16,9 @@ use nectar_net::WireSized;
 ///
 /// Both payloads sit behind shared ownership: a node fanning one edge out
 /// to its whole neighborhood copies two pointers per copy, not a signature
-/// buffer, and a proof relayed along k paths is one allocation process-wide
-/// on the in-memory runtimes. The wire codec still serializes full
+/// buffer, and a proof relayed along k paths is one allocation and one
+/// digest process-wide on the in-memory runtimes (the proof keeps its
+/// digest once computed). The wire codec still serializes full
 /// contents, so the interning is invisible at the codec boundary — a
 /// deserialized edge simply starts a fresh sharing group. `Arc` (not `Rc`)
 /// because messages cross engine worker threads. Equality and `Debug` see

@@ -111,10 +111,6 @@ pub struct NectarNode {
 struct PendingRelay {
     proof: Arc<NeighborhoodProof>,
     chain: Arc<SignatureChain>,
-    /// `proof.digest()` — what the first link of `chain` signs — as
-    /// [`validate`](NectarNode::validate) computed it, so `send` extends the
-    /// chain without hashing the proof again.
-    payload_digest: [u8; 32],
     /// The neighbor the edge came from, which does not get it back; `None`
     /// for own announcements.
     exclude: Option<NodeId>,
@@ -124,19 +120,15 @@ impl PendingRelay {
     /// A round-1 announcement: empty chain, sent to every neighbor
     /// (Alg. 1 ll. 6–8).
     fn announcement(proof: Arc<NeighborhoodProof>) -> Self {
-        let payload_digest = proof.digest();
-        PendingRelay {
-            proof,
-            chain: Arc::new(SignatureChain::new()),
-            payload_digest,
-            exclude: None,
-        }
+        PendingRelay { proof, chain: Arc::new(SignatureChain::new()), exclude: None }
     }
 }
 
 impl NectarNode {
     /// Creates a correct node from its neighborhood proofs (one per
-    /// neighbor, as provided at set-up per §II).
+    /// neighbor, as provided at set-up per §II). A proof may come shared:
+    /// the scenario runner hands both endpoints of an edge the same `Arc`,
+    /// so the proof is signed and hashed once for the pair.
     ///
     /// # Panics
     ///
@@ -147,7 +139,7 @@ impl NectarNode {
         config: NectarConfig,
         signer: Signer,
         verifier: Verifier,
-        neighbor_proofs: BTreeMap<NodeId, NeighborhoodProof>,
+        neighbor_proofs: BTreeMap<NodeId, impl Into<Arc<NeighborhoodProof>>>,
     ) -> Self {
         assert_eq!(signer.id() as usize, id, "signer identity must match node id");
         let n = config.n;
@@ -168,13 +160,14 @@ impl NectarNode {
             rejections: BTreeMap::new(),
         };
         for (nbr, proof) in neighbor_proofs {
+            let proof = proof.into();
             let (a, b) = proof.endpoints();
             assert!(
                 (a as usize == id && b as usize == nbr) || (b as usize == id && a as usize == nbr),
                 "proof endpoints ({a},{b}) must join node {id} and neighbor {nbr}"
             );
-            node.set_view_edge(proof.endpoints(), true);
-            node.pending.push(PendingRelay::announcement(Arc::new(proof)));
+            node.set_view_edge((a, b), true);
+            node.pending.push(PendingRelay::announcement(proof));
         }
         node
     }
@@ -338,22 +331,25 @@ impl NectarNode {
         self.view_fingerprint
     }
 
+    /// The relay queue as (proof, chain, neighbour skipped), in queue order.
+    #[cfg(test)]
+    pub(crate) fn pending_relays(
+        &self,
+    ) -> impl Iterator<Item = (&Arc<NeighborhoodProof>, &SignatureChain, Option<NodeId>)> {
+        self.pending.iter().map(|p| (&p.proof, &*p.chain, p.exclude))
+    }
+
     fn reject(&mut self, reason: RejectReason) {
         *self.rejections.entry(reason).or_insert(0) += 1;
     }
 
     /// Validates a relayed edge per Alg. 1 l. 14 plus the signature rules of
-    /// §II. Returns the reason if the edge fails; if it passes, the proof
-    /// digest the chain was verified over. Proof and chain are verified on
-    /// every call: an accepted edge never comes back here (flooding
-    /// suppression drops its later copies first), so only a rejected edge's
-    /// proof can be checked twice.
-    fn validate(
-        &self,
-        round: usize,
-        from: NodeId,
-        edge: &RelayedEdge,
-    ) -> Result<[u8; 32], RejectReason> {
+    /// §II, returning the reason if the edge fails. Proof and chain are
+    /// verified on every call: an accepted edge never comes back here
+    /// (flooding suppression drops its later copies first), so only a
+    /// rejected edge's proof can be checked twice. The chain is checked
+    /// over the proof's digest, which the proof computes once and keeps.
+    fn validate(&self, round: usize, from: NodeId, edge: &RelayedEdge) -> Result<(), RejectReason> {
         let chain = &edge.chain;
         if self.config.check_chain_length && chain.len() != round {
             return Err(RejectReason::WrongChainLength);
@@ -369,14 +365,13 @@ impl NectarNode {
         if self.config.require_distinct_signers && !chain.signers_distinct() {
             return Err(RejectReason::DuplicateSigner);
         }
-        let digest = edge.proof.digest();
         if !edge.proof.verify(&self.verifier) {
             return Err(RejectReason::BadProof);
         }
-        if !chain.verify(&self.verifier, &digest) {
+        if !chain.verify(&self.verifier, &edge.proof.digest()) {
             return Err(RejectReason::BadChain);
         }
-        Ok(digest)
+        Ok(())
     }
 }
 
@@ -400,7 +395,7 @@ impl Process for NectarNode {
         let mut per_slot: Vec<Vec<RelayedEdge>> =
             self.neighbors.iter().map(|_| Vec::with_capacity(pending.len())).collect();
         for item in pending {
-            let chain = Arc::new(item.chain.extend(&self.signer, &item.payload_digest));
+            let chain = Arc::new(item.chain.extend(&self.signer, &item.proof.digest()));
             for (&nbr, edges) in self.neighbors.iter().zip(&mut per_slot) {
                 if item.exclude != Some(nbr) {
                     edges.push(RelayedEdge { proof: item.proof.clone(), chain: chain.clone() });
@@ -425,12 +420,11 @@ impl Process for NectarNode {
             }
             match self.validate(round, from, &edge) {
                 Err(reason) => self.reject(reason),
-                Ok(payload_digest) => {
+                Ok(()) => {
                     self.set_view_edge(endpoints, true);
                     self.pending.push(PendingRelay {
                         proof: edge.proof,
                         chain: edge.chain,
-                        payload_digest,
                         exclude: Some(from),
                     });
                 }

@@ -203,13 +203,13 @@ impl Scenario {
     }
 
     /// [`build_participants`](Self::build_participants) with the per-node
-    /// construction — neighborhood-proof signing plus Byzantine wrapping,
-    /// ~20% of a large-n run — fanned over `workers` work-stealing workers
-    /// (`0` = match the machine, `1` = inline). The key-universe derivation
-    /// stays sequential (it is one seeded stream shared by every node), and
-    /// [`parallel_map`] preserves node order, so the returned participants
-    /// are bit-identical at any worker count (a determinism test enforces
-    /// this). [`Simulation`](crate::sim::Simulation) selects this path
+    /// construction — neighborhood-proof signing plus Byzantine wrapping —
+    /// fanned over `workers` work-stealing workers (`0` = match the
+    /// machine, `1` = inline). The key-universe derivation stays sequential
+    /// (it is one seeded stream shared by every node), and [`parallel_map`]
+    /// preserves node order, so the returned participants are bit-identical
+    /// at any worker count (a determinism test enforces this).
+    /// [`Simulation`](crate::sim::Simulation) selects this path
     /// automatically under [`Runtime::Parallel`].
     ///
     /// # Panics
@@ -223,27 +223,53 @@ impl Scenario {
     /// [`build_participants_with`](Self::build_participants_with) over the
     /// key universe of `key_seed` rather than the scenario's own — how a
     /// multi-epoch session re-keys each epoch.
+    ///
+    /// Each topology edge's proof is signed once (§II: one proof per edge,
+    /// signed by both endpoints), in a first pass over its lower endpoint,
+    /// and both endpoints hold the same `Arc`, so the proof is also hashed
+    /// once when it is relayed.
     fn build_participants_keyed(&self, key_seed: u64, workers: usize) -> Vec<Participant> {
         let n = self.topology.node_count();
         let keys = KeyStore::generate(n, key_seed);
         let verifier = keys.verifier();
-        parallel_map((0..n).collect(), workers, |i| self.build_participant(i, &keys, &verifier))
+        // upper[i]: the proofs of node i's edges to higher ids, ascending.
+        let upper: Vec<Vec<Arc<NeighborhoodProof>>> =
+            parallel_map((0..n).collect(), workers, |i| {
+                self.topology.neighbors(i).filter(|&j| j > i).map(|j| sign(&keys, i, j)).collect()
+            });
+        parallel_map((0..n).collect(), workers, |i| {
+            let proofs = self.topology.neighbors(i).map(|j| {
+                let (lo, hi) = (i.min(j), i.max(j));
+                let at = upper[lo].binary_search_by_key(&(hi as u16), |p| p.endpoints().1);
+                (j, Arc::clone(&upper[lo][at.expect("signed in the first pass")]))
+            });
+            self.participant(i, proofs.collect(), &keys, &verifier)
+        })
     }
 
-    /// Builds the participant for node `i` — the per-node body of
-    /// [`build_participants_with`](Self::build_participants_with),
-    /// independent across nodes.
+    /// Builds the participant for node `i` alone, signing only its own
+    /// proofs — how one process of a socket fleet builds its node. The same
+    /// participant as [`build_participants`](Self::build_participants)
+    /// builds for `i`.
     pub(crate) fn build_participant(
         &self,
         i: NodeId,
         keys: &KeyStore,
         verifier: &Verifier,
     ) -> Participant {
-        let proofs: BTreeMap<NodeId, NeighborhoodProof> = self
-            .topology
-            .neighbors(i)
-            .map(|j| (j, NeighborhoodProof::new(&keys.signer(i as u16), &keys.signer(j as u16))))
-            .collect();
+        let proofs = self.topology.neighbors(i).map(|j| (j, sign(keys, i, j))).collect();
+        self.participant(i, proofs, keys, verifier)
+    }
+
+    /// The participant for node `i` over its neighbourhood proofs: the
+    /// correct node, then the Byzantine wrapping its behaviour asks for.
+    fn participant(
+        &self,
+        i: NodeId,
+        proofs: BTreeMap<NodeId, Arc<NeighborhoodProof>>,
+        keys: &KeyStore,
+        verifier: &Verifier,
+    ) -> Participant {
         let mut node = NectarNode::new(
             i,
             self.config.clone(),
@@ -415,6 +441,11 @@ impl Scenario {
     }
 }
 
+/// The proof of the edge `{i, j}`, signed by both endpoints.
+fn sign(keys: &KeyStore, i: NodeId, j: NodeId) -> Arc<NeighborhoodProof> {
+    Arc::new(NeighborhoodProof::new(&keys.signer(i as u16), &keys.signer(j as u16)))
+}
+
 /// Runs `procs` for `rounds` on the chosen engine — the single runtime
 /// dispatch shared by scheduled (wrapper-clad) and plain executions.
 fn dispatch<P>(
@@ -549,6 +580,47 @@ mod tests {
                 .map(|p| format!("{p:?}"))
                 .collect();
             assert_eq!(built, reference, "{workers} workers");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The fleet builder signs each edge's proof once and hands both
+        /// endpoints the same `Arc`; a socket fleet's process builds its
+        /// node alone, signing its own proofs. Over the behaviour zoo both
+        /// must build the same participant, and the two announcements of
+        /// an edge must be one proof object.
+        #[test]
+        fn fleet_and_single_node_builders_agree(
+            (g, t, cast) in crate::zoo::arb_scenario(),
+        ) {
+            let scenario = crate::zoo::build_scenario(&g, t, &cast);
+            let keys = KeyStore::generate(g.node_count(), scenario.key_seed());
+            let fleet = scenario.build_participants();
+            for (i, built) in fleet.iter().enumerate() {
+                let alone = scenario.build_participant(i, &keys, &keys.verifier());
+                let (a, b) = (built.nectar(), alone.nectar());
+                assert_eq!(a.discovered_edge_key(), b.discovered_edge_key(), "node {i}: view");
+                assert_eq!(a.view_fingerprint(), b.view_fingerprint(), "node {i}: fingerprint");
+                let relays = |n: &NectarNode| -> Vec<_> {
+                    n.pending_relays().map(|(p, c, x)| ((**p).clone(), c.clone(), x)).collect()
+                };
+                assert_eq!(relays(a), relays(b), "node {i}: pending relays");
+                assert_eq!(format!("{built:?}"), format!("{alone:?}"), "node {i}");
+            }
+            for (u, v) in g.edges() {
+                let key = (u as u16, v as u16);
+                let announced: Vec<&Arc<NeighborhoodProof>> = [u, v]
+                    .iter()
+                    .flat_map(|&end| fleet[end].nectar().pending_relays())
+                    .filter(|(p, _, exclude)| exclude.is_none() && p.endpoints() == key)
+                    .map(|(p, _, _)| p)
+                    .collect();
+                let hidden = [u, v].iter().any(|end| scenario.byzantine.contains_key(end));
+                assert!(hidden || announced.len() == 2, "edge {key:?}: {}", announced.len());
+                assert!(announced.windows(2).all(|w| Arc::ptr_eq(w[0], w[1])), "edge {key:?}");
+            }
         }
     }
 

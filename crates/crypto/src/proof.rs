@@ -8,16 +8,25 @@
 //! exactly the power the paper grants them ("Byzantine nodes may however
 //! forge proofs of neighborhood between Byzantine processes").
 
+use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
+
 use crate::keys::{Signature, Signer, SignerId, Verifier};
 use crate::sha256::Sha256;
 
 /// A both-endpoint-signed declaration of the undirected edge `(a, b)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// The fields never change after construction, so the proof keeps its
+/// [`digest`](Self::digest) once computed: a proof shared behind an `Arc`
+/// is hashed once however many nodes relay it. Equality, hashing and
+/// `Debug` read the four fields only, never the cache.
+#[derive(Clone)]
 pub struct NeighborhoodProof {
     a: SignerId,
     b: SignerId,
     sig_a: Signature,
     sig_b: Signature,
+    digest: OnceLock<[u8; 32]>,
 }
 
 impl NeighborhoodProof {
@@ -36,14 +45,14 @@ impl NeighborhoodProof {
         assert!(first.id() != second.id(), "neighborhood proof requires two distinct endpoints");
         let (lo, hi) = if first.id() <= second.id() { (first, second) } else { (second, first) };
         let stmt = statement_bytes(lo.id(), hi.id());
-        NeighborhoodProof { a: lo.id(), b: hi.id(), sig_a: lo.sign(&stmt), sig_b: hi.sign(&stmt) }
+        NeighborhoodProof::from_parts(lo.id(), hi.id(), lo.sign(&stmt), hi.sign(&stmt))
     }
 
     /// Assembles a proof from raw parts — the entry point for forgery
     /// attempts in Byzantine behaviours. Verification decides whether the
     /// parts are consistent.
     pub fn from_parts(a: SignerId, b: SignerId, sig_a: Signature, sig_b: Signature) -> Self {
-        NeighborhoodProof { a, b, sig_a, sig_b }
+        NeighborhoodProof { a, b, sig_a, sig_b, digest: OnceLock::new() }
     }
 
     /// The edge endpoints `(min, max)`.
@@ -76,15 +85,49 @@ impl NeighborhoodProof {
     }
 
     /// Digest of the proof contents, used as the payload binding for
-    /// signature chains relaying this proof.
+    /// signature chains relaying this proof. The first call hashes the 76
+    /// bytes; later calls on the same object (or on a clone taken after it)
+    /// read the kept value.
     pub fn digest(&self) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(&statement_bytes(self.a, self.b));
-        for sig in [&self.sig_a, &self.sig_b] {
-            h.update(&sig.signer().to_be_bytes());
-            h.update(sig.tag());
-        }
-        h.finalize()
+        *self.digest.get_or_init(|| {
+            let mut h = Sha256::new();
+            h.update(&statement_bytes(self.a, self.b));
+            for sig in [&self.sig_a, &self.sig_b] {
+                h.update(&sig.signer().to_be_bytes());
+                h.update(sig.tag());
+            }
+            h.finalize()
+        })
+    }
+
+    /// The four fields that make the proof, without the digest cache.
+    fn fields(&self) -> (SignerId, SignerId, &Signature, &Signature) {
+        (self.a, self.b, &self.sig_a, &self.sig_b)
+    }
+}
+
+impl PartialEq for NeighborhoodProof {
+    fn eq(&self, other: &Self) -> bool {
+        self.fields() == other.fields()
+    }
+}
+
+impl Eq for NeighborhoodProof {}
+
+impl Hash for NeighborhoodProof {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.fields().hash(state);
+    }
+}
+
+impl std::fmt::Debug for NeighborhoodProof {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NeighborhoodProof")
+            .field("a", &self.a)
+            .field("b", &self.b)
+            .field("sig_a", &self.sig_a)
+            .field("sig_b", &self.sig_b)
+            .finish()
     }
 }
 
@@ -167,6 +210,57 @@ mod tests {
         let stmt = NeighborhoodProof::statement(2, 2);
         let p = NeighborhoodProof::from_parts(2, 2, s.sign(&stmt), s.sign(&stmt));
         assert!(!p.verify(&ks.verifier()));
+    }
+
+    /// The digest cache is invisible: the cached value is the hash of the
+    /// fields, it is paid for once, and no comparison, hash or `Debug`
+    /// print can tell whether it is filled.
+    #[test]
+    fn digest_cache_is_pure() {
+        use crate::sha256::{compressions_in, sha256};
+        use std::collections::hash_map::DefaultHasher;
+
+        let ks = store();
+        let byz = ks.signer(5);
+        let stmt = NeighborhoodProof::statement(0, 5);
+        let honest = NeighborhoodProof::new(&ks.signer(4), &ks.signer(1));
+        let forged = NeighborhoodProof::from_parts(
+            0,
+            5,
+            crate::keys::Signature::from_parts(0, *byz.sign(&stmt).tag()),
+            byz.sign(&stmt),
+        );
+        let hash_of = |p: &NeighborhoodProof| {
+            let mut h = DefaultHasher::new();
+            p.hash(&mut h);
+            h.finish()
+        };
+        for proof in [honest, forged] {
+            let (a, b) = proof.endpoints();
+            let mut bytes = NeighborhoodProof::statement(a, b);
+            for sig in [proof.sig_a(), proof.sig_b()] {
+                bytes.extend_from_slice(&sig.signer().to_be_bytes());
+                bytes.extend_from_slice(sig.tag());
+            }
+            assert_eq!(bytes.len(), 76);
+
+            let debug_cold = format!("{proof:?} {proof:#?}");
+            let cold = proof.clone();
+            let (first, paid) = compressions_in(|| proof.digest());
+            let (again, repaid) = compressions_in(|| proof.digest());
+            assert_eq!(first, sha256(&bytes), "{a}-{b}: cached digest is not the hash");
+            assert_eq!(again, first);
+            assert_eq!((paid, repaid), (2, 0), "{a}-{b}: hashed once, then read");
+
+            let warm = proof.clone();
+            assert_eq!(compressions_in(|| warm.digest()), (first, 0), "the clone keeps it");
+            assert_eq!(cold, warm);
+            assert_eq!(cold, proof);
+            assert_eq!(hash_of(&cold), hash_of(&warm));
+            assert_eq!(format!("{proof:?} {proof:#?}"), debug_cold);
+            assert_eq!(format!("{warm:?} {warm:#?}"), debug_cold);
+            assert_eq!(compressions_in(|| cold.digest()), (first, 2), "a cold clone pays once");
+        }
     }
 
     #[test]
