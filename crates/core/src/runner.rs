@@ -39,9 +39,10 @@ use crate::node::NectarNode;
 ///   active nodes and commits each round's deliveries as one sorted vector
 ///   — hosting 10 000+-node topologies in one process;
 /// * [`Parallel`](Runtime::Parallel) runs the same [`EventNetwork`] with
-///   each round's polls and deliveries fanned out over `workers`
-///   work-stealing threads (see `docs/DETERMINISM.md` §3 for why the
-///   per-round commit keeps this bit-identical); `parallel:1` is `Event`.
+///   each round's polls and deliveries fanned out over `workers` threads
+///   pulling from one shared queue of blocks (see `docs/DETERMINISM.md` §3
+///   for why the per-round commit keeps this bit-identical); `parallel:1`
+///   is `Event`.
 ///   The worker count never affects results, only wall-clock; participant
 ///   construction (proof signing) fans out over the same number of
 ///   workers.
@@ -199,30 +200,17 @@ impl Scenario {
     /// Panics if a `FictitiousEdges` / `LateReveal` behaviour names
     /// non-Byzantine accomplices.
     pub fn build_participants(&self) -> Vec<Participant> {
-        self.build_participants_with(1)
+        self.build_participants_keyed(self.key_seed, 1)
     }
 
-    /// [`build_participants`](Self::build_participants) with the per-node
-    /// construction — neighborhood-proof signing plus Byzantine wrapping —
-    /// fanned over `workers` work-stealing workers (`0` = match the
-    /// machine, `1` = inline). The key-universe derivation stays sequential
-    /// (it is one seeded stream shared by every node), and [`parallel_map`]
-    /// preserves node order, so the returned participants are bit-identical
-    /// at any worker count (a determinism test enforces this).
-    /// [`Simulation`](crate::sim::Simulation) selects this path
-    /// automatically under [`Runtime::Parallel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `FictitiousEdges` / `LateReveal` behaviour names
-    /// non-Byzantine accomplices.
-    pub fn build_participants_with(&self, workers: usize) -> Vec<Participant> {
-        self.build_participants_keyed(self.key_seed, workers)
-    }
-
-    /// [`build_participants_with`](Self::build_participants_with) over the
+    /// [`build_participants`](Self::build_participants) over the
     /// key universe of `key_seed` rather than the scenario's own — how a
-    /// multi-epoch session re-keys each epoch.
+    /// multi-epoch session re-keys each epoch — with the per-node work
+    /// fanned over `workers` workers (`0` = match the machine, `1` =
+    /// inline). The key-universe derivation stays sequential (it is one
+    /// seeded stream shared by every node), and [`parallel_map`] preserves
+    /// node order, so the participants are bit-identical at any worker
+    /// count.
     ///
     /// Each topology edge's proof is signed once (§II: one proof per edge,
     /// signed by both endpoints), in a first pass over its lower endpoint,
@@ -562,7 +550,7 @@ mod tests {
 
     #[test]
     fn participants_are_bit_identical_at_any_build_worker_count() {
-        // build_participants_with fans proof signing across the pool; the
+        // build_participants_keyed fans proof signing across the pool; the
         // fan-out must never change what is built. Debug formatting covers
         // every field of every participant (keys, proofs, wrappers), so
         // equal strings mean bit-identical construction.
@@ -575,7 +563,7 @@ mod tests {
         assert_eq!(reference.len(), 40);
         for workers in [0, 2, 3, 7] {
             let built: Vec<String> = scenario
-                .build_participants_with(workers)
+                .build_participants_keyed(scenario.key_seed, workers)
                 .iter()
                 .map(|p| format!("{p:?}"))
                 .collect();

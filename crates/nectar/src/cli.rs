@@ -144,9 +144,10 @@ RUNTIME (--runtime, default sync):
   event       active-set round loop, O(active events) scheduling — large
               n (10k+ nodes in one process) on a single core
   parallel:W  the same event loop with each round's polls and deliveries
-              fanned out over W work-stealing workers — large n on many
-              cores. Bare `parallel` (W = 0) matches the machine; only
-              wall-clock depends on W, and parallel:1 is `event`.
+              fanned out over W workers pulling from one shared queue of
+              blocks — large n on many cores. Bare `parallel` (W = 0)
+              matches the machine; only wall-clock depends on W, and
+              parallel:1 is `event`.
   All produce bit-identical outcomes (docs/DETERMINISM.md).
 
 NODE (multi-process detection):
@@ -554,7 +555,6 @@ fn run_node(args: &NodeArgs) -> Result<NodeReport, String> {
     let config = ConnectConfig {
         connect_timeout: std::time::Duration::from_millis(compiled.connect_timeout_ms),
         recv_timeout: std::time::Duration::from_millis(compiled.recv_timeout_ms),
-        ..ConnectConfig::default()
     };
     let scenario = compiled.scenario();
     match compiled.transport {

@@ -29,13 +29,14 @@
 //! suite asserts this, metrics included; the contract is
 //! `docs/DETERMINISM.md`).
 //!
-//! [`EventNetwork::with_workers`] runs the same round on a work-stealing
-//! pool ([`parallel_map`]): the polls fan out one node per task and are
-//! committed on one thread in ascending order, through the same legality,
-//! metrics and push code; the sorted vector is then split into one run per
-//! destination and the runs fan out. No delivery starts before every send
-//! of the round is committed, and each node still receives its messages in
-//! canonical order, so the worker count changes wall-clock only.
+//! [`EventNetwork::with_workers`] runs the same round on a worker pool
+//! pulling from one shared queue of blocks ([`parallel_map`]): the polls
+//! fan out one node per task and are committed on one thread in ascending
+//! order, through the same legality, metrics and push code; the sorted
+//! vector is then split into one run per destination and the runs fan
+//! out. No delivery starts before every send of the round is committed,
+//! and each node still receives its messages in canonical order, so the
+//! worker count changes wall-clock only.
 
 use nectar_graph::Graph;
 

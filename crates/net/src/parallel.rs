@@ -1,13 +1,12 @@
 //! The worker pool behind the parallel runtime and participant building:
-//! an order-preserving, work-stealing [`parallel_map`].
+//! an order-preserving [`parallel_map`] over one shared queue of blocks.
 //!
 //! [`crate::event::EventNetwork::with_workers`] fans each round's polls and
 //! deliveries out over it, and `nectar-protocol` builds a fleet's
 //! participants on it. Worker counts never affect results, only
 //! wall-clock: the map returns its outputs in input order whichever worker
-//! ran which item.
+//! ran which block.
 
-use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};
 
 /// Resolves a requested worker count: `0` means "match the machine"
@@ -25,21 +24,20 @@ pub fn resolve_workers(workers: usize) -> usize {
 /// work it would spread.
 const INLINE_BATCH: usize = 32;
 
-/// How many tasks a worker moves per lock acquisition — from its own deque
-/// or a victim's. Amortizes locking (and, on oversubscribed machines, the
-/// context switches that lock hand-offs trigger) without hurting balance:
-/// a straggler's remaining work is still stolen half a backlog at a time.
-const GRAB_BATCH: usize = 256;
+/// How many blocks the batch is cut into per worker: enough that a worker
+/// held up on slow items leaves the rest of the queue to the others, few
+/// enough that the queue's lock is taken rarely.
+const BLOCKS_PER_WORKER: usize = 8;
 
-/// Order-preserving parallel map over a work-stealing worker pool.
+/// Order-preserving parallel map over one shared queue of blocks.
 ///
-/// Items are dealt into one deque per worker; each worker drains its own
-/// deque from the front (in [`GRAB_BATCH`]-sized grabs, so locking is
-/// amortized) and, when empty, steals half of a victim's remaining tasks
-/// from the back — so an uneven workload (one expensive node among
-/// thousands of cheap ones) still keeps every worker busy. The output
-/// vector is in input order regardless of which worker executed which item,
-/// which is what lets the event runtime treat this as a drop-in `map`.
+/// The batch is cut into contiguous blocks, about [`BLOCKS_PER_WORKER`] per
+/// worker, and put behind one lock; each worker pulls the next block until
+/// the queue is empty, so an uneven workload (one slow node among thousands
+/// of cheap ones) still keeps every worker busy. The blocks are stitched
+/// back in queue order, so the output vector is in input order regardless
+/// of which worker ran which block — which is what lets the event runtime
+/// treat this as a drop-in `map`.
 ///
 /// With `workers <= 1` (or a batch too small to amortize thread spawn) the
 /// map runs inline on the caller's thread — same results, no pool.
@@ -58,66 +56,36 @@ where
         return items.into_iter().map(f).collect();
     }
 
-    // Deal contiguous chunks so workers start on disjoint cache-friendly
-    // ranges; stealing rebalances from the far end of a victim's range.
     let total = items.len();
-    let chunk = total.div_ceil(workers);
-    let deques: Vec<Mutex<VecDeque<(usize, T)>>> = {
-        let mut iter = items.into_iter().enumerate();
-        (0..workers)
-            .map(|_| Mutex::new(iter.by_ref().take(chunk).collect::<VecDeque<_>>()))
-            .collect()
-    };
+    let block = total.div_ceil(workers * BLOCKS_PER_WORKER);
+    let mut items = items.into_iter();
+    let blocks: Vec<Vec<T>> =
+        (0..total.div_ceil(block)).map(|_| items.by_ref().take(block).collect()).collect();
+    let queue = Mutex::new(blocks.into_iter().enumerate());
 
-    let mut indexed: Vec<(usize, R)> = Vec::with_capacity(total);
-    std::thread::scope(|s| {
+    let mut done: Vec<(usize, Vec<R>)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let deques = &deques;
-                let f = &f;
-                s.spawn(move || {
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    let mut grabbed: Vec<(usize, T)> = Vec::with_capacity(GRAB_BATCH);
+            .map(|_| {
+                s.spawn(|| {
+                    let mut out = Vec::new();
                     loop {
-                        // Own work first (front)... (Poison is ignored
-                        // here and below: no step of a drain can tear a
-                        // deque, and a worker's panic resurfaces at join.)
-                        {
-                            let mut own = deques[w].lock().unwrap_or_else(PoisonError::into_inner);
-                            let take = own.len().min(GRAB_BATCH);
-                            grabbed.extend(own.drain(..take));
-                        }
-                        // ...then steal half a victim's backlog (back).
-                        if grabbed.is_empty() {
-                            for victim in (1..deques.len()).map(|d| (w + d) % deques.len()) {
-                                let mut v =
-                                    deques[victim].lock().unwrap_or_else(PoisonError::into_inner);
-                                let len = v.len();
-                                if len > 0 {
-                                    let take = (len / 2).max(1).min(GRAB_BATCH);
-                                    grabbed.extend(v.drain(len - take..));
-                                    break;
-                                }
-                            }
-                        }
-                        if grabbed.is_empty() {
-                            // No task anywhere: nothing re-enqueues during a
-                            // phase, so the pool is drained for good.
-                            break;
-                        }
-                        out.extend(grabbed.drain(..).map(|(idx, item)| (idx, f(item))));
+                        // Its own statement, so the guard drops before `f`
+                        // runs. (Poison is ignored: `next` cannot tear the
+                        // queue, and a worker's panic resurfaces at join.)
+                        let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+                        let Some((idx, block)) = next else { break out };
+                        out.push((idx, block.into_iter().map(&f).collect()));
                     }
-                    out
                 })
             })
             .collect();
-        for h in handles {
-            indexed.extend(h.join().expect("parallel_map worker panicked"));
-        }
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect()
     });
-
-    indexed.sort_unstable_by_key(|&(idx, _)| idx);
-    indexed.into_iter().map(|(_, r)| r).collect()
+    done.sort_unstable_by_key(|&(idx, _)| idx);
+    done.into_iter().flat_map(|(_, outputs)| outputs).collect()
 }
 
 #[cfg(test)]
@@ -181,16 +149,14 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_input_order_and_steals() {
+    fn parallel_map_preserves_input_order_and_balances() {
         use std::collections::HashSet;
         use std::sync::Mutex as StdMutex;
-        // 3 workers × 1000-item chunks: worker 0's chunk is larger than one
-        // GRAB_BATCH (so it cannot privatize it all in a single grab) and
-        // every item in it is slow — the other workers drain their own fast
-        // chunks and must steal the tail of worker 0's deque. The recorded
-        // thread ids prove the slow chunk was actually shared, and the
-        // output must still come back in input order.
-        assert!(1_000 > GRAB_BATCH, "chunk must exceed one grab for stealing to be reachable");
+        // 3 workers, 24 blocks of 125 items, and the first 1 000 items (the
+        // first 8 blocks, a third of the batch) slow: the recorded thread
+        // ids prove the slow third was shared out rather than run by the
+        // worker that pulled first, and the output must still come back in
+        // input order.
         let items: Vec<usize> = (0..3_000).collect();
         let owners: StdMutex<Vec<(usize, std::thread::ThreadId)>> = StdMutex::new(Vec::new());
         let out = parallel_map(items.clone(), 3, |i| {
@@ -201,15 +167,36 @@ mod tests {
             i * 3
         });
         assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
-        let owners = owners.into_inner().unwrap();
-        assert_eq!(owners.len(), 3_000, "every item runs exactly once");
-        let slow_chunk_threads: HashSet<_> =
+        let mut owners = owners.into_inner().unwrap();
+        owners.sort_unstable_by_key(|&(i, _)| i);
+        assert!(owners.iter().map(|&(i, _)| i).eq(0..3_000), "every item runs exactly once");
+        let slow_threads: HashSet<_> =
             owners.iter().filter(|(i, _)| *i < 1_000).map(|&(_, t)| t).collect();
         assert!(
-            slow_chunk_threads.len() >= 2,
-            "worker 0's slow chunk should have been partly stolen, but {} thread(s) ran it",
-            slow_chunk_threads.len()
+            slow_threads.len() >= 2,
+            "the slow items should have been spread over workers, but {} thread(s) ran them",
+            slow_threads.len()
         );
+    }
+
+    #[test]
+    fn parallel_map_with_more_workers_than_blocks_preserves_order() {
+        // 33 items on 64 requested workers, more than there are blocks: the
+        // pool shrinks to one worker per item and each block holds one item.
+        let items: Vec<usize> = (0..33).collect();
+        assert_eq!(
+            parallel_map(items.clone(), 64, |i| i * 2),
+            items.iter().map(|i| i * 2).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "item 40 failed")]
+    fn parallel_map_propagates_a_panic_in_f() {
+        parallel_map((0..100).collect(), 3, |i: usize| {
+            assert!(i != 40, "item 40 failed");
+            i
+        });
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! Execution is single-threaded and fully deterministic (messages are
 //! delivered in increasing sender order), which the test suite leans on;
 //! [`crate::event`] runs the same [`Process`] code on an `O(active
-//! events)` event loop and [`crate::parallel`] fans it over a
-//! work-stealing worker pool — both bit-identically.
+//! events)` event loop and [`crate::parallel`] fans it over a worker
+//! pool pulling from one shared queue of blocks — both bit-identically.
 //!
 //! This engine polls every node every round (`O(n · rounds)` even when the
 //! protocol has quiesced), which is the simplest correct baseline the

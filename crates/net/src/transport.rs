@@ -617,9 +617,6 @@ pub struct ConnectConfig {
     pub connect_timeout: Duration,
     /// How long one [`Transport::recv`] may block.
     pub recv_timeout: Duration,
-    /// First retry delay when a peer is not yet listening; doubles per
-    /// attempt, capped at 500 ms.
-    pub initial_backoff: Duration,
 }
 
 impl Default for ConnectConfig {
@@ -627,7 +624,6 @@ impl Default for ConnectConfig {
         ConnectConfig {
             connect_timeout: Duration::from_secs(30),
             recv_timeout: Duration::from_secs(30),
-            initial_backoff: Duration::from_millis(5),
         }
     }
 }
@@ -714,9 +710,10 @@ fn spawn_reader<R: Read + Send + 'static>(
 fn dial_with_backoff<S>(
     mut connect: impl FnMut() -> std::io::Result<S>,
     deadline: Instant,
-    initial_backoff: Duration,
 ) -> Result<S, TransportError> {
-    let mut backoff = initial_backoff.max(Duration::from_millis(1));
+    const INITIAL_BACKOFF: Duration = Duration::from_millis(5);
+    const MAX_BACKOFF: Duration = Duration::from_millis(500);
+    let mut backoff = INITIAL_BACKOFF;
     loop {
         match connect() {
             Ok(stream) => return Ok(stream),
@@ -725,7 +722,7 @@ fn dial_with_backoff<S>(
                     return Err(io_err("dialing peer", &e));
                 }
                 std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(Duration::from_millis(500));
+                backoff = (backoff * 2).min(MAX_BACKOFF);
             }
         }
     }
@@ -852,7 +849,7 @@ impl SocketTransport {
         }
         let mut writers: BTreeMap<NodeId, Box<dyn Write + Send>> = BTreeMap::new();
         for (peer, addr) in peers {
-            let stream = dial_with_backoff(|| dial(addr), deadline, config.initial_backoff)?;
+            let stream = dial_with_backoff(|| dial(addr), deadline)?;
             writers.insert(*peer, Box::new(stream));
         }
         let hello = Frame::Hello { from: local as u16 }.to_wire_bytes();

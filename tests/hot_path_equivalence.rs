@@ -15,7 +15,7 @@
 //!   the pin is the strongest observable: the full
 //!   `RunReport` (decisions, traffic metrics, oracle counters, rejection
 //!   tallies) must be bit-identical across all three runtimes and across
-//!   parallel worker counts {0, 2, 3, 7}. The oracle's edge-list layer 1
+//!   parallel worker counts {0, 2, 3, 4, 7}. The oracle's edge-list layer 1
 //!   (docs/DETERMINISM.md §6) is held to the same pin on the regime it
 //!   serves: a partitioned fleet of many distinct views.
 //!
@@ -61,13 +61,14 @@ fn assert_fingerprints_are_ground_truth(participants: &[Participant]) {
 }
 
 /// Every engine but the sync reference, with the parallel one on the
-/// {0, 2, 3, 7} worker grid (0 = auto-detect, so this also sweeps whatever
-/// the host machine resolves to).
-const OTHER_RUNTIMES: [Runtime; 5] = [
+/// {0, 2, 3, 4, 7} worker grid (0 = auto-detect, so this also sweeps
+/// whatever the host machine resolves to; `parallel:1` is `event`).
+const OTHER_RUNTIMES: [Runtime; 6] = [
     Runtime::Event,
     Runtime::Parallel { workers: 0 },
     Runtime::Parallel { workers: 2 },
     Runtime::Parallel { workers: 3 },
+    Runtime::Parallel { workers: 4 },
     Runtime::Parallel { workers: 7 },
 ];
 
@@ -106,12 +107,19 @@ proptest! {
         let participants = scenario.sim().schedule(schedule).participants();
         assert_fingerprints_are_ground_truth(&participants);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Proof-memo / digest hand-off / interning purity, pinned at the
     /// whole-run level:
     /// the full report content is bit-identical on every runtime and at
-    /// parallel worker counts {0, 2, 3, 7} (0 = auto-detect, so this also
-    /// sweeps whatever the host machine resolves to).
+    /// parallel worker counts {0, 2, 3, 4, 7} (0 = auto-detect, so this
+    /// also sweeps whatever the host machine resolves to), across the
+    /// generator zoo and the Byzantine behaviour zoo: results must not
+    /// depend on how the pool is sized or on which worker took which
+    /// block.
     #[test]
     fn reports_are_bit_identical_across_runtimes_and_worker_counts(
         (g, t, cast) in arb_scenario(),
@@ -126,7 +134,7 @@ proptest! {
 }
 
 /// A fixed multi-epoch, scheduled, Byzantine scenario swept across every
-/// runtime and the {0, 2, 3, 7} worker grid — the deterministic anchor
+/// runtime and the {0, 2, 3, 4, 7} worker grid — the deterministic anchor
 /// that fails loudly (no shrinking, stable name) if any cache ever leaks
 /// into decisions, metrics, oracle counters, or rejection tallies.
 #[test]
@@ -169,7 +177,7 @@ fn scheduled_multi_epoch_runs_are_bit_identical_everywhere() {
 /// plus connected islands with `δ ≤ t` (path, star) and with `δ > t`
 /// (cycle, Harary), one of them split further by a Byzantine member —
 /// a dozen-odd view classes, each settled without a view graph — pinned
-/// bit-identical on every runtime and the {0, 2, 3, 7} worker grid.
+/// bit-identical on every runtime and the {0, 2, 3, 4, 7} worker grid.
 #[test]
 fn many_class_partitioned_fleets_are_bit_identical_everywhere() {
     let islands = [
