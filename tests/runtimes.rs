@@ -1,23 +1,46 @@
-//! Cross-runtime anchors and scale properties.
+//! Cross-runtime equivalence and scale properties.
 //!
 //! Every runtime — deterministic sync, event-driven, and the event loop
 //! fanned out over workers (`parallel:W`) — promises *bit-identical*
 //! [`RunReport`]s for any scenario
 //! (same decisions, same traffic metrics, same oracle counters); the
 //! contract each upholds is written down in `docs/DETERMINISM.md`.
-//! The random sweep of that promise over the shared zoo of `tests/common`
+//! This suite enforces that promise over the shared zoo of `tests/common`
 //! (every §V-B topology family, casts over all eight Byzantine
-//! behaviours, the parallel runtime at worker counts {0, 2, 3, 4, 7}) is
-//! `hot_path_equivalence.rs`'s
-//! `reports_are_bit_identical_across_runtimes_and_worker_counts`. This
-//! suite holds fixed colluding casts as a deterministic anchor beside it
-//! and pins down the scale claim: the event-driven runtime hosts a
-//! 10 000-node scenario in one process, on one or two workers.
+//! behaviours) — the parallel runtime at a case-drawn worker count, beside
+//! the fixed {0, 2, 3, 4, 7} grid of `hot_path_equivalence.rs`, since
+//! worker count must never leak into results — holds fixed colluding
+//! casts as a deterministic anchor, and pins down the scale claim: the
+//! event-driven runtime hosts a 10 000-node scenario in one process, on
+//! one or two workers.
 
 mod common;
 
-use common::assert_reports_identical;
+use proptest::prelude::*;
+
+use common::{arb_scenario, assert_reports_identical, build_scenario};
 use nectar::prelude::*;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// sync == event == parallel, bit for bit, across the generator zoo
+    /// and the Byzantine behaviour zoo. The parallel runtime
+    /// runs at a case-varied worker count: results must not depend on how
+    /// the pool is sized (or on which worker took which block).
+    #[test]
+    fn all_runtimes_produce_identical_outcomes(
+        (g, t, cast) in arb_scenario(),
+        workers in 1usize..5,
+    ) {
+        let scenario = build_scenario(&g, t, &cast);
+        let sync = scenario.sim().runtime(Runtime::Sync).run();
+        let event = scenario.sim().runtime(Runtime::Event).run();
+        let parallel = scenario.sim().runtime(Runtime::Parallel { workers }).run();
+        assert_reports_identical(&sync, &event, "sync vs event");
+        assert_reports_identical(&sync, &parallel, "sync vs parallel");
+    }
+}
 
 /// Fixed colluding casts, as a deterministic anchor beside the random ones
 /// — LateReveal in particular sends *spontaneously*, the hard case for
