@@ -100,7 +100,7 @@ fn bench_wire_path(c: &mut Criterion) {
             RelayedEdge::new(proof, chain)
         })
         .collect();
-    let wire = NectarMsg { edges }.to_wire_bytes();
+    let wire = NectarMsg::new(edges).to_wire_bytes();
     c.bench_function("nectar_msg_decode/16", |b| {
         b.iter(|| NectarMsg::decode(&mut black_box(wire.as_slice())))
     });
@@ -120,8 +120,8 @@ fn bench_receive_known(c: &mut Criterion) {
     // is complete: its 10 edges from set-up plus the other 490 announced.
     // A neighbor then delivers 64 of those edges again — the 89 % of a
     // run's deliveries that flooding suppression drops before any signature
-    // check (Alg. 1 l. 14). Each iteration clones the message (one vector,
-    // two refcount bumps per edge), as every delivered copy is.
+    // check (Alg. 1 l. 14). Each iteration clones the message (one refcount
+    // bump, whatever it holds), as every delivered copy is.
     let (k, n) = (10, 100);
     let g = gen::harary(k, n).expect("valid parameters");
     let ks = KeyStore::generate(n, 1);
@@ -136,21 +136,19 @@ fn bench_receive_known(c: &mut Criterion) {
     }
     assert_eq!(node.known_edge_count(), edges.len());
     let from = node.neighbors()[0];
-    let msg = NectarMsg {
-        edges: edges
-            .iter()
-            .step_by(edges.len() / 64)
-            .take(64)
-            .map(|&(u, v)| {
-                let proof = proof(u, v);
-                let digest = proof.digest();
-                let chain = [u, from]
-                    .iter()
-                    .fold(SignatureChain::new(), |c, &h| c.extend(&ks.signer(h as u16), &digest));
-                RelayedEdge::new(proof, chain)
-            })
-            .collect(),
-    };
+    let msg: NectarMsg = edges
+        .iter()
+        .step_by(edges.len() / 64)
+        .take(64)
+        .map(|&(u, v)| {
+            let proof = proof(u, v);
+            let digest = proof.digest();
+            let chain = [u, from]
+                .iter()
+                .fold(SignatureChain::new(), |c, &h| c.extend(&ks.signer(h as u16), &digest));
+            RelayedEdge::new(proof, chain)
+        })
+        .collect();
     let mut group = c.benchmark_group("receive_known");
     group.bench_with_input(BenchmarkId::from_parameter(msg.edges.len()), &msg, |b, msg| {
         b.iter(|| node.receive(2, from, black_box(msg).clone()));

@@ -254,10 +254,12 @@ impl Process for Participant {
                     *done = true;
                     for &nbr in self.node.neighbors() {
                         match out.iter_mut().find(|o| o.to == nbr) {
-                            Some(o) => o.msg.edges.push((**payload).clone()),
+                            Some(o) => {
+                                o.msg = o.msg.edges.iter().chain([&**payload]).cloned().collect()
+                            }
                             None => out.push(Outgoing::new(
                                 nbr,
-                                NectarMsg { edges: vec![(**payload).clone()] },
+                                NectarMsg::new(vec![(**payload).clone()]),
                             )),
                         }
                     }
@@ -268,10 +270,11 @@ impl Process for Participant {
                     let me = self.node.node_id() as u16;
                     for o in out.iter_mut().filter(|o| victims.contains(&o.to)) {
                         let victim = o.to as u16;
-                        o.msg.edges.retain(|e| {
+                        let shared = |e: &&RelayedEdge| {
                             let (u, v) = e.proof.endpoints();
                             (u == me && v == victim) || (v == me && u == victim)
-                        });
+                        };
+                        o.msg = o.msg.edges.iter().filter(shared).cloned().collect();
                     }
                 }
             }
@@ -282,7 +285,8 @@ impl Process for Participant {
                 // proofs and pass through honestly.
                 if round == 1 && !suppressed.is_empty() {
                     for o in &mut out {
-                        o.msg.edges.retain(|e| !suppressed.contains(&e.proof.endpoints()));
+                        let kept = |e: &&RelayedEdge| !suppressed.contains(&e.proof.endpoints());
+                        o.msg = o.msg.edges.iter().filter(kept).cloned().collect();
                     }
                     out.retain(|o| !o.msg.edges.is_empty());
                 }
@@ -421,7 +425,7 @@ mod tests {
         let out = node.send(1);
         let to_victim = out.iter().find(|o| o.to == 2).expect("message to victim");
         assert_eq!(to_victim.msg.edges.len(), 1);
-        assert_eq!(to_victim.msg.edges[0].proof.endpoints(), (0, 2));
+        assert_eq!(to_victim.msg.edges.iter().next().unwrap().proof.endpoints(), (0, 2));
         let to_other = out.iter().find(|o| o.to == 1).expect("message to non-victim");
         assert_eq!(to_other.msg.edges.len(), 3, "non-victims get the full neighborhood");
     }

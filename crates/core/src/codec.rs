@@ -35,7 +35,7 @@ impl Decode for RelayedEdge {
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let proof = NeighborhoodProof::decode(buf)?;
         let chain = SignatureChain::decode(buf)?;
-        // A decoded edge starts a fresh sharing group: interning is an
+        // A decoded proof is shared by nothing yet: sharing is an
         // in-process optimization, never a wire-visible property.
         Ok(RelayedEdge::new(proof, chain))
     }
@@ -84,7 +84,8 @@ impl Decode for NectarMsg {
         for _ in 0..count {
             edges.push(RelayedEdge::decode(buf)?);
         }
-        Ok(NectarMsg { edges })
+        // A decoded message is a batch of its own that excludes no one.
+        Ok(NectarMsg::new(edges))
     }
 }
 
@@ -107,7 +108,7 @@ mod tests {
                 RelayedEdge::new(proof, chain)
             })
             .collect();
-        (ks, NectarMsg { edges })
+        (ks, NectarMsg::new(edges))
     }
 
     #[test]
@@ -192,7 +193,7 @@ mod tests {
 
     #[test]
     fn empty_message_round_trips() {
-        let msg = NectarMsg { edges: Vec::new() };
+        let msg = NectarMsg::new(Vec::new());
         let bytes = msg.to_wire_bytes();
         assert_eq!(bytes, [0, 2, 0, 0, 0, 0, 0, 0], "big-endian version, reserved, count");
         assert_eq!(
@@ -231,7 +232,7 @@ mod proptests {
                     RelayedEdge::new(proof, chain)
                 })
                 .collect();
-            let msg = NectarMsg { edges };
+            let msg = NectarMsg::new(edges);
             let bytes = msg.to_wire_bytes();
             let mut slice = bytes.as_slice();
             prop_assert_eq!(NectarMsg::decode(&mut slice).unwrap(), msg);

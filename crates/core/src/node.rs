@@ -7,7 +7,9 @@
 //! 2. **Edge propagation** (ll. 5–15): `n − 1` synchronous rounds. Round 1
 //!    announces the node's signed neighborhood; subsequent rounds relay,
 //!    with one more chain signature, every edge newly learned in the
-//!    previous round, to all neighbors except the one it came from. A chain
+//!    previous round, to all neighbors except the one it came from. The
+//!    node signs an edge (σ_i(msg)) when it accepts it, into the next
+//!    round's batch, and sends that one batch to every neighbor. A chain
 //!    accepted at round `R` must be valid, carry exactly `R` signatures
 //!    (stale-replay defence), start at an endpoint of the claimed edge, end
 //!    at the delivering neighbor, and edges already known are neither stored
@@ -30,7 +32,7 @@ use nectar_graph::{connectivity, traversal, ConnectivityOracle, Fingerprint, Gra
 use nectar_net::{NodeId, Outgoing, Process};
 
 use crate::config::{Decision, NectarConfig};
-use crate::message::{NectarMsg, RelayedEdge};
+use crate::message::{self, NectarMsg, RelayedEdge};
 
 /// Reasons a relayed edge can be rejected, counted for diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -100,28 +102,13 @@ pub struct NectarNode {
     /// toggled on every view mutation so the decision phase reads view
     /// identity in O(1) instead of walking O(m_view) edge keys.
     view_fingerprint: Fingerprint,
-    /// Edges accepted in the previous round, to relay this round
-    /// (`to_be_sent_R`), with the neighbor to skip.
-    pending: Vec<PendingRelay>,
+    /// The next round's batch (`to_be_sent_R`): every edge accepted this
+    /// round, already under this node's signature. The signature before
+    /// this node's names the neighbor the edge came from, which does not
+    /// get it back.
+    pending: Vec<RelayedEdge>,
     /// Rejected-message diagnostics.
     rejections: BTreeMap<RejectReason, u64>,
-}
-
-#[derive(Debug, Clone)]
-struct PendingRelay {
-    proof: Arc<NeighborhoodProof>,
-    chain: Arc<SignatureChain>,
-    /// The neighbor the edge came from, which does not get it back; `None`
-    /// for own announcements.
-    exclude: Option<NodeId>,
-}
-
-impl PendingRelay {
-    /// A round-1 announcement: empty chain, sent to every neighbor
-    /// (Alg. 1 ll. 6–8).
-    fn announcement(proof: Arc<NeighborhoodProof>) -> Self {
-        PendingRelay { proof, chain: Arc::new(SignatureChain::new()), exclude: None }
-    }
 }
 
 impl NectarNode {
@@ -167,9 +154,16 @@ impl NectarNode {
                 "proof endpoints ({a},{b}) must join node {id} and neighbor {nbr}"
             );
             node.set_view_edge((a, b), true);
-            node.pending.push(PendingRelay::announcement(proof));
+            node.queue_announcement(proof);
         }
         node
+    }
+
+    /// Queues a round-1 announcement: the proof under this node's signature
+    /// alone, sent to every neighbor (Alg. 1 ll. 6–8).
+    fn queue_announcement(&mut self, proof: Arc<NeighborhoodProof>) {
+        let chain = SignatureChain::new().extend(&self.signer, &proof.digest());
+        self.pending.push(RelayedEdge { proof, chain });
     }
 
     /// Adds (`present`) or removes the edge `endpoints` from the view. On a
@@ -201,7 +195,7 @@ impl NectarNode {
     /// that declare fictitious edges").
     pub fn announce_extra_proof(&mut self, proof: NeighborhoodProof) {
         self.set_view_edge(proof.endpoints(), true);
-        self.pending.push(PendingRelay::announcement(Arc::new(proof)));
+        self.queue_announcement(Arc::new(proof));
     }
 
     /// Removes the edge to `neighbor` from the view (and its pending
@@ -212,7 +206,7 @@ impl NectarNode {
         let nbr = neighbor as u16;
         let key = (id.min(nbr), id.max(nbr));
         self.set_view_edge(key, false);
-        self.pending.retain(|p| p.proof.endpoints() != key);
+        self.pending.retain(|edge| edge.proof.endpoints() != key);
     }
 
     /// This node's id.
@@ -331,12 +325,15 @@ impl NectarNode {
         self.view_fingerprint
     }
 
-    /// The relay queue as (proof, chain, neighbour skipped), in queue order.
+    /// The next round's batch as (proof, signed chain, neighbour skipped),
+    /// in queue order.
     #[cfg(test)]
     pub(crate) fn pending_relays(
         &self,
     ) -> impl Iterator<Item = (&Arc<NeighborhoodProof>, &SignatureChain, Option<NodeId>)> {
-        self.pending.iter().map(|p| (&p.proof, &*p.chain, p.exclude))
+        self.pending
+            .iter()
+            .map(|edge| (&edge.proof, &edge.chain, edge.came_from().map(NodeId::from)))
     }
 
     fn reject(&mut self, reason: RejectReason) {
@@ -383,50 +380,30 @@ impl Process for NectarNode {
     }
 
     fn send(&mut self, _round: usize) -> Vec<Outgoing<NectarMsg>> {
-        let pending = std::mem::take(&mut self.pending);
-        if pending.is_empty() {
+        if self.pending.is_empty() {
             return Vec::new();
         }
-        // Extend each chain once with our signature (σ_i(msg)), then fan the
-        // edge out to every neighbor not excluded — each copy is two pointer
-        // bumps (shared proof, shared extended chain), not a signature buffer.
-        // One batch per neighbor slot; `neighbors` ascends, so the messages
-        // go out in destination order.
-        let mut per_slot: Vec<Vec<RelayedEdge>> =
-            self.neighbors.iter().map(|_| Vec::with_capacity(pending.len())).collect();
-        for item in pending {
-            let chain = Arc::new(item.chain.extend(&self.signer, &item.proof.digest()));
-            for (&nbr, edges) in self.neighbors.iter().zip(&mut per_slot) {
-                if item.exclude != Some(nbr) {
-                    edges.push(RelayedEdge { proof: item.proof.clone(), chain: chain.clone() });
-                }
-            }
-        }
-        self.neighbors
-            .iter()
-            .zip(per_slot)
-            .filter(|(_, edges)| !edges.is_empty())
-            .map(|(&to, edges)| Outgoing::new(to, NectarMsg { edges }))
-            .collect()
+        // The batch is signed already; every neighbor's message is a view
+        // of it, one refcount each, whatever the batch holds.
+        message::fan_out(std::mem::take(&mut self.pending), &self.neighbors)
     }
 
     fn receive(&mut self, round: usize, from: NodeId, msg: NectarMsg) {
-        for edge in msg.edges {
+        for edge in &msg.edges {
             let endpoints = edge.proof.endpoints();
             // Flooding suppression first (l. 14): known edges are ignored
             // without paying signature verification.
             if self.discovered.contains(&edge_key(endpoints)) {
                 continue;
             }
-            match self.validate(round, from, &edge) {
+            match self.validate(round, from, edge) {
                 Err(reason) => self.reject(reason),
                 Ok(()) => {
+                    // Signed now (σ_i(msg)), sent next round: the same tag
+                    // and the same round as signing at send time.
                     self.set_view_edge(endpoints, true);
-                    self.pending.push(PendingRelay {
-                        proof: edge.proof,
-                        chain: edge.chain,
-                        exclude: Some(from),
-                    });
+                    let chain = edge.chain.extend(&self.signer, &edge.proof.digest());
+                    self.pending.push(RelayedEdge { proof: Arc::clone(&edge.proof), chain });
                 }
             }
         }
@@ -555,7 +532,7 @@ mod tests {
         let chain = SignatureChain::new().extend(&ks.signer(0), &proof.digest());
         // Use an edge unknown to node 2: (0,1) is not adjacent to node 2's
         // initial knowledge.
-        let msg = NectarMsg { edges: vec![RelayedEdge::new(proof, chain)] };
+        let msg = NectarMsg::new(vec![RelayedEdge::new(proof, chain)]);
         nodes[2].receive(2, 1, msg);
         assert_eq!(nodes[2].rejections()[&RejectReason::WrongChainLength], 1);
         assert_eq!(nodes[2].known_edge_count(), 1);
@@ -569,7 +546,7 @@ mod tests {
         let proof = NeighborhoodProof::new(&ks.signer(0), &ks.signer(1));
         let chain = SignatureChain::new().extend(&ks.signer(0), &proof.digest());
         // Node 2 receives from node 1 a chain whose outermost signer is 0.
-        let msg = NectarMsg { edges: vec![RelayedEdge::new(proof, chain)] };
+        let msg = NectarMsg::new(vec![RelayedEdge::new(proof, chain)]);
         nodes[2].receive(1, 1, msg);
         assert_eq!(nodes[2].rejections()[&RejectReason::OutermostNotSender], 1);
     }
@@ -582,7 +559,7 @@ mod tests {
         // Node 1 announces edge (0,2) that it is not part of.
         let proof = NeighborhoodProof::new(&ks.signer(0), &ks.signer(2));
         let chain = SignatureChain::new().extend(&ks.signer(1), &proof.digest());
-        let msg = NectarMsg { edges: vec![RelayedEdge::new(proof, chain)] };
+        let msg = NectarMsg::new(vec![RelayedEdge::new(proof, chain)]);
         nodes[2].receive(1, 1, msg);
         assert_eq!(nodes[2].rejections()[&RejectReason::InnermostNotEndpoint], 1);
     }
@@ -604,7 +581,7 @@ mod tests {
             nectar_crypto::Signature::from_parts(2, *bogus_sig.tag()),
         );
         let chain = SignatureChain::new().extend(&ks.signer(2), &forged.digest());
-        let msg = NectarMsg { edges: vec![RelayedEdge::new(forged, chain)] };
+        let msg = NectarMsg::new(vec![RelayedEdge::new(forged, chain)]);
         nodes[1].receive(1, 2, msg);
         assert_eq!(nodes[1].rejections()[&RejectReason::BadProof], 1);
     }
@@ -618,7 +595,7 @@ mod tests {
         let digest = proof.digest();
         let chain =
             SignatureChain::new().extend(&ks.signer(2), &digest).extend(&ks.signer(2), &digest);
-        let msg = NectarMsg { edges: vec![RelayedEdge::new(proof, chain)] };
+        let msg = NectarMsg::new(vec![RelayedEdge::new(proof, chain)]);
         nodes[1].receive(2, 2, msg);
         assert_eq!(nodes[1].rejections()[&RejectReason::DuplicateSigner], 1);
     }
@@ -642,7 +619,7 @@ mod tests {
         tag[0] ^= 1;
         links[0] = nectar_crypto::Signature::from_parts(1, tag);
         let deliver = |node: &mut NectarNode, chain: SignatureChain| {
-            let msg = NectarMsg { edges: vec![RelayedEdge::new(proof.clone(), chain)] };
+            let msg = NectarMsg::new(vec![RelayedEdge::new(proof.clone(), chain)]);
             node.receive(2, 2, msg);
         };
         let view = node.view_fingerprint();
@@ -661,12 +638,13 @@ mod tests {
         let out = node.send(3);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].to, 4);
-        let [edge] = out[0].msg.edges.as_slice() else { panic!("exactly the accepted edge") };
+        let edges: Vec<&RelayedEdge> = out[0].msg.edges.iter().collect();
+        let [edge] = edges.as_slice() else { panic!("exactly the accepted edge") };
         assert_eq!(*edge.proof, proof);
         assert_eq!(edge.chain.len(), 3);
         assert_eq!(edge.chain.outermost_signer(), Some(3));
         assert!(edge.chain.verify(&ks.verifier(), &digest));
-        assert_eq!(*edge.chain, chain.extend(&ks.signer(3), &digest));
+        assert_eq!(edge.chain, chain.extend(&ks.signer(3), &digest));
     }
 
     #[test]
@@ -761,7 +739,7 @@ mod config_knob_tests {
         let mut node = NectarNode::new(2, cfg, ks.signer(2), ks.verifier(), proofs);
         let proof = NeighborhoodProof::new(&ks.signer(0), &ks.signer(1));
         let chain = SignatureChain::new().extend(&ks.signer(1), &proof.digest());
-        let msg = NectarMsg { edges: vec![RelayedEdge::new(proof, chain)] };
+        let msg = NectarMsg::new(vec![RelayedEdge::new(proof, chain)]);
         node.receive(2, 1, msg);
         assert_eq!(node.known_edge_count(), 2, "stale chain accepted without the check");
         assert!(node.rejections().is_empty());
@@ -799,8 +777,7 @@ mod relay_handoff_tests {
         let n = scenario.topology().node_count();
         let keys = KeyStore::generate(n, scenario.key_seed());
         let mut participants = scenario.build_participants();
-        let mut accepted_under: BTreeMap<(NodeId, (u16, u16)), Arc<SignatureChain>> =
-            BTreeMap::new();
+        let mut accepted_under: BTreeMap<(NodeId, (u16, u16)), SignatureChain> = BTreeMap::new();
         let mut checked = BTreeMap::new();
         for round in 1..=scenario.config().effective_rounds() {
             let mut in_flight = Vec::new();
@@ -814,7 +791,7 @@ mod relay_handoff_tests {
                                 accepted_under.get(&(from, key)).cloned().unwrap_or_default();
                             let from_scratch =
                                 received.extend(&keys.signer(from as u16), &edge.proof.digest());
-                            assert_eq!(*edge.chain, from_scratch, "node {from}, round {round}");
+                            assert_eq!(edge.chain, from_scratch, "node {from}, round {round}");
                             *checked.entry(received.len()).or_insert(0) += 1;
                         }
                         in_flight.push((from, out.to, edge.clone()));
@@ -826,7 +803,7 @@ mod relay_handoff_tests {
             for (from, to, edge) in in_flight {
                 let known = participants[to].nectar().known_edge_count();
                 let (key, chain) = (edge.proof.endpoints(), edge.chain.clone());
-                participants[to].receive(round, from, NectarMsg { edges: vec![edge] });
+                participants[to].receive(round, from, NectarMsg::new(vec![edge]));
                 if participants[to].nectar().known_edge_count() > known {
                     accepted_under.insert((to, key), chain);
                 }
@@ -939,11 +916,11 @@ mod view_set_tests {
                             let mut tag = *links[0].tag();
                             tag[0] ^= 1;
                             links[0] = Signature::from_parts(x, tag);
-                            edge.chain = Arc::new(SignatureChain::from_links(links));
+                            edge.chain = SignatureChain::from_links(links);
                         } else {
                             model.insert((x.min(y), x.max(y)));
                         }
-                        node.receive(round, from as NodeId, NectarMsg { edges: vec![edge] });
+                        node.receive(round, from as NodeId, NectarMsg::new(vec![edge]));
                     }
                     3 => {
                         model.remove(&(0, a));
@@ -954,7 +931,7 @@ mod view_set_tests {
                         let chain = SignatureChain::new()
                             .extend(&ks.signer(from), &proof.digest());
                         let edge = RelayedEdge::new(proof, chain);
-                        node.receive(1, from as NodeId, NectarMsg { edges: vec![edge] });
+                        node.receive(1, from as NodeId, NectarMsg::new(vec![edge]));
                     }
                     _ => {}
                 }

@@ -9,9 +9,10 @@
 //! once, not once per node.
 //!
 //! The same kind of pin holds the relay path: an accepted edge owns its
-//! slot in the view, its relay queue entry and the one extended chain the
-//! fan-out shares — not a set for its single excluded neighbor, byte vectors
-//! for digests, or a memo entry per verified proof or chain. And the
+//! slot in the view and its one signed chain in the sender's round batch —
+//! not a set for its single excluded neighbor, byte vectors for digests, or
+//! a memo entry per verified proof or chain — and sending the batch costs
+//! the same whatever it holds and however many neighbors get it. And the
 //! schedule layer: a flap schedule adds O(n + T), not n × T. And the wire
 //! path: over the sync engine's own count, a loopback run allocates per
 //! delivered edge and per frame what decoding and framing must own — not a
@@ -165,11 +166,12 @@ fn a_whole_run_allocates_a_handful_per_accepted_edge() {
     // exactly once.
     let edges = n * k / 2;
     let accepted = (n * (edges - k)) as u64;
-    // Measured 27 831 (4.2 per accepted edge); 90 181 (13.6) with a set per
-    // excluded neighbor, heap-built digests and statements, a set per
-    // distinctness check, a doubled chain buffer and the chain memo.
+    // Measured 11 473 (1.7 per accepted edge); 27 831 (4.2) with a vector per
+    // neighbor per round and an `Arc` per extended chain; 90 181 (13.6) with
+    // a set per excluded neighbor, heap-built digests and statements, a set
+    // per distinctness check, a doubled chain buffer and the chain memo.
     assert!(
-        allocations < 6 * accepted,
+        allocations < 2 * accepted,
         "run_report made {allocations} allocations for {accepted} accepted edges"
     );
 }
@@ -207,15 +209,16 @@ impl<P: Process<Msg = NectarMsg>> Process for CountEdges<P> {
 
 /// The wire path costs what it delivers. The same fleet is run on the sync
 /// engine and over loopback; what loopback adds is bounded by what a
-/// delivered edge must own after decode (its proof, its chain, the chain's
-/// links: 3, + the message's edge vector) and what a frame must own in
-/// flight (its one send buffer, its payload out of the `FrameBuffer`, its
-/// share of the driver's per-round maps).
+/// delivered edge must own after decode (its proof and its chain's links:
+/// 2, + the message's edge vector and the `Arc` around it) and what a frame
+/// must own in flight (its one send buffer, its payload out of the
+/// `FrameBuffer`, its share of the driver's per-round maps).
 ///
-/// Measured: sync 27 287, loopback 160 587 (34 848 edges delivered in 2 592
-/// messages, 16 128 frames; ceiling 295 703). With a `Vec` per `get_u16`, a
-/// second header parse per frame and `to_vec()` at the end of every encode,
-/// the same run made 697 549.
+/// Measured: sync 10 087, loopback 111 131 (34 848 edges delivered in 2 592
+/// messages, 16 128 frames; ceiling 243 655). Before messages were views of
+/// one round batch: sync 27 287, loopback 160 587. With a `Vec` per
+/// `get_u16`, a second header parse per frame and `to_vec()` at the end of
+/// every encode, the same run made 697 549.
 #[test]
 fn a_loopback_run_allocates_per_edge_and_per_frame_over_the_sync_engine() {
     let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -249,19 +252,20 @@ fn a_loopback_run_allocates_per_edge_and_per_frame_over_the_sync_engine() {
     let messages: u64 = wire_metrics.msgs_sent().iter().sum();
     let frames = messages + (2 * scenario.topology().edge_count() * rounds) as u64;
     assert!(
-        loopback < sync + 4 * edges + 8 * frames,
+        loopback < sync + 3 * edges + 8 * frames,
         "loopback made {loopback} allocations against sync's {sync}, \
          for {edges} delivered edges in {messages} messages and {frames} frames"
     );
 }
 
-/// Decoding a message allocates what the decoded value owns — per edge an
-/// `Arc` each for proof and chain and the chain's link vector, plus the
-/// edge vector — whatever the chain length: no read of a length, an id or
-/// a tag touches the heap. (49 for 16 edges; 164 at chain length 2 and 228
-/// at length 6 when every `get_u16` returned a `Vec`.)
+/// Decoding a message allocates what the decoded value owns — per edge the
+/// proof's `Arc` and the chain's link vector, plus the edge vector and the
+/// `Arc` the message shares it behind — whatever the chain length: no read
+/// of a length, an id or a tag touches the heap. (34 for 16 edges; 49 with
+/// an `Arc` per chain; 164 at chain length 2 and 228 at length 6 when every
+/// `get_u16` returned a `Vec`.)
 #[test]
-fn decoding_a_message_allocates_three_per_edge_whatever_the_chain_length() {
+fn decoding_a_message_allocates_two_per_edge_whatever_the_chain_length() {
     let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let e = 16u16;
     let ks = KeyStore::generate(e as usize + 1, 3);
@@ -276,7 +280,7 @@ fn decoding_a_message_allocates_three_per_edge_whatever_the_chain_length() {
                 RelayedEdge::new(proof, chain)
             })
             .collect();
-        let msg = NectarMsg { edges };
+        let msg = NectarMsg::new(edges);
         let wire = msg.to_wire_bytes();
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let decoded = NectarMsg::decode(&mut wire.as_slice());
@@ -286,7 +290,56 @@ fn decoding_a_message_allocates_three_per_edge_whatever_the_chain_length() {
     };
     let (short, long) = (decode_allocations(2), decode_allocations(6));
     assert_eq!(short, long, "allocations must not depend on the chain length");
-    assert!(long <= 3 * e as u64 + 1, "decoding {e} edges made {long} allocations");
+    assert!(long <= 2 * e as u64 + 2, "decoding {e} edges made {long} allocations");
+}
+
+/// A correct node's `send` makes its round's messages in a constant number
+/// of allocations: the batch was signed as its edges were accepted, and each
+/// neighbor's message is a view of it. With p queued relays and d
+/// neighbors, copying each edge into a vector per neighbor and sharing each
+/// extended chain behind an `Arc` cost d + 2p + 1.
+#[test]
+fn sending_a_round_allocates_the_same_whatever_the_batch_and_the_neighborhood() {
+    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let ks = KeyStore::generate(64, 9);
+    // Node 0 joined to nodes 1..=d, announcing its d edges and `extra`
+    // fictitious ones, then accepting `relayed` edges (1, j) from node 1 in
+    // round 1, which go to every neighbor but node 1.
+    let send_allocations = |d: u16, extra: u16, relayed: u16| {
+        let proof = |a: u16, b: u16| NeighborhoodProof::new(&ks.signer(a), &ks.signer(b));
+        let own = (1..=d).map(|j| (j as NodeId, proof(0, j))).collect();
+        let mut node =
+            NectarNode::new(0, NectarConfig::new(64, 1), ks.signer(0), ks.verifier(), own);
+        for j in 0..extra {
+            node.announce_extra_proof(proof(40 + j % 8, 48 + j / 8));
+        }
+        let msg: NectarMsg = (0..relayed)
+            .map(|j| {
+                let proof = proof(1, 20 + j);
+                let chain = SignatureChain::new().extend(&ks.signer(1), &proof.digest());
+                RelayedEdge::new(proof, chain)
+            })
+            .collect();
+        node.receive(1, 1, msg);
+        assert!(node.rejections().is_empty());
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let out = node.send(1);
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let p = (d + extra + relayed) as usize;
+        assert_eq!(out.len(), d as usize);
+        assert_eq!(out[0].msg.edges.len(), p - relayed as usize, "node 1 gets none of its own");
+        assert!(out[1..].iter().all(|o| o.msg.edges.len() == p));
+        allocations
+    };
+    let least = send_allocations(2, 0, 0);
+    for (d, extra, relayed) in [(2, 0, 8), (8, 0, 0), (8, 16, 0), (16, 16, 16), (4, 0, 32)] {
+        let allocations = send_allocations(d, extra, relayed);
+        assert_eq!(
+            allocations, least,
+            "d = {d}, {extra} extra announcements, {relayed} relays: {allocations} allocations"
+        );
+    }
+    assert!(least <= 2, "send made {least} allocations");
 }
 
 /// A chain's 2-byte length prefix is a claim, not a size: a buffer that

@@ -735,7 +735,7 @@ mod frame_fuzz {
                     RelayedEdge::new(proof, chain)
                 })
                 .collect();
-            assert_canonical::<NectarMsg>(&NectarMsg { edges }.to_wire_bytes(), mask, |_, _| {})?;
+            assert_canonical::<NectarMsg>(&NectarMsg::new(edges).to_wire_bytes(), mask, |_, _| {})?;
         }
     }
 }
