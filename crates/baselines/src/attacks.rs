@@ -18,33 +18,6 @@ use crate::mtg::{FilterMsg, MtgConfig, MtgNode};
 use crate::mtg_v2::MtgV2Node;
 use crate::verdict::BaselineVerdict;
 
-/// Byzantine strategies against MtG.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MtgBehavior {
-    /// Gossip an all-ones filter (the poisoning attack of §V-D).
-    SaturateFilter,
-    /// Crash from round 1.
-    Silent,
-    /// Bridge attack: silent toward the listed nodes.
-    TwoFaced {
-        /// Nodes toward which this node plays dead.
-        silent_toward: BTreeSet<NodeId>,
-    },
-}
-
-/// Byzantine strategies against MtGv2 (filters cannot be forged, so only
-/// traffic-shaped attacks remain).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MtgV2Behavior {
-    /// Crash from round 1.
-    Silent,
-    /// Bridge attack: silent toward the listed nodes.
-    TwoFaced {
-        /// Nodes toward which this node plays dead.
-        silent_toward: BTreeSet<NodeId>,
-    },
-}
-
 /// The all-ones-filter attacker.
 #[derive(Debug)]
 pub struct FilterSaturator {
@@ -88,9 +61,8 @@ impl Process for FilterSaturator {
 /// Heterogeneous MtG participant.
 #[derive(Debug)]
 pub enum MtgParticipant {
-    /// The protocol node, behind the [`Mute`] its cast gave it
-    /// ([`Mute::Never`] for a correct one).
-    Node(Muted<MtgNode>),
+    /// The protocol node.
+    Node(MtgNode),
     /// All-ones-filter attacker.
     Saturator(FilterSaturator),
 }
@@ -157,52 +129,44 @@ impl BaselineOutcome {
     }
 }
 
-/// Runs MtG over `topology` for `rounds` (one epoch), with the given
-/// Byzantine cast.
+/// Runs MtG over `topology` for `rounds` (one epoch), with the nodes of
+/// `saturators` gossiping all-ones filters (the Byzantine cast).
 pub fn run_mtg(
     topology: &Graph,
     config: MtgConfig,
-    byzantine: &BTreeMap<NodeId, MtgBehavior>,
+    saturators: &BTreeSet<NodeId>,
     rounds: usize,
 ) -> BaselineOutcome {
     let n = topology.node_count();
     let participants: Vec<MtgParticipant> = (0..n)
         .map(|i| {
-            let muted = |mute| {
-                let node = MtgNode::new(i, config, topology.neighborhood(i));
-                MtgParticipant::Node(Muted::new(node, mute))
-            };
-            match byzantine.get(&i) {
-                None => muted(Mute::Never),
-                Some(MtgBehavior::SaturateFilter) => MtgParticipant::Saturator(
-                    FilterSaturator::new(i, config, topology.neighborhood(i)),
-                ),
-                Some(MtgBehavior::Silent) => muted(Mute::From { round: 1 }),
-                Some(MtgBehavior::TwoFaced { silent_toward }) => {
-                    muted(Mute::Toward(silent_toward.clone()))
-                }
+            if saturators.contains(&i) {
+                MtgParticipant::Saturator(FilterSaturator::new(i, config, topology.neighborhood(i)))
+            } else {
+                MtgParticipant::Node(MtgNode::new(i, config, topology.neighborhood(i)))
             }
         })
         .collect();
     let mut net = SyncNetwork::new(participants, topology.clone());
     net.run_rounds(rounds);
     let (participants, metrics) = net.into_parts();
-    let byz: BTreeSet<NodeId> = byzantine.keys().copied().collect();
     let verdicts = participants
         .iter()
         .filter_map(|p| match p {
-            MtgParticipant::Node(n) if !byz.contains(&n.id()) => Some((n.id(), n.inner().decide())),
-            _ => None,
+            MtgParticipant::Node(n) => Some((n.id(), n.decide())),
+            MtgParticipant::Saturator(_) => None,
         })
         .collect();
-    BaselineOutcome { verdicts, metrics, byzantine: byz }
+    BaselineOutcome { verdicts, metrics, byzantine: saturators.clone() }
 }
 
 /// Runs MtGv2 over `topology` for `rounds` (one epoch), with the given
-/// Byzantine cast.
+/// Byzantine cast: each Byzantine node runs the protocol behind its
+/// [`Mute`] (filters cannot be forged, so only traffic-shaped attacks —
+/// silence, or the two-faced bridge — remain).
 pub fn run_mtg_v2(
     topology: &Graph,
-    byzantine: &BTreeMap<NodeId, MtgV2Behavior>,
+    byzantine: &BTreeMap<NodeId, Mute>,
     rounds: usize,
     key_seed: u64,
 ) -> BaselineOutcome {
@@ -217,14 +181,7 @@ pub fn run_mtg_v2(
                 &keys.signer(i as u16),
                 keys.verifier(),
             );
-            let mute = match byzantine.get(&i) {
-                None => Mute::Never,
-                Some(MtgV2Behavior::Silent) => Mute::From { round: 1 },
-                Some(MtgV2Behavior::TwoFaced { silent_toward }) => {
-                    Mute::Toward(silent_toward.clone())
-                }
-            };
-            Muted::new(node, mute)
+            Muted::new(node, byzantine.get(&i).cloned().unwrap_or(Mute::Never))
         })
         .collect();
     let mut net = SyncNetwork::new(participants, topology.clone());
@@ -260,7 +217,7 @@ mod tests {
     #[test]
     fn honest_mtg_detects_the_partition() {
         let g = split_graph();
-        let out = run_mtg(&g, MtgConfig::new(8), &BTreeMap::new(), 7);
+        let out = run_mtg(&g, MtgConfig::new(8), &BTreeSet::new(), 7);
         assert!(out.agreement());
         assert_eq!(out.success_rate(BaselineVerdict::Partitioned), 1.0);
     }
@@ -268,8 +225,7 @@ mod tests {
     #[test]
     fn one_saturator_fools_half_the_nodes() {
         let g = split_graph();
-        let byz = BTreeMap::from([(0, MtgBehavior::SaturateFilter)]);
-        let out = run_mtg(&g, MtgConfig::new(8), &byz, 7);
+        let out = run_mtg(&g, MtgConfig::new(8), &BTreeSet::from([0]), 7);
         // Nodes 1–3 are poisoned (conclude Connected); 4–7 still detect.
         assert!(!out.agreement(), "a single Byzantine node breaks agreement");
         let rate = out.success_rate(BaselineVerdict::Partitioned);
@@ -279,9 +235,7 @@ mod tests {
     #[test]
     fn two_saturators_fool_everyone() {
         let g = split_graph();
-        let byz =
-            BTreeMap::from([(0, MtgBehavior::SaturateFilter), (4, MtgBehavior::SaturateFilter)]);
-        let out = run_mtg(&g, MtgConfig::new(8), &byz, 7);
+        let out = run_mtg(&g, MtgConfig::new(8), &BTreeSet::from([0, 4]), 7);
         assert_eq!(out.success_rate(BaselineVerdict::Partitioned), 0.0);
     }
 
@@ -298,8 +252,7 @@ mod tests {
         for (u, v) in [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6), (4, 6), (2, 3), (3, 4)] {
             g.add_edge(u, v).unwrap();
         }
-        let byz =
-            BTreeMap::from([(3, MtgV2Behavior::TwoFaced { silent_toward: [4, 5, 6].into() })]);
+        let byz = BTreeMap::from([(3, Mute::Toward([4, 5, 6].into()))]);
         let out = run_mtg_v2(&g, &byz, 6, 1);
         assert!(!out.agreement(), "one bridge suffices to break agreement");
         let rate = out.success_rate(BaselineVerdict::Partitioned);
@@ -314,7 +267,7 @@ mod tests {
     #[test]
     fn silent_byzantine_in_connected_graph_changes_nothing_for_others() {
         let g = nectar_graph::gen::harary(3, 8).unwrap();
-        let byz = BTreeMap::from([(2, MtgV2Behavior::Silent)]);
+        let byz = BTreeMap::from([(2, Mute::From { round: 1 })]);
         let out = run_mtg_v2(&g, &byz, 7, 1);
         // Node 2 never attests: correct nodes miss it and conclude
         // Partitioned — a false alarm inherent to crash-style silence.

@@ -22,24 +22,20 @@
 //! # Example
 //!
 //! ```
-//! use std::collections::BTreeMap;
-//! use nectar_baselines::{run_mtg, BaselineVerdict, MtgBehavior, MtgConfig};
+//! use std::collections::BTreeSet;
+//! use nectar_baselines::{run_mtg, BaselineVerdict, MtgConfig};
 //!
 //! // Two disconnected triangles: honest MtG detects the partition…
 //! let g = nectar_graph::Graph::from_edges(
 //!     6,
 //!     [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
 //! )?;
-//! let honest = run_mtg(&g, MtgConfig::new(6), &BTreeMap::new(), 5);
+//! let honest = run_mtg(&g, MtgConfig::new(6), &BTreeSet::new(), 5);
 //! assert_eq!(honest.success_rate(BaselineVerdict::Partitioned), 1.0);
 //!
 //! // …but one Byzantine node per side, gossiping all-ones filters, fools
 //! // every correct node (Fig. 8's red curve).
-//! let byz = BTreeMap::from([
-//!     (0, MtgBehavior::SaturateFilter),
-//!     (3, MtgBehavior::SaturateFilter),
-//! ]);
-//! let attacked = run_mtg(&g, MtgConfig::new(6), &byz, 5);
+//! let attacked = run_mtg(&g, MtgConfig::new(6), &BTreeSet::from([0, 3]), 5);
 //! assert_eq!(attacked.success_rate(BaselineVerdict::Partitioned), 0.0);
 //! # Ok::<(), nectar_graph::GraphError>(())
 //! ```
@@ -52,10 +48,7 @@ pub mod mtg;
 pub mod mtg_v2;
 pub mod verdict;
 
-pub use attacks::{
-    run_mtg, run_mtg_v2, BaselineOutcome, FilterSaturator, MtgBehavior, MtgParticipant,
-    MtgV2Behavior,
-};
+pub use attacks::{run_mtg, run_mtg_v2, BaselineOutcome, FilterSaturator, MtgParticipant};
 pub use bloom::BloomFilter;
 pub use mtg::{FilterMsg, MtgConfig, MtgNode};
 pub use mtg_v2::{MtgV2Node, SignedIdsMsg};

@@ -8,7 +8,7 @@
 //! nectar-bench --bench protocol`); CI diffs a fresh run against it via
 //! the `bench_diff` binary.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -337,7 +337,7 @@ fn bench_baselines(c: &mut Criterion) {
     let n = g.node_count();
     let mut group = c.benchmark_group("baseline_run");
     group.bench_function("mtg_k4_n50", |b| {
-        b.iter(|| run_mtg(black_box(&g), MtgConfig::new(n), &BTreeMap::new(), n - 1))
+        b.iter(|| run_mtg(black_box(&g), MtgConfig::new(n), &BTreeSet::new(), n - 1))
     });
     group.bench_function("mtgv2_k4_n50", |b| {
         b.iter(|| run_mtg_v2(black_box(&g), &BTreeMap::new(), n - 1, 7))

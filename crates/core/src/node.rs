@@ -325,17 +325,6 @@ impl NectarNode {
         self.view_fingerprint
     }
 
-    /// The next round's batch as (proof, signed chain, neighbour skipped),
-    /// in queue order.
-    #[cfg(test)]
-    pub(crate) fn pending_relays(
-        &self,
-    ) -> impl Iterator<Item = (&Arc<NeighborhoodProof>, &SignatureChain, Option<NodeId>)> {
-        self.pending
-            .iter()
-            .map(|edge| (&edge.proof, &edge.chain, edge.came_from().map(NodeId::from)))
-    }
-
     fn reject(&mut self, reason: RejectReason) {
         *self.rejections.entry(reason).or_insert(0) += 1;
     }

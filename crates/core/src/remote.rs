@@ -10,13 +10,15 @@
 //! sides of the conformance contract: the [`Recorded`] capture layer
 //! around the participant, driven by a [`NodeDriver`] here and by the
 //! deterministic sync engine in [`sync_fleet_reports`], which the harness
-//! compares the union of the fleet's reports against. Per
+//! compares the union of the fleet's reports against. The participant
+//! comes from the same place too: each process takes its node from
+//! [`Scenario::build_participants`], the builder every in-memory engine
+//! runs. Per
 //! `docs/DETERMINISM.md` the socket path is pinned by delivered-message
 //! equivalence, not bit-identity.
 
 use std::collections::BTreeMap;
 
-use nectar_crypto::KeyStore;
 use nectar_net::text::{self, Line, TextError};
 use nectar_net::transport::{DeliveryLog, NodeDriver, Recorded, Transport, TransportError};
 use nectar_net::{NodeId, SyncNetwork};
@@ -168,9 +170,10 @@ fn report_for(participant: &Participant, deliveries: DeliveryLog, sent: (u64, u6
 }
 
 /// Runs node `node` of `scenario` over `transport` — the body of
-/// `nectar-cli node`. Builds the full participant cast locally (the key
-/// universe is a pure function of `n` and the key seed, so every process
-/// derives identical keys), drives this node's participant — behind the
+/// `nectar-cli node`. Builds the full participant cast locally with
+/// [`Scenario::build_participants`] (the key universe is a pure function
+/// of `n` and the key seed, so every process derives identical keys and
+/// proofs) and keeps this node's, then drives it — behind the
 /// [`Recorded`] layer, for the report's deliveries — for the scenario's
 /// round count, then decides.
 ///
@@ -196,10 +199,7 @@ pub fn run_scenario_node<T: Transport>(
         expected.as_slice(),
         "transport peers must be node {node}'s topology neighborhood"
     );
-    // One process drives one node: derive the key universe, sign only this
-    // node's proofs.
-    let keys = KeyStore::generate(n, scenario.key_seed());
-    let participant = scenario.build_participant(node, &keys, &keys.verifier());
+    let participant = scenario.build_participants().swap_remove(node);
     let mut driver = NodeDriver::new(Recorded::new(participant), transport);
     driver.run(scenario.config().effective_rounds())?;
     let (recorded, sent, _illegal) = driver.into_parts();

@@ -10,11 +10,11 @@
 //!   loss-free, versioned ([`REPORT_CODEC_VERSION`]) and human-greppable,
 //!   the format behind the `report <path>` sink and `nectar-cli detect
 //!   --json`;
-//! * **CSV** ([`RunReport::to_csv`] / [`RunReport::decisions_from_csv`]) —
-//!   the per-node decision stream (`epoch,node,verdict,confirmed,
-//!   reachable,connectivity`), the machine-readable per-node granularity
-//!   the evaluation analyses consume. CSV carries decisions only, by
-//!   design; use JSON for full-fidelity persistence.
+//! * **CSV** ([`RunReport::to_csv`]) — the per-node decision stream
+//!   (`epoch,node,verdict,confirmed,reachable,connectivity`), the
+//!   machine-readable per-node granularity the evaluation analyses
+//!   consume. CSV is an export only: it carries decisions, by design, and
+//!   is never read back; JSON is the form that persists and reloads.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -31,9 +31,8 @@ use crate::runner::Runtime;
 /// version 3 added the optional per-phase wall-clock profile.
 pub const REPORT_CODEC_VERSION: u16 = 3;
 
-/// Header of the per-node decision CSV stream — the single definition
-/// shared by [`RunReport::to_csv`] and [`RunReport::decisions_from_csv`]
-/// (what `nectar-cli detect --csv` prints).
+/// Header of the per-node decision CSV stream that [`RunReport::to_csv`]
+/// writes (what `nectar-cli detect --csv` prints).
 pub const DECISIONS_CSV_HEADER: &str = "epoch,node,verdict,confirmed,reachable,connectivity";
 
 /// The topology schedule a session ran under, as persisted in its
@@ -512,43 +511,6 @@ impl RunReport {
         }
         out
     }
-
-    /// Parses the per-node decisions back out of [`to_csv`](Self::to_csv)
-    /// output: a map from epoch index to that epoch's per-node decisions.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message on malformed rows.
-    pub fn decisions_from_csv(
-        csv: &str,
-    ) -> Result<BTreeMap<usize, BTreeMap<NodeId, Decision>>, String> {
-        let mut lines = csv.lines();
-        match lines.next() {
-            Some(header) if header == DECISIONS_CSV_HEADER => {}
-            other => return Err(format!("bad CSV header: {other:?}")),
-        }
-        let mut epochs: BTreeMap<usize, BTreeMap<NodeId, Decision>> = BTreeMap::new();
-        for line in lines {
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != 6 {
-                return Err(format!("bad CSV row (expected 6 fields): {line}"));
-            }
-            let num =
-                |s: &str| s.parse::<usize>().map_err(|_| format!("bad number {s} in row {line}"));
-            let epoch = num(fields[0])?;
-            let node = num(fields[1])?;
-            let decision = Decision {
-                verdict: fields[2].parse()?,
-                confirmed: fields[3]
-                    .parse::<bool>()
-                    .map_err(|_| format!("bad bool {} in row {line}", fields[3]))?,
-                reachable: num(fields[4])?,
-                connectivity: num(fields[5])?,
-            };
-            epochs.entry(epoch).or_default().insert(node, decision);
-        }
-        Ok(epochs)
-    }
 }
 
 fn json_u64_array(values: &[u64]) -> String {
@@ -873,8 +835,8 @@ mod tests {
         assert_ne!(staged, report.to_json());
         assert_eq!(RunReport::from_json(&staged).expect("parses"), report);
         // The decision CSV is indifferent to profiling.
-        let decisions = RunReport::decisions_from_csv(&report.to_csv()).expect("parses");
-        assert!(report.epochs.iter().all(|e| decisions[&e.epoch] == e.decisions));
+        let unprofiled = Scenario::new(gen::cycle(8), 1).sim().epochs(2).run();
+        assert_eq!(report.to_csv(), unprofiled.to_csv());
         // Unprofiled runs keep the field absent.
         let plain = sample_report();
         assert!(plain.epochs.iter().all(|e| e.profile.is_none()));
@@ -883,26 +845,28 @@ mod tests {
 
     #[test]
     fn csv_carries_the_per_node_decision_stream() {
-        let report = sample_report();
-        let csv = report.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "epoch,node,verdict,confirmed,reachable,connectivity");
-        // 9 correct nodes × 2 epochs.
-        assert_eq!(lines.len(), 1 + 9 * 2);
-        let parsed = RunReport::decisions_from_csv(&csv).expect("parses");
-        assert_eq!(parsed.len(), 2);
-        for e in &report.epochs {
-            assert_eq!(parsed[&e.epoch], e.decisions);
-        }
-    }
-
-    #[test]
-    fn csv_rejects_malformed_rows() {
-        assert!(RunReport::decisions_from_csv("wrong,header\n").is_err());
-        let csv = "epoch,node,verdict,confirmed,reachable,connectivity\n0,1,WARP,true,5,2\n";
-        assert!(RunReport::decisions_from_csv(csv).is_err());
-        let csv = "epoch,node,verdict,confirmed,reachable,connectivity\n0,1\n";
-        assert!(RunReport::decisions_from_csv(csv).is_err());
+        // Golden: the header, then one row per correct node (node 3 is
+        // Byzantine) per epoch, in (epoch, node) order.
+        let golden = "epoch,node,verdict,confirmed,reachable,connectivity\n\
+                      0,0,NOT_PARTITIONABLE,false,10,3\n\
+                      0,1,NOT_PARTITIONABLE,false,10,3\n\
+                      0,2,NOT_PARTITIONABLE,false,10,3\n\
+                      0,4,NOT_PARTITIONABLE,false,10,3\n\
+                      0,5,NOT_PARTITIONABLE,false,10,3\n\
+                      0,6,NOT_PARTITIONABLE,false,10,3\n\
+                      0,7,NOT_PARTITIONABLE,false,10,3\n\
+                      0,8,NOT_PARTITIONABLE,false,10,3\n\
+                      0,9,NOT_PARTITIONABLE,false,10,3\n\
+                      1,0,NOT_PARTITIONABLE,false,10,3\n\
+                      1,1,NOT_PARTITIONABLE,false,10,3\n\
+                      1,2,NOT_PARTITIONABLE,false,10,3\n\
+                      1,4,NOT_PARTITIONABLE,false,10,3\n\
+                      1,5,NOT_PARTITIONABLE,false,10,3\n\
+                      1,6,NOT_PARTITIONABLE,false,10,3\n\
+                      1,7,NOT_PARTITIONABLE,false,10,3\n\
+                      1,8,NOT_PARTITIONABLE,false,10,3\n\
+                      1,9,NOT_PARTITIONABLE,false,10,3\n";
+        assert_eq!(sample_report().to_csv(), golden);
     }
 
     #[test]

@@ -235,20 +235,6 @@ impl Scenario {
         })
     }
 
-    /// Builds the participant for node `i` alone, signing only its own
-    /// proofs — how one process of a socket fleet builds its node. The same
-    /// participant as [`build_participants`](Self::build_participants)
-    /// builds for `i`.
-    pub(crate) fn build_participant(
-        &self,
-        i: NodeId,
-        keys: &KeyStore,
-        verifier: &Verifier,
-    ) -> Participant {
-        let proofs = self.topology.neighbors(i).map(|j| (j, sign(keys, i, j))).collect();
-        self.participant(i, proofs, keys, verifier)
-    }
-
     /// The participant for node `i` over its neighbourhood proofs: the
     /// correct node, then the Byzantine wrapping its behaviour asks for.
     fn participant(
@@ -571,43 +557,41 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-
-        /// The fleet builder signs each edge's proof once and hands both
-        /// endpoints the same `Arc`; a socket fleet's process builds its
-        /// node alone, signing its own proofs. Over the behaviour zoo both
-        /// must build the same participant, and the two announcements of
-        /// an edge must be one proof object.
-        #[test]
-        fn fleet_and_single_node_builders_agree(
-            (g, t, cast) in crate::zoo::arb_scenario(),
-        ) {
-            let scenario = crate::zoo::build_scenario(&g, t, &cast);
-            let keys = KeyStore::generate(g.node_count(), scenario.key_seed());
-            let fleet = scenario.build_participants();
-            for (i, built) in fleet.iter().enumerate() {
-                let alone = scenario.build_participant(i, &keys, &keys.verifier());
-                let (a, b) = (built.nectar(), alone.nectar());
-                assert_eq!(a.discovered_edge_key(), b.discovered_edge_key(), "node {i}: view");
-                assert_eq!(a.view_fingerprint(), b.view_fingerprint(), "node {i}: fingerprint");
-                let relays = |n: &NectarNode| -> Vec<_> {
-                    n.pending_relays().map(|(p, c, x)| ((**p).clone(), c.clone(), x)).collect()
-                };
-                assert_eq!(relays(a), relays(b), "node {i}: pending relays");
-                assert_eq!(format!("{built:?}"), format!("{alone:?}"), "node {i}");
+    #[test]
+    fn both_endpoints_of_an_edge_announce_one_shared_proof() {
+        // Set-up signs each edge's proof once and hands both endpoints the
+        // same `Arc`, so a relayed proof is hashed once. Round 1 carries
+        // only announcements: every correct node must announce each of its
+        // edges, and the two announcements of an edge between correct
+        // nodes must be one object.
+        for (g, byzantine) in [
+            (gen::harary(4, 12).unwrap(), vec![]),
+            (gen::cycle(9), vec![4]),
+            (gen::complete(6), vec![0, 5]),
+        ] {
+            let mut scenario = Scenario::new(g.clone(), 2).with_key_seed(3);
+            for &b in &byzantine {
+                scenario = scenario.with_byzantine(b, ByzantineBehavior::Silent);
             }
+            let announced: Vec<BTreeMap<(u16, u16), Arc<NeighborhoodProof>>> = scenario
+                .build_participants()
+                .iter_mut()
+                .map(|p| {
+                    let out = p.send(1);
+                    out.first()
+                        .into_iter()
+                        .flat_map(|o| o.msg.edges.iter())
+                        .map(|e| (e.proof.endpoints(), Arc::clone(&e.proof)))
+                        .collect()
+                })
+                .collect();
             for (u, v) in g.edges() {
+                if byzantine.contains(&u) || byzantine.contains(&v) {
+                    continue;
+                }
                 let key = (u as u16, v as u16);
-                let announced: Vec<&Arc<NeighborhoodProof>> = [u, v]
-                    .iter()
-                    .flat_map(|&end| fleet[end].nectar().pending_relays())
-                    .filter(|(p, _, exclude)| exclude.is_none() && p.endpoints() == key)
-                    .map(|(p, _, _)| p)
-                    .collect();
-                let hidden = [u, v].iter().any(|end| scenario.byzantine.contains_key(end));
-                assert!(hidden || announced.len() == 2, "edge {key:?}: {}", announced.len());
-                assert!(announced.windows(2).all(|w| Arc::ptr_eq(w[0], w[1])), "edge {key:?}");
+                let (a, b) = (&announced[u][&key], &announced[v][&key]);
+                assert!(Arc::ptr_eq(a, b), "edge {key:?}");
             }
         }
     }

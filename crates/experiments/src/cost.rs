@@ -6,7 +6,7 @@
 //! *data sent per node* from serialized message sizes, and returns a
 //! [`Table`] with the same series the paper plots.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use nectar_baselines::{run_mtg, run_mtg_v2, MtgConfig};
 use nectar_graph::rng::Rng;
@@ -26,7 +26,7 @@ fn nectar_kb_per_node(g: &Graph, t: usize) -> f64 {
 
 /// Mean kilobytes sent per node by one fault-free MtG execution on `g`.
 fn mtg_kb_per_node(g: &Graph, n: usize) -> f64 {
-    run_mtg(g, MtgConfig::new(n), &BTreeMap::new(), n - 1).mean_kb_sent_per_node()
+    run_mtg(g, MtgConfig::new(n), &BTreeSet::new(), n - 1).mean_kb_sent_per_node()
 }
 
 /// Mean kilobytes sent per node by one fault-free MtGv2 execution on `g`.

@@ -15,8 +15,9 @@
 //! that persists exactly like
 //! [`RunReport`](nectar_protocol::RunReport) — hand-rolled JSON
 //! ([`MatrixReport::to_json`] / [`MatrixReport::from_json`], reusing the
-//! protocol crate's recursive-descent reader) and a per-cell CSV stream —
-//! behind the `nectar-cli matrix` subcommand.
+//! protocol crate's recursive-descent reader) — plus a per-cell CSV export
+//! ([`MatrixReport::to_csv`], written, never read back), behind the
+//! `nectar-cli matrix` subcommand.
 //!
 //! Every input is derived from `(base_seed, trial)` alone, so a sweep is
 //! bit-identical across the sync, event and parallel runtimes at any
@@ -32,7 +33,7 @@ use nectar_graph::rng::Rng;
 use nectar_graph::{gen, ConnectivityOracle, Graph};
 use nectar_net::NodeId;
 use nectar_protocol::report::json::{self, Fields};
-use nectar_protocol::{ByzantineBehavior, Runtime, Scenario, Verdict};
+use nectar_protocol::{ByzantineBehavior, Runtime, Scenario, Verdict, MAX_NODES};
 
 use crate::placements::{
     articulation_byzantine_placement, articulation_falsifier_cast, cut_byzantine_placement,
@@ -273,6 +274,12 @@ impl FamilySpec {
     }
 }
 
+/// The refusal of an `n`-node topology above [`MAX_NODES`], shared by
+/// [`MatrixSpec::run`] and the scenario compiler.
+pub(crate) fn over_node_limit(n: usize) -> String {
+    format!("{n} nodes exceed the {MAX_NODES}-node limit (node ids are u16 on the wire)")
+}
+
 /// Near-square factorization `rows × cols` with `rows · cols ≥ n` and both
 /// sides ≥ 2 — the grid/torus size adapter.
 fn near_square(n: usize) -> (usize, usize) {
@@ -460,16 +467,24 @@ impl MatrixSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message when a family/size combination is outside its
-    /// generator's domain, or when `t` leaves no correct node on one of
-    /// the built graphs (no partial sweeps: both are checked before any
-    /// trial runs).
+    /// Returns a message when a size exceeds [`MAX_NODES`] (before any
+    /// graph that large is built), when a family/size combination is
+    /// outside its generator's domain or builds more than [`MAX_NODES`]
+    /// nodes, or when `t` leaves no correct node on one of the built
+    /// graphs (no partial sweeps: all are checked before any trial runs).
     pub fn run(&self) -> Result<MatrixReport, String> {
-        // The scenario compiler's budget check, on each built graph: grid
-        // and torus round n, so the size axis alone cannot decide it.
+        if let Some(&n) = self.sizes.iter().find(|&&n| n > MAX_NODES) {
+            return Err(over_node_limit(n));
+        }
+        // The scenario compiler's node-limit and budget checks, on each
+        // built graph: grid, torus and random-regular round n, so the size
+        // axis alone cannot decide them.
         for family in &self.families {
             for &n in &self.sizes {
                 let nodes = family.build(n, self.base_seed)?.node_count();
+                if nodes > MAX_NODES {
+                    return Err(format!("{}: {}", family.name(), over_node_limit(nodes)));
+                }
                 if self.t >= nodes {
                     return Err(format!("t = {} needs fewer than the n = {nodes} nodes", self.t));
                 }
@@ -803,50 +818,6 @@ impl MatrixReport {
         }
         out
     }
-
-    /// Parses the cells back out of [`to_csv`](Self::to_csv) output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message on a bad header or malformed rows.
-    pub fn cells_from_csv(csv: &str) -> Result<Vec<MatrixCell>, String> {
-        let mut lines = csv.lines();
-        match lines.next() {
-            Some(header) if header == MATRIX_CSV_HEADER => {}
-            other => return Err(format!("bad matrix CSV header: {other:?}")),
-        }
-        let mut cells = Vec::new();
-        for line in lines {
-            let fields: Vec<&str> = line.split(',').collect();
-            if fields.len() != 15 {
-                return Err(format!("bad matrix CSV row (expected 15 fields): {line}"));
-            }
-            let num =
-                |s: &str| s.parse::<usize>().map_err(|_| format!("bad number {s} in row {line}"));
-            let wide =
-                |s: &str| s.parse::<u64>().map_err(|_| format!("bad number {s} in row {line}"));
-            cells.push(MatrixCell {
-                family: fields[0].to_string(),
-                n: num(fields[1])?,
-                cast: fields[2].to_string(),
-                stats: CellStats {
-                    trials: num(fields[3])?,
-                    truth_partitionable: num(fields[4])?,
-                    detected: num(fields[5])?,
-                    false_positives: num(fields[6])?,
-                    false_negatives: num(fields[7])?,
-                    confirmed: num(fields[8])?,
-                    agreement_failures: num(fields[9])?,
-                    median_rounds: num(fields[10])?,
-                    total_msgs: wide(fields[11])?,
-                    total_bytes: wide(fields[12])?,
-                    oracle_queries: wide(fields[13])?,
-                    oracle_cache_hits: wide(fields[14])?,
-                },
-            });
-        }
-        Ok(cells)
-    }
 }
 
 impl fmt::Display for MatrixReport {
@@ -985,12 +956,36 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trips_the_cells() {
-        let report = tiny_spec().run().expect("valid spec");
-        let cells = MatrixReport::cells_from_csv(&report.to_csv()).expect("round trip");
-        assert_eq!(cells, report.cells);
-        assert!(MatrixReport::cells_from_csv("family,n\n").is_err());
-        assert!(MatrixReport::cells_from_csv(&format!("{MATRIX_CSV_HEADER}\na,b\n")).is_err());
+    fn csv_is_the_header_then_one_row_per_cell_in_sweep_order() {
+        let golden = format!(
+            "{MATRIX_CSV_HEADER}\n\
+             harary-k4,9,honest,3,0,0,0,0,0,0,3,324,414234,27,26\n\
+             harary-k4,9,silent-cut,3,0,0,0,0,0,0,4,306,373104,24,24\n\
+             grid,9,honest,3,0,0,0,0,0,0,4,213,162480,27,26\n\
+             grid,9,silent-cut,3,0,0,0,0,0,0,4,212,150064,24,24\n"
+        );
+        assert_eq!(tiny_spec().run().expect("valid spec").to_csv(), golden);
+    }
+
+    #[test]
+    fn sizes_past_the_node_limit_are_refused_before_any_graph_is_built() {
+        let spec = MatrixSpec {
+            families: vec![FamilySpec::Cliques],
+            sizes: vec![8, MAX_NODES + 4],
+            casts: vec![CastSpec::Honest],
+            t: 1,
+            trials: 1,
+            base_seed: 0,
+            runtime: Runtime::Sync,
+        };
+        let err = spec.run().unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "{} nodes exceed the {MAX_NODES}-node limit (node ids are u16 on the wire)",
+                MAX_NODES + 4
+            )
+        );
     }
 
     #[test]

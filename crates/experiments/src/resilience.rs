@@ -15,11 +15,9 @@
 
 use std::collections::BTreeMap;
 
-use nectar_baselines::{
-    run_mtg, run_mtg_v2, BaselineVerdict, MtgBehavior, MtgConfig, MtgV2Behavior,
-};
+use nectar_baselines::{run_mtg, run_mtg_v2, BaselineVerdict, MtgConfig};
 use nectar_graph::{traversal, ConnectivityOracle, Graph};
-use nectar_net::NodeId;
+use nectar_net::{Mute, NodeId};
 use nectar_protocol::{ByzantineBehavior, RunReport, Runtime, Scenario, Verdict};
 
 use crate::matrix::FamilySpec;
@@ -58,9 +56,9 @@ fn mtgv2_bridge_run(n: usize, links_per_part: usize, t: usize, seed: u64) -> f64
         let s = bridged_partition(n, t, links_per_part, seed);
         (s.graph, s.byzantine, s.part_b)
     };
-    let byz: BTreeMap<NodeId, MtgV2Behavior> = byzantine
+    let byz: BTreeMap<NodeId, Mute> = byzantine
         .into_iter()
-        .map(|b| (b, MtgV2Behavior::TwoFaced { silent_toward: part_b.iter().copied().collect() }))
+        .map(|b| (b, Mute::Toward(part_b.iter().copied().collect())))
         .collect();
     run_mtg_v2(&graph, &byz, n - 1, seed).success_rate(BaselineVerdict::Partitioned)
 }
@@ -68,9 +66,9 @@ fn mtgv2_bridge_run(n: usize, links_per_part: usize, t: usize, seed: u64) -> f64
 /// One MtG insider-attack run.
 fn mtg_insider_run(n: usize, t: usize, seed: u64) -> f64 {
     let s = partitioned_with_insiders(n, t, seed);
-    let byz: BTreeMap<NodeId, MtgBehavior> =
-        s.byzantine.into_iter().map(|b| (b, MtgBehavior::SaturateFilter)).collect();
-    run_mtg(&s.graph, MtgConfig::new(n), &byz, n - 1).success_rate(BaselineVerdict::Partitioned)
+    let saturators = s.byzantine.into_iter().collect();
+    run_mtg(&s.graph, MtgConfig::new(n), &saturators, n - 1)
+        .success_rate(BaselineVerdict::Partitioned)
 }
 
 /// **Fig. 8** — decision success rate vs number of Byzantine nodes, for
@@ -207,28 +205,20 @@ fn key_position_run(
 
     // MtG: saturating insiders; the correct answer tracks the correct
     // subgraph.
-    let mtg_byz: BTreeMap<NodeId, MtgBehavior> =
-        byz.iter().map(|&b| (b, MtgBehavior::SaturateFilter)).collect();
     let expected =
         if correct_partitioned { BaselineVerdict::Partitioned } else { BaselineVerdict::Connected };
-    let mtg = run_mtg(g, MtgConfig::new(n), &mtg_byz, n - 1).success_rate(expected);
+    let saturators = byz.iter().copied().collect();
+    let mtg = run_mtg(g, MtgConfig::new(n), &saturators, n - 1).success_rate(expected);
 
     // MtGv2: two-faced bridges. A silent/two-faced Byzantine node makes its
     // own attestation reachable only partially; the fair expected verdict
     // is about the correct subgraph.
-    let v2_byz: BTreeMap<NodeId, MtgV2Behavior> = byz
-        .iter()
-        .map(|&b| {
-            (
-                b,
-                if silenced.is_empty() {
-                    MtgV2Behavior::Silent
-                } else {
-                    MtgV2Behavior::TwoFaced { silent_toward: silenced.iter().copied().collect() }
-                },
-            )
-        })
-        .collect();
+    let mute = if silenced.is_empty() {
+        Mute::From { round: 1 }
+    } else {
+        Mute::Toward(silenced.iter().copied().collect())
+    };
+    let v2_byz: BTreeMap<NodeId, Mute> = byz.iter().map(|&b| (b, mute.clone())).collect();
     let v2 = run_mtg_v2(g, &v2_byz, n - 1, seed).success_rate(expected);
     [nectar, mtg, v2]
 }

@@ -56,7 +56,7 @@ use nectar_protocol::{
     ByzantineBehavior, ConnectivityOracle, Decision, RunReport, Runtime, Scenario, MAX_NODES,
 };
 
-use crate::matrix::{CastSpec, FamilySpec};
+use crate::matrix::{over_node_limit, CastSpec, FamilySpec};
 use crate::mobility::MobilitySpec;
 
 /// Default Byzantine budget.
@@ -536,12 +536,7 @@ impl ScenarioSpec {
             _ => None,
         };
         if let Some((key, n)) = declared.filter(|&(_, n)| n > MAX_NODES) {
-            return Err(at(
-                key,
-                format!(
-                    "{n} nodes exceed the {MAX_NODES}-node limit (node ids are u16 on the wire)"
-                ),
-            ));
+            return Err(at(key, over_node_limit(n)));
         }
 
         // 1. Topology — declared, explicit, or generated by waypoint.

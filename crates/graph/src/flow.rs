@@ -40,12 +40,19 @@ pub struct FlowNetwork {
     arcs: Vec<Vec<Arc>>,
     level: Vec<i32>,
     iter: Vec<usize>,
+    /// The augmenting search's current path, `s` first.
+    path: Vec<usize>,
 }
 
 impl FlowNetwork {
     /// Creates a network with `n` nodes and no arcs.
     pub fn new(n: usize) -> Self {
-        FlowNetwork { arcs: vec![Vec::new(); n], level: vec![0; n], iter: vec![0; n] }
+        FlowNetwork {
+            arcs: vec![Vec::new(); n],
+            level: vec![0; n],
+            iter: vec![0; n],
+            path: Vec::new(),
+        }
     }
 
     /// Number of nodes in the network.
@@ -120,27 +127,48 @@ impl FlowNetwork {
         self.level[t] >= 0
     }
 
-    fn dfs(&mut self, u: usize, t: usize, pushed: u64) -> u64 {
-        if u == t {
-            return pushed;
-        }
-        while self.iter[u] < self.arcs[u].len() {
-            let i = self.iter[u];
-            let (to, cap, rev) = {
+    /// Finds one augmenting `s → t` path in the level graph and pushes its
+    /// bottleneck along it, returning that amount (0 once the level graph
+    /// is blocked). A depth-first search over the current arcs `iter`, run
+    /// on the explicit stack `path` so that a long path costs heap, not
+    /// thread stack: the top vertex advances along its first admissible
+    /// arc, and a dead end is popped and its parent's arc skipped.
+    fn augment(&mut self, s: usize, t: usize) -> u64 {
+        self.path.clear();
+        self.path.push(s);
+        while let Some(&u) = self.path.last() {
+            if u == t {
+                break;
+            }
+            let admissible = (self.iter[u]..self.arcs[u].len()).find(|&i| {
                 let a = &self.arcs[u][i];
-                (a.to, a.cap, a.rev)
-            };
-            if cap > 0 && self.level[to] == self.level[u] + 1 {
-                let d = self.dfs(to, t, pushed.min(cap));
-                if d > 0 {
-                    self.arcs[u][i].cap -= d;
-                    self.arcs[to][rev].cap += d;
-                    return d;
+                a.cap > 0 && self.level[a.to] == self.level[u] + 1
+            });
+            match admissible {
+                Some(i) => {
+                    self.iter[u] = i;
+                    self.path.push(self.arcs[u][i].to);
+                }
+                None => {
+                    self.iter[u] = self.arcs[u].len();
+                    self.path.pop();
+                    match self.path.last() {
+                        Some(&parent) => self.iter[parent] += 1,
+                        None => return 0,
+                    }
                 }
             }
-            self.iter[u] += 1;
         }
-        0
+        let hops = self.path.len() - 1;
+        let pushed =
+            self.path[..hops].iter().fold(INF, |d, &v| d.min(self.arcs[v][self.iter[v]].cap));
+        for &v in &self.path[..hops] {
+            let arc = &mut self.arcs[v][self.iter[v]];
+            arc.cap -= pushed;
+            let (to, rev) = (arc.to, arc.rev);
+            self.arcs[to][rev].cap += pushed;
+        }
+        pushed
     }
 
     /// Computes the maximum flow from `s` to `t`, consuming the capacities
@@ -176,7 +204,7 @@ impl FlowNetwork {
         while self.bfs(s, t) {
             self.iter.iter_mut().for_each(|i| *i = 0);
             loop {
-                let f = self.dfs(s, t, INF);
+                let f = self.augment(s, t);
                 if f == 0 {
                     break;
                 }
@@ -318,6 +346,15 @@ mod tests {
         let mut net = FlowNetwork::new(2);
         net.add_arc(0, 1, 5);
         assert!(net.max_flow_bounded(0, 1, 2) >= 2);
+    }
+
+    #[test]
+    fn an_augmenting_path_longer_than_the_stack_allows_is_found() {
+        // Two antipodes of a 100 000-cycle: each augmenting path crosses
+        // 50 000 vertices, 100 000 arcs of the split network, which a
+        // recursive search would take one stack frame per arc for.
+        let g = crate::gen::cycle(100_000);
+        assert_eq!(crate::connectivity::local_vertex_connectivity_bounded(&g, 0, 50_000, 3), 2);
     }
 
     #[test]

@@ -857,8 +857,6 @@ mod tests {
         ]))
         .unwrap();
         let out = run(cmd).unwrap();
-        // `--csv` is `RunReport::to_csv()`: it parses back as one.
-        assert_eq!(RunReport::decisions_from_csv(&out).unwrap()[&0].len(), 7);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines[0], "epoch,node,verdict,confirmed,reachable,connectivity");
         // 7 correct nodes (the hub is Byzantine), one epoch.
@@ -1067,8 +1065,7 @@ mod tests {
         let mut csv_args = base.to_vec();
         csv_args.push("--csv");
         let csv = run(parse(&strs(&csv_args)).unwrap()).unwrap();
-        let cells = nectar_experiments::MatrixReport::cells_from_csv(&csv).expect("parses back");
-        assert_eq!(cells, report.cells);
+        assert_eq!(csv, report.to_csv());
         // Unknown family and cast names surface as messages, not panics.
         assert!(parse(&strs(&["matrix", "--families", "klein-bottle"])).is_err());
         assert!(parse(&strs(&["matrix", "--casts", "gaslight"])).is_err());
@@ -1117,10 +1114,7 @@ mod tests {
         std::fs::remove_file(&json_path).ok();
         std::fs::remove_file(&csv_path).ok();
         assert_eq!(report.cells.len(), 1);
-        assert_eq!(
-            nectar_experiments::MatrixReport::cells_from_csv(&csv).expect("persisted CSV parses"),
-            report.cells
-        );
+        assert_eq!(csv, report.to_csv());
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! cargo run -p nectar --example attack_gallery
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
-use nectar::baselines::{run_mtg, MtgBehavior, MtgConfig};
+use nectar::baselines::{run_mtg, MtgConfig};
 use nectar::prelude::*;
 
 fn nectar_line(name: &str, outcome: &RunReport) {
@@ -86,12 +86,8 @@ fn main() -> Result<(), nectar::graph::GraphError> {
         ],
     )?;
     for t in 0..=2 {
-        let byz: BTreeMap<usize, MtgBehavior> =
-            [(0, MtgBehavior::SaturateFilter), (4, MtgBehavior::SaturateFilter)]
-                .into_iter()
-                .take(t)
-                .collect();
-        let out = run_mtg(&split, MtgConfig::new(8), &byz, 7);
+        let saturators: BTreeSet<usize> = [0, 4].into_iter().take(t).collect();
+        let out = run_mtg(&split, MtgConfig::new(8), &saturators, 7);
         println!(
             "  {t} byzantine all-ones filter(s)      -> {:>4.0}% of correct nodes detect the partition",
             100.0 * out.success_rate(BaselineVerdict::Partitioned)

@@ -13,8 +13,9 @@
 
 use std::collections::BTreeMap;
 
-use nectar::baselines::{run_mtg_v2, MtgV2Behavior};
+use nectar::baselines::run_mtg_v2;
 use nectar::experiments::bridged_partition;
+use nectar::net::Mute;
 use nectar::prelude::*;
 
 fn main() {
@@ -31,12 +32,10 @@ fn main() {
     );
 
     // --- MtGv2: signed heartbeats, but no Byzantine reasoning. -----------
-    let byz: BTreeMap<usize, MtgV2Behavior> = scenario
+    let byz: BTreeMap<usize, Mute> = scenario
         .byzantine
         .iter()
-        .map(|&b| {
-            (b, MtgV2Behavior::TwoFaced { silent_toward: part_b.clone().into_iter().collect() })
-        })
+        .map(|&b| (b, Mute::Toward(part_b.iter().copied().collect())))
         .collect();
     let v2 = run_mtg_v2(&scenario.graph, &byz, n - 1, 7);
     let connected = v2.verdicts.values().filter(|&&v| v == BaselineVerdict::Connected).count();

@@ -1,12 +1,11 @@
 //! The paper's headline comparison (Fig. 8 / abstract): one Byzantine node
 //! costs the baselines ≥ 40% accuracy, while NECTAR stays at 100%.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use nectar::baselines::{
-    run_mtg, run_mtg_v2, BaselineVerdict, MtgBehavior, MtgConfig, MtgV2Behavior,
-};
+use nectar::baselines::{run_mtg, run_mtg_v2, BaselineVerdict, MtgConfig};
 use nectar::experiments::{bridged_partition, partitioned_with_insiders};
+use nectar::net::Mute;
 use nectar::prelude::*;
 
 const N: usize = 20;
@@ -14,7 +13,7 @@ const N: usize = 20;
 #[test]
 fn with_zero_byzantine_everyone_is_right() {
     let s = partitioned_with_insiders(N, 0, 1);
-    let mtg = run_mtg(&s.graph, MtgConfig::new(N), &BTreeMap::new(), N - 1);
+    let mtg = run_mtg(&s.graph, MtgConfig::new(N), &BTreeSet::new(), N - 1);
     assert_eq!(mtg.success_rate(BaselineVerdict::Partitioned), 1.0);
     let v2 = run_mtg_v2(&s.graph, &BTreeMap::new(), N - 1, 1);
     assert_eq!(v2.success_rate(BaselineVerdict::Partitioned), 1.0);
@@ -27,21 +26,17 @@ fn one_byzantine_breaks_baseline_agreement_but_not_nectar() {
     for seed in [1u64, 2, 3] {
         // MtG: one insider poisons its whole side.
         let s = partitioned_with_insiders(N, 1, seed);
-        let byz: BTreeMap<usize, MtgBehavior> =
-            s.byzantine.iter().map(|&b| (b, MtgBehavior::SaturateFilter)).collect();
-        let mtg = run_mtg(&s.graph, MtgConfig::new(N), &byz, N - 1);
+        let saturators: BTreeSet<usize> = s.byzantine.iter().copied().collect();
+        let mtg = run_mtg(&s.graph, MtgConfig::new(N), &saturators, N - 1);
         let rate = mtg.success_rate(BaselineVerdict::Partitioned);
         assert!(rate <= 0.6, "MtG must lose ≥ 40% accuracy (got {rate}, seed {seed})");
         assert!(!mtg.agreement(), "one Byzantine node must break MtG agreement");
 
         // MtGv2: one two-faced bridge splits the views.
         let b = bridged_partition(N, 1, 3, seed);
-        let silent: std::collections::BTreeSet<usize> = b.part_b.iter().copied().collect();
-        let v2_byz: BTreeMap<usize, MtgV2Behavior> = b
-            .byzantine
-            .iter()
-            .map(|&x| (x, MtgV2Behavior::TwoFaced { silent_toward: silent.clone() }))
-            .collect();
+        let silent: BTreeSet<usize> = b.part_b.iter().copied().collect();
+        let v2_byz: BTreeMap<usize, Mute> =
+            b.byzantine.iter().map(|&x| (x, Mute::Toward(silent.clone()))).collect();
         let v2 = run_mtg_v2(&b.graph, &v2_byz, N - 1, seed);
         let rate = v2.success_rate(BaselineVerdict::Partitioned);
         assert!(rate <= 0.6, "MtGv2 must lose ≥ 40% accuracy (got {rate}, seed {seed})");
@@ -67,9 +62,8 @@ fn one_byzantine_breaks_baseline_agreement_but_not_nectar() {
 fn two_byzantine_zero_out_mtg() {
     for seed in [4u64, 5] {
         let s = partitioned_with_insiders(N, 2, seed);
-        let byz: BTreeMap<usize, MtgBehavior> =
-            s.byzantine.iter().map(|&b| (b, MtgBehavior::SaturateFilter)).collect();
-        let mtg = run_mtg(&s.graph, MtgConfig::new(N), &byz, N - 1);
+        let saturators: BTreeSet<usize> = s.byzantine.iter().copied().collect();
+        let mtg = run_mtg(&s.graph, MtgConfig::new(N), &saturators, N - 1);
         assert_eq!(
             mtg.success_rate(BaselineVerdict::Partitioned),
             0.0,
@@ -82,7 +76,7 @@ fn two_byzantine_zero_out_mtg() {
 fn nectar_stays_perfect_up_to_six_byzantine() {
     for t in 1..=6 {
         let s = bridged_partition(N, t, 2, 10 + t as u64);
-        let silent: std::collections::BTreeSet<usize> = s.part_b.iter().copied().collect();
+        let silent: BTreeSet<usize> = s.part_b.iter().copied().collect();
         let mut scenario = Scenario::new(s.graph, t).with_key_seed(t as u64);
         for &b in &s.byzantine {
             scenario = scenario
@@ -101,7 +95,7 @@ fn saturation_cannot_touch_signed_protocols() {
     // running MtGv2 with a silent attacker on a *connected* graph: the only
     // damage is a false alarm about the silent node itself.
     let g = gen::harary(3, 10).unwrap();
-    let byz = BTreeMap::from([(4usize, MtgV2Behavior::Silent)]);
+    let byz = BTreeMap::from([(4usize, Mute::From { round: 1 })]);
     let out = run_mtg_v2(&g, &byz, 9, 3);
     // All correct nodes miss node 4 and agree on "Partitioned".
     assert!(out.agreement());

@@ -39,7 +39,7 @@ fn all_facade_reexports_resolve() {
     // baselines = nectar_baselines
     let g = nectar::graph::gen::complete(4);
     let out =
-        nectar::baselines::run_mtg(&g, MtgConfig::new(4), &std::collections::BTreeMap::new(), 3);
+        nectar::baselines::run_mtg(&g, MtgConfig::new(4), &std::collections::BTreeSet::new(), 3);
     assert_eq!(out.success_rate(BaselineVerdict::Connected), 1.0);
 
     // experiments = nectar_experiments

@@ -1,7 +1,9 @@
-//! Hot-path cache equivalence: the fast paths — incremental view
-//! fingerprints and `Arc`-interned relay payloads — must be
-//! *observationally pure* (docs/DETERMINISM.md §4). Two kinds of pins,
-//! matching the two ways a cache could leak:
+//! Hot-path cache equivalence: the fast paths — a node's view as a hash
+//! set of packed `u32` edge keys with its rolling fingerprint, one relay
+//! batch per sender and round that every neighbour's message views, and
+//! the digest a proof caches on first use — must be *observationally
+//! pure* (docs/DETERMINISM.md §4). Two kinds of pins, matching the two
+//! ways a cache could leak:
 //!
 //! * **Fingerprint ground truth.** Every node's rolling
 //!   [`NectarNode::view_fingerprint`] must equal the from-scratch digest of
@@ -10,8 +12,11 @@
 //!   active [`TopologySchedule`]s — the schedules exercise edge drops and
 //!   heals mid-dissemination, i.e. views that grow through every relay
 //!   acceptance path.
-//! * **Whole-run bit-identity.** The interning has no per-value oracle
-//!   here; its contract is that nothing downstream can tell it exists. So
+//! * **Whole-run bit-identity.** The relay batch and the digest cache are
+//!   pinned per value next to their code (`message.rs`: each neighbour's
+//!   view is the batch minus its own relays; `proof.rs`: a cached digest
+//!   equals a from-scratch SHA-256); here their contract is that nothing
+//!   downstream can tell them apart from the plain computation. So
 //!   the pin is the strongest observable: the full
 //!   `RunReport` (decisions, traffic metrics, oracle counters, rejection
 //!   tallies) must be bit-identical across all three runtimes and across

@@ -193,15 +193,15 @@ fn cell_stats_are_bit_identical_across_runtimes_and_worker_counts() {
 #[test]
 fn conformance_reports_round_trip_through_both_codecs() {
     // Persistence is part of conformance: the exact counts the suite pins
-    // must survive the JSON and CSV codecs unchanged.
+    // must survive the JSON codec unchanged, and the reloaded report must
+    // export the same CSV.
     let mut spec = kappa_above_t_spec();
     spec.trials = 5; // codec check only — the statistics ran above
     spec.casts.truncate(2);
     let report = spec.run().expect("spec in domain");
     let parsed = MatrixReport::from_json(&report.to_json()).expect("JSON round trip");
     assert_eq!(parsed, report);
-    let cells = MatrixReport::cells_from_csv(&report.to_csv()).expect("CSV round trip");
-    assert_eq!(cells, report.cells);
+    assert_eq!(parsed.to_csv(), report.to_csv());
 }
 
 /// The CLI's refusals exit 2 with the library's message, before any trial
@@ -223,4 +223,19 @@ fn refused_invocations_exit_2_with_their_message() {
         let args = [command, "--runtime", "parallel:4", "--workers", "2", "--json"];
         assert_eq!(cli(&args), (Some(2), "error: unknown flag --workers\n".to_string()));
     }
+}
+
+/// A size past the 65 536-node limit is refused with exit 2 and the
+/// library's message before any graph that large is built.
+#[test]
+fn oversized_matrix_sizes_exit_2_before_any_trial() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_nectar-cli"))
+        .args(["matrix", "--families", "cliques", "--sizes", "65540", "--trials", "1"])
+        .output()
+        .expect("run nectar-cli");
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: 65540 nodes exceed the 65536-node limit (node ids are u16 on the wire)\n"
+    );
 }

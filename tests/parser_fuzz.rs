@@ -32,7 +32,7 @@ fn sample_report_json(with_schedule: bool) -> String {
 }
 
 /// A small but real matrix sweep — the fuzz corpus for the MatrixReport
-/// codecs (two cells, every counter populated).
+/// JSON reader (two cells, every counter populated).
 fn sample_matrix_report() -> MatrixReport {
     MatrixSpec {
         families: vec![FamilySpec::Harary { k: 2 }],
@@ -148,21 +148,6 @@ proptest! {
             doc = mutate(&doc, kind, pos, payload);
         }
         if let Err(e) = MatrixReport::from_json(&doc) {
-            prop_assert!(!e.is_empty(), "error message must say something");
-        }
-    }
-
-    /// `MatrixReport::cells_from_csv` on a damaged per-cell stream: same
-    /// contract as the JSON side.
-    #[test]
-    fn mutated_matrix_csv_never_panics(
-        muts in proptest::collection::vec((0usize..5, 0usize..100_000, 0u8..255), 1..4),
-    ) {
-        let mut doc = sample_matrix_report().to_csv();
-        for (kind, pos, payload) in muts {
-            doc = mutate(&doc, kind, pos, payload);
-        }
-        if let Err(e) = MatrixReport::cells_from_csv(&doc) {
             prop_assert!(!e.is_empty(), "error message must say something");
         }
     }
@@ -291,19 +276,6 @@ fn malformed_matrix_reports_error_out() {
     for (i, case) in json_cases.iter().enumerate() {
         let got = MatrixReport::from_json(case);
         assert!(got.is_err(), "JSON case {i} parsed as {:?}", got.map(|r| r.cells.len()));
-    }
-    let csv = sample_matrix_report().to_csv();
-    let csv_cases: Vec<String> = vec![
-        String::new(),
-        "family,n\n".into(),
-        // Valid header, row with the wrong arity.
-        format!("{}\na,b,c\n", csv.lines().next().unwrap()),
-        // Valid header, non-numeric counter.
-        csv.replacen(",2,", ",two,", 1),
-    ];
-    for (i, case) in csv_cases.iter().enumerate() {
-        let got = MatrixReport::cells_from_csv(case);
-        assert!(got.is_err(), "CSV case {i} parsed as {:?}", got.map(|c| c.len()));
     }
 }
 
