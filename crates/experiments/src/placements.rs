@@ -195,31 +195,38 @@ pub fn cut_byzantine_placement_with(
     if !oracle.is_t_partitionable(g, t) || !traversal::is_connected(g) {
         return random_byzantine_placement(g, t, seed);
     }
-    let mut cut = nectar_graph::connectivity::min_vertex_cut(g).unwrap_or_default();
-    let mut rng = Rng::seed_from_u64(seed);
-    // Components of G \ cut: pad only from the most populous one.
-    let without = g.without_nodes(&cut);
-    let (ids, count) = nectar_graph::traversal::connected_components(&without);
-    let cut_set: std::collections::BTreeSet<NodeId> = cut.iter().copied().collect();
-    let mut sizes = vec![0usize; count];
-    for v in 0..g.node_count() {
-        if !cut_set.contains(&v) {
+    let cut = nectar_graph::connectivity::min_vertex_cut(g).unwrap_or_default();
+    pad_from_largest_component(g, cut, t, seed)
+}
+
+/// Pads `chosen` to `t` nodes with extras drawn, seeded by `seed`, from the
+/// most populous component left by removing `chosen`, so the padding can
+/// never swallow a separated side whole; returns the set sorted.
+fn pad_from_largest_component(
+    g: &Graph,
+    mut chosen: Vec<NodeId>,
+    t: usize,
+    seed: u64,
+) -> Vec<NodeId> {
+    if chosen.len() < t {
+        let taken: std::collections::BTreeSet<NodeId> = chosen.iter().copied().collect();
+        let (ids, count) = traversal::connected_components(&g.without_nodes(&chosen));
+        let mut sizes = vec![0usize; count];
+        for v in (0..g.node_count()).filter(|v| !taken.contains(v)) {
             sizes[ids[v]] += 1;
         }
+        let largest = sizes.iter().enumerate().max_by_key(|&(_, s)| s).map(|(i, _)| i);
+        let mut pool: Vec<NodeId> = (0..g.node_count())
+            .filter(|v| !taken.contains(v) && largest.is_some_and(|c| ids[*v] == c))
+            .collect();
+        Rng::seed_from_u64(seed).shuffle(&mut pool);
+        // Extras come off the back of the shuffled pool, the order every
+        // pinned placement was drawn in; a short pool pads as far as it goes.
+        let missing = t - chosen.len();
+        chosen.extend(pool.into_iter().rev().take(missing));
     }
-    let largest = sizes.iter().enumerate().max_by_key(|&(_, s)| s).map(|(i, _)| i);
-    let mut pool: Vec<NodeId> = (0..g.node_count())
-        .filter(|v| !cut_set.contains(v) && largest.is_some_and(|c| ids[*v] == c))
-        .collect();
-    rng.shuffle(&mut pool);
-    while cut.len() < t {
-        match pool.pop() {
-            Some(extra) => cut.push(extra),
-            None => break, // graph too small to pad further
-        }
-    }
-    cut.sort_unstable();
-    cut
+    chosen.sort_unstable();
+    chosen
 }
 
 /// The tree/cut-aware Byzantine placement: liars sit on the graph's
@@ -240,33 +247,7 @@ pub fn articulation_byzantine_placement(g: &Graph, t: usize, seed: u64) -> Vec<N
     }
     points.sort_by_key(|&v| (std::cmp::Reverse(g.degree(v)), v));
     points.truncate(t);
-    if points.len() < t {
-        // Pad from the most populous component left by the chosen points,
-        // so the extras can never swallow a separated side whole.
-        let mut rng = Rng::seed_from_u64(seed);
-        let chosen: std::collections::BTreeSet<NodeId> = points.iter().copied().collect();
-        let without = g.without_nodes(&points);
-        let (ids, count) = traversal::connected_components(&without);
-        let mut sizes = vec![0usize; count];
-        for v in 0..g.node_count() {
-            if !chosen.contains(&v) {
-                sizes[ids[v]] += 1;
-            }
-        }
-        let largest = sizes.iter().enumerate().max_by_key(|&(_, s)| s).map(|(i, _)| i);
-        let mut pool: Vec<NodeId> = (0..g.node_count())
-            .filter(|v| !chosen.contains(v) && largest.is_some_and(|c| ids[*v] == c))
-            .collect();
-        rng.shuffle(&mut pool);
-        while points.len() < t {
-            match pool.pop() {
-                Some(extra) => points.push(extra),
-                None => break, // graph too small to pad further
-            }
-        }
-    }
-    points.sort_unstable();
-    points
+    pad_from_largest_component(g, points, t, seed)
 }
 
 /// A full data-falsification cast on the articulation placement: each

@@ -1,4 +1,4 @@
-//! Vertex connectivity, minimum vertex cuts, and t-Byzantine partitionability.
+//! Vertex connectivity and minimum vertex cuts.
 //!
 //! The paper's Corollary 1 states that a network `G` is *t-Byzantine
 //! partitionable* iff its vertex connectivity `κ(G)` is at most `t`; NECTAR's
@@ -6,89 +6,33 @@
 //! connectivity computation on each node's discovered graph.
 //!
 //! Pairwise connectivity `κ(s, t)` is computed via Menger's theorem as a
-//! maximum flow on the vertex-split digraph; global connectivity uses the
-//! classic reduction to `O(deg)` pairwise computations around a
-//! minimum-degree vertex (Even's algorithm).
+//! maximum flow on the vertex-split digraph, which a `PairScanner` builds
+//! once per graph and resets per pair. Global connectivity uses Even's
+//! reduction to `O(deg)` pairwise computations around a minimum-degree
+//! vertex; `even_pairs` is the one enumeration of those pairs, walked in
+//! ascending id order by [`min_vertex_cut`] (and so by
+//! [`vertex_connectivity`]) and low-degree-first by the
+//! [`ConnectivityOracle`](crate::oracle::ConnectivityOracle)'s decision scan.
+//! The brute-force [`vertex_connectivity_brute`] is the reference both are
+//! tested against.
+
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 
 use crate::flow::{FlowNetwork, INF};
 use crate::graph::Graph;
 use crate::traversal::{is_connected, is_partitioned_without};
 
-/// Builds the vertex-split flow network for `g`.
-///
-/// Node `v` becomes `v_in = 2v` and `v_out = 2v + 1` joined by a capacity-1
-/// arc (capacity ∞ for the `exempt` endpoints, which must not be counted in
-/// a cut); each undirected edge `(u, v)` becomes `u_out → v_in` and
-/// `v_out → u_in` with capacity ∞.
-fn split_network(g: &Graph, exempt: [usize; 2]) -> FlowNetwork {
-    let n = g.node_count();
-    let mut net = FlowNetwork::new(2 * n);
-    for v in 0..n {
-        let cap = if exempt.contains(&v) { INF } else { 1 };
-        net.add_arc(2 * v, 2 * v + 1, cap);
-    }
-    for (u, v) in g.edges() {
-        net.add_arc(2 * u + 1, 2 * v, INF);
-        net.add_arc(2 * v + 1, 2 * u, INF);
-    }
-    net
-}
-
-/// Maximum number of internally vertex-disjoint paths between `s` and `t`
-/// (`κ(s, t)` in Menger's theorem).
-///
-/// For adjacent `s, t` the direct edge contributes one path and the remainder
-/// is computed on `G − (s, t)`.
-///
-/// # Panics
-///
-/// Panics if `s == t` or an endpoint is out of range.
-pub fn local_vertex_connectivity(g: &Graph, s: usize, t: usize) -> usize {
-    local_vertex_connectivity_bounded(g, s, t, usize::MAX)
-}
-
-/// [`local_vertex_connectivity`] with an early exit: the result is exact
-/// when it is `< cap`, while any result `>= cap` only certifies
-/// `κ(s, t) ≥ cap`.
-///
-/// Direct `s`–`t` edges are stripped in a single clone up front (each one
-/// contributes exactly one disjoint path; a simple [`Graph`] holds at most
-/// one, but the loop stays correct should parallel edges ever appear), so
-/// the flow computation runs once instead of once per recursion step.
-///
-/// # Panics
-///
-/// Panics if `s == t` or an endpoint is out of range.
-pub fn local_vertex_connectivity_bounded(g: &Graph, s: usize, t: usize, cap: usize) -> usize {
-    assert!(s != t, "local connectivity requires two distinct nodes");
-    assert!(s < g.node_count() && t < g.node_count(), "node out of range");
-    let mut stripped;
-    let (h, direct) = if g.has_edge(s, t) {
-        stripped = g.clone();
-        let mut direct = 0;
-        while stripped.remove_edge(s, t) {
-            direct += 1;
-        }
-        (&stripped, direct)
-    } else {
-        (g, 0)
-    };
-    if direct >= cap {
-        return direct;
-    }
-    let mut net = split_network(h, [s, t]);
-    let limit = (cap - direct) as u64;
-    let flow = net.max_flow_bounded(2 * s + 1, 2 * t, limit);
-    direct + usize::try_from(flow).expect("vertex-disjoint path count bounded by n")
-}
-
 /// Reusable vertex-split network for scanning many `s`–`t` pairs of one
 /// graph: the adjacency structure is built once and capacities are reset
 /// between pairs, so each pair costs an O(n + m) sweep plus the (bounded)
-/// flow itself instead of a full network reconstruction. This is what makes
-/// the [`ConnectivityOracle`](crate::oracle::ConnectivityOracle)'s Even scan
-/// cheap — the scanned pairs are always non-adjacent, so no edge stripping
-/// is ever needed.
+/// flow itself instead of a full network reconstruction.
+///
+/// Node `v` becomes `v_in = 2v` and `v_out = 2v + 1` joined by a capacity-1
+/// arc; each undirected edge `(u, v)` becomes `u_out → v_in` and
+/// `v_out → u_in` with capacity ∞. Queries take non-adjacent `s ≠ t` — every
+/// Even pair is one — and lift the pair's own vertex arcs to ∞, since the
+/// endpoints cannot be part of a cut.
 #[derive(Debug)]
 pub(crate) struct PairScanner {
     net: FlowNetwork,
@@ -97,85 +41,101 @@ pub(crate) struct PairScanner {
 impl PairScanner {
     /// Builds the split network of `g` with every vertex arc at capacity 1.
     pub(crate) fn new(g: &Graph) -> Self {
-        // No endpoints are exempted at construction; the per-pair overrides
-        // below lift the current pair's vertex arcs to INF instead.
-        let net = split_network(g, [usize::MAX, usize::MAX]);
+        let n = g.node_count();
+        let mut net = FlowNetwork::new(2 * n);
+        for v in 0..n {
+            net.add_arc(2 * v, 2 * v + 1, 1);
+        }
+        for (u, v) in g.edges() {
+            net.add_arc(2 * u + 1, 2 * v, INF);
+            net.add_arc(2 * v + 1, 2 * u, INF);
+        }
         PairScanner { net }
     }
 
-    /// `κ(s, t)` for non-adjacent `s ≠ t`, computed with the flow capped at
-    /// `cap` (exact when the result is `< cap`, see
-    /// [`local_vertex_connectivity_bounded`]).
-    pub(crate) fn bounded_pair_connectivity(&mut self, s: usize, t: usize, cap: usize) -> usize {
+    /// Clears the previous pair's flow and makes `s` and `t` uncuttable.
+    fn prepare(&mut self, s: usize, t: usize) {
         self.net.reset();
         for endpoint in [s, t] {
-            // split_network inserts each vertex arc v_in → v_out before any
-            // edge arc touches v_in, so it sits at index 0.
+            // `new` inserts each vertex arc v_in → v_out before any edge arc
+            // touches v_in, so it sits at index 0.
             debug_assert_eq!(self.net.arc_head(2 * endpoint, 0), 2 * endpoint + 1);
             self.net.override_arc_capacity(2 * endpoint, 0, INF);
         }
+    }
+
+    /// `κ(s, t)` for non-adjacent `s ≠ t`, with the flow capped at `cap`:
+    /// exact when the result is `< cap`, while any result `>= cap` only
+    /// certifies `κ(s, t) ≥ cap`.
+    pub(crate) fn bounded_pair_connectivity(&mut self, s: usize, t: usize, cap: usize) -> usize {
+        self.prepare(s, t);
         let flow = self.net.max_flow_bounded(2 * s + 1, 2 * t, cap as u64);
         usize::try_from(flow).expect("vertex-disjoint path count bounded by n")
     }
+
+    /// A minimum `s`–`t` vertex separator for non-adjacent `s ≠ t`, in
+    /// ascending order: after a full flow, the vertices whose in-copy the
+    /// residual graph reaches from `s` and whose out-copy it does not. The
+    /// residual-reachable side is the same for every maximum flow, so the
+    /// separator does not depend on which one Dinic found.
+    pub(crate) fn separator(&mut self, s: usize, t: usize) -> Vec<usize> {
+        self.prepare(s, t);
+        self.net.max_flow(2 * s + 1, 2 * t);
+        let reach = self.net.residual_reachable(2 * s + 1);
+        (0..reach.len() / 2).filter(|&v| reach[2 * v] && !reach[2 * v + 1]).collect()
+    }
 }
 
-/// A minimum `s`–`t` vertex separator for non-adjacent `s, t`, together with
-/// its size (`κ(s, t)`).
-///
-/// # Panics
-///
-/// Panics if `s == t`, if `(s, t)` is an edge (adjacent nodes admit no
-/// separator), or if an endpoint is out of range.
-pub fn local_min_vertex_cut(g: &Graph, s: usize, t: usize) -> Vec<usize> {
-    assert!(s != t, "local cut requires two distinct nodes");
-    assert!(!g.has_edge(s, t), "adjacent nodes cannot be separated by a vertex cut");
-    let mut net = split_network(g, [s, t]);
-    net.max_flow(2 * s + 1, 2 * t);
-    let reach = net.residual_reachable(2 * s + 1);
-    (0..g.node_count()).filter(|&v| v != s && v != t && reach[2 * v] && !reach[2 * v + 1]).collect()
+/// Walks Even's candidate pairs of a connected, incomplete `g` until `visit`
+/// breaks: with `v` a minimum-degree vertex, `(v, w)` for each non-neighbour
+/// `w`, then each non-adjacent pair of neighbours of `v`, both ordered by
+/// `key`. A minimum vertex cut either misses `v` and separates it from a
+/// non-neighbour, or holds `v` and separates two of its neighbours (else it
+/// would not be minimal), so the smallest `κ(s, t)` over these pairs is
+/// `κ(G)`.
+pub(crate) fn even_pairs<B, K: Ord>(
+    g: &Graph,
+    key: impl Fn(usize) -> K,
+    mut visit: impl FnMut(usize, usize) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let v = g.min_degree_node().expect("a connected, incomplete graph has nodes");
+    let sorted = |mut nodes: Vec<usize>| {
+        nodes.sort_by_key(|&w| key(w));
+        nodes
+    };
+    for w in sorted(g.non_neighbors(v)) {
+        visit(v, w)?;
+    }
+    let nbrs = sorted(g.neighborhood(v));
+    for (i, &x) in nbrs.iter().enumerate() {
+        for &y in &nbrs[i + 1..] {
+            if !g.has_edge(x, y) {
+                visit(x, y)?;
+            }
+        }
+    }
+    ControlFlow::Continue(())
 }
 
-/// Global vertex connectivity `κ(G)`.
+/// Global vertex connectivity `κ(G)`: the size of [`min_vertex_cut`].
 ///
 /// Conventions: `κ` of the empty graph, a singleton, or any disconnected
 /// graph is 0; `κ(K_n) = n − 1`.
 pub fn vertex_connectivity(g: &Graph) -> usize {
-    let n = g.node_count();
-    if n <= 1 {
-        return 0;
-    }
-    if g.is_complete() {
-        return n - 1;
-    }
-    if !is_connected(g) {
-        return 0;
-    }
-    let v = g.min_degree_node().expect("non-empty graph has a min-degree node");
-    let mut best = g.degree(v);
-    for w in g.non_neighbors(v) {
-        best = best.min(local_vertex_connectivity(g, v, w));
-        if best == 0 {
-            return 0;
-        }
-    }
-    let nbrs = g.neighborhood(v);
-    for (i, &x) in nbrs.iter().enumerate() {
-        for &y in &nbrs[i + 1..] {
-            if !g.has_edge(x, y) {
-                best = best.min(local_vertex_connectivity(g, x, y));
-            }
-        }
-    }
-    best
+    min_vertex_cut(g).map_or(g.node_count().saturating_sub(1), |cut| cut.len())
 }
 
 /// A minimum vertex cut of `G`, i.e. a set of `κ(G)` nodes whose removal
-/// partitions the graph.
+/// partitions the graph, in ascending order.
 ///
 /// Returns `None` for complete graphs (no separator exists) and for graphs
 /// with fewer than two nodes. For a disconnected graph the empty cut is
 /// returned. This is how the experiment harness places Byzantine nodes at
 /// the paper's "key positions" (§V-D).
+///
+/// The cut is the separator of the first of Even's candidate pairs, in
+/// ascending id order, that attains the minimum; each pair's flow is capped
+/// at the best `κ(s, t)` found so far.
 pub fn min_vertex_cut(g: &Graph) -> Option<Vec<usize>> {
     let n = g.node_count();
     if n <= 1 || g.is_complete() {
@@ -184,49 +144,30 @@ pub fn min_vertex_cut(g: &Graph) -> Option<Vec<usize>> {
     if !is_connected(g) {
         return Some(Vec::new());
     }
-    let v = g.min_degree_node().expect("non-empty graph has a min-degree node");
-    let mut best: Option<(usize, usize)> = None; // minimizing pair
-    let mut best_k = g.degree(v) + 1;
-    for w in g.non_neighbors(v) {
-        let k = local_vertex_connectivity(g, v, w);
-        if k < best_k {
-            best_k = k;
-            best = Some((v, w));
-        }
-    }
-    let nbrs = g.neighborhood(v);
-    for (i, &x) in nbrs.iter().enumerate() {
-        for &y in &nbrs[i + 1..] {
-            if !g.has_edge(x, y) {
-                let k = local_vertex_connectivity(g, x, y);
-                if k < best_k {
-                    best_k = k;
-                    best = Some((x, y));
-                }
+    let mut scanner = PairScanner::new(g);
+    let mut best_k = g.min_degree().expect("n > 1") + 1;
+    let mut best = None;
+    let ControlFlow::Continue(()) = even_pairs(
+        g,
+        |w| w,
+        |s, t| {
+            let k = scanner.bounded_pair_connectivity(s, t, best_k);
+            if k < best_k {
+                best_k = k;
+                best = Some((s, t));
             }
-        }
-    }
-    match best {
-        Some((s, t)) => Some(local_min_vertex_cut(g, s, t)),
-        // Every candidate pair was adjacent yet the graph is not complete:
-        // κ(G) = deg(v) and Γ(v) is a cut isolating v.
-        None => Some(g.neighborhood(v)),
-    }
+            ControlFlow::<Infallible>::Continue(())
+        },
+    );
+    // An incomplete graph's minimum-degree vertex v has a non-neighbour w,
+    // and κ(v, w) ≤ deg(v) is below the starting cap.
+    let (s, t) = best.expect("the first pair beats deg(v) + 1");
+    Some(scanner.separator(s, t))
 }
 
 /// Whether removing `cut` partitions the graph (i.e. `cut` is a vertex cut).
 pub fn is_vertex_cut(g: &Graph, cut: &[usize]) -> bool {
     is_partitioned_without(g, cut)
-}
-
-/// Whether `G` is *t-Byzantine partitionable* (Definition 2): per
-/// Corollary 1, iff `κ(G) ≤ t`.
-///
-/// In a graph with `κ > t` the subgraph of correct nodes remains connected no
-/// matter where the `t` Byzantine nodes sit; with `κ ≤ t` at least one
-/// placement lets them disconnect correct nodes.
-pub fn is_t_byzantine_partitionable(g: &Graph, t: usize) -> bool {
-    vertex_connectivity(g) <= t
 }
 
 /// All articulation points (cut vertices) of `g`, in ascending order: the
@@ -345,6 +286,8 @@ fn enumerate_subsets(n: usize, size: usize, visit: &mut impl FnMut(&[usize])) {
 mod tests {
     use super::*;
     use crate::gen;
+    use crate::oracle::{ConnectivityOracle, OracleAnswer, OracleStats};
+    use crate::traversal::reachable_from;
 
     fn petersen() -> Graph {
         // Outer 5-cycle, inner 5-star (pentagram), spokes.
@@ -391,9 +334,7 @@ mod tests {
     #[test]
     fn local_connectivity_on_cycle() {
         let g = gen::cycle(6);
-        assert_eq!(local_vertex_connectivity(&g, 0, 3), 2);
-        // Adjacent pair: the direct edge plus the long way around.
-        assert_eq!(local_vertex_connectivity(&g, 0, 1), 2);
+        assert_eq!(PairScanner::new(&g).bounded_pair_connectivity(0, 3, usize::MAX), 2);
     }
 
     #[test]
@@ -403,31 +344,43 @@ mod tests {
         let g =
             Graph::from_edges(6, [(0, 1), (1, 5), (0, 2), (2, 5), (0, 3), (3, 5), (0, 4), (4, 3)])
                 .unwrap();
-        assert_eq!(local_vertex_connectivity(&g, 0, 5), 3);
+        assert_eq!(PairScanner::new(&g).bounded_pair_connectivity(0, 5, usize::MAX), 3);
     }
 
     #[test]
     fn local_connectivity_bounded_is_exact_below_the_cap() {
         let g = petersen();
+        let mut scanner = PairScanner::new(&g);
         for (s, t) in [(0usize, 7usize), (1, 9), (0, 2)] {
-            if g.has_edge(s, t) {
-                continue;
-            }
-            let exact = local_vertex_connectivity(&g, s, t);
-            assert_eq!(local_vertex_connectivity_bounded(&g, s, t, exact + 1), exact);
-            assert!(local_vertex_connectivity_bounded(&g, s, t, exact) >= exact);
-            assert_eq!(local_vertex_connectivity_bounded(&g, s, t, 1), 1);
+            let exact = scanner.bounded_pair_connectivity(s, t, usize::MAX);
+            assert_eq!(scanner.bounded_pair_connectivity(s, t, exact + 1), exact);
+            assert!(scanner.bounded_pair_connectivity(s, t, exact) >= exact);
+            assert_eq!(scanner.bounded_pair_connectivity(s, t, 1), 1);
         }
-        // Adjacent pair on a cycle: direct edge + the long way, bounded.
-        let ring = gen::cycle(6);
-        assert_eq!(local_vertex_connectivity_bounded(&ring, 0, 1, 10), 2);
-        assert_eq!(local_vertex_connectivity_bounded(&ring, 0, 1, 1), 1);
+    }
+
+    /// The fewest nodes of `V ∖ {s, t}` whose removal disconnects `s` from
+    /// `t`, by exhaustive search: the reference for `PairScanner`, sharing
+    /// no code with it.
+    fn min_separator_brute(g: &Graph, s: usize, t: usize) -> usize {
+        let n = g.node_count();
+        (0..n - 1)
+            .find(|&size| {
+                let mut found = false;
+                enumerate_subsets(n, size, &mut |subset| {
+                    found |= !subset.contains(&s)
+                        && !subset.contains(&t)
+                        && !reachable_from(&g.without_nodes(subset), s)[t];
+                });
+                found
+            })
+            .expect("non-adjacent nodes are separated by the other n - 2")
     }
 
     #[test]
     fn pair_scanner_matches_per_pair_networks() {
-        // One scanner, many pairs: results must equal the fresh-network
-        // reference for every non-adjacent pair, in any query order.
+        // One scanner, many pairs: every non-adjacent pair's κ(s, t) and
+        // separator must match the brute-force search, in any query order.
         for g in [petersen(), gen::harary(4, 11).unwrap(), gen::star(7)] {
             let mut scanner = PairScanner::new(&g);
             let n = g.node_count();
@@ -436,14 +389,15 @@ mod tests {
                     if s == t || g.has_edge(s, t) {
                         continue;
                     }
-                    assert_eq!(
-                        scanner.bounded_pair_connectivity(s, t, usize::MAX),
-                        local_vertex_connectivity(&g, s, t),
-                        "pair ({s}, {t})"
-                    );
+                    let expected = min_separator_brute(&g, s, t);
+                    let kappa = scanner.bounded_pair_connectivity(s, t, usize::MAX);
+                    assert_eq!(kappa, expected, "pair ({s}, {t})");
                     // Bounded queries interleaved with exact ones must not
                     // poison later resets (all pairs here are connected).
                     assert_eq!(scanner.bounded_pair_connectivity(s, t, 1), 1);
+                    let cut = scanner.separator(s, t);
+                    assert_eq!(cut.len(), expected, "pair ({s}, {t}): {cut:?}");
+                    assert!(!reachable_from(&g.without_nodes(&cut), s)[t], "pair ({s}, {t})");
                 }
             }
         }
@@ -452,9 +406,134 @@ mod tests {
     #[test]
     fn local_min_cut_separates() {
         let g = gen::star(6);
-        let cut = local_min_vertex_cut(&g, 1, 2);
+        let cut = PairScanner::new(&g).separator(1, 2);
         assert_eq!(cut, vec![0]);
         assert!(is_vertex_cut(&g, &cut));
+    }
+
+    /// The graphs the golden pin watches: the classics plus seeded
+    /// geometric and small-world graphs whose scans end at every kind of
+    /// pair (a non-neighbour or a neighbour pair, early or late).
+    fn golden_zoo() -> Vec<(String, Graph)> {
+        use crate::rng::Rng;
+        let mut zoo = vec![
+            ("petersen".to_string(), petersen()),
+            ("harary(4, 11)".to_string(), gen::harary(4, 11).unwrap()),
+            ("star(7)".to_string(), gen::star(7)),
+            ("cycle(9)".to_string(), gen::cycle(9)),
+            ("generalized_wheel(5, 14)".to_string(), gen::generalized_wheel(5, 14).unwrap()),
+            ("k_pasted_tree(3, 14)".to_string(), gen::k_pasted_tree(3, 14).unwrap()),
+        ];
+        for (seed, d, radius) in (0..6).map(|s| (s, 2.6, 1.8)).chain([(0, 3.0, 2.0)]) {
+            let mut rng = Rng::seed_from_u64(seed);
+            let g = gen::two_cluster_geometric(24, d, radius, 1.0, &mut rng).unwrap().graph;
+            zoo.push((format!("two_cluster_geometric(24, {d}, {radius}, 1) seed {seed}"), g));
+        }
+        for seed in 0..4 {
+            let g = gen::watts_strogatz(30, 6, 0.6, &mut Rng::seed_from_u64(seed)).unwrap();
+            zoo.push((format!("watts_strogatz(30, 6, 0.6) seed {seed}"), g));
+        }
+        zoo
+    }
+
+    /// Exact κ and `min_vertex_cut` of every zoo graph, and at t ∈ {1, 2, 4}
+    /// the answer and all six counters of a fresh oracle that caches
+    /// nothing. The expected lines were recorded before the exact routines
+    /// and the oracle shared one pair scan, when each still ran its own.
+    #[test]
+    fn even_scan_golden_pin() {
+        let mut lines = Vec::new();
+        for (name, g) in golden_zoo() {
+            let (kappa, cut) = (vertex_connectivity(&g), min_vertex_cut(&g));
+            lines.push(format!("{name}: κ {kappa} cut {cut:?}"));
+            for t in [1, 2, 4] {
+                let mut oracle = ConnectivityOracle::with_capacity(0);
+                let OracleAnswer { partitionable, kappa } = oracle.answer(&g, t);
+                let OracleStats {
+                    queries,
+                    cache_hits,
+                    structure_shortcuts,
+                    min_degree_shortcuts,
+                    bounded_flows,
+                    early_exits,
+                } = *oracle.stats();
+                lines.push(format!(
+                    "{name}, t {t}: {partitionable} {kappa:?} q{queries} h{cache_hits} \
+                     s{structure_shortcuts} d{min_degree_shortcuts} f{bounded_flows} e{early_exits}"
+                ));
+            }
+        }
+        let expected = [
+            "petersen: κ 3 cut Some([1, 4, 5])",
+            "petersen, t 1: false AtLeast(2) q1 h0 s0 d0 f9 e9",
+            "petersen, t 2: false AtLeast(3) q1 h0 s0 d0 f9 e9",
+            "petersen, t 4: true AtMost(3) q1 h0 s0 d1 f0 e0",
+            "harary(4, 11): κ 4 cut Some([1, 2, 9, 10])",
+            "harary(4, 11), t 1: false AtLeast(2) q1 h0 s0 d0 f9 e9",
+            "harary(4, 11), t 2: false AtLeast(3) q1 h0 s0 d0 f9 e9",
+            "harary(4, 11), t 4: true AtMost(4) q1 h0 s0 d1 f0 e0",
+            "star(7): κ 1 cut Some([0])",
+            "star(7), t 1: true AtMost(1) q1 h0 s0 d1 f0 e0",
+            "star(7), t 2: true AtMost(1) q1 h0 s0 d1 f0 e0",
+            "star(7), t 4: true AtMost(1) q1 h0 s0 d1 f0 e0",
+            "cycle(9): κ 2 cut Some([1, 8])",
+            "cycle(9), t 1: false AtLeast(2) q1 h0 s0 d0 f7 e7",
+            "cycle(9), t 2: true AtMost(2) q1 h0 s0 d1 f0 e0",
+            "cycle(9), t 4: true AtMost(2) q1 h0 s0 d1 f0 e0",
+            "generalized_wheel(5, 14): κ 5 cut Some([0, 1, 2, 4, 13])",
+            "generalized_wheel(5, 14), t 1: false AtLeast(2) q1 h0 s0 d0 f9 e9",
+            "generalized_wheel(5, 14), t 2: false AtLeast(3) q1 h0 s0 d0 f9 e9",
+            "generalized_wheel(5, 14), t 4: false AtLeast(5) q1 h0 s0 d0 f9 e9",
+            "k_pasted_tree(3, 14): κ 3 cut Some([0, 1, 2])",
+            "k_pasted_tree(3, 14), t 1: false AtLeast(2) q1 h0 s0 d0 f13 e13",
+            "k_pasted_tree(3, 14), t 2: false AtLeast(3) q1 h0 s0 d0 f13 e13",
+            "k_pasted_tree(3, 14), t 4: true AtMost(3) q1 h0 s0 d1 f0 e0",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 0: κ 4 cut Some([2, 8, 12, 15])",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 0, t 1: false AtLeast(2) q1 h0 s0 d0 f12 e12",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 0, t 2: false AtLeast(3) q1 h0 s0 d0 f12 e12",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 0, t 4: true AtMost(4) q1 h0 s0 d0 f1 e0",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 1: κ 1 cut Some([20])",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 1, t 1: true AtMost(1) q1 h0 s0 d0 f1 e0",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 1, t 2: true AtMost(1) q1 h0 s0 d0 f1 e0",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 1, t 4: true AtMost(1) q1 h0 s0 d0 f1 e0",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 2: κ 1 cut Some([16])",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 2, t 1: true AtMost(1) q1 h0 s0 d0 f1 e0",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 2, t 2: true AtMost(1) q1 h0 s0 d0 f1 e0",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 2, t 4: true AtMost(1) q1 h0 s0 d0 f1 e0",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 3: κ 5 cut Some([1, 2, 4, 5, 11])",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 3, t 1: false AtLeast(2) q1 h0 s0 d0 f13 e13",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 3, t 2: false AtLeast(3) q1 h0 s0 d0 f13 e13",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 3, t 4: false AtLeast(5) q1 h0 s0 d0 f13 e13",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 4: κ 1 cut Some([3])",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 4, t 1: true AtMost(1) q1 h0 s0 d0 f2 e1",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 4, t 2: true AtMost(1) q1 h0 s0 d0 f2 e1",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 4, t 4: true AtMost(1) q1 h0 s0 d0 f2 e1",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 5: κ 4 cut Some([3, 4, 5, 7])",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 5, t 1: false AtLeast(2) q1 h0 s0 d0 f14 e14",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 5, t 2: false AtLeast(3) q1 h0 s0 d0 f14 e14",
+            "two_cluster_geometric(24, 2.6, 1.8, 1) seed 5, t 4: true AtMost(4) q1 h0 s0 d0 f2 e1",
+            "two_cluster_geometric(24, 3, 2, 1) seed 0: κ 2 cut Some([2, 12])",
+            "two_cluster_geometric(24, 3, 2, 1) seed 0, t 1: false AtLeast(2) q1 h0 s0 d0 f12 e12",
+            "two_cluster_geometric(24, 3, 2, 1) seed 0, t 2: true AtMost(2) q1 h0 s0 d0 f1 e0",
+            "two_cluster_geometric(24, 3, 2, 1) seed 0, t 4: true AtMost(2) q1 h0 s0 d0 f1 e0",
+            "watts_strogatz(30, 6, 0.6) seed 0: κ 3 cut Some([10, 11, 18])",
+            "watts_strogatz(30, 6, 0.6) seed 0, t 1: false AtLeast(2) q1 h0 s0 d0 f27 e27",
+            "watts_strogatz(30, 6, 0.6) seed 0, t 2: false AtLeast(3) q1 h0 s0 d0 f27 e27",
+            "watts_strogatz(30, 6, 0.6) seed 0, t 4: true AtMost(3) q1 h0 s0 d1 f0 e0",
+            "watts_strogatz(30, 6, 0.6) seed 1: κ 3 cut Some([7, 8, 10])",
+            "watts_strogatz(30, 6, 0.6) seed 1, t 1: false AtLeast(2) q1 h0 s0 d0 f29 e29",
+            "watts_strogatz(30, 6, 0.6) seed 1, t 2: false AtLeast(3) q1 h0 s0 d0 f29 e29",
+            "watts_strogatz(30, 6, 0.6) seed 1, t 4: true AtMost(3) q1 h0 s0 d1 f0 e0",
+            "watts_strogatz(30, 6, 0.6) seed 2: κ 3 cut Some([6, 8, 23])",
+            "watts_strogatz(30, 6, 0.6) seed 2, t 1: false AtLeast(2) q1 h0 s0 d0 f28 e28",
+            "watts_strogatz(30, 6, 0.6) seed 2, t 2: false AtLeast(3) q1 h0 s0 d0 f28 e28",
+            "watts_strogatz(30, 6, 0.6) seed 2, t 4: true AtMost(3) q1 h0 s0 d1 f0 e0",
+            "watts_strogatz(30, 6, 0.6) seed 3: κ 2 cut Some([15, 17])",
+            "watts_strogatz(30, 6, 0.6) seed 3, t 1: false AtLeast(2) q1 h0 s0 d0 f28 e28",
+            "watts_strogatz(30, 6, 0.6) seed 3, t 2: true AtMost(2) q1 h0 s0 d1 f0 e0",
+            "watts_strogatz(30, 6, 0.6) seed 3, t 4: true AtMost(2) q1 h0 s0 d1 f0 e0",
+        ];
+        assert_eq!(lines, expected);
     }
 
     #[test]
@@ -484,12 +563,13 @@ mod tests {
     #[test]
     fn byzantine_partitionability_matches_figure_1() {
         // Fig. 1a: a 2-connected graph is not 1-Byzantine partitionable.
+        let mut oracle = ConnectivityOracle::new();
         let ring = gen::cycle(8);
-        assert!(!is_t_byzantine_partitionable(&ring, 1));
-        assert!(is_t_byzantine_partitionable(&ring, 2));
+        assert!(!oracle.is_t_partitionable(&ring, 1));
+        assert!(oracle.is_t_partitionable(&ring, 2));
         // Fig. 1b: the star is 1-Byzantine partitionable (hub placement).
         let star = gen::star(8);
-        assert!(is_t_byzantine_partitionable(&star, 1));
+        assert!(oracle.is_t_partitionable(&star, 1));
     }
 
     /// Reference articulation test: removing `v` must increase the number
@@ -575,6 +655,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::oracle::ConnectivityOracle;
     use proptest::prelude::*;
 
     fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -628,8 +709,9 @@ mod proptests {
 
         #[test]
         fn partitionability_threshold_is_monotone(g in arb_graph(8), t in 0usize..8) {
-            if is_t_byzantine_partitionable(&g, t) {
-                prop_assert!(is_t_byzantine_partitionable(&g, t + 1));
+            let mut oracle = ConnectivityOracle::new();
+            if oracle.is_t_partitionable(&g, t) {
+                prop_assert!(oracle.is_t_partitionable(&g, t + 1));
             }
         }
     }

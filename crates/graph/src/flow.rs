@@ -354,7 +354,8 @@ mod tests {
         // 50 000 vertices, 100 000 arcs of the split network, which a
         // recursive search would take one stack frame per arc for.
         let g = crate::gen::cycle(100_000);
-        assert_eq!(crate::connectivity::local_vertex_connectivity_bounded(&g, 0, 50_000, 3), 2);
+        let mut scanner = crate::connectivity::PairScanner::new(&g);
+        assert_eq!(scanner.bounded_pair_connectivity(0, 50_000, 3), 2);
     }
 
     #[test]

@@ -34,16 +34,6 @@ impl DronePlacement {
         self.positions.len() / 2..self.positions.len()
     }
 
-    /// Recomputes the communication graph for a new scope without moving the
-    /// drones.
-    pub fn with_radius(&self, radius: f64) -> DronePlacement {
-        DronePlacement {
-            positions: self.positions.clone(),
-            graph: graph_from_positions(&self.positions, radius),
-            radius,
-        }
-    }
-
     /// Translates the second scatter by `dx` along the x axis (the two
     /// barycenters drifting apart) and recomputes the communication graph.
     pub fn with_second_cluster_shift(&self, dx: f64) -> DronePlacement {
@@ -175,15 +165,6 @@ mod tests {
             }
         }
         assert!(connected >= 15, "d=1, radius=2.4 should usually be connected, got {connected}/20");
-    }
-
-    #[test]
-    fn with_radius_recomputes_edges_in_place() {
-        let mut rng = Rng::seed_from_u64(4);
-        let p = drone_scenario(16, 0.0, 2.4, &mut rng).unwrap();
-        let narrow = p.with_radius(0.05);
-        assert_eq!(narrow.positions, p.positions);
-        assert!(narrow.graph.edge_count() <= p.graph.edge_count());
     }
 
     #[test]

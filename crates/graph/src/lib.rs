@@ -27,37 +27,46 @@
 //!
 //! Corollary 1 states that `G` is t-Byzantine partitionable iff
 //! `κ(G) ≤ t` — a *decision* question, which is strictly cheaper than
-//! computing `κ` itself. The crate therefore offers two tiers:
+//! computing `κ` itself. Both questions are answered by one Even pair scan
+//! (the candidate pairs around a minimum-degree vertex, each a max-flow on
+//! one reusable vertex-split network), asked two ways:
 //!
 //! * [`connectivity::vertex_connectivity`] / [`connectivity::min_vertex_cut`]
-//!   compute exact values and witnesses via full max-flow runs. Use them
-//!   when the number matters: ground-truth checks, reporting `κ` to a
-//!   human, or placing Byzantine nodes on an actual minimum cut.
+//!   walk the pairs in ascending id order with each flow capped at the best
+//!   `κ(s, t)` so far, and return exact values and the minimizing pair's
+//!   separator as the witness. Use them when the number matters:
+//!   ground-truth checks, reporting `κ` to a human, or placing Byzantine
+//!   nodes on an actual minimum cut.
 //! * [`oracle::ConnectivityOracle::is_t_partitionable`] decides `κ ≤ t`
-//!   through layered shortcuts — O(n + m) structure checks, min-degree
-//!   bounds, max-flows capped at `t + 1` augmentations, and a fingerprint
-//!   cache for repeated queries on unchanged graphs. Use it on every hot
-//!   path that re-runs the decision phase round after round (NECTAR's
-//!   `decide`, epoch monitoring, the dolev detector, experiment sweeps).
+//!   through layered shortcuts — O(m) structure checks on the edge list,
+//!   min-degree bounds, the same pairs probed low-degree-first with flows
+//!   capped at `t + 1` augmentations, and a fingerprint cache for repeated
+//!   queries on unchanged graphs. Use it on every hot path that re-runs the
+//!   decision phase round after round (NECTAR's `decide`, epoch monitoring,
+//!   the dolev detector, experiment sweeps).
 //!
-//! The oracle is property-tested against the exact routines across the full
-//! generator zoo; its answers are identical, only its cost profile differs.
+//! Since the two share the scan, neither is the other's reference: both are
+//! tested against brute-force cut enumeration
+//! ([`connectivity::vertex_connectivity_brute`], exhaustively on every graph
+//! up to six nodes for the oracle) and pinned to golden values.
 //!
 //! # Example
 //!
 //! ```
-//! use nectar_graph::{Graph, connectivity};
+//! use nectar_graph::{connectivity, ConnectivityOracle};
 //!
 //! // The star graph of Fig. 1b is 1-Byzantine partitionable: its vertex
 //! // connectivity is 1 (the hub is a cut vertex).
 //! let star = nectar_graph::gen::star(6);
 //! assert_eq!(connectivity::vertex_connectivity(&star), 1);
-//! assert!(connectivity::is_t_byzantine_partitionable(&star, 1));
+//! assert_eq!(connectivity::min_vertex_cut(&star), Some(vec![0]));
+//! let mut oracle = ConnectivityOracle::new();
+//! assert!(oracle.is_t_partitionable(&star, 1));
 //!
 //! // A cycle is 2-connected, hence not 1-Byzantine partitionable (Fig. 1a).
 //! let ring = nectar_graph::gen::cycle(6);
 //! assert_eq!(connectivity::vertex_connectivity(&ring), 2);
-//! assert!(!connectivity::is_t_byzantine_partitionable(&ring, 1));
+//! assert!(!oracle.is_t_partitionable(&ring, 1));
 //! ```
 
 #![forbid(unsafe_code)]

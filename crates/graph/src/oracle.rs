@@ -4,9 +4,10 @@
 //! question "is the discovered graph t-Byzantine partitionable", i.e.
 //! `κ(G) ≤ t` — the exact value of `κ` is never needed by Algorithm 1's
 //! decision phase. [`ConnectivityOracle`] exploits that with a layered fast
-//! path in front of the exact [`connectivity`](crate::connectivity)
-//! routines (which remain the reference implementation this module is
-//! property-tested against):
+//! path whose last layer is the exact [`connectivity`](crate::connectivity)
+//! routines' own Even pair scan, stopped as soon as the decision is known.
+//! Both are tested against brute-force κ
+//! ([`vertex_connectivity_brute`](crate::connectivity::vertex_connectivity_brute)):
 //!
 //! 1. **O(m) short-circuits on the edge list.** A disconnected graph has
 //!    `κ = 0 ≤ t`; a complete graph has `κ = n − 1`; and since `κ ≤ δ` (the
@@ -19,13 +20,13 @@
 //!    with no `n`-sized structure: the [`Graph`] is asked for, through a
 //!    closure, only when layer 2 must run flows on it
 //!    ([`ConnectivityOracle::answer_edges`]).
-//! 2. **Bounded max-flow.** When `δ > t`, Even's pair scan runs with
-//!    [`local_vertex_connectivity_bounded`] capped at `t + 1`: deciding
+//! 2. **Bounded max-flow.** When `δ > t`, Even's pair scan runs on one
+//!    reusable split network with each flow capped at `t + 1`: deciding
 //!    `κ(s, t) ≤ t` never needs more than `t + 1` vertex-disjoint paths, so
 //!    each flow computation exits `κ(s, t) − t` augmentations early. Any
 //!    pair at `≤ t` answers YES immediately; if every pair reaches the cap,
 //!    `κ ≥ t + 1` and the answer is NO. Pairs are probed low-degree-first
-//!    (see the measured note in `decide`), so YES answers surface before
+//!    (see the measured note in `pair_scan`), so YES answers surface before
 //!    the scan exhausts.
 //! 3. **Fingerprint cache.** Verdicts are memoized under a cheap
 //!    order-independent edge fingerprint, so repeated queries on unchanged
@@ -38,8 +39,9 @@
 
 use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
-use crate::connectivity::PairScanner;
+use crate::connectivity::{even_pairs, PairScanner};
 use crate::graph::Graph;
 use crate::traversal::DisjointSets;
 
@@ -49,8 +51,9 @@ use crate::traversal::DisjointSets;
 /// incrementally in O(1) as a node merges a newly discovered edge (XOR is
 /// self-inverse: toggling the same edge twice restores the fingerprint).
 /// Distinct edge sets collide with probability ~2⁻⁶⁴ per pair — negligible
-/// against the cache sizes involved, and the exact reference implementation
-/// stays available for callers that cannot tolerate it.
+/// against the cache sizes involved, and the exact
+/// [`vertex_connectivity`](crate::connectivity::vertex_connectivity) stays
+/// available for callers that cannot tolerate it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fingerprint {
     n: usize,
@@ -367,11 +370,9 @@ impl ConnectivityOracle {
     /// Layer 2, for graphs layer 1 left open (connected, incomplete,
     /// `δ > t`).
     fn pair_scan(&mut self, g: &Graph, t: usize) -> OracleAnswer {
-        let v = g.min_degree_node().expect("layer 1 settles the empty graph");
         // Even's pair scan with the max-flow capped at t + 1 on a single
         // reusable split network. The scanned pairs cover a minimum vertex
-        // cut (every cut either separates v from a non-neighbor or splits
-        // Γ(v)), so:
+        // cut (see `even_pairs`), so:
         //   * any pair with κ(s, t) ≤ t proves κ(G) ≤ t (for non-adjacent
         //     s, t, κ(G) ≤ κ(s, t));
         //   * all pairs at ≥ t + 1, together with δ > t, prove κ(G) > t.
@@ -397,42 +398,35 @@ impl ConnectivityOracle {
         // which must exhaust the scan regardless of order, are unchanged.
         let cap = t + 1;
         let mut scanner = PairScanner::new(g);
-        let mut scan = |s: usize, w: usize, stats: &mut OracleStats| -> Option<OracleAnswer> {
-            stats.bounded_flows += 1;
-            let c = scanner.bounded_pair_connectivity(s, w, cap);
-            if c >= cap {
-                stats.early_exits += 1;
-                None
-            } else {
-                Some(OracleAnswer { partitionable: true, kappa: KappaBound::AtMost(c) })
-            }
-        };
-        let mut non_nbrs = g.non_neighbors(v);
-        non_nbrs.sort_by_key(|&w| (g.degree(w), w));
-        for w in non_nbrs {
-            if let Some(answer) = scan(v, w, &mut self.stats) {
-                return answer;
-            }
-        }
-        let mut nbrs = g.neighborhood(v);
-        nbrs.sort_by_key(|&x| (g.degree(x), x));
-        for (i, &x) in nbrs.iter().enumerate() {
-            for &y in &nbrs[i + 1..] {
-                if !g.has_edge(x, y) {
-                    if let Some(answer) = scan(x, y, &mut self.stats) {
-                        return answer;
-                    }
+        let stats = &mut self.stats;
+        let scan = even_pairs(
+            g,
+            |w| (g.degree(w), w),
+            |s, w| {
+                stats.bounded_flows += 1;
+                let c = scanner.bounded_pair_connectivity(s, w, cap);
+                if c < cap {
+                    return ControlFlow::Break(c);
                 }
+                stats.early_exits += 1;
+                ControlFlow::Continue(())
+            },
+        );
+        match scan {
+            ControlFlow::Break(c) => {
+                OracleAnswer { partitionable: true, kappa: KappaBound::AtMost(c) }
+            }
+            ControlFlow::Continue(()) => {
+                OracleAnswer { partitionable: false, kappa: KappaBound::AtLeast(cap) }
             }
         }
-        OracleAnswer { partitionable: false, kappa: KappaBound::AtLeast(cap) }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connectivity::vertex_connectivity;
+    use crate::connectivity::{vertex_connectivity, vertex_connectivity_brute};
     use crate::gen;
 
     fn exact(g: &Graph, t: usize) -> bool {
@@ -481,7 +475,9 @@ mod tests {
 
     /// Checks every labelled graph on `n` nodes at every t <= 3, answered
     /// from its ascending edge list by an oracle that caches nothing, so
-    /// each verdict is the layers' own. Returns the number of queries.
+    /// each verdict is the layers' own, against brute-force κ (exact κ
+    /// shares the oracle's pair scan, so it cannot vouch for it). Returns
+    /// the number of queries.
     fn sweep_every_graph_on(n: usize) -> usize {
         let mut oracle = ConnectivityOracle::with_capacity(0);
         let mut queries = 0;
@@ -491,7 +487,7 @@ mod tests {
             let edges: Vec<(usize, usize)> =
                 (0..pairs.len()).filter(|&i| mask >> i & 1 == 1).map(|i| pairs[i]).collect();
             let g = Graph::from_edges(n, edges.iter().copied()).unwrap();
-            let kappa = vertex_connectivity(&g);
+            let kappa = vertex_connectivity_brute(&g);
             for t in 0..=3 {
                 let answer =
                     oracle.answer_edges(Fingerprint::of(&g), edges.iter().copied(), t, || &g);
