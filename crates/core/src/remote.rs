@@ -19,6 +19,7 @@
 
 use std::collections::BTreeMap;
 
+use nectar_graph::ConnectivityOracle;
 use nectar_net::text::{self, Line, TextError};
 use nectar_net::transport::{DeliveryLog, NodeDriver, Recorded, Transport, TransportError};
 use nectar_net::{NodeId, SyncNetwork};
@@ -33,8 +34,12 @@ use crate::runner::Scenario;
 pub struct NodeReport {
     /// The reporting node.
     pub node: NodeId,
-    /// Its decision (exact-connectivity path, [`decide`]).
+    /// Its decision, taken the way every in-memory run takes it: through a
+    /// [`ConnectivityOracle`] ([`decide_with`]), so `connectivity` is the
+    /// oracle's witness bound, not the exact κ that the reference
+    /// [`decide`] computes for tests to compare against.
     ///
+    /// [`decide_with`]: crate::node::NectarNode::decide_with
     /// [`decide`]: crate::node::NectarNode::decide
     pub decision: Decision,
     /// The edges its discovered graph accepted, ascending.
@@ -157,11 +162,16 @@ fn one<T: std::str::FromStr>(line: &Line) -> Result<T, TextError> {
     line.num(line.args::<1>()?[0], line.keyword)
 }
 
-fn report_for(participant: &Participant, deliveries: DeliveryLog, sent: (u64, u64)) -> NodeReport {
+fn report_for(
+    participant: &Participant,
+    oracle: &mut ConnectivityOracle,
+    deliveries: DeliveryLog,
+    sent: (u64, u64),
+) -> NodeReport {
     let nectar = participant.nectar();
     NodeReport {
         node: nectar.node_id(),
-        decision: nectar.decide(),
+        decision: nectar.decide_with(oracle),
         accepted_edges: nectar.discovered_edge_key(),
         bytes_sent: sent.0,
         msgs_sent: sent.1,
@@ -175,7 +185,7 @@ fn report_for(participant: &Participant, deliveries: DeliveryLog, sent: (u64, u6
 /// of `n` and the key seed, so every process derives identical keys and
 /// proofs) and keeps this node's, then drives it — behind the
 /// [`Recorded`] layer, for the report's deliveries — for the scenario's
-/// round count, then decides.
+/// round count, then decides through a fresh [`ConnectivityOracle`].
 ///
 /// # Errors
 ///
@@ -206,27 +216,29 @@ pub fn run_scenario_node<T: Transport>(
     let (participant, log) = recorded.into_parts();
     let bytes: u64 = sent.iter().map(|r| r.wire_bytes as u64).sum();
     let msgs = sent.len() as u64;
-    Ok(report_for(&participant, log, (bytes, msgs)))
+    Ok(report_for(&participant, &mut ConnectivityOracle::new(), log, (bytes, msgs)))
 }
 
 /// The reference side of the conformance contract: runs `scenario` on the
 /// deterministic sync engine with every participant behind the
 /// [`Recorded`] capture layer, and summarizes each node as the
-/// [`NodeReport`] a socket fleet member would emit. Also returns the
-/// fleet-wide delivery log (the union of the per-node logs).
+/// [`NodeReport`] a socket fleet member would emit, every node deciding
+/// through one shared [`ConnectivityOracle`]. Also returns the fleet-wide
+/// delivery log (the union of the per-node logs).
 pub fn sync_fleet_reports(scenario: &Scenario) -> (BTreeMap<NodeId, NodeReport>, DeliveryLog) {
     let recorded: Vec<Recorded<Participant>> =
         scenario.build_participants().into_iter().map(Recorded::new).collect();
     let mut net = SyncNetwork::new(recorded, scenario.topology().clone());
     net.run_rounds(scenario.config().effective_rounds());
     let (recorded, metrics) = net.into_parts();
+    let mut oracle = ConnectivityOracle::new();
     let mut fleet_log = DeliveryLog::new();
     let mut reports = BTreeMap::new();
     for (i, wrapped) in recorded.into_iter().enumerate() {
         let (participant, log) = wrapped.into_parts();
         fleet_log.merge(&log);
         let sent = (metrics.bytes_sent()[i], metrics.msgs_sent()[i]);
-        reports.insert(i, report_for(&participant, log, sent));
+        reports.insert(i, report_for(&participant, &mut oracle, log, sent));
     }
     (reports, fleet_log)
 }
@@ -282,6 +294,17 @@ mod tests {
             assert!(!report.decision.confirmed);
             assert_eq!(report.decision.reachable, 6);
         }
+        // Every correct node's whole decision, `connectivity` included, is
+        // the simulation's. On harary(4, 8) at t = 1 the exact κ (4) and
+        // the oracle's witness bound (t + 1 = 2) differ.
+        let harary = Scenario::new(gen::harary(4, 8).unwrap(), 1).with_key_seed(9);
+        for scenario in [&scenario, &harary] {
+            let simulated = scenario.sim().run();
+            let reports = sync_fleet_reports(scenario).0;
+            for (node, decision) in simulated.decisions() {
+                assert_eq!(&reports[node].decision, decision, "node {node}");
+            }
+        }
         // The fleet log is exactly the union of the per-node logs, and
         // every per-node log only contains deliveries to that node.
         let mut union = DeliveryLog::new();
@@ -317,13 +340,14 @@ mod tests {
                 d.finish_round(round).unwrap();
             }
         }
+        let mut oracle = ConnectivityOracle::new();
         let mut fleet_log = DeliveryLog::new();
         for (i, driver) in drivers.into_iter().enumerate() {
             let (recorded, sent, _) = driver.into_parts();
             let (participant, log) = recorded.into_parts();
             fleet_log.merge(&log);
             let bytes: u64 = sent.iter().map(|r| r.wire_bytes as u64).sum();
-            let report = report_for(&participant, log, (bytes, sent.len() as u64));
+            let report = report_for(&participant, &mut oracle, log, (bytes, sent.len() as u64));
             assert_eq!(&report, &reference[&i], "node {i}");
         }
         assert_eq!(fleet_log, reference_log);

@@ -16,9 +16,6 @@ pub const SIGNATURE_WIRE_BYTES: usize = 64;
 /// Serialized size of a node identifier.
 pub const NODE_ID_WIRE_BYTES: usize = 2;
 
-/// Serialized size of a digest.
-pub const DIGEST_WIRE_BYTES: usize = 32;
-
 /// Wire size of one signature together with its signer identity.
 pub const fn signature_entry_bytes() -> usize {
     NODE_ID_WIRE_BYTES + SIGNATURE_WIRE_BYTES

@@ -736,6 +736,14 @@ fn render_scenario_loopback(
     out
 }
 
+/// The flag front door: every `nectar-cli ...` line of the help text's
+/// EXAMPLES block parses, every name under FAMILIES parses and builds,
+/// `detect`'s flags land on the `ScenarioSpec` field of the same name and
+/// nothing else, and the inputs `detect` once validated by itself (an id
+/// beyond the built torus, n = 0, t >= n, a node cast twice) are the
+/// scenario compiler's errors; `matrix` refuses t >= n with the same
+/// message, and `--runtime parallel:W` is the only spelling of a worker
+/// count.
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -346,6 +346,12 @@ pub fn run_event_driven<P: Process>(
     net.into_parts()
 }
 
+/// The event engine's own pins: its exact event counts, the (destination,
+/// sender, emission) order of bursts to one destination, the no-op and
+/// quiesced-jump epochs, and the threaded pin — polls and deliveries seen
+/// on two threads, event counts equal at 1, 2, 3 and 7 workers.
+/// `parallel.rs` re-runs the engine checks and the trajectory proptest
+/// fanned out.
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;

@@ -142,39 +142,6 @@ impl Metrics {
     pub fn max_bytes_sent_per_node(&self) -> u64 {
         self.bytes_sent.iter().copied().max().unwrap_or(0)
     }
-
-    /// Merges another execution's counters into this one (same `n`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two metrics cover different system sizes.
-    pub fn merge(&mut self, other: &Metrics) {
-        assert_eq!(
-            self.bytes_sent.len(),
-            other.bytes_sent.len(),
-            "metrics cover different systems"
-        );
-        for (a, b) in self.bytes_sent.iter_mut().zip(&other.bytes_sent) {
-            *a += b;
-        }
-        for (a, b) in self.msgs_sent.iter_mut().zip(&other.msgs_sent) {
-            *a += b;
-        }
-        for (a, b) in self.bytes_received.iter_mut().zip(&other.bytes_received) {
-            *a += b;
-        }
-        for (a, b) in self.msgs_received.iter_mut().zip(&other.msgs_received) {
-            *a += b;
-        }
-        if self.bytes_per_round.len() < other.bytes_per_round.len() {
-            self.bytes_per_round.resize(other.bytes_per_round.len(), 0);
-        }
-        for (a, b) in self.bytes_per_round.iter_mut().zip(&other.bytes_per_round) {
-            *a += b;
-        }
-        self.illegal_sends += other.illegal_sends;
-        self.schedule_drops += other.schedule_drops;
-    }
 }
 
 /// Wall-clock breakdown of one epoch's phases, in microseconds: the
@@ -197,23 +164,9 @@ pub struct PhaseProfile {
     pub decide_micros: u64,
 }
 
-impl PhaseProfile {
-    /// Sum of both phase timings.
-    pub fn total_micros(&self) -> u64 {
-        self.disseminate_micros + self.decide_micros
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn phase_profile_totals_add_up() {
-        let profile = PhaseProfile { disseminate_micros: 100, decide_micros: 45 };
-        assert_eq!(profile.total_micros(), 145);
-        assert_eq!(PhaseProfile::default().total_micros(), 0);
-    }
 
     #[test]
     fn record_send_updates_all_counters() {
@@ -244,25 +197,6 @@ mod tests {
         m.record_illegal_send();
         assert_eq!(m.illegal_sends(), 1);
         assert_eq!(m.total_bytes_sent(), 0);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = Metrics::new(2);
-        a.record_send(1, 0, 1, 5);
-        let mut b = Metrics::new(2);
-        b.record_send(2, 1, 0, 7);
-        b.record_illegal_send();
-        a.merge(&b);
-        assert_eq!(a.bytes_sent(), &[5, 7]);
-        assert_eq!(a.bytes_per_round(), &[5, 7]);
-        assert_eq!(a.illegal_sends(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different systems")]
-    fn merge_rejects_mismatched_sizes() {
-        Metrics::new(2).merge(&Metrics::new(3));
     }
 
     #[test]

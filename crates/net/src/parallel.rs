@@ -88,6 +88,10 @@ where
     done.into_iter().flat_map(|(_, outputs)| outputs).collect()
 }
 
+/// The event engine's checks fanned out over the pool, and the pool's own:
+/// input order (also with more workers than blocks), slow items spread
+/// over several threads, and a panic in the mapped function propagating
+/// out.
 #[cfg(test)]
 mod tests {
     use super::*;

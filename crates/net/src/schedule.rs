@@ -1140,8 +1140,8 @@ mod tests {
     fn cross_engine_outcomes_are_identical_under_a_busy_schedule() {
         // Flap + churn + loss + delay on a cycle, run on every engine:
         // final protocol state, metrics and drop counters must match bit
-        // for bit. This is the in-crate seed of the schedule-equivalence
-        // suite in tests/schedules.rs.
+        // for bit. This is the in-crate seed of the schedule suite,
+        // tests/schedules.rs.
         let g = nectar_graph::gen::cycle(6);
         let schedule = TopologySchedule::new()
             .with_seed(11)

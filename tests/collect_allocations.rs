@@ -19,8 +19,10 @@
 //! heap vector per integer read, nor a copy of every buffer it fills — and
 //! reserves for the bytes it was given, not for a length those bytes claim.
 //!
-//! The counting allocator is process-global, which is why these tests have
-//! an integration-test binary to themselves and take turns under `SERIAL`.
+//! These counts hold on any machine; the `collect_scaling` bench group
+//! gates the time half. The counting allocator is process-global, which is
+//! why these tests have an integration-test binary to themselves and take
+//! turns under `SERIAL`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -85,33 +85,6 @@ fn every_quick_figure_is_well_formed_and_byte_identical() {
     assert_eq!(digests, expected);
 }
 
-/// Runs the named `FIGURES` rows in quick mode and checks every table they emit.
-fn assert_quick_figures_well_formed(keys: &[&str]) {
-    for key in keys {
-        let (_, figure) = FIGURES.iter().find(|(k, _)| k == key).expect("registered figure");
-        figure(true).iter().for_each(assert_well_formed);
-    }
-}
-
-#[test]
-fn every_cost_figure_runs_quick() {
-    assert_quick_figures_well_formed(&["fig3", "topology_cost", "fig4", "fig5", "fig6", "fig7"]);
-}
-
-#[test]
-fn mechanism_and_unsigned_experiments_run_quick() {
-    assert_quick_figures_well_formed(&[
-        "topology_quiescence",
-        "per_node_disparity",
-        "unsigned_cost",
-    ]);
-}
-
-#[test]
-fn ablations_run_quick() {
-    assert_quick_figures_well_formed(&["ablation_rounds"]);
-}
-
 #[test]
 fn charts_render_for_every_quick_figure() {
     let t = fig3_kregular_cost(true).remove(0);

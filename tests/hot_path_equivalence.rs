@@ -1,37 +1,52 @@
-//! Hot-path cache equivalence: the fast paths — a node's view as a hash
+//! Hot-path cache ground truth. The fast paths — a node's view as a hash
 //! set of packed `u32` edge keys with its rolling fingerprint, one relay
-//! batch per sender and round that every neighbour's message views, and
-//! the digest a proof caches on first use — must be *observationally
-//! pure* (docs/DETERMINISM.md §4). Two kinds of pins, matching the two
-//! ways a cache could leak:
+//! batch per sender and round that every neighbour's message views, the
+//! digest a proof caches on first use and the one proof both endpoints of
+//! an edge share — must be *observationally pure* (docs/DETERMINISM.md
+//! §4, §6). Each cache is pinned per value once, where it lives:
 //!
-//! * **Fingerprint ground truth.** Every node's rolling
+//! * **View fingerprints** (here): every node's rolling
 //!   [`NectarNode::view_fingerprint`] must equal the from-scratch digest of
-//!   its discovered graph, after arbitrary runs of the shared zoo
-//!   (`tests/common`: all eight Byzantine behaviours) and under
-//!   active [`TopologySchedule`]s — the schedules exercise edge drops and
-//!   heals mid-dissemination, i.e. views that grow through every relay
-//!   acceptance path.
-//! * **Whole-run bit-identity.** The relay batch and the digest cache are
-//!   pinned per value next to their code (`message.rs`: each neighbour's
-//!   view is the batch minus its own relays; `proof.rs`: a cached digest
-//!   equals a from-scratch SHA-256); here their contract is that nothing
-//!   downstream can tell them apart from the plain computation. So
-//!   the pin is the strongest observable: the full
-//!   `RunReport` (decisions, traffic metrics, oracle counters, rejection
-//!   tallies) must be bit-identical across all three runtimes and across
-//!   parallel worker counts {0, 2, 3, 4, 7}. The oracle's edge-list layer 1
-//!   (docs/DETERMINISM.md §6) is held to the same pin on the regime it
-//!   serves: a partitioned fleet of many distinct views.
+//!   its discovered graph, through both from-scratch entry points, after
+//!   arbitrary runs of the shared zoo (`tests/common`: all eight Byzantine
+//!   behaviours) and under active [`TopologySchedule`]s — the schedules
+//!   drop and heal edges mid-dissemination, so views grow through every
+//!   relay acceptance path.
+//! * **The view set** (`crates/core/src/node.rs`, `view_set_tests`): a
+//!   node's view tracks a `BTreeSet` model over random announcements,
+//!   accepted and rejected relays, hidden edges and out-of-range keys —
+//!   ascending edge lists, equal counts, fingerprint = digest of the
+//!   discovered graph.
+//! * **The relay batch** (`crates/core/src/message.rs`,
+//!   `each_view_is_the_batch_minus_its_recipients_relays`): every
+//!   neighbour's message, a view of the sender's one round batch, carries
+//!   the edges, length, accounted bytes and codec bytes of the
+//!   per-neighbour filter loop it replaced, and a neighbour left with no
+//!   edge gets no message.
+//! * **The digest cache** (`crates/crypto/src/proof.rs`,
+//!   `digest_cache_is_pure`): a proof's cached digest equals a
+//!   from-scratch SHA-256 of its fields, costs 2 compressions once and 0
+//!   after, and leaves `==`, `Hash` and `Debug` unchanged.
+//! * **The shared proof** (`crates/core/src/runner.rs`,
+//!   `both_endpoints_of_an_edge_announce_one_shared_proof`): set-up signs
+//!   one proof per edge, and both endpoints of an edge between correct
+//!   nodes announce that one object in round 1.
+//! * **The oracle's edge-list layer 1** (`crates/graph/src/oracle.rs`,
+//!   `oracle_edge_list_layer_one_matches_the_dense_reference_*`): answer
+//!   and counters equal a test-only copy of the dense predicates, over
+//!   untrusted lists.
 //!
-//! This suite is the named `hot-path-equivalence` CI step.
+//! That nothing downstream can tell any cache from the plain computation
+//! is the whole-run bit-identity of `tests/runtimes.rs`, which sweeps the
+//! same zoo across every runtime and worker count. What the caches cost
+//! is pinned by `tests/collect_allocations.rs`.
 
 mod common;
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-use common::{arb_scenario, assert_reports_identical, build_scenario};
+use common::{arb_scenario, build_scenario};
 use nectar::graph::Fingerprint;
 use nectar::prelude::*;
 use nectar::protocol::Participant;
@@ -64,18 +79,6 @@ fn assert_fingerprints_are_ground_truth(participants: &[Participant]) {
         );
     }
 }
-
-/// Every engine but the sync reference, with the parallel one on the
-/// {0, 2, 3, 4, 7} worker grid (0 = auto-detect, so this also sweeps
-/// whatever the host machine resolves to; `parallel:1` is `event`).
-const OTHER_RUNTIMES: [Runtime; 6] = [
-    Runtime::Event,
-    Runtime::Parallel { workers: 0 },
-    Runtime::Parallel { workers: 2 },
-    Runtime::Parallel { workers: 3 },
-    Runtime::Parallel { workers: 4 },
-    Runtime::Parallel { workers: 7 },
-];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -111,109 +114,5 @@ proptest! {
         let scenario = build_scenario(&g, t, &cast);
         let participants = scenario.sim().schedule(schedule).participants();
         assert_fingerprints_are_ground_truth(&participants);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Proof-memo / digest hand-off / interning purity, pinned at the
-    /// whole-run level:
-    /// the full report content is bit-identical on every runtime and at
-    /// parallel worker counts {0, 2, 3, 4, 7} (0 = auto-detect, so this
-    /// also sweeps whatever the host machine resolves to), across the
-    /// generator zoo and the Byzantine behaviour zoo: results must not
-    /// depend on how the pool is sized or on which worker took which
-    /// block.
-    #[test]
-    fn reports_are_bit_identical_across_runtimes_and_worker_counts(
-        (g, t, cast) in arb_scenario(),
-    ) {
-        let scenario = build_scenario(&g, t, &cast);
-        let reference = scenario.sim().run();
-        for runtime in OTHER_RUNTIMES {
-            let report = scenario.sim().runtime(runtime).run();
-            assert_reports_identical(&report, &reference, &format!("{runtime}"));
-        }
-    }
-}
-
-/// A fixed multi-epoch, scheduled, Byzantine scenario swept across every
-/// runtime and the {0, 2, 3, 4, 7} worker grid — the deterministic anchor
-/// that fails loudly (no shrinking, stable name) if any cache ever leaks
-/// into decisions, metrics, oracle counters, or rejection tallies.
-#[test]
-fn scheduled_multi_epoch_runs_are_bit_identical_everywhere() {
-    let g = gen::harary(4, 12).expect("valid harary");
-    let scenario = Scenario::new(g, 2)
-        .with_key_seed(77)
-        .with_byzantine(2, ByzantineBehavior::Silent)
-        .with_byzantine(9, ByzantineBehavior::TwoFaced { silent_toward: [0, 4].into() });
-    let schedule = TopologySchedule::new()
-        .drop_edge(1, 0, 1)
-        .heal_edge(3, 0, 1)
-        .drop_edge(2, 4, 5)
-        .heal_edge(4, 4, 5);
-    let run = |runtime: Runtime| {
-        scenario.sim().runtime(runtime).schedule(schedule.clone()).epochs(2).run()
-    };
-    let reference = run(Runtime::Sync);
-    assert_eq!(reference.epochs.len(), 2);
-    assert!(!reference.decisions().is_empty());
-    for runtime in OTHER_RUNTIMES {
-        let report = run(runtime);
-        assert_reports_identical(&report, &reference, &format!("{runtime}"));
-        // The JSON projection agrees too, once the legitimate runtime/
-        // workers header line is dropped — a codec-level restatement of
-        // the same pin.
-        let normalize = |r: &RunReport| {
-            r.to_json()
-                .lines()
-                .filter(|l| !l.contains("\"runtime\":"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(normalize(&report), normalize(&reference), "{runtime}: JSON drifted");
-    }
-}
-
-/// The regime the edge-list layer 1 exists for: a partitioned fleet whose
-/// every view is a small island in the fleet's id space. Disjoint cliques
-/// plus connected islands with `δ ≤ t` (path, star) and with `δ > t`
-/// (cycle, Harary), one of them split further by a Byzantine member —
-/// a dozen-odd view classes, each settled without a view graph — pinned
-/// bit-identical on every runtime and the {0, 2, 3, 4, 7} worker grid.
-#[test]
-fn many_class_partitioned_fleets_are_bit_identical_everywhere() {
-    let islands = [
-        gen::disjoint_cliques(6, 4),
-        gen::path(5),
-        gen::star(6),
-        gen::cycle(7),
-        gen::harary(4, 9).expect("valid harary"),
-        Graph::empty(2),
-    ];
-    let n = islands.iter().map(Graph::node_count).sum();
-    let mut fleet = Graph::empty(n);
-    let mut base = 0;
-    for island in &islands {
-        for (u, v) in island.edges() {
-            fleet.add_edge(base + u, base + v).expect("offsets stay in range");
-        }
-        base += island.node_count();
-    }
-    let harary_base = n - 2 - 9;
-    let scenario = Scenario::new(fleet, 1).with_key_seed(91).with_byzantine(
-        harary_base,
-        ByzantineBehavior::TwoFaced { silent_toward: [harary_base + 1].into() },
-    );
-    let reference = scenario.sim().run();
-    let oracle = reference.oracle();
-    assert!(oracle.queries - oracle.cache_hits >= 11, "one cold query per view class");
-    assert_eq!(oracle.bounded_flows, 0, "every class is settled by layer 1");
-    assert!(reference.decisions().values().all(|d| d.confirmed));
-    for runtime in OTHER_RUNTIMES {
-        let report = scenario.sim().runtime(runtime).run();
-        assert_reports_identical(&report, &reference, &format!("{runtime}"));
     }
 }

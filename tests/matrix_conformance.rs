@@ -22,6 +22,8 @@
 //!    counts {0, 2, 3, 7}.
 //! 5. **No sweep without a correct node**: `nectar-cli matrix` refuses a
 //!    budget `t ≥ n` with exit 2 before any trial runs, as `detect` does.
+//!
+//! The `matrix/matrix_smoke` bench row gates the sweep engine's overhead.
 
 use nectar_experiments::matrix::{CastSpec, FamilySpec, MatrixReport, MatrixSpec};
 use nectar_experiments::placements::articulation_falsifier_cast;

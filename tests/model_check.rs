@@ -26,8 +26,7 @@
 //!   correct nodes' verdicts (`nectar-dolev`'s
 //!   `agreement_is_not_guaranteed_without_signatures`).
 //!
-//! A violation prints the edge list and the cast. This suite is the named
-//! `model-check` CI step.
+//! A violation prints the edge list and the cast.
 
 mod common;
 

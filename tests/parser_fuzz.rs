@@ -1,12 +1,15 @@
 //! Negative-input hardening for the hand-rolled parsers: a malformed
-//! `RunReport` JSON document, topology-schedule script, scenario file or
-//! `nectar-node-report v1` block must come back as an `Err`, never a
-//! panic — persisted reports, `--schedule` arguments and the reports a
-//! socket fleet prints across process boundaries are exactly the inputs
-//! that arrive damaged (truncated copies, editor mangling, wrong file
-//! entirely). The property tests mutate *valid* documents at random
+//! `RunReport` or `MatrixReport` JSON document, topology-schedule script,
+//! scenario file or `nectar-node-report v1` block must come back as an
+//! `Err`, never a panic — persisted reports, `--schedule` arguments and
+//! the reports a socket fleet prints across process boundaries are
+//! exactly the inputs that arrive damaged (truncated copies, editor
+//! mangling, wrong file entirely). The property tests mutate *valid* documents at random
 //! positions, which probes the parser states a hand-written grammar
-//! actually reaches, unlike purely random bytes.
+//! actually reaches, unlike purely random bytes. The wire decoders are
+//! held to canonical bytes too, which is what lets the digest `Recorded`
+//! logs of a re-encoded message stand for the bytes on the wire in
+//! `tests/transport_conformance.rs`.
 
 use proptest::prelude::*;
 

@@ -144,18 +144,6 @@ proptest! {
         }
     }
 
-    /// The three runtimes agree on arbitrary inputs.
-    #[test]
-    fn runtime_equivalence(g in arb_graph(8)) {
-        let scenario = Scenario::new(g, 1).with_key_seed(3);
-        let a = scenario.sim().run();
-        for runtime in [Runtime::Event, Runtime::Parallel { workers: 2 }] {
-            let b = scenario.sim().runtime(runtime).run();
-            prop_assert_eq!(a.decisions(), b.decisions(), "{}", runtime);
-            prop_assert_eq!(a.metrics(), b.metrics(), "{}", runtime);
-        }
-    }
-
     /// The oracle-backed decision phase (what `Scenario::run` executes)
     /// agrees with the exact reference path `NectarNode::decide` on every
     /// correct node, across the full behaviour zoo — verdict, confirmed

@@ -1,18 +1,29 @@
-//! Cross-runtime equivalence and scale properties.
+//! Cross-runtime equivalence and scale: the one suite that pins the
+//! runtimes against each other.
 //!
 //! Every runtime — deterministic sync, event-driven, and the event loop
 //! fanned out over workers (`parallel:W`) — promises *bit-identical*
-//! [`RunReport`]s for any scenario
-//! (same decisions, same traffic metrics, same oracle counters); the
-//! contract each upholds is written down in `docs/DETERMINISM.md`.
-//! This suite enforces that promise over the shared zoo of `tests/common`
-//! (every §V-B topology family, casts over all eight Byzantine
-//! behaviours) — the parallel runtime at a case-drawn worker count, beside
-//! the fixed {0, 2, 3, 4, 7} grid of `hot_path_equivalence.rs`, since
-//! worker count must never leak into results — holds fixed colluding
-//! casts as a deterministic anchor, and pins down the scale claim: the
-//! event-driven runtime hosts a 10 000-node scenario in one process, on
-//! one or two workers.
+//! [`RunReport`]s for any scenario (same decisions, same traffic metrics,
+//! same oracle counters, same rejection tallies); the contract each
+//! upholds is written down in `docs/DETERMINISM.md`. That is also the
+//! observable the hot-path caches must leave untouched (the relay batch,
+//! the proof's digest cache, the rolling view fingerprints and the
+//! oracle's edge-list layer 1; `tests/hot_path_equivalence.rs` lists
+//! their per-value pins), so one sweep serves both.
+//! This suite enforces the promise
+//!
+//! * over the shared zoo of `tests/common` (every §V-B topology family,
+//!   casts over all eight Byzantine behaviours), with the parallel
+//!   runtime on the worker grid {0, 2, 3, 4, 7} (0 = auto-detect, so
+//!   the grid also sweeps whatever the host resolves to), since worker
+//!   count must never leak into results;
+//! * on fixed anchors that fail loudly (no shrinking, stable names): a
+//!   scheduled multi-epoch Byzantine run, a partitioned fleet of many
+//!   view classes, and fixed colluding casts;
+//!
+//! and pins down the scale claim: the event-driven runtime hosts a
+//! 10 000-node scenario in one process, on one or two workers, and two
+//! workers really spawn threads on that fleet.
 
 mod common;
 
@@ -21,24 +32,116 @@ use proptest::prelude::*;
 use common::{arb_scenario, assert_reports_identical, build_scenario};
 use nectar::prelude::*;
 
+/// Every engine but the sync reference, with the parallel one on the
+/// {0, 2, 3, 4, 7} worker grid (0 = auto-detect, so this also sweeps
+/// whatever the host machine resolves to; `parallel:1` is `event`).
+const OTHER_RUNTIMES: [Runtime; 6] = [
+    Runtime::Event,
+    Runtime::Parallel { workers: 0 },
+    Runtime::Parallel { workers: 2 },
+    Runtime::Parallel { workers: 3 },
+    Runtime::Parallel { workers: 4 },
+    Runtime::Parallel { workers: 7 },
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// sync == event == parallel, bit for bit, across the generator zoo
-    /// and the Byzantine behaviour zoo. The parallel runtime
-    /// runs at a case-varied worker count: results must not depend on how
-    /// the pool is sized (or on which worker took which block).
+    /// and the Byzantine behaviour zoo, with the parallel runtime at every
+    /// worker count of [`OTHER_RUNTIMES`]: the full report must not depend
+    /// on the engine, on how the pool is sized or on which worker took
+    /// which block — nor on any hot-path cache.
     #[test]
-    fn all_runtimes_produce_identical_outcomes(
+    fn reports_are_bit_identical_across_runtimes_and_worker_counts(
         (g, t, cast) in arb_scenario(),
-        workers in 1usize..5,
     ) {
         let scenario = build_scenario(&g, t, &cast);
-        let sync = scenario.sim().runtime(Runtime::Sync).run();
-        let event = scenario.sim().runtime(Runtime::Event).run();
-        let parallel = scenario.sim().runtime(Runtime::Parallel { workers }).run();
-        assert_reports_identical(&sync, &event, "sync vs event");
-        assert_reports_identical(&sync, &parallel, "sync vs parallel");
+        let reference = scenario.sim().run();
+        for runtime in OTHER_RUNTIMES {
+            let report = scenario.sim().runtime(runtime).run();
+            assert_reports_identical(&report, &reference, &format!("{runtime}"));
+        }
+    }
+}
+
+/// A fixed multi-epoch, scheduled, Byzantine scenario swept across every
+/// runtime and the {0, 2, 3, 4, 7} worker grid — the deterministic anchor
+/// that fails loudly (no shrinking, stable name) if any cache ever leaks
+/// into decisions, metrics, oracle counters, or rejection tallies.
+#[test]
+fn scheduled_multi_epoch_runs_are_bit_identical_everywhere() {
+    let g = gen::harary(4, 12).expect("valid harary");
+    let scenario = Scenario::new(g, 2)
+        .with_key_seed(77)
+        .with_byzantine(2, ByzantineBehavior::Silent)
+        .with_byzantine(9, ByzantineBehavior::TwoFaced { silent_toward: [0, 4].into() });
+    let schedule = TopologySchedule::new()
+        .drop_edge(1, 0, 1)
+        .heal_edge(3, 0, 1)
+        .drop_edge(2, 4, 5)
+        .heal_edge(4, 4, 5);
+    let run = |runtime: Runtime| {
+        scenario.sim().runtime(runtime).schedule(schedule.clone()).epochs(2).run()
+    };
+    let reference = run(Runtime::Sync);
+    assert_eq!(reference.epochs.len(), 2);
+    assert!(!reference.decisions().is_empty());
+    for runtime in OTHER_RUNTIMES {
+        let report = run(runtime);
+        assert_reports_identical(&report, &reference, &format!("{runtime}"));
+        // The JSON projection agrees too, once the legitimate runtime/
+        // workers header line is dropped — a codec-level restatement of
+        // the same pin.
+        let normalize = |r: &RunReport| {
+            r.to_json()
+                .lines()
+                .filter(|l| !l.contains("\"runtime\":"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        assert_eq!(normalize(&report), normalize(&reference), "{runtime}: JSON drifted");
+    }
+}
+
+/// The regime the edge-list layer 1 exists for: a partitioned fleet whose
+/// every view is a small island in the fleet's id space. Disjoint cliques
+/// plus connected islands with `δ ≤ t` (path, star) and with `δ > t`
+/// (cycle, Harary), one of them split further by a Byzantine member —
+/// a dozen-odd view classes, each settled without a view graph — pinned
+/// bit-identical on every runtime and the {0, 2, 3, 4, 7} worker grid.
+#[test]
+fn many_class_partitioned_fleets_are_bit_identical_everywhere() {
+    let islands = [
+        gen::disjoint_cliques(6, 4),
+        gen::path(5),
+        gen::star(6),
+        gen::cycle(7),
+        gen::harary(4, 9).expect("valid harary"),
+        Graph::empty(2),
+    ];
+    let n = islands.iter().map(Graph::node_count).sum();
+    let mut fleet = Graph::empty(n);
+    let mut base = 0;
+    for island in &islands {
+        for (u, v) in island.edges() {
+            fleet.add_edge(base + u, base + v).expect("offsets stay in range");
+        }
+        base += island.node_count();
+    }
+    let harary_base = n - 2 - 9;
+    let scenario = Scenario::new(fleet, 1).with_key_seed(91).with_byzantine(
+        harary_base,
+        ByzantineBehavior::TwoFaced { silent_toward: [harary_base + 1].into() },
+    );
+    let reference = scenario.sim().run();
+    let oracle = reference.oracle();
+    assert!(oracle.queries - oracle.cache_hits >= 11, "one cold query per view class");
+    assert_eq!(oracle.bounded_flows, 0, "every class is settled by layer 1");
+    assert!(reference.decisions().values().all(|d| d.confirmed));
+    for runtime in OTHER_RUNTIMES {
+        let report = scenario.sim().runtime(runtime).run();
+        assert_reports_identical(&report, &reference, &format!("{runtime}"));
     }
 }
 

@@ -1,7 +1,10 @@
-//! Conformance suite for the scenario layer (the CI step
-//! `scenario-conformance`), pinning its three contracts — plus the
-//! flag front door's: `nectar-cli detect` lowers onto the same
-//! `ScenarioSpec` a `.scn` file parses to (contract 2e).
+//! Conformance suite for the scenario layer, pinning its three contracts
+//! — plus the flag front door's: `nectar-cli detect` lowers onto the same
+//! `ScenarioSpec` a `.scn` file parses to, and `detect --report A` writes
+//! byte for byte the report `run` writes for the file its flags spell
+//! (`spec.to_text()`), on all three runtimes (contract 2e).
+//! `tests/parser_fuzz.rs` keeps the scenario parser panic-free on damaged
+//! files.
 //!
 //! 1. **Round-trip**: `ScenarioSpec::parse(spec.to_text()) == spec` over
 //!    a generated scenario zoo — the canonical text form loses nothing,

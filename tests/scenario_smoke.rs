@@ -1,7 +1,7 @@
-//! Smoke harness for the curated `scenarios/` library (the CI step
-//! `scenarios-smoke`): every checked-in scenario file must parse,
-//! round-trip through its canonical text form, compile at full scale,
-//! and — in its CI-reduced form — actually run on the sync runtime.
+//! Smoke harness for the curated `scenarios/` library: every checked-in
+//! scenario file must parse, round-trip through its canonical text form,
+//! compile at full scale, and — in its reduced form — actually run on the
+//! sync runtime.
 //! A scenario that rots (bad directive, stale family name, schedule
 //! that no longer validates against its base graph) fails here, not in
 //! a user's terminal.

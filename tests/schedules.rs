@@ -13,7 +13,10 @@
 //! deterministic simulation testing, and pins the ground truth: a
 //! scripted cut that leaves `κ ≤ t` at the decision round is detected by
 //! every correct node, and a cut healed early enough raises no false
-//! positive.
+//! positive. It also holds the wrappers' per-node index to its ground
+//! truth: a probe fleet delivers exactly the live edges of the
+//! from-scratch `graph_at(round)` replay and hears exactly its incident
+//! `transitions_at`.
 
 mod common;
 
@@ -305,7 +308,7 @@ fn the_oracle_fingerprint_absorbs_incremental_schedule_updates() {
     let mut oracle = ConnectivityOracle::new();
     let mut current = g.clone();
     let mut fp = Fingerprint::of(&g);
-    let first = oracle.answer_fingerprinted(fp, &current, 1);
+    let first = oracle.answer_edges(fp, current.edges(), 1, || &current);
     assert!(!first.partitionable);
     let rounds: Vec<usize> = compiled.transition_rounds().collect();
     for r in rounds {
@@ -320,14 +323,14 @@ fn the_oracle_fingerprint_absorbs_incremental_schedule_updates() {
         // The incremental digest is exactly the from-scratch digest …
         assert_eq!(fp, Fingerprint::of(&current), "round {r}");
         // … and answers agree with the non-fingerprinted entry point.
-        let fast = oracle.answer_fingerprinted(fp, &current, 1);
+        let fast = oracle.answer_edges(fp, current.edges(), 1, || &current);
         let slow = oracle.answer(&current, 1);
         assert_eq!(fast, slow, "round {r}");
     }
     // After both heals the topology is the starting ring again: the final
     // query must be served from cache, not recomputed.
     let hits_before = oracle.stats().cache_hits;
-    let last = oracle.answer_fingerprinted(fp, &current, 1);
+    let last = oracle.answer_edges(fp, current.edges(), 1, || &current);
     assert_eq!(last, first);
     assert_eq!(oracle.stats().cache_hits, hits_before + 1);
 }

@@ -2,7 +2,7 @@
 //! share none of its plumbing, over the shared zoo of `tests/common` (all
 //! eight Byzantine behaviours).
 //!
-//! This suite is the named `builder-equivalence` CI step:
+//! The suite's doc header is the contract:
 //!
 //! * **Ground truth** — the builder's decisions and oracle counters equal
 //!   deciding node by node (`NectarNode::decide_with` over the raw

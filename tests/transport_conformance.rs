@@ -14,7 +14,18 @@
 //!   assigns to the socket path. A seeded fleet must reach the same
 //!   per-node verdicts, confirmations and accepted-edge sets as the sync
 //!   run, and the union of the fleet's `DeliveryLog`s must equal the
-//!   in-memory capture — honest and Byzantine casts alike.
+//!   in-memory capture — honest and Byzantine casts alike. Every fleet is
+//!   launched from one scenario file (`--scenario <file> --node i`), so
+//!   the honest fleet is also the end-to-end check that the scenario front
+//!   door and the socket stack (connect with retry and backoff, framing,
+//!   round barriers, report emission) work at all.
+//!
+//! Both delivery logs come from the one capture layer, the `Recorded`
+//! process wrapper: inside `run_scenario_node` for a fleet node, inside
+//! `sync_fleet_reports` for the reference; the `NodeDriver` keeps none.
+//! `tests/parser_fuzz.rs` holds the decoders to canonical bytes, which is
+//! what lets `Recorded`'s digest of a re-encoded message stand for the
+//! bytes on the wire.
 
 mod common;
 
