@@ -5,7 +5,7 @@
 //! structs across address spaces, so each node serializes a
 //! [`NodeReport`] — verdict, accepted edges, traffic counters and the
 //! node's delivered-message log — as versioned, line-oriented text on
-//! stdout, in the [`text`](nectar_net::text) grammar that `.scn` files
+//! stdout, in the [`text`] grammar that `.scn` files
 //! and schedule scripts share. The log comes from the same place on both
 //! sides of the conformance contract: the [`Recorded`] capture layer
 //! around the participant, driven by a [`NodeDriver`] here and by the
@@ -109,7 +109,7 @@ impl NodeReport {
 
     /// Parses the first `nectar-node-report` block found in `text`
     /// (surrounding output is ignored). The block is read in the shared
-    /// [`text`](nectar_net::text) grammar: one `<key> <value…>` line per
+    /// [`text`] grammar: one `<key> <value…>` line per
     /// field, in [`to_text`](Self::to_text)'s order.
     ///
     /// # Errors

@@ -49,8 +49,15 @@ pub struct Simulation<'a> {
     oracle: Option<&'a mut ConnectivityOracle>,
     metrics_only: bool,
     epochs: usize,
-    schedule: Option<TopologySchedule>,
+    schedule: Option<SessionSchedule>,
     profile: bool,
+}
+
+/// A session's schedule as it was handed over: a script, compiled when the
+/// session executes, or one already compiled against the scenario topology.
+enum SessionSchedule {
+    Script(TopologySchedule),
+    Compiled(Arc<CompiledSchedule>),
 }
 
 impl Scenario {
@@ -119,14 +126,37 @@ impl<'a> Simulation<'a> {
     /// each epoch, and the report records the applied script plus every
     /// resolved edge transition.
     ///
-    /// The schedule is validated against the scenario topology when the
-    /// session executes; [`run`](Self::run) /
+    /// The schedule is validated and compiled against the scenario
+    /// topology when the session executes, once per session however many
+    /// epochs it runs; [`run`](Self::run) /
     /// [`participants`](Self::participants) panic on an inconsistent
     /// schedule (an unknown edge, a heal without a drop, an out-of-range
     /// probability). Callers with untrusted input validate first via
-    /// `TopologySchedule::compile`.
+    /// `TopologySchedule::compile`, and can then hand that compilation to
+    /// [`compiled_schedule`](Self::compiled_schedule) instead of having the
+    /// session compile the script again.
     pub fn schedule(mut self, schedule: TopologySchedule) -> Self {
-        self.schedule = Some(schedule);
+        self.schedule = Some(SessionSchedule::Script(schedule));
+        self
+    }
+
+    /// [`schedule`](Self::schedule) with the compile already done: runs
+    /// the session under `compiled` (its
+    /// [`schedule`](CompiledSchedule::schedule) is the script the report
+    /// records). A scenario file's schedule is validated by compiling it
+    /// once, in `ScenarioSpec::compile`, and its `run_report` runs on that
+    /// compilation through here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `compiled` was compiled against another topology than the
+    /// scenario's.
+    pub fn compiled_schedule(mut self, compiled: Arc<CompiledSchedule>) -> Self {
+        assert!(
+            compiled.base() == self.scenario.topology(),
+            "schedule compiled against another topology than the scenario's"
+        );
+        self.schedule = Some(SessionSchedule::Compiled(compiled));
         self
     }
 
@@ -151,7 +181,7 @@ impl<'a> Simulation<'a> {
     pub fn run(self) -> RunReport {
         let Simulation { scenario, runtime, oracle, metrics_only, epochs, schedule, profile } =
             self;
-        let compiled = compile_schedule(schedule.as_ref(), scenario);
+        let compiled = compile_schedule(schedule, scenario);
         let mut own_oracle = ConnectivityOracle::new();
         let oracle = match oracle {
             Some(shared) => shared,
@@ -187,14 +217,13 @@ impl<'a> Simulation<'a> {
             t: scenario.config().t,
             key_seed: base_seed,
             byzantine: scenario.byzantine_nodes(),
-            // Cloned even for metrics-only sessions, so every report is
+            // Kept even for metrics-only sessions, so every report is
             // self-contained (ground-truth helpers, full-fidelity
-            // persistence). One O(n + m) clone per session; measured
-            // invisible next to the run itself even on the 50 000-node
-            // bench tiers.
+            // persistence). The report shares the scenario's graph: the
+            // clone copies no adjacency.
             topology: scenario.topology().clone(),
-            schedule: schedule.as_ref().zip(compiled.as_ref()).map(|(s, c)| ScheduleRecord {
-                script: s.to_script(),
+            schedule: compiled.as_ref().map(|c| ScheduleRecord {
+                script: c.schedule().to_script(),
                 transitions: c
                     .transition_rounds()
                     .flat_map(|r| c.transitions_at(r).iter().map(move |&(u, v, up)| (r, u, v, up)))
@@ -215,22 +244,23 @@ impl<'a> Simulation<'a> {
     /// Panics if a `FictitiousEdges` / `LateReveal` behaviour names
     /// non-Byzantine accomplices.
     pub fn participants(self) -> Vec<Participant> {
-        let compiled = compile_schedule(self.schedule.as_ref(), self.scenario);
+        let compiled = compile_schedule(self.schedule, self.scenario);
         self.scenario.propagate(self.runtime, self.scenario.key_seed(), compiled.as_ref()).0
     }
 }
 
-/// Compiles the session schedule against the scenario topology, panicking
-/// with the validation message on an inconsistent schedule (the documented
-/// behaviour of [`Simulation::schedule`]).
+/// Compiles a script schedule against the scenario topology, panicking
+/// with the validation message on an inconsistent one (the documented
+/// behaviour of [`Simulation::schedule`]); a compiled one passes through.
 fn compile_schedule(
-    schedule: Option<&TopologySchedule>,
+    schedule: Option<SessionSchedule>,
     scenario: &Scenario,
 ) -> Option<Arc<CompiledSchedule>> {
-    schedule.map(|s| {
-        Arc::new(
+    schedule.map(|s| match s {
+        SessionSchedule::Script(s) => Arc::new(
             s.compile(scenario.topology()).unwrap_or_else(|e| panic!("schedule rejected: {e}")),
-        )
+        ),
+        SessionSchedule::Compiled(compiled) => compiled,
     })
 }
 
@@ -300,6 +330,23 @@ mod tests {
         for (i, p) in participants.iter().enumerate() {
             assert_eq!(p.nectar().node_id(), i);
         }
+    }
+
+    #[test]
+    fn a_compiled_schedule_runs_as_its_script_does() {
+        let scenario = Scenario::new(gen::cycle(6), 1);
+        let schedule = TopologySchedule::new().drop_edge(1, 0, 1).heal_edge(3, 0, 1);
+        let compiled = Arc::new(schedule.compile(scenario.topology()).unwrap());
+        let report = scenario.sim().compiled_schedule(compiled).epochs(2).run();
+        assert_eq!(report, scenario.sim().schedule(schedule).epochs(2).run());
+        assert_eq!(report.schedule.unwrap().transitions, vec![(1, 0, 1, false), (3, 0, 1, true)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "another topology")]
+    fn a_schedule_compiled_for_another_topology_is_rejected() {
+        let compiled = TopologySchedule::new().drop_edge(1, 0, 1).compile(&gen::cycle(6)).unwrap();
+        let _ = Scenario::new(gen::path(6), 1).sim().compiled_schedule(Arc::new(compiled));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! Every execution axis the repo has grown — three runtimes, the
 //! topology/attack zoos, [`TopologySchedule`]s, mobility generators, the
 //! socket fleet — is reachable from one text format, read by the same
-//! [`text`](nectar_net::text) reader as schedule scripts and node
+//! [`text`] reader as schedule scripts and node
 //! reports (`#` comments, one keyword and its words per line; no serde):
 //!
 //! ```text
@@ -46,11 +46,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use nectar_graph::Graph;
 use nectar_net::text::{self, Line, TextError};
 use nectar_net::{
-    run_over_loopback, Metrics, NodeId, ScheduleError, TopologySchedule, TransportError,
+    run_over_loopback, CompiledSchedule, Metrics, NodeId, ScheduleError, TopologySchedule,
+    TransportError,
 };
 use nectar_protocol::{
     ByzantineBehavior, ConnectivityOracle, Decision, RunReport, Runtime, Scenario, MAX_NODES,
@@ -271,7 +273,7 @@ impl ScenarioSpec {
 
     /// Parses a scenario document. `file` labels errors (pass `""` for
     /// in-memory text). One directive per line in the shared
-    /// [`text`](nectar_net::text) grammar (blank lines and `#` comments are
+    /// [`text`] grammar (blank lines and `#` comments are
     /// skipped); single-valued directives may appear at most once; `edge`,
     /// `byz` and inline `schedule` lines repeat. Directives that exclude
     /// each other are [`compile`](Self::compile)'s to refuse.
@@ -671,9 +673,14 @@ impl ScenarioSpec {
         } else {
             None
         };
-        if let Some(schedule) = &schedule {
-            schedule.compile(&graph).map_err(|e| schedule_anchor(e.to_string()))?;
-        }
+        // Validating the schedule is compiling it: keep the compilation,
+        // so a run does not compile the same script again.
+        let compiled_schedule = match &schedule {
+            Some(schedule) => Some(Arc::new(
+                schedule.compile(&graph).map_err(|e| schedule_anchor(e.to_string()))?,
+            )),
+            None => None,
+        };
 
         // 4. Transport × everything-else legality: epochs, runtimes,
         // schedules and sinks are in-process (sync transport) concepts; a
@@ -728,6 +735,7 @@ impl ScenarioSpec {
             epochs: self.epochs,
             runtime: self.runtime.unwrap_or_default(),
             schedule,
+            compiled_schedule,
             transport: self.transport,
             sock_dir: self.sock_dir.clone(),
             base_port: self.base_port,
@@ -762,8 +770,13 @@ pub struct CompiledScenario {
     pub epochs: usize,
     /// Resolved runtime (defaults to sync).
     pub runtime: Runtime,
-    /// Validated schedule, if any.
+    /// Validated schedule, if any. [`ScenarioSpec::compile`] validates it
+    /// by compiling it against `graph`, once, and
+    /// [`run_report`](Self::run_report) runs on that compilation while
+    /// this field and `graph` are as it left them.
     pub schedule: Option<TopologySchedule>,
+    /// `schedule` compiled against `graph` by [`ScenarioSpec::compile`].
+    compiled_schedule: Option<Arc<CompiledSchedule>>,
     /// Execution transport.
     pub transport: TransportKind,
     /// UDS socket directory override.
@@ -798,12 +811,21 @@ impl CompiledScenario {
 
     /// Runs the plan in-process and returns the [`RunReport`] — the sync
     /// transport's execution path, lowering every scenario key onto its
-    /// `Simulation` builder knob (runtime, epochs, schedule, profile).
+    /// `Simulation` builder knob (runtime, epochs, schedule, profile). The
+    /// schedule runs as [`ScenarioSpec::compile`] compiled it; only a
+    /// `schedule` or `graph` replaced since is compiled afresh.
     pub fn run_report(&self) -> RunReport {
         let scenario = self.scenario();
         let mut sim = scenario.sim().runtime(self.runtime).epochs(self.epochs);
         if let Some(schedule) = &self.schedule {
-            sim = sim.schedule(schedule.clone());
+            let current = self
+                .compiled_schedule
+                .as_ref()
+                .filter(|c| c.schedule() == schedule && c.base() == &self.graph);
+            sim = match current {
+                Some(compiled) => sim.compiled_schedule(Arc::clone(compiled)),
+                None => sim.schedule(schedule.clone()),
+            };
         }
         if self.profile {
             sim = sim.profile();
@@ -1071,6 +1093,22 @@ profile
             hand = hand.with_byzantine(node, behavior);
         }
         assert_eq!(hand.sim().run(), report);
+    }
+
+    #[test]
+    fn a_schedule_or_graph_replaced_after_compile_is_compiled_afresh() {
+        let doc = "topology harary-k2 8\nt 1\nschedule drop 2 0 1\n";
+        let compiled = ScenarioSpec::parse(doc, "").unwrap().compile().unwrap();
+        let script = |report: RunReport| report.schedule.expect("a scheduled run").script;
+        assert_eq!(script(compiled.run_report()), "drop 2 0 1\n");
+        let mut replaced = compiled.clone();
+        replaced.schedule = Some(TopologySchedule::new().drop_edge(3, 1, 2));
+        assert_eq!(script(replaced.run_report()), "drop 3 1 2\n");
+        let mut replaced = compiled.clone();
+        replaced.graph.remove_edge(2, 3);
+        let report = replaced.run_report();
+        assert_eq!(report.topology, replaced.graph);
+        assert_eq!(script(report), "drop 2 0 1\n");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! flow-based connectivity algorithms allocation-friendly.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use crate::error::GraphError;
 
@@ -14,6 +15,12 @@ use crate::error::GraphError;
 /// Edges are stored as sorted adjacency sets, so neighbor iteration is
 /// deterministic — a property the synchronous simulator relies on for
 /// reproducible runs.
+///
+/// Clones share storage until one of them mutates: `clone()` is O(1), and
+/// the first [`add_edge`](Self::add_edge) or
+/// [`remove_edge`](Self::remove_edge) on a shared graph copies its
+/// adjacency for that holder alone. So a run hands one topology to its
+/// scenario, schedule, engine and report without copying it.
 ///
 /// # Example
 ///
@@ -30,13 +37,13 @@ use crate::error::GraphError;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Graph {
-    adj: Vec<BTreeSet<usize>>,
+    adj: Arc<Vec<BTreeSet<usize>>>,
 }
 
 impl Graph {
     /// Creates a graph with `n` nodes and no edges.
     pub fn empty(n: usize) -> Self {
-        Graph { adj: vec![BTreeSet::new(); n] }
+        Graph { adj: Arc::new(vec![BTreeSet::new(); n]) }
     }
 
     /// Builds a graph with `n` nodes from an edge list.
@@ -51,11 +58,13 @@ impl Graph {
     where
         I: IntoIterator<Item = (usize, usize)>,
     {
-        let mut g = Graph::empty(n);
+        // Built before it is shared, so no insertion pays `add_edge`'s
+        // copy-on-write check.
+        let mut adj = vec![BTreeSet::new(); n];
         for (u, v) in edges {
-            g.add_edge(u, v)?;
+            link(&mut adj, u, v)?;
         }
-        Ok(g)
+        Ok(Graph { adj: Arc::new(adj) })
     }
 
     /// Number of nodes `n`.
@@ -78,18 +87,7 @@ impl Graph {
     /// Returns [`GraphError::NodeOutOfRange`] or [`GraphError::SelfLoop`] on
     /// invalid endpoints.
     pub fn add_edge(&mut self, u: usize, v: usize) -> Result<bool, GraphError> {
-        let n = self.node_count();
-        for node in [u, v] {
-            if node >= n {
-                return Err(GraphError::NodeOutOfRange { node, n });
-            }
-        }
-        if u == v {
-            return Err(GraphError::SelfLoop { node: u });
-        }
-        let inserted = self.adj[u].insert(v);
-        self.adj[v].insert(u);
-        Ok(inserted)
+        link(Arc::make_mut(&mut self.adj).as_mut_slice(), u, v)
     }
 
     /// Removes the undirected edge `(u, v)`; returns `true` if it existed.
@@ -97,8 +95,9 @@ impl Graph {
         if u >= self.node_count() || v >= self.node_count() {
             return false;
         }
-        let removed = self.adj[u].remove(&v);
-        self.adj[v].remove(&u);
+        let adj = Arc::make_mut(&mut self.adj);
+        let removed = adj[u].remove(&v);
+        adj[v].remove(&u);
         removed
     }
 
@@ -195,6 +194,23 @@ impl Graph {
         }
         out
     }
+}
+
+/// Inserts the undirected edge `(u, v)` into `adj`, after checking both
+/// endpoints; `Ok(true)` if it is new.
+fn link(adj: &mut [BTreeSet<usize>], u: usize, v: usize) -> Result<bool, GraphError> {
+    let n = adj.len();
+    for node in [u, v] {
+        if node >= n {
+            return Err(GraphError::NodeOutOfRange { node, n });
+        }
+    }
+    if u == v {
+        return Err(GraphError::SelfLoop { node: u });
+    }
+    let inserted = adj[u].insert(v);
+    adj[v].insert(u);
+    Ok(inserted)
 }
 
 impl FromIterator<(usize, usize)> for Graph {
@@ -299,5 +315,43 @@ mod tests {
         let g: Graph = [(0, 4), (1, 2)].into_iter().collect();
         assert_eq!(g.node_count(), 5);
         assert_eq!(g.edge_count(), 2);
+    }
+
+    #[test]
+    fn a_mutated_clone_leaves_the_original_and_other_clones_alone() {
+        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+        let edges: Vec<_> = g.edges().collect();
+        let (mut added, mut removed, other) = (g.clone(), g.clone(), g.clone());
+        assert_eq!(added, g);
+        assert_eq!(other, removed);
+        assert!(added.add_edge(0, 3).unwrap());
+        assert!(removed.remove_edge(1, 2));
+        assert_eq!(added.edges().collect::<Vec<_>>(), vec![(0, 1), (0, 3), (1, 2), (2, 3)]);
+        assert_eq!(removed.edges().collect::<Vec<_>>(), vec![(0, 1), (2, 3)]);
+        for untouched in [&g, &other] {
+            assert_eq!(untouched.edges().collect::<Vec<_>>(), edges);
+        }
+        assert_ne!(added, g);
+        assert_eq!(other, g);
+    }
+
+    #[test]
+    fn without_nodes_on_a_shared_graph_leaves_every_holder_alone() {
+        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]).unwrap();
+        let other = g.clone();
+        let h = g.without_nodes(&[2]);
+        assert_eq!(h.edges().collect::<Vec<_>>(), vec![(0, 1)]);
+        for untouched in [&g, &other] {
+            assert_eq!(untouched.edges().collect::<Vec<_>>(), vec![(0, 1), (1, 2), (2, 3)]);
+        }
+    }
+
+    #[test]
+    fn debug_format_is_unchanged_by_shared_storage() {
+        // `Debug` prints through the `Arc`: the string an owned adjacency
+        // vector prints, which callers may have pinned.
+        let g = Graph::from_edges(4, [(0, 1), (1, 2), (0, 2)]).unwrap();
+        assert_eq!(format!("{g:?}"), "Graph { adj: [{1, 2}, {0, 2}, {0, 1}, {}] }");
+        assert_eq!(format!("{:?}", g.clone()), format!("{g:?}"));
     }
 }

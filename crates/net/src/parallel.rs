@@ -31,7 +31,7 @@ const BLOCKS_PER_WORKER: usize = 8;
 
 /// Order-preserving parallel map over one shared queue of blocks.
 ///
-/// The batch is cut into contiguous blocks, about [`BLOCKS_PER_WORKER`] per
+/// The batch is cut into contiguous blocks, about `BLOCKS_PER_WORKER` (8) per
 /// worker, and put behind one lock; each worker pulls the next block until
 /// the queue is empty, so an uneven workload (one slow node among thousands
 /// of cheap ones) still keeps every worker busy. The blocks are stitched

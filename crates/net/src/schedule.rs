@@ -281,7 +281,7 @@ impl TopologySchedule {
 
     /// Parses the line-based text format (the CLI's `--schedule` payload).
     ///
-    /// One directive per line in the shared [`text`](crate::text) grammar
+    /// One directive per line in the shared [`text`] grammar
     /// (blank lines and `#` comments are ignored):
     ///
     /// ```text
@@ -616,7 +616,13 @@ impl TopologySchedule {
                     .flatten()
             }),
         );
-        Ok(CompiledSchedule { seed: self.seed, base: base.clone(), transitions, notices, windows })
+        Ok(CompiledSchedule {
+            schedule: self.clone(),
+            base: base.clone(),
+            transitions,
+            notices,
+            windows,
+        })
     }
 }
 
@@ -663,7 +669,8 @@ enum Fate {
 /// of truth every node's [`Scheduled`] wrapper reads, shared via `Arc`.
 #[derive(Debug, Clone)]
 pub struct CompiledSchedule {
-    seed: u64,
+    /// The script this was compiled from (its seed drives the loss rolls).
+    schedule: TopologySchedule,
     base: Graph,
     /// Round → edge flips `(u, v, up)` with `u < v`, sorted, taking effect
     /// before that round's sends.
@@ -676,7 +683,13 @@ pub struct CompiledSchedule {
 }
 
 impl CompiledSchedule {
-    /// The base graph the schedule was compiled against.
+    /// The schedule this was compiled from.
+    pub fn schedule(&self) -> &TopologySchedule {
+        &self.schedule
+    }
+
+    /// The base graph the schedule was compiled against (shared with the
+    /// caller's graph, not a copy of it).
     pub fn base(&self) -> &Graph {
         &self.base
     }
@@ -737,7 +750,7 @@ impl CompiledSchedule {
             }
             match w.effect {
                 WindowEffect::Loss { p } => {
-                    if loss_roll(self.seed, round, from, to, k) < p {
+                    if loss_roll(self.schedule.seed, round, from, to, k) < p {
                         return Fate::Drop;
                     }
                 }

@@ -243,7 +243,7 @@ where
 }
 
 /// One successful send, as charged to traffic metrics: the destination
-/// and the message's accounting size ([`WireSized`](crate::WireSized)),
+/// and the message's accounting size ([`WireSized`]),
 /// which is what the in-memory engines charge too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendRecord {
