@@ -38,7 +38,10 @@ fn main() {
             eprintln!("bench_diff: cannot read {path}: {e}");
             std::process::exit(2);
         });
-        parse(&content)
+        parse(&content).unwrap_or_else(|e| {
+            eprintln!("bench_diff: {path} is not a bench-median baseline: {e}");
+            std::process::exit(2);
+        })
     };
     let base = read(&paths[0]);
     let fresh = read(&paths[1]);

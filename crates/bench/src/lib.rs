@@ -1,10 +1,11 @@
 //! Shared helpers for the benchmark harness binaries.
 //!
 //! * [`results_path`]: where the `figures` binary writes its CSV output.
-//! * [`baseline`]: parsing and regression-diffing of the bench-median JSON
-//!   files the criterion shim persists via `NECTAR_BENCH_JSON`
-//!   (`BENCH_graph.json`, `BENCH_protocol.json`), consumed by the
-//!   `bench_diff` binary and the CI regression gate.
+//! * [`baseline`]: parsing (with `nectar_protocol`'s JSON reader) and
+//!   regression-diffing of the bench-median JSON files the criterion shim
+//!   persists via `NECTAR_BENCH_JSON` (`BENCH_graph.json`,
+//!   `BENCH_protocol.json`), consumed by the `bench_diff` binary and the
+//!   CI regression gate.
 //!
 //! The actual figure regeneration lives in `src/bin/figures.rs` (one loop
 //! over `nectar_experiments::FIGURES`) and the Criterion micro-benchmarks
@@ -31,6 +32,8 @@ pub fn results_path(name: &str) -> std::path::PathBuf {
 /// `NECTAR_BENCH_JSON`, and the regression comparison CI runs against the
 /// committed `BENCH_*.json` files.
 pub mod baseline {
+    use nectar_protocol::report::json::{self, Fields as _};
+
     /// One benchmark's committed or freshly measured median.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub struct Median {
@@ -54,26 +57,33 @@ pub mod baseline {
         pub ratio: f64,
     }
 
-    /// Parses the shim's baseline format: a `results` array of
-    /// `{"id": …, "median_ns": …}` objects, one per line. Unrecognized
-    /// lines are skipped (benchmark ids never contain quotes).
+    /// Parses the shim's baseline format, an object whose `results` array
+    /// holds one `{"id": …, "median_ns": …}` object per benchmark, with
+    /// the report crate's JSON reader: layout is free, and anything else
+    /// is an error rather than a skipped line.
     ///
-    /// This mirrors the criterion shim's own (private) renderer/parser
-    /// pair; the `parses_what_the_criterion_shim_writes` round-trip test
-    /// pins the two sides together, so a format tweak on the writer fails
-    /// here instead of silently emptying the CI comparison (which
+    /// The `parses_what_the_criterion_shim_writes` round-trip test pins
+    /// this reader to the shim's writer, so a format tweak on the writer
+    /// fails here instead of silently emptying the CI comparison (which
     /// `bench_diff` additionally refuses to pass on zero shared ids).
-    pub fn parse(content: &str) -> Vec<Median> {
-        let mut out = Vec::new();
-        for line in content.lines() {
-            let Some(rest) = line.trim_start().strip_prefix("{\"id\": \"") else { continue };
-            let Some((id, rest)) = rest.split_once("\", \"median_ns\": ") else { continue };
-            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-            if let Ok(median_ns) = digits.parse::<u128>() {
-                out.push(Median { id: id.to_string(), median_ns });
-            }
-        }
-        out
+    ///
+    /// # Errors
+    ///
+    /// Returns the reader's message on malformed JSON, or names the
+    /// missing or mistyped field.
+    pub fn parse(content: &str) -> Result<Vec<Median>, String> {
+        let results = json::parse(content)?;
+        let results = results.as_obj("baseline")?.field("results")?.as_arr("results")?;
+        results
+            .iter()
+            .map(|result| {
+                let result = result.as_obj("result")?;
+                Ok(Median {
+                    id: result.field("id")?.as_str("id")?.to_string(),
+                    median_ns: result.field("median_ns")?.as_u64("median_ns")?.into(),
+                })
+            })
+            .collect()
     }
 
     /// Compares fresh medians against the committed baseline and returns
@@ -108,22 +118,37 @@ pub mod baseline {
 }
 "#;
 
+        fn sample() -> Vec<Median> {
+            parse(SAMPLE).expect("the sample is a baseline")
+        }
+
         #[test]
         fn parse_reads_the_shim_format() {
-            let medians = parse(SAMPLE);
             assert_eq!(
-                medians,
+                sample(),
                 vec![
                     Median { id: "a/fast".into(), median_ns: 1000 },
                     Median { id: "b/slow".into(), median_ns: 2_000_000 },
                 ]
             );
-            assert!(parse("garbage\n{not json}").is_empty());
+            assert!(parse("garbage\n{not json}").is_err());
+            assert!(parse(&SAMPLE.replace("2000000", "\"slow\""))
+                .unwrap_err()
+                .contains("median_ns"));
+            assert!(parse(&SAMPLE.replace("\"id\"", "\"name\"")).unwrap_err().contains("id"));
+        }
+
+        #[test]
+        fn parse_reads_the_same_results_in_any_layout() {
+            let compact = r#"{"results":[{"median_ns":1000,"id":"a/fast"},
+                {"id":"b/slow",
+                 "median_ns":2000000}]}"#;
+            assert_eq!(parse(compact), Ok(sample()));
         }
 
         #[test]
         fn regressions_flag_only_shared_ids_beyond_the_factor() {
-            let base = parse(SAMPLE);
+            let base = sample();
             let fresh = vec![
                 // 2.5× slower: regression at factor 2.
                 Median { id: "a/fast".into(), median_ns: 2500 },
@@ -148,14 +173,14 @@ pub mod baseline {
             // the CI bench-median comparison.
             let mut c = criterion::Criterion::default();
             c.bench_function("roundtrip/probe", |b| b.iter(|| std::hint::black_box(1 + 1)));
-            let medians = parse(&c.results_json());
+            let medians = parse(&c.results_json()).expect("the shim writes a baseline");
             assert_eq!(medians.len(), 1);
             assert_eq!(medians[0].id, "roundtrip/probe");
         }
 
         #[test]
         fn improvements_and_equal_times_pass() {
-            let base = parse(SAMPLE);
+            let base = sample();
             let fresh = vec![
                 Median { id: "a/fast".into(), median_ns: 400 },
                 Median { id: "b/slow".into(), median_ns: 2_000_000 },

@@ -31,6 +31,8 @@
 //! * **Validity** — `confirmed = true` only if the Byzantine nodes really
 //!   form a vertex cut.
 //!
+//! [`RunReport::definition3_violations`] checks a run against all four.
+//!
 //! # Quick start
 //!
 //! ```
@@ -69,23 +71,8 @@ pub use nectar_graph::{ConnectivityOracle, OracleStats};
 pub use nectar_net::{ScheduleError, TopologySchedule};
 pub use node::{NectarNode, RejectReason};
 pub use remote::{run_scenario_node, sync_fleet_reports, NodeReport};
-pub use report::{EpochOutcome, RunReport, ScheduleRecord, DECISIONS_CSV_HEADER};
+pub use report::{
+    EpochOutcome, OutsideDefinition3, Property, RunReport, ScheduleRecord, DECISIONS_CSV_HEADER,
+};
 pub use runner::{Runtime, Scenario};
 pub use sim::Simulation;
-
-// The integration suites' shared zoo, `tests/common`, is mounted here so its
-// self-test runs with this crate's unit tests. It names this crate's items
-// through the facade's paths (`nectar::prelude`, `nectar::graph`); under
-// test those paths resolve here.
-#[cfg(test)]
-extern crate self as nectar;
-#[cfg(test)]
-use nectar_graph as graph;
-#[cfg(test)]
-mod prelude {
-    pub use crate::{ByzantineBehavior, RunReport, Scenario};
-    pub use nectar_graph::{gen, Graph};
-}
-#[cfg(test)]
-#[path = "../../../tests/common/mod.rs"]
-mod zoo;

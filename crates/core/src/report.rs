@@ -15,11 +15,15 @@
 //!   machine-readable per-node granularity the evaluation analyses
 //!   consume. CSV is an export only: it carries decisions, by design, and
 //!   is never read back; JSON is the form that persists and reloads.
+//!
+//! Next to the ground-truth helpers sits the one statement of Definition 3
+//! in the code, [`RunReport::definition3_violations`]: the §V-D figure,
+//! the model check and the property suites all judge runs by it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use nectar_graph::{connectivity, traversal, Graph, OracleStats};
+use nectar_graph::{connectivity, traversal, ConnectivityOracle, Graph, OracleStats};
 use nectar_net::{Metrics, NodeId, PhaseProfile};
 
 use crate::config::{Decision, Verdict, MAX_NODES};
@@ -48,6 +52,35 @@ pub struct ScheduleRecord {
     /// (round, edge) order — the compiled ground truth of when each link
     /// actually changed state.
     pub transitions: Vec<(usize, NodeId, NodeId, bool)>,
+}
+
+/// A property of Definition 3 that a run can break
+/// ([`RunReport::definition3_violations`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Property {
+    /// All correct nodes decide the same verdict.
+    Agreement,
+    /// No correct node clears a graph the cast can partition.
+    Safety,
+    /// Every correct node clears a `2t`-connected graph.
+    Sensitivity,
+    /// A confirmed partition is a real one.
+    Validity,
+}
+
+/// Why [`RunReport::definition3_violations`] refuses a report: Definition 3
+/// speaks of a static graph and at most `t` Byzantine nodes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OutsideDefinition3 {
+    /// The run had a topology schedule.
+    Scheduled,
+    /// The cast has more members than the budget.
+    CastOverBudget {
+        /// Members of the cast.
+        cast: usize,
+        /// The budget `t`.
+        t: usize,
+    },
 }
 
 /// Everything observable from one epoch of a simulation.
@@ -210,6 +243,59 @@ impl RunReport {
     /// Ground truth: the topology's real vertex connectivity.
     pub fn true_connectivity(&self) -> usize {
         connectivity::vertex_connectivity(&self.topology)
+    }
+
+    /// Checks every epoch against Definition 3 and returns each property
+    /// the run breaks, in [`Property`] order; its `κ(G)` thresholds are
+    /// asked of `oracle`, so a sweep over one topology reuses the answers.
+    ///
+    /// * **Agreement** — in each epoch all correct nodes decide alike;
+    /// * **Safety** — no NOT_PARTITIONABLE if the cast is a vertex cut, nor,
+    ///   with at most one Byzantine node, if `κ(G) ≤ t`: a lone liar
+    ///   cannot forge an edge, so every view is a subgraph of `G`;
+    /// * **2t-Sensitivity** — only NOT_PARTITIONABLE if
+    ///   `κ(G) ≥ max(2t, 1)` (at `t = 0` a disconnected `G` is rightly
+    ///   flagged);
+    /// * **Validity** — `confirmed` only if
+    ///   [`byzantine_cast_can_cut`](Self::byzantine_cast_can_cut), which
+    ///   holds whenever `G` itself is disconnected.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a run Definition 3 does not speak about: one under a
+    /// topology schedule, or one whose cast exceeds its budget `t`.
+    pub fn definition3_violations(
+        &self,
+        oracle: &mut ConnectivityOracle,
+    ) -> Result<Vec<Property>, OutsideDefinition3> {
+        let (g, t, cast) = (&self.topology, self.t, self.byzantine.len());
+        if self.schedule.is_some() {
+            return Err(OutsideDefinition3::Scheduled);
+        }
+        if cast > t {
+            return Err(OutsideDefinition3::CastOverBudget { cast, t });
+        }
+        let decisions = || self.epochs.iter().flat_map(|e| e.decisions.values());
+        let decided = |verdict| decisions().any(|d| d.verdict == verdict);
+        let checks = [
+            (Property::Agreement, !self.epochs.iter().all(EpochOutcome::agreement)),
+            (
+                Property::Safety,
+                decided(Verdict::NotPartitionable)
+                    && (self.byzantine_cast_is_vertex_cut()
+                        || cast <= 1 && oracle.is_t_partitionable(g, t)),
+            ),
+            (
+                Property::Sensitivity,
+                decided(Verdict::Partitionable)
+                    && !oracle.is_t_partitionable(g, (2 * t).max(1) - 1),
+            ),
+            (
+                Property::Validity,
+                decisions().any(|d| d.confirmed) && !self.byzantine_cast_can_cut(),
+            ),
+        ];
+        Ok(checks.into_iter().filter_map(|(property, broken)| broken.then_some(property)).collect())
     }
 
     /// Extracts the last epoch's traffic counters — what a
@@ -605,13 +691,19 @@ pub mod json {
         s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
     }
 
+    /// How deeply arrays and objects may nest. The documents this crate
+    /// and its siblings write nest about 5 deep; the cap keeps a hostile
+    /// `[[[[…` from exhausting the stack of the recursive descent.
+    const MAX_DEPTH: usize = 64;
+
     /// Parses one JSON document (trailing whitespace allowed).
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending byte offset.
+    /// Returns a message naming the offending byte offset, also when
+    /// arrays and objects nest more than 64 deep.
     pub fn parse(input: &str) -> Result<Value, String> {
-        let mut p = Parser { bytes: input.as_bytes(), at: 0 };
+        let mut p = Parser { text: input, bytes: input.as_bytes(), at: 0, depth: 0 };
         let value = p.value()?;
         p.skip_ws();
         if p.at != p.bytes.len() {
@@ -621,8 +713,11 @@ pub mod json {
     }
 
     struct Parser<'a> {
+        text: &'a str,
         bytes: &'a [u8],
         at: usize,
+        /// Arrays and objects open around `at`.
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -653,8 +748,11 @@ pub mod json {
 
         fn value(&mut self) -> Result<Value, String> {
             match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
+                b'{' | b'[' if self.depth == MAX_DEPTH => {
+                    Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.at))
+                }
+                b'{' => self.nested(Self::object),
+                b'[' => self.nested(Self::array),
                 b'"' => Ok(Value::Str(self.string()?)),
                 b'0'..=b'9' => self.number(),
                 b't' => self.keyword("true", Value::Bool(true)),
@@ -662,6 +760,16 @@ pub mod json {
                 b'n' => self.keyword("null", Value::Null),
                 other => Err(format!("unexpected {:?} at byte {}", other as char, self.at)),
             }
+        }
+
+        fn nested(
+            &mut self,
+            body: fn(&mut Self) -> Result<Value, String>,
+        ) -> Result<Value, String> {
+            self.depth += 1;
+            let value = body(self);
+            self.depth -= 1;
+            value
         }
 
         fn keyword(&mut self, word: &str, value: Value) -> Result<Value, String> {
@@ -688,25 +796,29 @@ pub mod json {
             self.expect(b'"')?;
             let mut out = String::new();
             loop {
+                // Copy the run up to the next quote or backslash whole: both
+                // are ASCII, so the run ends on a character boundary.
+                let run = self.at;
+                while self.bytes.get(self.at).is_some_and(|b| !matches!(b, b'"' | b'\\')) {
+                    self.at += 1;
+                }
+                out.push_str(&self.text[run..self.at]);
                 let Some(&b) = self.bytes.get(self.at) else {
                     return Err("unterminated string".into());
                 };
                 self.at += 1;
-                match b {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let Some(&esc) = self.bytes.get(self.at) else {
-                            return Err("unterminated escape".into());
-                        };
-                        self.at += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'n' => out.push('\n'),
-                            other => return Err(format!("unsupported escape \\{}", other as char)),
-                        }
-                    }
-                    other => out.push(other as char),
+                if b == b'"' {
+                    return Ok(out);
+                }
+                let Some(&esc) = self.bytes.get(self.at) else {
+                    return Err("unterminated escape".into());
+                };
+                self.at += 1;
+                match esc {
+                    b'"' => out.push('"'),
+                    b'\\' => out.push('\\'),
+                    b'n' => out.push('\n'),
+                    other => return Err(format!("unsupported escape \\{}", other as char)),
                 }
             }
         }
@@ -776,6 +888,75 @@ mod tests {
             .sim()
             .epochs(2)
             .run()
+    }
+
+    /// The checker's verdict on `report` after setting every decision to
+    /// `verdict` (if given).
+    fn violations(mut report: RunReport, verdict: Option<Verdict>) -> Vec<Property> {
+        for d in report.epochs.iter_mut().flat_map(|e| e.decisions.values_mut()) {
+            d.verdict = verdict.unwrap_or(d.verdict);
+        }
+        report.definition3_violations(&mut ConnectivityOracle::new()).expect("in Definition 3")
+    }
+
+    fn silent(g: Graph, t: usize, cast: &[usize]) -> RunReport {
+        let mut scenario = Scenario::new(g, t);
+        for &b in cast {
+            scenario = scenario.with_byzantine(b, ByzantineBehavior::Silent);
+        }
+        scenario.sim().run()
+    }
+
+    #[test]
+    fn each_broken_property_is_named() {
+        use Property::*;
+        use Verdict::{NotPartitionable as Clear, Partitionable as Flag};
+        // κ = 4 = 2t: clearing complies, flagging breaks 2t-Sensitivity.
+        assert_eq!(violations(sample_report(), None), []);
+        assert_eq!(violations(sample_report(), Some(Flag)), [Sensitivity]);
+        // t < κ = 3 < 2t: either verdict complies, a split one does not.
+        let mut split = silent(gen::harary(3, 10).unwrap(), 2, &[]);
+        assert_eq!(violations(split.clone(), Some(Flag)), []);
+        split.epochs[0].decisions.get_mut(&4).unwrap().verdict = Flag;
+        assert_eq!(violations(split, None), [Agreement]);
+        // The hub cuts the star: flagging complies, clearing breaks Safety.
+        assert_eq!(violations(silent(gen::star(6), 1, &[0]), None), []);
+        assert_eq!(violations(silent(gen::star(6), 1, &[0]), Some(Clear)), [Safety]);
+        // κ(C6) = 2 ≤ t and a lone member that cuts nothing: Safety still
+        // forbids clearing, since one liar cannot forge an edge. Two can
+        // (the one between them), so only the cut clause binds them.
+        assert_eq!(violations(silent(gen::cycle(6), 2, &[0]), Some(Clear)), [Safety]);
+        assert_eq!(violations(silent(gen::cycle(6), 2, &[0, 1]), Some(Clear)), []);
+        // Nothing cuts a 4-connected graph: a confirmed partition is false.
+        let mut confirmed = sample_report();
+        confirmed.epochs[1].decisions.get_mut(&0).unwrap().confirmed = true;
+        assert_eq!(violations(confirmed, None), [Validity]);
+    }
+
+    #[test]
+    fn a_disconnected_graph_complies_whatever_the_budget() {
+        // t = 0: κ ≥ 2t holds vacuously, yet every node rightly confirms.
+        let split = silent(Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap(), 0, &[]);
+        assert!(split.decisions().values().all(|d| d.confirmed));
+        assert_eq!(violations(split, None), []);
+        // Without its isolated member the path stays connected, but the
+        // cast minus that member (the empty set) cuts G: Validity holds.
+        let isolated = silent(Graph::from_edges(4, [(0, 1), (1, 2)]).unwrap(), 1, &[3]);
+        assert!(!isolated.byzantine_cast_is_vertex_cut() && isolated.byzantine_cast_can_cut());
+        assert!(isolated.last().any_confirmed());
+        assert_eq!(violations(isolated, None), []);
+    }
+
+    #[test]
+    fn runs_outside_definition3_are_refused() {
+        let oracle = &mut ConnectivityOracle::new();
+        let drop = nectar_net::TopologySchedule::new().drop_edge(1, 0, 1);
+        let scheduled = Scenario::new(gen::cycle(6), 1).sim().schedule(drop).run();
+        assert_eq!(scheduled.definition3_violations(oracle), Err(OutsideDefinition3::Scheduled));
+        let mut crowded = sample_report();
+        crowded.byzantine.extend([0, 1]);
+        let over = OutsideDefinition3::CastOverBudget { cast: 3, t: 2 };
+        assert_eq!(crowded.definition3_violations(oracle), Err(over));
     }
 
     #[test]

@@ -49,15 +49,8 @@ pub struct Simulation<'a> {
     oracle: Option<&'a mut ConnectivityOracle>,
     metrics_only: bool,
     epochs: usize,
-    schedule: Option<SessionSchedule>,
+    schedule: Option<Arc<CompiledSchedule>>,
     profile: bool,
-}
-
-/// A session's schedule as it was handed over: a script, compiled when the
-/// session executes, or one already compiled against the scenario topology.
-enum SessionSchedule {
-    Script(TopologySchedule),
-    Compiled(Arc<CompiledSchedule>),
 }
 
 impl Scenario {
@@ -127,16 +120,21 @@ impl<'a> Simulation<'a> {
     /// resolved edge transition.
     ///
     /// The schedule is validated and compiled against the scenario
-    /// topology when the session executes, once per session however many
-    /// epochs it runs; [`run`](Self::run) /
-    /// [`participants`](Self::participants) panic on an inconsistent
-    /// schedule (an unknown edge, a heal without a drop, an out-of-range
-    /// probability). Callers with untrusted input validate first via
+    /// topology here, once per session however many epochs it runs.
+    /// Callers with untrusted input validate first via
     /// `TopologySchedule::compile`, and can then hand that compilation to
     /// [`compiled_schedule`](Self::compiled_schedule) instead of having the
     /// session compile the script again.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "schedule rejected: …" on an inconsistent schedule (an
+    /// unknown edge, a heal without a drop, an out-of-range probability).
     pub fn schedule(mut self, schedule: TopologySchedule) -> Self {
-        self.schedule = Some(SessionSchedule::Script(schedule));
+        let compiled = schedule
+            .compile(self.scenario.topology())
+            .unwrap_or_else(|e| panic!("schedule rejected: {e}"));
+        self.schedule = Some(Arc::new(compiled));
         self
     }
 
@@ -156,7 +154,7 @@ impl<'a> Simulation<'a> {
             compiled.base() == self.scenario.topology(),
             "schedule compiled against another topology than the scenario's"
         );
-        self.schedule = Some(SessionSchedule::Compiled(compiled));
+        self.schedule = Some(compiled);
         self
     }
 
@@ -181,7 +179,6 @@ impl<'a> Simulation<'a> {
     pub fn run(self) -> RunReport {
         let Simulation { scenario, runtime, oracle, metrics_only, epochs, schedule, profile } =
             self;
-        let compiled = compile_schedule(schedule, scenario);
         let mut own_oracle = ConnectivityOracle::new();
         let oracle = match oracle {
             Some(shared) => shared,
@@ -192,7 +189,7 @@ impl<'a> Simulation<'a> {
         for epoch in 0..epochs {
             let key_seed = base_seed + epoch as u64;
             let start = Instant::now();
-            let (participants, metrics) = scenario.propagate(runtime, key_seed, compiled.as_ref());
+            let (participants, metrics) = scenario.propagate(runtime, key_seed, schedule.as_ref());
             let disseminated = start.elapsed();
             let (decisions, oracle_stats) = if metrics_only {
                 (BTreeMap::new(), OracleStats::default())
@@ -222,7 +219,7 @@ impl<'a> Simulation<'a> {
             // persistence). The report shares the scenario's graph: the
             // clone copies no adjacency.
             topology: scenario.topology().clone(),
-            schedule: compiled.as_ref().map(|c| ScheduleRecord {
+            schedule: schedule.as_ref().map(|c| ScheduleRecord {
                 script: c.schedule().to_script(),
                 transitions: c
                     .transition_rounds()
@@ -244,24 +241,8 @@ impl<'a> Simulation<'a> {
     /// Panics if a `FictitiousEdges` / `LateReveal` behaviour names
     /// non-Byzantine accomplices.
     pub fn participants(self) -> Vec<Participant> {
-        let compiled = compile_schedule(self.schedule, self.scenario);
-        self.scenario.propagate(self.runtime, self.scenario.key_seed(), compiled.as_ref()).0
+        self.scenario.propagate(self.runtime, self.scenario.key_seed(), self.schedule.as_ref()).0
     }
-}
-
-/// Compiles a script schedule against the scenario topology, panicking
-/// with the validation message on an inconsistent one (the documented
-/// behaviour of [`Simulation::schedule`]); a compiled one passes through.
-fn compile_schedule(
-    schedule: Option<SessionSchedule>,
-    scenario: &Scenario,
-) -> Option<Arc<CompiledSchedule>> {
-    schedule.map(|s| match s {
-        SessionSchedule::Script(s) => Arc::new(
-            s.compile(scenario.topology()).unwrap_or_else(|e| panic!("schedule rejected: {e}")),
-        ),
-        SessionSchedule::Compiled(compiled) => compiled,
-    })
 }
 
 #[cfg(test)]
@@ -347,6 +328,16 @@ mod tests {
     fn a_schedule_compiled_for_another_topology_is_rejected() {
         let compiled = TopologySchedule::new().drop_edge(1, 0, 1).compile(&gen::cycle(6)).unwrap();
         let _ = Scenario::new(gen::path(6), 1).sim().compiled_schedule(Arc::new(compiled));
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule rejected")]
+    fn an_inconsistent_schedule_is_rejected_when_handed_over() {
+        // (0, 2) is no edge of the cycle; the builder refuses it before
+        // any run.
+        let _ = Scenario::new(gen::cycle(6), 1)
+            .sim()
+            .schedule(TopologySchedule::new().drop_edge(1, 0, 2));
     }
 
     #[test]

@@ -213,8 +213,9 @@ impl MobilitySpec {
 ///
 /// # Errors
 ///
-/// Returns a message when `n < 2`, `rounds == 0`, or `radius`/`density`
-/// is not positive.
+/// Returns a message when `n < 2`, `rounds` is 0 or beyond the `n − 1`
+/// round horizon of the scenario the graph supplies (motion past it is
+/// never run), or `radius`/`density` is not positive.
 pub fn waypoint(
     n: usize,
     radius: f64,
@@ -226,8 +227,11 @@ pub fn waypoint(
     if n < 2 {
         return Err(format!("waypoint needs at least 2 nodes, got {n}"));
     }
-    if rounds == 0 {
-        return Err("waypoint needs at least 1 round".into());
+    if rounds == 0 || rounds > n - 1 {
+        return Err(format!(
+            "waypoint rounds must be 1 ..= n − 1 = {}, the run's horizon; got {rounds}",
+            n - 1
+        ));
     }
     if !(radius > 0.0) || !(density > 0.0) || !(speed >= 0.0) {
         return Err(format!(
@@ -341,8 +345,8 @@ fn in_range_pairs(positions: &[(f64, f64)], radius: f64, side: f64) -> BTreeSet<
 ///
 /// # Errors
 ///
-/// Returns a message when `period`/`down`/`rounds` is zero or `base` has
-/// no edges.
+/// Returns a message when `period`/`down`/`rounds` is zero, `base` has
+/// no edges, or an outage would end past the last round a `usize` counts.
 pub fn rolling_churn(
     base: &Graph,
     period: usize,
@@ -364,11 +368,15 @@ pub fn rolling_churn(
     rng.shuffle(&mut edges);
     let mut schedule = TopologySchedule::new().with_seed(seed);
     for (k, &(u, v)) in edges.iter().enumerate() {
-        let drop_round = 1 + k * period;
+        // A start round past `usize::MAX` is past `rounds` too.
+        let Some(drop_round) = k.checked_mul(period).and_then(|r| r.checked_add(1)) else { break };
         if drop_round > rounds {
             break;
         }
-        schedule = schedule.drop_edge(drop_round, u, v).heal_edge(drop_round + down, u, v);
+        let heal_round = drop_round.checked_add(down).ok_or_else(|| {
+            format!("churn outage from round {drop_round} lasting {down} rounds overflows")
+        })?;
+        schedule = schedule.drop_edge(drop_round, u, v).heal_edge(heal_round, u, v);
     }
     Ok(schedule)
 }
@@ -452,6 +460,9 @@ mod tests {
         assert!(waypoint(10, 0.0, 0.5, 6.0, 4, 0).is_err());
         assert!(waypoint(10, 2.0, 0.5, 0.0, 4, 0).is_err());
         assert!(waypoint(10, 2.0, 0.5, 6.0, 0, 0).is_err());
+        // Motion stops at the n − 1 round horizon of the run.
+        assert!(waypoint(10, 2.0, 0.5, 6.0, 9, 0).is_ok());
+        assert!(waypoint(10, 2.0, 0.5, 6.0, 10, 0).unwrap_err().contains("n − 1 = 9"));
     }
 
     #[test]
@@ -469,6 +480,11 @@ mod tests {
         // Domain errors.
         assert!(rolling_churn(&g, 0, 3, 9, 5).is_err());
         assert!(rolling_churn(&Graph::empty(4), 1, 1, 4, 0).is_err());
+        // Round arithmetic never wraps: an outage ending past usize::MAX
+        // is an error, a start past it is past `rounds` and never starts.
+        assert!(rolling_churn(&g, 1, usize::MAX, 4, 5).unwrap_err().contains("overflows"));
+        let sparse = rolling_churn(&g, usize::MAX, 3, 9, 5).unwrap().compile(&g).unwrap();
+        assert_eq!(sparse.transition_rounds().collect::<Vec<_>>(), [1, 4]);
     }
 
     #[test]

@@ -279,7 +279,7 @@ mod tests {
     #[test]
     fn insiders_are_balanced_across_parts() {
         let s = partitioned_with_insiders(20, 4, 1);
-        assert!(traversal::is_partitioned(&s.graph));
+        assert!(!traversal::is_connected(&s.graph));
         let in_a = s.byzantine.iter().filter(|b| s.part_a.contains(b)).count();
         let in_b = s.byzantine.iter().filter(|b| s.part_b.contains(b)).count();
         assert_eq!(in_a, 2);
@@ -320,7 +320,7 @@ mod tests {
     fn clustered_fleet_places_insiders_in_distinct_clusters() {
         let s = clustered_fleet(10, 4, 5, 11);
         assert_eq!(s.graph.node_count(), 40);
-        assert!(traversal::is_partitioned(&s.graph));
+        assert!(!traversal::is_connected(&s.graph));
         assert_eq!(s.byzantine.len(), 5);
         let mut clusters: Vec<usize> = s.byzantine.iter().map(|b| b / 4).collect();
         clusters.dedup();

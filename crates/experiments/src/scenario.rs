@@ -1055,6 +1055,8 @@ profile
             ("topology harary-k2 8\nschedule @missing.sched\n", "cannot read schedule file"),
             ("mobility waypoint\ntopology harary-k2 8\n", "generates its own topology"),
             ("topology harary-k2 8\nmobility split-heal at=3 heal=3\n", "at < heal"),
+            ("mobility waypoint nodes=10 rounds=10\n", "n − 1 = 9"),
+            ("topology cycle 8\nmobility churn down=18446744073709551615\n", "overflows"),
             ("topology harary-k2 8\ntransport uds\nepochs 2\n", "requires the sync transport"),
             ("topology harary-k2 8\ntransport uds\nruntime event\n", "requires the sync transport"),
             ("topology harary-k2 8\ntransport loopback\nreport out.json\n", "requires the sync"),
@@ -1072,6 +1074,8 @@ profile
             ("byz 0:silent\ncast silent-cut\n", 2),
             ("topology harary-k2 8\nschedule drop 2 0 1\nmobility churn\n", 3),
             ("schedule @a.sched\nschedule drop 2 0 1\n", 1),
+            ("t 1\nmobility waypoint nodes=10 rounds=10\n", 2),
+            ("topology cycle 8\nmobility churn down=18446744073709551615\n", 2),
         ] {
             let err = ScenarioSpec::parse(doc, "bad.scn").unwrap().compile().unwrap_err();
             assert_eq!((err.file.as_str(), err.line), ("bad.scn", line), "{doc:?} gave {err}");

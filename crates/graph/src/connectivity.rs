@@ -165,11 +165,6 @@ pub fn min_vertex_cut(g: &Graph) -> Option<Vec<usize>> {
     Some(scanner.separator(s, t))
 }
 
-/// Whether removing `cut` partitions the graph (i.e. `cut` is a vertex cut).
-pub fn is_vertex_cut(g: &Graph, cut: &[usize]) -> bool {
-    is_partitioned_without(g, cut)
-}
-
 /// All articulation points (cut vertices) of `g`, in ascending order: the
 /// nodes whose removal increases the number of connected components.
 ///
@@ -408,7 +403,7 @@ mod tests {
         let g = gen::star(6);
         let cut = PairScanner::new(&g).separator(1, 2);
         assert_eq!(cut, vec![0]);
-        assert!(is_vertex_cut(&g, &cut));
+        assert!(is_partitioned_without(&g, &cut));
     }
 
     /// The graphs the golden pin watches: the classics plus seeded
@@ -548,7 +543,7 @@ mod tests {
             let k = vertex_connectivity(&g);
             let cut = min_vertex_cut(&g).unwrap();
             assert_eq!(cut.len(), k, "cut size must equal κ");
-            assert!(is_vertex_cut(&g, &cut), "min cut must separate the graph");
+            assert!(is_partitioned_without(&g, &cut), "min cut must separate the graph");
         }
     }
 
@@ -648,7 +643,7 @@ mod tests {
         assert_eq!(vertex_connectivity(&g), 3);
         let cut = min_vertex_cut(&g).unwrap();
         assert_eq!(cut.len(), 3);
-        assert!(is_vertex_cut(&g, &cut));
+        assert!(is_partitioned_without(&g, &cut));
     }
 }
 
@@ -685,7 +680,7 @@ mod proptests {
                 Some(cut) => {
                     prop_assert_eq!(cut.len(), k);
                     if g.node_count() - cut.len() >= 2 {
-                        prop_assert!(is_vertex_cut(&g, &cut) || k == 0 && !crate::traversal::is_connected(&g));
+                        prop_assert!(is_partitioned_without(&g, &cut) || k == 0 && !crate::traversal::is_connected(&g));
                     }
                 }
             }

@@ -122,7 +122,7 @@ fn graph_from_positions(positions: &[(f64, f64)], radius: f64) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::{is_connected, is_partitioned};
+    use crate::traversal::is_connected;
 
     #[test]
     fn rejects_bad_parameters() {
@@ -145,7 +145,7 @@ mod tests {
         // d = 6, radius = 2.4: inter-cluster distance is at least 4.
         let mut rng = Rng::seed_from_u64(2);
         let p = drone_scenario(20, 6.0, 2.4, &mut rng).unwrap();
-        assert!(is_partitioned(&p.graph));
+        assert!(!is_connected(&p.graph));
         // No edge crosses the two scatters.
         for i in p.first_cluster() {
             for j in p.second_cluster() {

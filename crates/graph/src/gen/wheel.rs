@@ -95,8 +95,8 @@ fn wire_ring_and_spokes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::connectivity::{is_vertex_cut, vertex_connectivity};
-    use crate::traversal::{diameter, is_connected};
+    use crate::connectivity::vertex_connectivity;
+    use crate::traversal::{diameter, is_connected, is_partitioned_without};
 
     #[test]
     fn rejects_invalid_parameters() {
@@ -139,7 +139,7 @@ mod tests {
         let mut cut = hubs;
         cut.push(12 - 1); // predecessor of ring node 3 in the cycle
         cut.push(4); // successor of ring node 3
-        assert!(is_vertex_cut(&g, &cut));
+        assert!(is_partitioned_without(&g, &cut));
     }
 
     #[test]

@@ -293,12 +293,6 @@ impl ConnectivityOracle {
         self.answer(g, t).partitionable
     }
 
-    /// Whether `κ(g) ≥ k` — the other direction of the same decision
-    /// problem (used e.g. for the 2t-Sensitivity ground truth `κ ≥ 2t`).
-    pub fn kappa_at_least(&mut self, g: &Graph, k: usize) -> bool {
-        k == 0 || !self.is_t_partitionable(g, k - 1)
-    }
-
     /// Full answer for `κ(g) ≤ t`, including the `κ` bound established.
     pub fn answer(&mut self, g: &Graph, t: usize) -> OracleAnswer {
         self.answer_edges(Fingerprint::of(g), g.edges(), t, || g)

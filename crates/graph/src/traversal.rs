@@ -128,17 +128,13 @@ pub fn edge_component_sizes(
     slot_of.iter().map(|(&v, &slot)| (v, root_size[sets.find(slot)])).collect()
 }
 
-/// Whether the graph is connected. The empty graph and singletons are
-/// considered connected.
+/// Whether the graph is connected: not partitioned per the paper's
+/// Definition 1, whose partitioned graph splits into two or more mutually
+/// unreachable parts. The empty graph and singletons are considered
+/// connected.
 pub fn is_connected(g: &Graph) -> bool {
     let (_, count) = connected_components(g);
     count <= 1
-}
-
-/// Whether the graph is partitioned per the paper's Definition 1, i.e. its
-/// vertex set splits into two or more mutually unreachable parts.
-pub fn is_partitioned(g: &Graph) -> bool {
-    !is_connected(g)
 }
 
 /// Whether the subgraph induced by `V \ removed` is partitioned
@@ -270,9 +266,8 @@ mod tests {
     #[test]
     fn connectivity_predicates() {
         assert!(is_connected(&path4()));
-        assert!(!is_partitioned(&path4()));
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        assert!(is_partitioned(&g));
+        assert!(!is_connected(&g));
         assert!(is_connected(&Graph::empty(0)));
         assert!(is_connected(&Graph::empty(1)));
         assert!(!is_connected(&Graph::empty(2)));
@@ -282,7 +277,7 @@ mod tests {
     fn partition_after_removal_detects_cut_vertices() {
         // Star: removing the hub partitions the leaves (Fig. 1b).
         let star = crate::gen::star(5);
-        assert!(!is_partitioned(&star));
+        assert!(is_connected(&star));
         assert!(is_partitioned_without(&star, &[0]));
         // Removing a leaf does not partition the rest.
         assert!(!is_partitioned_without(&star, &[1]));

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use nectar_experiments::{CompiledScenario, MobilitySpec, ScenarioSpec, TransportKind};
     pub use nectar_graph::{connectivity, gen, traversal, Graph};
     pub use nectar_protocol::{
-        ByzantineBehavior, Decision, EpochOutcome, NectarConfig, NectarNode, RunReport, Runtime,
-        Scenario, ScheduleError, Simulation, TopologySchedule, Verdict,
+        ByzantineBehavior, Decision, EpochOutcome, NectarConfig, NectarNode, Property, RunReport,
+        Runtime, Scenario, ScheduleError, Simulation, TopologySchedule, Verdict,
     };
 }

@@ -2,41 +2,29 @@
 //! ground truth computed directly on the topology. They run on the sync
 //! runtime; `tests/runtimes.rs` holds every other runtime to its reports.
 
+use nectar::graph::ConnectivityOracle;
 use nectar::prelude::*;
 
-/// Scenarios where the expected verdict is forced by Definition 3.
-fn forced_cases() -> Vec<(&'static str, Graph, usize, Verdict)> {
+/// Honest scenarios whose verdict Definition 3 forces: κ ≥ 2t (clear) or
+/// κ ≤ t (flag).
+fn forced_cases() -> Vec<(&'static str, Graph, usize)> {
     vec![
-        // κ = 2 = 2t: 2t-Sensitivity forces NOT_PARTITIONABLE.
-        ("cycle t=1", gen::cycle(7), 1, Verdict::NotPartitionable),
-        // κ = 1 ≤ t: PARTITIONABLE (decision phase: k ≤ t).
-        ("star t=1", gen::star(7), 1, Verdict::Partitionable),
-        ("path t=1", gen::path(6), 1, Verdict::Partitionable),
-        // κ = 4 = 2t.
-        ("harary(4,12) t=2", gen::harary(4, 12).unwrap(), 2, Verdict::NotPartitionable),
-        // κ = 5 > 2t = 4.
-        (
-            "wheel GW(5,12) t=2",
-            gen::generalized_wheel(5, 12).unwrap(),
-            2,
-            Verdict::NotPartitionable,
-        ),
-        // Disconnected graph.
-        (
-            "two paths t=1",
-            Graph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]).unwrap(),
-            1,
-            Verdict::Partitionable,
-        ),
+        ("cycle t=1", gen::cycle(7), 1),
+        ("star t=1", gen::star(7), 1),
+        ("path t=1", gen::path(6), 1),
+        ("harary(4,12) t=2", gen::harary(4, 12).unwrap(), 2),
+        ("wheel GW(5,12) t=2", gen::generalized_wheel(5, 12).unwrap(), 2),
+        ("two paths t=1", Graph::from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)]).unwrap(), 1),
     ]
 }
 
 #[test]
 fn forced_verdicts_on_the_sync_runtime() {
-    for (name, g, t, expected) in forced_cases() {
+    let mut oracle = ConnectivityOracle::new();
+    for (name, g, t) in forced_cases() {
         let out = Scenario::new(g, t).sim().run();
-        assert!(out.agreement(), "{name}: agreement");
-        assert_eq!(out.unanimous_verdict(), Some(expected), "{name}");
+        let broken = out.definition3_violations(&mut oracle).expect("an honest static run");
+        assert!(broken.is_empty(), "{name} broke {broken:?}: {:?}", out.decisions());
     }
 }
 
@@ -48,9 +36,8 @@ fn confirmed_partition_in_a_severed_drone_swarm() {
     let out = Scenario::new(placement.graph, 1).sim().run();
     assert_eq!(out.unanimous_verdict(), Some(Verdict::Partitionable));
     assert!(out.decisions().values().all(|d| d.confirmed));
-    // Validity: confirmed implies the (empty) Byzantine cast is a vertex
-    // cut — which for an empty cast means the graph itself is partitioned.
-    assert!(traversal::is_partitioned(&out.topology));
+    // A confirmed partition with no cast is valid only on a disconnected G.
+    assert_eq!(out.definition3_violations(&mut ConnectivityOracle::new()), Ok(vec![]));
 }
 
 #[test]

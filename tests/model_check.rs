@@ -9,21 +9,21 @@
 //!   labelled graphs on 6 nodes with the cast fixed at {0, 1}, under the
 //!   colluding pairs no single node can play.
 //!
-//! Each run asserts the three properties a Byzantine cast can attack, in
-//! the wording of `tests/properties.rs`: **Safety** (the cast is a vertex
-//! cut ⇒ no correct node decides NOT_PARTITIONABLE; at t = 1 the stronger
-//! κ(G) ≤ t ⇒ …), **2t-Sensitivity** (κ(G) ≥ 2t ⇒ every correct node
-//! decides NOT_PARTITIONABLE) and **Validity** (`confirmed` only when some
-//! subset of the cast is a vertex cut, or G itself is partitioned).
+//! Each run asserts all four properties — Agreement, Safety,
+//! 2t-Sensitivity and Validity — through the one checker,
+//! `RunReport::definition3_violations`; with a single Byzantine node its
+//! Safety clause is the strong one, κ(G) ≤ t ⇒ no correct node decides
+//! NOT_PARTITIONABLE.
 //!
 //! * **The §VII unsigned detector** (`nectar::unsigned`, Dolev path
 //!   vectors, t = 1) over the same graphs on n ≤ 5 plus the six-node
 //!   sample, with node 0 correct, silent, crashing, two-faced or flooding
-//!   forged-origin claims. Every correct node's accepted graph is a
-//!   subgraph of G; Safety as above; with no cast and κ(G) > t every view
-//!   is G and every verdict NOT_PARTITIONABLE. Agreement is *not*
-//!   asserted: without signatures a crash or a two-faced node can split
-//!   correct nodes' verdicts (`nectar-dolev`'s
+//!   forged-origin claims. It is not a `RunReport`, so it keeps its own
+//!   protocol-specific asserts: every correct node's accepted graph is a
+//!   subgraph of G; κ(G) ≤ t ⇒ no NOT_PARTITIONABLE; with no cast and
+//!   κ(G) > t every view is G and every verdict NOT_PARTITIONABLE.
+//!   Agreement is *not* asserted: without signatures a crash or a
+//!   two-faced node can split correct nodes' verdicts (`nectar-dolev`'s
 //!   `agreement_is_not_guaranteed_without_signatures`).
 //!
 //! A violation prints the edge list and the cast.
@@ -31,6 +31,7 @@
 mod common;
 
 use common::build_scenario;
+use nectar::graph::ConnectivityOracle;
 use nectar::net::{Mute, Muted, NodeId, Outgoing, Process, SyncNetwork};
 use nectar::prelude::*;
 use nectar::unsigned::{ClaimId, PathMsg, UnsignedConfig, UnsignedNode};
@@ -46,42 +47,37 @@ fn labelled_graphs(n: usize, stride: usize) -> impl Iterator<Item = Graph> {
     })
 }
 
-/// Runs `cast` on `g` and asserts Safety, 2t-Sensitivity and Validity
-/// against ground truth computed from `g` alone (`kappa` is κ(G)).
-fn check(g: &Graph, kappa: usize, t: usize, cast: &[(usize, ByzantineBehavior)]) {
-    let report = build_scenario(g, t, cast).sim().run();
-    let verdicts = || report.decisions().values().map(|d| d.verdict);
-    let fail = |property: &str| -> ! {
+/// Runs `cast` on `g` and asserts that the report breaks no property of
+/// Definition 3, as `RunReport::definition3_violations` states them.
+/// `oracle` answers its κ questions and the run's decision phase.
+fn check(
+    oracle: &mut ConnectivityOracle,
+    g: &Graph,
+    t: usize,
+    cast: &[(usize, ByzantineBehavior)],
+) {
+    let report = build_scenario(g, t, cast).sim().oracle(oracle).run();
+    let broken = report.definition3_violations(oracle).expect("a static cast within t");
+    if !broken.is_empty() {
         let edges: Vec<(usize, usize)> = g.edges().collect();
         panic!(
-            "{property} violated\n  n = {}, t = {t}, κ(G) = {kappa}\n  edges: {edges:?}\n  \
-             cast: {cast:?}\n  decisions: {:?}",
+            "{broken:?} violated\n  n = {}, t = {t}\n  edges: {edges:?}\n  cast: {cast:?}\n  \
+             decisions: {:?}",
             g.node_count(),
             report.decisions()
         );
-    };
-    let unsafe_to_clear = report.byzantine_cast_is_vertex_cut() || (t == 1 && kappa <= t);
-    if unsafe_to_clear && verdicts().any(|v| v == Verdict::NotPartitionable) {
-        fail("Safety");
-    }
-    if kappa >= 2 * t && verdicts().any(|v| v != Verdict::NotPartitionable) {
-        fail("2t-Sensitivity");
-    }
-    let confirmed = report.decisions().values().any(|d| d.confirmed);
-    if confirmed && !(report.byzantine_cast_can_cut() || traversal::is_partitioned(g)) {
-        fail("Validity");
     }
 }
 
 /// Every labelled graph on 2 ..= 5 nodes, t = 1, node 0 playing each of
 /// `behaviours(n)` in turn.
 fn sweep_single_node(behaviours: impl Fn(usize) -> Vec<ByzantineBehavior>) {
+    let mut oracle = ConnectivityOracle::new();
     for n in 2..=5 {
         let behaviours = behaviours(n);
         for g in labelled_graphs(n, 1) {
-            let kappa = connectivity::vertex_connectivity(&g);
             for behaviour in &behaviours {
-                check(&g, kappa, 1, &[(0, behaviour.clone())]);
+                check(&mut oracle, &g, 1, &[(0, behaviour.clone())]);
             }
         }
     }
@@ -131,10 +127,10 @@ fn sampled_six_node_graphs_under_colluding_pairs() {
     // An odd stride, so no edge is constant across the sample.
     let sample: Vec<Graph> = labelled_graphs(6, 127).take(256).collect();
     assert_eq!(sample.len(), 256);
+    let mut oracle = ConnectivityOracle::new();
     for g in &sample {
-        let kappa = connectivity::vertex_connectivity(g);
         for [zero, one] in &pairs {
-            check(g, kappa, 2, &[(0, zero.clone()), (1, one.clone())]);
+            check(&mut oracle, g, 2, &[(0, zero.clone()), (1, one.clone())]);
         }
     }
 }

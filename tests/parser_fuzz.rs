@@ -14,6 +14,7 @@
 use proptest::prelude::*;
 
 use nectar::prelude::*;
+use nectar::protocol::report::json;
 use nectar::protocol::{sync_fleet_reports, NodeReport};
 use nectar_experiments::matrix::{CastSpec, FamilySpec, MatrixReport, MatrixSpec};
 
@@ -254,6 +255,16 @@ fn malformed_reports_error_out() {
     }
 }
 
+/// The one JSON reader caps nesting instead of overflowing the stack, and
+/// decodes strings as UTF-8 rather than byte by byte.
+#[test]
+fn json_reader_caps_nesting_and_decodes_utf8() {
+    let deep = "[".repeat(1_000_000);
+    assert!(RunReport::from_json(&deep).unwrap_err().contains("nesting deeper than"));
+    assert!(json::parse(&format!("{}{}", "[".repeat(64), "]".repeat(64))).is_ok());
+    assert_eq!(json::parse("\"κ \\\"é\\\"\""), Ok(json::Value::Str("κ \"é\"".into())));
+}
+
 /// Targeted malformed matrix reports: each must be a parse *error* — not
 /// a panic, and not a silent `Ok`.
 #[test]
@@ -475,6 +486,11 @@ fn malformed_scenario_files_error_out() {
         "mobility waypoint nodes=0\nt 1\n",
         "topology harary-k2 8\nmobility churn period=0\n",
         "topology harary-k2 8\nmobility churn warp=1\n",
+        // Rounds that do not fit: a walk past the n − 1 round horizon (once
+        // a petabyte allocation that aborted), an outage ending past
+        // usize::MAX (once a wrapping addition).
+        "t 1\nmobility waypoint nodes=10 rounds=100000000000000\n",
+        "topology cycle 8\nmobility churn period=1 down=18446744073709551615 rounds=4\n",
     ];
     for (i, case) in cases.iter().enumerate() {
         let got = ScenarioSpec::parse(case, "bad.scn").and_then(|s| s.compile().map(|_| ()));

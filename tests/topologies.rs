@@ -1,6 +1,7 @@
 //! NECTAR across every §V-B topology family: decisions must track each
 //! family's connectivity exactly.
 
+use nectar::graph::ConnectivityOracle;
 use nectar::prelude::*;
 
 /// `(name, graph, κ)` for each family instance used in the tests.
@@ -36,26 +37,24 @@ fn honest_runs_discover_the_exact_topology() {
     }
 }
 
+/// An honest run on `g` at budget `t` breaks no property of Definition 3.
+/// Without a cast that pins the verdict whenever `κ ≥ 2t` (clear) or
+/// `κ ≤ t` (flag).
+fn assert_definition3(oracle: &mut ConnectivityOracle, g: &Graph, t: usize, label: &str) {
+    let out = Scenario::new(g.clone(), t).sim().run();
+    let broken = out.definition3_violations(oracle).expect("an honest static run");
+    assert!(broken.is_empty(), "{label} (t = {t}) broke {broken:?}: {:?}", out.decisions());
+}
+
 #[test]
 fn verdicts_track_connectivity_thresholds() {
+    let mut oracle = ConnectivityOracle::new();
     for (name, g) in family_zoo() {
+        // 2t ≤ κ at t = ⌊κ/2⌋, κ ≤ t at t = κ.
         let kappa = connectivity::vertex_connectivity(&g);
-        // t below half the connectivity: NOT_PARTITIONABLE (2t ≤ κ).
-        let t_low = kappa / 2;
-        let out = Scenario::new(g.clone(), t_low).sim().run();
-        assert_eq!(
-            out.unanimous_verdict(),
-            Some(Verdict::NotPartitionable),
-            "{name} with t = {t_low} (κ = {kappa})"
-        );
-        // t at or above the connectivity: PARTITIONABLE (k ≤ t branch).
-        let t_high = kappa;
-        let out = Scenario::new(g.clone(), t_high).sim().run();
-        assert_eq!(
-            out.unanimous_verdict(),
-            Some(Verdict::Partitionable),
-            "{name} with t = {t_high} (κ = {kappa})"
-        );
+        for t in [kappa / 2, kappa] {
+            assert_definition3(&mut oracle, &g, t, &name);
+        }
     }
 }
 
@@ -136,25 +135,11 @@ fn lhg_families_finish_earlier_than_k_regular() {
 fn drone_graphs_over_the_whole_distance_range() {
     use nectar::graph::rng::Rng;
     let mut rng = Rng::seed_from_u64(23);
+    let mut oracle = ConnectivityOracle::new();
     for d in [0.0, 2.0, 4.0, 6.0] {
+        // At t = 1 every κ is ≥ 2t or ≤ t: the verdict is forced.
         let placement = gen::drone_scenario(14, d, 2.4, &mut rng).unwrap();
-        let out = Scenario::new(placement.graph.clone(), 1).sim().run();
-        assert!(out.agreement(), "d = {d}");
-        // Verdict must match ground truth thresholds.
-        let kappa = connectivity::vertex_connectivity(&placement.graph);
-        if kappa >= 2 {
-            assert_eq!(
-                out.unanimous_verdict(),
-                Some(Verdict::NotPartitionable),
-                "d = {d}, κ = {kappa}"
-            );
-        } else {
-            assert_eq!(
-                out.unanimous_verdict(),
-                Some(Verdict::Partitionable),
-                "d = {d}, κ = {kappa}"
-            );
-        }
+        assert_definition3(&mut oracle, &placement.graph, 1, &format!("d = {d}"));
     }
 }
 
@@ -168,15 +153,12 @@ fn nectar_handles_the_extended_topology_families() {
         ("watts_strogatz(16,4,0.2)", gen::watts_strogatz(16, 4, 0.2, &mut rng).unwrap()),
         ("barabasi_albert(16,2)", gen::barabasi_albert(16, 2, &mut rng).unwrap()),
     ];
+    let mut oracle = ConnectivityOracle::new();
     for (name, g) in zoo {
         if !traversal::is_connected(&g) {
             continue; // rewiring can rarely disconnect; skip those samples
         }
-        let kappa = connectivity::vertex_connectivity(&g);
-        let out = Scenario::new(g.clone(), 1).sim().run();
-        assert!(out.agreement(), "{name}");
-        let expected = if kappa >= 2 { Verdict::NotPartitionable } else { Verdict::Partitionable };
-        assert_eq!(out.unanimous_verdict(), Some(expected), "{name} (κ = {kappa})");
+        assert_definition3(&mut oracle, &g, 1, name);
         // Honest runs always reconstruct the exact topology.
         let participants = Scenario::new(g.clone(), 1).sim().participants();
         assert!(participants.iter().all(|p| p.nectar().discovered_graph() == g), "{name}");
