@@ -11,9 +11,11 @@
 //! `--factor` (default 2.0) times slower than its committed median. Ids
 //! present on only one side are reported but never fail the gate: each
 //! bench binary contributes its own subset, and brand-new benchmarks have
-//! no baseline yet.
+//! no baseline yet. A closed stdout (`| head`) ends the listing, not the
+//! gate: the exit status is the same.
 
 use nectar_bench::baseline::{parse, regressions};
+use nectar_bench::print_stdout;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -47,12 +49,12 @@ fn main() {
     let fresh = read(&paths[1]);
 
     let shared = fresh.iter().filter(|f| base.iter().any(|b| b.id == f.id)).count();
-    println!(
-        "bench_diff: {} baseline, {} fresh, {} shared ids (factor {factor}×)",
+    print_stdout(&format!(
+        "bench_diff: {} baseline, {} fresh, {} shared ids (factor {factor}×)\n",
         base.len(),
         fresh.len(),
         shared
-    );
+    ));
     if shared == 0 {
         // A gate that compares nothing passes forever: zero overlap means a
         // renamed bench group, a stale baseline, or a format drift that
@@ -68,23 +70,24 @@ fn main() {
         match base.iter().find(|b| b.id == f.id) {
             Some(b) => {
                 let ratio = f.median_ns as f64 / (b.median_ns as f64).max(f64::MIN_POSITIVE);
-                println!(
-                    "  {:<45} {:>12} ns -> {:>12} ns  ({ratio:.2}x)",
+                print_stdout(&format!(
+                    "  {:<45} {:>12} ns -> {:>12} ns  ({ratio:.2}x)\n",
                     f.id, b.median_ns, f.median_ns
-                );
+                ));
             }
-            None => {
-                println!("  {:<45} {:>27} -> {:>12} ns  (new, no baseline)", f.id, "", f.median_ns)
-            }
+            None => print_stdout(&format!(
+                "  {:<45} {:>27} -> {:>12} ns  (new, no baseline)\n",
+                f.id, "", f.median_ns
+            )),
         }
     }
     for b in base.iter().filter(|b| !fresh.iter().any(|f| f.id == b.id)) {
-        println!("  {:<45} not in fresh run (skipped)", b.id);
+        print_stdout(&format!("  {:<45} not in fresh run (skipped)\n", b.id));
     }
 
     let regs = regressions(&base, &fresh, factor);
     if regs.is_empty() {
-        println!("bench_diff: OK — no benchmark regressed beyond {factor}x");
+        print_stdout(&format!("bench_diff: OK — no benchmark regressed beyond {factor}x\n"));
         return;
     }
     eprintln!("bench_diff: {} regression(s) beyond {factor}x:", regs.len());

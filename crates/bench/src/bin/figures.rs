@@ -9,13 +9,14 @@
 //! The names are the keys of `nectar_experiments::FIGURES`; an unknown name
 //! or any flag other than `--quick` exits with status 2 and lists them.
 //! Each selected figure prints its Markdown tables and charts to stdout and
-//! writes `results/<id>.csv` per table.
+//! writes `results/<id>.csv` per table; a closed stdout (`| head`) ends the
+//! printing, not the CSVs.
 
 use nectar_experiments::{Table, FIGURES};
 
 fn emit(table: &Table) {
-    println!("{}", table.to_markdown());
-    println!("{}", nectar_experiments::chart::render(table, 64, 16));
+    let chart = nectar_experiments::chart::render(table, 64, 16);
+    nectar_bench::print_stdout(&format!("{}\n{chart}\n", table.to_markdown()));
     let path = nectar_bench::results_path(&format!("{}.csv", table.id));
     std::fs::write(&path, table.to_csv()).expect("cannot write results CSV");
     eprintln!("[figures] wrote {}", path.display());

@@ -1,6 +1,8 @@
 //! Shared helpers for the benchmark harness binaries.
 //!
 //! * [`results_path`]: where the `figures` binary writes its CSV output.
+//! * [`print_stdout`]: the binaries' standard output, which ends quietly
+//!   when its reader goes away.
 //! * [`baseline`]: parsing (with `nectar_protocol`'s JSON reader) and
 //!   regression-diffing of the bench-median JSON files the criterion shim
 //!   persists via `NECTAR_BENCH_JSON` (`BENCH_graph.json`,
@@ -26,6 +28,25 @@ pub fn results_path(name: &str) -> std::path::PathBuf {
     let dir = std::path::Path::new(RESULTS_DIR);
     std::fs::create_dir_all(dir).expect("cannot create results directory");
     dir.join(name)
+}
+
+/// Writes `text` to standard output. A reader that went away
+/// (`figures | head`) ends the output quietly, so the binary still
+/// finishes its other work — the CSVs, the regression gate — and exits
+/// with its own status.
+///
+/// # Panics
+///
+/// Panics on any other write error, as `print!` does.
+pub fn print_stdout(text: &str) {
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            panic!("failed printing to stdout: {e}")
+        }
+        _ => {}
+    }
 }
 
 /// Bench-median baselines: the JSON the criterion shim writes under

@@ -154,7 +154,8 @@ pub struct RunReport {
     pub n: usize,
     /// Byzantine budget (`t`).
     pub t: usize,
-    /// Base key seed (epoch `e` ran with `key_seed + e`).
+    /// Base key seed (epoch `e` ran with `key_seed + e`, wrapping at
+    /// `u64::MAX`).
     pub key_seed: u64,
     /// The Byzantine cast.
     pub byzantine: BTreeSet<NodeId>,

@@ -98,9 +98,9 @@ impl<'a> Simulation<'a> {
     }
 
     /// Runs `epochs` monitoring epochs over the same topology: epoch `e`
-    /// uses key seed `base + e` (fresh keys per epoch, the
-    /// footnote-2 deployment pattern), and all epochs share one oracle so
-    /// unchanged topologies decide from cache.
+    /// uses key seed `base + e`, wrapping at `u64::MAX` (fresh keys per
+    /// epoch, the footnote-2 deployment pattern), and all epochs share one
+    /// oracle so unchanged topologies decide from cache.
     ///
     /// # Panics
     ///
@@ -187,7 +187,7 @@ impl<'a> Simulation<'a> {
         let base_seed = scenario.key_seed();
         let mut epoch_outcomes = Vec::with_capacity(epochs);
         for epoch in 0..epochs {
-            let key_seed = base_seed + epoch as u64;
+            let key_seed = base_seed.wrapping_add(epoch as u64);
             let start = Instant::now();
             let (participants, metrics) = scenario.propagate(runtime, key_seed, schedule.as_ref());
             let disseminated = start.elapsed();
@@ -292,6 +292,13 @@ mod tests {
         }
         // Fresh keys per epoch: seeds advance from the scenario's base.
         assert_eq!(report.epochs[2].key_seed, report.key_seed + 2);
+    }
+
+    #[test]
+    fn epoch_seeds_wrap_at_the_top_of_u64() {
+        let report = Scenario::new(gen::cycle(4), 1).with_key_seed(u64::MAX).sim().epochs(2).run();
+        let seeds: Vec<u64> = report.epochs.iter().map(|e| e.key_seed).collect();
+        assert_eq!(seeds, [u64::MAX, 0]);
     }
 
     #[test]

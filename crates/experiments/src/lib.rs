@@ -38,8 +38,7 @@ pub use matrix::{
 };
 pub use placements::{
     articulation_byzantine_placement, articulation_falsifier_cast, bridged_partition,
-    cut_byzantine_placement, partitioned_with_insiders, random_byzantine_placement, BridgeScenario,
-    InsiderScenario,
+    cut_byzantine_placement, partitioned_with_insiders, random_byzantine_placement, SplitScenario,
 };
 pub use stats::{summarize, Summary};
 pub use table::{Point, Series, Table};

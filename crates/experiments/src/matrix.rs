@@ -430,7 +430,7 @@ pub struct MatrixSpec {
     /// Byzantine budget per trial.
     pub t: usize,
     /// Trials per cell (trial `i` everywhere derives from seed
-    /// `base_seed + i`).
+    /// `base_seed + i`, wrapping at `u64::MAX`).
     pub trials: usize,
     /// Base seed of every per-trial stream (graph, placement, keys).
     pub base_seed: u64,
@@ -532,7 +532,7 @@ impl MatrixSpec {
         let mut stats = CellStats::default();
         let mut rounds = Vec::with_capacity(self.trials);
         for trial in 0..self.trials {
-            let seed = self.base_seed + trial as u64;
+            let seed = self.base_seed.wrapping_add(trial as u64);
             let g = family.build(n, seed)?;
             let truth_partitionable = truth_oracle.is_t_partitionable(&g, self.t);
             let mut scenario = Scenario::new(g.clone(), self.t).with_key_seed(seed);
@@ -892,6 +892,12 @@ mod tests {
             assert!(cell.stats.median_rounds > 0);
             assert!(cell.stats.total_bytes > 0);
         }
+    }
+
+    #[test]
+    fn trial_seeds_wrap_at_the_top_of_u64() {
+        let spec = MatrixSpec { trials: 2, base_seed: u64::MAX, ..tiny_spec() };
+        assert_eq!(spec.run().expect("trial 1 runs on seed 0").cells[0].stats.trials, 2);
     }
 
     #[test]

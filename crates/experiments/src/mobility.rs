@@ -34,8 +34,8 @@ use nectar_net::{NodeId, TopologySchedule};
 
 /// A declarative mobility preset, as written in a scenario file
 /// (`mobility waypoint nodes=100 ...`). Parameters that are lengths or
-/// speeds are in **milli-units** (integers), so scenario text round-trips
-/// exactly — no float formatting in the config format.
+/// speeds are in **milli-units** (integers), so a scenario file names them
+/// exactly — no float parsing in the config format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MobilitySpec {
     /// Random-waypoint motion over a geometric graph. Supplies its own
@@ -130,25 +130,6 @@ impl MobilitySpec {
             }
         }
         Ok(spec)
-    }
-
-    /// The directive text after the `mobility` keyword — canonical form,
-    /// round-tripping through [`MobilitySpec::parse`].
-    pub fn to_directive(&self) -> String {
-        match self {
-            MobilitySpec::Waypoint { nodes, radius_milli, speed_milli, density_milli, rounds } => {
-                format!(
-                    "waypoint nodes={nodes} radius={radius_milli} speed={speed_milli} \
-                     density={density_milli} rounds={rounds}"
-                )
-            }
-            MobilitySpec::Churn { period, down, rounds } => {
-                format!("churn period={period} down={down} rounds={rounds}")
-            }
-            MobilitySpec::SplitHeal { split_round, heal_round } => {
-                format!("split-heal at={split_round} heal={heal_round}")
-            }
-        }
     }
 
     /// Whether this preset generates its own base topology (waypoint) or
@@ -504,25 +485,25 @@ mod tests {
 
     #[test]
     fn mobility_spec_parses_and_round_trips() {
-        for spec in [
-            MobilitySpec::Waypoint {
+        let parse = |text: &str| MobilitySpec::parse(&text.split(' ').collect::<Vec<_>>());
+        let churn = MobilitySpec::Churn { period: 2, down: 3, rounds: 9 };
+        assert_eq!(parse("churn period=2 down=3 rounds=9"), Ok(churn));
+        let split_heal = MobilitySpec::SplitHeal { split_round: 1, heal_round: 4 };
+        assert_eq!(parse("split-heal at=1 heal=4"), Ok(split_heal));
+        assert_eq!(
+            parse("waypoint nodes=48 radius=1500 speed=400 density=6000 rounds=12"),
+            Ok(MobilitySpec::Waypoint {
                 nodes: 48,
                 radius_milli: 1500,
                 speed_milli: 400,
                 density_milli: 6000,
-                rounds: 12,
-            },
-            MobilitySpec::Churn { period: 2, down: 3, rounds: 9 },
-            MobilitySpec::SplitHeal { split_round: 1, heal_round: 4 },
-        ] {
-            let text = spec.to_directive();
-            let words: Vec<&str> = text.split_whitespace().collect();
-            assert_eq!(MobilitySpec::parse(&words).unwrap(), spec, "{text}");
-        }
+                rounds: 12
+            })
+        );
         // Defaults fill unnamed parameters.
         assert_eq!(
-            MobilitySpec::parse(&["churn", "down=4"]).unwrap(),
-            MobilitySpec::Churn { period: 1, down: 4, rounds: 8 }
+            parse("churn down=4"),
+            Ok(MobilitySpec::Churn { period: 1, down: 4, rounds: 8 })
         );
         // Malformed input errors.
         assert!(MobilitySpec::parse(&[]).is_err());

@@ -16,14 +16,15 @@ use nectar_graph::{connectivity, gen, traversal, ConnectivityOracle, Graph};
 use nectar_net::NodeId;
 use nectar_protocol::ByzantineBehavior;
 
-/// A partitioned drone graph with Byzantine insiders.
+/// A drone graph split into two parts, with its Byzantine nodes: what
+/// each constructor puts in the parts is in its doc.
 #[derive(Debug, Clone)]
-pub struct InsiderScenario {
-    /// The (partitioned) communication graph.
+pub struct SplitScenario {
+    /// The communication graph.
     pub graph: Graph,
-    /// Byzantine nodes, alternating between the two parts.
+    /// The Byzantine nodes.
     pub byzantine: Vec<NodeId>,
-    /// Nodes of the first part (including its Byzantine insiders).
+    /// Nodes of the first part.
     pub part_a: Vec<NodeId>,
     /// Nodes of the second part.
     pub part_b: Vec<NodeId>,
@@ -31,12 +32,15 @@ pub struct InsiderScenario {
 
 /// Builds the insider scenario: `n` drones in two scatters too far apart to
 /// communicate (`d = 6`, `radius = 2.4`), with `t` Byzantine insiders
-/// "equally distributed between the two parts" (§V-D).
+/// "equally distributed between the two parts" (§V-D). The graph is
+/// partitioned; `part_a` and `part_b` are the two scatters, Byzantine
+/// insiders included, and `byzantine` alternates between them, first
+/// part first.
 ///
 /// # Panics
 ///
 /// Panics if `t` exceeds the size of either part.
-pub fn partitioned_with_insiders(n: usize, t: usize, seed: u64) -> InsiderScenario {
+pub fn partitioned_with_insiders(n: usize, t: usize, seed: u64) -> SplitScenario {
     let mut rng = Rng::seed_from_u64(seed);
     let placement =
         gen::drone_scenario(n, 6.0, 2.4, &mut rng).expect("drone parameters are valid constants");
@@ -52,33 +56,22 @@ pub fn partitioned_with_insiders(n: usize, t: usize, seed: u64) -> InsiderScenar
         let pool = if i % 2 == 0 { &mut a_pool } else { &mut b_pool };
         byzantine.push(pool.pop().expect("pool size checked above"));
     }
-    InsiderScenario { graph: placement.graph, byzantine, part_a, part_b }
-}
-
-/// A partitioned correct subgraph re-connected through Byzantine bridges.
-#[derive(Debug, Clone)]
-pub struct BridgeScenario {
-    /// The communication graph: connected, but every inter-part path passes
-    /// through a Byzantine bridge.
-    pub graph: Graph,
-    /// The `t` bridge nodes (ids `n - t .. n`).
-    pub byzantine: Vec<NodeId>,
-    /// Correct nodes of the first part.
-    pub part_a: Vec<NodeId>,
-    /// Correct nodes of the second part.
-    pub part_b: Vec<NodeId>,
+    SplitScenario { graph: placement.graph, byzantine, part_a, part_b }
 }
 
 /// Builds the bridge scenario with `n` total nodes of which `t ≥ 1` are
 /// Byzantine bridges: `n − t` correct drones form two disconnected scatters
 /// (`d = 6`, `radius = 2.4`); each bridge gets `links_per_part` edges into
 /// random nodes of each part (plus edges among bridges, as Byzantine nodes
-/// may declare edges with each other).
+/// may declare edges with each other). The graph is connected, but every
+/// path between the parts passes through a bridge: `part_a` and `part_b`
+/// hold the correct nodes of each scatter, `byzantine` the `t` bridges
+/// (ids `n − t .. n`), in neither part.
 ///
 /// # Panics
 ///
 /// Panics if `t == 0` or the parts are too small for `links_per_part`.
-pub fn bridged_partition(n: usize, t: usize, links_per_part: usize, seed: u64) -> BridgeScenario {
+pub fn bridged_partition(n: usize, t: usize, links_per_part: usize, seed: u64) -> SplitScenario {
     assert!(t >= 1, "bridge scenario requires at least one Byzantine bridge");
     let correct = n - t;
     let mut rng = Rng::seed_from_u64(seed);
@@ -111,7 +104,7 @@ pub fn bridged_partition(n: usize, t: usize, links_per_part: usize, seed: u64) -
             }
         }
     }
-    BridgeScenario { graph, byzantine, part_a, part_b }
+    SplitScenario { graph, byzantine, part_a, part_b }
 }
 
 /// A large clustered fleet: many disjoint cliques with Byzantine insiders.

@@ -22,12 +22,14 @@
 //! ```
 //!
 //! The flow is **parse → compile → lower**. [`ScenarioSpec::parse`] maps
-//! text to a plain struct, rejecting malformed and duplicate directives
-//! with `file:line` context ([`ScenarioError`]). [`ScenarioSpec::compile`]
-//! is the one home of every cross-field rule — directives that exclude
-//! each other, cast placements against the topology, the schedule against
-//! the base graph, transport × runtime legality — and freezes a
-//! [`CompiledScenario`]. Lowering then reuses the
+//! text to a plain struct, reading each directive once, at its own line,
+//! and rejecting malformed and duplicate directives with `file:line`
+//! context ([`ScenarioError`]); an inline `schedule` line is read there by
+//! the schedule grammar's own step, [`TopologySchedule::directive`].
+//! [`ScenarioSpec::compile`] is the one home of every cross-field rule —
+//! directives that exclude each other, cast placements against the
+//! topology, the schedule against the base graph, transport × runtime
+//! legality — and freezes a [`CompiledScenario`]. Lowering then reuses the
 //! seams that already exist instead of a parallel execution path: the
 //! sync-transport plan becomes a `Scenario` plus `Simulation` builder
 //! calls ([`CompiledScenario::run_report`]), the loopback plan becomes
@@ -145,33 +147,23 @@ impl TransportKind {
 
 /// Source positions of a parsed spec — which file it came from and which
 /// line each directive sat on — so [`ScenarioSpec::compile`] can anchor
-/// cross-field errors at the offending directive. Provenance only: two
-/// specs with equal content compare equal regardless of where (or
-/// whether) they were written down, which is what the parse/to_text
-/// round-trip contract needs.
-#[derive(Debug, Clone, Default)]
+/// cross-field errors at the offending directive.
+#[derive(Debug, Clone, Default, PartialEq)]
 struct SourceMap {
     file: String,
     dir: PathBuf,
     line_of: BTreeMap<String, usize>,
     edge_lines: Vec<usize>,
     byz_lines: Vec<usize>,
-    schedule_lines: Vec<usize>,
+    /// The first inline `schedule` line: where the schedule's
+    /// compile-stage errors point.
+    schedule_line: Option<usize>,
 }
-
-impl PartialEq for SourceMap {
-    fn eq(&self, _: &SourceMap) -> bool {
-        true
-    }
-}
-
-impl Eq for SourceMap {}
 
 /// A parsed-but-not-yet-validated scenario document: one field per
 /// directive, defaults filled in. Cross-field constraints are checked by
-/// [`compile`](Self::compile), not here, so a spec can be inspected,
-/// [`reduced`](Self::reduced) for CI, or re-rendered with
-/// [`to_text`](Self::to_text) before committing to a plan.
+/// [`compile`](Self::compile), not here, so a spec can be inspected or
+/// [`reduced`](Self::reduced) for CI before committing to a plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Human-readable label (free text, informational).
@@ -198,8 +190,9 @@ pub struct ScenarioSpec {
     pub runtime: Option<Runtime>,
     /// Schedule from a sibling file (`schedule @<path>`).
     pub schedule_file: Option<String>,
-    /// Inline schedule directives (repeated `schedule <directive…>`).
-    pub schedule_lines: Vec<String>,
+    /// The inline schedule: repeated `schedule <directive…>` lines, each
+    /// read by [`TopologySchedule::directive`] at its own line.
+    pub schedule: Option<TopologySchedule>,
     /// Mobility preset generating the schedule (and, for waypoint, the
     /// topology); mutually exclusive with explicit schedules.
     pub mobility: Option<MobilitySpec>,
@@ -236,7 +229,7 @@ impl Default for ScenarioSpec {
             epochs: 1,
             runtime: None,
             schedule_file: None,
-            schedule_lines: Vec::new(),
+            schedule: None,
             mobility: None,
             transport: TransportKind::Sync,
             sock_dir: None,
@@ -352,12 +345,14 @@ impl ScenarioSpec {
                     }
                     self.schedule_file = Some(path.to_string());
                 }
-                None if rest.is_empty() => {
-                    return Err(line.error("schedule needs a directive or @file"));
-                }
                 None => {
-                    self.schedule_lines.push(rest.join(" "));
-                    self.src.schedule_lines.push(line.number);
+                    let Some((&keyword, args)) = rest.split_first() else {
+                        return Err(line.error("schedule needs a directive or @file"));
+                    };
+                    let inline = Line { number: line.number, keyword, args: args.to_vec() };
+                    let schedule = self.schedule.take().unwrap_or_default();
+                    self.schedule = Some(schedule.directive(&inline)?);
+                    self.src.schedule_line.get_or_insert(line.number);
                 }
             },
             "mobility" => self.mobility = Some(MobilitySpec::parse(rest).map_err(bad)?),
@@ -377,79 +372,6 @@ impl ScenarioSpec {
             other => return Err(line.error(format!("unknown directive `{other}`"))),
         }
         Ok(())
-    }
-
-    /// Renders the spec back to canonical scenario text, round-tripping
-    /// through [`parse`](Self::parse) (defaulted directives are omitted).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a hand-built spec whose `byzantine` entries have no text
-    /// form (behaviors beyond silent/crash/two-faced/hide — express those
-    /// as a cast).
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        if !self.name.is_empty() {
-            let _ = writeln!(out, "name {}", self.name);
-        }
-        if let Some((family, n)) = &self.family {
-            let _ = writeln!(out, "topology {} {n}", family.name());
-        }
-        if let Some(n) = self.nodes {
-            let _ = writeln!(out, "nodes {n}");
-        }
-        for (u, v) in &self.edges {
-            let _ = writeln!(out, "edge {u} {v}");
-        }
-        let _ = writeln!(out, "t {}", self.t);
-        let _ = writeln!(out, "seed {}", self.seed);
-        if let Some(cast) = &self.cast {
-            let _ = writeln!(out, "cast {}", cast.name());
-        }
-        for (node, behavior) in &self.byzantine {
-            let _ = writeln!(out, "byz {node}:{}", behavior_text(behavior));
-        }
-        if self.epochs != 1 {
-            let _ = writeln!(out, "epochs {}", self.epochs);
-        }
-        if let Some(runtime) = self.runtime {
-            let _ = writeln!(out, "runtime {runtime}");
-        }
-        if let Some(mobility) = &self.mobility {
-            let _ = writeln!(out, "mobility {}", mobility.to_directive());
-        }
-        if let Some(path) = &self.schedule_file {
-            let _ = writeln!(out, "schedule @{path}");
-        }
-        for line in &self.schedule_lines {
-            let _ = writeln!(out, "schedule {line}");
-        }
-        if self.transport != TransportKind::Sync {
-            let _ = writeln!(out, "transport {}", self.transport.name());
-        }
-        if let Some(dir) = &self.sock_dir {
-            let _ = writeln!(out, "sock-dir {dir}");
-        }
-        if self.base_port != DEFAULT_BASE_PORT {
-            let _ = writeln!(out, "base-port {}", self.base_port);
-        }
-        if self.connect_timeout_ms != DEFAULT_TIMEOUT_MS {
-            let _ = writeln!(out, "connect-timeout-ms {}", self.connect_timeout_ms);
-        }
-        if self.recv_timeout_ms != DEFAULT_TIMEOUT_MS {
-            let _ = writeln!(out, "recv-timeout-ms {}", self.recv_timeout_ms);
-        }
-        if let Some(path) = &self.report {
-            let _ = writeln!(out, "report {path}");
-        }
-        if let Some(path) = &self.csv {
-            let _ = writeln!(out, "csv {path}");
-        }
-        if self.profile {
-            out.push_str("profile\n");
-        }
-        out
     }
 
     /// A CI-sized copy: family and waypoint sizes clamped to `max_n`
@@ -484,10 +406,10 @@ impl ScenarioSpec {
     /// Validates every cross-field constraint and freezes the spec into
     /// an executable [`CompiledScenario`]: the topology is built (or
     /// generated by waypoint mobility), the cast is placed on it, the
-    /// schedule is parsed/generated and compiled against the base graph,
-    /// and transport × runtime legality is checked. This is the one place
-    /// cross-field rules live, so hand-built specs (`nectar-cli detect`'s)
-    /// get exactly the checks a parsed file does.
+    /// schedule is read from its `@file` or generated and compiled against
+    /// the base graph, and transport × runtime legality is checked. This is
+    /// the one place cross-field rules live, so hand-built specs
+    /// (`nectar-cli detect`'s) get exactly the checks a parsed file does.
     ///
     /// # Errors
     ///
@@ -503,7 +425,7 @@ impl ScenarioSpec {
         // 0. Before anything is built: directives that exclude each other,
         // each pair refused once, at the line of the directive it names
         // first.
-        let explicit_schedule = self.schedule_file.is_some() || !self.schedule_lines.is_empty();
+        let explicit_schedule = self.schedule_file.is_some() || self.schedule.is_some();
         let exclusions = [
             (
                 "topology",
@@ -522,7 +444,7 @@ impl ScenarioSpec {
             ),
             (
                 "schedule",
-                self.schedule_file.is_some() && !self.schedule_lines.is_empty(),
+                self.schedule_file.is_some() && self.schedule.is_some(),
                 "cannot mix an @file schedule with inline schedule lines",
             ),
         ];
@@ -636,7 +558,7 @@ impl ScenarioSpec {
                 .get("mobility")
                 .or_else(|| self.src.line_of.get("schedule"))
                 .copied()
-                .or_else(|| self.src.schedule_lines.first().copied())
+                .or(self.src.schedule_line)
                 .unwrap_or(0),
             reason,
         };
@@ -658,20 +580,8 @@ impl ScenarioSpec {
                 }
                 other => ScenarioError { file: path.clone(), line: 0, reason: other.to_string() },
             })?)
-        } else if !self.schedule_lines.is_empty() {
-            // Inline lines concatenate into one script; a parse error's
-            // relative line maps back to the absolute scenario line.
-            let script = self.schedule_lines.join("\n");
-            Some(TopologySchedule::parse(&script).map_err(|e| match e {
-                ScheduleError::Parse { line, reason } => ScenarioError {
-                    file: self.src.file.clone(),
-                    line: self.src.schedule_lines.get(line - 1).copied().unwrap_or(0),
-                    reason,
-                },
-                other => at("schedule", other.to_string()),
-            })?)
         } else {
-            None
+            self.schedule.clone()
         };
         // Validating the schedule is compiling it: keep the compilation,
         // so a run does not compile the same script again.
@@ -903,31 +813,6 @@ fn parse_node_range(range: &str, spec: &str) -> Result<BTreeSet<NodeId>, String>
     Ok((a..=b).collect())
 }
 
-/// The inverse of [`parse_behavior`]'s behavior half, for
-/// [`ScenarioSpec::to_text`].
-///
-/// # Panics
-///
-/// Panics on behaviors the text grammar cannot express (non-contiguous
-/// node sets, or variants beyond silent/crash/two-faced/hide).
-fn behavior_text(behavior: &ByzantineBehavior) -> String {
-    let range_text = |set: &BTreeSet<NodeId>| {
-        let (first, last) =
-            (*set.first().expect("non-empty range"), *set.last().expect("non-empty range"));
-        assert_eq!(set.len(), last - first + 1, "only contiguous node ranges have a text form");
-        format!("{first}-{last}")
-    };
-    match behavior {
-        ByzantineBehavior::Silent => "silent".into(),
-        ByzantineBehavior::CrashAfter { round } => format!("crash@{round}"),
-        ByzantineBehavior::TwoFaced { silent_toward } => {
-            format!("two-faced@{}", range_text(silent_toward))
-        }
-        ByzantineBehavior::HideEdges { toward } => format!("hide@{}", range_text(toward)),
-        other => panic!("behavior {other:?} has no scenario-text form; express it as a cast"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -957,21 +842,11 @@ profile
         assert_eq!((spec.t, spec.seed, spec.epochs), (2, 9, 2));
         assert_eq!(spec.cast, Some(CastSpec::SilentCut));
         assert_eq!(spec.runtime, Some(Runtime::Parallel { workers: 2 }));
-        assert_eq!(spec.schedule_lines, vec!["drop 2 0 1", "heal 3 0 1"]);
+        let schedule = TopologySchedule::new().drop_edge(2, 0, 1).heal_edge(3, 0, 1);
+        assert_eq!(spec.schedule, Some(schedule));
         assert_eq!(spec.report.as_deref(), Some("out/full.json"));
         assert_eq!(spec.csv.as_deref(), Some("out/full.csv"));
         assert!(spec.profile);
-    }
-
-    #[test]
-    fn text_round_trips() {
-        let spec = ScenarioSpec::parse(FULL_DOC, "full.scn").unwrap();
-        let reparsed = ScenarioSpec::parse(&spec.to_text(), "").unwrap();
-        assert_eq!(reparsed, spec);
-        // Explicit topologies and byz casts round-trip too.
-        let doc = "nodes 4\nedge 0 1\nedge 1 2\nedge 2 3\nedge 3 0\nt 1\nbyz 1:two-faced@2-3\n";
-        let spec = ScenarioSpec::parse(doc, "").unwrap();
-        assert_eq!(ScenarioSpec::parse(&spec.to_text(), "").unwrap(), spec);
     }
 
     #[test]
@@ -995,18 +870,21 @@ profile
 
     #[test]
     fn schedule_errors_carry_the_inline_line() {
-        // Line 4 is the second schedule directive; its parse error must
-        // point there, not at relative line 2 of the joined script.
+        // Line 4 is the second schedule directive: `parse` reads it there
+        // and refuses it there.
         let doc = "topology harary-k2 8\nt 1\nschedule drop 2 0 1\nschedule drop x 0 1\n";
-        let err = ScenarioSpec::parse(doc, "demo.scn").unwrap().compile().unwrap_err();
-        assert_eq!(err.line, 4);
-        assert_eq!(err.file, "demo.scn");
+        let err = ScenarioSpec::parse(doc, "demo.scn").unwrap_err();
+        assert_eq!(err.to_string(), "demo.scn:4: bad round x");
         // Compile-stage (Invalid) errors anchor at the schedule block.
         let doc = "topology harary-k2 8\nt 1\nschedule drop 2 0 4\n";
         let err = ScenarioSpec::parse(doc, "demo.scn").unwrap().compile().unwrap_err();
         assert_eq!(err.file, "demo.scn");
         assert_eq!(err.line, 3);
         assert!(err.reason.contains("not a base-graph edge"), "{}", err.reason);
+        // A schedule of nothing but a seed is still a schedule.
+        let doc = "topology harary-k2 8\nt 1\nschedule seed 5\n";
+        let report = ScenarioSpec::parse(doc, "").unwrap().compile().unwrap().run_report();
+        assert_eq!(report.schedule.expect("a scheduled run").script, "seed 5\n");
     }
 
     #[test]
@@ -1153,11 +1031,6 @@ profile
 
     #[test]
     fn behavior_grammar_round_trips() {
-        for text in ["silent", "crash@3", "two-faced@2-4", "hide@1-1"] {
-            let (node, behavior) = parse_behavior(&format!("5:{text}")).unwrap();
-            assert_eq!(node, 5);
-            assert_eq!(behavior_text(&behavior), text);
-        }
         assert!(parse_behavior("5").is_err());
         assert!(parse_behavior("x:silent").is_err());
         assert!(parse_behavior("5:crash@x").is_err());

@@ -9,7 +9,9 @@ use nectar_experiments::matrix::{CastSpec, FamilySpec, MatrixSpec};
 use nectar_experiments::scenario::parse_behavior;
 use nectar_experiments::{CompiledScenario, ScenarioSpec, TransportKind};
 use nectar_graph::{connectivity, traversal};
+use nectar_net::text;
 use nectar_net::transport::{ConnectConfig, SocketTransport};
+use nectar_net::TopologySchedule;
 use nectar_protocol::{run_scenario_node, Decision, NodeReport, RunReport, Scenario, Verdict};
 
 /// A parsed CLI invocation.
@@ -50,8 +52,9 @@ pub enum Command {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectArgs {
     /// The scenario the flags describe, field for field what the
-    /// equivalent `.scn` file parses to (`spec.to_text()` writes that
-    /// file). Validation is [`ScenarioSpec::compile`]'s alone.
+    /// equivalent `.scn` file parses to (USAGE's DETECT section maps each
+    /// flag to its directive). Validation is [`ScenarioSpec::compile`]'s
+    /// alone.
     pub spec: ScenarioSpec,
     /// Print `RunReport::to_json()` instead of human-readable text.
     pub json: bool,
@@ -364,13 +367,7 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                     ("--schedule", Some(v)) if std::path::Path::new(v).is_file() => {
                         spec.schedule_file = Some(v.into());
                     }
-                    ("--schedule", Some(v)) => {
-                        spec.schedule_lines = v
-                            .split(';')
-                            .map(|line| line.trim().to_string())
-                            .filter(|line| !line.is_empty())
-                            .collect();
-                    }
+                    ("--schedule", Some(v)) => spec.schedule = inline_schedule(v)?,
                     ("--topology", Some(v)) => family = FamilySpec::parse(v)?,
                     ("--n", Some(v)) => set_usize(&mut n, v, "--n")?,
                     ("--t", Some(v)) => set_usize(&mut spec.t, v, "--t")?,
@@ -419,6 +416,22 @@ fn parse_flags(
         }
     }
     Ok(())
+}
+
+/// Reads a `--schedule` script once, as the scenario reader reads inline
+/// `schedule` lines: each `;`-separated directive through
+/// [`TopologySchedule::directive`]. A script without a directive is no
+/// schedule.
+fn inline_schedule(script: &str) -> Result<Option<TopologySchedule>, String> {
+    let mut schedule: Option<TopologySchedule> = None;
+    for directive in script.split(';').map(str::trim).filter(|d| !d.is_empty()) {
+        let mut read = schedule.unwrap_or_default();
+        for line in text::lines(directive) {
+            read = read.directive(&line).map_err(|e| e.reason)?;
+        }
+        schedule = Some(read);
+    }
+    Ok(schedule)
 }
 
 fn set_usize(slot: &mut usize, value: &str, flag: &str) -> Result<(), String> {
@@ -921,7 +934,8 @@ mod tests {
         .unwrap();
         match &cmd {
             Command::Detect(args) => {
-                assert_eq!(args.spec.schedule_lines, vec!["drop 1 0 1", "drop 1 3 4"]);
+                let schedule = TopologySchedule::new().drop_edge(1, 0, 1).drop_edge(1, 3, 4);
+                assert_eq!(args.spec.schedule, Some(schedule));
             }
             other => panic!("expected detect, got {other:?}"),
         }
@@ -988,16 +1002,16 @@ mod tests {
 
     #[test]
     fn bad_schedules_are_cli_errors_not_panics() {
-        let run_sched = |script: &str| {
-            run(parse(&strs(&["detect", "--topology", "cycle", "--n", "6", "--schedule", script]))
-                .unwrap())
+        let detect = |script: &str| {
+            parse(&strs(&["detect", "--topology", "cycle", "--n", "6", "--schedule", script]))
         };
-        // Malformed syntax, an edge the topology does not have, and a heal
-        // without a matching drop all surface as the scenario compiler's
-        // messages.
-        assert_eq!(run_sched("drop one zero").unwrap_err(), "drop takes 3 argument(s), got 2");
-        assert!(run_sched("drop 1 0 3").unwrap_err().contains("(0, 3) is not a base-graph edge"));
-        assert!(run_sched("heal 2 0 1").unwrap_err().contains("without a matching drop"));
+        // Malformed syntax is refused where the script is read, by `parse`;
+        // an edge the topology does not have and a heal without a matching
+        // drop surface as the scenario compiler's messages.
+        assert_eq!(detect("drop one zero").unwrap_err(), "drop takes 3 argument(s), got 2");
+        let run_sched = |script: &str| run(detect(script).unwrap()).unwrap_err();
+        assert!(run_sched("drop 1 0 3").contains("(0, 3) is not a base-graph edge"));
+        assert!(run_sched("heal 2 0 1").contains("without a matching drop"));
     }
 
     #[test]

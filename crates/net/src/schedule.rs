@@ -309,8 +309,16 @@ impl TopologySchedule {
         })
     }
 
-    /// Applies one line of the text format.
-    fn directive(self, line: &Line) -> Result<Self, TextError> {
+    /// Applies one line of the text format — the one step behind
+    /// [`parse`](Self::parse) and every reader that meets schedule
+    /// directives one at a time (a scenario's inline `schedule` lines,
+    /// `nectar-cli detect --schedule`), so a directive reads the same
+    /// wherever it is written.
+    ///
+    /// # Errors
+    ///
+    /// A [`TextError`] at `line` on a malformed directive.
+    pub fn directive(self, line: &Line) -> Result<Self, TextError> {
         let node = |word: &str| line.num::<NodeId>(word, "node");
         let round = |word: &str| line.num::<usize>(word, "round");
         let range = |word: &str| match word.split_once("..") {

@@ -1,7 +1,6 @@
 //! Smoke harness for the curated `scenarios/` library: every checked-in
-//! scenario file must parse, round-trip through its canonical text form,
-//! compile at full scale, and — in its reduced form — actually run on the
-//! sync runtime.
+//! scenario file must parse, compile at full scale, and — in its reduced
+//! form — actually run on the sync runtime.
 //! A scenario that rots (bad directive, stale family name, schedule
 //! that no longer validates against its base graph) fails here, not in
 //! a user's terminal.
@@ -40,16 +39,10 @@ fn the_curated_library_is_present() {
 }
 
 #[test]
-fn every_scenario_parses_round_trips_and_compiles() {
+fn every_scenario_parses_and_compiles() {
     for file in scenario_files() {
         let spec = ScenarioSpec::load(&file)
             .unwrap_or_else(|e| panic!("{} does not parse: {e}", file.display()));
-        // The canonical text form re-parses to the same spec — the same
-        // round-trip law the conformance proptest pins for generated
-        // specs, applied to the human-authored library.
-        let reparsed = ScenarioSpec::parse(&spec.to_text(), "round-trip")
-            .unwrap_or_else(|e| panic!("{} canonical form does not re-parse: {e}", file.display()));
-        assert_eq!(reparsed, spec, "{} round-trip drifted", file.display());
         // Full-scale compile: cross-field constraints hold, casts place,
         // schedules validate against their base graph.
         spec.compile().unwrap_or_else(|e| panic!("{} does not compile: {e}", file.display()));
