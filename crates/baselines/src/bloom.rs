@@ -5,6 +5,8 @@
 //! paper's Byzantine evaluation — is that a filter full of ones claims every
 //! node is reachable, and nothing authenticates it (§V-D).
 
+use nectar_graph::rng::mix64;
+
 /// A fixed-size Bloom filter over `u64` items with double hashing
 /// (Kirsch–Mitzenmacher).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -12,13 +14,6 @@ pub struct BloomFilter {
     bits: Vec<u64>,
     m_bits: usize,
     k_hashes: usize,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl BloomFilter {
@@ -35,6 +30,7 @@ impl BloomFilter {
     }
 
     fn positions(&self, item: u64) -> impl Iterator<Item = usize> + '_ {
+        let splitmix64 = |x: u64| mix64(x.wrapping_add(0x9e37_79b9_7f4a_7c15));
         let h1 = splitmix64(item);
         let h2 = splitmix64(h1) | 1; // odd stride
         (0..self.k_hashes as u64)

@@ -12,6 +12,7 @@
 use std::collections::BTreeSet;
 
 use nectar_crypto::{NeighborhoodProof, SignatureChain, Signer};
+use nectar_graph::rng::mix64;
 use nectar_net::{Mute, NodeId, Outgoing, Process};
 
 use crate::message::{NectarMsg, RelayedEdge};
@@ -98,14 +99,10 @@ pub enum ByzantineBehavior {
 /// construction and the cross-runtime equivalence suite trivially
 /// deterministic.
 pub(crate) fn falsify_flips(seed: u64, node: NodeId, other: NodeId, per_mille: u16) -> bool {
-    let mut z = seed
+    let key = seed
         ^ (node as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ (other as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % 1000) < per_mille as u64
+    mix64(key.wrapping_add(0x9E37_79B9_7F4A_7C15)) % 1000 < per_mille as u64
 }
 
 /// A protocol participant: a [`NectarNode`] plus what — if anything — it

@@ -25,7 +25,9 @@
 //! text to a plain struct, reading each directive once, at its own line,
 //! and rejecting malformed and duplicate directives with `file:line`
 //! context ([`ScenarioError`]); an inline `schedule` line is read there by
-//! the schedule grammar's own step, [`TopologySchedule::directive`].
+//! the schedule grammar's own step, [`TopologySchedule::directive`]. One
+//! reader, [`ScenarioSpec::directive`], reads `.scn` lines and
+//! `nectar-cli detect`'s flags alike: each flag is the line of its name.
 //! [`ScenarioSpec::compile`] is the one home of every cross-field rule —
 //! directives that exclude each other, cast placements against the
 //! topology, the schedule against the base graph, transport × runtime
@@ -289,8 +291,16 @@ impl ScenarioSpec {
         Ok(spec)
     }
 
-    /// Records one directive line into the spec.
-    fn directive(&mut self, line: &Line) -> Result<(), TextError> {
+    /// Reads one directive line into the spec: the one reader behind
+    /// [`parse`](Self::parse)'s lines and `nectar-cli detect`'s flags,
+    /// which become the lines of the same name. A single-valued directive
+    /// already read is refused as a duplicate, naming the line it was
+    /// first read at; `edge`, `byz` and inline `schedule` lines add up.
+    ///
+    /// # Errors
+    ///
+    /// A [`TextError`] at `line` when it is malformed or a duplicate.
+    pub fn directive(&mut self, line: &Line) -> Result<(), TextError> {
         let rest = line.args.as_slice();
         let bad = |reason: String| line.error(reason);
         let arg = || line.args::<1>().map(|[word]| word);
@@ -408,16 +418,23 @@ impl ScenarioSpec {
     /// generated by waypoint mobility), the cast is placed on it, the
     /// schedule is read from its `@file` or generated and compiled against
     /// the base graph, and transport × runtime legality is checked. This is
-    /// the one place cross-field rules live, so hand-built specs
-    /// (`nectar-cli detect`'s) get exactly the checks a parsed file does.
+    /// the one place cross-field rules live, so a spec built field by
+    /// field gets exactly the checks a parsed file does.
     ///
     /// # Errors
     ///
     /// A [`ScenarioError`] anchored at the offending directive's line.
     pub fn compile(&self) -> Result<CompiledScenario, ScenarioError> {
+        // Inline schedule lines repeat: they are anchored at the first.
         let at = |key: &'static str, reason: String| ScenarioError {
             file: self.src.file.clone(),
-            line: self.src.line_of.get(key).copied().unwrap_or(0),
+            line: self
+                .src
+                .line_of
+                .get(key)
+                .copied()
+                .or(self.src.schedule_line.filter(|_| key == "schedule"))
+                .unwrap_or(0),
             reason,
         };
         let whole = |reason: String| ScenarioError { file: self.src.file.clone(), line: 0, reason };
@@ -550,17 +567,11 @@ impl ScenarioSpec {
         // Cross-field (Invalid) errors anchor at the directive that
         // introduced the schedule: the mobility line, the @file line, or
         // the first inline schedule line.
-        let schedule_anchor = |reason: String| ScenarioError {
-            file: self.src.file.clone(),
-            line: self
-                .src
-                .line_of
-                .get("mobility")
-                .or_else(|| self.src.line_of.get("schedule"))
-                .copied()
-                .or(self.src.schedule_line)
-                .unwrap_or(0),
-            reason,
+        let schedule_anchor = |reason: String| {
+            at(
+                if self.src.line_of.contains_key("mobility") { "mobility" } else { "schedule" },
+                reason,
+            )
         };
         let schedule = if let Some(schedule) = generated_schedule {
             Some(schedule)
@@ -958,6 +969,14 @@ profile
             let err = ScenarioSpec::parse(doc, "bad.scn").unwrap().compile().unwrap_err();
             assert_eq!((err.file.as_str(), err.line), ("bad.scn", line), "{doc:?} gave {err}");
         }
+        // An inline schedule off the sync transport is refused at its
+        // first line, as its compile errors are.
+        let doc = "topology harary-k2 8\nt 1\ntransport uds\nschedule drop 2 0 1\n";
+        let err = ScenarioSpec::parse(doc, "bad.scn").unwrap().compile().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "bad.scn:4: schedule requires the sync transport (transport is uds)"
+        );
     }
 
     #[test]

@@ -4,18 +4,13 @@
 //! ring that is safe against one Byzantine node, the star whose hub is a
 //! cut vertex) plus the standard families tests sweep over.
 
+use super::{pairs, spanned};
 use crate::graph::Graph;
 use crate::rng::Rng;
 
 /// Complete graph `K_n`.
 pub fn complete(n: usize) -> Graph {
-    let mut g = Graph::empty(n);
-    for u in 0..n {
-        for v in u + 1..n {
-            g.add_edge(u, v).expect("indices in range");
-        }
-    }
-    g
+    spanned(n, pairs(n))
 }
 
 /// Path (chain) graph `P_n`: `0 – 1 – … – n-1`.
@@ -23,31 +18,19 @@ pub fn complete(n: usize) -> Graph {
 /// The chain is the paper's worst case for the number of propagation rounds
 /// (§IV-B), which motivates running NECTAR for `n − 1` rounds.
 pub fn path(n: usize) -> Graph {
-    let mut g = Graph::empty(n);
-    for u in 1..n {
-        g.add_edge(u - 1, u).expect("indices in range");
-    }
-    g
+    spanned(n, (1..n).map(|u| (u - 1, u)))
 }
 
 /// Cycle graph `C_n` (requires `n ≥ 3` to be a proper cycle; smaller values
 /// degrade to a path).
 pub fn cycle(n: usize) -> Graph {
-    let mut g = path(n);
-    if n >= 3 {
-        g.add_edge(n - 1, 0).expect("indices in range");
-    }
-    g
+    spanned(n, (1..n).map(|u| (u - 1, u)).chain((n >= 3).then(|| (n - 1, 0))))
 }
 
 /// Star graph: node 0 is the hub, nodes `1..n` are leaves (Fig. 1b's
 /// 1-Byzantine-partitionable example).
 pub fn star(n: usize) -> Graph {
-    let mut g = Graph::empty(n);
-    for v in 1..n {
-        g.add_edge(0, v).expect("indices in range");
-    }
-    g
+    spanned(n, (1..n).map(|v| (0, v)))
 }
 
 /// Disjoint union of `count` cliques of `size` nodes each (`count · size`
@@ -60,16 +43,8 @@ pub fn star(n: usize) -> Graph {
 /// for every correct node. Used by the 10 000-node scale tests and the
 /// `runtime_scaling` bench.
 pub fn disjoint_cliques(count: usize, size: usize) -> Graph {
-    let mut g = Graph::empty(count * size);
-    for c in 0..count {
-        let base = c * size;
-        for u in 0..size {
-            for v in u + 1..size {
-                g.add_edge(base + u, base + v).expect("indices in range");
-            }
-        }
-    }
-    g
+    let clique = |c: usize| pairs(size).map(move |(u, v)| (c * size + u, c * size + v));
+    spanned(count * size, (0..count).flat_map(clique))
 }
 
 /// Erdős–Rényi random graph `G(n, p)`: every pair becomes an edge
@@ -80,15 +55,7 @@ pub fn disjoint_cliques(count: usize, size: usize) -> Graph {
 /// Panics if `p` is not within `[0, 1]`.
 pub fn erdos_renyi(n: usize, p: f64, rng: &mut Rng) -> Graph {
     assert!((0.0..=1.0).contains(&p), "edge probability must be in [0, 1]");
-    let mut g = Graph::empty(n);
-    for u in 0..n {
-        for v in u + 1..n {
-            if rng.next_f64() < p {
-                g.add_edge(u, v).expect("indices in range");
-            }
-        }
-    }
-    g
+    spanned(n, pairs(n).filter(|_| rng.next_f64() < p))
 }
 
 #[cfg(test)]

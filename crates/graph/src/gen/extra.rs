@@ -5,25 +5,18 @@
 //! related work draws on (§VI-A); the library ships them so downstream
 //! users can evaluate partition detection on their own deployment shapes.
 
+use super::{pairs, spanned};
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::rng::Rng;
 
 /// `rows × cols` grid graph (4-neighborhood).
 pub fn grid(rows: usize, cols: usize) -> Graph {
-    let mut g = Graph::empty(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            let v = r * cols + c;
-            if c + 1 < cols {
-                g.add_edge(v, v + 1).expect("indices in range");
-            }
-            if r + 1 < rows {
-                g.add_edge(v, v + cols).expect("indices in range");
-            }
-        }
-    }
-    g
+    let edges = (0..rows * cols).flat_map(|v| {
+        let (r, c) = (v / cols, v % cols);
+        [(c + 1 < cols).then_some((v, v + 1)), (r + 1 < rows).then_some((v, v + cols))]
+    });
+    spanned(rows * cols, edges.flatten())
 }
 
 /// `rows × cols` torus: the grid with wrap-around edges, 4-regular and
@@ -38,17 +31,11 @@ pub fn torus(rows: usize, cols: usize) -> Result<Graph, GraphError> {
             reason: format!("torus requires rows, cols >= 3 (got {rows}x{cols})"),
         });
     }
-    let mut g = Graph::empty(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            let v = r * cols + c;
-            let right = r * cols + (c + 1) % cols;
-            let down = ((r + 1) % rows) * cols + c;
-            g.add_edge(v, right).expect("indices in range");
-            g.add_edge(v, down).expect("indices in range");
-        }
-    }
-    Ok(g)
+    let edges = (0..rows * cols).flat_map(|v| {
+        let (r, c) = (v / cols, v % cols);
+        [(v, r * cols + (c + 1) % cols), (v, ((r + 1) % rows) * cols + c)]
+    });
+    Ok(spanned(rows * cols, edges))
 }
 
 /// Watts–Strogatz small-world graph: a ring lattice where each node links
@@ -106,12 +93,7 @@ pub fn barabasi_albert(n: usize, m: usize, rng: &mut Rng) -> Result<Graph, Graph
             reason: format!("Barabasi-Albert requires 1 <= m < n (got m={m}, n={n})"),
         });
     }
-    let mut g = Graph::empty(n);
-    for u in 0..m {
-        for v in u + 1..m {
-            g.add_edge(u, v).expect("indices in range");
-        }
-    }
+    let mut edges: Vec<_> = pairs(m).collect();
     // Repeated-endpoints urn: sampling uniformly from this list is
     // sampling proportionally to degree.
     let mut urn: Vec<usize> = (0..m).flat_map(|v| std::iter::repeat_n(v, (m - 1).max(1))).collect();
@@ -124,12 +106,12 @@ pub fn barabasi_albert(n: usize, m: usize, rng: &mut Rng) -> Result<Graph, Graph
             guard += 1;
         }
         for &t in &targets {
-            g.add_edge(v, t).expect("indices in range");
+            edges.push((v, t));
             urn.push(t);
             urn.push(v);
         }
     }
-    Ok(g)
+    Ok(spanned(n, edges))
 }
 
 #[cfg(test)]

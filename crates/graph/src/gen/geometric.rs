@@ -7,6 +7,7 @@
 //! and `d = 0` the graph is complete; `d = 6` yields a partitioned network
 //! (§V-B).
 
+use super::{pairs, spanned};
 use crate::error::GraphError;
 use crate::graph::Graph;
 use crate::rng::Rng;
@@ -104,19 +105,11 @@ fn sample_in_disk(cx: f64, cy: f64, disk_radius: f64, rng: &mut Rng) -> (f64, f6
 }
 
 fn graph_from_positions(positions: &[(f64, f64)], radius: f64) -> Graph {
-    let n = positions.len();
-    let mut g = Graph::empty(n);
-    for i in 0..n {
-        for j in i + 1..n {
-            let (xi, yi) = positions[i];
-            let (xj, yj) = positions[j];
-            let dist2 = (xi - xj).powi(2) + (yi - yj).powi(2);
-            if dist2 <= radius * radius {
-                g.add_edge(i, j).expect("indices in range");
-            }
-        }
-    }
-    g
+    let in_scope = |&(i, j): &(usize, usize)| {
+        let ((xi, yi), (xj, yj)) = (positions[i], positions[j]);
+        (xi - xj).powi(2) + (yi - yj).powi(2) <= radius * radius
+    };
+    spanned(positions.len(), pairs(positions.len()).filter(in_scope))
 }
 
 #[cfg(test)]

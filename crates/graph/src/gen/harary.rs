@@ -6,6 +6,7 @@
 //! deterministically: `H_{k,n}` is k-regular for even `k`, and for odd `k`
 //! with even `n`; the figure harness uses it so that runs are reproducible.
 
+use super::spanned;
 use crate::error::GraphError;
 use crate::graph::Graph;
 
@@ -35,26 +36,12 @@ pub fn harary(k: usize, n: usize) -> Result<Graph, GraphError> {
         // below is only defined for k >= 2).
         return Ok(crate::gen::path(n));
     }
-    let mut g = Graph::empty(n);
-    let m = k / 2;
-    for i in 0..n {
-        for j in 1..=m {
-            g.add_edge(i, (i + j) % n).expect("indices in range");
-        }
-    }
-    if k % 2 == 1 {
-        if n % 2 == 0 {
-            for i in 0..n / 2 {
-                g.add_edge(i, i + n / 2).expect("indices in range");
-            }
-        } else {
-            let half = (n - 1) / 2;
-            for i in 0..=half {
-                g.add_edge(i, (i + half) % n).expect("indices in range");
-            }
-        }
-    }
-    Ok(g)
+    let circulant = (0..n).flat_map(|i| (1..=k / 2).map(move |j| (i, (i + j) % n)));
+    // Odd k: the diagonals i ↔ i + ⌊n/2⌋ for i < ⌈n/2⌉, which for odd n
+    // are the near-diagonals.
+    let half = n / 2;
+    let diagonals = if k % 2 == 1 { 0..n - half } else { 0..0 };
+    Ok(spanned(n, circulant.chain(diagonals.map(|i| (i, i + half)))))
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@
 //!   tree growing up from a bottom root), which doubles path diversity at
 //!   the leaves while keeping the diameter logarithmic.
 
+use super::spanned;
 use crate::error::GraphError;
 use crate::graph::Graph;
 
@@ -29,12 +30,9 @@ fn clusters(k: usize, n: usize) -> Vec<Vec<usize>> {
     (0..n).step_by(k).map(|start| (start..(start + k).min(n)).collect()).collect()
 }
 
-fn join_clusters(g: &mut Graph, a: &[usize], b: &[usize]) {
-    for &u in a {
-        for &v in b {
-            g.add_edge(u, v).expect("indices in range");
-        }
-    }
+/// Every edge of the complete bipartite graph between clusters `a` and `b`.
+fn join<'a>(a: &'a [usize], b: &'a [usize]) -> impl Iterator<Item = (usize, usize)> + 'a {
+    a.iter().flat_map(move |&u| b.iter().map(move |&v| (u, v)))
 }
 
 /// Builds the k-pasted-tree graph on `n` nodes (see module docs).
@@ -50,13 +48,8 @@ pub fn k_pasted_tree(k: usize, n: usize) -> Result<Graph, GraphError> {
         });
     }
     let cl = clusters(k, n);
-    let mut g = Graph::empty(n);
     // Heap-indexed balanced binary tree over clusters.
-    for c in 1..cl.len() {
-        let parent = (c - 1) / 2;
-        join_clusters(&mut g, &cl[parent], &cl[c]);
-    }
-    Ok(g)
+    Ok(spanned(n, (1..cl.len()).flat_map(|c| join(&cl[(c - 1) / 2], &cl[c]))))
 }
 
 /// Builds the k-diamond graph on `n` nodes (see module docs): a top tree and
@@ -78,19 +71,14 @@ pub fn k_diamond(k: usize, n: usize) -> Result<Graph, GraphError> {
     // `bottom` clusters form the bottom tree, and the middle band is shared
     // as the leaves of both. We mirror by letting the bottom tree be a heap
     // over the reversed cluster list.
-    let mut g = Graph::empty(n);
     let half = m.div_ceil(2);
     // Top tree over clusters [0, half) in heap order.
-    for c in 1..half {
-        let parent = (c - 1) / 2;
-        join_clusters(&mut g, &cl[c], &cl[parent]);
-    }
+    let mut edges: Vec<_> = (1..half).flat_map(|c| join(&cl[c], &cl[(c - 1) / 2])).collect();
     // Bottom tree over clusters [half-1, m) reversed, so cluster m-1 is the
     // bottom root; its leaves overlap the top tree's leaves at the boundary.
     let bottom: Vec<usize> = (half.saturating_sub(1)..m).rev().collect();
     for idx in 1..bottom.len() {
-        let parent = (idx - 1) / 2;
-        join_clusters(&mut g, &cl[bottom[idx]], &cl[bottom[parent]]);
+        edges.extend(join(&cl[bottom[idx]], &cl[bottom[(idx - 1) / 2]]));
     }
     // Paste the deepest top-tree leaves onto the bottom tree (and vice
     // versa): connect every top leaf cluster to a bottom leaf cluster so
@@ -105,10 +93,10 @@ pub fn k_diamond(k: usize, n: usize) -> Result<Graph, GraphError> {
     for (i, &tc) in top_leaves.iter().enumerate() {
         let bc = bottom_leaf_clusters[i % bottom_leaf_clusters.len()];
         if tc != bc {
-            join_clusters(&mut g, &cl[tc], &cl[bc]);
+            edges.extend(join(&cl[tc], &cl[bc]));
         }
     }
-    Ok(g)
+    Ok(spanned(n, edges))
 }
 
 #[cfg(test)]

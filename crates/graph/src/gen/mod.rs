@@ -32,3 +32,16 @@ pub use harary::harary;
 pub use lhg::{k_diamond, k_pasted_tree};
 pub use random_regular::{random_regular, random_regular_connected};
 pub use wheel::{generalized_wheel, multipartite_wheel};
+
+use crate::graph::Graph;
+
+/// The graph a generator's edge list spans, built in one pass: generators
+/// that never read their graph while building it hand over the whole list.
+fn spanned(n: usize, edges: impl IntoIterator<Item = (usize, usize)>) -> Graph {
+    Graph::from_edges(n, edges).expect("generator edges are in range")
+}
+
+/// Every pair `u < v` of `0..n`, in lexicographic order: the edges of `K_n`.
+fn pairs(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..n).flat_map(move |u| (u + 1..n).map(move |v| (u, v)))
+}

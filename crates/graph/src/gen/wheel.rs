@@ -5,6 +5,7 @@
 //! clique, while correct nodes are left with only the outer cycle's few
 //! paths. Both graphs have vertex connectivity `k`.
 
+use super::{pairs, spanned};
 use crate::error::GraphError;
 use crate::graph::Graph;
 
@@ -27,14 +28,7 @@ pub fn generalized_wheel(k: usize, n: usize) -> Result<Graph, GraphError> {
         });
     }
     let hubs = k - 2;
-    let mut g = Graph::empty(n);
-    for u in 0..hubs {
-        for v in u + 1..hubs {
-            g.add_edge(u, v).expect("indices in range");
-        }
-    }
-    wire_ring_and_spokes(&mut g, hubs, n, |_, _| true);
-    Ok(g)
+    Ok(spanned(n, pairs(hubs).chain(ring_and_spokes(hubs, n))))
 }
 
 /// Builds the multipartite wheel `MW(k, n, parts)`: as the generalized wheel
@@ -58,38 +52,17 @@ pub fn multipartite_wheel(k: usize, n: usize, parts: usize) -> Result<Graph, Gra
         });
     }
     let hubs = k - 2;
-    let mut g = Graph::empty(n);
     // Hubs u and v are joined iff they belong to different parts (round-robin
     // part assignment u % parts).
-    for u in 0..hubs {
-        for v in u + 1..hubs {
-            if u % parts != v % parts {
-                g.add_edge(u, v).expect("indices in range");
-            }
-        }
-    }
-    wire_ring_and_spokes(&mut g, hubs, n, |_, _| true);
-    Ok(g)
+    let center = pairs(hubs).filter(|(u, v)| u % parts != v % parts);
+    Ok(spanned(n, center.chain(ring_and_spokes(hubs, n))))
 }
 
-/// Adds the outer ring over nodes `hubs..n` and connects each ring node to
-/// every hub for which `spoke(ring_node, hub)` holds.
-fn wire_ring_and_spokes(
-    g: &mut Graph,
-    hubs: usize,
-    n: usize,
-    spoke: impl Fn(usize, usize) -> bool,
-) {
-    let ring: Vec<usize> = (hubs..n).collect();
-    for (i, &u) in ring.iter().enumerate() {
-        let v = ring[(i + 1) % ring.len()];
-        g.add_edge(u, v).expect("indices in range");
-        for h in 0..hubs {
-            if spoke(u, h) {
-                g.add_edge(u, h).expect("indices in range");
-            }
-        }
-    }
+/// The outer ring over nodes `hubs..n`, each ring node followed by its
+/// spokes to every hub.
+fn ring_and_spokes(hubs: usize, n: usize) -> impl Iterator<Item = (usize, usize)> {
+    let next = move |u: usize| if u + 1 == n { hubs } else { u + 1 };
+    (hubs..n).flat_map(move |u| std::iter::once((u, next(u))).chain((0..hubs).map(move |h| (u, h))))
 }
 
 #[cfg(test)]

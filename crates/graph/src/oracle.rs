@@ -43,6 +43,7 @@ use std::ops::ControlFlow;
 
 use crate::connectivity::{even_pairs, PairScanner};
 use crate::graph::Graph;
+use crate::rng::mix64;
 use crate::traversal::DisjointSets;
 
 /// An order-independent 64-bit digest of a graph's node count and edge set.
@@ -58,14 +59,6 @@ use crate::traversal::DisjointSets;
 pub struct Fingerprint {
     n: usize,
     acc: u64,
-}
-
-/// SplitMix64 finalizer: a cheap full-avalanche mix for edge words.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl Fingerprint {
@@ -101,7 +94,7 @@ impl Fingerprint {
     /// account for its removal.
     pub fn toggle_edge(&mut self, u: usize, v: usize) {
         let (a, b) = (u.min(v) as u64, u.max(v) as u64);
-        self.acc ^= mix64((a << 32) | b);
+        self.acc ^= mix64(((a << 32) | b).wrapping_add(0x9e37_79b9_7f4a_7c15));
     }
 }
 
@@ -760,7 +753,7 @@ mod proptests {
         let n = g.node_count();
         let mut list = vec![(n, n + 1), (0, 0), (0, n)];
         for (i, (u, v)) in g.edges().enumerate() {
-            let r = mix64(salt ^ i as u64);
+            let r = mix64((salt ^ i as u64).wrapping_add(0x9e37_79b9_7f4a_7c15));
             list.push(if r & 1 == 0 { (u, v) } else { (v, u) });
             if r & 2 != 0 {
                 list.push((v, u));

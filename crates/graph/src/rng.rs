@@ -9,6 +9,18 @@
 
 use std::ops::{Range, RangeInclusive};
 
+/// The SplitMix64 finalizer: a cheap full-avalanche mix of one word, and
+/// the workspace's one stateless hash — behind the seed expansion below,
+/// edge fingerprints, Bloom filter positions, falsifier coins and
+/// schedule loss rolls. A caller stepping a SplitMix64 state adds the
+/// golden-ratio increment `0x9E37_79B9_7F4A_7C15` itself.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Deterministic xoshiro256++ generator with exactly the draws the
 /// workspace makes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,10 +35,7 @@ impl Rng {
         let mut sm = seed;
         let mut next = || {
             sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            mix64(sm)
         };
         Rng { s: [next(), next(), next(), next()] }
     }

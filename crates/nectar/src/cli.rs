@@ -6,12 +6,10 @@
 use std::fmt::Write as _;
 
 use nectar_experiments::matrix::{CastSpec, FamilySpec, MatrixSpec};
-use nectar_experiments::scenario::parse_behavior;
 use nectar_experiments::{CompiledScenario, ScenarioSpec, TransportKind};
 use nectar_graph::{connectivity, traversal};
-use nectar_net::text;
+use nectar_net::text::{self, Line};
 use nectar_net::transport::{ConnectConfig, SocketTransport};
-use nectar_net::TopologySchedule;
 use nectar_protocol::{run_scenario_node, Decision, NodeReport, RunReport, Scenario, Verdict};
 
 /// A parsed CLI invocation.
@@ -25,8 +23,9 @@ pub enum Command {
         file: String,
     },
     /// Run NECTAR on a generated topology and report the decision: the
-    /// flag spelling of a scenario file, lowered onto the same
-    /// [`ScenarioSpec`] and executed through the same path as `run`.
+    /// flag spelling of a scenario file, read into the same
+    /// [`ScenarioSpec`] by the same reader and executed through the same
+    /// path as `run`.
     Detect(DetectArgs),
     /// Sweep the topology-zoo × attack-zoo experiment matrix and report
     /// per-cell statistics.
@@ -51,10 +50,11 @@ pub enum Command {
 /// Arguments of the `detect` command.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectArgs {
-    /// The scenario the flags describe, field for field what the
-    /// equivalent `.scn` file parses to (USAGE's DETECT section maps each
-    /// flag to its directive). Validation is [`ScenarioSpec::compile`]'s
-    /// alone.
+    /// The scenario the flags describe: each flag is the directive line
+    /// of its name (USAGE's DETECT section maps them), read in flag order
+    /// by [`ScenarioSpec::directive`], so the spec, source lines included,
+    /// is what those lines parse to as a `.scn` file. Validation is
+    /// [`ScenarioSpec::compile`]'s alone.
     pub spec: ScenarioSpec,
     /// Print `RunReport::to_json()` instead of human-readable text.
     pub json: bool,
@@ -134,12 +134,17 @@ SCENARIO (run / node --scenario):
   scenarios/; the format is specified in nectar_experiments::scenario.
 
 DETECT:
-  The flag spelling of a sync-transport scenario file: every flag sets
-  the directive of the same name (`--topology F --n N` is `topology F N`,
-  `--byz` is a `byz` line, `--report` the `report` sink, ...), the result
-  is validated by the scenario compiler and run exactly as `run` would
-  run that file — same report bytes on every runtime. Defaults:
-  harary-k4, n = 20, t = 1, seed 42, one epoch, the sync runtime.
+  The flag spelling of a sync-transport scenario file: every flag is the
+  directive line of the same name, read in flag order by the reader of
+  `.scn` lines (`--t 2` is `t 2`, `--byz` a `byz` line, `--report` the
+  `report` sink, `--profile` the `profile` line, `--schedule` as below;
+  `--topology F --n N` is one `topology F N` line, read last). So a
+  repeated flag is refused like a repeated directive, repeated `--byz`
+  and `--schedule` add up like their lines, and a bad value gets the
+  reader's reason. The result is validated by the scenario compiler and
+  run exactly as `run` would run that file — same report bytes on every
+  runtime. Defaults: harary-k4, n = 20, t = 1, seed 42, one epoch, the
+  sync runtime.
 
 RUNTIME (--runtime, default sync):
   sync        deterministic single-threaded round engine — the baseline
@@ -179,8 +184,9 @@ SCHEDULE (--schedule):
   asymmetric links), `seed S` (loss-roll seed), `#` comments. The value
   is a file path (as `schedule @<file>`), or the script itself inline
   with `;` separating lines (each one a `schedule <directive>` line, e.g.
-  --schedule 'drop 1 0 1; heal 3 0 1'). Applied identically on every
-  runtime at any worker count, and recorded in --report output.
+  --schedule 'drop 1 0 1; heal 3 0 1'; repeated scripts add up). Applied
+  identically on every runtime at any worker count, and recorded in
+  --report output.
 
 OUTPUT:
   `detect` and `run` print the same text: topology facts (n, the real κ,
@@ -352,42 +358,52 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             }))
         }
         Some("detect") => {
-            let (mut family, mut n) = (FamilySpec::Harary { k: 4 }, 20usize);
-            let mut spec = ScenarioSpec::default();
             let (mut json, mut csv) = (false, false);
+            // Each flag is the directive line of its name, in flag order.
+            let mut lines: Vec<(&str, Vec<String>)> = Vec::new();
+            let (mut families, mut sizes) = (Vec::new(), Vec::new());
             let rest: Vec<String> = it.cloned().collect();
             parse_flags(&rest, &["--json", "--csv", "--profile"], |flag, value| {
-                match (flag, value) {
-                    ("--json", _) => json = true,
-                    ("--csv", _) => csv = true,
-                    ("--profile", _) => spec.profile = true,
-                    ("--report", Some(v)) => spec.report = Some(v.into()),
-                    // A path is `schedule @<file>`; anything else is the
-                    // script itself, one inline `schedule` line per `;`.
-                    ("--schedule", Some(v)) if std::path::Path::new(v).is_file() => {
-                        spec.schedule_file = Some(v.into());
+                let value = value.unwrap_or_default();
+                match flag {
+                    "--json" => json = true,
+                    "--csv" => csv = true,
+                    "--profile" => lines.push(("profile", Vec::new())),
+                    "--t" | "--seed" | "--epochs" | "--runtime" | "--byz" | "--report" => {
+                        lines.push((&flag[2..], vec![value.to_string()]));
                     }
-                    ("--schedule", Some(v)) => spec.schedule = inline_schedule(v)?,
-                    ("--topology", Some(v)) => family = FamilySpec::parse(v)?,
-                    ("--n", Some(v)) => set_usize(&mut n, v, "--n")?,
-                    ("--t", Some(v)) => set_usize(&mut spec.t, v, "--t")?,
-                    ("--epochs", Some(v)) => set_usize(&mut spec.epochs, v, "--epochs")?,
-                    ("--runtime", Some(v)) => spec.runtime = Some(v.parse()?),
-                    ("--seed", Some(v)) => {
-                        spec.seed = v.parse().map_err(|_| format!("bad --seed value {v}"))?;
+                    // A path is `schedule @<path>`; anything else is the
+                    // script itself, one `schedule` line per `;` part.
+                    "--schedule" if std::path::Path::new(value).is_file() => {
+                        lines.push(("schedule", vec![format!("@{value}")]));
                     }
-                    ("--byz", Some(v)) => spec.byzantine.push(parse_behavior(v)?),
-                    (other, _) => return Err(format!("unknown flag {other}")),
+                    "--schedule" => {
+                        for line in value.split(';').flat_map(text::lines) {
+                            let words = std::iter::once(line.keyword).chain(line.args);
+                            lines.push(("schedule", words.map(String::from).collect()));
+                        }
+                    }
+                    "--topology" => families.push(value),
+                    "--n" => sizes.push(value),
+                    other => return Err(format!("unknown flag {other}")),
                 }
                 Ok(())
             })?;
-            if spec.epochs == 0 {
-                return Err("--epochs must be at least 1".into());
+            // `--topology F --n N` is one `topology F N` line (harary-k4 and
+            // 20 when omitted); a repeated flag is a second one.
+            for i in 0..families.len().max(sizes.len()).max(1) {
+                let word =
+                    |given: &[&str], default: &str| given.get(i).unwrap_or(&default).to_string();
+                lines.push(("topology", vec![word(&families, "harary-k4"), word(&sizes, "20")]));
+            }
+            let mut spec = ScenarioSpec::default();
+            for (number, (keyword, args)) in (1..).zip(&lines) {
+                let args = args.iter().map(String::as_str).collect();
+                spec.directive(&Line { number, keyword, args }).map_err(|e| e.reason)?;
             }
             if json && csv {
                 return Err("--json and --csv are mutually exclusive".into());
             }
-            spec.family = Some((family, n));
             Ok(Command::Detect(DetectArgs { spec, json, csv }))
         }
         Some(other) => Err(format!("unknown command {other}; try `nectar-cli help`")),
@@ -396,12 +412,12 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
 
 /// Walks a flag stream: flags named in `boolean` consume no value (the
 /// callback sees `None`), every other `--flag` consumes the next argument
-/// (the callback sees `Some(value)`). Shared by both subcommands so a new
-/// flag is wired up in exactly one parsing path.
-fn parse_flags(
-    rest: &[String],
+/// (the callback sees `Some(value)`). Shared by every subcommand that takes
+/// flags, so a new flag is wired up in exactly one parsing path.
+fn parse_flags<'a>(
+    rest: &'a [String],
     boolean: &[&str],
-    mut set: impl FnMut(&str, Option<&str>) -> Result<(), String>,
+    mut set: impl FnMut(&'a str, Option<&'a str>) -> Result<(), String>,
 ) -> Result<(), String> {
     let mut i = 0;
     while i < rest.len() {
@@ -416,22 +432,6 @@ fn parse_flags(
         }
     }
     Ok(())
-}
-
-/// Reads a `--schedule` script once, as the scenario reader reads inline
-/// `schedule` lines: each `;`-separated directive through
-/// [`TopologySchedule::directive`]. A script without a directive is no
-/// schedule.
-fn inline_schedule(script: &str) -> Result<Option<TopologySchedule>, String> {
-    let mut schedule: Option<TopologySchedule> = None;
-    for directive in script.split(';').map(str::trim).filter(|d| !d.is_empty()) {
-        let mut read = schedule.unwrap_or_default();
-        for line in text::lines(directive) {
-            read = read.directive(&line).map_err(|e| e.reason)?;
-        }
-        schedule = Some(read);
-    }
-    Ok(schedule)
 }
 
 fn set_usize(slot: &mut usize, value: &str, flag: &str) -> Result<(), String> {
@@ -519,7 +519,11 @@ pub fn run(cmd: Command) -> Result<String, String> {
             }
         }
         Command::Detect(DetectArgs { spec, json, csv }) => {
-            let compiled = spec.compile().map_err(|e| e.to_string())?;
+            // A flag has no file line to point at: an error is its reason,
+            // unless it sits in a schedule file the flags named.
+            let compiled =
+                spec.compile()
+                    .map_err(|e| if e.file.is_empty() { e.reason } else { e.to_string() })?;
             let report = run_to_sinks(&compiled)?;
             if json {
                 Ok(report.to_json())
@@ -760,6 +764,7 @@ fn render_scenario_loopback(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nectar_net::TopologySchedule;
     use nectar_protocol::{ByzantineBehavior, Runtime};
 
     fn strs(args: &[&str]) -> Vec<String> {
@@ -798,17 +803,20 @@ mod tests {
             "--runtime",
             "event",
         ]);
-        // Every flag lands on the spec field of the same name — and on
-        // nothing else: the rest is the scenario layer's defaults.
-        let mut expected = ScenarioSpec::default();
-        expected.family = Some((FamilySpec::Cycle, 8));
-        (expected.t, expected.seed) = (2, 7);
-        expected.byzantine = vec![(3, ByzantineBehavior::Silent)];
-        expected.runtime = Some(Runtime::Event);
+        // Every flag lands on the spec field of the same name…
+        let spec = &args.spec;
+        assert_eq!(spec.family, Some((FamilySpec::Cycle, 8)));
+        assert_eq!((spec.t, spec.seed), (2, 7));
+        assert_eq!(spec.byzantine, vec![(3, ByzantineBehavior::Silent)]);
+        assert_eq!(spec.runtime, Some(Runtime::Event));
+        // …and on nothing else: the spec, source lines included, is the
+        // one the directive lines the flags spell parse to, in flag order
+        // with the `topology` line last.
+        let lines = "t 2\nseed 7\nbyz 3:silent\nruntime event\ntopology cycle 8\n";
+        let expected = ScenarioSpec::parse(lines, "").unwrap();
         assert_eq!(args, DetectArgs { spec: expected, json: false, csv: false });
         // No flags at all: the documented defaults, one more spec.
-        let mut bare = ScenarioSpec::default();
-        bare.family = Some((FamilySpec::Harary { k: 4 }, 20));
+        let bare = ScenarioSpec::parse("topology harary-k4 20\n", "").unwrap();
         assert_eq!(detect(&[]).spec, bare);
         assert_eq!(detect(&["--topology", "harary-k6"]).spec.family.unwrap().0.name(), "harary-k6");
     }
@@ -1012,6 +1020,70 @@ mod tests {
         let run_sched = |script: &str| run(detect(script).unwrap()).unwrap_err();
         assert!(run_sched("drop 1 0 3").contains("(0, 3) is not a base-graph edge"));
         assert!(run_sched("heal 2 0 1").contains("without a matching drop"));
+    }
+
+    #[test]
+    fn repeated_flags_are_refused_like_repeated_directives() {
+        let refused = |flags: &[&str]| parse(&strs(&[&["detect"], flags].concat())).unwrap_err();
+        // Flags are directive lines in flag order (`topology` last), so a
+        // repeated single-valued flag is a repeated directive.
+        for (flags, lines) in [
+            (&["--t", "1", "--t", "2"][..], "t 1\nt 2\n"),
+            (&["--seed", "1", "--profile", "--profile"][..], "seed 1\nprofile\nprofile\n"),
+            (&["--runtime", "sync", "--runtime", "event"][..], "runtime sync\nruntime event\n"),
+            (&["--n", "6", "--n", "8"][..], "topology harary-k4 6\ntopology harary-k4 8\n"),
+            (
+                &["--topology", "cycle", "--topology", "path"][..],
+                "topology cycle 20\ntopology path 20\n",
+            ),
+        ] {
+            let file = ScenarioSpec::parse(lines, "").unwrap_err();
+            assert_eq!(refused(flags), file.reason, "{flags:?}");
+        }
+        assert_eq!(refused(&["--t", "1", "--t", "2"]), "duplicate t directive (first at line 1)");
+        // `--byz` and `--schedule` are the repeating lines.
+        let args = detect(&["--byz", "1:silent", "--byz", "2:silent"]);
+        assert_eq!(args.spec.byzantine.len(), 2);
+    }
+
+    #[test]
+    fn repeated_schedule_flags_add_up() {
+        let flags = ["--topology", "cycle", "--n", "6", "--json"];
+        let args = detect(
+            &[&flags[..], &["--schedule", "drop 1 0 1", "--schedule", "drop 1 3 4"]].concat(),
+        );
+        let both = TopologySchedule::new().drop_edge(1, 0, 1).drop_edge(1, 3, 4);
+        assert_eq!(args.spec.schedule, Some(both));
+        let report = RunReport::from_json(&run(Command::Detect(args)).unwrap()).unwrap();
+        assert_eq!(report.schedule.expect("a scheduled run").script, "drop 1 0 1\ndrop 1 3 4\n");
+    }
+
+    #[test]
+    fn bad_flag_values_are_refused_in_the_readers_words() {
+        // The reason a `.scn` file gets for the same directive line, with
+        // no line to point at: it names the directive.
+        for (flag, value, reason) in [
+            ("--t", "x", "bad t x"),
+            ("--seed", "-1", "bad seed -1"),
+            ("--epochs", "0", "epochs must be at least 1"),
+            ("--epochs", "x", "bad epoch count x"),
+            ("--n", "x", "bad topology size x"),
+            (
+                "--runtime",
+                "warp",
+                "unknown runtime warp; expected sync, event, parallel or parallel:<workers>",
+            ),
+        ] {
+            let err = parse(&strs(&["detect", flag, value])).unwrap_err();
+            assert_eq!(err, reason, "{flag} {value}");
+        }
+        // Every flag is known before any value is read.
+        let err = parse(&strs(&["detect", "--t", "x", "--wat", "1"])).unwrap_err();
+        assert_eq!(err, "unknown flag --wat");
+        // A script spelled `@<path>` is the `schedule @<path>` line.
+        let cmd = parse(&strs(&["detect", "--schedule", "@missing.sched"])).unwrap();
+        let err = run(cmd).unwrap_err();
+        assert!(err.starts_with("cannot read schedule file missing.sched: "), "{err}");
     }
 
     #[test]

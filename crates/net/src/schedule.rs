@@ -46,6 +46,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
+use nectar_graph::rng::mix64;
 use nectar_graph::Graph;
 
 use crate::process::{NodeId, Outgoing, Process};
@@ -774,14 +775,12 @@ impl CompiledSchedule {
 /// RNG would couple the outcome to poll order, which differs across
 /// engines.
 fn loss_roll(seed: u64, round: usize, from: NodeId, to: NodeId, k: u64) -> f64 {
-    let mut x = seed
-        ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (from as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)
-        ^ (to as u64).wrapping_mul(0x94D0_49BB_1331_11EB)
-        ^ k.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
+    let x = mix64(
+        seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (from as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9)
+            ^ (to as u64).wrapping_mul(0x94D0_49BB_1331_11EB)
+            ^ k.wrapping_mul(0xD6E8_FEB8_6659_FD93),
+    );
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
