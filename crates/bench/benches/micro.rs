@@ -11,7 +11,7 @@ use std::hint::black_box;
 
 use nectar_crypto::{
     hmac::HmacKey, sha256::sha256, Decode, Encode, Frame, FrameBuffer, KeyStore, NeighborhoodProof,
-    SignatureChain,
+    SignatureBatch, SignatureChain,
 };
 use nectar_graph::gen;
 use nectar_net::{NodeId, Process};
@@ -37,12 +37,26 @@ fn bench_sign_verify(c: &mut Criterion) {
     let key = HmacKey::new(b"bench key");
     let digest = [0x5au8; 32];
     c.bench_function("hmac_tag_32B", |b| b.iter(|| key.tag(black_box(&digest))));
-    // Two such tags checked as one pair. The pair is crate-private; a
-    // two-link chain's `verify` is exactly one of it (two 32-byte messages)
-    // plus two key lookups and tag compares.
+    // Two such tags checked together: a two-link chain's `verify`, one
+    // batch of two 32-byte messages (one pair on the SHA extensions) plus
+    // two key lookups and tag compares.
     let two_links = (0..2u16).fold(SignatureChain::new(), |c, h| c.extend(&ks.signer(h), &digest));
     c.bench_function("hmac_tag_pair_32B", |b| {
         b.iter(|| two_links.verify(black_box(&verifier), black_box(&digest)))
+    });
+    // Sixteen such tags as one batch: one 16-lane run each way on a CPU
+    // with AVX-512, eight pairs each way without.
+    let mut batch = SignatureBatch::new();
+    let signers: Vec<_> = (0..16).map(|i| ks.signer(i)).collect();
+    c.bench_function("hmac_tags/16", |b| {
+        b.iter(|| {
+            batch.clear();
+            for s in &signers {
+                batch.sign(s, black_box(&digest));
+            }
+            batch.run();
+            batch.signature(15)
+        })
     });
     let msg = vec![0x5au8; 128];
     c.bench_function("sign_128B", |b| b.iter(|| signer.sign(black_box(&msg))));

@@ -23,11 +23,15 @@
 //! something reads it as an edge list — the scenario runner's decision
 //! loop once per distinct view, not per node.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
-use nectar_crypto::{NeighborhoodProof, SignatureChain, Signer, Verifier};
+use nectar_crypto::{
+    NeighborhoodProof, Signature, SignatureBatch, SignatureChain, Signer, Verifier,
+};
 use nectar_graph::{connectivity, traversal, ConnectivityOracle, Fingerprint, Graph};
 use nectar_net::{NodeId, Outgoing, Process};
 
@@ -329,13 +333,16 @@ impl NectarNode {
         *self.rejections.entry(reason).or_insert(0) += 1;
     }
 
-    /// Validates a relayed edge per Alg. 1 l. 14 plus the signature rules of
-    /// §II, returning the reason if the edge fails. Proof and chain are
-    /// verified on every call: an accepted edge never comes back here
-    /// (flooding suppression drops its later copies first), so only a
-    /// rejected edge's proof can be checked twice. The chain is checked
-    /// over the proof's digest, which the proof computes once and keeps.
-    fn validate(&self, round: usize, from: NodeId, edge: &RelayedEdge) -> Result<(), RejectReason> {
+    /// The structural rules of Alg. 1 l. 14, in order, returning the
+    /// reason if `edge` breaks one: its chain's length is the round, its
+    /// outermost signer the delivering neighbor, its innermost an endpoint,
+    /// and (if configured) its signers distinct. No signature is checked.
+    fn check_shape(
+        &self,
+        round: usize,
+        from: NodeId,
+        edge: &RelayedEdge,
+    ) -> Result<(), RejectReason> {
         let chain = &edge.chain;
         if self.config.check_chain_length && chain.len() != round {
             return Err(RejectReason::WrongChainLength);
@@ -351,14 +358,65 @@ impl NectarNode {
         if self.config.require_distinct_signers && !chain.signers_distinct() {
             return Err(RejectReason::DuplicateSigner);
         }
-        if !edge.proof.verify(&self.verifier) {
-            return Err(RejectReason::BadProof);
-        }
-        if !chain.verify(&self.verifier, &edge.proof.digest()) {
-            return Err(RejectReason::BadChain);
-        }
         Ok(())
     }
+
+    /// Queues in `batch` the signature work on an edge of the right shape
+    /// (§II): the proof's two signatures, the chain's links over the proof's
+    /// digest, and this node's signature over the last link, made before
+    /// the checks are known — a rejected edge's is dropped. A proof that
+    /// fails structurally queues nothing and is a [`RejectReason::BadProof`].
+    fn queue_checks(
+        &self,
+        edge: &RelayedEdge,
+        batch: &mut SignatureBatch,
+    ) -> Result<Checks, RejectReason> {
+        let proof = edge.proof.queue_verify(&self.verifier, batch).ok_or(RejectReason::BadProof)?;
+        // A decoded copy hashes its proof here; a shared one reads its cache.
+        let digest = edge.proof.digest();
+        let chain = edge.chain.queue_verify(&self.verifier, &digest, batch);
+        let signature = edge.chain.queue_extend(&self.signer, &digest, batch);
+        Ok(Checks { proof, chain, signature })
+    }
+}
+
+/// An edge's jobs in a [`SignatureBatch`], from
+/// [`NectarNode::queue_checks`].
+#[derive(Debug)]
+struct Checks {
+    proof: Range<usize>,
+    chain: Range<usize>,
+    signature: usize,
+}
+
+impl Checks {
+    /// The edge's verdict once the batch has run, by the first failing
+    /// check in the order one-at-a-time validation used (proof, then
+    /// chain), or this node's signature over the last link.
+    fn verdict(&self, batch: &SignatureBatch) -> Result<Signature, RejectReason> {
+        if !batch.verified(self.proof.clone()) {
+            Err(RejectReason::BadProof)
+        } else if !batch.verified(self.chain.clone()) {
+            Err(RejectReason::BadChain)
+        } else {
+            Ok(batch.signature(self.signature))
+        }
+    }
+}
+
+/// What [`NectarNode::receive`] keeps between its passes over a message:
+/// the batch, and per edge not known when the message came, its position
+/// and its jobs or the structural reason it fails. One per thread, emptied
+/// for each message, so the buffers are allocated once per thread rather
+/// than once per message or per node.
+#[derive(Default)]
+struct ReceiveScratch {
+    batch: SignatureBatch,
+    candidates: Vec<(usize, Result<Checks, RejectReason>)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<ReceiveScratch> = RefCell::default();
 }
 
 impl Process for NectarNode {
@@ -377,25 +435,57 @@ impl Process for NectarNode {
         message::fan_out(std::mem::take(&mut self.pending), &self.neighbors)
     }
 
+    /// Three passes over the message. (1) In message order, skip edges
+    /// already known (flooding suppression, l. 14, before any signature
+    /// work) and check the rest's shape; (2) run one batch with the
+    /// signature work of every edge of the right shape; (3) in message
+    /// order again, re-probe the view — a second copy of an edge accepted
+    /// a moment ago is now known, and dropped as it would have been one
+    /// edge at a time — and reject by the first failing check or accept
+    /// with the signature from the batch.
     fn receive(&mut self, round: usize, from: NodeId, msg: NectarMsg) {
-        for edge in &msg.edges {
-            let endpoints = edge.proof.endpoints();
-            // Flooding suppression first (l. 14): known edges are ignored
-            // without paying signature verification.
-            if self.discovered.contains(&edge_key(endpoints)) {
-                continue;
+        SCRATCH.with_borrow_mut(|scratch| {
+            let ReceiveScratch { batch, candidates } = scratch;
+            batch.clear();
+            candidates.clear();
+            for (at, edge) in msg.edges.iter().enumerate() {
+                if self.discovered.contains(&edge_key(edge.proof.endpoints())) {
+                    continue;
+                }
+                let checks = self
+                    .check_shape(round, from, edge)
+                    .and_then(|()| self.queue_checks(edge, batch));
+                candidates.push((at, checks));
             }
-            match self.validate(round, from, edge) {
-                Err(reason) => self.reject(reason),
-                Ok(()) => {
-                    // Signed now (σ_i(msg)), sent next round: the same tag
-                    // and the same round as signing at send time.
-                    self.set_view_edge(endpoints, true);
-                    let chain = edge.chain.extend(&self.signer, &edge.proof.digest());
-                    self.pending.push(RelayedEdge { proof: Arc::clone(&edge.proof), chain });
+            if candidates.is_empty() {
+                return;
+            }
+            batch.run();
+            let mut edges = msg.edges.iter().enumerate();
+            for (at, checks) in candidates.iter() {
+                let Some((_, edge)) = edges.find(|(position, _)| position == at) else {
+                    unreachable!("candidates are in message order");
+                };
+                let endpoints = edge.proof.endpoints();
+                if self.discovered.contains(&edge_key(endpoints)) {
+                    continue;
+                }
+                let verdict = match checks {
+                    Err(reason) => Err(*reason),
+                    Ok(checks) => checks.verdict(batch),
+                };
+                match verdict {
+                    Err(reason) => self.reject(reason),
+                    Ok(signature) => {
+                        // Signed now (σ_i(msg)), sent next round: the same
+                        // tag and the same round as signing at send time.
+                        self.set_view_edge(endpoints, true);
+                        let chain = edge.chain.extended_by(signature);
+                        self.pending.push(RelayedEdge { proof: Arc::clone(&edge.proof), chain });
+                    }
                 }
             }
-        }
+        });
     }
 
     fn quiescent(&self) -> bool {
@@ -634,6 +724,123 @@ mod tests {
         assert_eq!(edge.chain.outermost_signer(), Some(3));
         assert!(edge.chain.verify(&ks.verifier(), &digest));
         assert_eq!(edge.chain, chain.extend(&ks.signer(3), &digest));
+    }
+
+    /// One message that mixes every way an edge can fare, delivered at
+    /// round 3 by neighbor 2 of node 3 on a path of 8: two copies of an edge
+    /// (valid then invalid, and invalid then valid), a bad proof, a bad
+    /// chain link, a wrong chain length, an unknown signer in a chain and in
+    /// a proof, a duplicate signer, a wrong outermost signer. The golden
+    /// values were recorded when `receive` checked one edge at a time; the
+    /// rejection map, the relay queue and the view must stay what they were.
+    #[test]
+    fn a_mixed_message_is_judged_as_one_edge_at_a_time() {
+        let g = nectar_graph::gen::path(8);
+        let ks = KeyStore::generate(8, 7);
+        let mut nodes = build_nodes(&g, 1);
+        let node = &mut nodes[3];
+        node.send(1); // drain the round-1 announcements
+        let proof = |a: u16, b: u16| NeighborhoodProof::new(&ks.signer(a), &ks.signer(b));
+        let chain_over = |proof: &NeighborhoodProof, signers: &[u16]| {
+            let digest = proof.digest();
+            signers.iter().fold(SignatureChain::new(), |c, &s| c.extend(&ks.signer(s), &digest))
+        };
+        let flip = |sig: &Signature| {
+            let mut tag = *sig.tag();
+            tag[7] ^= 0x10;
+            Signature::from_parts(sig.signer(), tag)
+        };
+        let edge = |p: NeighborhoodProof, signers: &[u16]| {
+            let chain = chain_over(&p, signers);
+            RelayedEdge::new(p, chain)
+        };
+        let bad_link = |p: NeighborhoodProof, signers: &[u16], at: usize| {
+            let mut links = chain_over(&p, signers).links().to_vec();
+            links[at] = flip(&links[at]);
+            RelayedEdge::new(p, SignatureChain::from_links(links))
+        };
+        // A chain whose middle link claims an identity outside the registry;
+        // the link after it signs that link's tag honestly.
+        let unknown_middle = |p: NeighborhoodProof, first: u16| {
+            let digest = p.digest();
+            let inner = SignatureChain::new().extend(&ks.signer(first), &digest);
+            let stranger = Signature::from_parts(99, [0x5a; 32]);
+            let mut links = inner.links().to_vec();
+            links.push(stranger.clone());
+            links.push(ks.signer(2).sign(stranger.tag()));
+            RelayedEdge::new(p, SignatureChain::from_links(links))
+        };
+        let forged_b = {
+            let p = proof(0, 6);
+            NeighborhoodProof::from_parts(0, 6, p.sig_a().clone(), flip(p.sig_b()))
+        };
+        let unknown_b = {
+            let stmt = NeighborhoodProof::statement(1, 99);
+            NeighborhoodProof::from_parts(
+                1,
+                99,
+                ks.signer(1).sign(&stmt),
+                Signature::from_parts(99, [0x33; 32]),
+            )
+        };
+        let edges = vec![
+            edge(proof(0, 1), &[0, 5, 2]),
+            bad_link(proof(0, 1), &[0, 5, 2], 0),
+            bad_link(proof(1, 5), &[1, 6, 2], 1),
+            edge(proof(1, 5), &[5, 0, 2]),
+            edge(forged_b, &[0, 7, 2]),
+            bad_link(proof(4, 5), &[4, 1, 2], 2),
+            edge(proof(5, 6), &[5, 2]),
+            unknown_middle(proof(6, 7), 6),
+            edge(unknown_b, &[1, 0, 2]),
+            edge(proof(0, 7), &[7, 6, 2]),
+            edge(proof(5, 7), &[5, 5, 2]),
+            edge(proof(1, 6), &[1, 4, 2]),
+            edge(proof(0, 5), &[0, 1, 4]),
+            edge(proof(6, 7), &[7, 0, 2]),
+        ];
+        node.receive(3, 2, NectarMsg::new(edges));
+
+        use RejectReason::*;
+        let rejections: Vec<(RejectReason, u64)> =
+            node.rejections().iter().map(|(&r, &c)| (r, c)).collect();
+        assert_eq!(
+            rejections,
+            [
+                (WrongChainLength, 1),
+                (OutermostNotSender, 1),
+                (DuplicateSigner, 1),
+                (BadProof, 2),
+                (BadChain, 3)
+            ]
+        );
+        let hex = |tag: &[u8; 32]| tag.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let pending: Vec<String> = node
+            .pending
+            .iter()
+            .map(|e| {
+                let signers: Vec<u16> = e.chain.signers().collect();
+                let last = e.chain.links().last().expect("signed");
+                format!("{:?} {signers:?} {}", e.proof.endpoints(), hex(last.tag()))
+            })
+            .collect();
+        assert_eq!(
+            pending,
+            [
+                "(0, 1) [0, 5, 2, 3] d470f2e91af77d1216ca113de19f41b13b96be25e102cdce566fd0331ffe9dc2",
+                "(1, 5) [5, 0, 2, 3] c36e6b6b56cd2e43be6185c0c4e7b4f69ce2cac76dc99dc82a6a3132590e753f",
+                "(0, 7) [7, 6, 2, 3] 265517c7a098293c0d19da916e7f9ff157e5ec3ffaeb835a7a46e2d4f02db962",
+                "(1, 6) [1, 4, 2, 3] 934a8ba37830237ba969946189c180f87492082790c71f5dadccd360829bb1b7",
+                "(6, 7) [7, 0, 2, 3] b0a5b4bd683805eca99d0bd7442e83f6ee279a5f78a0598ca828dd6bad6ed52b",
+            ]
+        );
+        for e in &node.pending {
+            assert!(e.chain.verify(&ks.verifier(), &e.proof.digest()));
+        }
+        assert_eq!(
+            node.discovered_edge_key(),
+            [(0, 1), (0, 7), (1, 5), (1, 6), (2, 3), (3, 4), (6, 7)]
+        );
     }
 
     #[test]

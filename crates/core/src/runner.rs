@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use nectar_crypto::{KeyStore, NeighborhoodProof, Verifier};
+use nectar_crypto::{KeyStore, NeighborhoodProof, SignatureBatch, Verifier};
 use nectar_graph::{traversal, ConnectivityOracle, Fingerprint, Graph, OracleStats};
 use nectar_net::{
     parallel_map, CompiledSchedule, EventNetwork, Metrics, Mute, NodeId, Process, Scheduled,
@@ -207,32 +207,58 @@ impl Scenario {
     /// key universe of `key_seed` rather than the scenario's own — how a
     /// multi-epoch session re-keys each epoch — with the per-node work
     /// fanned over `workers` workers (`0` = match the machine, `1` =
-    /// inline). The key-universe derivation stays sequential (it is one
-    /// seeded stream shared by every node), and [`parallel_map`] preserves
-    /// node order, so the participants are bit-identical at any worker
-    /// count.
+    /// inline). The key-universe derivation and the proofs stay sequential
+    /// (one seeded stream shared by every node, batched signatures), and
+    /// [`parallel_map`] preserves node order, so the participants are
+    /// bit-identical at any worker count.
     ///
     /// Each topology edge's proof is signed once (§II: one proof per edge,
-    /// signed by both endpoints), in a first pass over its lower endpoint,
-    /// and both endpoints hold the same `Arc`, so the proof is also hashed
-    /// once when it is relayed.
+    /// signed by both endpoints), the `2m` signatures in batches before any
+    /// node is built, and both endpoints hold the same `Arc`, so the proof
+    /// is also hashed once when it is relayed.
     fn build_participants_keyed(&self, key_seed: u64, workers: usize) -> Vec<Participant> {
         let n = self.topology.node_count();
         let keys = KeyStore::generate(n, key_seed);
         let verifier = keys.verifier();
-        // upper[i]: the proofs of node i's edges to higher ids, ascending.
-        let upper: Vec<Vec<Arc<NeighborhoodProof>>> =
-            parallel_map((0..n).collect(), workers, |i| {
-                self.topology.neighbors(i).filter(|&j| j > i).map(|j| sign(&keys, i, j)).collect()
-            });
+        let upper = self.sign_proofs(&keys);
         parallel_map((0..n).collect(), workers, |i| {
             let proofs = self.topology.neighbors(i).map(|j| {
                 let (lo, hi) = (i.min(j), i.max(j));
                 let at = upper[lo].binary_search_by_key(&(hi as u16), |p| p.endpoints().1);
-                (j, Arc::clone(&upper[lo][at.expect("signed in the first pass")]))
+                (j, Arc::clone(&upper[lo][at.expect("signed before the nodes")]))
             });
             self.participant(i, proofs.collect(), &keys, &verifier)
         })
+    }
+
+    /// `upper[i]`: the proofs of node `i`'s edges to higher ids, ascending,
+    /// their signatures computed as one [`SignatureBatch`] run per
+    /// [`PROOFS_PER_RUN`] edges, so that its buffers stay small on a fleet.
+    fn sign_proofs(&self, keys: &KeyStore) -> Vec<Vec<Arc<NeighborhoodProof>>> {
+        let n = self.topology.node_count();
+        let mut edges = (0..n)
+            .flat_map(|i| self.topology.neighbors(i).filter(move |&j| j > i).map(move |j| (i, j)))
+            .peekable();
+        let mut upper = vec![Vec::new(); n];
+        let mut batch = SignatureBatch::new();
+        let mut run = Vec::with_capacity(PROOFS_PER_RUN);
+        while edges.peek().is_some() {
+            run.clear();
+            run.extend(edges.by_ref().take(PROOFS_PER_RUN));
+            batch.clear();
+            for &(i, j) in &run {
+                NeighborhoodProof::queue_new(
+                    &keys.signer(i as u16),
+                    &keys.signer(j as u16),
+                    &mut batch,
+                );
+            }
+            batch.run();
+            for (k, &(i, _)) in run.iter().enumerate() {
+                upper[i].push(Arc::new(NeighborhoodProof::from_batch(&batch, 2 * k)));
+            }
+        }
+        upper
     }
 
     /// The participant for node `i` over its neighbourhood proofs: the
@@ -415,10 +441,11 @@ impl Scenario {
     }
 }
 
-/// The proof of the edge `{i, j}`, signed by both endpoints.
-fn sign(keys: &KeyStore, i: NodeId, j: NodeId) -> Arc<NeighborhoodProof> {
-    Arc::new(NeighborhoodProof::new(&keys.signer(i as u16), &keys.signer(j as u16)))
-}
+/// Proofs signed per [`SignatureBatch`] run at set-up: 128 signatures,
+/// eight sixteen-lane runs each way on a CPU with AVX-512, in a few KiB of
+/// buffers (larger runs left the heap laid out for a higher `fleet_flap`
+/// peak RSS, as in `KeyStore::generate`).
+const PROOFS_PER_RUN: usize = 64;
 
 /// Runs `procs` for `rounds` on the chosen engine — the single runtime
 /// dispatch shared by scheduled (wrapper-clad) and plain executions.

@@ -9,7 +9,9 @@
 //! a MAC over the tag before it, down to the payload digest (the
 //! Dolev–Strong argument of Lemma 2).
 
-use crate::keys::{Signature, Signer, SignerId, Verifier};
+use std::ops::Range;
+
+use crate::keys::{Signature, SignatureBatch, Signer, SignerId, Verifier};
 
 /// A signature chain over a fixed payload digest.
 ///
@@ -71,27 +73,61 @@ impl SignatureChain {
     /// `payload_digest` for the empty chain. One HMAC, whatever the chain
     /// length.
     pub fn extend(&self, signer: &Signer, payload_digest: &[u8; 32]) -> SignatureChain {
-        let signed = self.links.last().map_or(payload_digest, Signature::tag);
+        self.extended_by(signer.sign(self.next_signed(payload_digest)))
+    }
+
+    /// Queues in `batch` the signature [`extend`](Self::extend) adds, and
+    /// returns its job; [`extended_by`](Self::extended_by) that job's
+    /// [`SignatureBatch::signature`] is then `extend`'s chain.
+    pub fn queue_extend(
+        &self,
+        signer: &Signer,
+        payload_digest: &[u8; 32],
+        batch: &mut SignatureBatch,
+    ) -> usize {
+        batch.sign(signer, self.next_signed(payload_digest))
+    }
+
+    /// The chain with `link` appended as its outermost signature. A link
+    /// that does not sign the last tag fails [`verify`](Self::verify), as
+    /// any link [`from_links`](Self::from_links) assembles may.
+    pub fn extended_by(&self, link: Signature) -> SignatureChain {
         let mut links = Vec::with_capacity(self.links.len() + 1);
         links.extend_from_slice(&self.links);
-        links.push(signer.sign(signed));
+        links.push(link);
         SignatureChain { links }
     }
 
+    /// What the next link signs: the last link's tag, or `payload_digest`.
+    fn next_signed<'a>(&'a self, payload_digest: &'a [u8; 32]) -> &'a [u8; 32] {
+        self.links.last().map_or(payload_digest, Signature::tag)
+    }
+
     /// Verifies every link over `payload_digest`. What each link signs is
-    /// already in the chain, so the links are checked two at a time, their
-    /// tags computed together: link `i` over what it received, link `i + 1`
-    /// over link `i`'s tag.
+    /// already in the chain (link `i + 1` signs link `i`'s tag), so all the
+    /// links are checked as one [`SignatureBatch`].
     pub fn verify(&self, verifier: &Verifier, payload_digest: &[u8; 32]) -> bool {
+        SignatureBatch::verify_alone(|batch| {
+            Some(self.queue_verify(verifier, payload_digest, batch))
+        })
+    }
+
+    /// Queues the checks of [`verify`](Self::verify) in `batch`, one per
+    /// link, and returns their jobs: the chain verifies iff
+    /// [`SignatureBatch::verified`] holds for them once the batch has run.
+    pub fn queue_verify(
+        &self,
+        verifier: &Verifier,
+        payload_digest: &[u8; 32],
+        batch: &mut SignatureBatch,
+    ) -> Range<usize> {
+        let first = batch.len();
         let mut signed = payload_digest;
-        let mut pairs = self.links.chunks_exact(2);
-        for pair in &mut pairs {
-            if !verifier.verify_pair((signed, &pair[0]), (pair[0].tag(), &pair[1])) {
-                return false;
-            }
-            signed = pair[1].tag();
+        for link in &self.links {
+            batch.check(verifier, signed, link);
+            signed = link.tag();
         }
-        pairs.remainder().iter().all(|last| verifier.verify(signed, last))
+        first..batch.len()
     }
 
     /// Raw links, innermost first (for wire encoding).

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::sha256::{digest_bytes, sha256, Sha256, H0};
+use crate::sha256::{compress_all, digest_bytes, sha256, Sha256, H0};
 
 const BLOCK_LEN: usize = 64;
 
@@ -48,14 +48,24 @@ impl HmacKey {
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
+        let [ipad, opad] = pad_blocks(&key_block);
         let (mut inner, mut outer) = (H0, H0);
-        Sha256::compress_pair(
-            &mut inner,
-            &key_block.map(|b| b ^ 0x36),
-            &mut outer,
-            &key_block.map(|b| b ^ 0x5c),
-        );
+        Sha256::compress_pair(&mut inner, &ipad, &mut outer, &opad);
         HmacKey { inner, outer }
+    }
+
+    /// Appends [`new`](Self::new) of each 32-byte key to `out`, the `2n`
+    /// pad blocks absorbed as one [`compress_all`].
+    pub(crate) fn prepare_all(keys: &[[u8; 32]], out: &mut Vec<HmacKey>) {
+        let mut blocks = Vec::with_capacity(2 * keys.len());
+        for key in keys {
+            let mut key_block = [0u8; BLOCK_LEN];
+            key_block[..32].copy_from_slice(key);
+            blocks.extend(pad_blocks(&key_block));
+        }
+        let mut states = vec![H0; blocks.len()];
+        compress_all(&mut states, &blocks);
+        out.extend(states.chunks_exact(2).map(|pair| HmacKey { inner: pair[0], outer: pair[1] }));
     }
 
     /// Computes `HMAC-SHA256(key, msg)`. The outer hash, over a 32-byte
@@ -75,33 +85,76 @@ impl HmacKey {
         Sha256::compress(&mut outer, &last_block(&inner));
         digest_bytes(&outer)
     }
+}
 
-    /// `[a.tag(msg_a), b.tag(msg_b)]`, with the two inner compressions run
-    /// as one [`Sha256::compress_pair`] and the two outer ones as another.
-    /// If either message is longer than 55 bytes, two plain tags.
-    pub(crate) fn tag_pair(
-        (a, msg_a): (&HmacKey, &[u8]),
-        (b, msg_b): (&HmacKey, &[u8]),
-    ) -> [[u8; 32]; 2] {
-        if msg_a.len() > ONE_BLOCK_MSG || msg_b.len() > ONE_BLOCK_MSG {
-            return [a.tag(msg_a), b.tag(msg_b)];
+/// The `key ^ ipad` and `key ^ opad` blocks of a padded key.
+fn pad_blocks(key_block: &[u8; BLOCK_LEN]) -> [[u8; BLOCK_LEN]; 2] {
+    [key_block.map(|b| b ^ 0x36), key_block.map(|b| b ^ 0x5c)]
+}
+
+/// Tags computed together: every queued message's inner compression as one
+/// [`compress_all`], then every outer one, so that a CPU with a wide kernel
+/// runs them sixteen at a time. Each tag is [`HmacKey::tag`]'s, bit for
+/// bit, at its 2 compressions. The buffers keep their room across
+/// [`run`](Self::run)s, so a batch reused for every message allocates only
+/// while it grows.
+#[derive(Default)]
+pub(crate) struct TagBatch {
+    /// Per tag: the key's inner midstate, then the inner hash's state.
+    inner: Vec<[u32; 8]>,
+    /// Per tag: the key's outer midstate, then the tag's state.
+    outer: Vec<[u32; 8]>,
+    /// Per tag: the inner hash's last block, then the outer one's.
+    blocks: Vec<[u8; BLOCK_LEN]>,
+}
+
+impl fmt::Debug for TagBatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The queued midstates are keys: print how many, never what.
+        write!(f, "TagBatch({} queued)", self.blocks.len())
+    }
+}
+
+impl TagBatch {
+    /// Number of tags queued since the last run.
+    pub(crate) fn len(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Queues the tag of `msg` under `key`. A batched tag is one block each
+    /// way, so `msg` is at most 55 bytes, which the compiler checks (every
+    /// message the protocol signs is 8 or 32 bytes).
+    pub(crate) fn push<const N: usize>(&mut self, key: &HmacKey, msg: &[u8; N]) {
+        const { assert!(N <= ONE_BLOCK_MSG, "a batched message fits one block") };
+        self.inner.push(key.inner);
+        self.outer.push(key.outer);
+        self.blocks.push(last_block(msg));
+    }
+
+    /// Appends the tag of every queued message to `tags`, in queue order,
+    /// and leaves the batch empty.
+    pub(crate) fn run(&mut self, tags: &mut Vec<[u8; 32]>) {
+        compress_all(&mut self.inner, &self.blocks);
+        for (block, inner) in self.blocks.iter_mut().zip(&self.inner) {
+            *block = last_block(&digest_bytes(inner));
         }
-        let (mut inner_a, mut inner_b) = (a.inner, b.inner);
-        Sha256::compress_pair(&mut inner_a, &last_block(msg_a), &mut inner_b, &last_block(msg_b));
-        let (mut outer_a, mut outer_b) = (a.outer, b.outer);
-        Sha256::compress_pair(
-            &mut outer_a,
-            &last_block(&digest_bytes(&inner_a)),
-            &mut outer_b,
-            &last_block(&digest_bytes(&inner_b)),
-        );
-        [digest_bytes(&outer_a), digest_bytes(&outer_b)]
+        compress_all(&mut self.outer, &self.blocks);
+        tags.extend(self.outer.iter().map(digest_bytes));
+        self.clear();
+    }
+
+    /// Forgets every queued tag, keeping the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.inner.clear();
+        self.outer.clear();
+        self.blocks.clear();
     }
 }
 
 /// The one block left to compress after a pad block when `msg` is at most
 /// [`ONE_BLOCK_MSG`] bytes: `msg ‖ 0x80 ‖ 0… ‖ bit length`, the length
 /// counting the pad block's 64 bytes too (FIPS 180-4 §5.1.1).
+#[inline]
 fn last_block(msg: &[u8]) -> [u8; BLOCK_LEN] {
     let mut block = [0u8; BLOCK_LEN];
     block[..msg.len()].copy_from_slice(msg);
@@ -242,18 +295,37 @@ mod proptests {
         }
 
         #[test]
-        fn a_tag_pair_is_two_tags(
-            key_a in proptest::collection::vec(proptest::num::u8::ANY, 0..80),
-            key_b in proptest::collection::vec(proptest::num::u8::ANY, 0..80),
-            msg_a in proptest::collection::vec(proptest::num::u8::ANY, 0..=120),
-            msg_b in proptest::collection::vec(proptest::num::u8::ANY, 0..=120),
+        fn a_tag_batch_is_tags_job_by_job(
+            keys in proptest::collection::vec(proptest::collection::vec(proptest::num::u8::ANY, 0..80), 1..4),
+            jobs in proptest::collection::vec((0usize..4, 0usize..4, proptest::num::u8::ANY), 0..40),
         ) {
-            let (a, b) = (HmacKey::new(&key_a), HmacKey::new(&key_b));
-            let (pair, paired) = compressions_in(|| HmacKey::tag_pair((&a, &msg_a), (&b, &msg_b)));
-            let (singles, single) = compressions_in(|| [a.tag(&msg_a), b.tag(&msg_b)]);
-            prop_assert_eq!(pair, singles);
-            // Pairing changes when compressions run, never how many.
-            prop_assert_eq!(paired, single);
+            // Messages of the lengths the protocol signs (8 and 32 bytes) and
+            // of the shortest and longest a batch takes.
+            let keys: Vec<HmacKey> = keys.iter().map(|k| HmacKey::new(k)).collect();
+            let jobs: Vec<(&HmacKey, usize, u8)> = jobs
+                .iter()
+                .map(|&(k, len, fill)| (&keys[k % keys.len()], [0, 8, 32, ONE_BLOCK_MSG][len], fill))
+                .collect();
+            let mut batch = TagBatch::default();
+            let mut batched = Vec::new();
+            let ((), wide) = compressions_in(|| {
+                for &(key, len, fill) in &jobs {
+                    match len {
+                        0 => batch.push(key, &[fill; 0]),
+                        8 => batch.push(key, &[fill; 8]),
+                        32 => batch.push(key, &[fill; 32]),
+                        _ => batch.push(key, &[fill; ONE_BLOCK_MSG]),
+                    }
+                }
+                batch.run(&mut batched);
+            });
+            let (singles, single) = compressions_in(|| {
+                jobs.iter().map(|&(key, len, fill)| key.tag(&vec![fill; len])).collect::<Vec<_>>()
+            });
+            prop_assert_eq!(batched, singles);
+            // Batching changes when compressions run, never how many.
+            prop_assert_eq!(wide, single);
+            prop_assert_eq!(batch.len(), 0);
         }
     }
 }

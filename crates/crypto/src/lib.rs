@@ -12,7 +12,7 @@
 //! * [`sha256`]: FIPS 180-4 SHA-256,
 //! * [`hmac`]: RFC 2104 HMAC-SHA-256 behind a prepared key ([`hmac::HmacKey`]),
 //! * [`keys`]: the simulated signature scheme ([`KeyStore`], [`Signer`],
-//!   [`Verifier`]) — see `docs/ARCHITECTURE.md` §2, "The crypto layer", for
+//!   [`Verifier`], and [`SignatureBatch`] to check and sign many at once) — see `docs/ARCHITECTURE.md` §2, "The crypto layer", for
 //!   why the simulation preserves the two properties the protocol needs
 //!   (unforgeability and ECDSA wire size) and for the cost of each operation
 //!   in SHA-256 compressions,
@@ -44,9 +44,10 @@
 //! # Denied, not forbidden, unsafe code
 //!
 //! Every other crate of the workspace forbids unsafe code outright. This one
-//! denies it, so that [`sha256`] can allow it at exactly two calls: entering
-//! the SHA-extension compression kernels — one block, or two interleaved —
-//! once runtime feature detection has confirmed the CPU has them
+//! denies it, so that [`sha256`] can allow it at exactly three calls:
+//! entering the SHA-extension compression kernels — one block, or two
+//! interleaved — and the AVX-512 kernel that runs sixteen, each once runtime
+//! feature detection has confirmed the CPU has what it needs
 //! (`docs/ARCHITECTURE.md` §2, "The crypto layer"). The kernels' bodies are
 //! safe code; any other unsafe block in this crate is still a compile error.
 
@@ -64,5 +65,5 @@ pub mod wire;
 pub use chain::SignatureChain;
 pub use codec::{CodecError, Decode, Encode};
 pub use frame::{Frame, FrameBuffer, FRAME_HEADER_BYTES, FRAME_VERSION, MAX_FRAME_PAYLOAD};
-pub use keys::{KeyStore, Signature, Signer, SignerId, Verifier};
+pub use keys::{KeyStore, Signature, SignatureBatch, Signer, SignerId, Verifier};
 pub use proof::NeighborhoodProof;

@@ -9,9 +9,10 @@
 //! forge proofs of neighborhood between Byzantine processes").
 
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::OnceLock;
 
-use crate::keys::{Signature, Signer, SignerId, Verifier};
+use crate::keys::{Signature, SignatureBatch, Signer, SignerId, Verifier};
 use crate::sha256::Sha256;
 
 /// A both-endpoint-signed declaration of the undirected edge `(a, b)`.
@@ -42,10 +43,29 @@ impl NeighborhoodProof {
     ///
     /// Panics if both signers share the same identity (self-loop).
     pub fn new(first: &Signer, second: &Signer) -> Self {
-        assert!(first.id() != second.id(), "neighborhood proof requires two distinct endpoints");
-        let (lo, hi) = if first.id() <= second.id() { (first, second) } else { (second, first) };
-        let stmt = statement_bytes(lo.id(), hi.id());
+        let (lo, hi, stmt) = signing_order(first, second);
         NeighborhoodProof::from_parts(lo.id(), hi.id(), lo.sign(&stmt), hi.sign(&stmt))
+    }
+
+    /// Queues in `batch` the two signatures [`new`](Self::new) makes, the
+    /// smaller endpoint's first, and returns the first one's job;
+    /// [`from_batch`](Self::from_batch) at that job is then `new`'s proof.
+    ///
+    /// # Panics
+    ///
+    /// Panics if both signers share the same identity (self-loop).
+    pub fn queue_new(first: &Signer, second: &Signer, batch: &mut SignatureBatch) -> usize {
+        let (lo, hi, stmt) = signing_order(first, second);
+        let job = batch.sign(lo, &stmt);
+        batch.sign(hi, &stmt);
+        job
+    }
+
+    /// The proof whose signatures are jobs `job` and `job + 1` of `batch`,
+    /// queued by [`queue_new`](Self::queue_new) before the batch ran.
+    pub fn from_batch(batch: &SignatureBatch, job: usize) -> Self {
+        let (sig_a, sig_b) = (batch.signature(job), batch.signature(job + 1));
+        NeighborhoodProof::from_parts(sig_a.signer(), sig_b.signer(), sig_a, sig_b)
     }
 
     /// Assembles a proof from raw parts — the entry point for forgery
@@ -74,14 +94,29 @@ impl NeighborhoodProof {
     /// structural sanity (normalized order, signer identities matching the
     /// claimed endpoints, no self-loop).
     pub fn verify(&self, verifier: &Verifier) -> bool {
+        SignatureBatch::verify_alone(|batch| self.queue_verify(verifier, batch))
+    }
+
+    /// Queues the two signature checks of [`verify`](Self::verify) in
+    /// `batch` and returns their jobs, or `None` (queuing nothing) if the
+    /// proof fails structurally: the proof verifies iff
+    /// [`SignatureBatch::verified`] holds for the jobs once the batch has
+    /// run.
+    pub fn queue_verify(
+        &self,
+        verifier: &Verifier,
+        batch: &mut SignatureBatch,
+    ) -> Option<Range<usize>> {
         if self.a >= self.b {
-            return false;
+            return None;
         }
         if self.sig_a.signer() != self.a || self.sig_b.signer() != self.b {
-            return false;
+            return None;
         }
         let stmt = statement_bytes(self.a, self.b);
-        verifier.verify_pair((&stmt, &self.sig_a), (&stmt, &self.sig_b))
+        let first = batch.check(verifier, &stmt, &self.sig_a);
+        batch.check(verifier, &stmt, &self.sig_b);
+        Some(first..first + 2)
     }
 
     /// Digest of the proof contents, used as the payload binding for
@@ -129,6 +164,18 @@ impl std::fmt::Debug for NeighborhoodProof {
             .field("sig_b", &self.sig_b)
             .finish()
     }
+}
+
+/// The two signers of a proof, the smaller identity first, and the
+/// statement both sign.
+///
+/// # Panics
+///
+/// Panics if both signers share the same identity (self-loop).
+fn signing_order<'a>(first: &'a Signer, second: &'a Signer) -> (&'a Signer, &'a Signer, [u8; 8]) {
+    assert!(first.id() != second.id(), "neighborhood proof requires two distinct endpoints");
+    let (lo, hi) = if first.id() <= second.id() { (first, second) } else { (second, first) };
+    (lo, hi, statement_bytes(lo.id(), hi.id()))
 }
 
 /// [`NeighborhoodProof::statement`] on the stack, for the signing, verifying
