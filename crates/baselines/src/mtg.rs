@@ -30,41 +30,39 @@ impl WireSized for FilterMsg {
     }
 }
 
-/// Parameters for MtG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MtgConfig {
-    /// System size `n` (all process IDs are known, §II).
-    pub n: usize,
-    /// Bloom filter bits.
-    pub filter_bits: usize,
-    /// Bloom filter hash count.
-    pub filter_hashes: usize,
-}
+/// Bloom filter bits: sized for systems of up to a few hundred nodes
+/// (~2.7% FPR at n = 100).
+const FILTER_BITS: usize = 1024;
 
-impl MtgConfig {
-    /// Defaults sized for systems of up to a few hundred nodes (~2.7% FPR
-    /// at n = 100).
-    pub fn new(n: usize) -> Self {
-        MtgConfig { n, filter_bits: 1024, filter_hashes: 3 }
-    }
-}
+/// Bloom filter hash count.
+const FILTER_HASHES: usize = 3;
 
-/// A correct MtG node.
+/// An MtG node. Correct, or — once [`saturated`](Self::saturated) — the
+/// §V-D attacker.
 #[derive(Debug, Clone)]
 pub struct MtgNode {
     id: NodeId,
-    config: MtgConfig,
+    /// System size `n` (all process IDs are known, §II).
+    n: usize,
     neighbors: Vec<NodeId>,
     filter: BloomFilter,
     dirty: bool,
 }
 
 impl MtgNode {
-    /// Creates the node with its neighbor list.
-    pub fn new(id: NodeId, config: MtgConfig, neighbors: Vec<NodeId>) -> Self {
-        let mut filter = BloomFilter::new(config.filter_bits, config.filter_hashes);
+    /// Creates the node of a system of `n` with its neighbor list.
+    pub fn new(id: NodeId, n: usize, neighbors: Vec<NodeId>) -> Self {
+        let mut filter = BloomFilter::new(FILTER_BITS, FILTER_HASHES);
         filter.insert(id as u64);
-        MtgNode { id, config, neighbors, filter, dirty: true }
+        MtgNode { id, n, neighbors, filter, dirty: true }
+    }
+
+    /// The §V-D attacker: the node's filter is all ones, so it gossips it
+    /// once, at its next send, and no union can change it afterwards.
+    pub fn saturated(mut self) -> Self {
+        self.filter.saturate();
+        self.dirty = true;
+        self
     }
 
     /// The node's current filter.
@@ -74,7 +72,7 @@ impl MtgNode {
 
     /// End-of-epoch decision: partitioned iff some process ID is missing.
     pub fn decide(&self) -> BaselineVerdict {
-        let all_present = (0..self.config.n).all(|id| self.filter.contains(id as u64));
+        let all_present = (0..self.n).all(|id| self.filter.contains(id as u64));
         if all_present {
             BaselineVerdict::Connected
         } else {
@@ -125,8 +123,7 @@ mod tests {
 
     fn run(g: &nectar_graph::Graph, rounds: usize) -> Vec<MtgNode> {
         let n = g.node_count();
-        let cfg = MtgConfig::new(n);
-        let nodes = (0..n).map(|i| MtgNode::new(i, cfg, g.neighborhood(i))).collect();
+        let nodes = (0..n).map(|i| MtgNode::new(i, n, g.neighborhood(i))).collect();
         let mut net = SyncNetwork::new(nodes, g.clone());
         net.run_rounds(rounds);
         net.into_parts().0
@@ -154,8 +151,7 @@ mod tests {
     fn gossip_goes_quiet_after_convergence() {
         let g = gen::path(4);
         let n = g.node_count();
-        let cfg = MtgConfig::new(n);
-        let nodes: Vec<MtgNode> = (0..n).map(|i| MtgNode::new(i, cfg, g.neighborhood(i))).collect();
+        let nodes: Vec<MtgNode> = (0..n).map(|i| MtgNode::new(i, n, g.neighborhood(i))).collect();
         let mut net = SyncNetwork::new(nodes, g.clone());
         net.run_rounds(10);
         let per_round = net.metrics().bytes_per_round();
@@ -165,10 +161,19 @@ mod tests {
 
     #[test]
     fn malformed_filter_geometry_is_ignored() {
-        let cfg = MtgConfig::new(4);
-        let mut node = MtgNode::new(0, cfg, vec![1]);
+        let mut node = MtgNode::new(0, 4, vec![1]);
         let alien = BloomFilter::new(64, 1);
         node.receive(1, 1, FilterMsg { filter: alien });
         assert_eq!(node.filter().geometry(), (1024, 3));
+    }
+
+    #[test]
+    fn a_saturated_node_gossips_its_filter_once() {
+        let mut node = MtgNode::new(0, 4, vec![1, 2]).saturated();
+        let out = node.send(1);
+        assert_eq!(out.len(), 2);
+        assert!(out.iter().all(|o| o.msg.filter.count_ones() == FILTER_BITS));
+        node.receive(1, 1, FilterMsg { filter: MtgNode::new(1, 4, vec![0]).filter().clone() });
+        assert!(node.send(2).is_empty(), "no union changes an all-ones filter");
     }
 }

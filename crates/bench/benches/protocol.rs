@@ -14,7 +14,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use nectar_baselines::{run_mtg, run_mtg_v2, MtgConfig};
+use nectar_baselines::{run_mtg, run_mtg_v2};
 use nectar_crypto::{KeyStore, NeighborhoodProof};
 use nectar_graph::gen;
 use nectar_net::{
@@ -334,13 +334,10 @@ fn bench_matrix_smoke(c: &mut Criterion) {
 
 fn bench_baselines(c: &mut Criterion) {
     let g = gen::harary(4, 50).expect("valid parameters");
-    let n = g.node_count();
     let mut group = c.benchmark_group("baseline_run");
-    group.bench_function("mtg_k4_n50", |b| {
-        b.iter(|| run_mtg(black_box(&g), MtgConfig::new(n), &BTreeSet::new(), n - 1))
-    });
+    group.bench_function("mtg_k4_n50", |b| b.iter(|| run_mtg(black_box(&g), &BTreeSet::new())));
     group.bench_function("mtgv2_k4_n50", |b| {
-        b.iter(|| run_mtg_v2(black_box(&g), &BTreeMap::new(), n - 1, 7))
+        b.iter(|| run_mtg_v2(black_box(&g), &BTreeMap::new(), 7))
     });
     group.finish();
 }

@@ -130,6 +130,21 @@ impl BatchView {
     pub fn iter(&self) -> BatchIter<'_> {
         BatchIter { edges: self.batch.iter(), skip: self.skip }
     }
+
+    /// The edges, each with its place in the sender's batch, which
+    /// [`at`](Self::at) reads back.
+    pub(crate) fn indexed(&self) -> impl Iterator<Item = (usize, &RelayedEdge)> {
+        let skip = self.skip;
+        self.batch
+            .iter()
+            .enumerate()
+            .filter(move |(_, edge)| skip.is_none() || edge.came_from() != skip)
+    }
+
+    /// The edge at `place` in the sender's batch.
+    pub(crate) fn at(&self, place: usize) -> &RelayedEdge {
+        &self.batch[place]
+    }
 }
 
 impl<'a> IntoIterator for &'a BatchView {

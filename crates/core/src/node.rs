@@ -405,10 +405,10 @@ impl Checks {
 }
 
 /// What [`NectarNode::receive`] keeps between its passes over a message:
-/// the batch, and per edge not known when the message came, its position
-/// and its jobs or the structural reason it fails. One per thread, emptied
-/// for each message, so the buffers are allocated once per thread rather
-/// than once per message or per node.
+/// the batch, and per edge not known when the message came, its place in
+/// the sender's batch and its jobs or the structural reason it fails. One
+/// per thread, emptied for each message, so the buffers are allocated once
+/// per thread rather than once per message or per node.
 #[derive(Default)]
 struct ReceiveScratch {
     batch: SignatureBatch,
@@ -439,33 +439,31 @@ impl Process for NectarNode {
     /// already known (flooding suppression, l. 14, before any signature
     /// work) and check the rest's shape; (2) run one batch with the
     /// signature work of every edge of the right shape; (3) in message
-    /// order again, re-probe the view — a second copy of an edge accepted
-    /// a moment ago is now known, and dropped as it would have been one
-    /// edge at a time — and reject by the first failing check or accept
-    /// with the signature from the batch.
+    /// order again, each candidate read back by its place in the sender's
+    /// batch, re-probe the view — a second copy of an edge accepted a
+    /// moment ago is now known, and dropped as it would have been one edge
+    /// at a time — and reject by the first failing check or accept with
+    /// the signature from the batch.
     fn receive(&mut self, round: usize, from: NodeId, msg: NectarMsg) {
         SCRATCH.with_borrow_mut(|scratch| {
             let ReceiveScratch { batch, candidates } = scratch;
             batch.clear();
             candidates.clear();
-            for (at, edge) in msg.edges.iter().enumerate() {
+            for (place, edge) in msg.edges.indexed() {
                 if self.discovered.contains(&edge_key(edge.proof.endpoints())) {
                     continue;
                 }
                 let checks = self
                     .check_shape(round, from, edge)
                     .and_then(|()| self.queue_checks(edge, batch));
-                candidates.push((at, checks));
+                candidates.push((place, checks));
             }
             if candidates.is_empty() {
                 return;
             }
             batch.run();
-            let mut edges = msg.edges.iter().enumerate();
-            for (at, checks) in candidates.iter() {
-                let Some((_, edge)) = edges.find(|(position, _)| position == at) else {
-                    unreachable!("candidates are in message order");
-                };
+            for (place, checks) in candidates.iter() {
+                let edge = msg.edges.at(*place);
                 let endpoints = edge.proof.endpoints();
                 if self.discovered.contains(&edge_key(endpoints)) {
                     continue;

@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use nectar_baselines::{run_mtg, run_mtg_v2, MtgConfig};
+use nectar_baselines::{run_mtg, run_mtg_v2};
 use nectar_graph::rng::Rng;
 use nectar_graph::{gen, ConnectivityOracle, Graph};
 use nectar_net::Metrics;
@@ -25,13 +25,13 @@ fn nectar_kb_per_node(g: &Graph, t: usize) -> f64 {
 }
 
 /// Mean kilobytes sent per node by one fault-free MtG execution on `g`.
-fn mtg_kb_per_node(g: &Graph, n: usize) -> f64 {
-    run_mtg(g, MtgConfig::new(n), &BTreeSet::new(), n - 1).mean_kb_sent_per_node()
+fn mtg_kb_per_node(g: &Graph) -> f64 {
+    run_mtg(g, &BTreeSet::new()).mean_kb_sent_per_node()
 }
 
 /// Mean kilobytes sent per node by one fault-free MtGv2 execution on `g`.
-fn mtgv2_kb_per_node(g: &Graph, n: usize, seed: u64) -> f64 {
-    run_mtg_v2(g, &BTreeMap::new(), n - 1, seed).mean_kb_sent_per_node()
+fn mtgv2_kb_per_node(g: &Graph, seed: u64) -> f64 {
+    run_mtg_v2(g, &BTreeMap::new(), seed).mean_kb_sent_per_node()
 }
 
 /// Debug-build guard for the deterministic cost figures: the §V-C sweeps
@@ -183,8 +183,8 @@ pub fn per_node_disparity(quick: bool) -> Vec<Table> {
     }]
 }
 
-/// One drone-figure measurement: KB sent per node on `(graph, n, seed)`.
-type Cost = fn(&Graph, usize, u64) -> f64;
+/// One drone-figure measurement: KB sent per node on `(graph, seed)`.
+type Cost = fn(&Graph, u64) -> f64;
 
 fn drone_graph(n: usize, d: f64, radius: f64, seed: u64) -> Graph {
     let mut rng = Rng::seed_from_u64(seed);
@@ -213,13 +213,13 @@ fn drone_cost(quick: bool, (id, algorithm, label): (&str, &str, &str), cost: Cos
         .map(|(ri, radius)| {
             let [points] = sweep(ds.iter().copied(), runs, |di, run| {
                 let (g, seed) = graph(ri, di, run);
-                [cost(&g, n, seed)]
+                [cost(&g, seed)]
             });
             Series { label: format!("{label}: radius = {radius}"), points }
         })
         .collect();
     let [points] = sweep(ds.iter().copied(), radii.len() * runs, |di, sample| {
-        [mtg_kb_per_node(&graph(sample / runs, di, sample % runs).0, n)]
+        [mtg_kb_per_node(&graph(sample / runs, di, sample % runs).0)]
     });
     series.push(Series { label: "MtG".into(), points });
     vec![Table {
@@ -234,7 +234,7 @@ fn drone_cost(quick: bool, (id, algorithm, label): (&str, &str, &str), cost: Cos
 /// **Fig. 4** — NECTAR's data sent per node vs barycenter distance `d` in
 /// the drone scenario, one series per radius, plus the MtG reference line.
 pub fn fig4_drone_nectar(quick: bool) -> Vec<Table> {
-    drone_cost(quick, ("fig4", "Fig. 4: NECTAR", "Nectar (ours)"), |g, _n, _seed| {
+    drone_cost(quick, ("fig4", "Fig. 4: NECTAR", "Nectar (ours)"), |g, _seed| {
         nectar_kb_per_node(g, 1)
     })
 }
@@ -261,11 +261,11 @@ fn drone_scaling(
         (&[10, 20, 30, 40, 50], &[0.0, 2.5, 5.0], 50)
     };
     let mut series = Vec::new();
-    for (label, cost) in [(label, cost), ("MtG", |g, n, _seed| mtg_kb_per_node(g, n))] {
+    for (label, cost) in [(label, cost), ("MtG", |g, _seed| mtg_kb_per_node(g))] {
         for (di, &d) in ds.iter().enumerate() {
             let [points] = sweep(xs(ns), runs, |ni, run| {
                 let seed = mix_seed(BASE_SEED, di as u64, ni as u64, run as u64);
-                [cost(&drone_graph(ns[ni], d, RADIUS, seed), ns[ni], seed)]
+                [cost(&drone_graph(ns[ni], d, RADIUS, seed), seed)]
             });
             series.push(Series { label: format!("{label}: d = {d}"), points });
         }
@@ -284,7 +284,7 @@ fn drone_scaling(
 /// **Fig. 6** — NECTAR's data sent per node vs `n` in the drone scenario
 /// (radius = 1.2), one series per `d`, plus the MtG reference.
 pub fn fig6_drone_scaling_nectar(quick: bool) -> Vec<Table> {
-    drone_scaling(quick, ("fig6", "Fig. 6: NECTAR", "Nectar (ours)"), |g, _n, _seed| {
+    drone_scaling(quick, ("fig6", "Fig. 6: NECTAR", "Nectar (ours)"), |g, _seed| {
         nectar_kb_per_node(g, 1)
     })
 }

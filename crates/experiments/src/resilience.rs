@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use nectar_baselines::{run_mtg, run_mtg_v2, BaselineVerdict, MtgConfig};
+use nectar_baselines::{run_mtg, run_mtg_v2, BaselineVerdict};
 use nectar_graph::{traversal, ConnectivityOracle, Graph};
 use nectar_net::{Mute, NodeId};
 use nectar_protocol::{ByzantineBehavior, Runtime, Scenario, Verdict};
@@ -65,15 +65,14 @@ fn mtgv2_bridge_run(n: usize, links_per_part: usize, t: usize, seed: u64) -> f64
         .into_iter()
         .map(|b| (b, Mute::Toward(part_b.iter().copied().collect())))
         .collect();
-    run_mtg_v2(&graph, &byz, n - 1, seed).success_rate(BaselineVerdict::Partitioned)
+    run_mtg_v2(&graph, &byz, seed).success_rate(BaselineVerdict::Partitioned)
 }
 
 /// One MtG insider-attack run.
 fn mtg_insider_run(n: usize, t: usize, seed: u64) -> f64 {
     let s = partitioned_with_insiders(n, t, seed);
     let saturators = s.byzantine.into_iter().collect();
-    run_mtg(&s.graph, MtgConfig::new(n), &saturators, n - 1)
-        .success_rate(BaselineVerdict::Partitioned)
+    run_mtg(&s.graph, &saturators).success_rate(BaselineVerdict::Partitioned)
 }
 
 /// **Fig. 8** — decision success rate vs number of Byzantine nodes, for
@@ -128,7 +127,7 @@ pub fn topology_resilience(quick: bool) -> Vec<Table> {
             let curves = sweep(xs(ts), runs, |i, run| {
                 let t = ts[i];
                 let seed = mix_seed(BASE_SEED, t as u64, run as u64, 0);
-                key_position_run(&mut oracle, &g, n, t, seed)
+                key_position_run(&mut oracle, &g, t, seed)
             });
             let family = family.name();
             Table {
@@ -143,13 +142,7 @@ pub fn topology_resilience(quick: bool) -> Vec<Table> {
 }
 
 /// One §V-D run of all three algorithms against the same key-position cast.
-fn key_position_run(
-    oracle: &mut ConnectivityOracle,
-    g: &Graph,
-    n: usize,
-    t: usize,
-    seed: u64,
-) -> [f64; 3] {
+fn key_position_run(oracle: &mut ConnectivityOracle, g: &Graph, t: usize, seed: u64) -> [f64; 3] {
     let byz = cut_byzantine_placement_with(oracle, g, t, seed);
     let correct_partitioned = traversal::is_partitioned_without(g, &byz);
     // The silenced side: nodes outside the component of the smallest
@@ -179,7 +172,7 @@ fn key_position_run(
     let expected =
         if correct_partitioned { BaselineVerdict::Partitioned } else { BaselineVerdict::Connected };
     let saturators = byz.iter().copied().collect();
-    let mtg = run_mtg(g, MtgConfig::new(n), &saturators, n - 1).success_rate(expected);
+    let mtg = run_mtg(g, &saturators).success_rate(expected);
 
     // MtGv2: two-faced bridges. A silent/two-faced Byzantine node makes its
     // own attestation reachable only partially; the fair expected verdict
@@ -190,7 +183,7 @@ fn key_position_run(
         Mute::Toward(silenced.iter().copied().collect())
     };
     let v2_byz: BTreeMap<NodeId, Mute> = byz.iter().map(|&b| (b, mute.clone())).collect();
-    let v2 = run_mtg_v2(g, &v2_byz, n - 1, seed).success_rate(expected);
+    let v2 = run_mtg_v2(g, &v2_byz, seed).success_rate(expected);
     [nectar, mtg, v2]
 }
 

@@ -63,7 +63,7 @@ pub use nectar_experiments::{
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use nectar_baselines::{BaselineVerdict, MtgConfig};
+    pub use nectar_baselines::BaselineVerdict;
     pub use nectar_experiments::{CompiledScenario, MobilitySpec, ScenarioSpec, TransportKind};
     pub use nectar_graph::{connectivity, gen, traversal, Graph};
     pub use nectar_protocol::{

@@ -36,37 +36,6 @@ impl<M> Outgoing<M> {
     }
 }
 
-/// Forward the implementation through boxes so heterogeneous systems
-/// (correct nodes next to Byzantine variants) can run as
-/// `Box<dyn Process<Msg = M>>`.
-impl<M, P> Process for Box<P>
-where
-    M: Clone + fmt::Debug + WireSized,
-    P: Process<Msg = M> + ?Sized,
-{
-    type Msg = M;
-
-    fn id(&self) -> NodeId {
-        (**self).id()
-    }
-
-    fn send(&mut self, round: usize) -> Vec<Outgoing<M>> {
-        (**self).send(round)
-    }
-
-    fn receive(&mut self, round: usize, from: NodeId, msg: M) {
-        (**self).receive(round, from, msg)
-    }
-
-    fn quiescent(&self) -> bool {
-        (**self).quiescent()
-    }
-
-    fn link_changed(&mut self, round: usize, peer: NodeId, up: bool) {
-        (**self).link_changed(round, peer, up)
-    }
-}
-
 /// A protocol participant driven by a synchronous runtime.
 ///
 /// The runtime calls, for every round `r = 1, 2, …`:
@@ -150,47 +119,5 @@ mod tests {
         assert_eq!(o.to, 3);
         assert_eq!(o.msg, Ping(7));
         assert_eq!(o.msg.wire_bytes(), 4);
-    }
-}
-
-#[cfg(test)]
-mod box_tests {
-    use super::*;
-
-    #[derive(Debug, Clone)]
-    struct Unit;
-    impl WireSized for Unit {
-        fn wire_bytes(&self) -> usize {
-            1
-        }
-    }
-
-    #[derive(Debug)]
-    struct Echo {
-        id: usize,
-        got: usize,
-    }
-    impl Process for Echo {
-        type Msg = Unit;
-        fn id(&self) -> usize {
-            self.id
-        }
-        fn send(&mut self, _round: usize) -> Vec<Outgoing<Unit>> {
-            vec![Outgoing::new(1 - self.id, Unit)]
-        }
-        fn receive(&mut self, _round: usize, _from: usize, _msg: Unit) {
-            self.got += 1;
-        }
-    }
-
-    #[test]
-    fn boxed_trait_objects_run_in_the_engine() {
-        // Heterogeneous systems can run as Box<dyn Process<Msg = M>>.
-        let procs: Vec<Box<dyn Process<Msg = Unit>>> =
-            vec![Box::new(Echo { id: 0, got: 0 }), Box::new(Echo { id: 1, got: 0 })];
-        let g = nectar_graph::Graph::from_edges(2, [(0, 1)]).expect("valid edge");
-        let mut net = crate::sync::SyncNetwork::new(procs, g);
-        net.run_rounds(3);
-        assert_eq!(net.metrics().total_bytes_sent(), 6);
     }
 }

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeSet;
 
-use nectar::baselines::{run_mtg, MtgConfig};
+use nectar::baselines::run_mtg;
 use nectar::prelude::*;
 
 fn nectar_line(name: &str, outcome: &RunReport) {
@@ -87,7 +87,7 @@ fn main() -> Result<(), nectar::graph::GraphError> {
     )?;
     for t in 0..=2 {
         let saturators: BTreeSet<usize> = [0, 4].into_iter().take(t).collect();
-        let out = run_mtg(&split, MtgConfig::new(8), &saturators, 7);
+        let out = run_mtg(&split, &saturators);
         println!(
             "  {t} byzantine all-ones filter(s)      -> {:>4.0}% of correct nodes detect the partition",
             100.0 * out.success_rate(BaselineVerdict::Partitioned)

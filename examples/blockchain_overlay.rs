@@ -37,7 +37,7 @@ fn main() {
         .iter()
         .map(|&b| (b, Mute::Toward(part_b.iter().copied().collect())))
         .collect();
-    let v2 = run_mtg_v2(&scenario.graph, &byz, n - 1, 7);
+    let v2 = run_mtg_v2(&scenario.graph, &byz, 7);
     let connected = v2.verdicts.values().filter(|&&v| v == BaselineVerdict::Connected).count();
     let partitioned = v2.verdicts.len() - connected;
     println!("MtGv2:  {connected} validators see a CONNECTED overlay, {partitioned} see a PARTITIONED one");

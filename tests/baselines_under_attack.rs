@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use nectar::baselines::{run_mtg, run_mtg_v2, BaselineVerdict, MtgConfig};
+use nectar::baselines::{run_mtg, run_mtg_v2, BaselineVerdict};
 use nectar::experiments::{bridged_partition, partitioned_with_insiders};
 use nectar::net::Mute;
 use nectar::prelude::*;
@@ -13,9 +13,9 @@ const N: usize = 20;
 #[test]
 fn with_zero_byzantine_everyone_is_right() {
     let s = partitioned_with_insiders(N, 0, 1);
-    let mtg = run_mtg(&s.graph, MtgConfig::new(N), &BTreeSet::new(), N - 1);
+    let mtg = run_mtg(&s.graph, &BTreeSet::new());
     assert_eq!(mtg.success_rate(BaselineVerdict::Partitioned), 1.0);
-    let v2 = run_mtg_v2(&s.graph, &BTreeMap::new(), N - 1, 1);
+    let v2 = run_mtg_v2(&s.graph, &BTreeMap::new(), 1);
     assert_eq!(v2.success_rate(BaselineVerdict::Partitioned), 1.0);
     let nectar = Scenario::new(s.graph, 0).sim().run();
     assert_eq!(nectar.success_rate(Verdict::Partitionable), 1.0);
@@ -27,7 +27,7 @@ fn one_byzantine_breaks_baseline_agreement_but_not_nectar() {
         // MtG: one insider poisons its whole side.
         let s = partitioned_with_insiders(N, 1, seed);
         let saturators: BTreeSet<usize> = s.byzantine.iter().copied().collect();
-        let mtg = run_mtg(&s.graph, MtgConfig::new(N), &saturators, N - 1);
+        let mtg = run_mtg(&s.graph, &saturators);
         let rate = mtg.success_rate(BaselineVerdict::Partitioned);
         assert!(rate <= 0.6, "MtG must lose ≥ 40% accuracy (got {rate}, seed {seed})");
         assert!(!mtg.agreement(), "one Byzantine node must break MtG agreement");
@@ -37,7 +37,7 @@ fn one_byzantine_breaks_baseline_agreement_but_not_nectar() {
         let silent: BTreeSet<usize> = b.part_b.iter().copied().collect();
         let v2_byz: BTreeMap<usize, Mute> =
             b.byzantine.iter().map(|&x| (x, Mute::Toward(silent.clone()))).collect();
-        let v2 = run_mtg_v2(&b.graph, &v2_byz, N - 1, seed);
+        let v2 = run_mtg_v2(&b.graph, &v2_byz, seed);
         let rate = v2.success_rate(BaselineVerdict::Partitioned);
         assert!(rate <= 0.6, "MtGv2 must lose ≥ 40% accuracy (got {rate}, seed {seed})");
         assert!(!v2.agreement(), "one Byzantine bridge must break MtGv2 agreement");
@@ -63,7 +63,7 @@ fn two_byzantine_zero_out_mtg() {
     for seed in [4u64, 5] {
         let s = partitioned_with_insiders(N, 2, seed);
         let saturators: BTreeSet<usize> = s.byzantine.iter().copied().collect();
-        let mtg = run_mtg(&s.graph, MtgConfig::new(N), &saturators, N - 1);
+        let mtg = run_mtg(&s.graph, &saturators);
         assert_eq!(
             mtg.success_rate(BaselineVerdict::Partitioned),
             0.0,
@@ -96,7 +96,7 @@ fn saturation_cannot_touch_signed_protocols() {
     // damage is a false alarm about the silent node itself.
     let g = gen::harary(3, 10).unwrap();
     let byz = BTreeMap::from([(4usize, Mute::From { round: 1 })]);
-    let out = run_mtg_v2(&g, &byz, 9, 3);
+    let out = run_mtg_v2(&g, &byz, 3);
     // All correct nodes miss node 4 and agree on "Partitioned".
     assert!(out.agreement());
     assert_eq!(out.success_rate(BaselineVerdict::Partitioned), 1.0);

@@ -23,12 +23,12 @@
 //!
 //! These counts hold on any machine; the `collect_scaling` bench group
 //! gates the time half. The counting allocator is process-global, which is
-//! why these tests have an integration-test binary to themselves and take
-//! turns under `SERIAL`.
+//! why these tests have an integration-test binary to themselves; each
+//! thread counts its own allocations, so the tests run side by side and
+//! the harness's own threads count against none of them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use nectar::crypto::{CodecError, Decode, Encode, KeyStore, NeighborhoodProof, SignatureChain};
 use nectar::graph::ConnectivityOracle;
@@ -38,15 +38,31 @@ use nectar::protocol::{NectarMsg, RelayedEdge};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocations and allocated bytes. A `const` initialiser
+    /// and a `Copy` value: reading or bumping it never allocates.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Allocations made so far on this thread.
+fn allocations() -> u64 {
+    COUNTS.with(|counts| counts.get().0)
+}
+
+/// Bytes allocated so far on this thread.
+fn allocated_bytes() -> u64 {
+    COUNTS.with(|counts| counts.get().1)
+}
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the only additions are statistics.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // A thread being torn down has no counts left to bump.
+        let _ = COUNTS.try_with(|counts| {
+            let (allocations, bytes) = counts.get();
+            counts.set((allocations + 1, bytes + layout.size() as u64));
+        });
         // SAFETY: `layout` is the caller's, passed through as is.
         unsafe { System.alloc(layout) }
     }
@@ -60,20 +76,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Held by a test while it reads `ALLOCATIONS`, so the other's work is not
-/// counted against it.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 #[test]
 fn deciding_a_partitioned_fleet_allocates_per_class_not_per_node_squared() {
-    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let n = 2_000;
     let scenario = Scenario::new(gen::disjoint_cliques(n / 4, 4), 2).with_key_seed(5);
     let participants = scenario.sim().runtime(Runtime::Event).participants();
     let mut oracle = ConnectivityOracle::new();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let (decisions, stats) = scenario.collect_decisions(&participants, &mut oracle, 1);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocations() - before;
     assert_eq!(decisions.len(), n);
     assert!(decisions.values().all(|d| d.confirmed && d.reachable == 4));
     assert_eq!(stats.structure_shortcuts, n as u64 / 4, "one cold query per clique");
@@ -91,14 +102,13 @@ fn deciding_a_partitioned_fleet_allocates_per_class_not_per_node_squared() {
 /// derives the n-vertex map for itself, as node-by-node `decide_with` does.)
 #[test]
 fn deciding_a_converged_connected_fleet_derives_its_one_view_once() {
-    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let n = 256;
     let scenario = Scenario::new(gen::star(n), 1).with_key_seed(5);
     let participants = scenario.sim().runtime(Runtime::Event).participants();
     let mut oracle = ConnectivityOracle::new();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let (decisions, stats) = scenario.collect_decisions(&participants, &mut oracle, 1);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocations() - before;
     assert_eq!(decisions.len(), n);
     assert!(decisions.values().all(|d| !d.confirmed && d.reachable == n));
     assert_eq!(stats.cache_hits, n as u64 - 1, "one view: one cold query");
@@ -135,7 +145,6 @@ fn flap_schedule() -> (TopologySchedule, usize) {
 /// list for its notices, the flapped run made 127 659 (55 636 added).
 #[test]
 fn a_flap_schedule_adds_allocations_in_its_own_size_not_fleet_times_flips() {
-    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let n = 2_000;
     let scenario = Scenario::new(gen::disjoint_cliques(n / 4, 4), 2).with_key_seed(5);
     let (schedule, transitions) = flap_schedule();
@@ -145,9 +154,9 @@ fn a_flap_schedule_adds_allocations_in_its_own_size_not_fleet_times_flips() {
             Some(schedule) => sim.schedule(schedule),
             None => sim,
         };
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let participants = sim.participants();
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let allocations = allocations() - before;
         assert_eq!(participants.len(), n);
         allocations
     };
@@ -173,7 +182,6 @@ fn a_flap_schedule_adds_allocations_in_its_own_size_not_fleet_times_flips() {
 /// report each copied the graph: `run_report` 49 974, one compile 2 346.
 #[test]
 fn a_scheduled_run_report_compiles_its_schedule_once() {
-    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let mut text = String::from("topology cliques 2000\nt 2\nseed 5\nruntime event\n");
     for line in flap_schedule().0.to_script().lines() {
         text.push_str(&format!("schedule {line}\n"));
@@ -182,13 +190,13 @@ fn a_scheduled_run_report_compiles_its_schedule_once() {
         ScenarioSpec::parse(&text, "").and_then(|spec| spec.compile()).expect("a valid scenario");
     let schedule = plan.schedule.clone().expect("the plan has a schedule");
     let count = |run: &dyn Fn() -> RunReport| {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let report = run();
-        (report, ALLOCATIONS.load(Ordering::Relaxed) - before)
+        (report, allocations() - before)
     };
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     schedule.compile(&plan.graph).expect("a valid schedule");
-    let compile = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let compile = allocations() - before;
     // `receive` reuses one signature batch per thread: the first run on a
     // thread grows it, so warm it before counting either run.
     plan.run_report();
@@ -209,11 +217,10 @@ fn a_scheduled_run_report_compiles_its_schedule_once() {
 /// adjacency.)
 #[test]
 fn cloning_a_fleet_topology_allocates_nothing() {
-    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let g = gen::disjoint_cliques(2_500, 4);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let copy = g.clone();
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocations() - before;
     assert_eq!(copy, g);
     assert_eq!(allocations, 0, "cloning a {}-node graph", g.node_count());
 }
@@ -224,15 +231,14 @@ fn cloning_a_fleet_topology_allocates_nothing() {
 /// copied the graph.)
 #[test]
 fn lowering_a_compiled_fleet_allocates_per_cast_member_not_per_node() {
-    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let cast = "byz 0:silent\nbyz 4:two-faced@8-11\nbyz 9:crash@2\n";
     for (members, cast) in [(0, ""), (3, cast)] {
         let plan = ScenarioSpec::parse(&format!("topology cliques 2000\nt 2\nseed 5\n{cast}"), "")
             .and_then(|spec| spec.compile())
             .expect("a valid scenario");
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let scenario = plan.scenario();
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let allocations = allocations() - before;
         assert_eq!(scenario.byzantine_nodes().len(), members);
         assert!(
             allocations <= 2 * members as u64,
@@ -243,14 +249,13 @@ fn lowering_a_compiled_fleet_allocates_per_cast_member_not_per_node() {
 
 #[test]
 fn a_whole_run_allocates_a_handful_per_accepted_edge() {
-    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let (n, k) = (48, 6);
     let plan = ScenarioSpec::parse(&format!("topology harary-k{k} {n}\nt 2\nseed 1\n"), "")
         .and_then(|spec| spec.compile())
         .expect("a valid scenario");
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let report = plan.run_report();
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocations() - before;
     assert_eq!(report.unanimous_verdict(), Some(Verdict::NotPartitionable));
     // Every node starts with its k own edges and accepts each of the others
     // exactly once.
@@ -311,7 +316,6 @@ impl<P: Process<Msg = NectarMsg>> Process for CountEdges<P> {
 /// every encode, the same run made 697 549.
 #[test]
 fn a_loopback_run_allocates_per_edge_and_per_frame_over_the_sync_engine() {
-    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let (n, k) = (48, 6);
     let scenario = Scenario::new(gen::harary(k, n).expect("harary(6, 48)"), 2).with_key_seed(1);
     let rounds = scenario.config().effective_rounds();
@@ -322,17 +326,17 @@ fn a_loopback_run_allocates_per_edge_and_per_frame_over_the_sync_engine() {
     let delivered = |fleet: &[CountEdges<_>]| fleet.iter().map(|p| p.edges).sum::<u64>();
 
     let processes = fleet();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut net = SyncNetwork::new(processes, scenario.topology().clone());
     net.run_rounds(rounds);
     let (sync_fleet, sync_metrics) = net.into_parts();
-    let sync = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let sync = allocations() - before;
 
     let processes = fleet();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let (wire_fleet, wire_metrics, ()) =
         run_over_loopback(processes, scenario.topology(), rounds).expect("loopback run");
-    let loopback = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let loopback = allocations() - before;
 
     assert_eq!(wire_metrics, sync_metrics);
     let edges = delivered(&wire_fleet);
@@ -356,7 +360,6 @@ fn a_loopback_run_allocates_per_edge_and_per_frame_over_the_sync_engine() {
 /// `get_u16` returned a `Vec`.)
 #[test]
 fn decoding_a_message_allocates_two_per_edge_whatever_the_chain_length() {
-    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let e = 16u16;
     let ks = KeyStore::generate(e as usize + 1, 3);
     let decode_allocations = |chain_len: u16| {
@@ -372,9 +375,9 @@ fn decoding_a_message_allocates_two_per_edge_whatever_the_chain_length() {
             .collect();
         let msg = NectarMsg::new(edges);
         let wire = msg.to_wire_bytes();
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let decoded = NectarMsg::decode(&mut wire.as_slice());
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let allocations = allocations() - before;
         assert_eq!(decoded, Ok(msg));
         allocations
     };
@@ -390,7 +393,6 @@ fn decoding_a_message_allocates_two_per_edge_whatever_the_chain_length() {
 /// extended chain behind an `Arc` cost d + 2p + 1.
 #[test]
 fn sending_a_round_allocates_the_same_whatever_the_batch_and_the_neighborhood() {
-    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let ks = KeyStore::generate(64, 9);
     // Node 0 joined to nodes 1..=d, announcing its d edges and `extra`
     // fictitious ones, then accepting `relayed` edges (1, j) from node 1 in
@@ -412,9 +414,9 @@ fn sending_a_round_allocates_the_same_whatever_the_batch_and_the_neighborhood() 
             .collect();
         node.receive(1, 1, msg);
         assert!(node.rejections().is_empty());
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let out = node.send(1);
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let allocations = allocations() - before;
         let p = (d + extra + relayed) as usize;
         assert_eq!(out.len(), d as usize);
         assert_eq!(out[0].msg.edges.len(), p - relayed as usize, "node 1 gets none of its own");
@@ -437,11 +439,10 @@ fn sending_a_round_allocates_the_same_whatever_the_batch_and_the_neighborhood() 
 /// reserved the 2.2 MB (65 535 × 34 B) the claim describes.
 #[test]
 fn decoding_a_chain_reserves_for_the_buffer_not_for_the_claimed_length() {
-    let _turn = SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     let wire = u16::MAX.to_be_bytes();
-    let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let before = allocated_bytes();
     let decoded = SignatureChain::decode(&mut wire.as_slice());
-    let requested = ALLOCATED_BYTES.load(Ordering::Relaxed) - before;
+    let requested = allocated_bytes() - before;
     assert!(matches!(decoded, Err(CodecError::UnexpectedEnd { .. })), "{decoded:?}");
     assert!(requested < 4096, "decoding an empty claim of 65 535 links requested {requested} B");
 }

@@ -38,8 +38,7 @@ fn all_facade_reexports_resolve() {
 
     // baselines = nectar_baselines
     let g = nectar::graph::gen::complete(4);
-    let out =
-        nectar::baselines::run_mtg(&g, MtgConfig::new(4), &std::collections::BTreeSet::new(), 3);
+    let out = nectar::baselines::run_mtg(&g, &std::collections::BTreeSet::new());
     assert_eq!(out.success_rate(BaselineVerdict::Connected), 1.0);
 
     // experiments = nectar_experiments
@@ -58,7 +57,6 @@ fn prelude_exports_the_documented_names() {
     let _behavior = ByzantineBehavior::Silent;
     let _verdict = Verdict::Partitionable;
     let _config: NectarConfig = NectarConfig::new(6, 1);
-    let _mtg_cfg = MtgConfig::new(5);
     let graph: Graph = gen::star(5);
     let scenario = Scenario::new(graph, 1);
     let report: RunReport = scenario.sim().run();
